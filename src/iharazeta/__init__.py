@@ -1,5 +1,5 @@
 """Ihara zeta and xi functions of finite connected regular multigraphs,
-with Ramanujan-property certification by four cross-validated routes."""
+with Ramanujan-property certification by three cross-validated h_k routes."""
 
 __version__ = "0.1.0"
 
@@ -14,8 +14,7 @@ from .census import (CycleCensus, build_census, closed_walk_counts,
 from .graphs import (GraphProfile, Multigraph, OrientedEdge, adjacency_matrix,
                      build_graph, generate, parse_generator, profile,
                      read_edge_list, write_edge_list)
-from .hk import (HkSequence, chebyshev_T, hk_from_ck, hk_from_nk, hk_nonneg,
-                 hk_spectral)
+from .hk import HkSequence, chebyshev_T, hk_from_ck, hk_nonneg, hk_spectral
 from .report import AnalysisConfig, analyze, report_to_json
 from .spectral import (NontrivialSpectrum, Spectrum, eigenvalues_symmetric,
                        nontrivial_spectrum, scaled_spectrum)

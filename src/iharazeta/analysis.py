@@ -189,7 +189,7 @@ def hk_upper_check(seq: HkSequence, n: int, bipartite: bool,
     return bool(np.all(seq.values <= bound * (1.0 + tol)))
 
 
-def estimate_max_eigenvalue(seq: HkSequence, q: int, n: int) -> EigenvalueEstimate:
+def estimate_max_eigenvalue(seq: HkSequence, q: int) -> EigenvalueEstimate:
     """Estimate q^(-1/2) * max|lam| from the tail of negative even h_k.
 
     For a non-Ramanujan graph, h_2k behaves like -m*mu^(2k), so
@@ -200,7 +200,6 @@ def estimate_max_eigenvalue(seq: HkSequence, q: int, n: int) -> EigenvalueEstima
     negative and EstimatorSignMismatch when negatives exist but never in
     adjacent even pairs.
     """
-    del n  # part of the call contract; the estimate needs only q
     evens = range(2, seq.horizon + 1, 2)
     some_negative = any(seq.h(k) < 0.0 for k in evens)
     usable = [k for k in evens

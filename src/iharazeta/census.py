@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import Multigraph, adjacency_matrix
-from .hk import chebyshev_T_table, tk_weight
+from .hk import chebyshev_T_table, ck_alternating_sum
 from .spectral import Spectrum
 
 INT64_SAFE = 2 ** 62
@@ -83,8 +83,6 @@ def closed_walk_counts(g: Multigraph, K: int) -> list[int]:
     """C_0..C_K where C_k = trace(A^k) and C_0 = n, all exact."""
     if K < 1:
         raise ValueError("horizon must be >= 1")
-    from .graphs import adjacency_matrix
-
     return [g.n] + integer_power_traces(adjacency_matrix(g), K)
 
 
@@ -171,9 +169,7 @@ def nk_from_ck(c: Sequence[int], q: int, n: int, k: int) -> int:
     """
     if len(c) < k + 1:
         raise ValueError(f"need C_0..C_{k}, got {len(c)} entries")
-    total = 0
-    for i in range(k // 2 + 1):
-        total += (-q) ** i * tk_weight(k, i) * int(c[k - 2 * i])
+    total = ck_alternating_sum(c, q, k)
     if k % 2 == 0:
         total += n * (q - 1)
     return total

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
-import json
 import os
 import sys
 
@@ -21,17 +21,20 @@ from .census import (BruteForceBudgetExceeded, RoundingResidualTooLarge,
                      build_census, geodesic_cycles_bruteforce)
 from .graphs import (GraphError, Multigraph, adjacency_matrix, parse_generator,
                      profile, read_edge_list, write_edge_list)
-from .hk import hk_from_ck, hk_from_nk, hk_spectral
-from .report import (AnalysisConfig, InternalConsistencyError, analyze,
-                     env_seed, report_to_json, _round_floats)
-from .spectral import (JacobiConvergenceError, eigenvalues_symmetric,
-                       nontrivial_spectrum, scaled_spectrum)
+from .hk import hk_from_ck, hk_spectral
+from .report import (SCHEMA_VERSION, AnalysisConfig, InternalConsistencyError,
+                     analyze, env_seed, report_to_json)
+from .spectral import (eigenvalues_symmetric, nontrivial_spectrum,
+                       scaled_spectrum)
 from .zetaxi import hk_series, xi_rational, zeta_inverse
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
+
+# h_k routes of the series subcommand, in CSV column order
+SERIES_ROUTES = ["spectral", "ck", "series"]
 
 
 def _load_graph(source: str) -> Multigraph:
@@ -51,22 +54,16 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _json_dump(payload: dict) -> str:
-    return json.dumps(_round_floats(payload), sort_keys=True, indent=2)
-
-
 def _config(args: argparse.Namespace) -> AnalysisConfig:
     return AnalysisConfig(k_horizon=args.k, seed=env_seed(),
                           spectral_tol=args.tol,
                           include_timings=not args.no_timings)
 
 
-def _pipeline_pieces(g: Multigraph, K: int):
+def _pipeline_pieces(g: Multigraph):
     prof = profile(g)
     spectrum = eigenvalues_symmetric(adjacency_matrix(g))
-    ns = nontrivial_spectrum(spectrum, prof)
-    census = build_census(g, prof.q, K) if K >= 1 else None
-    return prof, spectrum, ns, census
+    return prof, spectrum, nontrivial_spectrum(spectrum, prof)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -84,33 +81,31 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_series(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     K = args.k
-    prof, spectrum, ns, census = _pipeline_pieces(g, K)
+    prof, _, ns = _pipeline_pieces(g)
     q, n = prof.q, g.n
-    scaled = scaled_spectrum(ns)
     routes: dict[str, list[float]] = {}
-    want = ["spectral", "nk", "ck", "series"] if args.route == "all" else [args.route]
+    want = SERIES_ROUTES if args.route == "all" else [args.route]
     if K >= 1:
         if "spectral" in want:
-            routes["spectral"] = list(hk_spectral(scaled, K, q, n, prof.bipartite).values)
-        if "nk" in want:
-            routes["nk"] = list(hk_from_nk(census.nk, q, n, prof.bipartite, K).values)
+            routes["spectral"] = list(hk_spectral(scaled_spectrum(ns), K, q, n,
+                                                  prof.bipartite).values)
         if "ck" in want:
+            census = build_census(g, q, K)
             routes["ck"] = list(hk_from_ck(census.c, q, n, prof.bipartite, K).values)
         if "series" in want:
             routes["series"] = list(hk_series(xi_rational(ns, q), q, K))
     if args.format == "json":
-        payload = {"schema": 1, "source": args.input, "k_horizon": K,
+        payload = {"schema": SCHEMA_VERSION, "source": args.input, "k_horizon": K,
                    "routes": {r: [float(v) for v in vals]
                               for r, vals in routes.items()}}
-        _emit(_json_dump(payload), args.out)
+        _emit(report_to_json(payload), args.out)
         return EXIT_OK
     buf = io.StringIO()
     writer = csv.writer(buf)
     if args.route == "all":
-        writer.writerow(["k", "spectral", "nk", "ck", "series"])
+        writer.writerow(["k"] + SERIES_ROUTES)
         for k in range(1, K + 1):
-            writer.writerow([k] + [f"{routes[r][k - 1]:.12g}"
-                                   for r in ("spectral", "nk", "ck", "series")])
+            writer.writerow([k] + [f"{routes[r][k - 1]:.12g}" for r in SERIES_ROUTES])
     else:
         writer.writerow(["k", "h_k", "route"])
         for k in range(1, K + 1):
@@ -126,7 +121,7 @@ def cmd_census(args: argparse.Namespace) -> int:
     prof = profile(g)
     census = build_census(g, prof.q, args.k)
     payload = {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "source": args.input,
         "k_horizon": args.k,
         "c": [str(x) for x in census.c],
@@ -139,24 +134,24 @@ def cmd_census(args: argparse.Namespace) -> int:
         if oracle != list(census.nk[:upto]):
             raise InternalConsistencyError(
                 "brute-force oracle disagrees with the census")
-    _emit(_json_dump(payload), args.out)
+    _emit(report_to_json(payload), args.out)
     return EXIT_OK
 
 
 def cmd_zeta(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
-    prof, spectrum, ns, _ = _pipeline_pieces(g, 0)
+    prof, spectrum, ns = _pipeline_pieces(g)
     zinv = zeta_inverse(spectrum, prof.q, g.n)
     xi = xi_rational(ns, prof.q)
     payload = {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "source": args.input,
         "zeta_inverse_coefficients": [float(c) for c in zinv.coefficients],
         "degree": zinv.degree,
         "xi_numerator": [float(c) for c in xi.numerator.coefficients],
         "xi_denominator": [float(c) for c in xi.denominator.coefficients],
     }
-    _emit(_json_dump(payload), args.out)
+    _emit(report_to_json(payload), args.out)
     return EXIT_OK
 
 
@@ -165,14 +160,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     report = analyze(g, source=args.input, cfg=_config(args))
     verdicts = report["verdicts"]
     payload = {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "source": args.input,
         "k_horizon": args.k,
         "verdicts": verdicts,
         "functional_equation": report["functional_equation"],
         "route_agreement": report["route_agreement"],
     }
-    _emit(_json_dump(payload), args.out)
+    _emit(report_to_json(payload), args.out)
     if args.require_ramanujan:
         if not (verdicts["spectral"]["is_ramanujan"]
                 and verdicts["hk"]["is_ramanujan"]):
@@ -182,10 +177,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
-    prof, spectrum, ns, _ = _pipeline_pieces(g, 0)
+    prof, _, ns = _pipeline_pieces(g)
     seq = hk_spectral(scaled_spectrum(ns), args.k, prof.q, g.n, prof.bipartite)
     try:
-        est = estimate_max_eigenvalue(seq, prof.q, g.n)
+        est = estimate_max_eigenvalue(seq, prof.q)
         payload = {
             "status": "ok",
             "estimate": est.estimate,
@@ -198,8 +193,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         payload = {"status": "not_applicable", "detail": str(exc)}
     except EstimatorSignMismatch as exc:
         payload = {"status": "sign_mismatch", "detail": str(exc)}
-    payload.update({"schema": 1, "source": args.input, "k_horizon": args.k})
-    _emit(_json_dump(payload), args.out)
+    payload.update({"schema": SCHEMA_VERSION, "source": args.input,
+                    "k_horizon": args.k})
+    _emit(report_to_json(payload), args.out)
     return EXIT_OK
 
 
@@ -209,7 +205,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser for every main() call; building a fresh one per call
+    leaves reference cycles behind for the garbage collector."""
     parser = argparse.ArgumentParser(
         prog="ihara",
         description="Ihara zeta/xi analysis of connected regular multigraphs")
@@ -237,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="h_k table as CSV")
     common(p, fmt_default="csv")
     p.add_argument("--route", default="all",
-                   choices=["spectral", "nk", "ck", "series", "all"])
+                   choices=SERIES_ROUTES + ["all"])
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("census", help="exact C_k and N_k sequences as JSON")
@@ -291,8 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     except BruteForceBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (InternalConsistencyError, RoundingResidualTooLarge,
-            JacobiConvergenceError) as exc:
+    except (InternalConsistencyError, RoundingResidualTooLarge) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -6,12 +6,13 @@ twice the classical first-kind Chebyshev polynomial under x -> x/2, and
 satisfies T_k(y + 1/y) = y^k + y^-k.
 
 The h_k sequence (Maclaurin coefficients of the logarithmic derivative of
-the rescaled xi function) admits three closed-form routes implemented here:
+the rescaled xi function) admits two closed-form routes implemented here:
   * spectral -- from the scaled nontrivial spectrum via T_k sums,
-  * from_nk  -- from exact geodesic-cycle counts N_k,
   * from_ck  -- from exact closed-walk counts C_k via alternating binomial
-    sums.
-A fourth, generic power-series route lives in zetaxi.log_series.
+    sums, in integers up to the final division.
+A third, generic power-series route lives in zetaxi.log_series.  (A route
+from the geodesic-cycle counts N_k would repeat from_ck: the census derives
+N_k from C_k with the same alternating sum.)
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Sequence
 import numpy as np
 
 ROUTE_SPECTRAL = "spectral"
-ROUTE_FROM_NK = "from_nk"
 ROUTE_FROM_CK = "from_ck"
 ROUTE_SERIES = "series"
 
@@ -107,14 +107,6 @@ class HkSequence:
         return float(self.values[k - 1])
 
 
-def _q_half_powers(q: int, k: int) -> float:
-    """q^(k/2) with the integer part exact: even k uses the exact integer
-    power, odd k multiplies the exact integer q^((k-1)/2) by sqrt(q)."""
-    if k % 2 == 0:
-        return float(q ** (k // 2))
-    return q ** ((k - 1) // 2) * math.sqrt(q)
-
-
 def hk_spectral(scaled: np.ndarray, K: int, q: int, n: int,
                 bipartite: bool) -> HkSequence:
     """h_k = 2|Spec*| - sum of T_k over the scaled nontrivial spectrum."""
@@ -123,34 +115,6 @@ def hk_spectral(scaled: np.ndarray, K: int, q: int, n: int,
     table = chebyshev_T_table(K, scaled)
     values = 2.0 * m - table.sum(axis=1)
     return HkSequence(values=values, route=ROUTE_SPECTRAL, q=q, n=n,
-                      bipartite=bipartite)
-
-
-def hk_from_nk(nk: Sequence[int], q: int, n: int, bipartite: bool,
-               K: int) -> HkSequence:
-    """h_k from exact geodesic-cycle counts N_1..N_K.
-
-    Nonbipartite: h_k = 2(n-1) + q^(k/2) + q^(-k/2) - q^(-k/2) * N_k for odd
-    k, with N_k replaced by N_k - n(q-1) for even k.  Bipartite: h_k = 2(n-2)
-    for odd k (no N_k dependence at all), and
-    2(n-2+q^(k/2)+q^(-k/2)) - q^(-k/2)(N_k - n(q-1)) for even k.
-    """
-    if len(nk) < K:
-        raise ValueError(f"need N_1..N_{K}, got {len(nk)} entries")
-    values = np.empty(K)
-    for k in range(1, K + 1):
-        if bipartite and k % 2 == 1:
-            values[k - 1] = 2.0 * (n - 2)
-            continue
-        qk = _q_half_powers(q, k)
-        main = int(nk[k - 1])
-        if k % 2 == 0:
-            main -= n * (q - 1)
-        if bipartite:
-            values[k - 1] = 2.0 * (n - 2) + 2.0 * qk + 2.0 / qk - float(main) / qk
-        else:
-            values[k - 1] = 2.0 * (n - 1) + qk + 1.0 / qk - float(main) / qk
-    return HkSequence(values=values, route=ROUTE_FROM_NK, q=q, n=n,
                       bipartite=bipartite)
 
 
@@ -165,21 +129,31 @@ def ck_alternating_sum(c: Sequence[int], q: int, k: int) -> int:
 
 def hk_from_ck(c: Sequence[int], q: int, n: int, bipartite: bool,
                K: int) -> HkSequence:
-    """h_k from exact closed-walk counts C_0..C_K via the alternating
-    binomial sums; the odd-k bipartite branch is the constant 2(n-2)."""
+    """h_k from exact closed-walk counts C_0..C_K.
+
+    With S_k = ck_alternating_sum(c, q, k) and Q = q^(k/2), nonbipartite
+    graphs have h_k = 2(n-1) + Q + 1/Q - S_k/Q.  Bipartite graphs have
+    h_k = 2(n-2) for odd k (no count dependence at all) and
+    2(n-2) + 2Q + 2/Q - S_k/Q for even k.  The terms cancel to O(n), so
+    they are never added in float.  Even k forms the integer numerator over
+    the integer Q and divides once, which rounds correctly.  Odd k divides
+    the integer q^k + 1 - S_k by q^((k-1)/2), then by sqrt(q), and adds
+    2(n-1): an error of a few ulps of max(|h_k|, 4n).
+    """
     if len(c) < K + 1:
         raise ValueError(f"need C_0..C_{K}, got {len(c)} entries")
+    base, mult = (2 * (n - 2), 2) if bipartite else (2 * (n - 1), 1)
     values = np.empty(K)
     for k in range(1, K + 1):
         if bipartite and k % 2 == 1:
-            values[k - 1] = 2.0 * (n - 2)
+            values[k - 1] = base
             continue
-        qk = _q_half_powers(q, k)
         s = ck_alternating_sum(c, q, k)
-        if bipartite:
-            values[k - 1] = 2.0 * (n - 2) + 2.0 * qk + 2.0 / qk - float(s) / qk
+        half = q ** (k // 2)
+        if k % 2 == 0:
+            values[k - 1] = (base * half + mult * (half * half + 1) - s) / half
         else:
-            values[k - 1] = 2.0 * (n - 1) + qk + 1.0 / qk - float(s) / qk
+            values[k - 1] = base + (q ** k + 1 - s) / half / math.sqrt(q)
     return HkSequence(values=values, route=ROUTE_FROM_CK, q=q, n=n,
                       bipartite=bipartite)
 

@@ -1,14 +1,17 @@
 """Full analysis pipeline and machine-readable report assembly.
 
-One call runs: profile -> spectrum -> exact census -> zeta/xi -> all four
-h_k routes -> every certification check -> estimator, and returns a plain
-dict shaped like the emitted JSON.  Cross-route disagreements beyond
-tolerance raise InternalConsistencyError: they indicate a bug, not a
-mathematical verdict.
+One call runs: profile -> spectrum -> exact census -> zeta/xi -> the three
+h_k routes (spectral, from_ck, series) -> every certification check ->
+estimator, and returns a plain dict shaped like the emitted JSON.  The h_k
+verdict and the checks that need exact values read the from_ck route.
+Cross-route disagreements beyond tolerance raise InternalConsistencyError:
+they indicate a bug, not a mathematical verdict.  report_to_json is the one
+JSON writer for every subcommand's output.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from dataclasses import dataclass
@@ -21,14 +24,14 @@ from .analysis import (DomainError, EstimatorNotApplicable,
 from .census import (build_census, geodesic_cycles_operator,
                      nk_from_spectrum_rounded)
 from .graphs import Multigraph, adjacency_matrix, profile
-from .hk import (HkSequence, hk_from_ck, hk_from_nk, hk_spectral,
-                 max_route_deviation)
+from .hk import (ROUTE_FROM_CK, ROUTE_SERIES, ROUTE_SPECTRAL, HkSequence,
+                 hk_from_ck, hk_spectral, max_route_deviation)
 from .spectral import eigenvalues_symmetric, nontrivial_spectrum, scaled_spectrum
 from .zetaxi import (functional_equation_points, functional_equation_residual,
                      hk_series, log_series_zeta_check, xi_from_zeta,
                      xi_rational, zeta_inverse, zeta_inverse_factors)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_SEED = 42
 # largest oriented-edge count for which the trace(B^k) cross-check runs
 OPERATOR_CROSSCHECK_EDGE_LIMIT = 400
@@ -131,15 +134,13 @@ def analyze(g: Multigraph, source: str,
     timings["zeta_xi"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    seqs = [
+    series = HkSequence(values=hk_series(xi, q, K), route=ROUTE_SERIES, q=q,
+                        n=n, bipartite=prof.bipartite)
+    seqs = {seq.route: seq for seq in (
         hk_spectral(scaled, K, q, n, prof.bipartite),
-        hk_from_nk(census.nk, q, n, prof.bipartite, K),
         hk_from_ck(census.c, q, n, prof.bipartite, K),
-    ]
-    series_values = hk_series(xi, q, K)
-    seqs.append(HkSequence(values=series_values, route="series", q=q, n=n,
-                           bipartite=prof.bipartite))
-    route_dev = max_route_deviation(seqs)
+        series)}
+    route_dev = max_route_deviation(list(seqs.values()))
     if route_dev > cfg.route_tol:
         raise InternalConsistencyError(
             f"h_k routes disagree: max relative deviation {route_dev:.3e}")
@@ -147,7 +148,7 @@ def analyze(g: Multigraph, source: str,
 
     t0 = time.perf_counter()
     verdict_spec = ramanujan_spectral(ns, q, tol=cfg.spectral_tol)
-    exact_seq = seqs[2]  # from_ck: exact integer provenance
+    exact_seq = seqs[ROUTE_FROM_CK]
     verdict_hk = ramanujan_hk(exact_seq)
     hw = hasse_weil_check(census.nk, q, n, prof.bipartite)
     bounds = []
@@ -170,7 +171,7 @@ def analyze(g: Multigraph, source: str,
     t0 = time.perf_counter()
     estimator: dict = {"status": "ok"}
     try:
-        est = estimate_max_eigenvalue(seqs[0], q, n)
+        est = estimate_max_eigenvalue(seqs[ROUTE_SPECTRAL], q)
         estimator.update({
             "estimate": est.estimate,
             "mu": est.mu,
@@ -205,7 +206,7 @@ def analyze(g: Multigraph, source: str,
             "c": _decimal_strings(census.c),
             "n": _decimal_strings(census.nk),
         },
-        "h": {seq.route: _float_list(seq.values) for seq in seqs},
+        "h": {route: _float_list(seq.values) for route, seq in seqs.items()},
         "route_agreement": {
             "max_relative_deviation": route_dev,
             "tolerance": cfg.route_tol,
@@ -277,6 +278,4 @@ def _round_floats(obj, digits: int = 12):
 def report_to_json(report: dict) -> str:
     """Deterministic JSON: sorted keys, floats at 12 significant digits,
     arbitrary-precision integers already rendered as decimal strings."""
-    import json
-
     return json.dumps(_round_floats(report), sort_keys=True, indent=2)

@@ -1,9 +1,7 @@
-"""Dense symmetric eigensolver and nontrivial-spectrum extraction.
+"""Dense symmetric eigenvalues and nontrivial-spectrum extraction.
 
-The eigensolver is a cyclic Jacobi iteration: sweep all off-diagonal pivots
-with Givens rotations until the off-diagonal Frobenius mass drops below a
-relative threshold.  Inputs here are small integer adjacency matrices, well
-inside Jacobi's robust regime, and the full multiset of eigenvalues (no
+Eigenvalues come from LAPACK through numpy.linalg.eigvalsh.  Inputs are
+small integer adjacency matrices, and the full multiset of eigenvalues (no
 clustering, no multiplicity inference) is what downstream formulas consume.
 """
 
@@ -16,22 +14,11 @@ import numpy as np
 
 from .graphs import GraphProfile
 
-JACOBI_TOL = 1e-12
-MAX_SWEEPS = 100
 TRIVIAL_MATCH_TOL = 1e-6
 
 
 class NonSymmetricError(ValueError):
     pass
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Sweep cap exceeded; carries the remaining off-diagonal mass."""
-
-    def __init__(self, residual: float):
-        super().__init__(f"no convergence after {MAX_SWEEPS} sweeps, "
-                         f"off-diagonal mass {residual:.3e}")
-        self.residual = residual
 
 
 class TrivialEigenvalueMissing(ValueError):
@@ -74,52 +61,17 @@ class NontrivialSpectrum:
         return float(np.max(np.abs(self.values))) if self.values else 0.0
 
 
-def _off_mass(a: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.square(a - np.diag(np.diagonal(a))))))
+def eigenvalues_symmetric(m: np.ndarray) -> Spectrum:
+    """All eigenvalues of a symmetric matrix, by LAPACK (eigvalsh).
 
-
-def _sweep(a: np.ndarray) -> None:
-    n = a.shape[0]
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            apq = a[p, q]
-            if apq == 0.0:
-                continue
-            theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            s = t * c
-            rp, rq = a[p, :].copy(), a[q, :].copy()
-            a[p, :] = c * rp - s * rq
-            a[q, :] = s * rp + c * rq
-            cp, cq = a[:, p].copy(), a[:, q].copy()
-            a[:, p] = c * cp - s * cq
-            a[:, q] = s * cp + c * cq
-
-
-def eigenvalues_symmetric(m: np.ndarray, tol: float = JACOBI_TOL) -> Spectrum:
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Iterates sweeps until the off-diagonal Frobenius mass falls below
-    tol * ||m||_F, with a cap of MAX_SWEEPS sweeps.  Symmetry is required
-    exactly (inputs are integer matrices).
+    Symmetry is required exactly (inputs are integer matrices).
     """
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSymmetricError(f"expected a square matrix, got shape {a.shape}")
     if not np.array_equal(a, a.T):
         raise NonSymmetricError("matrix is not symmetric")
-    a = a.astype(np.float64).copy()
-    target = tol * float(np.linalg.norm(a))
-    for _ in range(MAX_SWEEPS):
-        if _off_mass(a) <= target:
-            break
-        _sweep(a)
-    else:
-        residual = _off_mass(a)
-        if residual > target:
-            raise JacobiConvergenceError(residual)
-    vals = np.sort(np.diagonal(a))[::-1]
+    vals = np.linalg.eigvalsh(a.astype(np.float64))[::-1]
     return Spectrum(tuple(float(v) for v in vals))
 
 

@@ -161,12 +161,19 @@ class RationalFunction:
                 return True
         return False
 
-    def __call__(self, u: float) -> float:
+    def frexp(self, u: float) -> tuple[float, int]:
+        """The value at u as (mantissa, binary exponent), like math.frexp,
+        so that values beyond the float range stay representable; an exact
+        zero is (0.0, 0)."""
         if self.near_pole(u):
             raise PoleHit(f"u={u!r} is numerically a pole")
         nm, ne = _eval_factors(self._side_factors("num"), u)
         dm, de = _eval_factors(self._side_factors("den"), u)
-        return math.ldexp(nm / dm, ne - de)
+        mant, ex = math.frexp(nm / dm)
+        return (mant, ex + ne - de) if mant else (0.0, 0)
+
+    def __call__(self, u: float) -> float:
+        return math.ldexp(*self.frexp(u))
 
     def scale_input(self, c: float) -> "RationalFunction":
         def scale(factors: Factors | None) -> Factors | None:
@@ -258,19 +265,26 @@ def functional_equation_points(count: int = 100, seed: int = 42) -> np.ndarray:
 def functional_equation_residual(xi: RationalFunction, q: int, u: float) -> float:
     """Relative residual |Xi(1/(q*u)) - Xi(u)| / max(1, |Xi(u)|, |Xi(1/(q*u))|).
 
-    Xi values reach 1e20 and beyond at ordinary sample points, so the
-    comparison is normalized by magnitude.  Raises PoleHit when either
-    evaluation point sits on a pole (u = q^(-1/2) maps to itself and is
-    always rejected).
+    Xi values reach 1e20 and beyond at ordinary sample points, and pass the
+    float range near the pole, so the comparison is normalized by magnitude
+    and made on (mantissa, exponent) pairs scaled to the larger exponent.
+    Raises PoleHit when either evaluation point sits on a pole
+    (u = q^(-1/2) maps to itself and is always rejected).
     """
     if u == 0.0:
         raise ValueError("u must be nonzero")
     w = 1.0 / (q * u)
     if xi.near_pole(u) or xi.near_pole(w):
         raise PoleHit(f"u={u!r} or 1/(q u)={w!r} is numerically a pole")
-    a = xi(u)
-    b = xi(w)
-    return abs(a - b) / max(1.0, abs(a), abs(b))
+    (ma, ea), (mb, eb) = xi.frexp(u), xi.frexp(w)
+    top = max(ea, eb)
+    ma, mb = math.ldexp(ma, ea - top), math.ldexp(mb, eb - top)
+    diff = abs(ma - mb)
+    # the larger value is max(|ma|, |mb|) * 2^top with that mantissa in
+    # [0.5, 1), so it reaches 1 exactly when top >= 1
+    if top >= 1:
+        return diff / max(abs(ma), abs(mb))
+    return math.ldexp(diff, top)
 
 
 # ---------------------------------------------------------------------------

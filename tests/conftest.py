@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 
 import pytest
 
 from iharazeta.census import CycleCensus, build_census
 from iharazeta.graphs import (GraphProfile, Multigraph, adjacency_matrix,
                               build_graph, generate, profile)
-from iharazeta.hk import HkSequence, hk_from_ck, hk_from_nk, hk_spectral
+from iharazeta.hk import HkSequence, hk_from_ck, hk_spectral
 from iharazeta.spectral import (NontrivialSpectrum, Spectrum,
                                 eigenvalues_symmetric, nontrivial_spectrum,
                                 scaled_spectrum)
@@ -81,9 +82,9 @@ def get_census(name: str, K: int) -> CycleCensus:
 
 
 @lru_cache(maxsize=None)
-def get_hk_routes(name: str, K: int) -> tuple[HkSequence, ...]:
-    """All four h_k routes at horizon K, in order: spectral, from_nk,
-    from_ck, series."""
+def get_hk_routes(name: str, K: int) -> MappingProxyType:
+    """The three h_k routes at horizon K, read-only and keyed by route name:
+    spectral, from_ck (exact integer provenance) and series."""
     g = get_graph(name)
     prof = get_profile(name)
     q, n = prof.q, g.n
@@ -91,12 +92,11 @@ def get_hk_routes(name: str, K: int) -> tuple[HkSequence, ...]:
     scaled = scaled_spectrum(get_nontrivial(name))
     series = HkSequence(values=hk_series(xi_rational(get_nontrivial(name), q), q, K),
                         route="series", q=q, n=n, bipartite=prof.bipartite)
-    return (
+    return MappingProxyType({seq.route: seq for seq in (
         hk_spectral(scaled, K, q, n, prof.bipartite),
-        hk_from_nk(census.nk, q, n, prof.bipartite, K),
         hk_from_ck(census.c, q, n, prof.bipartite, K),
         series,
-    )
+    )})
 
 
 def rel_dev(a: float, b: float) -> float:

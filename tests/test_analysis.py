@@ -52,18 +52,18 @@ def test_spectral_verdict_prism24():
 # h_k verdict
 
 def test_hk_verdict_petersen():
-    v = ramanujan_hk(get_hk_routes("petersen", 40)[2])
+    v = ramanujan_hk(get_hk_routes("petersen", 40)["from_ck"])
     assert v.is_ramanujan and v.horizon == 40 and v.witness is None
 
 
 def test_hk_verdict_prism24_refutes_with_even_witness():
-    v = ramanujan_hk(get_hk_routes("prism24", 40)[2])
+    v = ramanujan_hk(get_hk_routes("prism24", 40)["from_ck"])
     assert not v.is_ramanujan
     assert v.witness is not None and v.witness % 2 == 0
 
 
 def test_hk_verdict_kmm3_boundary_zero():
-    v = ramanujan_hk(get_hk_routes("kmm3", 40)[2])
+    v = ramanujan_hk(get_hk_routes("kmm3", 40)["from_ck"])
     assert v.is_ramanujan
 
 
@@ -71,14 +71,14 @@ def test_hk_verdict_kmm3_boundary_zero():
 def test_verdicts_never_disagree_ramanujan(name):
     # spectral certification implies no negative h_k to K = 100
     assert ramanujan_spectral(get_nontrivial(name), get_profile(name).q).is_ramanujan
-    seq = get_hk_routes(name, 100)[0]
+    seq = get_hk_routes(name, 100)["spectral"]
     assert ramanujan_hk(seq).is_ramanujan
 
 
 @pytest.mark.parametrize("name", NON_RAMANUJAN_FIXTURES)
 def test_verdicts_never_disagree_non_ramanujan(name):
     assert not ramanujan_spectral(get_nontrivial(name), get_profile(name).q).is_ramanujan
-    v = ramanujan_hk(get_hk_routes(name, 100)[0])
+    v = ramanujan_hk(get_hk_routes(name, 100)["spectral"])
     assert not v.is_ramanujan and v.witness <= 60
 
 
@@ -126,7 +126,7 @@ def test_multiset_bound_property(S, k):
 def test_even_k_bound_implied_by_nonneg_hk(name):
     g = get_graph(name)
     prof = get_profile(name)
-    seq = get_hk_routes(name, 40)[2]
+    seq = get_hk_routes(name, 40)["from_ck"]
     worst = get_nontrivial(name).max_abs()
     for k in range(2, 41, 2):
         if seq.h(k) >= 0:
@@ -174,20 +174,20 @@ def test_hasse_weil_violated_on_prism24():
 # upper bound on h_k
 
 def test_hk_upper_petersen():
-    seq = get_hk_routes("petersen", 100)[0]
+    seq = get_hk_routes("petersen", 100)["spectral"]
     assert hk_upper_bound(10, False) == 36
     assert hk_upper_check(seq, 10, False)
 
 
 def test_hk_upper_kmm3_attained():
-    seq = get_hk_routes("kmm3", 100)[0]
+    seq = get_hk_routes("kmm3", 100)["spectral"]
     assert hk_upper_bound(6, True) == 16
     assert hk_upper_check(seq, 6, True)
     assert seq.h(2) == pytest.approx(16.0, abs=1e-10)
 
 
 def test_hk_upper_cycle5():
-    seq = get_hk_routes("cycle5", 100)[0]
+    seq = get_hk_routes("cycle5", 100)["spectral"]
     assert hk_upper_check(seq, 5, False)
     assert float(np.max(seq.values)) <= 16 + 1e-9
 
@@ -203,8 +203,8 @@ def test_tk_bounded_on_ramanujan_scaled_spectra(name):
 # estimator
 
 def test_estimator_prism24():
-    seq = get_hk_routes("prism24", 100)[0]
-    est = estimate_max_eigenvalue(seq, 2, 48)
+    seq = get_hk_routes("prism24", 100)["spectral"]
+    est = estimate_max_eigenvalue(seq, 2)
     target = (2 * math.cos(math.pi / 12) + 1) / math.sqrt(2)
     assert abs(est.estimate - target) < 1e-3
     assert est.converged
@@ -216,22 +216,22 @@ def test_estimator_prism24():
 
 
 def test_estimator_prism30():
-    seq = get_hk_routes("prism30", 100)[0]
-    est = estimate_max_eigenvalue(seq, 2, 60)
+    seq = get_hk_routes("prism30", 100)["spectral"]
+    est = estimate_max_eigenvalue(seq, 2)
     target = (2 * math.cos(math.pi / 15) + 1) / math.sqrt(2)
     assert abs(est.estimate - target) < 1e-3
 
 
 def test_estimator_not_applicable_on_ramanujan():
-    seq = get_hk_routes("petersen", 60)[0]
+    seq = get_hk_routes("petersen", 60)["spectral"]
     with pytest.raises(EstimatorNotApplicable):
-        estimate_max_eigenvalue(seq, 2, 10)
+        estimate_max_eigenvalue(seq, 2)
 
 
 def test_estimator_synthetic_exact_ratio():
     mu = 1.5
     values = [1.0 if k % 2 else -(mu ** k) for k in range(1, 13)]
-    est = estimate_max_eigenvalue(_seq(values), 2, 10)
+    est = estimate_max_eigenvalue(_seq(values), 2)
     assert est.estimate == pytest.approx(mu + 1 / mu, rel=1e-12)
     assert est.mu == pytest.approx(mu, rel=1e-10)
 
@@ -239,4 +239,4 @@ def test_estimator_synthetic_exact_ratio():
 def test_estimator_sign_mismatch():
     values = [1.0, -1.0, 1.0, 1.0, 1.0, 1.0]  # lone negative h_2
     with pytest.raises(EstimatorSignMismatch):
-        estimate_max_eigenvalue(_seq(values), 2, 10)
+        estimate_max_eigenvalue(_seq(values), 2)

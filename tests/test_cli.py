@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from iharazeta.cli import main
 
 
@@ -20,7 +22,7 @@ def run_json(capsys, *argv):
 
 def test_analyze_petersen(capsys):
     report = run_json(capsys, "analyze", "petersen", "--k", "20")
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["graph"] == {"n": 10, "q": 2, "edges": 15, "loops": 0,
                                "bipartite": False, "connected": True}
     assert report["verdicts"]["spectral"]["is_ramanujan"]
@@ -30,6 +32,16 @@ def test_analyze_petersen(capsys):
     assert report["estimator"]["status"] == "not_applicable"
     assert len(report["h"]["spectral"]) == 20
     assert "timings" in report
+
+
+@pytest.mark.parametrize("spec", ["prism:26", "prism:30", "complete:6",
+                                  "complete:30"])
+def test_analyze_exits_zero_past_float_range_and_cancellation(capsys, spec):
+    # prism:26/30 have xi values past the float range at sample points;
+    # complete:6/30 have h_k terms that cancel to O(n)
+    report = run_json(capsys, "analyze", spec, "--k", "50", "--no-timings")
+    assert report["functional_equation"]["ok"]
+    assert report["route_agreement"]["ok"]
 
 
 def test_analyze_prism24_refutation(capsys):
@@ -89,20 +101,20 @@ def test_series_all_routes_agree(capsys):
     code, out, _ = run(capsys, "series", "kmm:3", "--k", "8", "--route", "all")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "k,spectral,nk,ck,series"
+    assert lines[0] == "k,spectral,ck,series"
     assert len(lines) == 9
     for line in lines[1:]:
         k, *vals = line.split(",")
         floats = [float(v) for v in vals]
         assert max(floats) - min(floats) < 1e-6
         if int(k) % 2 == 1:
-            assert floats == [8.0] * 4
+            assert floats == [8.0] * 3
 
 
 def test_series_header_only_for_k0(capsys):
     code, out, _ = run(capsys, "series", "petersen", "--k", "0")
     assert code == 0
-    assert out.strip() == "k,spectral,nk,ck,series"
+    assert out.strip() == "k,spectral,ck,series"
 
 
 def test_series_single_route(capsys):
@@ -194,8 +206,8 @@ def test_k_cost_warning(capsys):
 def test_series_json_format(capsys):
     payload = run_json(capsys, "series", "kmm:3", "--k", "6",
                        "--route", "all", "--format", "json")
-    assert set(payload["routes"]) == {"spectral", "nk", "ck", "series"}
-    assert payload["routes"]["nk"][0] == 8.0
+    assert set(payload["routes"]) == {"spectral", "ck", "series"}
+    assert payload["routes"]["ck"][0] == 8.0
 
 
 def test_csv_format_rejected_elsewhere(capsys):

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iharazeta.hk import (binomial_ext, chebyshev_T, chebyshev_T_binomial,
-                          chebyshev_T_even_form, hk_from_ck, hk_from_nk,
-                          hk_nonneg, hk_spectral, max_route_deviation,
+                          chebyshev_T_even_form, hk_from_ck, hk_nonneg, hk_spectral, max_route_deviation,
                           tk_weight)
-from iharazeta.spectral import scaled_spectrum
+from iharazeta.census import build_census
+from iharazeta.graphs import adjacency_matrix, parse_generator, profile
+from iharazeta.spectral import (eigenvalues_symmetric, nontrivial_spectrum,
+                                scaled_spectrum)
 
 from conftest import (ALL_FIXTURES, get_census, get_graph, get_hk_routes,
                       get_nontrivial, get_profile)
@@ -106,26 +108,26 @@ def test_hk_spectral_kmm3():
     assert seq.h(4) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_hk_from_nk_petersen_h3():
+def test_hk_from_ck_petersen_h3():
     census = get_census("petersen", 4)
-    seq = hk_from_nk(census.nk, 2, 10, False, 4)
+    seq = hk_from_ck(census.c, 2, 10, False, 4)
     expected = 18 + 2 * math.sqrt(2) + 1 / (2 * math.sqrt(2))
     assert seq.h(3) == pytest.approx(expected, rel=1e-12)
 
 
-def test_hk_from_nk_bipartite_odd_ignores_counts():
-    # odd-k values are the constant 2(n-2), independent of N_k
+def test_hk_from_ck_bipartite_odd_ignores_counts():
+    # odd-k values are the constant 2(n-2), independent of the counts
     census = get_census("kmm3", 6)
-    seq = hk_from_nk(census.nk, 2, 6, True, 6)
-    garbage = [10 ** 9 if k % 2 == 0 else n for k, n in enumerate(census.nk)]
-    seq2 = hk_from_nk(garbage, 2, 6, True, 6)
+    seq = hk_from_ck(census.c, 2, 6, True, 6)
+    garbage = [10 ** 9 if k % 2 else c for k, c in enumerate(census.c)]
+    seq2 = hk_from_ck(garbage, 2, 6, True, 6)
     for k in (1, 3, 5):
         assert seq.h(k) == seq2.h(k) == 8.0
 
 
-def test_hk_from_nk_kmm3_h2():
+def test_hk_from_ck_kmm3_h2():
     census = get_census("kmm3", 2)
-    seq = hk_from_nk(census.nk, 2, 6, True, 2)
+    seq = hk_from_ck(census.c, 2, 6, True, 2)
     assert seq.h(2) == pytest.approx(16.0, abs=1e-12)
 
 
@@ -145,37 +147,47 @@ def test_hk_from_ck_petersen_h2():
     assert seq.h(2) == pytest.approx(25.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("spec, k", [("complete:30", 29), ("complete:6", 50)])
+def test_hk_from_ck_exact_under_cancellation(spec, k):
+    # q^(k/2) + q^(-k/2) - S_k q^(-k/2) cancels to O(n) here: adding the
+    # terms in float loses every digit
+    g = parse_generator(spec)
+    prof = profile(g)
+    census = build_census(g, prof.q, k)
+    ns = nontrivial_spectrum(eigenvalues_symmetric(adjacency_matrix(g)), prof)
+    exact = hk_from_ck(census.c, prof.q, g.n, prof.bipartite, k).h(k)
+    spectral = hk_spectral(scaled_spectrum(ns), k, prof.q, g.n, prof.bipartite).h(k)
+    assert exact == pytest.approx(spectral, rel=1e-9)
+
+
 @pytest.mark.parametrize("name", ["kmm3", "cycle6", "hypercube3", "prism6"])
 def test_bipartite_odd_constant_is_exact(name):
     g = get_graph(name)
     prof = get_profile(name)
     census = get_census(name, 11)
-    for seq in (hk_from_nk(census.nk, prof.q, g.n, True, 11),
-                hk_from_ck(census.c, prof.q, g.n, True, 11)):
-        for k in range(1, 12, 2):
-            assert seq.h(k) == float(2 * (g.n - 2))  # exact equality
+    seq = hk_from_ck(census.c, prof.q, g.n, True, 11)
+    for k in range(1, 12, 2):
+        assert seq.h(k) == float(2 * (g.n - 2))  # exact equality
 
 
 def test_hk_nonneg_picks_out_negatives():
-    routes = get_hk_routes("prism24", 40)
-    verdicts = hk_nonneg(routes[2])
+    verdicts = hk_nonneg(get_hk_routes("prism24", 40)["from_ck"])
     assert any(not ok for _, _, ok in verdicts)
     neg_ks = [k for k, _, ok in verdicts if not ok]
     assert all(k % 2 == 0 for k in neg_ks)
 
 
 def test_hk_nonneg_zero_passes():
-    routes = get_hk_routes("kmm3", 10)
-    verdicts = hk_nonneg(routes[0])
+    verdicts = hk_nonneg(get_hk_routes("kmm3", 10)["spectral"])
     assert all(ok for _, _, ok in verdicts)
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_route_agreement_all_fixtures(name):
     # includes the loop and multi-edge fixtures
-    assert max_route_deviation(get_hk_routes(name, 40)) <= 1e-6
+    assert max_route_deviation(list(get_hk_routes(name, 40).values())) <= 1e-6
 
 
 def test_route_tags():
     routes = get_hk_routes("k4", 5)
-    assert [s.route for s in routes] == ["spectral", "from_nk", "from_ck", "series"]
+    assert [s.route for s in routes.values()] == ["spectral", "from_ck", "series"]

@@ -14,9 +14,9 @@ from conftest import get_graph
 
 def test_report_shape_petersen():
     rep = analyze(get_graph("petersen"), "petersen", AnalysisConfig(k_horizon=12))
-    assert rep["schema"] == 1
+    assert rep["schema"] == report_mod.SCHEMA_VERSION == 2
     assert rep["k_horizon"] == 12
-    assert set(rep["h"]) == {"spectral", "from_nk", "from_ck", "series"}
+    assert set(rep["h"]) == {"spectral", "from_ck", "series"}
     assert all(len(v) == 12 for v in rep["h"].values())
     assert len(rep["census"]["c"]) == 13 and len(rep["census"]["n"]) == 12
     assert all(isinstance(x, str) for x in rep["census"]["c"])

@@ -1,14 +1,13 @@
-"""spectral: Jacobi eigensolver, trivial-eigenvalue removal, scaling."""
+"""spectral: LAPACK eigenvalues, trivial-eigenvalue removal, scaling."""
 
 import math
 
 import numpy as np
 import pytest
 
-import iharazeta.spectral as spectral
 from iharazeta.graphs import GraphProfile, adjacency_matrix
-from iharazeta.spectral import (JacobiConvergenceError, NonSymmetricError,
-                                Spectrum, TrivialEigenvalueMissing,
+from iharazeta.spectral import (NonSymmetricError, Spectrum,
+                                TrivialEigenvalueMissing,
                                 eigenvalues_symmetric, nontrivial_spectrum,
                                 scaled_spectrum)
 
@@ -76,13 +75,6 @@ def test_nonsymmetric_rejected():
         eigenvalues_symmetric(np.array([[0, 1], [0, 0]]))
     with pytest.raises(NonSymmetricError):
         eigenvalues_symmetric(np.zeros((2, 3)))
-
-
-def test_sweep_cap_reports_residual(monkeypatch):
-    monkeypatch.setattr(spectral, "MAX_SWEEPS", 0)
-    with pytest.raises(JacobiConvergenceError) as err:
-        eigenvalues_symmetric(adjacency_matrix(get_graph("k4")))
-    assert err.value.residual > 0
 
 
 def test_descending_order():

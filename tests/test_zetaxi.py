@@ -186,6 +186,27 @@ def test_functional_equation_hundred_points(name):
         assert functional_equation_residual(xi, q, float(u)) < 1e-8
 
 
+def test_functional_equation_beyond_float_range():
+    # some of prism30's xi values at the default points exceed the float range
+    xi = xi_rational(get_nontrivial("prism30"), 2)
+    points = [float(u) for u in functional_equation_points(100, seed=42)]
+    with pytest.raises(OverflowError):
+        for u in points:
+            xi(u), xi(1 / (2 * u))
+    assert max(functional_equation_residual(xi, 2, u) for u in points) < 1e-8
+
+
+def test_rational_frexp_beyond_float_range():
+    den = RealPolynomial([1.0, -1.0])
+    rf = RationalFunction(RealPolynomial([1.0]), den.pow(400), None, ((den, 400),))
+    mant, ex = rf.frexp(0.9)  # 0.1^-400 = 1e400
+    assert 0.5 <= mant < 1.0
+    assert ex * math.log10(2) + math.log10(mant) == pytest.approx(400.0, abs=1e-9)
+    assert rf.frexp(0.5) == (0.5, 401)  # exactly 2^400
+    with pytest.raises(OverflowError):
+        rf(0.9)
+
+
 def test_sample_points_deterministic():
     a = functional_equation_points(100, seed=42)
     b = functional_equation_points(100, seed=42)
