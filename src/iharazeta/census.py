@@ -2,19 +2,28 @@
 
 C_k is the trace of the k-th adjacency power; N_k counts closed oriented-edge
 sequences all of whose cyclic shifts are backtrack-free.  Both grow like
-(q+1)^k, so everything here runs in exact arbitrary-precision integers:
-matrix powers use int64 while entries provably fit and switch to Python
-integers (object dtype) beyond that.
+(q+1)^k, so the traces are computed modulo word-size primes and
+reconstructed exactly.  The powers are kept as residues modulo 26-bit
+primes, all primes stacked in one float64 array, and each power step is one
+float64 GEMM followed by fmod.  Residues stay below 2^26 and the matrix's
+column sums below 2^27, so every product and partial sum is an integer
+below 2^53, which float64 holds exactly.  Enough primes are taken for their
+product to exceed twice the a-priori bound size * r^K on the traces (r the
+largest absolute row sum), and the Chinese remainder theorem returns each
+trace as an exact Python integer.
 
 Four independent routes to N_k coexist and are cross-checked in the test
 suite: a definition-level brute-force enumeration, the trace of the
 non-backtracking edge operator, an exact conversion from the C_k sequence,
-and a floating-point evaluation from the spectrum.
+and a floating-point evaluation from the spectrum with an a-priori error
+budget.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,7 +33,10 @@ from .graphs import Multigraph, adjacency_matrix
 from .hk import chebyshev_T_table, ck_alternating_sum
 from .spectral import Spectrum
 
-INT64_SAFE = 2 ** 62
+# residues live below these primes; products stay exact in float64 while
+# the matrix's absolute column sums stay below COLUMN_SUM_LIMIT
+PRIME_LIMIT = 2 ** 26
+COLUMN_SUM_LIMIT = 2 ** 27
 BRUTE_FORCE_BUDGET = 10 ** 8
 
 
@@ -33,8 +45,8 @@ class BruteForceBudgetExceeded(RuntimeError):
 
 
 class RoundingResidualTooLarge(RuntimeError):
-    """A spectral N_k evaluation landed too far from an integer, signalling
-    eigensolver inaccuracy."""
+    """A spectral N_k evaluation cannot pin an integer: it landed outside its
+    error budget of the nearest one, or the budget is 1/2 or more."""
 
 
 @dataclass(frozen=True)
@@ -46,37 +58,66 @@ class CycleCensus:
     horizon: int
 
 
-def integer_power_traces(m: np.ndarray, K: int,
-                         int64_limit: int = INT64_SAFE) -> list[int]:
-    """Traces of m^1..m^K in exact integer arithmetic.
+@functools.cache
+def _crt_basis(count: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """The `count` largest primes below 2^26, their product M, and the CRT
+    basis e_i = (M/p_i) * ((M/p_i)^-1 mod p_i), so that sum r_i e_i mod M is
+    the integer that is r_i modulo every p_i."""
+    primes: list[int] = []
+    candidate = PRIME_LIMIT - 1
+    while len(primes) < count:
+        if all(candidate % d for d in range(3, math.isqrt(candidate) + 1, 2)):
+            primes.append(candidate)
+        candidate -= 2
+    modulus = math.prod(primes)
+    basis = tuple(modulus // p * pow(modulus // p, -1, p) for p in primes)
+    return tuple(primes), modulus, basis
 
-    Multiplies in int64 while a running bound on the largest entry stays
-    under int64_limit, then switches to object dtype (Python integers).
-    The bound is max|entry| times the largest absolute column sum per
-    multiplication, so no int64 product can ever overflow silently.
+
+def integer_power_traces(m: np.ndarray, K: int) -> list[int]:
+    """Traces of m^1..m^K, exact, for any square integer matrix m.
+
+    |tr(m^k)| <= size * r^k, with r the largest absolute row sum, so the
+    traces are recovered by CRT from their residues modulo primes whose
+    product M exceeds 2 * size * r^K, taking the representative in
+    (-M/2, M/2].  The powers of m are kept modulo every prime at once: one
+    (P*size) x size float64 array of residues, multiplied by the unreduced m
+    (one GEMM per k) and reduced by fmod with each row's prime.  Residues
+    are below p < 2^26 in magnitude, so every product and partial sum of the
+    GEMM is an integer of magnitude at most (p - 1) times the largest
+    absolute column sum of m, which is below 2^53 while column sums are
+    below 2^27: exact in float64, in any summation order.  The traces of
+    the P residue matrices are sums of size residues, exact as well.
     """
-    base64 = np.asarray(m, dtype=np.int64)
-    base_obj = base64.astype(object)
-    colsum = int(np.abs(base64).sum(axis=0).max()) if base64.size else 0
-    bound = int(np.abs(base64).max()) if base64.size else 0
-    traces: list[int] = []
-    cur: np.ndarray = base64.copy()
-    exact_mode = bound >= int64_limit
-    if exact_mode:
-        cur = cur.astype(object)
-    for k in range(1, K + 1):
-        if k > 1:
-            if not exact_mode:
-                bound *= max(colsum, 1)
-                if bound >= int64_limit:
-                    exact_mode = True
-                    cur = cur.astype(object)
-            if exact_mode:
-                cur = np.dot(cur, base_obj)
-            else:
-                cur = cur @ base64
-        traces.append(sum(int(x) for x in np.diagonal(cur)))
-    return traces
+    a = np.asarray(m)
+    size = a.shape[0]
+    if K < 1:
+        return []
+    colsum, rowsum = (int(np.abs(a).sum(axis=axis).max(initial=0))
+                      for axis in (0, 1))
+    if colsum >= COLUMN_SUM_LIMIT:
+        raise ValueError(f"largest absolute column sum {colsum} of the matrix "
+                         f"is not below 2^27; its powers cannot be taken "
+                         f"exactly in float64 residues")
+    bound = 2 * size * rowsum ** K
+    primes, modulus, basis = _crt_basis(bound.bit_length() // 25 + 1)
+    count = len(primes)
+    factor = a.astype(np.float64)
+    column = np.repeat(np.array(primes, dtype=np.float64), size)[:, None]
+    cur = np.tile(factor, (count, 1))
+    np.fmod(cur, column, out=cur)
+    buf = np.empty_like(cur)
+    traces = np.empty((K, count))
+    for k in range(K):
+        if k:
+            np.matmul(cur, factor, out=buf)
+            np.fmod(buf, column, out=cur)
+        np.trace(cur.reshape(count, size, size), axis1=1, axis2=2, out=traces[k])
+    out = []
+    for residues in traces.astype(np.int64).tolist():
+        value = sum(map(operator.mul, residues, basis)) % modulus
+        out.append(value - modulus if 2 * value > modulus else value)
+    return out
 
 
 def closed_walk_counts(g: Multigraph, K: int) -> list[int]:
@@ -186,16 +227,55 @@ def nk_from_spectrum(s: Spectrum, q: int, n: int, k: int) -> float:
     return value
 
 
-def nk_from_spectrum_rounded(s: Spectrum, q: int, n: int, k: int,
-                             tol: float = 1e-6) -> int:
-    """Round the spectral N_k evaluation to the nearest integer, requiring
-    the residual to stay below tol * max(1, N_k)."""
+def nk_spectral_budget(s: Spectrum, q: int, n: int, k: int) -> float:
+    """A-priori bound on |nk_from_spectrum(s, q, n, k) - N_k| when s is the
+    float64 spectrum LAPACK returns for the adjacency matrix.
+
+    Write x = y + 1/y with |y| >= 1 and R(x) = |y|, which is 1 on [-2, 2]
+    and grows with |x|.  Then |T_k(x)| <= 2 R^k, and |T_k'(x)| <= k^2 R^(k-1)
+    because T_k' = k (y^k - y^-k) / (y - 1/y) (k sin(k t) / sin t on
+    [-2, 2]).  The error sources, each as a bound (eps = 2^-52):
+
+    * Eigenvalues.  LAPACK's symmetric eigensolver is backward stable:
+      |lam~ - lam| <= n eps ||A||_2 = n eps (q+1).  Scaling by sqrt(q) adds
+      2 eps |x| <= 2 eps (q+1)/sqrt(q), so dx = (n+2) eps (q+1)/sqrt(q).
+      Carried through T_k' this moves T_k(x_i) by at most k^2 R_i^(k-1) dx,
+      with R_i taken at |x_i| + dx.
+    * The recurrence T_{j+1} = x T_j - T_{j-1}.  Its step j rounds by at
+      most 2 eps |x T_j| + eps |T_{j-1}| <= 10 eps R^(j+1), and an error
+      made at step j reaches step k multiplied by S_{k-j}(x), where
+      S_m = (y^m - y^-m)/(y - 1/y) and |S_m| <= m R^(m-1).  Summed over j
+      that is at most 5 k^2 eps R^k.
+    * Summing n terms of size <= 2 R_i^k costs 2 n eps sum R_i^k; the power
+      q^(k/2), its product and the even-k addition of n(q-1) cost a few eps
+      of |N_k| <= 2 q^(k/2) sum R_i^k + n(q-1), as does comparing against
+      N_k in float.
+
+    So |error| <= q^(k/2) sum_i R_i^k (k^2 dx + (5 k^2 + 2n + 8) eps)
+    + 2 eps n(q-1), and the budget doubles that to cover the second-order
+    terms.  When the budget is below 1/2 the evaluation pins N_k.
+    """
+    eps = float(np.finfo(np.float64).eps)
+    root_q = math.sqrt(q)
+    dx = (n + 2) * eps * (q + 1) / root_q
+    x = np.abs(s.as_array()) / root_q + dx
+    r = np.maximum(1.0, (x + np.sqrt(np.maximum(x * x - 4.0, 0.0))) / 2.0)
+    growth = q ** (k / 2.0) * float(np.sum(r ** k))
+    return 2.0 * (growth * (k * k * dx + (5 * k * k + 2 * n + 8) * eps)
+                  + 2.0 * eps * n * (q - 1))
+
+
+def nk_from_spectrum_rounded(s: Spectrum, q: int, n: int, k: int) -> int:
+    """The integer the spectral N_k evaluation pins: the nearest one, when
+    the error budget is below 1/2 and the residual is within the budget."""
     value = nk_from_spectrum(s, q, n, k)
+    budget = nk_spectral_budget(s, q, n, k)
     nearest = round(value)
-    if abs(value - nearest) >= tol * max(1.0, abs(nearest)):
+    if budget >= 0.5 or abs(value - nearest) > budget:
         raise RoundingResidualTooLarge(
             f"N_{k} evaluated to {value!r}, residual "
-            f"{abs(value - nearest):.3e} exceeds tolerance")
+            f"{abs(value - nearest):.3e} against an error budget of "
+            f"{budget:.3e}")
     return int(nearest)
 
 

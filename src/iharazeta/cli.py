@@ -4,6 +4,8 @@ Subcommands: analyze, series, census, zeta, check, estimate, generate.
 Inputs are either an edge-list file path or a generator string such as
 "petersen" or "prism:24".  Exit codes: 0 success, 1 certification refused
 under --require-ramanujan, 2 invalid input, 3 internal consistency failure.
+Exit 1 means only "refuted": any other uncaught exception also exits 3, with
+one line "internal error: <type>: <message>" on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import sys
 
 from .analysis import (EstimatorNotApplicable, EstimatorSignMismatch,
                        estimate_max_eigenvalue)
-from .census import (BruteForceBudgetExceeded, RoundingResidualTooLarge,
-                     build_census, geodesic_cycles_bruteforce)
+from .census import (BruteForceBudgetExceeded, build_census,
+                     geodesic_cycles_bruteforce)
 from .graphs import (GraphError, Multigraph, adjacency_matrix, parse_generator,
                      profile, read_edge_list, write_edge_list)
 from .hk import hk_from_ck, hk_spectral
@@ -284,14 +286,14 @@ def main(argv: list[str] | None = None) -> int:
             raise GraphError(f"--format csv is only supported by 'series', "
                              f"not '{args.command}'")
         return args.func(args)
-    except (GraphError, ValueError) as exc:
+    except (GraphError, ValueError, BruteForceBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except BruteForceBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (InternalConsistencyError, RoundingResidualTooLarge) as exc:
+    except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

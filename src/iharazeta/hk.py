@@ -120,10 +120,22 @@ def hk_spectral(scaled: np.ndarray, K: int, q: int, n: int,
 
 def ck_alternating_sum(c: Sequence[int], q: int, k: int) -> int:
     """Exact integer sum_i (-q)^i (C(k-i,i) + C(k-i-1,i-1)) C_{k-2i} over
-    i = 0..floor(k/2)."""
+    i = 0..floor(k/2).
+
+    For k >= 1 the weight tk_weight(k, i) equals k C(k-i, i) / (k-i).  The
+    binomial is carried from term to term by the exact ratio
+    C(k-i-1, i+1) / C(k-i, i) = (k-2i)(k-2i-1) / ((k-i)(i+1)), and (-q)^i by
+    one multiplication.
+    """
+    if k == 0:
+        return 2 * int(c[0])
     total = 0
+    power = 1
+    binom = 1
     for i in range(k // 2 + 1):
-        total += (-q) ** i * tk_weight(k, i) * int(c[k - 2 * i])
+        total += power * (k * binom // (k - i)) * int(c[k - 2 * i])
+        power *= -q
+        binom = binom * (k - 2 * i) * (k - 2 * i - 1) // ((k - i) * (i + 1))
     return total
 
 

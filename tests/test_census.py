@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from iharazeta.census import (BruteForceBudgetExceeded,
-                              RoundingResidualTooLarge, closed_walk_counts,
-                              geodesic_cycles_bruteforce,
+                              RoundingResidualTooLarge, build_census,
+                              closed_walk_counts, geodesic_cycles_bruteforce,
                               geodesic_cycles_operator, integer_power_traces,
                               nk_from_ck, nk_from_spectrum,
-                              nk_from_spectrum_rounded, nonbacktracking_matrix)
-from iharazeta.graphs import adjacency_matrix
+                              nk_from_spectrum_rounded, nk_spectral_budget,
+                              nonbacktracking_matrix)
+from iharazeta.graphs import adjacency_matrix, parse_generator, profile
 from iharazeta.hk import chebyshev_T_table
 from iharazeta.spectral import Spectrum
 
@@ -128,6 +129,24 @@ def test_rounding_residual_guard():
             nk_from_spectrum_rounded(bad, 2, 10, k)
 
 
+def test_spectral_budget_rejects_off_by_one_census():
+    # on prism:24 the budget stays below 1/2 up to k = 20, so the spectral
+    # evaluation pins N_k and a census entry one off lies outside the budget
+    g = get_graph("prism24")
+    q = get_profile("prism24").q
+    spectrum = get_spectrum("prism24")
+    census = get_census("prism24", 20)
+    for k in range(1, 21):
+        value = nk_from_spectrum(spectrum, q, g.n, k)
+        budget = nk_spectral_budget(spectrum, q, g.n, k)
+        exact = census.nk[k - 1]
+        assert budget < 0.5
+        assert abs(value - exact) <= budget
+        assert abs(value - (exact + 1)) > budget
+        assert abs(value - (exact - 1)) > budget
+        assert nk_from_spectrum_rounded(spectrum, q, g.n, k) == exact
+
+
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_tk_power_sum_identity(name):
     # q^(-k/2) * sum_i (-q)^i w(k,i) C_{k-2i} equals the T_k sum over the
@@ -145,10 +164,58 @@ def test_tk_power_sum_identity(name):
         assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(rhs))
 
 
-def test_integer_power_traces_object_fallback():
-    # forcing the object path must not change any value
-    a = adjacency_matrix(get_graph("prism6"))
-    assert integer_power_traces(a, 20, int64_limit=1) == integer_power_traces(a, 20)
+def _reference_traces(m, K):
+    """tr(m^1..m^K) by list-of-lists matrix powers in Python integers."""
+    rows = [[int(x) for x in row] for row in m]
+    size = len(rows)
+    columns = [[(l, rows[l][j]) for l in range(size) if rows[l][j]]
+               for j in range(size)]
+    cur, traces = rows, []
+    for k in range(1, K + 1):
+        if k > 1:
+            cur = [[sum(row[l] * v for l, v in columns[j]) for j in range(size)]
+                   for row in cur]
+        traces.append(sum(cur[i][i] for i in range(size)))
+    return traces
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_integer_power_traces_match_bigint_reference(name):
+    a = adjacency_matrix(get_graph(name))
+    reference = _reference_traces(a, 150)
+    assert integer_power_traces(a, 150) == reference
+    assert integer_power_traces(a, 1) == reference[:1]
+
+
+@pytest.mark.parametrize("entry", [-3, 7, 2 ** 27 - 1])
+def test_integer_power_traces_one_by_one(entry):
+    m = np.array([[entry]], dtype=np.int64)
+    assert integer_power_traces(m, 150) == [entry ** k for k in range(1, 151)]
+
+
+@pytest.mark.parametrize("name", ["prism:24", "kmm:5", "petersen"])
+def test_signed_companion_traces_give_nk(name):
+    # Ihara-Bass: tr(B^k) = tr(M^k) + (m - n)(1 + (-1)^k) for the 2n x 2n
+    # companion M = [[A, I - D], [I, 0]], whose entries can be negative
+    g = parse_generator(name)
+    q = profile(g).q
+    a = adjacency_matrix(g)
+    eye = np.eye(g.n, dtype=np.int64)
+    companion = np.block([[a, eye - np.diag(a.sum(axis=1))],
+                          [eye, np.zeros_like(eye)]])
+    traces = integer_power_traces(companion, 60)
+    census = build_census(g, q, 60)
+    excess = g.edge_count - g.n
+    for k in range(1, 61):
+        assert traces[k - 1] + excess * (1 + (-1) ** k) == census.nk[k - 1]
+
+
+def test_integer_power_traces_column_sum_precondition():
+    with pytest.raises(ValueError, match="column sum"):
+        integer_power_traces(np.array([[2 ** 27]], dtype=np.int64), 3)
+    with pytest.raises(ValueError, match="column sum"):
+        integer_power_traces(np.array([[2 ** 26, 0], [-(2 ** 26), 1]],
+                                      dtype=np.int64), 3)
 
 
 def test_integer_power_traces_cross_int64_boundary():

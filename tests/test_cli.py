@@ -64,6 +64,26 @@ def test_analyze_require_ramanujan_exit_code(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("spec", ["hypercube:4", "kmm:6", "circulant:12:1,3",
+                                  "complete:10", "complete:16"])
+def test_check_spectral_nk_within_budget(capsys, spec):
+    # N_k = 0 at bipartite odd k and N_k past 2^53 once tripped a fixed
+    # rounding tolerance in the spectral N_k check
+    payload = run_json(capsys, "check", spec, "--k", "50", "--no-timings")
+    assert payload["route_agreement"]["ok"]
+
+
+def test_uncaught_exception_exits_internal(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise OverflowError("stage blew up")
+
+    monkeypatch.setattr("iharazeta.report.zeta_inverse", broken)
+    code, out, err = run(capsys, "analyze", "petersen", "--k", "10")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: OverflowError: stage blew up\n"
+
+
 def test_analyze_malformed_file(tmp_path, capsys):
     path = tmp_path / "bad.edges"
     path.write_text("0 1\n1 x\n")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iharazeta.hk import (binomial_ext, chebyshev_T, chebyshev_T_binomial,
-                          chebyshev_T_even_form, hk_from_ck, hk_nonneg, hk_spectral, max_route_deviation,
+                          chebyshev_T_even_form, ck_alternating_sum, hk_from_ck, hk_nonneg, hk_spectral, max_route_deviation,
                           tk_weight)
 from iharazeta.census import build_census
 from iharazeta.graphs import adjacency_matrix, parse_generator, profile
@@ -106,6 +106,18 @@ def test_hk_spectral_kmm3():
     seq = hk_spectral(_scaled("kmm3"), 4, 2, 6, True)
     assert seq.h(2) == pytest.approx(16.0, abs=1e-12)
     assert seq.h(4) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", ["complete:30", "hypercube:6", "petersen"])
+def test_ck_alternating_sum_matches_tk_weights(spec):
+    # the incremental binomial and power must reproduce the explicit sum
+    g = parse_generator(spec)
+    q = profile(g).q
+    c = build_census(g, q, 150).c
+    for k in range(151):
+        direct = sum((-q) ** i * tk_weight(k, i) * c[k - 2 * i]
+                     for i in range(k // 2 + 1))
+        assert ck_alternating_sum(c, q, k) == direct
 
 
 def test_hk_from_ck_petersen_h3():
