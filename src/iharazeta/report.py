@@ -36,6 +36,13 @@ DEFAULT_SEED = 42
 # largest oriented-edge count for which the trace(B^k) cross-check runs
 OPERATOR_CROSSCHECK_EDGE_LIMIT = 400
 OPERATOR_CROSSCHECK_K = 20
+# relative tolerance of the cross-route and xi-construction comparisons
+ROUTE_TOL = 1e-6
+# functional-equation sample count and residual tolerance
+FE_POINTS = 100
+FE_TOL = 1e-8
+# orders of the zeta log-derivative compared against the census
+ZETA_CHECK_K = 10
 
 
 class InternalConsistencyError(RuntimeError):
@@ -47,10 +54,6 @@ class AnalysisConfig:
     k_horizon: int = 50
     seed: int = DEFAULT_SEED
     spectral_tol: float = 1e-8
-    route_tol: float = 1e-6
-    fe_points: int = 100
-    fe_tol: float = 1e-8
-    zeta_check_k: int = 10
     include_timings: bool = True
 
 
@@ -97,39 +100,39 @@ def analyze(g: Multigraph, source: str,
 
     t0 = time.perf_counter()
     census = build_census(g, q, K)
+    upto = min(K, OPERATOR_CROSSCHECK_K)
     if g.oriented_edge_count <= OPERATOR_CROSSCHECK_EDGE_LIMIT:
-        upto = min(K, OPERATOR_CROSSCHECK_K)
         operator_nk = geodesic_cycles_operator(g, upto)
         if list(operator_nk) != list(census.nk[:upto]):
             raise InternalConsistencyError(
                 "non-backtracking operator traces disagree with the "
                 "closed-walk conversion for N_k")
-        for k, exact in enumerate(census.nk[:upto], start=1):
-            deviation = abs(nk_from_spectrum(spectrum, q, n, k) - exact)
-            budget = nk_spectral_budget(spectrum, q, n, k)
-            if deviation > budget:
-                raise InternalConsistencyError(
-                    f"spectral N_{k} evaluation is {deviation:.3e} from the "
-                    f"exact census, beyond its error budget {budget:.3e}")
+    for k, exact in enumerate(census.nk[:upto], start=1):
+        deviation = abs(nk_from_spectrum(spectrum, q, n, k) - exact)
+        budget = nk_spectral_budget(spectrum, q, n, k)
+        if deviation > budget:
+            raise InternalConsistencyError(
+                f"spectral N_{k} evaluation is {deviation:.3e} from the "
+                f"exact census, beyond its error budget {budget:.3e}")
     timings["census"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     zfactors = zeta_inverse_factors(spectrum, q, n)
     zinv = zeta_inverse(spectrum, q, n)
     xi = xi_rational(ns, q)
-    xi_alt = xi_from_zeta(zinv, q, n, prof.bipartite, zeta_factors=zfactors)
+    xi_alt = xi_from_zeta(zfactors, q, n, prof.bipartite)
     for u in (0.12, -0.21, 0.3):
         a, b = xi(u), xi_alt(u)
-        if abs(a - b) > cfg.route_tol * max(1.0, abs(a), abs(b)):
+        if abs(a - b) > ROUTE_TOL * max(1.0, abs(a), abs(b)):
             raise InternalConsistencyError(
                 f"xi constructions disagree at u={u}: {a!r} vs {b!r}")
     seed = cfg.seed
     residuals = []
-    for u in functional_equation_points(cfg.fe_points, seed):
+    for u in functional_equation_points(FE_POINTS, seed):
         residuals.append(functional_equation_residual(xi, q, float(u)))
     fe_max = max(residuals) if residuals else 0.0
     zeta_ok, zeta_records = log_series_zeta_check(
-        census, zinv, min(K, cfg.zeta_check_k), zeta_factors=zfactors)
+        census, zfactors, min(K, ZETA_CHECK_K))
     if not zeta_ok:
         raise InternalConsistencyError(
             "zeta log-derivative series does not reproduce the census")
@@ -143,7 +146,7 @@ def analyze(g: Multigraph, source: str,
         hk_from_ck(census.c, q, n, prof.bipartite, K),
         series)}
     route_dev = max_route_deviation(list(seqs.values()))
-    if route_dev > cfg.route_tol:
+    if route_dev > ROUTE_TOL:
         raise InternalConsistencyError(
             f"h_k routes disagree: max relative deviation {route_dev:.3e}")
     timings["hk_routes"] = time.perf_counter() - t0
@@ -211,7 +214,7 @@ def analyze(g: Multigraph, source: str,
         "h": {route: _float_list(seq.values) for route, seq in seqs.items()},
         "route_agreement": {
             "max_relative_deviation": route_dev,
-            "tolerance": cfg.route_tol,
+            "tolerance": ROUTE_TOL,
             "ok": True,
         },
         "zeta": {
@@ -221,10 +224,10 @@ def analyze(g: Multigraph, source: str,
             "xi_denominator": _float_list(xi.denominator.coefficients),
         },
         "functional_equation": {
-            "points": cfg.fe_points,
+            "points": FE_POINTS,
             "max_residual": fe_max,
-            "tolerance": cfg.fe_tol,
-            "ok": bool(fe_max < cfg.fe_tol),
+            "tolerance": FE_TOL,
+            "ok": bool(fe_max < FE_TOL),
         },
         "zeta_census_check": {
             "k_checked": len(zeta_records),

@@ -5,13 +5,15 @@ Z(u)^-1 expands to (1-u^2)^(n(q-1)/2) * prod(1 - lam*u + q*u^2) over the full
 spectrum; Xi(u) is prod((1 - lam*u + q*u^2) / (1 - sqrt(q)*u)^2) over the
 nontrivial spectrum and satisfies Xi(1/(q*u)) = Xi(u).
 
-Rational functions remember their factored structure when it is known.  That
-matters twice: evaluation near the pole u = q^(-1/2) is only stable factor by
-factor, and the h_k series extraction (log_series) needs exact-precision
-expansion because float64 coefficients of high-multiplicity factors like
-(1 - sqrt(q)u)^(2n-2) carry enough rounding to split the root cluster and
-derail the series beyond k of about 15.  Series arithmetic therefore runs in
-mpmath at a working precision sized from the coefficient growth.
+A rational function is stored as two products of factors (polynomial, power),
+each factor of degree at most two, and is expanded only for the coefficient
+arrays of the reports.  Evaluation near the pole u = q^(-1/2) is only stable
+factor by factor.  The series extraction does not expand either: the
+log-derivative of a product is the sum of e*p'/p over its factors, and each
+p'/p follows from a short recurrence in p's own coefficients.  No product of
+degree 2n ever forms, so no cluster of 2n-2 equal roots has to be resolved
+from rounded coefficients, and float64 suffices: the series inherits the
+rounding of the float eigenvalues, not extra error from its own arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-import mpmath as mp
 import numpy as np
 
 from .census import CycleCensus
@@ -57,11 +58,6 @@ class RealPolynomial:
             acc = acc * u + c
         return acc
 
-    def derivative(self) -> "RealPolynomial":
-        if self.degree == 0:
-            return RealPolynomial([0.0])
-        return RealPolynomial([i * c for i, c in enumerate(self.coefficients)][1:])
-
     def __mul__(self, other: "RealPolynomial") -> "RealPolynomial":
         return RealPolynomial(np.convolve(self.coefficients, other.coefficients))
 
@@ -85,15 +81,6 @@ class RealPolynomial:
     def abs_sum_at(self, u: float) -> float:
         """sum |c_i| |u|^i, the natural magnitude scale of evaluation at u."""
         return float(sum(abs(c) * abs(u) ** i for i, c in enumerate(self.coefficients)))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.coefficients)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RealPolynomial) and self.coefficients == other.coefficients
-
-    def __hash__(self) -> int:
-        return hash(self.coefficients)
 
     def __repr__(self) -> str:
         return f"RealPolynomial(degree={self.degree})"
@@ -126,37 +113,35 @@ def _eval_factors(factors: Factors, u: float) -> tuple[float, int]:
 
 
 class RationalFunction:
-    """Ratio of two real polynomials, optionally with factored structure.
+    """Ratio of two products of real polynomial factors (poly, power).
 
-    When factors are present, evaluation multiplies factor values (with
-    exponent tracking) instead of running Horner on the expanded
-    coefficients; for things like prod(1 - lam*u + q*u^2) / (1 - sqrt(q)u)^2M
-    that is the difference between full accuracy and catastrophic
-    cancellation.
+    Evaluation multiplies factor values (with exponent tracking) instead of
+    running Horner on expanded coefficients; for things like
+    prod(1 - lam*u + q*u^2) / (1 - sqrt(q)u)^2M that is the difference
+    between full accuracy and catastrophic cancellation.  The expanded
+    numerator and denominator are built on demand.
     """
 
-    __slots__ = ("numerator", "denominator", "num_factors", "den_factors")
+    __slots__ = ("num_factors", "den_factors")
 
-    def __init__(self, numerator: RealPolynomial, denominator: RealPolynomial,
-                 num_factors: Factors | None = None,
-                 den_factors: Factors | None = None):
-        if all(c == 0.0 for c in denominator.coefficients):
+    def __init__(self, num_factors: Factors, den_factors: Factors):
+        if any(poly.coefficients == (0.0,) for poly, _ in den_factors):
             raise ZeroDivisionError("denominator is identically zero")
-        self.numerator = numerator
-        self.denominator = denominator
-        self.num_factors = num_factors
-        self.den_factors = den_factors
+        self.num_factors = tuple(num_factors)
+        self.den_factors = tuple(den_factors)
 
-    def _side_factors(self, which: str) -> Factors:
-        if which == "num":
-            return self.num_factors or ((self.numerator, 1),)
-        return self.den_factors or ((self.denominator, 1),)
+    @property
+    def numerator(self) -> RealPolynomial:
+        return expand_factors(self.num_factors)
+
+    @property
+    def denominator(self) -> RealPolynomial:
+        return expand_factors(self.den_factors)
 
     def near_pole(self, u: float, threshold: float = POLE_THRESHOLD) -> bool:
-        """Pole proximity test: some denominator factor (or the expanded
-        denominator when no factors are known) evaluates below threshold
-        times its coefficient-magnitude scale at u."""
-        for poly, _ in self._side_factors("den"):
+        """Pole proximity test: some denominator factor evaluates below
+        threshold times its coefficient-magnitude scale at u."""
+        for poly, _ in self.den_factors:
             if abs(poly(u)) < threshold * poly.abs_sum_at(u):
                 return True
         return False
@@ -167,8 +152,8 @@ class RationalFunction:
         zero is (0.0, 0)."""
         if self.near_pole(u):
             raise PoleHit(f"u={u!r} is numerically a pole")
-        nm, ne = _eval_factors(self._side_factors("num"), u)
-        dm, de = _eval_factors(self._side_factors("den"), u)
+        nm, ne = _eval_factors(self.num_factors, u)
+        dm, de = _eval_factors(self.den_factors, u)
         mant, ex = math.frexp(nm / dm)
         return (mant, ex + ne - de) if mant else (0.0, 0)
 
@@ -176,14 +161,10 @@ class RationalFunction:
         return math.ldexp(*self.frexp(u))
 
     def scale_input(self, c: float) -> "RationalFunction":
-        def scale(factors: Factors | None) -> Factors | None:
-            if factors is None:
-                return None
+        def scale(factors: Factors) -> Factors:
             return tuple((p.scale_input(c), e) for p, e in factors)
 
-        return RationalFunction(self.numerator.scale_input(c),
-                                self.denominator.scale_input(c),
-                                scale(self.num_factors), scale(self.den_factors))
+        return RationalFunction(scale(self.num_factors), scale(self.den_factors))
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +192,9 @@ def zeta_inverse(s: Spectrum, q: int, n: int) -> RealPolynomial:
 def xi_rational(ns: NontrivialSpectrum, q: int) -> RationalFunction:
     """Xi(u) = prod over the nontrivial spectrum of
     (1 - lam*u + q*u^2) / (1 - sqrt(q)*u)^2."""
-    quads = _spectrum_quadratics(ns.values, q)
-    num_factors: Factors = tuple((quad, 1) for quad in quads)
-    den_factors: Factors = ((RealPolynomial([1.0, -math.sqrt(q)]), 2 * len(ns)),)
-    return RationalFunction(expand_factors(num_factors), expand_factors(den_factors),
-                            num_factors, den_factors)
+    num_factors = tuple((quad, 1) for quad in _spectrum_quadratics(ns.values, q))
+    return RationalFunction(num_factors,
+                            ((RealPolynomial([1.0, -math.sqrt(q)]), 2 * len(ns)),))
 
 
 def xi_prefactor_factors(q: int, n: int, bipartite: bool) -> Factors:
@@ -239,16 +218,11 @@ def xi_prefactor_factors(q: int, n: int, bipartite: bool) -> Factors:
     return tuple(f for f in factors if f[1] > 0)
 
 
-def xi_from_zeta(zeta_inv: RealPolynomial, q: int, n: int, bipartite: bool,
-                 zeta_factors: Factors | None = None) -> RationalFunction:
-    """Xi(u) assembled as Z(u)^-1 over the elementary prefactor.
-
-    Passing the factored form of Z(u)^-1 keeps evaluation and series
-    extraction accurate; without it the expanded coefficients are used as-is.
-    """
-    den_factors = xi_prefactor_factors(q, n, bipartite)
-    return RationalFunction(zeta_inv, expand_factors(den_factors),
-                            zeta_factors, den_factors)
+def xi_from_zeta(zeta_factors: Factors, q: int, n: int,
+                 bipartite: bool) -> RationalFunction:
+    """Xi(u) assembled as the factors of Z(u)^-1 over the elementary
+    prefactor."""
+    return RationalFunction(zeta_factors, xi_prefactor_factors(q, n, bipartite))
 
 
 # ---------------------------------------------------------------------------
@@ -288,107 +262,64 @@ def functional_equation_residual(xi: RationalFunction, q: int, u: float) -> floa
 
 
 # ---------------------------------------------------------------------------
-# series extraction (mpmath-backed)
+# series extraction
 
-def _mp_conv(a: list, b: list, limit: int | None = None) -> list:
-    size = len(a) + len(b) - 1
-    if limit is not None:
-        size = min(size, limit)
-    out = [mp.mpf(0)] * size
-    for i, ai in enumerate(a):
-        if ai == 0 or i >= size:
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= size:
-                break
-            out[i + j] += ai * bj
-    return out
+def _logder(factors: Factors, K: int) -> np.ndarray:
+    """First K Maclaurin coefficients of sum e * p'/p over the factors (p, e).
 
-
-def _mp_expand(factors: Factors, limit: int) -> list:
-    out = [mp.mpf(1)]
-    for poly, power in factors:
-        base = [mp.mpf(c) for c in poly.coefficients]
-        for _ in range(power):
-            out = _mp_conv(out, base, limit)
-    return out
-
-
-def _mp_logder(pc: list, K: int) -> list:
-    """Coefficients of p'/p up to order K-1 by power-series division."""
-    deg = len(pc) - 1
-    r = [mp.mpf(0)] * K
-    r[0] = 1 / pc[0]
-    for k in range(1, K):
-        r[k] = -sum(pc[j] * r[k - j] for j in range(1, min(k, deg) + 1)) / pc[0]
-    out = []
+    s = p'/p solves p*s = p', so s_k = ((k+1) c_{k+1} - sum_{j=1..d} c_j s_{k-j})
+    / c_0 for p = c_0 + ... + c_d u^d.  All factors advance together, one
+    numpy step per k; factors of lower degree are padded with zeros.
+    """
+    d = max((p.degree for p, _ in factors), default=0)
+    c = np.zeros((len(factors), d + 1))
+    for i, (p, _) in enumerate(factors):
+        c[i, :p.degree + 1] = p.coefficients
+    if np.any(c[:, 0] == 0.0):
+        raise ZeroAtOrigin("series requires every factor nonzero at u = 0")
+    derivative = np.zeros((len(factors), d + K))
+    derivative[:, :d] = c[:, 1:] * np.arange(1, d + 1)
+    reversed_tail = c[:, :0:-1]  # c_d .. c_1, against s_{k-d} .. s_{k-1}
+    s = np.zeros((len(factors), d + K))  # d leading zeros stand for s_{-d..-1}
     for k in range(K):
-        out.append(sum((j + 1) * pc[j + 1] * r[k - j]
-                       for j in range(min(k, deg - 1) + 1)))
-    return out
-
-
-def _required_dps(factors: Factors, K: int) -> int:
-    deg = sum(p.degree * e for p, e in factors)
-    lg_bulge = sum(e * math.log10(max(1.0, sum(abs(c) for c in p.coefficients)))
-                   for p, e in factors)
-    if deg:
-        lg_recip = (math.lgamma(deg + K + 1) - math.lgamma(K + 1)
-                    - math.lgamma(deg + 1)) / math.log(10)
-    else:
-        lg_recip = 0.0
-    return min(4000, max(50, int(lg_recip + lg_bulge) + 30))
-
-
-def _logder_side(factors: Factors, K: int) -> list:
-    limit = K + 1
-    with mp.workdps(_required_dps(factors, K)):
-        pc = _mp_expand(factors, limit)
-        if pc[0] == 0:
-            raise ZeroAtOrigin("series requires a nonzero value at u = 0")
-        return _mp_logder(pc, K)
+        s[:, d + k] = (derivative[:, k]
+                       - np.einsum("ij,ij->i", reversed_tail, s[:, k:k + d])) / c[:, 0]
+    return np.array([e for _, e in factors], dtype=float) @ s[:, d:]
 
 
 def log_series(rf: RationalFunction, K: int) -> np.ndarray:
     """First K Maclaurin coefficients of d/du ln(rf), i.e. of N'/N - D'/D.
 
     Feed a xi function already rescaled by u -> u/sqrt(q) to obtain h_1..h_K.
-    Series arithmetic runs in mpmath with working precision chosen from the
-    factor degrees and coefficient magnitudes; accuracy at large K relies on
-    the factored structure being present.
+    The log-derivative is taken factor by factor, in float64: nothing is
+    expanded, so there is no root cluster for rounding to split, and no extra
+    working precision is needed.
     """
-    if rf.numerator(0.0) == 0.0 or rf.denominator(0.0) == 0.0:
-        raise ZeroAtOrigin("numerator or denominator vanishes at u = 0")
-    if K <= 0:
-        return np.zeros(0)
-    num = _logder_side(rf._side_factors("num"), K)
-    den = _logder_side(rf._side_factors("den"), K)
-    return np.array([float(a - b) for a, b in zip(num, den)])
+    return _logder(rf.num_factors, K) - _logder(rf.den_factors, K)
 
 
 def hk_series(xi: RationalFunction, q: int, K: int) -> np.ndarray:
     """h_1..h_K from the definition: the log-derivative series of
-    Xi(u/sqrt(q))."""
+    Xi(u/sqrt(q)), summed over the factors of Xi in float64 (log_series)."""
     return log_series(xi.scale_input(1.0 / math.sqrt(q)), K)
 
 
-def log_series_zeta_check(census: CycleCensus, zeta_inv: RealPolynomial, K: int,
-                          tol: float = 1e-6,
-                          zeta_factors: Factors | None = None
+def log_series_zeta_check(census: CycleCensus, zeta_factors: Factors, K: int,
+                          tol: float = 1e-6
                           ) -> tuple[bool, list[tuple[int, float, int, float]]]:
-    """Verify that -d/du ln(Z(u)^-1) has Maclaurin coefficient N_{k+1} at u^k.
+    """Verify that -d/du ln(Z(u)^-1), from the factors of Z(u)^-1, has
+    Maclaurin coefficient N_{k+1} at u^k.
 
     Returns (all_ok, records) with one (k, coefficient, N_k, relative
     residual) record per 1 <= k <= K.
     """
     if K > census.horizon:
         raise ValueError(f"census horizon {census.horizon} < requested K={K}")
-    factors: Factors = zeta_factors if zeta_factors is not None else ((zeta_inv, 1),)
-    series = [-float(c) for c in _logder_side(factors, K)]
+    series = -_logder(zeta_factors, K)
     records = []
     ok = True
     for k in range(1, K + 1):
-        coeff = series[k - 1]
+        coeff = float(series[k - 1])
         expected = census.nk[k - 1]
         residual = abs(coeff - expected) / max(1.0, abs(float(expected)))
         good = residual < tol

@@ -210,8 +210,7 @@ def test_criterion_10_zeta_consistency():
         zinv = zeta_inverse(spectrum, q, g.n)
         ok = ok and zinv.degree == g.n * (q + 1)
         ok = ok and abs(zinv.coefficients[0] - 1.0) < 1e-12
-        good, records = log_series_zeta_check(get_census(name, 10), zinv, 10,
-                                              zeta_factors=zf)
+        good, records = log_series_zeta_check(get_census(name, 10), zf, 10)
         worst = max(worst, max(r[3] for r in records))
         ok = ok and good
     _verdict(10, f"-d/du ln(Z^-1) reproduces N_k for k<=10 (max residual "

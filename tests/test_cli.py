@@ -73,6 +73,16 @@ def test_check_spectral_nk_within_budget(capsys, spec):
     assert payload["route_agreement"]["ok"]
 
 
+def test_spectral_nk_budget_checked_above_operator_edge_limit(monkeypatch, capsys):
+    # prism:70 has 420 oriented edges, past the operator-trace limit; the
+    # spectral N_k check must still run there
+    monkeypatch.setattr("iharazeta.report.nk_spectral_budget",
+                        lambda *args: -1.0)
+    code, _, err = run(capsys, "analyze", "prism:70", "--k", "20")
+    assert code == 3
+    assert "error budget" in err
+
+
 def test_uncaught_exception_exits_internal(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise OverflowError("stage blew up")

@@ -1,20 +1,26 @@
 """zeta-xi: rational-function forms, functional equation, series routes."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import iharazeta
 from iharazeta.zetaxi import (PoleHit, RationalFunction, RealPolynomial,
                               ZeroAtOrigin, functional_equation_points,
                               functional_equation_residual, hk_series,
                               log_series, log_series_zeta_check, xi_from_zeta,
                               xi_rational, zeta_inverse, zeta_inverse_factors)
 
-from conftest import (ACCEPTANCE_FIXTURES, get_census, get_graph,
-                      get_nontrivial, get_profile, get_spectrum)
+from iharazeta.hk import hk_from_ck
+
+from conftest import (ACCEPTANCE_FIXTURES, RAMANUJAN_FIXTURES, get_census,
+                      get_graph, get_nontrivial, get_profile, get_spectrum)
 
 
 def iconv(*polys):
@@ -41,7 +47,6 @@ def test_poly_trims_trailing_zeros():
 def test_poly_derivative_and_eval():
     p = RealPolynomial([1, -3, 2])  # 1 - 3u + 2u^2
     assert p(0.5) == 1 - 1.5 + 0.5
-    assert p.derivative().coefficients == (-3.0, 4.0)
 
 
 @given(st.lists(st.integers(-5, 5), min_size=1, max_size=6),
@@ -128,23 +133,12 @@ def test_xi_from_zeta_agrees_with_direct_form(name):
     prof = get_profile(name)
     spectrum = get_spectrum(name)
     zf = zeta_inverse_factors(spectrum, prof.q, g.n)
-    via_zeta = xi_from_zeta(zeta_inverse(spectrum, prof.q, g.n), prof.q, g.n,
-                            prof.bipartite, zeta_factors=zf)
+    via_zeta = xi_from_zeta(zf, prof.q, g.n, prof.bipartite)
     direct = xi_rational(get_nontrivial(name), prof.q)
     rng = np.random.default_rng(7)
     for u in rng.uniform(0.05, 0.35, 20) * rng.choice([-1, 1], 20):
         a, b = direct(float(u)), via_zeta(float(u))
         assert abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
-
-
-def test_xi_from_zeta_without_factors_still_evaluates():
-    g = get_graph("k4")
-    prof = get_profile("k4")
-    via_zeta = xi_from_zeta(zeta_inverse(get_spectrum("k4"), 2, 4), 2, 4,
-                            prof.bipartite)
-    direct = xi_rational(get_nontrivial("k4"), 2)
-    for u in (0.1, -0.2, 0.3):
-        assert via_zeta(u) == pytest.approx(direct(u), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +192,7 @@ def test_functional_equation_beyond_float_range():
 
 def test_rational_frexp_beyond_float_range():
     den = RealPolynomial([1.0, -1.0])
-    rf = RationalFunction(RealPolynomial([1.0]), den.pow(400), None, ((den, 400),))
+    rf = RationalFunction(((RealPolynomial([1.0]), 1),), ((den, 400),))
     mant, ex = rf.frexp(0.9)  # 0.1^-400 = 1e400
     assert 0.5 <= mant < 1.0
     assert ex * math.log10(2) + math.log10(mant) == pytest.approx(400.0, abs=1e-9)
@@ -233,23 +227,49 @@ def test_log_series_kmm3_values():
 
 
 def test_log_series_zero_at_origin():
-    bad = RationalFunction(RealPolynomial([0.0, 1.0]), RealPolynomial([1.0]))
+    bad = RationalFunction(((RealPolynomial([0.0, 1.0]), 1),),
+                           ((RealPolynomial([1.0]), 1),))
     with pytest.raises(ZeroAtOrigin):
         log_series(bad, 5)
 
 
 def test_log_series_geometric_oracle():
     # d/du ln(1/(1-u)) = sum u^k, all coefficients 1
-    rf = RationalFunction(RealPolynomial([1.0]), RealPolynomial([1.0, -1.0]))
+    rf = RationalFunction(((RealPolynomial([1.0]), 1),),
+                          ((RealPolynomial([1.0, -1.0]), 1),))
     assert np.allclose(log_series(rf, 8), 1.0, atol=1e-12)
+    # d/du ln(1/(1-u)^400) = 400 sum u^k: a root of multiplicity 400 costs
+    # nothing when the series is taken factor by factor
+    rf = RationalFunction(((RealPolynomial([1.0]), 1),),
+                          ((RealPolynomial([1.0, -1.0]), 400),))
+    assert np.all(log_series(rf, 200) == 400.0)
+
+
+@pytest.mark.parametrize("name", RAMANUJAN_FIXTURES + ["double_triangle",
+                                                       "looped_cycle4"])
+def test_hk_series_matches_exact_route_deep(name):
+    # at K=150 an expanded product of xi's factors would need hundreds of
+    # digits; the factor-by-factor float64 series needs none
+    q = get_profile(name).q
+    n = get_graph(name).n
+    series = hk_series(xi_rational(get_nontrivial(name), q), q, 150)
+    exact = hk_from_ck(get_census(name, 150).c, q, n,
+                       get_profile(name).bipartite, 150).values
+    assert np.all(np.abs(series - exact) <= 1e-11 * np.maximum(1.0, np.abs(exact)))
+
+
+def test_import_leaves_mpmath_unloaded():
+    src = os.path.dirname(os.path.dirname(iharazeta.__file__))
+    code = "import iharazeta, sys; assert 'mpmath' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_log_series_zeta_check_petersen():
     census = get_census("petersen", 10)
     spectrum = get_spectrum("petersen")
     zf = zeta_inverse_factors(spectrum, 2, 10)
-    ok, records = log_series_zeta_check(census, zeta_inverse(spectrum, 2, 10),
-                                        10, zeta_factors=zf)
+    ok, records = log_series_zeta_check(census, zf, 10)
     assert ok
     assert max(r[3] for r in records) < 1e-6
 
@@ -258,27 +278,17 @@ def test_log_series_zeta_check_k4_n3():
     census = get_census("k4", 8)
     spectrum = get_spectrum("k4")
     zf = zeta_inverse_factors(spectrum, 2, 4)
-    ok, records = log_series_zeta_check(census, zeta_inverse(spectrum, 2, 4),
-                                        8, zeta_factors=zf)
+    ok, records = log_series_zeta_check(census, zf, 8)
     assert ok
     k3 = records[2]
     assert k3[0] == 3 and k3[2] == 24 and k3[1] == pytest.approx(24.0, rel=1e-9)
-
-
-def test_log_series_zeta_check_unfactored_fallback():
-    # expanded-only input stays accurate at the low orders the check uses
-    census = get_census("k4", 8)
-    ok, records = log_series_zeta_check(census, zeta_inverse(get_spectrum("k4"),
-                                                             2, 4), 8)
-    assert ok and max(r[3] for r in records) < 1e-8
 
 
 def test_log_series_zeta_check_cycle5():
     census = get_census("cycle5", 10)
     spectrum = get_spectrum("cycle5")
     zf = zeta_inverse_factors(spectrum, 1, 5)
-    ok, records = log_series_zeta_check(census, zeta_inverse(spectrum, 1, 5),
-                                        10, zeta_factors=zf)
+    ok, records = log_series_zeta_check(census, zf, 10)
     assert ok
     assert census.nk[4] == 10
     assert [census.nk[k] for k in range(9) if k != 4] == [0] * 8
