@@ -3,14 +3,18 @@
 C_k is the trace of the k-th adjacency power; N_k counts closed oriented-edge
 sequences all of whose cyclic shifts are backtrack-free.  Both grow like
 (q+1)^k, so the traces are computed modulo word-size primes and
-reconstructed exactly.  The powers are kept as residues modulo 26-bit
-primes, all primes stacked in one float64 array, and each power step is one
-float64 GEMM followed by fmod.  Residues stay below 2^26 and the matrix's
-column sums below 2^27, so every product and partial sum is an integer
-below 2^53, which float64 holds exactly.  Enough primes are taken for their
-product to exceed twice the a-priori bound size * r^K on the traces (r the
-largest absolute row sum), and the Chinese remainder theorem returns each
-trace as an exact Python integer.
+reconstructed exactly.  Matrix powers run only up to min(K, size): the
+traces of an s x s matrix are fixed by its first s.  The powers are kept as
+residues modulo 26-bit primes, all primes stacked in one float64 array, and
+each power step is one float64 GEMM followed by fmod.  Residues stay below
+2^26 and the matrix's column sums below 2^27, so every product and partial
+sum is an integer below 2^53, which float64 holds exactly.  Enough primes
+are taken for their product to exceed twice the a-priori bound
+size * r^min(K, size) on those traces (r the largest absolute row sum), and
+the Chinese remainder theorem returns each as an exact Python integer.
+Past the size, Newton's identities turn the first s traces into the exact
+integer characteristic polynomial, every division checked to be exact, and
+Cayley-Hamilton gives each later trace as an integer recurrence.
 
 Four independent routes to N_k coexist and are cross-checked in the test
 suite: a definition-level brute-force enumeration, the trace of the
@@ -75,19 +79,21 @@ def _crt_basis(count: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
 
 
 def integer_power_traces(m: np.ndarray, K: int) -> list[int]:
-    """Traces of m^1..m^K, exact, for any square integer matrix m.
+    """Traces of m^1..m^K, exact, for any square integer matrix m of size s.
 
-    |tr(m^k)| <= size * r^k, with r the largest absolute row sum, so the
-    traces are recovered by CRT from their residues modulo primes whose
-    product M exceeds 2 * size * r^K, taking the representative in
-    (-M/2, M/2].  The powers of m are kept modulo every prime at once: one
-    (P*size) x size float64 array of residues, multiplied by the unreduced m
-    (one GEMM per k) and reduced by fmod with each row's prime.  Residues
-    are below p < 2^26 in magnitude, so every product and partial sum of the
-    GEMM is an integer of magnitude at most (p - 1) times the largest
-    absolute column sum of m, which is below 2^53 while column sums are
-    below 2^27: exact in float64, in any summation order.  The traces of
-    the P residue matrices are sums of size residues, exact as well.
+    The first G = min(K, s) traces come from matrix powers.  |tr(m^k)| <=
+    s * r^k, with r the largest absolute row sum, so they are recovered by
+    CRT from their residues modulo primes whose product M exceeds
+    2 * s * r^G, taking the representative in (-M/2, M/2].  The powers of m
+    are kept modulo every prime at once: one (P*s) x s float64 array of
+    residues, multiplied by the unreduced m (one GEMM per k) and reduced by
+    fmod with each row's prime.  Residues are below p < 2^26 in magnitude,
+    so every product and partial sum of the GEMM is an integer of magnitude
+    at most (p - 1) times the largest absolute column sum of m, which is
+    below 2^53 while column sums are below 2^27: exact in float64, in any
+    summation order.  The traces of the P residue matrices are sums of s
+    residues, exact as well.  The traces past s follow exactly from the
+    first s (`extend_traces`).
     """
     a = np.asarray(m)
     size = a.shape[0]
@@ -99,7 +105,8 @@ def integer_power_traces(m: np.ndarray, K: int) -> list[int]:
         raise ValueError(f"largest absolute column sum {colsum} of the matrix "
                          f"is not below 2^27; its powers cannot be taken "
                          f"exactly in float64 residues")
-    bound = 2 * size * rowsum ** K
+    steps = min(K, size)
+    bound = 2 * size * rowsum ** steps
     primes, modulus, basis = _crt_basis(bound.bit_length() // 25 + 1)
     count = len(primes)
     factor = a.astype(np.float64)
@@ -107,8 +114,8 @@ def integer_power_traces(m: np.ndarray, K: int) -> list[int]:
     cur = np.tile(factor, (count, 1))
     np.fmod(cur, column, out=cur)
     buf = np.empty_like(cur)
-    traces = np.empty((K, count))
-    for k in range(K):
+    traces = np.empty((steps, count))
+    for k in range(steps):
         if k:
             np.matmul(cur, factor, out=buf)
             np.fmod(buf, column, out=cur)
@@ -117,7 +124,35 @@ def integer_power_traces(m: np.ndarray, K: int) -> list[int]:
     for residues in traces.astype(np.int64).tolist():
         value = sum(map(operator.mul, residues, basis)) % modulus
         out.append(value - modulus if 2 * value > modulus else value)
-    return out
+    return out if K <= size else extend_traces(out, K)
+
+
+def extend_traces(head: Sequence[int], K: int) -> list[int]:
+    """Traces p_1..p_K of an s x s integer matrix from its first s traces
+    head = p_1..p_s, all exact Python integers.
+
+    Write the characteristic polynomial as x^s - c_1 x^(s-1) - ... - c_s,
+    so c_i = (-1)^(i-1) e_i with e_i its elementary symmetric coefficients.
+    Newton's identities k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i read
+    k c_k = p_k - sum_{i=1..k-1} c_i p_(k-i) and give c_1..c_s, which are
+    integers, so every division by k is exact.  A remainder means a corrupt
+    trace and raises ArithmeticError.  Cayley-Hamilton then gives
+    p_k = sum_{i=1..s} c_i p_(k-i) for k = s+1..K.
+    """
+    p = list(head)
+    size = len(p)
+    c: list[int] = []
+    for k in range(1, size + 1):
+        known = sum(map(operator.mul, c, reversed(p[:k - 1])))
+        ck, rem = divmod(p[k - 1] - known, k)
+        if rem:
+            raise ArithmeticError(
+                f"Newton's identities leave remainder {rem} at k={k}: the "
+                f"traces p_1..p_{k} cannot come from an integer matrix")
+        c.append(ck)
+    for k in range(size, K):
+        p.append(sum(map(operator.mul, c, reversed(p[k - size:k]))))
+    return p
 
 
 def closed_walk_counts(g: Multigraph, K: int) -> list[int]:
@@ -280,8 +315,9 @@ def nk_from_spectrum_rounded(s: Spectrum, q: int, n: int, k: int) -> int:
 
 
 def build_census(g: Multigraph, q: int, K: int) -> CycleCensus:
-    """Exact census to horizon K: C_k by matrix powers, N_k by the exact
-    conversion from C_k."""
+    """Exact census to horizon K: C_k by matrix powers up to k = n and the
+    Cayley-Hamilton recurrence past it, N_k by the exact conversion from
+    C_k."""
     c = closed_walk_counts(g, K)
     nk = tuple(nk_from_ck(c, q, g.n, k) for k in range(1, K + 1))
     return CycleCensus(c=tuple(c), nk=nk, horizon=K)

@@ -83,11 +83,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_series(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     K = args.k
-    prof, _, ns = _pipeline_pieces(g)
+    prof = profile(g)
     q, n = prof.q, g.n
     routes: dict[str, list[float]] = {}
     want = SERIES_ROUTES if args.route == "all" else [args.route]
     if K >= 1:
+        if "spectral" in want or "series" in want:
+            ns = nontrivial_spectrum(eigenvalues_symmetric(adjacency_matrix(g)),
+                                     prof)
         if "spectral" in want:
             routes["spectral"] = list(hk_spectral(scaled_spectrum(ns), K, q, n,
                                                   prof.bipartite).values)
@@ -117,8 +120,6 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        raise GraphError("census horizon must be >= 1")
     g = _load_graph(args.input)
     prof = profile(g)
     census = build_census(g, prof.q, args.k)

@@ -7,7 +7,8 @@ import pytest
 
 from iharazeta.census import (BruteForceBudgetExceeded,
                               RoundingResidualTooLarge, build_census,
-                              closed_walk_counts, geodesic_cycles_bruteforce,
+                              closed_walk_counts, extend_traces,
+                              geodesic_cycles_bruteforce,
                               geodesic_cycles_operator, integer_power_traces,
                               nk_from_ck, nk_from_spectrum,
                               nk_from_spectrum_rounded, nk_spectral_budget,
@@ -208,6 +209,34 @@ def test_signed_companion_traces_give_nk(name):
     excess = g.edge_count - g.n
     for k in range(1, 61):
         assert traces[k - 1] + excess * (1 + (-1) ** k) == census.nk[k - 1]
+
+
+def _strictly_upper(size):
+    rng = np.random.default_rng(5)
+    return np.triu(rng.integers(-9, 10, size=(size, size)), k=1)
+
+
+@pytest.mark.parametrize("matrix, extra", [
+    (np.array([[-5]], dtype=np.int64), 150),
+    (_strictly_upper(6), 40),
+    (nonbacktracking_matrix(parse_generator("cycle:7")), 20),
+    (adjacency_matrix(parse_generator("kmm:16")), 200),
+], ids=["one-by-one", "nilpotent", "cycle7-operator", "kmm16-k200"])
+def test_integer_power_traces_around_matrix_size(matrix, extra):
+    # matrix powers stop at the size s; Newton's identities and
+    # Cayley-Hamilton give the rest, so K = s - 1, s, s + 1 and a deep K
+    # straddle the switch
+    size = matrix.shape[0]
+    reference = _reference_traces(matrix, max(extra, size + 1))
+    for K in (size - 1, size, size + 1, extra):
+        assert integer_power_traces(matrix, K) == reference[:K]
+
+
+def test_extend_traces_rejects_corrupt_traces():
+    # no 2 x 2 integer matrix has traces 1, 2: Newton gives 2 e_2 = -1
+    with pytest.raises(ArithmeticError, match="remainder"):
+        extend_traces([1, 2], 5)
+    assert extend_traces([1, 3], 5) == [1, 3, 4, 7, 11]  # [[1, 1], [1, 0]]
 
 
 def test_integer_power_traces_column_sum_precondition():

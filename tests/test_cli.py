@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from iharazeta.census import extend_traces
 from iharazeta.cli import main
 
 
@@ -94,6 +95,18 @@ def test_uncaught_exception_exits_internal(monkeypatch, capsys):
     assert err == "internal error: OverflowError: stage blew up\n"
 
 
+def test_corrupt_census_trace_exits_internal(monkeypatch, capsys):
+    # a trace that fails Newton's divisibility check is an internal fault
+    # (exit 3), not bad input (exit 2)
+    monkeypatch.setattr(
+        "iharazeta.census.extend_traces",
+        lambda head, K: extend_traces([head[0] + 1] + head[1:], K))
+    code, out, err = run(capsys, "census", "cycle:7", "--k", "20")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ArithmeticError: ")
+
+
 def test_analyze_malformed_file(tmp_path, capsys):
     path = tmp_path / "bad.edges"
     path.write_text("0 1\n1 x\n")
@@ -155,6 +168,18 @@ def test_series_single_route(capsys):
     assert lines[0] == "k,h_k,route"
     assert len(lines) == 51
     assert all(float(line.split(",")[1]) >= -1e-8 for line in lines[1:])
+
+
+def test_series_ck_route_skips_eigensolver(monkeypatch, capsys):
+    def unused(*args, **kwargs):
+        raise AssertionError("the ck route needs no spectrum")
+
+    monkeypatch.setattr("iharazeta.cli.eigenvalues_symmetric", unused)
+    code, out, _ = run(capsys, "series", "kmm:3", "--k", "8", "--route", "ck")
+    assert code == 0
+    assert out.splitlines() == ["k,h_k,route", "1,8,ck", "2,16,ck", "3,8,ck",
+                                "4,0,ck", "5,8,ck", "6,16,ck", "7,8,ck",
+                                "8,0,ck"]
 
 
 def test_zeta_payload(capsys):
