@@ -18,9 +18,9 @@ from .hk import HkSequence, chebyshev_T, hk_from_ck, hk_nonneg, hk_spectral
 from .report import AnalysisConfig, analyze, report_to_json
 from .spectral import (NontrivialSpectrum, Spectrum, eigenvalues_symmetric,
                        nontrivial_spectrum, scaled_spectrum)
-from .zetaxi import (RationalFunction, RealPolynomial,
+from .zetaxi import (Factors, PoleHit, RationalFunction, RealPolynomial,
                      functional_equation_residual, hk_series, log_series,
-                     log_series_zeta_check, xi_from_zeta, xi_rational,
-                     zeta_inverse)
+                     log_series_zeta_check, relative_gap, xi_from_zeta,
+                     xi_rational, zeta_inverse)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -152,27 +152,25 @@ def hasse_weil_check(nk: Sequence[int], q: int, n: int, bipartite: bool,
 
     Nonbipartite: |N_k - q^k - 1| <= 2(n-1) q^(k/2) for odd k, with the main
     term shifted by n(q-1) for even k.  Bipartite: even k only,
-    |N_k - n(q-1) - 2q^k - 2| <= 2(n-2) q^(k/2).  Left sides are exact
-    integers; right sides get a 1e-9 relative slack.
+    |N_k - n(q-1) - 2q^k - 2| <= 2(n-2) q^(k/2).  The comparison is exact in
+    integers (odd k squares both sides); rhs is reported as a float.
     """
     horizon = len(nk) if K is None else min(K, len(nk))
+    m = n - 2 if bipartite else n - 1
     records = []
     for k in range(1, horizon + 1):
-        if bipartite:
-            if k % 2 == 1:
-                continue
-            lhs = abs(int(nk[k - 1]) - n * (q - 1) - 2 * q ** k - 2)
-            rhs = 2.0 * (n - 2) * float(q ** (k // 2))
+        if bipartite and k % 2 == 1:
+            continue
+        lhs = abs(int(nk[k - 1]) - (2 if bipartite else 1) * (q ** k + 1)
+                  - (n * (q - 1) if k % 2 == 0 else 0))
+        if k % 2 == 0:
+            rhs = 2.0 * m * float(q ** (k // 2))
+            satisfied = lhs <= 2 * m * q ** (k // 2)
         else:
-            main = int(nk[k - 1]) - q ** k - 1
-            if k % 2 == 0:
-                main -= n * (q - 1)
-                rhs = 2.0 * (n - 1) * float(q ** (k // 2))
-            else:
-                rhs = 2.0 * (n - 1) * q ** ((k - 1) // 2) * math.sqrt(q)
-            lhs = abs(main)
+            rhs = 2.0 * m * q ** ((k - 1) // 2) * math.sqrt(q)
+            satisfied = lhs * lhs <= 4 * m * m * q ** k
         records.append(HasseWeilRecord(k=k, lhs=lhs, rhs=rhs,
-                                       satisfied=lhs <= rhs * (1.0 + 1e-9)))
+                                       satisfied=satisfied))
     return HasseWeilReport(branch="bipartite" if bipartite else "nonbipartite",
                            records=tuple(records))
 

@@ -17,18 +17,17 @@ import io
 import os
 import sys
 
-from .analysis import (EstimatorNotApplicable, EstimatorSignMismatch,
-                       estimate_max_eigenvalue)
 from .census import (BruteForceBudgetExceeded, build_census,
                      geodesic_cycles_bruteforce)
 from .graphs import (GraphError, Multigraph, adjacency_matrix, parse_generator,
                      profile, read_edge_list, write_edge_list)
 from .hk import hk_from_ck, hk_spectral
 from .report import (SCHEMA_VERSION, AnalysisConfig, InternalConsistencyError,
-                     analyze, env_seed, report_to_json)
+                     analyze, env_seed, estimator_block, report_to_json,
+                     zeta_block)
 from .spectral import (eigenvalues_symmetric, nontrivial_spectrum,
                        scaled_spectrum)
-from .zetaxi import hk_series, xi_rational, zeta_inverse
+from .zetaxi import hk_series, xi_rational
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -144,16 +143,8 @@ def cmd_census(args: argparse.Namespace) -> int:
 def cmd_zeta(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     prof, spectrum, ns = _pipeline_pieces(g)
-    zinv = zeta_inverse(spectrum, prof.q, g.n)
-    xi = xi_rational(ns, prof.q)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "source": args.input,
-        "zeta_inverse_coefficients": [float(c) for c in zinv.coefficients],
-        "degree": zinv.degree,
-        "xi_numerator": [float(c) for c in xi.numerator.coefficients],
-        "xi_denominator": [float(c) for c in xi.denominator.coefficients],
-    }
+    payload = {"schema": SCHEMA_VERSION, "source": args.input,
+               **zeta_block(spectrum, xi_rational(ns, prof.q), prof.q, g.n)}
     _emit(report_to_json(payload), args.out)
     return EXIT_OK
 
@@ -182,20 +173,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     prof, _, ns = _pipeline_pieces(g)
     seq = hk_spectral(scaled_spectrum(ns), args.k, prof.q, g.n, prof.bipartite)
-    try:
-        est = estimate_max_eigenvalue(seq, prof.q)
-        payload = {
-            "status": "ok",
-            "estimate": est.estimate,
-            "mu": est.mu,
-            "implied_max_abs_eigenvalue": est.implied_max_abs_eigenvalue,
-            "k_used": list(est.k_used),
-            "converged": est.converged,
-        }
-    except EstimatorNotApplicable as exc:
-        payload = {"status": "not_applicable", "detail": str(exc)}
-    except EstimatorSignMismatch as exc:
-        payload = {"status": "sign_mismatch", "detail": str(exc)}
+    payload = estimator_block(seq, prof.q)
     payload.update({"schema": SCHEMA_VERSION, "source": args.input,
                     "k_horizon": args.k})
     _emit(report_to_json(payload), args.out)

@@ -12,9 +12,12 @@ JSON writer for every subcommand's output.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import __version__
 from .analysis import (DomainError, EstimatorNotApplicable,
@@ -26,10 +29,13 @@ from .census import (build_census, geodesic_cycles_operator,
 from .graphs import Multigraph, adjacency_matrix, profile
 from .hk import (ROUTE_FROM_CK, ROUTE_SERIES, ROUTE_SPECTRAL, HkSequence,
                  hk_from_ck, hk_spectral, max_route_deviation)
-from .spectral import eigenvalues_symmetric, nontrivial_spectrum, scaled_spectrum
-from .zetaxi import (functional_equation_points, functional_equation_residual,
-                     hk_series, log_series_zeta_check, xi_from_zeta,
-                     xi_rational, zeta_inverse, zeta_inverse_factors)
+from .spectral import (Spectrum, eigenvalues_symmetric, nontrivial_spectrum,
+                       scaled_spectrum)
+from .zetaxi import (RationalFunction, expand_factors,
+                     functional_equation_points, functional_equation_residual,
+                     hk_series, log_series_zeta_check, relative_gap,
+                     xi_from_zeta, xi_rational, zeta_inverse,
+                     zeta_inverse_factors)
 
 SCHEMA_VERSION = 2
 DEFAULT_SEED = 42
@@ -38,6 +44,8 @@ OPERATOR_CROSSCHECK_EDGE_LIMIT = 400
 OPERATOR_CROSSCHECK_K = 20
 # relative tolerance of the cross-route and xi-construction comparisons
 ROUTE_TOL = 1e-6
+# where the two xi constructions are compared
+XI_PROBES = (0.12, -0.21, 0.3)
 # functional-equation sample count and residual tolerance
 FE_POINTS = 100
 FE_TOL = 1e-8
@@ -74,6 +82,38 @@ def _float_list(values) -> list[float]:
 
 def _decimal_strings(values) -> list[str]:
     return [str(int(v)) for v in values]
+
+
+def zeta_block(spectrum: Spectrum, xi: RationalFunction, q: int,
+               n: int) -> dict:
+    """The coefficient arrays of Z(u)^-1 and of Xi's numerator and
+    denominator, as the zeta and analyze outputs print them."""
+    zinv = zeta_inverse(spectrum, q, n)
+    return {
+        "zeta_inverse_coefficients": _float_list(zinv.coefficients),
+        "degree": zinv.degree,
+        "xi_numerator": _float_list(expand_factors(xi.num).coefficients),
+        "xi_denominator": _float_list(expand_factors(xi.den).coefficients),
+    }
+
+
+def estimator_block(seq: HkSequence, q: int) -> dict:
+    """The tail-ratio estimate from an h_k sequence, as the estimate and
+    analyze outputs print it, or the status saying why it does not apply."""
+    try:
+        est = estimate_max_eigenvalue(seq, q)
+    except EstimatorNotApplicable as exc:
+        return {"status": "not_applicable", "detail": str(exc)}
+    except EstimatorSignMismatch as exc:
+        return {"status": "sign_mismatch", "detail": str(exc)}
+    return {
+        "status": "ok",
+        "estimate": est.estimate,
+        "mu": est.mu,
+        "implied_max_abs_eigenvalue": est.implied_max_abs_eigenvalue,
+        "k_used": list(est.k_used),
+        "converged": est.converged,
+    }
 
 
 def analyze(g: Multigraph, source: str,
@@ -118,19 +158,18 @@ def analyze(g: Multigraph, source: str,
 
     t0 = time.perf_counter()
     zfactors = zeta_inverse_factors(spectrum, q, n)
-    zinv = zeta_inverse(spectrum, q, n)
     xi = xi_rational(ns, q)
+    zeta = zeta_block(spectrum, xi, q, n)
     xi_alt = xi_from_zeta(zfactors, q, n, prof.bipartite)
-    for u in (0.12, -0.21, 0.3):
-        a, b = xi(u), xi_alt(u)
-        if abs(a - b) > ROUTE_TOL * max(1.0, abs(a), abs(b)):
-            raise InternalConsistencyError(
-                f"xi constructions disagree at u={u}: {a!r} vs {b!r}")
+    gaps = relative_gap(*xi.log2_sign(XI_PROBES), *xi_alt.log2_sign(XI_PROBES))
+    if np.any(gaps > ROUTE_TOL):
+        worst = int(np.argmax(gaps))
+        raise InternalConsistencyError(
+            f"xi constructions disagree at u={XI_PROBES[worst]}: relative "
+            f"gap {gaps[worst]:.3e}")
     seed = cfg.seed
-    residuals = []
-    for u in functional_equation_points(FE_POINTS, seed):
-        residuals.append(functional_equation_residual(xi, q, float(u)))
-    fe_max = max(residuals) if residuals else 0.0
+    fe_max = float(functional_equation_residual(
+        xi, q, functional_equation_points(FE_POINTS, seed)).max())
     zeta_ok, zeta_records = log_series_zeta_check(
         census, zfactors, min(K, ZETA_CHECK_K))
     if not zeta_ok:
@@ -174,20 +213,7 @@ def analyze(g: Multigraph, source: str,
     timings["checks"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    estimator: dict = {"status": "ok"}
-    try:
-        est = estimate_max_eigenvalue(seqs[ROUTE_SPECTRAL], q)
-        estimator.update({
-            "estimate": est.estimate,
-            "mu": est.mu,
-            "implied_max_abs_eigenvalue": est.implied_max_abs_eigenvalue,
-            "k_used": list(est.k_used),
-            "converged": est.converged,
-        })
-    except EstimatorNotApplicable as exc:
-        estimator = {"status": "not_applicable", "detail": str(exc)}
-    except EstimatorSignMismatch as exc:
-        estimator = {"status": "sign_mismatch", "detail": str(exc)}
+    estimator = estimator_block(seqs[ROUTE_SPECTRAL], q)
     timings["estimator"] = time.perf_counter() - t0
 
     report = {
@@ -217,12 +243,7 @@ def analyze(g: Multigraph, source: str,
             "tolerance": ROUTE_TOL,
             "ok": True,
         },
-        "zeta": {
-            "zeta_inverse_coefficients": _float_list(zinv.coefficients),
-            "degree": zinv.degree,
-            "xi_numerator": _float_list(xi.numerator.coefficients),
-            "xi_denominator": _float_list(xi.denominator.coefficients),
-        },
+        "zeta": zeta,
         "functional_equation": {
             "points": FE_POINTS,
             "max_residual": fe_max,
@@ -272,7 +293,8 @@ def analyze(g: Multigraph, source: str,
 
 def _round_floats(obj, digits: int = 12):
     if isinstance(obj, float):
-        return float(f"{obj:.{digits}g}")
+        # JSON has no NaN or infinity; an overflowed float prints as null
+        return float(f"{obj:.{digits}g}") if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round_floats(v, digits) for k, v in obj.items()}
     if isinstance(obj, list):
@@ -282,5 +304,6 @@ def _round_floats(obj, digits: int = 12):
 
 def report_to_json(report: dict) -> str:
     """Deterministic JSON: sorted keys, floats at 12 significant digits,
-    arbitrary-precision integers already rendered as decimal strings."""
+    non-finite floats as null, arbitrary-precision integers already rendered
+    as decimal strings."""
     return json.dumps(_round_floats(report), sort_keys=True, indent=2)

@@ -5,10 +5,14 @@ Z(u)^-1 expands to (1-u^2)^(n(q-1)/2) * prod(1 - lam*u + q*u^2) over the full
 spectrum; Xi(u) is prod((1 - lam*u + q*u^2) / (1 - sqrt(q)*u)^2) over the
 nontrivial spectrum and satisfies Xi(1/(q*u)) = Xi(u).
 
-A rational function is stored as two products of factors (polynomial, power),
-each factor of degree at most two, and is expanded only for the coefficient
-arrays of the reports.  Evaluation near the pole u = q^(-1/2) is only stable
-factor by factor.  The series extraction does not expand either: the
+A product of factors is stored as two arrays: an (F, 3) array of the
+coefficients c0 + c1*u + c2*u^2 (no factor has degree above two) and a
+vector of F integer powers.  It is expanded only for the coefficient arrays
+of the reports.  Evaluation takes a whole vector of points at once and
+returns log2|value| = sum e*log2|p(u)| with a sign from the parity of the
+negative factors, so values beyond the float range (Xi near its pole
+u = q^(-1/2)) stay representable, and relative_gap compares two of them
+without forming either.  The series extraction does not expand either: the
 log-derivative of a product is the sum of e*p'/p over its factors, and each
 p'/p follows from a short recurrence in p's own coefficients.  No product of
 degree 2n ever forms, so no cluster of 2n-2 equal roots has to be resolved
@@ -19,7 +23,7 @@ rounding of the float eigenvalues, not extra error from its own arithmetic.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,7 +42,9 @@ class ZeroAtOrigin(ValueError):
 
 
 class RealPolynomial:
-    """Dense real polynomial; coefficients ascending, trailing zeros trimmed."""
+    """Dense real polynomial; coefficients ascending, trailing zeros trimmed.
+    The expanded form of a product, for the coefficient arrays of the
+    reports."""
 
     __slots__ = ("coefficients",)
 
@@ -52,135 +58,117 @@ class RealPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def __call__(self, u: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * u + c
-        return acc
 
-    def __mul__(self, other: "RealPolynomial") -> "RealPolynomial":
-        return RealPolynomial(np.convolve(self.coefficients, other.coefficients))
+class Factors(NamedTuple):
+    """prod over the rows of (c0 + c1*u + c2*u^2) ** power."""
 
-    def pow(self, exponent: int) -> "RealPolynomial":
-        if exponent < 0:
-            raise ValueError("exponent must be >= 0")
-        result = RealPolynomial([1.0])
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+    coefficients: np.ndarray  # (F, 3) floats c0, c1, c2
+    powers: np.ndarray  # (F,) integers >= 1
 
-    def scale_input(self, c: float) -> "RealPolynomial":
-        """The polynomial u -> p(c*u)."""
-        return RealPolynomial([coef * c ** i for i, coef in enumerate(self.coefficients)])
-
-    def abs_sum_at(self, u: float) -> float:
-        """sum |c_i| |u|^i, the natural magnitude scale of evaluation at u."""
-        return float(sum(abs(c) * abs(u) ** i for i, c in enumerate(self.coefficients)))
-
-    def __repr__(self) -> str:
-        return f"RealPolynomial(degree={self.degree})"
-
-
-Factors = tuple[tuple[RealPolynomial, int], ...]
+    @classmethod
+    def from_rows(cls, *rows: tuple[float, float, float, int]) -> "Factors":
+        """Factors from (c0, c1, c2, power) rows; rows of power 0 are dropped."""
+        table = np.array([r for r in rows if r[3] > 0], dtype=float).reshape(-1, 4)
+        return cls(table[:, :3], table[:, 3].astype(np.int64))
 
 
 def expand_factors(factors: Factors) -> RealPolynomial:
-    out = RealPolynomial([1.0])
-    for poly, power in factors:
-        out = out * poly.pow(power)
-    return out
+    """The product as one dense polynomial: np.convolve factor by factor in
+    row order, each power by repeated squaring."""
+    out = np.ones(1)
+    for row, e in zip(factors.coefficients, factors.powers.tolist()):
+        base, power = np.trim_zeros(row, "b"), np.ones(1)
+        while e:
+            if e & 1:
+                power = np.convolve(power, base)
+            e >>= 1
+            if e:
+                base = np.convolve(base, base)
+        out = np.convolve(out, power)
+    return RealPolynomial(out)
 
 
-def _eval_factors(factors: Factors, u: float) -> tuple[float, int]:
-    """Product of poly(u)**power as (mantissa, binary exponent) to dodge
-    overflow; mantissa 0.0 encodes an exact zero."""
-    mant, ex = 1.0, 0
-    for poly, power in factors:
-        v = poly(u)
-        if v == 0.0:
-            return 0.0, 0
-        m, e = math.frexp(v)
-        mant *= m ** power
-        ex += e * power
-        m2, e2 = math.frexp(mant)
-        mant, ex = m2, ex + e2
-    return mant, ex
+def _horner(coefficients: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """c0 + c1*u + c2*u^2 at every point (rows) for every factor (columns)."""
+    u = u[:, None]
+    return (coefficients[:, 2] * u + coefficients[:, 1]) * u + coefficients[:, 0]
+
+
+def _log2_sign(values: np.ndarray,
+               powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log2|prod| and sign of each row of factor values raised to powers;
+    an exact zero is (-inf, 0)."""
+    with np.errstate(divide="ignore"):
+        log2 = (np.log2(np.abs(values)) * powers).sum(axis=1)
+    return log2, (np.sign(values) ** powers).prod(axis=1)
+
+
+def relative_gap(log2_a, sign_a, log2_b, sign_b):
+    """|A - B| / max(1, |A|, |B|) for A = sign_a * 2**log2_a and B likewise,
+    elementwise.  Both are scaled by that denominator before they are
+    subtracted, so values beyond the float range compare without overflow."""
+    top = np.maximum(np.maximum(log2_a, log2_b), 0.0)
+    return np.abs(sign_a * np.exp2(log2_a - top) - sign_b * np.exp2(log2_b - top))
 
 
 class RationalFunction:
-    """Ratio of two products of real polynomial factors (poly, power).
+    """Ratio of two products of factors of degree at most two.
 
-    Evaluation multiplies factor values (with exponent tracking) instead of
+    Evaluation multiplies factor values (as a sum of logarithms) instead of
     running Horner on expanded coefficients; for things like
     prod(1 - lam*u + q*u^2) / (1 - sqrt(q)u)^2M that is the difference
-    between full accuracy and catastrophic cancellation.  The expanded
-    numerator and denominator are built on demand.
+    between full accuracy and catastrophic cancellation.  expand_factors
+    gives the expanded numerator and denominator.
     """
 
-    __slots__ = ("num_factors", "den_factors")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num_factors: Factors, den_factors: Factors):
-        if any(poly.coefficients == (0.0,) for poly, _ in den_factors):
+    def __init__(self, num: Factors, den: Factors):
+        if not np.all(den.coefficients.any(axis=1)):
             raise ZeroDivisionError("denominator is identically zero")
-        self.num_factors = tuple(num_factors)
-        self.den_factors = tuple(den_factors)
+        self.num, self.den = num, den
 
-    @property
-    def numerator(self) -> RealPolynomial:
-        return expand_factors(self.num_factors)
-
-    @property
-    def denominator(self) -> RealPolynomial:
-        return expand_factors(self.den_factors)
-
-    def near_pole(self, u: float, threshold: float = POLE_THRESHOLD) -> bool:
-        """Pole proximity test: some denominator factor evaluates below
-        threshold times its coefficient-magnitude scale at u."""
-        for poly, _ in self.den_factors:
-            if abs(poly(u)) < threshold * poly.abs_sum_at(u):
-                return True
-        return False
-
-    def frexp(self, u: float) -> tuple[float, int]:
-        """The value at u as (mantissa, binary exponent), like math.frexp,
-        so that values beyond the float range stay representable; an exact
-        zero is (0.0, 0)."""
-        if self.near_pole(u):
-            raise PoleHit(f"u={u!r} is numerically a pole")
-        nm, ne = _eval_factors(self.num_factors, u)
-        dm, de = _eval_factors(self.den_factors, u)
-        mant, ex = math.frexp(nm / dm)
-        return (mant, ex + ne - de) if mant else (0.0, 0)
+    def log2_sign(self, u) -> tuple[np.ndarray, np.ndarray]:
+        """log2 of the absolute value and the sign, at every point of u (a
+        scalar or an array), without forming the value; an exact zero is
+        (-inf, 0).  Raises PoleHit when some denominator factor at some
+        point lies below POLE_THRESHOLD * sum |c_j| |u|^j."""
+        u = np.asarray(u, dtype=float)
+        points = u.reshape(-1)
+        den = _horner(self.den.coefficients, points)
+        scale = _horner(np.abs(self.den.coefficients), np.abs(points))
+        near = np.any(np.abs(den) < POLE_THRESHOLD * scale, axis=1)
+        if near.any():
+            raise PoleHit(f"u={float(points[near][0])!r} is numerically a pole")
+        num_log2, num_sign = _log2_sign(_horner(self.num.coefficients, points),
+                                        self.num.powers)
+        den_log2, den_sign = _log2_sign(den, self.den.powers)
+        return ((num_log2 - den_log2).reshape(u.shape),
+                (num_sign * den_sign).reshape(u.shape))
 
     def __call__(self, u: float) -> float:
-        return math.ldexp(*self.frexp(u))
+        """The value at u; OverflowError beyond the float range."""
+        log2, sign = self.log2_sign(u)
+        return float(sign) * math.pow(2.0, float(log2))
 
     def scale_input(self, c: float) -> "RationalFunction":
-        def scale(factors: Factors) -> Factors:
-            return tuple((p.scale_input(c), e) for p, e in factors)
-
-        return RationalFunction(scale(self.num_factors), scale(self.den_factors))
+        """The function u -> f(c*u)."""
+        powers_of_c = np.array([1.0, c, c ** 2])
+        return RationalFunction(*(Factors(f.coefficients * powers_of_c, f.powers)
+                                  for f in (self.num, self.den)))
 
 
 # ---------------------------------------------------------------------------
 # construction
 
-def _spectrum_quadratics(values: Sequence[float], q: int) -> list[RealPolynomial]:
-    return [RealPolynomial([1.0, -lam, float(q)]) for lam in values]
+def _spectrum_quadratics(values: Sequence[float], q: int):
+    """One row 1 - lam*u + q*u^2 per eigenvalue."""
+    return ((1.0, -lam, float(q), 1) for lam in values)
 
 
 def zeta_inverse_factors(s: Spectrum, q: int, n: int) -> Factors:
-    factors: list[tuple[RealPolynomial, int]] = []
-    e = n * (q - 1) // 2
-    if e:
-        factors.append((RealPolynomial([1.0, 0.0, -1.0]), e))
-    factors.extend((quad, 1) for quad in _spectrum_quadratics(s.values, q))
-    return tuple(factors)
+    return Factors.from_rows((1.0, 0.0, -1.0, n * (q - 1) // 2),
+                             *_spectrum_quadratics(s.values, q))
 
 
 def zeta_inverse(s: Spectrum, q: int, n: int) -> RealPolynomial:
@@ -192,37 +180,24 @@ def zeta_inverse(s: Spectrum, q: int, n: int) -> RealPolynomial:
 def xi_rational(ns: NontrivialSpectrum, q: int) -> RationalFunction:
     """Xi(u) = prod over the nontrivial spectrum of
     (1 - lam*u + q*u^2) / (1 - sqrt(q)*u)^2."""
-    num_factors = tuple((quad, 1) for quad in _spectrum_quadratics(ns.values, q))
-    return RationalFunction(num_factors,
-                            ((RealPolynomial([1.0, -math.sqrt(q)]), 2 * len(ns)),))
-
-
-def xi_prefactor_factors(q: int, n: int, bipartite: bool) -> Factors:
-    """The elementary polynomial multiplying Z(u) to produce Xi(u)^-1."""
-    sq = math.sqrt(q)
-    e = n * (q - 1) // 2
-    if bipartite:
-        factors: list[tuple[RealPolynomial, int]] = [
-            (RealPolynomial([1.0, 0.0, -float(q * q)]), 1),
-            (RealPolynomial([1.0, -sq]), 2 * n - 4),
-            (RealPolynomial([1.0, 0.0, -1.0]), e + 1),
-        ]
-    else:
-        factors = [
-            (RealPolynomial([1.0, -1.0]), 1),
-            (RealPolynomial([1.0, -float(q)]), 1),
-            (RealPolynomial([1.0, -sq]), 2 * n - 2),
-        ]
-        if e:
-            factors.append((RealPolynomial([1.0, 0.0, -1.0]), e))
-    return tuple(f for f in factors if f[1] > 0)
+    return RationalFunction(
+        Factors.from_rows(*_spectrum_quadratics(ns.values, q)),
+        Factors.from_rows((1.0, -math.sqrt(q), 0.0, 2 * len(ns))))
 
 
 def xi_from_zeta(zeta_factors: Factors, q: int, n: int,
                  bipartite: bool) -> RationalFunction:
     """Xi(u) assembled as the factors of Z(u)^-1 over the elementary
-    prefactor."""
-    return RationalFunction(zeta_factors, xi_prefactor_factors(q, n, bipartite))
+    polynomial that multiplies Z(u) to give Xi(u)^-1."""
+    sq, e = math.sqrt(q), n * (q - 1) // 2
+    if bipartite:
+        prefactor = Factors.from_rows((1.0, 0.0, -float(q * q), 1),
+                                      (1.0, -sq, 0.0, 2 * n - 4),
+                                      (1.0, 0.0, -1.0, e + 1))
+    else:
+        prefactor = Factors.from_rows((1.0, -1.0, 0.0, 1), (1.0, -float(q), 0.0, 1),
+                                      (1.0, -sq, 0.0, 2 * n - 2), (1.0, 0.0, -1.0, e))
+    return RationalFunction(zeta_factors, prefactor)
 
 
 # ---------------------------------------------------------------------------
@@ -236,29 +211,21 @@ def functional_equation_points(count: int = 100, seed: int = 42) -> np.ndarray:
     return mags * signs
 
 
-def functional_equation_residual(xi: RationalFunction, q: int, u: float) -> float:
-    """Relative residual |Xi(1/(q*u)) - Xi(u)| / max(1, |Xi(u)|, |Xi(1/(q*u))|).
+def functional_equation_residual(xi: RationalFunction, q: int, u):
+    """relative_gap of Xi(u) and Xi(1/(q*u)): a float for a scalar u, an
+    array for an array of points.
 
     Xi values reach 1e20 and beyond at ordinary sample points, and pass the
     float range near the pole, so the comparison is normalized by magnitude
-    and made on (mantissa, exponent) pairs scaled to the larger exponent.
-    Raises PoleHit when either evaluation point sits on a pole
-    (u = q^(-1/2) maps to itself and is always rejected).
+    and made on log2 values.  Raises ValueError if some u is zero, and
+    PoleHit when some evaluation point sits on a pole (u = q^(-1/2) maps to
+    itself and is always rejected).
     """
-    if u == 0.0:
+    u = np.asarray(u, dtype=float)
+    if np.any(u == 0.0):
         raise ValueError("u must be nonzero")
-    w = 1.0 / (q * u)
-    if xi.near_pole(u) or xi.near_pole(w):
-        raise PoleHit(f"u={u!r} or 1/(q u)={w!r} is numerically a pole")
-    (ma, ea), (mb, eb) = xi.frexp(u), xi.frexp(w)
-    top = max(ea, eb)
-    ma, mb = math.ldexp(ma, ea - top), math.ldexp(mb, eb - top)
-    diff = abs(ma - mb)
-    # the larger value is max(|ma|, |mb|) * 2^top with that mantissa in
-    # [0.5, 1), so it reaches 1 exactly when top >= 1
-    if top >= 1:
-        return diff / max(abs(ma), abs(mb))
-    return math.ldexp(diff, top)
+    gap = relative_gap(*xi.log2_sign(u), *xi.log2_sign(1.0 / (q * u)))
+    return float(gap) if gap.ndim == 0 else gap
 
 
 # ---------------------------------------------------------------------------
@@ -267,24 +234,21 @@ def functional_equation_residual(xi: RationalFunction, q: int, u: float) -> floa
 def _logder(factors: Factors, K: int) -> np.ndarray:
     """First K Maclaurin coefficients of sum e * p'/p over the factors (p, e).
 
-    s = p'/p solves p*s = p', so s_k = ((k+1) c_{k+1} - sum_{j=1..d} c_j s_{k-j})
-    / c_0 for p = c_0 + ... + c_d u^d.  All factors advance together, one
-    numpy step per k; factors of lower degree are padded with zeros.
+    s = p'/p solves p*s = p', so s_k = ((k+1) c_{k+1} - c_1 s_{k-1}
+    - c_2 s_{k-2}) / c_0 for p = c_0 + c_1 u + c_2 u^2.  All factors advance
+    together, one numpy step per k.
     """
-    d = max((p.degree for p, _ in factors), default=0)
-    c = np.zeros((len(factors), d + 1))
-    for i, (p, _) in enumerate(factors):
-        c[i, :p.degree + 1] = p.coefficients
+    c = factors.coefficients
     if np.any(c[:, 0] == 0.0):
         raise ZeroAtOrigin("series requires every factor nonzero at u = 0")
-    derivative = np.zeros((len(factors), d + K))
-    derivative[:, :d] = c[:, 1:] * np.arange(1, d + 1)
-    reversed_tail = c[:, :0:-1]  # c_d .. c_1, against s_{k-d} .. s_{k-1}
-    s = np.zeros((len(factors), d + K))  # d leading zeros stand for s_{-d..-1}
+    derivative = np.zeros((len(c), 2 + K))
+    derivative[:, :2] = c[:, 1:] * np.arange(1, 3)
+    reversed_tail = c[:, :0:-1]  # c_2, c_1 against s_{k-2}, s_{k-1}
+    s = np.zeros((len(c), 2 + K))  # two leading zeros stand for s_{-2}, s_{-1}
     for k in range(K):
-        s[:, d + k] = (derivative[:, k]
-                       - np.einsum("ij,ij->i", reversed_tail, s[:, k:k + d])) / c[:, 0]
-    return np.array([e for _, e in factors], dtype=float) @ s[:, d:]
+        s[:, 2 + k] = (derivative[:, k]
+                       - np.einsum("ij,ij->i", reversed_tail, s[:, k:k + 2])) / c[:, 0]
+    return factors.powers.astype(float) @ s[:, 2:]
 
 
 def log_series(rf: RationalFunction, K: int) -> np.ndarray:
@@ -295,7 +259,7 @@ def log_series(rf: RationalFunction, K: int) -> np.ndarray:
     expanded, so there is no root cluster for rounding to split, and no extra
     working precision is needed.
     """
-    return _logder(rf.num_factors, K) - _logder(rf.den_factors, K)
+    return _logder(rf.num, K) - _logder(rf.den, K)
 
 
 def hk_series(xi: RationalFunction, q: int, K: int) -> np.ndarray:
@@ -315,14 +279,9 @@ def log_series_zeta_check(census: CycleCensus, zeta_factors: Factors, K: int,
     """
     if K > census.horizon:
         raise ValueError(f"census horizon {census.horizon} < requested K={K}")
-    series = -_logder(zeta_factors, K)
     records = []
-    ok = True
-    for k in range(1, K + 1):
-        coeff = float(series[k - 1])
-        expected = census.nk[k - 1]
+    for k, (coeff, expected) in enumerate(
+            zip((-_logder(zeta_factors, K)).tolist(), census.nk), start=1):
         residual = abs(coeff - expected) / max(1.0, abs(float(expected)))
-        good = residual < tol
-        ok = ok and good
         records.append((k, coeff, expected, residual))
-    return ok, records
+    return all(r[3] < tol for r in records), records

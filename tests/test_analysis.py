@@ -164,6 +164,33 @@ def test_hasse_weil_holds_on_ramanujan_fixtures(name):
     assert report.all_satisfied
 
 
+def test_hasse_weil_is_exact_at_the_bound():
+    # n=10, q=2: lhs on the bound is satisfied, one past it is not, where a
+    # relative slack of 1e-9 would still have passed it
+    n, q, K = 10, 2, 61
+    nk = [q ** k + 1 + (n * (q - 1) if k % 2 == 0 else 0) for k in range(1, K + 1)]
+    even_bound = 2 * (n - 1) * q ** 30  # k = 60: 19327352832
+    odd_bound = math.isqrt(4 * (n - 1) ** 2 * q ** 61)  # k = 61, floor
+    for lhs, expected in ((0, True), (1, False)):
+        nk[59] = q ** 60 + 1 + n * (q - 1) + even_bound + lhs
+        nk[60] = q ** 61 + 1 + odd_bound + lhs
+        records = hasse_weil_check(nk, q, n, False).records
+        assert (records[59].k, records[59].lhs) == (60, even_bound + lhs)
+        assert (records[60].k, records[60].lhs) == (61, odd_bound + lhs)
+        assert records[59].satisfied is expected
+        assert records[60].satisfied is expected
+    assert hasse_weil_check(nk, q, n, False).first_violation == 60
+
+
+def test_hasse_weil_bipartite_is_exact_at_the_bound():
+    n, q = 6, 2
+    nk = [0] * 8
+    nk[7] = n * (q - 1) + 2 * q ** 8 + 2 + 2 * (n - 2) * q ** 4
+    assert hasse_weil_check(nk, q, n, True).records[3].satisfied
+    nk[7] += 1
+    assert not hasse_weil_check(nk, q, n, True).records[3].satisfied
+
+
 def test_hasse_weil_violated_on_prism24():
     report = hasse_weil_check(get_census("prism24", 60).nk, 2, 48, True)
     assert not report.all_satisfied

@@ -182,6 +182,31 @@ def test_series_ck_route_skips_eigensolver(monkeypatch, capsys):
                                 "8,0,ck"]
 
 
+@pytest.mark.parametrize("spec", ["circulant:80:1,2,3,4,5,6",
+                                  "circulant:100:1,2,3,4,5,6"])
+def test_xi_cross_check_near_the_pole_exits_zero(capsys, spec):
+    # q = 11: the probe u = 0.3 lies 0.5% from the pole q^(-1/2), where
+    # |Xi(0.3)| is beyond the float range
+    code, out, err = run(capsys, "check", spec, "--k", "50")
+    assert code == 0, err
+    assert json.loads(out)["functional_equation"]["ok"]
+
+
+def _reject_constant(token):
+    raise AssertionError(f"invalid JSON token {token}")
+
+
+@pytest.mark.parametrize("argv", [["analyze", "complete:60", "--k", "50"],
+                                  ["zeta", "complete:60"]])
+def test_overflowed_coefficients_print_as_null(capsys, argv):
+    # the float expansion of Z(u)^-1 of degree 3540 overflows
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    payload = json.loads(out, parse_constant=_reject_constant)
+    coefficients = payload.get("zeta", payload)["zeta_inverse_coefficients"]
+    assert coefficients[0] == 1.0 and None in coefficients
+
+
 def test_zeta_payload(capsys):
     payload = run_json(capsys, "zeta", "petersen")
     assert payload["degree"] == 30

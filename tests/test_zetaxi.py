@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import iharazeta
-from iharazeta.zetaxi import (PoleHit, RationalFunction, RealPolynomial,
-                              ZeroAtOrigin, functional_equation_points,
+from iharazeta.zetaxi import (Factors, PoleHit, RationalFunction,
+                              RealPolynomial, ZeroAtOrigin, expand_factors,
+                              functional_equation_points,
                               functional_equation_residual, hk_series,
-                              log_series, log_series_zeta_check, xi_from_zeta,
-                              xi_rational, zeta_inverse, zeta_inverse_factors)
+                              log_series, log_series_zeta_check, relative_gap,
+                              xi_from_zeta, xi_rational, zeta_inverse,
+                              zeta_inverse_factors)
 
 from iharazeta.hk import hk_from_ck
 
@@ -35,8 +37,14 @@ def iconv(*polys):
     return out
 
 
+def polynomial(*coefficients):
+    """One factor of degree <= 2 as a rational function over 1."""
+    padded = tuple(coefficients) + (0.0,) * (3 - len(coefficients))
+    return RationalFunction(Factors.from_rows(padded + (1,)), Factors.from_rows())
+
+
 # ---------------------------------------------------------------------------
-# RealPolynomial basics
+# RealPolynomial and factor arrays
 
 def test_poly_trims_trailing_zeros():
     p = RealPolynomial([1.0, 2.0, 0.0, 0.0])
@@ -45,23 +53,31 @@ def test_poly_trims_trailing_zeros():
 
 
 def test_poly_derivative_and_eval():
-    p = RealPolynomial([1, -3, 2])  # 1 - 3u + 2u^2
-    assert p(0.5) == 1 - 1.5 + 0.5
+    p = polynomial(1, -3, 2)  # 1 - 3u + 2u^2
+    assert p(0.5) == 1 - 1.5 + 0.5  # an exact zero
+    assert p.log2_sign(0.5) == (-math.inf, 0.0)
+    assert p(0.25) == pytest.approx(1 - 0.75 + 0.125, rel=1e-15)
 
 
-@given(st.lists(st.integers(-5, 5), min_size=1, max_size=6),
-       st.lists(st.integers(-5, 5), min_size=1, max_size=6),
+@given(st.lists(st.tuples(st.integers(1, 5), st.integers(-5, 5),
+                          st.integers(-5, 5), st.integers(1, 4)),
+                min_size=1, max_size=4),
        st.floats(-2, 2))
 @settings(max_examples=60, deadline=None)
-def test_poly_product_evaluates_pointwise(a, b, x):
-    pa, pb = RealPolynomial(a), RealPolynomial(b)
-    assert (pa * pb)(x) == pytest.approx(pa(x) * pb(x), rel=1e-9, abs=1e-9)
+def test_expanded_product_evaluates_like_its_factors(rows, x):
+    # Horner on the expanded coefficients is accurate only up to the scale
+    # sum |a_i| |x|^i, far above the value where the product cancels
+    f = Factors.from_rows(*rows)
+    coefficients = np.array(expand_factors(f).coefficients[::-1])
+    scale = np.polyval(np.abs(coefficients), abs(x))
+    value = RationalFunction(f, Factors.from_rows())(x)
+    assert np.polyval(coefficients, x) == pytest.approx(value, abs=1e-12 * scale)
 
 
 def test_poly_scale_input():
-    p = RealPolynomial([1, 1, 1])
+    p = polynomial(1, 1, 1)
     q = p.scale_input(2.0)
-    assert q.coefficients == (1.0, 2.0, 4.0)
+    assert q.num.coefficients.tolist() == [[1.0, 2.0, 4.0]]
     assert q(0.5) == pytest.approx(p(1.0))
 
 
@@ -107,18 +123,20 @@ def test_nontrivial_pole_moduli_on_ramanujan_fixtures(name):
 
 def test_xi_kmm3_form():
     xi = xi_rational(get_nontrivial("kmm3"), 2)
-    assert np.allclose(xi.numerator.coefficients,
+    assert np.allclose(expand_factors(xi.num).coefficients,
                        iconv([1, 0, 2], [1, 0, 2], [1, 0, 2], [1, 0, 2]),
                        rtol=1e-9, atol=1e-9)
     s = math.sqrt(2)
     expected_den = [math.comb(8, j) * (-s) ** j for j in range(9)]
-    assert np.allclose(xi.denominator.coefficients, expected_den, rtol=1e-9)
+    assert np.allclose(expand_factors(xi.den).coefficients, expected_den,
+                       rtol=1e-9)
 
 
 def test_xi_petersen_form():
     xi = xi_rational(get_nontrivial("petersen"), 2)
     expected = iconv(*([[1, -1, 2]] * 5 + [[1, 2, 2]] * 4))
-    assert np.allclose(xi.numerator.coefficients, expected, rtol=1e-8, atol=1e-6)
+    assert np.allclose(expand_factors(xi.num).coefficients, expected,
+                       rtol=1e-8, atol=1e-6)
 
 
 @pytest.mark.parametrize("name", ACCEPTANCE_FIXTURES)
@@ -190,15 +208,42 @@ def test_functional_equation_beyond_float_range():
     assert max(functional_equation_residual(xi, 2, u) for u in points) < 1e-8
 
 
-def test_rational_frexp_beyond_float_range():
-    den = RealPolynomial([1.0, -1.0])
-    rf = RationalFunction(((RealPolynomial([1.0]), 1),), ((den, 400),))
-    mant, ex = rf.frexp(0.9)  # 0.1^-400 = 1e400
-    assert 0.5 <= mant < 1.0
-    assert ex * math.log10(2) + math.log10(mant) == pytest.approx(400.0, abs=1e-9)
-    assert rf.frexp(0.5) == (0.5, 401)  # exactly 2^400
+def test_rational_log2_beyond_float_range():
+    rf = RationalFunction(Factors.from_rows((1.0, 0.0, 0.0, 1)),
+                          Factors.from_rows((1.0, -1.0, 0.0, 400)))
+    log2, sign = rf.log2_sign(0.9)  # 0.1^-400 = 1e400
+    assert sign == 1.0
+    assert log2 * math.log10(2) == pytest.approx(400.0, abs=1e-9)
+    assert rf.log2_sign(0.5) == (400.0, 1.0)  # exactly 2^400
     with pytest.raises(OverflowError):
         rf(0.9)
+
+
+def test_relative_gap_beyond_float_range():
+    # 2^5000 against 2^5000 (1 + 2^-20); zeros and opposite signs
+    assert relative_gap(5000.0, 1.0, 5000.0 + math.log2(1 + 2 ** -20), 1.0) \
+        == pytest.approx(2 ** -20 / (1 + 2 ** -20), rel=1e-9)
+    assert relative_gap(-math.inf, 0.0, -1.0, -1.0) == 0.5
+    assert relative_gap(3.0, 1.0, 3.0, -1.0) == 2.0
+
+
+@pytest.mark.parametrize("name", ["petersen", "kmm3", "prism30"])
+def test_functional_equation_residual_array_matches_points(name):
+    q = get_profile(name).q
+    xi = xi_rational(get_nontrivial(name), q)
+    points = functional_equation_points(100, seed=42)
+    together = functional_equation_residual(xi, q, points)
+    assert together.shape == (100,)
+    assert together.tolist() == [functional_equation_residual(xi, q, float(u))
+                                 for u in points]
+
+
+def test_functional_equation_residual_array_rejects_any_bad_point():
+    xi = xi_rational(get_nontrivial("petersen"), 2)
+    with pytest.raises(PoleHit):
+        functional_equation_residual(xi, 2, np.array([0.1, 1 / math.sqrt(2), 0.3]))
+    with pytest.raises(ValueError):
+        functional_equation_residual(xi, 2, np.array([0.1, 0.0, 0.3]))
 
 
 def test_sample_points_deterministic():
@@ -227,21 +272,21 @@ def test_log_series_kmm3_values():
 
 
 def test_log_series_zero_at_origin():
-    bad = RationalFunction(((RealPolynomial([0.0, 1.0]), 1),),
-                           ((RealPolynomial([1.0]), 1),))
+    bad = RationalFunction(Factors.from_rows((0.0, 1.0, 0.0, 1)),
+                           Factors.from_rows((1.0, 0.0, 0.0, 1)))
     with pytest.raises(ZeroAtOrigin):
         log_series(bad, 5)
 
 
 def test_log_series_geometric_oracle():
     # d/du ln(1/(1-u)) = sum u^k, all coefficients 1
-    rf = RationalFunction(((RealPolynomial([1.0]), 1),),
-                          ((RealPolynomial([1.0, -1.0]), 1),))
+    rf = RationalFunction(Factors.from_rows((1.0, 0.0, 0.0, 1)),
+                          Factors.from_rows((1.0, -1.0, 0.0, 1)))
     assert np.allclose(log_series(rf, 8), 1.0, atol=1e-12)
     # d/du ln(1/(1-u)^400) = 400 sum u^k: a root of multiplicity 400 costs
     # nothing when the series is taken factor by factor
-    rf = RationalFunction(((RealPolynomial([1.0]), 1),),
-                          ((RealPolynomial([1.0, -1.0]), 400),))
+    rf = RationalFunction(Factors.from_rows((1.0, 0.0, 0.0, 1)),
+                          Factors.from_rows((1.0, -1.0, 0.0, 400)))
     assert np.all(log_series(rf, 200) == 400.0)
 
 
