@@ -4,23 +4,25 @@ C_k is the trace of the k-th adjacency power; N_k counts closed oriented-edge
 sequences all of whose cyclic shifts are backtrack-free.  Both grow like
 (q+1)^k, so the traces are computed modulo word-size primes and
 reconstructed exactly.  Matrix powers run only up to min(K, size): the
-traces of an s x s matrix are fixed by its first s.  The powers are kept as
-residues modulo 26-bit primes, all primes stacked in one float64 array, and
-each power step is one float64 GEMM followed by fmod.  Residues stay below
-2^26 and the matrix's column sums below 2^27, so every product and partial
-sum is an integer below 2^53, which float64 holds exactly.  Enough primes
-are taken for their product to exceed twice the a-priori bound
-size * r^min(K, size) on those traces (r the largest absolute row sum), and
-the Chinese remainder theorem returns each as an exact Python integer.
-Past the size, Newton's identities turn the first s traces into the exact
-integer characteristic polynomial, every division checked to be exact, and
-Cayley-Hamilton gives each later trace as an integer recurrence.
+traces of an s x s matrix are fixed by its first s.  The powers are kept
+modulo 26-bit primes, all primes stacked in one float64 array, and each
+power step is one float64 GEMM.  The array is reduced, exactly, by
+x - p * rint(x * (1/p)), and only when a tracked bound on its entries says
+the next GEMM could pass 2^52; each trace is taken from the reduced
+diagonal.  With column sums below 2^27 every product and partial sum is an
+integer below 2^52, which float64 holds exactly.  Enough primes are taken
+for their product to exceed twice the a-priori bound size * r^min(K, size)
+on those traces (r the smaller of the largest absolute row and column
+sums), and the Chinese remainder theorem returns each as an exact Python
+integer.  Past the size, Newton's identities turn the first s traces into
+the exact integer characteristic polynomial, every division checked to be
+exact, and Cayley-Hamilton gives each later trace as an integer recurrence.
 
 Four independent routes to N_k coexist and are cross-checked in the test
-suite: a definition-level brute-force enumeration, the trace of the
-non-backtracking edge operator, an exact conversion from the C_k sequence,
-and a floating-point evaluation from the spectrum with an a-priori error
-budget.
+suite: a definition-level brute-force enumeration, the traces of the
+non-backtracking edge operator (taken on its 2n x 2n Ihara-Bass companion),
+an exact one-pass conversion from the C_k sequence, and a floating-point
+evaluation from the spectrum with an a-priori error budget.
 """
 
 from __future__ import annotations
@@ -34,13 +36,15 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import Multigraph, adjacency_matrix
-from .hk import chebyshev_T_table, ck_alternating_sum
+from .hk import chebyshev_T_table, ck_alternating_sums
 from .spectral import Spectrum
 
 # residues live below these primes; products stay exact in float64 while
-# the matrix's absolute column sums stay below COLUMN_SUM_LIMIT
+# the matrix's absolute column sums stay below COLUMN_SUM_LIMIT, and the
+# power arrays are reduced before a GEMM could pass EXACT_LIMIT
 PRIME_LIMIT = 2 ** 26
 COLUMN_SUM_LIMIT = 2 ** 27
+EXACT_LIMIT = 2 ** 52
 BRUTE_FORCE_BUDGET = 10 ** 8
 
 
@@ -78,22 +82,48 @@ def _crt_basis(count: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
     return tuple(primes), modulus, basis
 
 
+def _reduce(x: np.ndarray, prime: np.ndarray, inverse: np.ndarray,
+            out: np.ndarray) -> np.ndarray:
+    """out = x - prime * rint(x * inverse), a representative of x modulo
+    prime, written without temporaries; exact under the conditions given in
+    integer_power_traces."""
+    np.multiply(x, inverse, out=out)
+    np.rint(out, out=out)
+    np.multiply(out, prime, out=out)
+    return np.subtract(x, out, out=out)
+
+
 def integer_power_traces(m: np.ndarray, K: int) -> list[int]:
     """Traces of m^1..m^K, exact, for any square integer matrix m of size s.
 
     The first G = min(K, s) traces come from matrix powers.  |tr(m^k)| <=
-    s * r^k, with r the largest absolute row sum, so they are recovered by
-    CRT from their residues modulo primes whose product M exceeds
-    2 * s * r^G, taking the representative in (-M/2, M/2].  The powers of m
-    are kept modulo every prime at once: one (P*s) x s float64 array of
-    residues, multiplied by the unreduced m (one GEMM per k) and reduced by
-    fmod with each row's prime.  Residues are below p < 2^26 in magnitude,
-    so every product and partial sum of the GEMM is an integer of magnitude
-    at most (p - 1) times the largest absolute column sum of m, which is
-    below 2^53 while column sums are below 2^27: exact in float64, in any
-    summation order.  The traces of the P residue matrices are sums of s
-    residues, exact as well.  The traces past s follow exactly from the
-    first s (`extend_traces`).
+    s * r^k, with r the smaller of the largest absolute row sum and the
+    largest absolute column sum (tr(m^k) = tr((m^T)^k)), so they are
+    recovered by CRT from their residues modulo primes whose product M
+    exceeds 2 * s * r^G, taking the representative in (-M/2, M/2].  The
+    powers of m are kept modulo every prime at once: one (P*s) x s float64
+    array, multiplied by the unreduced m (one GEMM per k) and reduced only
+    now and then.
+
+    Exactness.  All values are integers held in float64, exact below 2^53.
+    A GEMM maps entries bounded by B to entries bounded by B * c, c the
+    largest absolute column sum of m, and every product and partial sum of
+    it is bounded the same way, so it is exact in any summation order while
+    B * c <= 2^52.  An integer x with |x| <= 2^52 is reduced modulo p by
+    x - p * rint(x * fl(1/p)): the computed quotient y is within
+    |x/p| * 2^-52 (1 + 2^-54) of x/p, so p * |y - x/p| <= 1 + 2^-54,
+    |p * rint(y)| <= |x| + p/2 + 2 < 2^53 is exact, and the difference is
+    an integer of magnitude at most p/2 + 1 + 2^-54, hence at most (p+1)/2
+    for odd p, and is exact too.  The largest prime is 2^26 - 5, so a
+    reduced array has B <= 2^25 - 2, and one GEMM takes it to at most
+    (2^25 - 2)(2^27 - 1) < 2^52 while c < 2^27 (COLUMN_SUM_LIMIT).  The
+    loop tracks B: it starts at c, which bounds every entry of m, each GEMM
+    multiplies it by c, and the array is reduced before a GEMM only when
+    B * c would pass 2^52, and B falls back to 2^25 - 2.  For a 0/1 matrix
+    of column sum 3 that is one reduction per 17 GEMMs.  Each trace is the
+    sum of the reduced diagonal alone (P*s values, each at most 2^25 - 2 in
+    magnitude), exact, and the CRT accepts any representative.  The traces
+    past s follow exactly from the first s (`extend_traces`).
     """
     a = np.asarray(m)
     size = a.shape[0]
@@ -106,20 +136,28 @@ def integer_power_traces(m: np.ndarray, K: int) -> list[int]:
                          f"is not below 2^27; its powers cannot be taken "
                          f"exactly in float64 residues")
     steps = min(K, size)
-    bound = 2 * size * rowsum ** steps
+    bound = 2 * size * min(rowsum, colsum) ** steps
     primes, modulus, basis = _crt_basis(bound.bit_length() // 25 + 1)
     count = len(primes)
+    reduced_bound = (primes[0] + 1) // 2
     factor = a.astype(np.float64)
-    column = np.repeat(np.array(primes, dtype=np.float64), size)[:, None]
+    prime = np.array(primes, dtype=np.float64)[:, None]
+    column = np.repeat(prime, size, axis=0)
+    inverse, prime_inverse = 1.0 / column, 1.0 / prime
     cur = np.tile(factor, (count, 1))
-    np.fmod(cur, column, out=cur)
     buf = np.empty_like(cur)
+    diagonal = np.empty((count, size))
     traces = np.empty((steps, count))
+    entry_bound = colsum
     for k in range(steps):
         if k:
+            if entry_bound * colsum > EXACT_LIMIT:
+                _reduce(cur, column, inverse, out=buf)
+                cur, buf, entry_bound = buf, cur, reduced_bound
             np.matmul(cur, factor, out=buf)
-            np.fmod(buf, column, out=cur)
-        np.trace(cur.reshape(count, size, size), axis1=1, axis2=2, out=traces[k])
+            cur, buf, entry_bound = buf, cur, entry_bound * colsum
+        _reduce(cur.reshape(count, size, size).diagonal(axis1=1, axis2=2),
+                prime, prime_inverse, out=diagonal).sum(axis=1, out=traces[k])
     out = []
     for residues in traces.astype(np.int64).tolist():
         value = sum(map(operator.mul, residues, basis)) % modulus
@@ -188,11 +226,23 @@ def nonbacktracking_matrix(g: Multigraph) -> np.ndarray:
 
 
 def geodesic_cycles_operator(g: Multigraph, K: int) -> list[int]:
-    """N_1..N_K as traces of powers of the non-backtracking operator,
-    exact integers."""
+    """N_1..N_K as traces of powers of the non-backtracking operator B,
+    exact integers, taken on its 2n x 2n Ihara-Bass companion.
+
+    Ihara-Bass (Bass 1992; Kotani-Sunada 2000) gives det(I - uB) =
+    (1 - u^2)^(m-n) det(I - uM) with M = [[A, I - D], [I, 0]], D the
+    diagonal of degrees.  Taking -log of both sides and comparing the
+    coefficients of u^k/k, tr(B^k) = tr(M^k) + (m - n)(1 + (-1)^k).
+    """
     if K < 1:
         raise ValueError("horizon must be >= 1")
-    return integer_power_traces(nonbacktracking_matrix(g), K)
+    a = adjacency_matrix(g)
+    eye = np.eye(g.n, dtype=np.int64)
+    companion = np.block([[a, eye - np.diag(a.sum(axis=1))],
+                          [eye, np.zeros_like(eye)]])
+    excess = g.edge_count - g.n
+    return [t + (2 * excess if k % 2 == 0 else 0)
+            for k, t in enumerate(integer_power_traces(companion, K), start=1)]
 
 
 def brute_force_cost(g: Multigraph, k: int) -> int:
@@ -237,18 +287,14 @@ def geodesic_cycles_bruteforce(g: Multigraph, k: int,
 # ---------------------------------------------------------------------------
 # conversions
 
-def nk_from_ck(c: Sequence[int], q: int, n: int, k: int) -> int:
-    """Exact N_k from the closed-walk counts C_0..C_k.
+def nk_from_ck(c: Sequence[int], q: int, n: int, K: int) -> tuple[int, ...]:
+    """Exact N_1..N_K from the closed-walk counts C_0..C_K.
 
     N_k = sum_i (-q)^i (C(k-i,i) + C(k-i-1,i-1)) C_{k-2i}, plus n(q-1) when
     k is even; the sum runs to (k-1)/2 for odd k and k/2 for even k.
     """
-    if len(c) < k + 1:
-        raise ValueError(f"need C_0..C_{k}, got {len(c)} entries")
-    total = ck_alternating_sum(c, q, k)
-    if k % 2 == 0:
-        total += n * (q - 1)
-    return total
+    return tuple(s + (n * (q - 1) if k % 2 == 0 else 0)
+                 for k, s in enumerate(ck_alternating_sums(c, q, K), start=1))
 
 
 def nk_from_spectrum(s: Spectrum, q: int, n: int, k: int) -> float:
@@ -319,5 +365,4 @@ def build_census(g: Multigraph, q: int, K: int) -> CycleCensus:
     Cayley-Hamilton recurrence past it, N_k by the exact conversion from
     C_k."""
     c = closed_walk_counts(g, K)
-    nk = tuple(nk_from_ck(c, q, g.n, k) for k in range(1, K + 1))
-    return CycleCensus(c=tuple(c), nk=nk, horizon=K)
+    return CycleCensus(c=tuple(c), nk=nk_from_ck(c, q, g.n, K), horizon=K)

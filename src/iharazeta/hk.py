@@ -9,7 +9,8 @@ The h_k sequence (Maclaurin coefficients of the logarithmic derivative of
 the rescaled xi function) admits two closed-form routes implemented here:
   * spectral -- from the scaled nontrivial spectrum via T_k sums,
   * from_ck  -- from exact closed-walk counts C_k via alternating binomial
-    sums, in integers up to the final division.
+    sums S_k, all K of them in one pass over weight rows built by the T_k
+    recurrence (ck_alternating_sums), in integers up to the final division.
 A third, generic power-series route lives in zetaxi.log_series.  (A route
 from the geodesic-cycle counts N_k would repeat from_ck: the census derives
 N_k from C_k with the same alternating sum.)
@@ -17,7 +18,9 @@ N_k from C_k with the same alternating sum.)
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -118,32 +121,35 @@ def hk_spectral(scaled: np.ndarray, K: int, q: int, n: int,
                       bipartite=bipartite)
 
 
-def ck_alternating_sum(c: Sequence[int], q: int, k: int) -> int:
-    """Exact integer sum_i (-q)^i (C(k-i,i) + C(k-i-1,i-1)) C_{k-2i} over
-    i = 0..floor(k/2).
+def ck_alternating_sums(c: Sequence[int], q: int, K: int) -> list[int]:
+    """Exact integers S_1..S_K, S_k = sum_i (-q)^i (C(k-i,i) + C(k-i-1,i-1))
+    C_{k-2i} over i = 0..floor(k/2), from C_0..C_K.
 
-    For k >= 1 the weight tk_weight(k, i) equals k C(k-i, i) / (k-i).  The
-    binomial is carried from term to term by the exact ratio
-    C(k-i-1, i+1) / C(k-i, i) = (k-2i)(k-2i-1) / ((k-i)(i+1)), and (-q)^i by
-    one multiplication.
+    The weights b(k, i) = (-q)^i tk_weight(k, i) are the coefficients of
+    U_k(x) = q^(k/2) T_k(x / sqrt(q)) in x^(k-2i).  The T_k recurrence
+    scales to U_k = x U_(k-1) - q U_(k-2), which gives b(k, i) =
+    b(k-1, i) - q b(k-2, i-1) from b(0, 0) = 2 and b(1, 0) = 1.  Each row is
+    built from the two before it, with no division, and S_k is its dot
+    product with C_k, C_(k-2), ...
     """
-    if k == 0:
-        return 2 * int(c[0])
-    total = 0
-    power = 1
-    binom = 1
-    for i in range(k // 2 + 1):
-        total += power * (k * binom // (k - i)) * int(c[k - 2 * i])
-        power *= -q
-        binom = binom * (k - 2 * i) * (k - 2 * i - 1) // ((k - i) * (i + 1))
-    return total
+    if len(c) < K + 1:
+        raise ValueError(f"need C_0..C_{K}, got {len(c)} entries")
+    c = [int(x) for x in c[:K + 1]]
+    prev, row = [2], [1]
+    sums = []
+    for k in range(1, K + 1):
+        if k > 1:
+            prev, row = row, [a - q * b for a, b in
+                              itertools.zip_longest(row, [0] + prev, fillvalue=0)]
+        sums.append(sum(map(operator.mul, row, c[k::-2])))
+    return sums
 
 
 def hk_from_ck(c: Sequence[int], q: int, n: int, bipartite: bool,
                K: int) -> HkSequence:
     """h_k from exact closed-walk counts C_0..C_K.
 
-    With S_k = ck_alternating_sum(c, q, k) and Q = q^(k/2), nonbipartite
+    With S_k from ck_alternating_sums and Q = q^(k/2), nonbipartite
     graphs have h_k = 2(n-1) + Q + 1/Q - S_k/Q.  Bipartite graphs have
     h_k = 2(n-2) for odd k (no count dependence at all) and
     2(n-2) + 2Q + 2/Q - S_k/Q for even k.  The terms cancel to O(n), so
@@ -152,15 +158,12 @@ def hk_from_ck(c: Sequence[int], q: int, n: int, bipartite: bool,
     the integer q^k + 1 - S_k by q^((k-1)/2), then by sqrt(q), and adds
     2(n-1): an error of a few ulps of max(|h_k|, 4n).
     """
-    if len(c) < K + 1:
-        raise ValueError(f"need C_0..C_{K}, got {len(c)} entries")
     base, mult = (2 * (n - 2), 2) if bipartite else (2 * (n - 1), 1)
     values = np.empty(K)
-    for k in range(1, K + 1):
+    for k, s in enumerate(ck_alternating_sums(c, q, K), start=1):
         if bipartite and k % 2 == 1:
             values[k - 1] = base
             continue
-        s = ck_alternating_sum(c, q, k)
         half = q ** (k // 2)
         if k % 2 == 0:
             values[k - 1] = (base * half + mult * (half * half + 1) - s) / half

@@ -39,8 +39,9 @@ from .zetaxi import (RationalFunction, expand_factors,
 
 SCHEMA_VERSION = 2
 DEFAULT_SEED = 42
-# largest oriented-edge count for which the trace(B^k) cross-check runs
-OPERATOR_CROSSCHECK_EDGE_LIMIT = 400
+# largest Ihara-Bass companion size 2n for which the operator cross-check
+# (N_k as traces of the 2n x 2n companion of B) runs; 400 covers n <= 200
+OPERATOR_CROSSCHECK_SIZE_LIMIT = 400
 OPERATOR_CROSSCHECK_K = 20
 # relative tolerance of the cross-route and xi-construction comparisons
 ROUTE_TOL = 1e-6
@@ -141,7 +142,7 @@ def analyze(g: Multigraph, source: str,
     t0 = time.perf_counter()
     census = build_census(g, q, K)
     upto = min(K, OPERATOR_CROSSCHECK_K)
-    if g.oriented_edge_count <= OPERATOR_CROSSCHECK_EDGE_LIMIT:
+    if 2 * n <= OPERATOR_CROSSCHECK_SIZE_LIMIT:
         operator_nk = geodesic_cycles_operator(g, upto)
         if list(operator_nk) != list(census.nk[:upto]):
             raise InternalConsistencyError(

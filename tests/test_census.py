@@ -109,9 +109,9 @@ def test_oracle_equivalence(name):
 
 
 def test_nk_from_ck_examples():
-    assert nk_from_ck([4, 0, 12, 24], 2, 4, 3) == 24
-    assert nk_from_ck([4, 0, 8], 1, 4, 2) == 0
-    assert nk_from_ck([5, 0], 1, 5, 1) == 0
+    assert nk_from_ck([4, 0, 12, 24], 2, 4, 3) == (0, 0, 24)
+    assert nk_from_ck([4, 0, 8], 1, 4, 2) == (0, 0)
+    assert nk_from_ck([5, 0], 1, 5, 1) == (0,)
 
 
 def test_nk_from_spectrum_examples():
@@ -152,15 +152,15 @@ def test_spectral_budget_rejects_off_by_one_census():
 def test_tk_power_sum_identity(name):
     # q^(-k/2) * sum_i (-q)^i w(k,i) C_{k-2i} equals the T_k sum over the
     # scaled full spectrum
-    from iharazeta.hk import ck_alternating_sum
+    from iharazeta.hk import ck_alternating_sums
 
-    g = get_graph(name)
     q = get_profile(name).q
     census = get_census(name, 20)
     scaled = get_spectrum(name).as_array() / math.sqrt(q)
     table = chebyshev_T_table(20, scaled)
+    sums = ck_alternating_sums(census.c, q, 20)
     for k in range(1, 21):
-        lhs = ck_alternating_sum(census.c, q, k) / q ** (k / 2.0)
+        lhs = sums[k - 1] / q ** (k / 2.0)
         rhs = float(table[k - 1].sum())
         assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(rhs))
 
@@ -196,19 +196,19 @@ def test_integer_power_traces_one_by_one(entry):
 
 @pytest.mark.parametrize("name", ["prism:24", "kmm:5", "petersen"])
 def test_signed_companion_traces_give_nk(name):
-    # Ihara-Bass: tr(B^k) = tr(M^k) + (m - n)(1 + (-1)^k) for the 2n x 2n
-    # companion M = [[A, I - D], [I, 0]], whose entries can be negative
+    # the operator route takes tr(B^k) on the signed 2n x 2n Ihara-Bass
+    # companion, past its size at K = 60, and must match the C_k conversion
     g = parse_generator(name)
     q = profile(g).q
-    a = adjacency_matrix(g)
-    eye = np.eye(g.n, dtype=np.int64)
-    companion = np.block([[a, eye - np.diag(a.sum(axis=1))],
-                          [eye, np.zeros_like(eye)]])
-    traces = integer_power_traces(companion, 60)
-    census = build_census(g, q, 60)
-    excess = g.edge_count - g.n
-    for k in range(1, 61):
-        assert traces[k - 1] + excess * (1 + (-1) ** k) == census.nk[k - 1]
+    assert geodesic_cycles_operator(g, 60) == list(build_census(g, q, 60).nk)
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_companion_matches_nonbacktracking_traces(name):
+    # Ihara-Bass holds for loops and parallel edges too
+    g = get_graph(name)
+    assert (geodesic_cycles_operator(g, 20)
+            == integer_power_traces(nonbacktracking_matrix(g), 20))
 
 
 def _strictly_upper(size):
@@ -216,12 +216,35 @@ def _strictly_upper(size):
     return np.triu(rng.integers(-9, 10, size=(size, size)), k=1)
 
 
+def _column_sums_at_limit(size):
+    # signed entries whose absolute column sums are all 2^27 - 1: every
+    # GEMM would pass 2^52 unless the powers are reduced before it
+    rng = np.random.default_rng(7)
+    m = rng.integers(1, 2 ** 20, size=(size, size))
+    m[0] += 2 ** 27 - 1 - m.sum(axis=0)
+    return m * rng.choice([-1, 1], size=(size, size))
+
+
+def _zero_one_column_sum_four(size):
+    # a 0/1 matrix of column sum 4, whose entry bound quadruples per GEMM:
+    # 25 GEMMs run from the start and 13 after each reduction
+    perm = np.random.default_rng(11).permutation(size)
+    m = np.zeros((size, size), dtype=np.int64)
+    for shift in range(4):
+        m[np.roll(perm, -shift), np.arange(size)] = 1
+    return m
+
+
 @pytest.mark.parametrize("matrix, extra", [
     (np.array([[-5]], dtype=np.int64), 150),
     (_strictly_upper(6), 40),
     (nonbacktracking_matrix(parse_generator("cycle:7")), 20),
     (adjacency_matrix(parse_generator("kmm:16")), 200),
-], ids=["one-by-one", "nilpotent", "cycle7-operator", "kmm16-k200"])
+    (_column_sums_at_limit(8), 30),
+    (_zero_one_column_sum_four(48), 200),
+    (np.random.default_rng(3).integers(-40, 41, size=(12, 12)), 60),
+], ids=["one-by-one", "nilpotent", "cycle7-operator", "kmm16-k200",
+        "column-sum-limit", "zero-one-k200", "signed"])
 def test_integer_power_traces_around_matrix_size(matrix, extra):
     # matrix powers stop at the size s; Newton's identities and
     # Cayley-Hamilton give the rest, so K = s - 1, s, s + 1 and a deep K

@@ -1,5 +1,6 @@
 """cli-report: subcommands, exit codes, determinism, round-trips."""
 
+import hashlib
 import json
 import math
 
@@ -19,6 +20,23 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+# sha256 of `ihara census <g> --k 150 --no-timings`: exact integers, so the
+# digest is the same on every platform
+CENSUS_K150_SHA256 = {
+    "hypercube:6": "152d5a806fbf10dcd7a31c72d12571b63abf5a93629162d187ace9510e62fadb",
+    "complete:30": "c2abc65fe1638c4859cf4f215c08c33db43b1d0e38064c909b4bc7a36f40c121",
+    "prism:24": "6cad25783522c7fceb92688635a8e64c6ab8670035884649c798e2ebd14986ba",
+    "circulant:40:1,7": "aa15cf46295cea46404f0225300f92f61a7b94a632aebddf6de07466b8235799",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CENSUS_K150_SHA256))
+def test_census_k150_output_is_pinned(capsys, spec):
+    code, out, err = run(capsys, "census", spec, "--k", "150", "--no-timings")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_K150_SHA256[spec]
 
 
 def test_analyze_petersen(capsys):
@@ -75,13 +93,24 @@ def test_check_spectral_nk_within_budget(capsys, spec):
 
 
 def test_spectral_nk_budget_checked_above_operator_edge_limit(monkeypatch, capsys):
-    # prism:70 has 420 oriented edges, past the operator-trace limit; the
-    # spectral N_k check must still run there
+    # prism:101 has a 404 x 404 Ihara-Bass companion, past the operator
+    # cross-check's size limit; the spectral N_k check must still run there
     monkeypatch.setattr("iharazeta.report.nk_spectral_budget",
                         lambda *args: -1.0)
-    code, _, err = run(capsys, "analyze", "prism:70", "--k", "20")
+    monkeypatch.setattr("iharazeta.report.geodesic_cycles_operator", None)
+    code, _, err = run(capsys, "analyze", "prism:101", "--k", "20")
     assert code == 3
     assert "error budget" in err
+
+
+def test_operator_check_runs_on_dense_graphs(monkeypatch, capsys):
+    # complete:60 has 3540 oriented edges but a 120 x 120 companion, so the
+    # operator cross-check runs, and a wrong N_k from it is an internal fault
+    monkeypatch.setattr("iharazeta.report.geodesic_cycles_operator",
+                        lambda g, K: [0] * K)
+    code, _, err = run(capsys, "analyze", "complete:60", "--k", "20")
+    assert code == 3
+    assert "operator traces disagree" in err
 
 
 def test_uncaught_exception_exits_internal(monkeypatch, capsys):

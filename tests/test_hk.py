@@ -1,13 +1,14 @@
 """hk-engine: T_k identities and the agreement of all h_k routes."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iharazeta.hk import (binomial_ext, chebyshev_T, chebyshev_T_binomial,
-                          chebyshev_T_even_form, ck_alternating_sum, hk_from_ck, hk_nonneg, hk_spectral, max_route_deviation,
+                          chebyshev_T_even_form, ck_alternating_sums, hk_from_ck, hk_nonneg, hk_spectral, max_route_deviation,
                           tk_weight)
 from iharazeta.census import build_census
 from iharazeta.graphs import adjacency_matrix, parse_generator, profile
@@ -108,16 +109,29 @@ def test_hk_spectral_kmm3():
     assert seq.h(4) == pytest.approx(0.0, abs=1e-12)
 
 
+def _direct_alternating_sums(c, q, K):
+    return [sum((-q) ** i * tk_weight(k, i) * c[k - 2 * i]
+                for i in range(k // 2 + 1)) for k in range(1, K + 1)]
+
+
 @pytest.mark.parametrize("spec", ["complete:30", "hypercube:6", "petersen"])
 def test_ck_alternating_sum_matches_tk_weights(spec):
-    # the incremental binomial and power must reproduce the explicit sum
+    # the weight rows built by recurrence must reproduce the explicit sum
     g = parse_generator(spec)
     q = profile(g).q
     c = build_census(g, q, 150).c
-    for k in range(151):
-        direct = sum((-q) ** i * tk_weight(k, i) * c[k - 2 * i]
-                     for i in range(k // 2 + 1))
-        assert ck_alternating_sum(c, q, k) == direct
+    assert ck_alternating_sums(c, q, 150) == _direct_alternating_sums(c, q, 150)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 11])
+def test_ck_alternating_sums_on_arbitrary_counts(q):
+    # the identity is algebraic: any integers C_0..C_K, signed and large
+    rng = random.Random(q)
+    c = [rng.randrange(-10 ** 40, 10 ** 40) for _ in range(201)]
+    assert ck_alternating_sums(c, q, 200) == _direct_alternating_sums(c, q, 200)
+    assert ck_alternating_sums(c, q, 0) == []
+    with pytest.raises(ValueError, match="need C_0..C_201"):
+        ck_alternating_sums(c, q, 201)
 
 
 def test_hk_from_ck_petersen_h3():
