@@ -1,0 +1,54 @@
+#!/usr/bin/env python3
+"""Run `ihara check` over a fixed 24-graph ladder and tabulate the outcomes.
+
+The ladder spans seven generator families, from petersen to n = 200.  For
+each horizon and graph the table gives the exit code (0 Ramanujan, 1
+refuted, 2 bad input, 3 internal fault) and the first line the command wrote
+to stderr, past the note that every --k above 100 prints.  Each check runs
+in this process through iharazeta.cli.main; its JSON on stdout is dropped.
+
+Usage: python scripts/check_ladder.py [--k 50 150]
+"""
+
+import argparse
+import contextlib
+import io
+
+from iharazeta.cli import main as ihara
+
+LADDER = (
+    "petersen", "cycle:7",
+    "complete:6", "complete:10", "complete:16", "complete:30", "complete:60",
+    "kmm:6", "kmm:10", "kmm:30",
+    "hypercube:4", "hypercube:5", "hypercube:6", "hypercube:7",
+    "prism:16", "prism:20", "prism:24", "prism:50", "prism:100",
+    "circulant:12:1,3", "circulant:20:1,3,5", "circulant:30:1,4",
+    "circulant:101:1,7,19", "circulant:200:1,5,17",
+)
+
+
+def check(spec: str, k: int) -> tuple[int, str]:
+    """Exit code and first stderr line (other than the cost note) of
+    `ihara check spec --k k --no-timings`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = ihara(["check", spec, "--k", str(k), "--no-timings"])
+    lines = [line for line in err.getvalue().splitlines()
+             if not line.startswith("note: ")]
+    return code, lines[0] if lines else ""
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--k", type=int, nargs="+", default=[50, 150])
+    args = parser.parse_args()
+
+    print(f"{'K':>4} {'graph':<22} {'exit':>4}  stderr")
+    for k in args.k:
+        for spec in LADDER:
+            code, line = check(spec, k)
+            print(f"{k:>4} {spec:<22} {code:>4}  {line}")
+
+
+if __name__ == "__main__":
+    main()

@@ -10,7 +10,7 @@ from .analysis import (EigenvalueEstimate, EstimatorNotApplicable,
                        multiset_bound, ramanujan_hk, ramanujan_spectral)
 from .census import (CycleCensus, build_census, closed_walk_counts,
                      geodesic_cycles_bruteforce, geodesic_cycles_operator,
-                     nk_from_ck, nk_from_spectrum, nonbacktracking_matrix)
+                     nk_from_ck, nonbacktracking_matrix)
 from .graphs import (GraphProfile, Multigraph, OrientedEdge, adjacency_matrix,
                      build_graph, generate, parse_generator, profile,
                      read_edge_list, write_edge_list)
@@ -20,7 +20,7 @@ from .spectral import (NontrivialSpectrum, Spectrum, eigenvalues_symmetric,
                        nontrivial_spectrum, scaled_spectrum)
 from .zetaxi import (Factors, PoleHit, RationalFunction, RealPolynomial,
                      functional_equation_residual, hk_series, log_series,
-                     log_series_zeta_check, relative_gap, xi_from_zeta,
-                     xi_rational, zeta_inverse)
+                     log_series_zeta_check, nk_from_spectrum, relative_gap,
+                     xi_from_zeta, xi_rational, zeta_inverse)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -18,11 +18,11 @@ integer.  Past the size, Newton's identities turn the first s traces into
 the exact integer characteristic polynomial, every division checked to be
 exact, and Cayley-Hamilton gives each later trace as an integer recurrence.
 
-Four independent routes to N_k coexist and are cross-checked in the test
-suite: a definition-level brute-force enumeration, the traces of the
-non-backtracking edge operator (taken on its 2n x 2n Ihara-Bass companion),
-an exact one-pass conversion from the C_k sequence, and a floating-point
-evaluation from the spectrum with an a-priori error budget.
+Four routes to N_k are cross-checked in the test suite: a brute-force
+enumeration, the traces of the non-backtracking operator (on its 2n x 2n
+Ihara-Bass companion), an exact one-pass conversion from C_k, and zetaxi's
+float N_k (the Z(u)^-1 log-series), which pins an integer within its
+a-priori budget (nk_from_spectrum_rounded).
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import Multigraph, adjacency_matrix
-from .hk import chebyshev_T_table, ck_alternating_sums
+from .hk import ck_alternating_sums
 from .spectral import Spectrum
+from .zetaxi import nk_from_spectrum, nk_spectral_budget
 
 # residues live below these primes; products stay exact in float64 while
 # the matrix's absolute column sums stay below COLUMN_SUM_LIMIT, and the
@@ -295,55 +296,6 @@ def nk_from_ck(c: Sequence[int], q: int, n: int, K: int) -> tuple[int, ...]:
     """
     return tuple(s + (n * (q - 1) if k % 2 == 0 else 0)
                  for k, s in enumerate(ck_alternating_sums(c, q, K), start=1))
-
-
-def nk_from_spectrum(s: Spectrum, q: int, n: int, k: int) -> float:
-    """Floating-point N_k from the full spectrum:
-    q^(k/2) * sum of T_k over the scaled spectrum, plus n(q-1) for even k."""
-    scaled = s.as_array() / math.sqrt(q)
-    tk_sum = float(chebyshev_T_table(k, scaled)[k - 1].sum())
-    value = q ** (k / 2.0) * tk_sum
-    if k % 2 == 0:
-        value += n * (q - 1)
-    return value
-
-
-def nk_spectral_budget(s: Spectrum, q: int, n: int, k: int) -> float:
-    """A-priori bound on |nk_from_spectrum(s, q, n, k) - N_k| when s is the
-    float64 spectrum LAPACK returns for the adjacency matrix.
-
-    Write x = y + 1/y with |y| >= 1 and R(x) = |y|, which is 1 on [-2, 2]
-    and grows with |x|.  Then |T_k(x)| <= 2 R^k, and |T_k'(x)| <= k^2 R^(k-1)
-    because T_k' = k (y^k - y^-k) / (y - 1/y) (k sin(k t) / sin t on
-    [-2, 2]).  The error sources, each as a bound (eps = 2^-52):
-
-    * Eigenvalues.  LAPACK's symmetric eigensolver is backward stable:
-      |lam~ - lam| <= n eps ||A||_2 = n eps (q+1).  Scaling by sqrt(q) adds
-      2 eps |x| <= 2 eps (q+1)/sqrt(q), so dx = (n+2) eps (q+1)/sqrt(q).
-      Carried through T_k' this moves T_k(x_i) by at most k^2 R_i^(k-1) dx,
-      with R_i taken at |x_i| + dx.
-    * The recurrence T_{j+1} = x T_j - T_{j-1}.  Its step j rounds by at
-      most 2 eps |x T_j| + eps |T_{j-1}| <= 10 eps R^(j+1), and an error
-      made at step j reaches step k multiplied by S_{k-j}(x), where
-      S_m = (y^m - y^-m)/(y - 1/y) and |S_m| <= m R^(m-1).  Summed over j
-      that is at most 5 k^2 eps R^k.
-    * Summing n terms of size <= 2 R_i^k costs 2 n eps sum R_i^k; the power
-      q^(k/2), its product and the even-k addition of n(q-1) cost a few eps
-      of |N_k| <= 2 q^(k/2) sum R_i^k + n(q-1), as does comparing against
-      N_k in float.
-
-    So |error| <= q^(k/2) sum_i R_i^k (k^2 dx + (5 k^2 + 2n + 8) eps)
-    + 2 eps n(q-1), and the budget doubles that to cover the second-order
-    terms.  When the budget is below 1/2 the evaluation pins N_k.
-    """
-    eps = float(np.finfo(np.float64).eps)
-    root_q = math.sqrt(q)
-    dx = (n + 2) * eps * (q + 1) / root_q
-    x = np.abs(s.as_array()) / root_q + dx
-    r = np.maximum(1.0, (x + np.sqrt(np.maximum(x * x - 4.0, 0.0))) / 2.0)
-    growth = q ** (k / 2.0) * float(np.sum(r ** k))
-    return 2.0 * (growth * (k * k * dx + (5 * k * k + 2 * n + 8) * eps)
-                  + 2.0 * eps * n * (q - 1))
 
 
 def nk_from_spectrum_rounded(s: Spectrum, q: int, n: int, k: int) -> int:

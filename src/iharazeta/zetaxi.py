@@ -18,17 +18,21 @@ p'/p follows from a short recurrence in p's own coefficients.  No product of
 degree 2n ever forms, so no cluster of 2n-2 equal roots has to be resolved
 from rounded coefficients, and float64 suffices: the series inherits the
 rounding of the float eigenvalues, not extra error from its own arithmetic.
+Taken of Z(u)^-1 it is the one float N_k (nk_from_spectrum), checked against
+the exact census within its a-priori nk_spectral_budget.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .census import CycleCensus
 from .spectral import NontrivialSpectrum, Spectrum
+
+if TYPE_CHECKING:
+    from .census import CycleCensus
 
 POLE_THRESHOLD = 1e-12
 
@@ -77,7 +81,7 @@ def expand_factors(factors: Factors) -> RealPolynomial:
     row order, each power by repeated squaring."""
     out = np.ones(1)
     for row, e in zip(factors.coefficients, factors.powers.tolist()):
-        base, power = np.trim_zeros(row, "b"), np.ones(1)
+        base, power = (row if row[2] else row[:2]), np.ones(1)
         while e:
             if e & 1:
                 power = np.convolve(power, base)
@@ -268,20 +272,70 @@ def hk_series(xi: RationalFunction, q: int, K: int) -> np.ndarray:
     return log_series(xi.scale_input(1.0 / math.sqrt(q)), K)
 
 
-def log_series_zeta_check(census: CycleCensus, zeta_factors: Factors, K: int,
-                          tol: float = 1e-6
+def nk_from_spectrum(s: Spectrum, q: int, n: int, k: int) -> float:
+    """Floating-point N_k: the coefficient of u^(k-1) in -d/du ln Z(u)^-1,
+    q^(k/2) * sum of T_k over the scaled spectrum, plus n(q-1) for even k."""
+    return float(-_logder(zeta_inverse_factors(s, q, n), k)[k - 1])
+
+
+def nk_spectral_budget(s: Spectrum, q: float, n: int, k: int | np.ndarray):
+    """A-priori bound on |nk_from_spectrum(s, q, n, k) - N_k| for the float64
+    spectrum s LAPACK gives: a float for an integer k, an array for an array.
+
+    Eigenvalue lam gives the row 1 - lam*u + q*u^2 = (1 - a u)(1 - b u) and
+    _logder's recurrence s_0 = -lam, s_1 = 2q - lam^2, s_j = lam s_(j-1) -
+    q s_(j-2), solved by s_j = -(a^(j+1) + b^(j+1)).  With rho = max(|a|,
+    |b|) (sqrt(q) while |lam| <= 2 sqrt(q)), |lam| <= 2 rho, q <= rho^2 and
+    |s_j| <= 2 rho^(j+1); U_m = sum_(t=0..m) a^t b^(m-t) has |U_m| <= (m+1)
+    rho^m.  N_k = -sum e s_(k-1) over the rows, the exact (1 - u^2) row
+    (s = 0, -2, 0, -2, ...) of power n(q-1)/2 adding n(q-1) at even k.  The
+    error bounds, first order in eps = 2^-52:
+
+    * Eigenvalues.  LAPACK is backward stable, |lam~ - lam| <= dlam =
+      n eps ||A||_2 = n eps (q+1), and d(a^k + b^k)/dlam = k U_(k-1), so a
+      row moves by at most k^2 rho^(k-1) dlam, rho taken at |lam~| + dlam.
+    * The recurrence.  c0 = 1 and c2 = q are exact, so the division and the
+      negation are; step j rounds two products and a sum, at most eps
+      (|lam s_(j-1)| + q |s_(j-2)|) <= 6 eps rho^(j+1) (s_1: eps (lam^2 + q)
+      <= 5 eps rho^2).  That error reaches s_m times U_(m-j), so s_(k-1) is
+      off by at most sum_(j=1..k-1) 6 eps rho^(j+1) (k-j) rho^(k-1-j) =
+      3 k(k-1) eps rho^k.
+    * The dot product over F <= n+1 rows rounds by (F eps/2)(1 + F eps)
+      times sum |e s_(k-1)| <= 2 sum rho^k + n(q-1), and comparing with N_k
+      in float costs eps/2 of the same.
+
+    So |error| <= k^2 dlam sum rho_i^(k-1) + (3k(k-1) + n + 2) eps sum rho_i^k
+    + (n + 2) eps n(q-1)/2, doubled for second-order terms; < 1/2 pins N_k.
+    """
+    eps = float(np.finfo(np.float64).eps)
+    root_q = math.sqrt(q)
+    dlam = n * eps * (q + 1)
+    x = (np.abs(s.as_array()) + dlam) / root_q
+    rho = root_q * np.maximum(1.0, (x + np.sqrt(np.maximum(x * x - 4.0, 0.0))) / 2.0)
+    k = np.asarray(k, dtype=float)
+    drift = rho ** (k[..., None] - 1.0)
+    budget = 2.0 * (k * k * dlam * drift.sum(axis=-1) + (n + 2) * eps * n * (q - 1) / 2.0
+                    + (3.0 * k * (k - 1.0) + n + 2) * eps * (drift * rho).sum(axis=-1))
+    return float(budget) if budget.ndim == 0 else budget
+
+
+def log_series_zeta_check(census: CycleCensus, zeta_factors: Factors, K: int
                           ) -> tuple[bool, list[tuple[int, float, int, float]]]:
     """Verify that -d/du ln(Z(u)^-1), from the factors of Z(u)^-1, has
-    Maclaurin coefficient N_{k+1} at u^k.
-
+    Maclaurin coefficient N_{k+1} at u^k within nk_spectral_budget, taken
+    from the rows 1 - lam*u + q*u^2 (c2 > 0), one per eigenvalue, and n = C_0.
     Returns (all_ok, records) with one (k, coefficient, N_k, relative
     residual) record per 1 <= k <= K.
     """
     if K > census.horizon:
         raise ValueError(f"census horizon {census.horizon} < requested K={K}")
-    records = []
-    for k, (coeff, expected) in enumerate(
-            zip((-_logder(zeta_factors, K)).tolist(), census.nk), start=1):
-        residual = abs(coeff - expected) / max(1.0, abs(float(expected)))
-        records.append((k, coeff, expected, residual))
-    return all(r[3] < tol for r in records), records
+    c = zeta_factors.coefficients
+    quadratic = c[:, 2] > 0
+    spectrum = Spectrum(tuple((-c[quadratic, 1]).tolist()))
+    budgets = nk_spectral_budget(spectrum, float(c[quadratic, 2].max()),
+                                 census.c[0], np.arange(1, K + 1))
+    coefficients, exact = -_logder(zeta_factors, K), np.array(census.nk[:K], dtype=float)
+    deviations = np.abs(coefficients - exact)
+    return bool(np.all(deviations <= budgets)), list(zip(
+        range(1, K + 1), coefficients.tolist(), census.nk,
+        (deviations / np.maximum(1.0, np.abs(exact))).tolist()))

@@ -1,5 +1,6 @@
 """zeta-xi: rational-function forms, functional equation, series routes."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -337,3 +338,19 @@ def test_log_series_zeta_check_cycle5():
     assert ok
     assert census.nk[4] == 10
     assert [census.nk[k] for k in range(9) if k != 4] == [0] * 8
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_log_series_zeta_check_rejects_off_by_one_census(shift):
+    # the budget pins N_k on prism:24 to k = 20, so a census one off at any
+    # single k fails the check
+    census = get_census("prism24", 20)
+    zf = zeta_inverse_factors(get_spectrum("prism24"), get_profile("prism24").q,
+                              get_graph("prism24").n)
+    assert log_series_zeta_check(census, zf, 20)[0]
+    for k in range(20):
+        nk = list(census.nk)
+        nk[k] += shift
+        ok, _ = log_series_zeta_check(dataclasses.replace(census, nk=tuple(nk)),
+                                      zf, 20)
+        assert not ok, k + 1
