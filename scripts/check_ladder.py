@@ -3,9 +3,10 @@
 
 The ladder spans seven generator families, from petersen to n = 200.  For
 each horizon and graph the table gives the exit code (0 Ramanujan, 1
-refuted, 2 bad input, 3 internal fault) and the first line the command wrote
-to stderr, past the note that every --k above 100 prints.  Each check runs
-in this process through iharazeta.cli.main; its JSON on stdout is dropped.
+refuted, 2 bad input, 3 internal fault), the check's wall time in seconds
+and the first line the command wrote to stderr, past the note that every
+--k above 100 prints.  Each check runs in this process through
+iharazeta.cli.main; its JSON on stdout is dropped.
 
 Usage: python scripts/check_ladder.py [--k 50 150]
 """
@@ -13,6 +14,7 @@ Usage: python scripts/check_ladder.py [--k 50 150]
 import argparse
 import contextlib
 import io
+import time
 
 from iharazeta.cli import main as ihara
 
@@ -43,11 +45,13 @@ def main() -> None:
     parser.add_argument("--k", type=int, nargs="+", default=[50, 150])
     args = parser.parse_args()
 
-    print(f"{'K':>4} {'graph':<22} {'exit':>4}  stderr")
+    print(f"{'K':>4} {'graph':<22} {'exit':>4} {'wall_s':>7}  stderr")
     for k in args.k:
         for spec in LADDER:
+            t0 = time.perf_counter()
             code, line = check(spec, k)
-            print(f"{k:>4} {spec:<22} {code:>4}  {line}")
+            wall = time.perf_counter() - t0
+            print(f"{k:>4} {spec:<22} {code:>4} {wall:>7.3f}  {line}")
 
 
 if __name__ == "__main__":

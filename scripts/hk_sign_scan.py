@@ -34,7 +34,7 @@ def main() -> None:
         ns = nontrivial_spectrum(spectrum, prof)
         verdict = ramanujan_spectral(ns, prof.q)
         census = build_census(g, prof.q, args.k)
-        seq = hk_from_ck(census.c, prof.q, g.n, prof.bipartite, args.k)
+        seq = hk_from_ck(census, prof.q, g.n, prof.bipartite, args.k)
         witness = next((k for k in range(1, args.k + 1) if seq.h(k) < -1e-8), None)
         print(f"{m:>5} {g.n:>4} {verdict.max_nontrivial_abs:>10.6f} "
               f"{2 * math.sqrt(prof.q):>9.6f} {str(verdict.is_ramanujan):>10} "

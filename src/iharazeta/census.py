@@ -18,6 +18,15 @@ integer.  Past the size, Newton's identities turn the first s traces into
 the exact integer characteristic polynomial, every division checked to be
 exact, and Cayley-Hamilton gives each later trace as an integer recurrence.
 
+A bipartite graph takes a half-size matrix.  With the vertices ordered by
+colour class, A = [[0, B], [B^T, 0]] for the biadjacency block B, so
+A^2 = diag(BB^T, B^TB) and tr((B^TB)^j) = tr((BB^T)^j): C_2j = 2 tr(G^j)
+for the n/2 x n/2 Gram matrix G = BB^T, and every odd C_k is 0.  The engine
+powers G to min(K/2, n/2) with primes for 2 (n/2) ((q+1)^2)^min(K/2, n/2),
+and the recurrence past n/2 has order n/2.  G's column sums are (q+1)^2,
+which must stay below 2^27: q+1 <= 11585.  closed_walk_counts remains the
+general route tr(A^k), for every graph.
+
 Four routes to N_k are cross-checked in the test suite: a brute-force
 enumeration, the traces of the non-backtracking operator (on its 2n x 2n
 Ihara-Bass companion), an exact one-pass conversion from C_k, and zetaxi's
@@ -135,7 +144,9 @@ def integer_power_traces(m: np.ndarray, K: int) -> list[int]:
     if colsum >= COLUMN_SUM_LIMIT:
         raise ValueError(f"largest absolute column sum {colsum} of the matrix "
                          f"is not below 2^27; its powers cannot be taken "
-                         f"exactly in float64 residues")
+                         f"exactly in float64 residues (a bipartite census "
+                         f"powers BB^T, whose column sums are (q+1)^2, so "
+                         f"it needs q+1 <= 11585)")
     steps = min(K, size)
     bound = 2 * size * min(rowsum, colsum) ** steps
     primes, modulus, basis = _crt_basis(bound.bit_length() // 25 + 1)
@@ -195,7 +206,9 @@ def extend_traces(head: Sequence[int], K: int) -> list[int]:
 
 
 def closed_walk_counts(g: Multigraph, K: int) -> list[int]:
-    """C_0..C_K where C_k = trace(A^k) and C_0 = n, all exact."""
+    """C_0..C_K where C_k = trace(A^k) and C_0 = n, all exact: the general
+    route, for any graph (build_census halves the matrix when the graph is
+    bipartite)."""
     if K < 1:
         raise ValueError("horizon must be >= 1")
     return [g.n] + integer_power_traces(adjacency_matrix(g), K)
@@ -313,8 +326,26 @@ def nk_from_spectrum_rounded(s: Spectrum, q: int, n: int, k: int) -> int:
 
 
 def build_census(g: Multigraph, q: int, K: int) -> CycleCensus:
-    """Exact census to horizon K: C_k by matrix powers up to k = n and the
-    Cayley-Hamilton recurrence past it, N_k by the exact conversion from
-    C_k."""
-    c = closed_walk_counts(g, K)
+    """Exact census to horizon K: C_k by matrix powers and, past the matrix
+    size, the Cayley-Hamilton recurrence; N_k by the exact conversion from
+    C_k.
+
+    A nonbipartite graph powers A itself (closed_walk_counts).  A connected
+    bipartite graph (g.bipartition) powers the n/2 x n/2 Gram matrix
+    G = BB^T of its biadjacency block B = A[part0, part1]: C_2j = 2 tr(G^j)
+    and odd C_k = 0.  The engine bounds tr(G^j) by (n/2) ((q+1)^2)^j and
+    takes primes for twice that bound at j = min(K/2, n/2).  G's column sums
+    are (q+1)^2, which the engine requires below 2^27 (COLUMN_SUM_LIMIT), so
+    a bipartite census needs q+1 <= 11585 and raises ValueError past it.
+    """
+    if K < 1:
+        raise ValueError("horizon must be >= 1")
+    parts = g.bipartition
+    if parts is None:
+        c = closed_walk_counts(g, K)
+    else:
+        b = adjacency_matrix(g)[np.ix_(*parts)]
+        half = integer_power_traces(b @ b.T, K // 2)
+        c = [g.n] + [0 if k % 2 else 2 * half[k // 2 - 1]
+                     for k in range(1, K + 1)]
     return CycleCensus(c=tuple(c), nk=nk_from_ck(c, q, g.n, K), horizon=K)

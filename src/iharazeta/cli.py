@@ -95,7 +95,7 @@ def cmd_series(args: argparse.Namespace) -> int:
                                                   prof.bipartite).values)
         if "ck" in want:
             census = build_census(g, q, K)
-            routes["ck"] = list(hk_from_ck(census.c, q, n, prof.bipartite, K).values)
+            routes["ck"] = list(hk_from_ck(census, q, n, prof.bipartite, K).values)
         if "series" in want:
             routes["series"] = list(hk_series(xi_rational(ns, q), q, K))
     if args.format == "json":

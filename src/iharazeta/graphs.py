@@ -69,6 +69,43 @@ class Multigraph:
     def loop_count(self) -> int:
         return sum(1 for u, v in self.edges if u == v)
 
+    @cached_property
+    def colouring(self) -> tuple[tuple[int, ...], bool]:
+        """Breadth-first 2-colouring from vertex 0: each vertex's colour, 0
+        or 1, or -1 where vertex 0 does not reach it; and whether a loop or
+        an edge joins two vertices of one colour, that is, whether the
+        component of vertex 0 has an odd cycle.  Parallel edges never affect
+        the colouring."""
+        adj: list[set[int]] = [set() for _ in range(self.n)]
+        for u, v in self.edges:
+            if u != v:
+                adj[u].add(v)
+                adj[v].add(u)
+        colour = [-1] * self.n
+        colour[0] = 0
+        queue = deque([0])
+        odd_cycle = self.loop_count > 0
+        while queue:
+            x = queue.popleft()
+            for y in adj[x]:
+                if colour[y] == -1:
+                    colour[y] = colour[x] ^ 1
+                    queue.append(y)
+                elif colour[y] == colour[x]:
+                    odd_cycle = True
+        return tuple(colour), odd_cycle
+
+    @cached_property
+    def bipartition(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """The two colour classes of a connected bipartite graph, vertex 0 in
+        the first; None when the graph is not connected or not bipartite.
+        profile and the census both read it, so the colouring runs once."""
+        colour, odd_cycle = self.colouring
+        if odd_cycle or -1 in colour:
+            return None
+        return (tuple(x for x in range(self.n) if colour[x] == 0),
+                tuple(x for x in range(self.n) if colour[x] == 1))
+
     @property
     def edge_count(self) -> int:
         return len(self.edges)
@@ -120,45 +157,21 @@ def profile(g: Multigraph) -> GraphProfile:
     """Validate regularity and connectivity; classify bipartiteness.
 
     Raises NotRegularError / NotConnectedError when the standing assumptions
-    fail.  Bipartiteness is decided by 2-colouring; any loop counts as an odd
-    cycle.  Parallel edges never affect the colouring.
+    fail.  Bipartiteness is read from the graph's cached 2-colouring
+    (Multigraph.colouring); any loop counts as an odd cycle.
     """
     degs = g.valencies
     if min(degs) != max(degs):
         lo, hi = min(degs), max(degs)
         raise NotRegularError(f"valencies differ: min {lo}, max {hi}")
 
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-    for u, v in g.edges:
-        if u != v:
-            adj[u].add(v)
-            adj[v].add(u)
-
-    color = [-1] * g.n
-    color[0] = 0
-    queue = deque([0])
-    seen = 1
-    odd_cycle = g.loop_count > 0
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if color[y] == -1:
-                color[y] = color[x] ^ 1
-                seen += 1
-                queue.append(y)
-            elif color[y] == color[x]:
-                odd_cycle = True
+    seen = g.n - g.colouring[0].count(-1)
     if seen != g.n:
         raise NotConnectedError(f"reached {seen} of {g.n} vertices")
 
-    bipartite = not odd_cycle
-    bipartition = None
-    if bipartite:
-        part0 = tuple(x for x in range(g.n) if color[x] == 0)
-        part1 = tuple(x for x in range(g.n) if color[x] == 1)
-        bipartition = (part0, part1)
-    return GraphProfile(q=degs[0] - 1, bipartite=bipartite, connected=True,
-                        bipartition=bipartition)
+    bipartition = g.bipartition
+    return GraphProfile(q=degs[0] - 1, bipartite=bipartition is not None,
+                        connected=True, bipartition=bipartition)
 
 
 def adjacency_matrix(g: Multigraph) -> np.ndarray:

@@ -11,9 +11,11 @@ the rescaled xi function) admits two closed-form routes implemented here:
   * from_ck  -- from exact closed-walk counts C_k via alternating binomial
     sums S_k, all K of them in one pass over weight rows built by the T_k
     recurrence (ck_alternating_sums), in integers up to the final division.
-A third, generic power-series route lives in zetaxi.log_series.  (A route
-from the geodesic-cycle counts N_k would repeat from_ck: the census derives
-N_k from C_k with the same alternating sum.)
+    The census takes that pass to get N_k, and from_ck reads S_k back from
+    its N_k.
+A third, generic power-series route lives in zetaxi.log_series.  (A separate
+route from the geodesic-cycle counts N_k would repeat from_ck, which already
+reads its sums from them.)
 """
 
 from __future__ import annotations
@@ -22,9 +24,12 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .census import CycleCensus
 
 ROUTE_SPECTRAL = "spectral"
 ROUTE_FROM_CK = "from_ck"
@@ -145,11 +150,13 @@ def ck_alternating_sums(c: Sequence[int], q: int, K: int) -> list[int]:
     return sums
 
 
-def hk_from_ck(c: Sequence[int], q: int, n: int, bipartite: bool,
+def hk_from_ck(census: CycleCensus, q: int, n: int, bipartite: bool,
                K: int) -> HkSequence:
-    """h_k from exact closed-walk counts C_0..C_K.
+    """h_k from an exact census to horizon at least K.
 
-    With S_k from ck_alternating_sums and Q = q^(k/2), nonbipartite
+    S_k is the alternating sum of C_0..C_k (ck_alternating_sums).  The
+    census already took it for N_k = S_k + n(q-1)[k even] (census.nk_from_ck),
+    so S_k is read back from N_k, exactly.  With Q = q^(k/2), nonbipartite
     graphs have h_k = 2(n-1) + Q + 1/Q - S_k/Q.  Bipartite graphs have
     h_k = 2(n-2) for odd k (no count dependence at all) and
     2(n-2) + 2Q + 2/Q - S_k/Q for even k.  The terms cancel to O(n), so
@@ -158,12 +165,15 @@ def hk_from_ck(c: Sequence[int], q: int, n: int, bipartite: bool,
     the integer q^k + 1 - S_k by q^((k-1)/2), then by sqrt(q), and adds
     2(n-1): an error of a few ulps of max(|h_k|, 4n).
     """
+    if K > census.horizon:
+        raise ValueError(f"census horizon {census.horizon} < requested K={K}")
     base, mult = (2 * (n - 2), 2) if bipartite else (2 * (n - 1), 1)
     values = np.empty(K)
-    for k, s in enumerate(ck_alternating_sums(c, q, K), start=1):
+    for k, nk in enumerate(census.nk[:K], start=1):
         if bipartite and k % 2 == 1:
             values[k - 1] = base
             continue
+        s = nk - (n * (q - 1) if k % 2 == 0 else 0)
         half = q ** (k // 2)
         if k % 2 == 0:
             values[k - 1] = (base * half + mult * (half * half + 1) - s) / half

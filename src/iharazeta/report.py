@@ -176,7 +176,7 @@ def analyze(g: Multigraph, source: str,
                         n=n, bipartite=prof.bipartite)
     seqs = {seq.route: seq for seq in (
         hk_spectral(scaled, K, q, n, prof.bipartite),
-        hk_from_ck(census.c, q, n, prof.bipartite, K),
+        hk_from_ck(census, q, n, prof.bipartite, K),
         series)}
     route_dev = max_route_deviation(list(seqs.values()))
     if route_dev > ROUTE_TOL:
@@ -190,6 +190,7 @@ def analyze(g: Multigraph, source: str,
     verdict_hk = ramanujan_hk(exact_seq)
     hw = hasse_weil_check(census.nk, q, n, prof.bipartite)
     bounds = []
+    max_abs = ns.max_abs()
     for k in range(2, K + 1, 2):
         if exact_seq.h(k) < 0:
             continue
@@ -200,7 +201,7 @@ def analyze(g: Multigraph, source: str,
         bounds.append({
             "k": k,
             "bound": bound,
-            "satisfied": bool(ns.max_abs() <= bound + 1e-9),
+            "satisfied": bool(max_abs <= bound + 1e-9),
         })
     upper_ok = (hk_upper_check(exact_seq, n, prof.bipartite)
                 if verdict_spec.is_ramanujan else None)

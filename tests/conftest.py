@@ -40,6 +40,11 @@ def _looped_cycle4() -> Multigraph:
                            (0, 0), (1, 1), (2, 2), (3, 3)])
 
 
+def _doubled_cycle4() -> Multigraph:
+    # 4-cycle with two opposite edges doubled: 3-regular and bipartite
+    return build_graph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (0, 3)])
+
+
 _BUILDERS = {
     "k4": lambda: generate("complete", [4]),
     "cycle4": lambda: generate("cycle", [4]),
@@ -53,6 +58,7 @@ _BUILDERS = {
     "prism30": lambda: generate("prism", [30]),
     "double_triangle": _double_triangle,
     "looped_cycle4": _looped_cycle4,
+    "doubled_cycle4": _doubled_cycle4,
 }
 
 
@@ -94,7 +100,7 @@ def get_hk_routes(name: str, K: int) -> MappingProxyType:
                         route="series", q=q, n=n, bipartite=prof.bipartite)
     return MappingProxyType({seq.route: seq for seq in (
         hk_spectral(scaled, K, q, n, prof.bipartite),
-        hk_from_ck(census.c, q, n, prof.bipartite, K),
+        hk_from_ck(census, q, n, prof.bipartite, K),
         series,
     )})
 

@@ -51,7 +51,7 @@ def test_criterion_01_route_agreement_under_30s():
         census = build_census(g, q, 40)
         seqs = [
             hk_spectral(scaled_spectrum(ns), 40, q, n, prof.bipartite),
-            hk_from_ck(census.c, q, n, prof.bipartite, 40),
+            hk_from_ck(census, q, n, prof.bipartite, 40),
             HkSequence(values=hk_series(xi_rational(ns, q), q, 40),
                        route="series", q=q, n=n, bipartite=prof.bipartite),
         ]

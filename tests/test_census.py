@@ -62,6 +62,29 @@ def test_bipartite_odd_walks_vanish(name):
     assert all(census.c[k] == 0 for k in range(1, 16, 2))
 
 
+BIPARTITE_FIXTURES = ["cycle4", "cycle6", "kmm3", "hypercube3", "prism6",
+                      "prism24", "doubled_cycle4"]
+
+
+@pytest.mark.parametrize("name", BIPARTITE_FIXTURES)
+def test_bipartite_census_matches_full_adjacency_powers(name):
+    # build_census powers the n/2 x n/2 Gram matrix BB^T; closed_walk_counts
+    # powers A itself.  The horizons straddle both switches to the
+    # recurrence: n/2 for BB^T, n for A.
+    g = get_graph(name)
+    assert g.bipartition is not None
+    q = get_profile(name).q
+    half = g.n // 2
+    for K in sorted({1, 2, half - 1, half, half + 1, g.n + 1, 150} - {0}):
+        assert build_census(g, q, K).c == tuple(closed_walk_counts(g, K))
+
+
+def test_bipartite_census_matches_full_adjacency_powers_prism100():
+    g = parse_generator("prism:100")
+    assert (build_census(g, profile(g).q, 150).c
+            == tuple(closed_walk_counts(g, 150)))
+
+
 def test_bruteforce_spot_values():
     assert geodesic_cycles_bruteforce(get_graph("k4"), 3) == 24
     assert geodesic_cycles_bruteforce(get_graph("petersen"), 5) == 120

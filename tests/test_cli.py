@@ -29,6 +29,8 @@ CENSUS_K150_SHA256 = {
     "complete:30": "c2abc65fe1638c4859cf4f215c08c33db43b1d0e38064c909b4bc7a36f40c121",
     "prism:24": "6cad25783522c7fceb92688635a8e64c6ab8670035884649c798e2ebd14986ba",
     "circulant:40:1,7": "aa15cf46295cea46404f0225300f92f61a7b94a632aebddf6de07466b8235799",
+    "hypercube:5": "d90b7d5c118172e4716835247895c767c048b737e55e1e76eef1546d75cf81f8",
+    "kmm:16": "f27a5c72424486c4d5f58834c3edf5d33bee57e213d0436ec049e7de9e7c9e6c",
 }
 
 

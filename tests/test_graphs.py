@@ -66,6 +66,20 @@ def test_profile_kmm3_bipartition():
     assert p.bipartition == ((0, 1, 2), (3, 4, 5))
 
 
+def test_bipartition_is_one_cached_colouring():
+    # profile and the census read the same cached property
+    g = get_graph("prism6")
+    assert get_profile("prism6").bipartition is g.bipartition
+    assert g.bipartition == ((0, 2, 4, 7, 9, 11), (1, 3, 5, 6, 8, 10))
+    assert get_graph("petersen").bipartition is None
+    assert get_graph("looped_cycle4").bipartition is None
+    # two disjoint 4-cycles: both bipartite, but vertex 0 reaches only one
+    two_squares = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0),
+                                  (4, 5), (5, 6), (6, 7), (7, 4)])
+    assert two_squares.colouring == ((0, 1, 0, 1, -1, -1, -1, -1), False)
+    assert two_squares.bipartition is None
+
+
 def test_profile_loop_breaks_regularity():
     g = build_graph(3, [(0, 1), (1, 2), (2, 0), (0, 0)])
     with pytest.raises(NotRegularError):

@@ -1,5 +1,6 @@
 """hk-engine: T_k identities and the agreement of all h_k routes."""
 
+import dataclasses
 import math
 import random
 
@@ -136,7 +137,7 @@ def test_ck_alternating_sums_on_arbitrary_counts(q):
 
 def test_hk_from_ck_petersen_h3():
     census = get_census("petersen", 4)
-    seq = hk_from_ck(census.c, 2, 10, False, 4)
+    seq = hk_from_ck(census, 2, 10, False, 4)
     expected = 18 + 2 * math.sqrt(2) + 1 / (2 * math.sqrt(2))
     assert seq.h(3) == pytest.approx(expected, rel=1e-12)
 
@@ -144,22 +145,53 @@ def test_hk_from_ck_petersen_h3():
 def test_hk_from_ck_bipartite_odd_ignores_counts():
     # odd-k values are the constant 2(n-2), independent of the counts
     census = get_census("kmm3", 6)
-    seq = hk_from_ck(census.c, 2, 6, True, 6)
-    garbage = [10 ** 9 if k % 2 else c for k, c in enumerate(census.c)]
+    seq = hk_from_ck(census, 2, 6, True, 6)
+    garbage = dataclasses.replace(census, nk=tuple(
+        10 ** 9 if k % 2 else x for k, x in enumerate(census.nk, start=1)))
     seq2 = hk_from_ck(garbage, 2, 6, True, 6)
     for k in (1, 3, 5):
         assert seq.h(k) == seq2.h(k) == 8.0
 
 
+def _hk_from_sums(c, q, n, bipartite, K):
+    """h_1..h_K from ck_alternating_sums(c), as hk_from_ck divides them."""
+    base, mult = (2 * (n - 2), 2) if bipartite else (2 * (n - 1), 1)
+    values = []
+    for k, s in enumerate(ck_alternating_sums(c, q, K), start=1):
+        half = q ** (k // 2)
+        if bipartite and k % 2 == 1:
+            values.append(float(base))
+        elif k % 2 == 0:
+            values.append((base * half + mult * (half * half + 1) - s) / half)
+        else:
+            values.append(base + (q ** k + 1 - s) / half / math.sqrt(q))
+    return values
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_hk_from_ck_reads_the_alternating_sums_back_from_nk(name):
+    # S_k = N_k - n(q-1)[k even] exactly, so h_k is bit-identical to the
+    # value divided out of the C_k alternating sums themselves
+    g = get_graph(name)
+    prof = get_profile(name)
+    census = get_census(name, 60)
+    seq = hk_from_ck(census, prof.q, g.n, prof.bipartite, 60)
+    assert seq.values.tolist() == _hk_from_sums(census.c, prof.q, g.n,
+                                                prof.bipartite, 60)
+    assert hk_from_ck(census, prof.q, g.n, prof.bipartite, 20).horizon == 20
+    with pytest.raises(ValueError, match="census horizon 60"):
+        hk_from_ck(census, prof.q, g.n, prof.bipartite, 61)
+
+
 def test_hk_from_ck_kmm3_h2():
     census = get_census("kmm3", 2)
-    seq = hk_from_ck(census.c, 2, 6, True, 2)
+    seq = hk_from_ck(census, 2, 6, True, 2)
     assert seq.h(2) == pytest.approx(16.0, abs=1e-12)
 
 
 def test_hk_from_ck_k4_h3_matches_spectral():
     census = get_census("k4", 3)
-    via_c = hk_from_ck(census.c, 2, 4, False, 3)
+    via_c = hk_from_ck(census, 2, 4, False, 3)
     spectral = hk_spectral(_scaled("k4"), 3, 2, 4, False)
     assert via_c.h(3) == pytest.approx(spectral.h(3), rel=1e-10)
     # hand value: 2(n-1) + q^1.5 + q^-1.5 - q^-1.5 * 24
@@ -169,7 +201,7 @@ def test_hk_from_ck_k4_h3_matches_spectral():
 
 def test_hk_from_ck_petersen_h2():
     census = get_census("petersen", 2)
-    seq = hk_from_ck(census.c, 2, 10, False, 2)
+    seq = hk_from_ck(census, 2, 10, False, 2)
     assert seq.h(2) == pytest.approx(25.5, rel=1e-12)
 
 
@@ -181,7 +213,7 @@ def test_hk_from_ck_exact_under_cancellation(spec, k):
     prof = profile(g)
     census = build_census(g, prof.q, k)
     ns = nontrivial_spectrum(eigenvalues_symmetric(adjacency_matrix(g)), prof)
-    exact = hk_from_ck(census.c, prof.q, g.n, prof.bipartite, k).h(k)
+    exact = hk_from_ck(census, prof.q, g.n, prof.bipartite, k).h(k)
     spectral = hk_spectral(scaled_spectrum(ns), k, prof.q, g.n, prof.bipartite).h(k)
     assert exact == pytest.approx(spectral, rel=1e-9)
 
@@ -191,7 +223,7 @@ def test_bipartite_odd_constant_is_exact(name):
     g = get_graph(name)
     prof = get_profile(name)
     census = get_census(name, 11)
-    seq = hk_from_ck(census.c, prof.q, g.n, True, 11)
+    seq = hk_from_ck(census, prof.q, g.n, True, 11)
     for k in range(1, 12, 2):
         assert seq.h(k) == float(2 * (g.n - 2))  # exact equality
 

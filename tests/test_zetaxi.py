@@ -299,7 +299,7 @@ def test_hk_series_matches_exact_route_deep(name):
     q = get_profile(name).q
     n = get_graph(name).n
     series = hk_series(xi_rational(get_nontrivial(name), q), q, 150)
-    exact = hk_from_ck(get_census(name, 150).c, q, n,
+    exact = hk_from_ck(get_census(name, 150), q, n,
                        get_profile(name).bipartite, 150).values
     assert np.all(np.abs(series - exact) <= 1e-11 * np.maximum(1.0, np.abs(exact)))
 
