@@ -11,12 +11,12 @@ x - p * rint(x * (1/p)), and only when a tracked bound on its entries says
 the next GEMM could pass 2^52; each trace is taken from the reduced
 diagonal.  With column sums below 2^27 every product and partial sum is an
 integer below 2^52, which float64 holds exactly.  Enough primes are taken
-for their product to exceed twice the a-priori bound size * r^min(K, size)
-on those traces (r the smaller of the largest absolute row and column
-sums), and the Chinese remainder theorem returns each as an exact Python
-integer.  Past the size, Newton's identities turn the first s traces into
-the exact integer characteristic polynomial, every division checked to be
-exact, and Cayley-Hamilton gives each later trace as an integer recurrence.
+for their product to exceed twice the a-priori bound size * c^min(K, size)
+on those traces (c the largest absolute column sum), and the Chinese
+remainder theorem returns each as an exact Python integer.  Past the
+size, Newton's identities turn the first s traces into the exact integer
+characteristic polynomial, every division checked to be exact, and
+Cayley-Hamilton gives each later trace as an integer recurrence.
 
 A bipartite graph takes a half-size matrix.  With the vertices ordered by
 colour class, A = [[0, B], [B^T, 0]] for the biadjacency block B, so
@@ -28,8 +28,9 @@ which must stay below 2^27: q+1 <= 11585.  closed_walk_counts remains the
 general route tr(A^k), for every graph.
 
 Four routes to N_k are cross-checked in the test suite: a brute-force
-enumeration, the traces of the non-backtracking operator (on its 2n x 2n
-Ihara-Bass companion), an exact one-pass conversion from C_k, and zetaxi's
+enumeration, the traces of the non-backtracking operator (through the
+n-wide top block row of its 2n x 2n Ihara-Bass companion, on the same
+engine), an exact one-pass conversion from C_k, and zetaxi's
 float N_k (the Z(u)^-1 log-series), which pins an integer within its
 a-priori budget (nk_from_spectrum_rounded).
 """
@@ -106,75 +107,96 @@ def _reduce(x: np.ndarray, prime: np.ndarray, inverse: np.ndarray,
 def integer_power_traces(m: np.ndarray, K: int) -> list[int]:
     """Traces of m^1..m^K, exact, for any square integer matrix m of size s.
 
-    The first G = min(K, s) traces come from matrix powers.  |tr(m^k)| <=
-    s * r^k, with r the smaller of the largest absolute row sum and the
-    largest absolute column sum (tr(m^k) = tr((m^T)^k)), so they are
-    recovered by CRT from their residues modulo primes whose product M
-    exceeds 2 * s * r^G, taking the representative in (-M/2, M/2].  The
-    powers of m are kept modulo every prime at once: one (P*s) x s float64
-    array, multiplied by the unreduced m (one GEMM per k) and reduced only
-    now and then.
-
-    Exactness.  All values are integers held in float64, exact below 2^53.
-    A GEMM maps entries bounded by B to entries bounded by B * c, c the
-    largest absolute column sum of m, and every product and partial sum of
-    it is bounded the same way, so it is exact in any summation order while
-    B * c <= 2^52.  An integer x with |x| <= 2^52 is reduced modulo p by
-    x - p * rint(x * fl(1/p)): the computed quotient y is within
-    |x/p| * 2^-52 (1 + 2^-54) of x/p, so p * |y - x/p| <= 1 + 2^-54,
-    |p * rint(y)| <= |x| + p/2 + 2 < 2^53 is exact, and the difference is
-    an integer of magnitude at most p/2 + 1 + 2^-54, hence at most (p+1)/2
-    for odd p, and is exact too.  The largest prime is 2^26 - 5, so a
-    reduced array has B <= 2^25 - 2, and one GEMM takes it to at most
-    (2^25 - 2)(2^27 - 1) < 2^52 while c < 2^27 (COLUMN_SUM_LIMIT).  The
-    loop tracks B: it starts at c, which bounds every entry of m, each GEMM
-    multiplies it by c, and the array is reduced before a GEMM only when
-    B * c would pass 2^52, and B falls back to 2^25 - 2.  For a 0/1 matrix
-    of column sum 3 that is one reduction per 17 GEMMs.  Each trace is the
-    sum of the reduced diagonal alone (P*s values, each at most 2^25 - 2 in
-    magnitude), exact, and the CRT accepts any representative.  The traces
-    past s follow exactly from the first s (`extend_traces`).
+    The first min(K, s) come from matrix powers (_recurrence_traces with no
+    weights); the traces past s follow exactly from the first s
+    (`extend_traces`).
     """
-    a = np.asarray(m)
-    size = a.shape[0]
     if K < 1:
         return []
-    colsum, rowsum = (int(np.abs(a).sum(axis=axis).max(initial=0))
-                      for axis in (0, 1))
-    if colsum >= COLUMN_SUM_LIMIT:
-        raise ValueError(f"largest absolute column sum {colsum} of the matrix "
+    out = _recurrence_traces(np.asarray(m), None, min(K, len(m)))
+    return out if K <= len(m) else extend_traces(out, K)
+
+
+def _recurrence_traces(a: np.ndarray, weight: np.ndarray | None,
+                       steps: int) -> list[int]:
+    """tr(X_k) + tr(X_(k-2) W) for k = 1..steps, exact, where X_(-1) = 0,
+    X_0 = I and X_k = X_(k-1) a + X_(k-2) W, for a square integer matrix a
+    of size s and W = diag(weight), integers (None: W = 0, and the traces
+    are those of a^k).
+
+    With c the largest absolute column sum of a and d = max |weight|, the
+    entries of X_k are bounded by B_k = c B_(k-1) + d B_(k-2) (B_(-1) = 0,
+    B_0 = 1), so each trace by s (1 + d) max B_k, and they are recovered by
+    CRT from their residues modulo primes whose product M exceeds twice
+    that, taking the representative in (-M/2, M/2].  X_k is kept modulo
+    every prime at once: one (P*s) x s float64 array, multiplied by the
+    unreduced a (one GEMM per k), plus X_(k-2) with its columns scaled by
+    the weights, and reduced only now and then.
+
+    Exactness.  All values are integers held in float64, exact below 2^53.
+    Every product and partial sum of a step is bounded by B_k too, so a step
+    is exact in any summation order while B_k <= 2^52.  An integer x with
+    |x| <= 2^52 is reduced modulo p by x - p * rint(x * fl(1/p)): the
+    computed quotient y is within |x/p| * 2^-52 (1 + 2^-54) of x/p, so
+    p * |y - x/p| <= 1 + 2^-54, |p * rint(y)| <= |x| + p/2 + 2 < 2^53 is
+    exact, and the difference is an integer of magnitude at most
+    p/2 + 1 + 2^-54, hence at most (p+1)/2 for odd p, and is exact too.
+    The largest prime is 2^26 - 5, so a reduced array has entries at most
+    2^25 - 2, and a step takes reduced arrays to at most
+    (2^25 - 2)(c + d) < 2^52 while c + d < 2^27 (COLUMN_SUM_LIMIT).  The
+    loop tracks B and reduces X_(k-1), and X_(k-2) when there are weights,
+    before a step only when B_k would pass 2^52 (every 17 GEMMs for a 0/1
+    matrix of column sum 3), and B falls back to 2^25 - 2.  Every diagonal
+    (|x| <= 2^52) is reduced, each weighted diagonal entry of X_(k-2) W (at
+    most (2^25 - 2) d < 2^52) is reduced again, and each trace sums at most
+    2s reduced values, exactly; the CRT accepts any representative.
+    """
+    size, c = len(a), int(np.abs(a).sum(axis=0).max(initial=0))
+    d = 0 if weight is None else int(np.abs(weight).max(initial=0))
+    if c + d >= COLUMN_SUM_LIMIT:
+        raise ValueError(f"largest absolute column sum {c + d} of the matrix "
                          f"is not below 2^27; its powers cannot be taken "
                          f"exactly in float64 residues (a bipartite census "
                          f"powers BB^T, whose column sums are (q+1)^2, so "
                          f"it needs q+1 <= 11585)")
-    steps = min(K, size)
-    bound = 2 * size * min(rowsum, colsum) ** steps
-    primes, modulus, basis = _crt_basis(bound.bit_length() // 25 + 1)
-    count = len(primes)
-    reduced_bound = (primes[0] + 1) // 2
-    factor = a.astype(np.float64)
+    bounds = [0, 1]  # B_(-1), B_0, ..., B_steps
+    for _ in range(steps):
+        bounds.append(c * bounds[-1] + d * bounds[-2])
+    primes, modulus, basis = _crt_basis(
+        (2 * size * (1 + d) * max(bounds)).bit_length() // 25 + 1)
+    count, reduced_bound = len(primes), (primes[0] + 1) // 2
     prime = np.array(primes, dtype=np.float64)[:, None]
     column = np.repeat(prime, size, axis=0)
-    inverse, prime_inverse = 1.0 / column, 1.0 / prime
-    cur = np.tile(factor, (count, 1))
+    inverse, prime_inverse, factor = 1.0 / column, 1.0 / prime, a.astype(np.float64)
+    prev, cur = np.zeros((count * size, size)), np.tile(np.eye(size), (count, 1))
     buf = np.empty_like(cur)
-    diagonal = np.empty((count, size))
-    traces = np.empty((steps, count))
-    entry_bound = colsum
-    for k in range(steps):
-        if k:
-            if entry_bound * colsum > EXACT_LIMIT:
-                _reduce(cur, column, inverse, out=buf)
-                cur, buf, entry_bound = buf, cur, reduced_bound
-            np.matmul(cur, factor, out=buf)
-            cur, buf, entry_bound = buf, cur, entry_bound * colsum
-        _reduce(cur.reshape(count, size, size).diagonal(axis1=1, axis2=2),
-                prime, prime_inverse, out=diagonal).sum(axis=1, out=traces[k])
+    diagonals = np.ones((steps + 1, count, size))  # row k: the diagonal of X_k
+    prev_bound, cur_bound = 0, 1
+    for k in range(1, steps + 1):
+        if c * cur_bound + d * prev_bound > EXACT_LIMIT:
+            _reduce(cur, column, inverse, out=buf)
+            cur, buf = buf, cur
+            if weight is not None:
+                _reduce(prev, column, inverse, out=buf)
+                prev, buf = buf, prev
+            prev_bound = cur_bound = reduced_bound
+        np.matmul(cur, factor, out=buf)
+        if weight is not None:
+            buf += np.multiply(prev, weight, out=prev)
+        prev, cur, buf = cur, buf, prev
+        prev_bound, cur_bound = cur_bound, c * cur_bound + d * prev_bound
+        diagonals[k] = cur.reshape(count, size, size).diagonal(axis1=1, axis2=2)
+    diagonals = _reduce(diagonals, prime, prime_inverse, out=np.empty_like(diagonals))
+    traces = diagonals[1:].sum(axis=2)
+    if weight is not None:
+        weighted = diagonals[:-2] * weight
+        traces[1:] += _reduce(weighted, prime, prime_inverse,
+                              out=np.empty_like(weighted)).sum(axis=2)
     out = []
     for residues in traces.astype(np.int64).tolist():
         value = sum(map(operator.mul, residues, basis)) % modulus
         out.append(value - modulus if 2 * value > modulus else value)
-    return out if K <= size else extend_traces(out, K)
+    return out
 
 
 def extend_traces(head: Sequence[int], K: int) -> list[int]:
@@ -247,16 +269,25 @@ def geodesic_cycles_operator(g: Multigraph, K: int) -> list[int]:
     (1 - u^2)^(m-n) det(I - uM) with M = [[A, I - D], [I, 0]], D the
     diagonal of degrees.  Taking -log of both sides and comparing the
     coefficients of u^k/k, tr(B^k) = tr(M^k) + (m - n)(1 + (-1)^k).
+
+    M is never formed.  The top block row of M^k is [X_k, X_(k-1)(I - D)],
+    X_k = X_(k-1) A + X_(k-2)(I - D) from X_(-1) = 0 and X_0 = I, and its
+    bottom block row is the top row of M^(k-1), so tr(M^k) = tr(X_k) +
+    tr(X_(k-2)(I - D)): one n-wide GEMM and one column scaling per step, to
+    min(K, 2n), and extend_traces past the size 2n of M.  D may be any
+    diagonal of degrees.  Exactness is _recurrence_traces's argument with
+    weights 1 - deg: entries of X_k at most B_k = c B_(k-1) + d B_(k-2), c
+    the largest degree and d = max |1 - deg|, reduced before B_k passes 2^52.
     """
     if K < 1:
         raise ValueError("horizon must be >= 1")
     a = adjacency_matrix(g)
-    eye = np.eye(g.n, dtype=np.int64)
-    companion = np.block([[a, eye - np.diag(a.sum(axis=1))],
-                          [eye, np.zeros_like(eye)]])
+    steps = min(K, 2 * g.n)
+    out = _recurrence_traces(a, 1 - a.sum(axis=1), steps)
+    out = out if K <= steps else extend_traces(out, K)
     excess = g.edge_count - g.n
     return [t + (2 * excess if k % 2 == 0 else 0)
-            for k, t in enumerate(integer_power_traces(companion, K), start=1)]
+            for k, t in enumerate(out, start=1)]
 
 
 def brute_force_cost(g: Multigraph, k: int) -> int:

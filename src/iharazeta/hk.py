@@ -135,18 +135,21 @@ def ck_alternating_sums(c: Sequence[int], q: int, K: int) -> list[int]:
     scales to U_k = x U_(k-1) - q U_(k-2), which gives b(k, i) =
     b(k-1, i) - q b(k-2, i-1) from b(0, 0) = 2 and b(1, 0) = 1.  Each row is
     built from the two before it, with no division, and S_k is its dot
-    product with C_k, C_(k-2), ...
+    product with C_k, C_(k-2), ...  An odd S_k sums odd C_k alone, so when
+    every odd C_k is 0 (a bipartite census) it is 0 without a product.
     """
     if len(c) < K + 1:
         raise ValueError(f"need C_0..C_{K}, got {len(c)} entries")
     c = [int(x) for x in c[:K + 1]]
+    odd_zero = not any(c[1::2])
     prev, row = [2], [1]
     sums = []
     for k in range(1, K + 1):
         if k > 1:
             prev, row = row, [a - q * b for a, b in
                               itertools.zip_longest(row, [0] + prev, fillvalue=0)]
-        sums.append(sum(map(operator.mul, row, c[k::-2])))
+        sums.append(0 if odd_zero and k % 2 else
+                    sum(map(operator.mul, row, c[k::-2])))
     return sums
 
 

@@ -13,11 +13,11 @@ every subcommand's output.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -52,6 +52,8 @@ XI_PROBES = (0.12, -0.21, 0.3)
 # functional-equation sample count and residual tolerance
 FE_POINTS = 100
 FE_TOL = 1e-8
+# the rounding of every float a report prints
+_TWELVE_DIGITS = "{:.12g}".format
 
 
 class InternalConsistencyError(RuntimeError):
@@ -286,19 +288,39 @@ def analyze(g: Multigraph, source: str,
     return report
 
 
-def _round_floats(obj, digits: int = 12):
-    if isinstance(obj, float):
-        # JSON has no NaN or infinity; an overflowed float prints as null
-        return float(f"{obj:.{digits}g}") if math.isfinite(obj) else None
+def _to_json(obj, pad: str = "") -> str:
+    """obj as JSON nested at indentation pad, each float rounded as it is
+    written; a list of only finite floats or only strings in one batch."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, float):  # JSON has no NaN or infinity
+        return repr(float(_TWELVE_DIGITS(obj))) if math.isfinite(obj) else "null"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
     if isinstance(obj, dict):
-        return {k: _round_floats(v, digits) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_round_floats(v, digits) for v in obj]
-    return obj
+        items = [f"{encode_basestring_ascii(key)}: {_to_json(value, inner)}"
+                 for key, value in sorted(obj.items())]
+    elif not isinstance(obj, (list, tuple)):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    elif set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
+        items = list(map(repr, map(float, map(_TWELVE_DIGITS, obj))))
+    elif set(map(type, obj)) == {str}:
+        items = list(map(encode_basestring_ascii, obj))
+    else:
+        items = [_to_json(value, inner) for value in obj]
+    first, last = "{}" if isinstance(obj, dict) else "[]"
+    if not items:
+        return first + last
+    return f"{first}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{last}"
 
 
 def report_to_json(report: dict) -> str:
     """Deterministic JSON: sorted keys, floats at 12 significant digits,
     non-finite floats as null, arbitrary-precision integers already rendered
-    as decimal strings."""
-    return json.dumps(_round_floats(report), sort_keys=True, indent=2)
+    as decimal strings.  Written in one walk, the text is json.dumps(report,
+    sort_keys=True, indent=2) of the rounded report; keys must be str, and
+    a value json.dumps cannot write raises TypeError."""
+    return _to_json(report)

@@ -14,7 +14,8 @@ negative factors, so values beyond the float range (Xi near its pole
 u = q^(-1/2)) stay representable, and relative_gap compares two of them
 without forming either.  The series extraction does not expand either: the
 log-derivative of a product is the sum of e*p'/p over its factors, and each
-p'/p follows from a short recurrence in p's own coefficients.  No product of
+p'/p follows from a short recurrence in p's own coefficients, run for all
+factors at once (a Xi's numerator and denominator together).  No product of
 degree 2n ever forms, so no cluster of 2n-2 equal roots has to be resolved
 from rounded coefficients, and float64 suffices: the series inherits the
 rounding of the float eigenvalues, not extra error from its own arithmetic.
@@ -235,35 +236,48 @@ def functional_equation_residual(xi: RationalFunction, q: int, u):
 # ---------------------------------------------------------------------------
 # series extraction
 
-def _logder(factors: Factors, K: int) -> np.ndarray:
-    """First K Maclaurin coefficients of sum e * p'/p over the factors (p, e).
+def _logder_rows(coefficients: np.ndarray, K: int) -> np.ndarray:
+    """(F, K) table: row i holds the first K Maclaurin coefficients of p'/p
+    for the factor p = c_0 + c_1 u + c_2 u^2 of row i.
 
-    s = p'/p solves p*s = p', so s_k = ((k+1) c_{k+1} - c_1 s_{k-1}
-    - c_2 s_{k-2}) / c_0 for p = c_0 + c_1 u + c_2 u^2.  All factors advance
-    together, one numpy step per k.
+    s = p'/p solves p*s = p', so s_k = ((k+1) c_{k+1} - (c_2 s_{k-2}
+    + c_1 s_{k-1})) / c_0: one row of a (K, F) table per k, every factor at
+    once, in four numpy calls into preallocated buffers.  The table is
+    returned transposed, with rows of stride K + 2: numpy picks the BLAS
+    kernel, and so the rounding, of the dot products that follow by layout.
     """
-    c = factors.coefficients
-    if np.any(c[:, 0] == 0.0):
+    if np.any(coefficients[:, 0] == 0.0):
         raise ZeroAtOrigin("series requires every factor nonzero at u = 0")
-    derivative = np.zeros((len(c), 2 + K))
-    derivative[:, :2] = c[:, 1:] * np.arange(1, 3)
-    reversed_tail = c[:, :0:-1]  # c_2, c_1 against s_{k-2}, s_{k-1}
-    s = np.zeros((len(c), 2 + K))  # two leading zeros stand for s_{-2}, s_{-1}
+    c0, c1, c2 = np.ascontiguousarray(coefficients.T)
+    tail = np.stack((c2, c1))  # against s_{k-2}, s_{k-1}
+    derivative = np.stack((c1, 2.0 * c2, np.zeros_like(c0)))  # (k+1) c_{k+1}
+    s = np.zeros((2 + K, len(c0)))  # two leading rows stand for s_{-2}, s_{-1}
+    products, step = np.empty_like(tail), np.empty(len(c0))
     for k in range(K):
-        s[:, 2 + k] = (derivative[:, k]
-                       - np.einsum("ij,ij->i", reversed_tail, s[:, k:k + 2])) / c[:, 0]
-    return factors.powers.astype(float) @ s[:, 2:]
+        np.multiply(tail, s[k:k + 2], out=products)
+        np.add(products[0], products[1], out=step)
+        np.subtract(derivative[min(k, 2)], step, out=step)
+        np.divide(step, c0, out=s[2 + k])
+    return np.ascontiguousarray(s.T)[:, 2:]
+
+
+def _logder(factors: Factors, K: int) -> np.ndarray:
+    """First K Maclaurin coefficients of sum e * p'/p over the factors (p, e)."""
+    return factors.powers.astype(float) @ _logder_rows(factors.coefficients, K)
 
 
 def log_series(rf: RationalFunction, K: int) -> np.ndarray:
     """First K Maclaurin coefficients of d/du ln(rf), i.e. of N'/N - D'/D.
 
     Feed a xi function already rescaled by u -> u/sqrt(q) to obtain h_1..h_K.
-    The log-derivative is taken factor by factor, in float64: nothing is
-    expanded, so there is no root cluster for rounding to split, and no extra
-    working precision is needed.
+    The log-derivative is taken factor by factor, numerator and denominator
+    in one pass, in float64: nothing is expanded, so there is no root
+    cluster for rounding to split, and no extra working precision is needed.
     """
-    return _logder(rf.num, K) - _logder(rf.den, K)
+    split = len(rf.num.powers)
+    rows = _logder_rows(np.vstack((rf.num.coefficients, rf.den.coefficients)), K)
+    return (rf.num.powers.astype(float) @ rows[:split]
+            - rf.den.powers.astype(float) @ rows[split:])
 
 
 def hk_series(xi: RationalFunction, q: int, K: int) -> np.ndarray:

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import iharazeta.census as census_mod
+
 from iharazeta.census import (BruteForceBudgetExceeded,
                               RoundingResidualTooLarge, build_census,
                               closed_walk_counts, extend_traces,
@@ -13,7 +15,8 @@ from iharazeta.census import (BruteForceBudgetExceeded,
                               nk_from_ck, nk_from_spectrum,
                               nk_from_spectrum_rounded, nk_spectral_budget,
                               nonbacktracking_matrix)
-from iharazeta.graphs import adjacency_matrix, parse_generator, profile
+from iharazeta.graphs import (Multigraph, adjacency_matrix, parse_generator,
+                              profile)
 from iharazeta.hk import chebyshev_T_table
 from iharazeta.spectral import Spectrum
 
@@ -232,6 +235,67 @@ def test_companion_matches_nonbacktracking_traces(name):
     g = get_graph(name)
     assert (geodesic_cycles_operator(g, 20)
             == integer_power_traces(nonbacktracking_matrix(g), 20))
+
+
+@pytest.mark.parametrize("spec", ["complete:30", "prism:100"])
+def test_operator_block_form_matches_census(spec):
+    # complete:30 has q = 28: the weighted recurrence passes 2^52 every few
+    # steps, so both arrays are reduced several times before K = 20;
+    # prism:100 is as large as the report's check gets.  Their operator
+    # matrices take seconds to power, so the exact census is the reference.
+    g = parse_generator(spec)
+    assert (geodesic_cycles_operator(g, 20)
+            == list(build_census(g, profile(g).q, 20).nk))
+
+
+@pytest.mark.parametrize("spec, K", [("petersen", 19), ("petersen", 20),
+                                     ("petersen", 21), ("petersen", 60),
+                                     ("complete:16", 20)])
+def test_operator_block_form_matches_operator_matrix(spec, K):
+    # the block recurrence runs to 2n = 20 steps on petersen, and
+    # extend_traces gives the companion's traces past it; complete:16
+    # (q = 14) reduces every few steps
+    g = parse_generator(spec)
+    assert (geodesic_cycles_operator(g, K)
+            == integer_power_traces(nonbacktracking_matrix(g), K))
+
+
+def test_operator_block_form_irregular_multigraph():
+    # a path 0-1-2-3 with a loop at 0: degrees 3, 2, 2, 1, so the weights
+    # 1 - deg are -2, -1, -1 and 0, no multiple of one another
+    g = Multigraph(4, ((0, 0), (0, 1), (1, 2), (2, 3)))
+    for K in (1, 2, 7, 8, 9, 30):
+        assert (geodesic_cycles_operator(g, K)
+                == integer_power_traces(nonbacktracking_matrix(g), K))
+
+
+def _reference_recurrence_traces(a, weight, K):
+    # X_k = X_(k-1) a + X_(k-2) diag(weight) in Python integers, from
+    # X_(-1) = 0 and X_0 = I; the traces of X_k + X_(k-2) diag(weight)
+    size = len(a)
+    a = [[int(v) for v in row] for row in a]
+    prev = [[0] * size for _ in range(size)]
+    cur = [[int(i == j) for j in range(size)] for i in range(size)]
+    traces = []
+    for _ in range(K):
+        nxt = [[sum(cur[i][l] * a[l][j] for l in range(size)) + prev[i][j] * int(weight[j])
+                for j in range(size)] for i in range(size)]
+        traces.append(sum(nxt[i][i] + prev[i][i] * int(weight[i]) for i in range(size)))
+        prev, cur = cur, nxt
+    return traces
+
+
+@pytest.mark.parametrize("largest_weight", [100, 2 ** 20, 2 ** 27])
+def test_recurrence_traces_with_large_weights(largest_weight):
+    # weights that dominate the column sums, up to c + d = 2^27 - 1: the
+    # bound's d B_(k-2) term decides when both arrays are reduced
+    rng = np.random.default_rng(largest_weight)
+    a = rng.integers(-3, 4, size=(6, 6))
+    d = min(2 ** 27 - 1 - int(np.abs(a).sum(axis=0).max()), largest_weight)
+    weight = rng.integers(-d, d + 1, size=6)
+    weight[0] = -d
+    assert census_mod._recurrence_traces(a, weight, 30) == \
+        _reference_recurrence_traces(a, weight, 30)
 
 
 def _strictly_upper(size):

@@ -1,9 +1,12 @@
 """report: pipeline assembly, consistency traps, JSON determinism."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
+import iharazeta.cli as cli_mod
 import iharazeta.report as report_mod
 from iharazeta.census import CycleCensus
 from iharazeta.report import (AnalysisConfig, InternalConsistencyError,
@@ -79,3 +82,78 @@ def test_json_sorted_and_stable():
     assert report_to_json(rep) == report_to_json(rep2)
     keys = list(json.loads(report_to_json(rep)).keys())
     assert keys == sorted(keys)
+
+
+def _rounded(obj):
+    # the reference rounding: every float to 12 significant digits, and a
+    # non-finite float to None, before json.dumps writes it
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}") if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _rounded(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_rounded(v) for v in obj]
+    return obj
+
+
+def _reference_json(obj):
+    return json.dumps(_rounded(obj), sort_keys=True, indent=2)
+
+
+WRITER_PAYLOADS = {
+    "empty": {"d": {}, "l": [], "nested": [[], {}, [[]]]},
+    "empty-top-dict": {},
+    "empty-top-list": [],
+    "records": {"records": [{"k": 2, "lhs": "12", "rhs": 8.48528137423857,
+                             "satisfied": True},
+                            {"k": 4, "lhs": "-3", "rhs": 0.1, "satisfied": False}]},
+    "mixed": [1, 2.5, None, 3, 0.1 + 0.2, None, -7],
+    "non-finite-list": [math.inf, -math.inf, math.nan, 1.0, 2.0],
+    "non-finite-scalars": {"a": math.inf, "b": -math.inf, "c": math.nan},
+    "edge-floats": [-0.0, 1e16, 1234567890123.0, 1e-7, 1.0 / 3.0, 2.0 ** 60],
+    "edge-float-scalars": {"z": -0.0, "big": 1e16, "int-like": 1234567890123.0,
+                           "tiny": 1e-7},
+    "numpy-floats": {"x": np.float64(1.0 / 7.0), "inf": np.float64("inf"),
+                     "list": [np.float64(0.1), np.float64(-0.0), np.float64("nan")],
+                     "mixed": [np.float64(2.5), 2.5]},
+    "big-ints": {"n": 10 ** 40, "list": [-(2 ** 70), 0, 2 ** 63]},
+    "strings": ["plain", "caf\u00e9", "\u2603 snow", "quote \" and \\", "line\nbreak"],
+    "non-ascii-keys": {"\u00e9t\u00e9": 1, "a": "\u00fc", "b": ["\u00df"]},
+    "bools": [True, False, {"t": True, "f": False, "n": None}],
+    "scalar-float": 0.1 + 0.2,
+    "scalar-str": "\u00e9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_PAYLOADS))
+def test_writer_matches_json_dumps_of_rounded_payload(name):
+    payload = WRITER_PAYLOADS[name]
+    assert report_to_json(payload) == _reference_json(payload)
+
+
+def _cli_payload(monkeypatch, argv):
+    # the payload object a subcommand hands to the writer
+    captured = []
+    monkeypatch.setattr(cli_mod, "report_to_json",
+                        lambda obj: captured.append(obj) or "")
+    assert cli_mod.main(argv) == 0
+    return captured[0]
+
+
+@pytest.mark.parametrize("spec", ["petersen", "prism:24", "complete:60"])
+@pytest.mark.parametrize("command", [["analyze", "--k", "50"],
+                                     ["census", "--k", "150"], ["zeta"],
+                                     ["estimate", "--k", "100"]],
+                         ids=["analyze", "census", "zeta", "estimate"])
+def test_writer_matches_json_dumps_on_real_payloads(monkeypatch, spec, command):
+    payload = _cli_payload(monkeypatch, [command[0], spec] + command[1:])
+    assert report_to_json(payload) == _reference_json(payload)
+
+
+@pytest.mark.parametrize("payload", [{"n": np.int64(3)}, [np.int64(3)],
+                                     np.int64(3), {"s": {1, 2}}])
+def test_writer_rejects_what_json_dumps_rejects(payload):
+    with pytest.raises(TypeError):
+        _reference_json(payload)
+    with pytest.raises(TypeError):
+        report_to_json(payload)
