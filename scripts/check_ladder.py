@@ -14,9 +14,14 @@ Usage: python scripts/check_ladder.py [--k 50 150]
 import argparse
 import contextlib
 import io
+import sys
 import time
+from pathlib import Path
 
-from iharazeta.cli import main as ihara
+# the checkout's own sources come first, so the script runs without PYTHONPATH
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from iharazeta.cli import main as ihara  # noqa: E402
 
 LADDER = (
     "petersen", "cycle:7",

@@ -11,11 +11,16 @@ Usage: python scripts/estimator_convergence.py [--ring 24] [--k 100]
 
 import argparse
 import math
+import sys
+from pathlib import Path
 
-from iharazeta.graphs import adjacency_matrix, generate, profile
-from iharazeta.hk import hk_spectral
-from iharazeta.spectral import (eigenvalues_symmetric, nontrivial_spectrum,
-                                scaled_spectrum)
+# the checkout's own sources come first, so the script runs without PYTHONPATH
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from iharazeta.graphs import adjacency_matrix, generate, profile  # noqa: E402
+from iharazeta.hk import hk_spectral  # noqa: E402
+from iharazeta.spectral import (eigenvalues_symmetric,  # noqa: E402
+                                nontrivial_spectrum, scaled_spectrum)
 
 
 def main() -> None:

@@ -11,12 +11,17 @@ Usage: python scripts/hk_sign_scan.py [--max-ring 30] [--k 80]
 
 import argparse
 import math
+import sys
+from pathlib import Path
 
-from iharazeta.analysis import ramanujan_spectral
-from iharazeta.census import build_census
-from iharazeta.graphs import adjacency_matrix, generate, profile
-from iharazeta.hk import hk_from_ck
-from iharazeta.spectral import eigenvalues_symmetric, nontrivial_spectrum
+# the checkout's own sources come first, so the script runs without PYTHONPATH
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from iharazeta.analysis import ramanujan_spectral  # noqa: E402
+from iharazeta.census import build_census  # noqa: E402
+from iharazeta.graphs import adjacency_matrix, generate, profile  # noqa: E402
+from iharazeta.hk import hk_from_ck  # noqa: E402
+from iharazeta.spectral import eigenvalues_symmetric, nontrivial_spectrum  # noqa: E402
 
 
 def main() -> None:

@@ -30,7 +30,7 @@ general route tr(A^k), for every graph.
 Four routes to N_k are cross-checked in the test suite: a brute-force
 enumeration, the traces of the non-backtracking operator (through the
 n-wide top block row of its 2n x 2n Ihara-Bass companion, on the same
-engine), an exact one-pass conversion from C_k, and zetaxi's
+engine), an exact conversion from C_k (two parity chains), and zetaxi's
 float N_k (the Z(u)^-1 log-series), which pins an integer within its
 a-priori budget (nk_from_spectrum_rounded).
 """

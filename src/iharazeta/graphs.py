@@ -9,6 +9,7 @@ machinery downstream works on the oriented-edge view.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -175,19 +176,12 @@ def profile(g: Multigraph) -> GraphProfile:
 
 
 def adjacency_matrix(g: Multigraph) -> np.ndarray:
-    """Integer adjacency matrix: entry (x, y) counts oriented edges x -> y.
-
-    Each loop contributes 2 to its diagonal entry, so row sums equal
-    valencies.
-    """
-    a = np.zeros((g.n, g.n), dtype=np.int64)
-    for u, v in g.edges:
-        if u == v:
-            a[u, u] += 2
-        else:
-            a[u, v] += 1
-            a[v, u] += 1
-    return a
+    """Integer adjacency matrix: entry (x, y) counts oriented edges x -> y;
+    each loop adds 2 to its diagonal entry, so row sums equal valencies."""
+    u, v = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.int64,
+                       count=2 * len(g.edges)).reshape(-1, 2).T
+    cells = np.concatenate([u * g.n + v, v * g.n + u])
+    return np.bincount(cells, minlength=g.n * g.n).reshape(g.n, g.n)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ The h_k sequence (Maclaurin coefficients of the logarithmic derivative of
 the rescaled xi function) admits two closed-form routes implemented here:
   * spectral -- from the scaled nontrivial spectrum via T_k sums,
   * from_ck  -- from exact closed-walk counts C_k via alternating binomial
-    sums S_k, all K of them in one pass over weight rows built by the T_k
-    recurrence (ck_alternating_sums), in integers up to the final division.
-    The census takes that pass to get N_k, and from_ck reads S_k back from
+    sums S_k, all K of them by two integer recurrences, one per parity of k
+    (ck_alternating_sums), in integers up to the final division.
+    The census takes those sums to get N_k, and from_ck reads S_k back from
     its N_k.
 A third, generic power-series route lives in zetaxi.log_series.  (A separate
 route from the geodesic-cycle counts N_k would repeat from_ck, which already
@@ -20,9 +20,7 @@ reads its sums from them.)
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -131,26 +129,34 @@ def ck_alternating_sums(c: Sequence[int], q: int, K: int) -> list[int]:
     C_{k-2i} over i = 0..floor(k/2), from C_0..C_K.
 
     The weights b(k, i) = (-q)^i tk_weight(k, i) are the coefficients of
-    U_k(x) = q^(k/2) T_k(x / sqrt(q)) in x^(k-2i).  The T_k recurrence
-    scales to U_k = x U_(k-1) - q U_(k-2), which gives b(k, i) =
-    b(k-1, i) - q b(k-2, i-1) from b(0, 0) = 2 and b(1, 0) = 1.  Each row is
-    built from the two before it, with no division, and S_k is its dot
-    product with C_k, C_(k-2), ...  An odd S_k sums odd C_k alone, so when
-    every odd C_k is 0 (a bipartite census) it is 0 without a product.
+    U_k(x) = q^(k/2) T_k(x / sqrt(q)) in x^(k-2i); two steps of U_k =
+    x U_(k-1) - q U_(k-2) give U_k = (x^2 - 2q) U_(k-2) - q^2 U_(k-4).  So
+    the partial sums D(k, j) = sum_i b(k, i) C_(j-2i) = D(k-2, j) -
+    2q D(k-2, j-2) - q^2 D(k-4, j-4), and S_k = D(k, k).  Each parity of k
+    is one chain, row k holding j = k, k+2, ..., K, from the seeds
+    D(0, j) = 2 C_j and D(2, j) = C_j - 2q C_(j-2), or D(1, j) = C_j and
+    D(3, j) = C_j - 3q C_(j-2).  No weight is formed and nothing divided.
+    A chain whose counts are all 0 (the odd chain of a bipartite census) is
+    skipped: its S_k are 0.
     """
     if len(c) < K + 1:
         raise ValueError(f"need C_0..C_{K}, got {len(c)} entries")
     c = [int(x) for x in c[:K + 1]]
-    odd_zero = not any(c[1::2])
-    prev, row = [2], [1]
-    sums = []
-    for k in range(1, K + 1):
-        if k > 1:
-            prev, row = row, [a - q * b for a, b in
-                              itertools.zip_longest(row, [0] + prev, fillvalue=0)]
-        sums.append(0 if odd_zero and k % 2 else
-                    sum(map(operator.mul, row, c[k::-2])))
-    return sums
+    q2, qq = 2 * q, q * q
+    sums = [0] * (K + 1)
+    for k0, lead, first in ((0, 2, 2), (1, 1, 3)):
+        counts = c[k0::2]
+        if not any(counts):
+            continue
+        prev = [lead * x for x in counts]
+        row = [a - first * q * b for a, b in zip(counts[1:], counts)]
+        heads = [prev[0]]
+        while row:
+            heads.append(row[0])
+            prev, row = row, [a - q2 * b - qq * d
+                              for a, b, d in zip(row[1:], row, prev)]
+        sums[k0::2] = heads
+    return sums[1:]
 
 
 def hk_from_ck(census: CycleCensus, q: int, n: int, bipartite: bool,

@@ -117,7 +117,7 @@ def _direct_alternating_sums(c, q, K):
 
 @pytest.mark.parametrize("spec", ["complete:30", "hypercube:6", "petersen"])
 def test_ck_alternating_sum_matches_tk_weights(spec):
-    # the weight rows built by recurrence must reproduce the explicit sum
+    # the two parity chains of partial sums must reproduce the explicit sum
     g = parse_generator(spec)
     q = profile(g).q
     c = build_census(g, q, 150).c
@@ -126,13 +126,34 @@ def test_ck_alternating_sum_matches_tk_weights(spec):
 
 @pytest.mark.parametrize("q", [1, 2, 3, 11])
 def test_ck_alternating_sums_on_arbitrary_counts(q):
-    # the identity is algebraic: any integers C_0..C_K, signed and large
+    # the identity is algebraic: any integers C_0..C_K, signed and large;
+    # K = 1..7 covers the four seed rows and the first recurrence steps
     rng = random.Random(q)
     c = [rng.randrange(-10 ** 40, 10 ** 40) for _ in range(201)]
-    assert ck_alternating_sums(c, q, 200) == _direct_alternating_sums(c, q, 200)
+    for K in (*range(1, 8), 200):
+        assert ck_alternating_sums(c, q, K) == _direct_alternating_sums(c, q, K)
     assert ck_alternating_sums(c, q, 0) == []
     with pytest.raises(ValueError, match="need C_0..C_201"):
         ck_alternating_sums(c, q, 201)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 11])
+@pytest.mark.parametrize("shape", ["odd zero", "even zero past C_0", "one odd C_k"])
+def test_ck_alternating_sums_when_a_parity_is_zero(q, shape):
+    # a chain whose counts are all 0 is skipped; a single nonzero odd C_k
+    # must still run the odd chain on an otherwise bipartite-looking census
+    rng = random.Random(q)
+    c = [rng.randrange(-10 ** 40, 10 ** 40) for _ in range(61)]
+    if shape == "odd zero":
+        c[1::2] = [0] * 30
+    elif shape == "even zero past C_0":
+        c[2::2] = [0] * 30
+    else:
+        c = [c[0]] + [0] * 60
+        c[2::2] = [rng.randrange(10 ** 30) for _ in range(30)]
+        c[13] = 7
+    for K in (*range(1, 8), 13, 60):
+        assert ck_alternating_sums(c, q, K) == _direct_alternating_sums(c, q, K)
 
 
 def test_hk_from_ck_petersen_h3():

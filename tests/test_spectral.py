@@ -31,6 +31,8 @@ def test_cycle4_spectrum():
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_jacobi_matches_lapack(name):
+    """eigenvalues_symmetric equals LAPACK's eigvalsh sorted descending (no
+    Jacobi solver is involved, whatever the name says)."""
     a = adjacency_matrix(get_graph(name))
     ours = np.array(get_spectrum(name).values)
     ref = np.sort(np.linalg.eigvalsh(a.astype(float)))[::-1]
