@@ -13,6 +13,9 @@ every (graph, K) once, in ladder order.  Per graph and K the file records:
   the operator traces and the series extraction), the median of its total
   time in one cli.main call.
 
+The file also records src_lines, the line count (as `wc -l`) of the
+package's *.py files under --src.
+
 report_to_json and the layers are timed by wrapping the names cli and
 report import them under.
 
@@ -118,15 +121,23 @@ def measure(src: Path, runs: int) -> list[dict]:
     } for (g, K), s in samples.items()]
 
 
+def src_lines(src: Path) -> int:
+    """Line count of the iharazeta package's *.py files under src."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (src / "iharazeta").glob("*.py"))
+
+
 def _ms(seconds) -> str:
     return "-" if seconds is None else f"{1e3 * seconds:.2f}"
 
 
 def compare(base_path: str, change_path: str) -> None:
-    """Print the median wall, writer and build_census times of two BENCH
-    files side by side (files without layers_s show "-")."""
+    """Print the src line counts and the median wall, writer and
+    build_census times of two BENCH files side by side (files without
+    src_lines or layers_s show "-")."""
     base, change = (json.loads(Path(p).read_text(encoding="utf-8"))
                     for p in (base_path, change_path))
+    print(f"src lines: {base.get('src_lines', '-')} -> {change.get('src_lines', '-')}")
     rows = {(r["graph"], r["k"]): r for r in base["results"]}
     print(f"{'graph':<12} {'K':>4} {'exit':>9}  {base['label'] + ' wall':>16} "
           f"{change['label'] + ' wall':>16} {'ratio':>6}  writer (ms)"
@@ -158,9 +169,11 @@ def main() -> int:
         parser.error(f"--label is required and --runs must be >= {MIN_RUNS}")
     import numpy as np
 
-    results = measure(args.src.resolve(), args.runs)
+    src = args.src.resolve()
+    results = measure(src, args.runs)
     report = {
         "label": args.label,
+        "src_lines": src_lines(src),
         "runs": args.runs,
         "blas_threads": 1,
         "machine": {"platform": platform.platform(), "processor": platform.machine(),

@@ -15,10 +15,10 @@ from .graphs import (GraphProfile, Multigraph, OrientedEdge, adjacency_matrix,
                      build_graph, generate, parse_generator, profile,
                      read_edge_list, write_edge_list)
 from .hk import HkSequence, chebyshev_T, hk_from_ck, hk_nonneg, hk_spectral
-from .report import AnalysisConfig, analyze, report_to_json
+from .report import analyze, report_to_json
 from .spectral import (NontrivialSpectrum, Spectrum, eigenvalues_symmetric,
                        nontrivial_spectrum, scaled_spectrum)
-from .zetaxi import (Factors, PoleHit, RationalFunction, RealPolynomial,
+from .zetaxi import (Factors, PoleHit, RationalFunction,
                      functional_equation_residual, hk_series, log_series,
                      log_series_zeta_check, nk_from_spectrum, relative_gap,
                      xi_from_zeta, xi_rational, zeta_inverse)

@@ -22,6 +22,8 @@ from .spectral import NontrivialSpectrum
 
 ROUTE_SPECTRAL_DEFINITION = "spectral_definition"
 ROUTE_HK_CRITERION = "hk_criterion"
+# slack of the spectral comparison, in units of sqrt(q)
+SPECTRAL_SLACK = 1e-8
 
 
 class DomainError(ValueError):
@@ -82,30 +84,29 @@ class EigenvalueEstimate:
     converged: bool
 
 
-def ramanujan_spectral(ns: NontrivialSpectrum, q: int,
-                       tol: float = 1e-8) -> RamanujanVerdict:
+def ramanujan_spectral(ns: NontrivialSpectrum, q: int) -> RamanujanVerdict:
     """Direct check: max |lam| over the nontrivial spectrum against
-    2*sqrt(q), with tolerance tol*sqrt(q)."""
+    2*sqrt(q), with slack SPECTRAL_SLACK*sqrt(q)."""
     threshold = 2.0 * math.sqrt(q)
     worst = max(ns.values, key=abs) if ns.values else 0.0
-    ok = abs(worst) <= threshold + tol * math.sqrt(q)
+    ok = abs(worst) <= threshold + SPECTRAL_SLACK * math.sqrt(q)
     return RamanujanVerdict(is_ramanujan=ok, threshold=threshold,
                             route=ROUTE_SPECTRAL_DEFINITION,
                             max_nontrivial_abs=abs(worst),
                             witness=None if ok else float(worst))
 
 
-def ramanujan_hk(seq: HkSequence, tol: float = 1e-8) -> RamanujanVerdict:
+def ramanujan_hk(seq: HkSequence) -> RamanujanVerdict:
     """Sign scan of h_1..h_K: one genuinely negative coefficient refutes;
     an all-nonnegative scan is consistency up to the horizon, never a full
-    certificate.  Negativity is judged against the running max magnitude so
-    exact zeros pass."""
+    certificate.  Negativity is judged against 1e-8 times the running max
+    magnitude so exact zeros pass."""
     threshold = 2.0 * math.sqrt(seq.q)
     running = 1.0
     for k in range(1, seq.horizon + 1):
         h = seq.h(k)
         running = max(running, abs(h))
-        if h < -tol * running:
+        if h < -1e-8 * running:
             return RamanujanVerdict(is_ramanujan=False, threshold=threshold,
                                     route=ROUTE_HK_CRITERION, witness=k,
                                     horizon=seq.horizon)
@@ -146,19 +147,18 @@ def even_k_bound(k: int, n: int, q: int, bipartite: bool) -> float:
     return _bound_for_size(n - 1, k) * math.sqrt(q)
 
 
-def hasse_weil_check(nk: Sequence[int], q: int, n: int, bipartite: bool,
-                     K: int | None = None) -> HasseWeilReport:
-    """Two-sided bounds on N_k.
+def hasse_weil_check(nk: Sequence[int], q: int, n: int,
+                     bipartite: bool) -> HasseWeilReport:
+    """Two-sided bounds on N_1..N_K, K = len(nk).
 
     Nonbipartite: |N_k - q^k - 1| <= 2(n-1) q^(k/2) for odd k, with the main
     term shifted by n(q-1) for even k.  Bipartite: even k only,
     |N_k - n(q-1) - 2q^k - 2| <= 2(n-2) q^(k/2).  The comparison is exact in
     integers (odd k squares both sides); rhs is reported as a float.
     """
-    horizon = len(nk) if K is None else min(K, len(nk))
     m = n - 2 if bipartite else n - 1
     records = []
-    for k in range(1, horizon + 1):
+    for k in range(1, len(nk) + 1):
         if bipartite and k % 2 == 1:
             continue
         lhs = abs(int(nk[k - 1]) - (2 if bipartite else 1) * (q ** k + 1)
@@ -181,13 +181,14 @@ def hk_upper_bound(n: int, bipartite: bool) -> int:
     return 4 * (n - 2) if bipartite else 4 * (n - 1)
 
 
-def hk_upper_check(seq: HkSequence, n: int, bipartite: bool,
-                   tol: float = 1e-9) -> bool:
-    bound = hk_upper_bound(n, bipartite)
-    return bool(np.all(seq.values <= bound * (1.0 + tol)))
+def hk_upper_check(seq: HkSequence) -> bool:
+    """Every h_k of seq within hk_upper_bound of its graph, up to 1e-9
+    relative."""
+    bound = hk_upper_bound(seq.n, seq.bipartite)
+    return bool(np.all(seq.values <= bound * (1.0 + 1e-9)))
 
 
-def estimate_max_eigenvalue(seq: HkSequence, q: int) -> EigenvalueEstimate:
+def estimate_max_eigenvalue(seq: HkSequence) -> EigenvalueEstimate:
     """Estimate q^(-1/2) * max|lam| from the tail of negative even h_k.
 
     For a non-Ramanujan graph, h_2k behaves like -m*mu^(2k), so
@@ -222,5 +223,5 @@ def estimate_max_eigenvalue(seq: HkSequence, q: int) -> EigenvalueEstimate:
         converged = abs(estimate - pair_estimate(k_lo - 2)) < 1e-4
     mu = (estimate + math.sqrt(max(estimate * estimate - 4.0, 0.0))) / 2.0
     return EigenvalueEstimate(estimate=estimate, mu=mu,
-                              implied_max_abs_eigenvalue=math.sqrt(q) * estimate,
+                              implied_max_abs_eigenvalue=math.sqrt(seq.q) * estimate,
                               k_used=(k_lo, k_lo + 2), converged=converged)

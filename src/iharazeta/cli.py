@@ -22,9 +22,8 @@ from .census import (BruteForceBudgetExceeded, build_census,
 from .graphs import (GraphError, Multigraph, adjacency_matrix, parse_generator,
                      profile, read_edge_list, write_edge_list)
 from .hk import hk_from_ck, hk_spectral
-from .report import (SCHEMA_VERSION, AnalysisConfig, InternalConsistencyError,
-                     analyze, env_seed, estimator_block, report_to_json,
-                     zeta_block)
+from .report import (SCHEMA_VERSION, InternalConsistencyError, analyze,
+                     estimator_block, report_to_json, zeta_block)
 from .spectral import (eigenvalues_symmetric, nontrivial_spectrum,
                        scaled_spectrum)
 from .zetaxi import hk_series, xi_rational
@@ -55,12 +54,6 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _config(args: argparse.Namespace) -> AnalysisConfig:
-    return AnalysisConfig(k_horizon=args.k, seed=env_seed(),
-                          spectral_tol=args.tol,
-                          include_timings=not args.no_timings)
-
-
 def _pipeline_pieces(g: Multigraph):
     prof = profile(g)
     spectrum = eigenvalues_symmetric(adjacency_matrix(g))
@@ -69,7 +62,7 @@ def _pipeline_pieces(g: Multigraph):
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
-    report = analyze(g, source=args.input, cfg=_config(args))
+    report = analyze(g, args.input, args.k, include_timings=not args.no_timings)
     _emit(report_to_json(report), args.out)
     if args.require_ramanujan:
         verdicts = report["verdicts"]
@@ -151,7 +144,7 @@ def cmd_zeta(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
-    report = analyze(g, source=args.input, cfg=_config(args))
+    report = analyze(g, args.input, args.k, include_timings=not args.no_timings)
     verdicts = report["verdicts"]
     payload = {
         "schema": SCHEMA_VERSION,
@@ -173,7 +166,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     prof, _, ns = _pipeline_pieces(g)
     seq = hk_spectral(scaled_spectrum(ns), args.k, prof.q, g.n, prof.bipartite)
-    payload = estimator_block(seq, prof.q)
+    payload = estimator_block(seq)
     payload.update({"schema": SCHEMA_VERSION, "source": args.input,
                     "k_horizon": args.k})
     _emit(report_to_json(payload), args.out)
@@ -195,16 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Ihara zeta/xi analysis of connected regular multigraphs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, k_default: int = 50,
-               fmt_default: str = "json") -> None:
+    def common(p: argparse.ArgumentParser, k_default: int | None = 50) -> None:
+        """input, --out and --no-timings; --k too unless k_default is None."""
         p.add_argument("input", help="edge-list file path or generator string")
-        p.add_argument("--k", type=int, default=k_default,
-                       help=f"series horizon (default {k_default}, max 200)")
+        if k_default is not None:
+            p.add_argument("--k", type=int, default=k_default,
+                           help=f"series horizon (default {k_default}, max 200)")
         p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument("--format", choices=["json", "csv"], default=fmt_default,
-                       help=f"output format (default {fmt_default})")
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="spectral Ramanujan comparison tolerance")
         p.add_argument("--no-timings", action="store_true",
                        help="omit wall-clock timings for byte-stable output")
 
@@ -215,7 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("series", help="h_k table as CSV")
-    common(p, fmt_default="csv")
+    common(p)
+    p.add_argument("--format", choices=["json", "csv"], default="csv",
+                   help="output format (default csv)")
     p.add_argument("--route", default="all",
                    choices=SERIES_ROUTES + ["all"])
     p.set_defaults(func=cmd_series)
@@ -227,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("zeta", help="zeta/xi coefficient arrays as JSON")
-    common(p)
+    common(p, k_default=None)
     p.set_defaults(func=cmd_zeta)
 
     p = sub.add_parser("check", help="verdicts only, JSON")
@@ -261,9 +253,8 @@ def main(argv: list[str] | None = None) -> int:
             if k > 100:
                 print(f"note: --k {k} is costly; census entries grow like "
                       "(q+1)^k", file=sys.stderr)
-        if getattr(args, "format", None) == "csv" and args.command != "series":
-            raise GraphError(f"--format csv is only supported by 'series', "
-                             f"not '{args.command}'")
+        if getattr(args, "oracle_k", 0) < 0:
+            raise GraphError("--oracle-k must be >= 0")
         return args.func(args)
     except (GraphError, ValueError, BruteForceBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -192,22 +192,22 @@ def hk_from_ck(census: CycleCensus, q: int, n: int, bipartite: bool,
                       bipartite=bipartite)
 
 
-def hk_nonneg(seq: HkSequence, tol: float = 1e-8) -> list[tuple[int, float, bool]]:
+def hk_nonneg(seq: HkSequence) -> list[tuple[int, float, bool]]:
     """Per-k nonnegativity verdicts: h_k counts as nonnegative when it is
-    >= -tol * max(1, ||h||_inf), so exact zeros pass."""
+    >= -1e-8 * max(1, ||h||_inf), so exact zeros pass."""
     scale = max(1.0, float(np.max(np.abs(seq.values))) if seq.horizon else 1.0)
-    return [(k, float(seq.values[k - 1]), bool(seq.values[k - 1] >= -tol * scale))
+    return [(k, float(seq.values[k - 1]), bool(seq.values[k - 1] >= -1e-8 * scale))
             for k in range(1, seq.horizon + 1)]
 
 
-def max_route_deviation(seqs: Sequence[HkSequence], K: int | None = None) -> float:
+def max_route_deviation(seqs: Sequence[HkSequence]) -> float:
     """Largest pairwise relative deviation between h-sequences, where the
     relative scale at each k is max(1, |a_k|, |b_k|)."""
     worst = 0.0
     for i in range(len(seqs)):
         for j in range(i + 1, len(seqs)):
             a, b = seqs[i].values, seqs[j].values
-            upto = min(len(a), len(b)) if K is None else min(K, len(a), len(b))
+            upto = min(len(a), len(b))
             av, bv = a[:upto], b[:upto]
             scale = np.maximum(1.0, np.maximum(np.abs(av), np.abs(bv)))
             worst = max(worst, float(np.max(np.abs(av - bv) / scale)) if upto else 0.0)

@@ -14,9 +14,7 @@ every subcommand's output.
 from __future__ import annotations
 
 import math
-import os
 import time
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -39,6 +37,7 @@ from .zetaxi import (RationalFunction, expand_factors,
                      zeta_inverse_factors)
 
 SCHEMA_VERSION = 2
+# seed of the functional-equation sample points, printed as the report's seed
 DEFAULT_SEED = 42
 # largest Ihara-Bass companion size 2n for which the operator cross-check
 # (N_k as traces of the 2n x 2n companion of B) runs; 400 covers n <= 200
@@ -60,25 +59,6 @@ class InternalConsistencyError(RuntimeError):
     """Independent computation routes disagreed beyond tolerance."""
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
-    k_horizon: int = 50
-    seed: int = DEFAULT_SEED
-    spectral_tol: float = 1e-8
-    include_timings: bool = True
-
-
-def env_seed(default: int = DEFAULT_SEED) -> int:
-    """Sample-point seed, overridable through the IHARA_SEED variable."""
-    raw = os.environ.get("IHARA_SEED")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"IHARA_SEED must be an integer, got {raw!r}") from None
-
-
 def _float_list(values) -> list[float]:
     return [float(v) for v in values]
 
@@ -89,22 +69,22 @@ def _decimal_strings(values) -> list[str]:
 
 def zeta_block(spectrum: Spectrum, xi: RationalFunction, q: int,
                n: int) -> dict:
-    """The coefficient arrays of Z(u)^-1 and of Xi's numerator and
+    """The float64 coefficient arrays of Z(u)^-1 and of Xi's numerator and
     denominator, as the zeta and analyze outputs print them."""
     zinv = zeta_inverse(spectrum, q, n)
     return {
-        "zeta_inverse_coefficients": _float_list(zinv.coefficients),
-        "degree": zinv.degree,
-        "xi_numerator": _float_list(expand_factors(xi.num).coefficients),
-        "xi_denominator": _float_list(expand_factors(xi.den).coefficients),
+        "zeta_inverse_coefficients": zinv.tolist(),
+        "degree": len(zinv) - 1,
+        "xi_numerator": expand_factors(xi.num).tolist(),
+        "xi_denominator": expand_factors(xi.den).tolist(),
     }
 
 
-def estimator_block(seq: HkSequence, q: int) -> dict:
+def estimator_block(seq: HkSequence) -> dict:
     """The tail-ratio estimate from an h_k sequence, as the estimate and
     analyze outputs print it, or the status saying why it does not apply."""
     try:
-        est = estimate_max_eigenvalue(seq, q)
+        est = estimate_max_eigenvalue(seq)
     except EstimatorNotApplicable as exc:
         return {"status": "not_applicable", "detail": str(exc)}
     except EstimatorSignMismatch as exc:
@@ -119,11 +99,10 @@ def estimator_block(seq: HkSequence, q: int) -> dict:
     }
 
 
-def analyze(g: Multigraph, source: str,
-            cfg: AnalysisConfig | None = None) -> dict:
-    """Run the whole pipeline on a validated graph and assemble the report."""
-    cfg = cfg or AnalysisConfig()
-    K = cfg.k_horizon
+def analyze(g: Multigraph, source: str, K: int,
+            include_timings: bool = True) -> dict:
+    """Run the whole pipeline to horizon K on a validated graph and assemble
+    the report."""
     timings: dict[str, float] = {}
     notes: list[str] = []
 
@@ -168,9 +147,8 @@ def analyze(g: Multigraph, source: str,
         raise InternalConsistencyError(
             f"xi constructions disagree at u={XI_PROBES[worst]}: relative "
             f"gap {gaps[worst]:.3e}")
-    seed = cfg.seed
     fe_max = float(functional_equation_residual(
-        xi, q, functional_equation_points(FE_POINTS, seed)).max())
+        xi, q, functional_equation_points(FE_POINTS, DEFAULT_SEED)).max())
     timings["zeta_xi"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -187,7 +165,7 @@ def analyze(g: Multigraph, source: str,
     timings["hk_routes"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    verdict_spec = ramanujan_spectral(ns, q, tol=cfg.spectral_tol)
+    verdict_spec = ramanujan_spectral(ns, q)
     exact_seq = seqs[ROUTE_FROM_CK]
     verdict_hk = ramanujan_hk(exact_seq)
     hw = hasse_weil_check(census.nk, q, n, prof.bipartite)
@@ -205,12 +183,11 @@ def analyze(g: Multigraph, source: str,
             "bound": bound,
             "satisfied": bool(max_abs <= bound + 1e-9),
         })
-    upper_ok = (hk_upper_check(exact_seq, n, prof.bipartite)
-                if verdict_spec.is_ramanujan else None)
+    upper_ok = hk_upper_check(exact_seq) if verdict_spec.is_ramanujan else None
     timings["checks"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    estimator = estimator_block(seqs[ROUTE_SPECTRAL], q)
+    estimator = estimator_block(seqs[ROUTE_SPECTRAL])
     timings["estimator"] = time.perf_counter() - t0
 
     report = {
@@ -218,7 +195,7 @@ def analyze(g: Multigraph, source: str,
         "version": __version__,
         "source": source,
         "k_horizon": K,
-        "seed": seed,
+        "seed": DEFAULT_SEED,
         "graph": {
             "n": n,
             "q": q,
@@ -283,7 +260,7 @@ def analyze(g: Multigraph, source: str,
         "estimator": estimator,
         "notes": notes,
     }
-    if cfg.include_timings:
+    if include_timings:
         report["timings"] = {k: round(v, 6) for k, v in timings.items()}
     return report
 

@@ -26,7 +26,7 @@ the exact census within its a-priori nk_spectral_budget.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,24 +46,6 @@ class ZeroAtOrigin(ValueError):
     """Series extraction needs numerator and denominator nonzero at u = 0."""
 
 
-class RealPolynomial:
-    """Dense real polynomial; coefficients ascending, trailing zeros trimmed.
-    The expanded form of a product, for the coefficient arrays of the
-    reports."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients: Iterable[float]):
-        coeffs = [float(c) for c in coefficients]
-        while len(coeffs) > 1 and coeffs[-1] == 0.0:
-            coeffs.pop()
-        self.coefficients = tuple(coeffs) if coeffs else (0.0,)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-
 class Factors(NamedTuple):
     """prod over the rows of (c0 + c1*u + c2*u^2) ** power."""
 
@@ -77,9 +59,11 @@ class Factors(NamedTuple):
         return cls(table[:, :3], table[:, 3].astype(np.int64))
 
 
-def expand_factors(factors: Factors) -> RealPolynomial:
-    """The product as one dense polynomial: np.convolve factor by factor in
-    row order, each power by repeated squaring."""
+def expand_factors(factors: Factors) -> np.ndarray:
+    """The product as one dense float64 coefficient array, ascending:
+    np.convolve factor by factor in row order, each power by repeated
+    squaring.  For the coefficient arrays of the reports only; rounding
+    accumulates, and cancellation can swamp a coefficient entirely."""
     out = np.ones(1)
     for row, e in zip(factors.coefficients, factors.powers.tolist()):
         base, power = (row if row[2] else row[:2]), np.ones(1)
@@ -90,7 +74,7 @@ def expand_factors(factors: Factors) -> RealPolynomial:
             if e:
                 base = np.convolve(base, base)
         out = np.convolve(out, power)
-    return RealPolynomial(out)
+    return out
 
 
 def _horner(coefficients: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -176,9 +160,10 @@ def zeta_inverse_factors(s: Spectrum, q: int, n: int) -> Factors:
                              *_spectrum_quadratics(s.values, q))
 
 
-def zeta_inverse(s: Spectrum, q: int, n: int) -> RealPolynomial:
+def zeta_inverse(s: Spectrum, q: int, n: int) -> np.ndarray:
     """Z(u)^-1 = (1-u^2)^(n(q-1)/2) * prod over the full spectrum of
-    (1 - lam*u + q*u^2), expanded; degree n(q+1), constant term 1."""
+    (1 - lam*u + q*u^2), expanded (expand_factors); degree n(q+1), constant
+    term 1."""
     return expand_factors(zeta_inverse_factors(s, q, n))
 
 

@@ -149,7 +149,7 @@ def test_criterion_06_hasse_weil():
 
 def test_criterion_07_estimator():
     seq = get_hk_routes("prism24", 100)["spectral"]
-    est = estimate_max_eigenvalue(seq, 2)
+    est = estimate_max_eigenvalue(seq)
     target = (2 * math.cos(math.pi / 12) + 1) / math.sqrt(2)
     err = abs(est.estimate - target)
     _verdict(7, f"prism24 K=100 estimator error {err:.2e} vs target "
@@ -208,8 +208,8 @@ def test_criterion_10_zeta_consistency():
         spectrum = get_spectrum(name)
         zf = zeta_inverse_factors(spectrum, q, g.n)
         zinv = zeta_inverse(spectrum, q, g.n)
-        ok = ok and zinv.degree == g.n * (q + 1)
-        ok = ok and abs(zinv.coefficients[0] - 1.0) < 1e-12
+        ok = ok and len(zinv) - 1 == g.n * (q + 1)
+        ok = ok and abs(zinv[0] - 1.0) < 1e-12
         good, records = log_series_zeta_check(get_census(name, 10), zf, 10)
         worst = max(worst, max(r[3] for r in records))
         ok = ok and good

@@ -203,19 +203,19 @@ def test_hasse_weil_violated_on_prism24():
 def test_hk_upper_petersen():
     seq = get_hk_routes("petersen", 100)["spectral"]
     assert hk_upper_bound(10, False) == 36
-    assert hk_upper_check(seq, 10, False)
+    assert hk_upper_check(seq)
 
 
 def test_hk_upper_kmm3_attained():
     seq = get_hk_routes("kmm3", 100)["spectral"]
     assert hk_upper_bound(6, True) == 16
-    assert hk_upper_check(seq, 6, True)
+    assert hk_upper_check(seq)
     assert seq.h(2) == pytest.approx(16.0, abs=1e-10)
 
 
 def test_hk_upper_cycle5():
     seq = get_hk_routes("cycle5", 100)["spectral"]
-    assert hk_upper_check(seq, 5, False)
+    assert hk_upper_check(seq)
     assert float(np.max(seq.values)) <= 16 + 1e-9
 
 
@@ -231,7 +231,7 @@ def test_tk_bounded_on_ramanujan_scaled_spectra(name):
 
 def test_estimator_prism24():
     seq = get_hk_routes("prism24", 100)["spectral"]
-    est = estimate_max_eigenvalue(seq, 2)
+    est = estimate_max_eigenvalue(seq)
     target = (2 * math.cos(math.pi / 12) + 1) / math.sqrt(2)
     assert abs(est.estimate - target) < 1e-3
     assert est.converged
@@ -244,7 +244,7 @@ def test_estimator_prism24():
 
 def test_estimator_prism30():
     seq = get_hk_routes("prism30", 100)["spectral"]
-    est = estimate_max_eigenvalue(seq, 2)
+    est = estimate_max_eigenvalue(seq)
     target = (2 * math.cos(math.pi / 15) + 1) / math.sqrt(2)
     assert abs(est.estimate - target) < 1e-3
 
@@ -252,13 +252,13 @@ def test_estimator_prism30():
 def test_estimator_not_applicable_on_ramanujan():
     seq = get_hk_routes("petersen", 60)["spectral"]
     with pytest.raises(EstimatorNotApplicable):
-        estimate_max_eigenvalue(seq, 2)
+        estimate_max_eigenvalue(seq)
 
 
 def test_estimator_synthetic_exact_ratio():
     mu = 1.5
     values = [1.0 if k % 2 else -(mu ** k) for k in range(1, 13)]
-    est = estimate_max_eigenvalue(_seq(values), 2)
+    est = estimate_max_eigenvalue(_seq(values))
     assert est.estimate == pytest.approx(mu + 1 / mu, rel=1e-12)
     assert est.mu == pytest.approx(mu, rel=1e-10)
 
@@ -266,4 +266,4 @@ def test_estimator_synthetic_exact_ratio():
 def test_estimator_sign_mismatch():
     values = [1.0, -1.0, 1.0, 1.0, 1.0, 1.0]  # lone negative h_2
     with pytest.raises(EstimatorSignMismatch):
-        estimate_max_eigenvalue(_seq(values), 2)
+        estimate_max_eigenvalue(_seq(values))

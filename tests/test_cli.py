@@ -173,6 +173,16 @@ def test_census_rejects_k0(capsys):
     assert code == 2
 
 
+def test_census_rejects_negative_oracle_k(capsys):
+    # a negative horizon once gave an empty oracle, reported as a fault
+    code, out, err = run(capsys, "census", "petersen", "--k", "10",
+                         "--oracle-k", "-1")
+    assert (code, out, err) == (2, "", "error: --oracle-k must be >= 0\n")
+    payload = run_json(capsys, "census", "petersen", "--k", "10",
+                       "--oracle-k", "0")
+    assert "oracle_n" not in payload
+
+
 def test_series_all_routes_agree(capsys):
     code, out, _ = run(capsys, "series", "kmm:3", "--k", "8", "--route", "all")
     assert code == 0
@@ -291,19 +301,6 @@ def test_determinism_modulo_timings(capsys):
     assert r1 == r2
 
 
-def test_seed_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("IHARA_SEED", "7")
-    report = run_json(capsys, "analyze", "petersen", "--k", "10")
-    assert report["seed"] == 7
-    assert report["functional_equation"]["ok"]
-
-
-def test_seed_env_invalid(monkeypatch, capsys):
-    monkeypatch.setenv("IHARA_SEED", "not-a-number")
-    code, _, err = run(capsys, "analyze", "petersen", "--k", "10")
-    assert code == 2
-
-
 def test_k_cap(capsys):
     code, _, err = run(capsys, "analyze", "petersen", "--k", "300")
     assert code == 2
@@ -323,10 +320,35 @@ def test_series_json_format(capsys):
     assert payload["routes"]["ck"][0] == 8.0
 
 
-def test_csv_format_rejected_elsewhere(capsys):
-    code, _, err = run(capsys, "analyze", "petersen", "--format", "csv")
-    assert code == 2
-    assert "series" in err
+SUBCOMMANDS = ("analyze", "series", "census", "zeta", "check", "estimate",
+               "generate")
+# each argv either fails in argparse with SystemExit(2) (None) or, with
+# --out <file> appended, exits 0
+CLI_SURFACE = (
+    [([cmd, "petersen", "--tol", "1e-6"], None) for cmd in SUBCOMMANDS]
+    + [([cmd, "petersen", "--format", fmt], None)
+       for cmd in ("analyze", "census", "zeta", "check", "estimate")
+       for fmt in ("json", "csv")]
+    + [(["zeta", "petersen", "--k", "5"], None)]
+    # the argvs of the benchmark's workloads and of scripts/check_ladder.py
+    + [([cmd, "petersen", "--k", "10", "--no-timings"], 0)
+       for cmd in ("analyze", "census", "estimate", "check")]
+    + [(["zeta", "petersen", "--no-timings"], 0),
+       (["series", "petersen", "--k", "10", "--format", "json", "--no-timings"], 0)])
+
+
+@pytest.mark.parametrize("argv, code", CLI_SURFACE,
+                         ids=[" ".join(argv) for argv, _ in CLI_SURFACE])
+def test_cli_surface(tmp_path, capsys, argv, code):
+    if code is None:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    else:
+        path = tmp_path / "out.json"
+        assert main(argv + ["--out", str(path)]) == code
+        assert json.loads(path.read_text())["source"] == "petersen"
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -9,14 +9,13 @@ import pytest
 import iharazeta.cli as cli_mod
 import iharazeta.report as report_mod
 from iharazeta.census import CycleCensus
-from iharazeta.report import (AnalysisConfig, InternalConsistencyError,
-                              analyze, env_seed, report_to_json)
+from iharazeta.report import InternalConsistencyError, analyze, report_to_json
 
 from conftest import get_graph
 
 
 def test_report_shape_petersen():
-    rep = analyze(get_graph("petersen"), "petersen", AnalysisConfig(k_horizon=12))
+    rep = analyze(get_graph("petersen"), "petersen", 12)
     assert rep["schema"] == report_mod.SCHEMA_VERSION == 2
     assert rep["k_horizon"] == 12
     assert set(rep["h"]) == {"spectral", "from_ck", "series"}
@@ -29,7 +28,7 @@ def test_report_shape_petersen():
 
 @pytest.mark.parametrize("name", ["double_triangle", "looped_cycle4"])
 def test_pipeline_handles_multigraphs(name):
-    rep = analyze(get_graph(name), name, AnalysisConfig(k_horizon=25))
+    rep = analyze(get_graph(name), name, 25)
     assert rep["route_agreement"]["ok"]
     assert rep["functional_equation"]["ok"]
     g = get_graph(name)
@@ -37,9 +36,9 @@ def test_pipeline_handles_multigraphs(name):
 
 
 def test_q1_note_present():
-    rep = analyze(get_graph("cycle5"), "cycle:5", AnalysisConfig(k_horizon=10))
+    rep = analyze(get_graph("cycle5"), "cycle:5", 10)
     assert any("q = 1" in note for note in rep["notes"])
-    rep = analyze(get_graph("petersen"), "petersen", AnalysisConfig(k_horizon=5))
+    rep = analyze(get_graph("petersen"), "petersen", 5)
     assert rep["notes"] == []
 
 
@@ -54,17 +53,7 @@ def test_consistency_trap_fires(monkeypatch):
 
     monkeypatch.setattr(report_mod, "build_census", corrupted)
     with pytest.raises(InternalConsistencyError):
-        analyze(get_graph("k4"), "k4", AnalysisConfig(k_horizon=10))
-
-
-def test_env_seed(monkeypatch):
-    monkeypatch.delenv("IHARA_SEED", raising=False)
-    assert env_seed() == 42
-    monkeypatch.setenv("IHARA_SEED", "1234")
-    assert env_seed() == 1234
-    monkeypatch.setenv("IHARA_SEED", "zzz")
-    with pytest.raises(ValueError):
-        env_seed()
+        analyze(get_graph("k4"), "k4", 10)
 
 
 def test_json_rounds_to_twelve_digits():
@@ -75,10 +64,8 @@ def test_json_rounds_to_twelve_digits():
 
 
 def test_json_sorted_and_stable():
-    rep = analyze(get_graph("kmm3"), "kmm:3",
-                  AnalysisConfig(k_horizon=8, include_timings=False))
-    rep2 = analyze(get_graph("kmm3"), "kmm:3",
-                   AnalysisConfig(k_horizon=8, include_timings=False))
+    rep = analyze(get_graph("kmm3"), "kmm:3", 8, include_timings=False)
+    rep2 = analyze(get_graph("kmm3"), "kmm:3", 8, include_timings=False)
     assert report_to_json(rep) == report_to_json(rep2)
     keys = list(json.loads(report_to_json(rep)).keys())
     assert keys == sorted(keys)
