@@ -2,7 +2,7 @@
 
 Runs iharazeta.cli.main(["analyze", g, "--k", K, "--out", <tmp>]) in-process,
 with BLAS/OpenMP threads pinned to one, over a fixed ladder of graphs at
-K = 50 and 150.  After one warm-up run of the whole ladder, each run times
+K = 50, 150 and 200.  After one warm-up run of the whole ladder, each run times
 every (graph, K) once, in ladder order.  Per graph and K the file records:
 
 - the exit code (the same in every run, or the run is reported as unstable);
@@ -48,7 +48,7 @@ from pathlib import Path  # noqa: E402
 BENCH_DIR = Path(__file__).resolve().parent
 LADDER = ("petersen", "prism:24", "prism:50", "hypercube:7", "complete:30",
           "prism:100")
-HORIZONS = (50, 150)
+HORIZONS = (50, 150, 200)
 MIN_RUNS = 5
 WRITER = ("cli", "report_to_json")
 LAYERS = (("report", "eigenvalues_symmetric"), ("report", "build_census"),

@@ -8,7 +8,7 @@ and the first line the command wrote to stderr, past the note that every
 --k above 100 prints.  Each check runs in this process through
 iharazeta.cli.main; its JSON on stdout is dropped.
 
-Usage: python scripts/check_ladder.py [--k 50 150]
+Usage: python scripts/check_ladder.py [--k 50 150 200]
 """
 
 import argparse
@@ -47,7 +47,7 @@ def check(spec: str, k: int) -> tuple[int, str]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--k", type=int, nargs="+", default=[50, 150])
+    parser.add_argument("--k", type=int, nargs="+", default=[50, 150, 200])
     args = parser.parse_args()
 
     print(f"{'K':>4} {'graph':<22} {'exit':>4} {'wall_s':>7}  stderr")

@@ -31,7 +31,7 @@ def main() -> None:
 
     g = generate("prism", [args.ring])
     prof = profile(g)
-    spectrum = eigenvalues_symmetric(adjacency_matrix(g))
+    spectrum = eigenvalues_symmetric(adjacency_matrix(g), prof.bipartition)
     ns = nontrivial_spectrum(spectrum, prof)
     seq = hk_spectral(scaled_spectrum(ns), args.k, prof.q, g.n, prof.bipartite)
 

@@ -35,7 +35,7 @@ def main() -> None:
     for m in range(3, args.max_ring + 1):
         g = generate("prism", [m])
         prof = profile(g)
-        spectrum = eigenvalues_symmetric(adjacency_matrix(g))
+        spectrum = eigenvalues_symmetric(adjacency_matrix(g), prof.bipartition)
         ns = nontrivial_spectrum(spectrum, prof)
         verdict = ramanujan_spectral(ns, prof.q)
         census = build_census(g, prof.q, args.k)

@@ -56,7 +56,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _pipeline_pieces(g: Multigraph):
     prof = profile(g)
-    spectrum = eigenvalues_symmetric(adjacency_matrix(g))
+    spectrum = eigenvalues_symmetric(adjacency_matrix(g), prof.bipartition)
     return prof, spectrum, nontrivial_spectrum(spectrum, prof)
 
 
@@ -81,8 +81,8 @@ def cmd_series(args: argparse.Namespace) -> int:
     want = SERIES_ROUTES if args.route == "all" else [args.route]
     if K >= 1:
         if "spectral" in want or "series" in want:
-            ns = nontrivial_spectrum(eigenvalues_symmetric(adjacency_matrix(g)),
-                                     prof)
+            ns = nontrivial_spectrum(eigenvalues_symmetric(
+                adjacency_matrix(g), prof.bipartition), prof)
         if "spectral" in want:
             routes["spectral"] = list(hk_spectral(scaled_spectrum(ns), K, q, n,
                                                   prof.bipartite).values)

@@ -115,11 +115,22 @@ class HkSequence:
 
 def hk_spectral(scaled: np.ndarray, K: int, q: int, n: int,
                 bipartite: bool) -> HkSequence:
-    """h_k = 2|Spec*| - sum of T_k over the scaled nontrivial spectrum."""
+    """h_k = 2|Spec*| - sum of T_k over the scaled nontrivial spectrum.
+
+    A bipartite graph's scaled nontrivial spectrum is +/-x, x its first
+    half (NontrivialSpectrum), and T_k(-x) = (-1)^k T_k(x).  So odd h_k is
+    exactly 2|Spec*| = 2(n-2), and h_2j = 2(n-2) - 2 sum T_j(x^2 - 2) by
+    T_2j(x) = T_j(T_2(x)): one table of K/2 rows over n/2 - 1 values, with
+    no +/- cancellation.
+    """
     scaled = np.asarray(scaled, dtype=np.float64)
     m = len(scaled)
-    table = chebyshev_T_table(K, scaled)
-    values = 2.0 * m - table.sum(axis=1)
+    if bipartite:
+        half = scaled[:m // 2]
+        values = np.full(K, 2.0 * m)
+        values[1::2] -= 2.0 * chebyshev_T_table(K // 2, half * half - 2.0).sum(axis=1)
+    else:
+        values = 2.0 * m - chebyshev_T_table(K, scaled).sum(axis=1)
     return HkSequence(values=values, route=ROUTE_SPECTRAL, q=q, n=n,
                       bipartite=bipartite)
 

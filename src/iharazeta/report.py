@@ -115,7 +115,7 @@ def analyze(g: Multigraph, source: str, K: int,
     timings["profile"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    spectrum = eigenvalues_symmetric(adjacency_matrix(g))
+    spectrum = eigenvalues_symmetric(adjacency_matrix(g), prof.bipartition)
     ns = nontrivial_spectrum(spectrum, prof)
     scaled = scaled_spectrum(ns)
     timings["spectrum"] = time.perf_counter() - t0

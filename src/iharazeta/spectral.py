@@ -1,8 +1,11 @@
 """Dense symmetric eigenvalues and nontrivial-spectrum extraction.
 
-Eigenvalues come from LAPACK through numpy.linalg.eigvalsh.  Inputs are
-small integer adjacency matrices, and the full multiset of eigenvalues (no
-clustering, no multiplicity inference) is what downstream formulas consume.
+Eigenvalues come from LAPACK through numpy.linalg.eigvalsh, or, for a
+bipartite graph, as +/-sigma from the singular values sigma of its
+biadjacency block (numpy.linalg.svd), a matrix of half the size.  Inputs
+are small integer adjacency matrices, and the full multiset of eigenvalues
+(no clustering, no multiplicity inference) is what downstream formulas
+consume.
 """
 
 from __future__ import annotations
@@ -45,11 +48,14 @@ class NontrivialSpectrum:
     """Eigenvalue multiset with the trivial eigenvalues removed.
 
     Size is n-1 for a nonbipartite graph (q+1 removed) and n-2 for a
-    bipartite one (both q+1 and -(q+1) removed).
+    bipartite one (both q+1 and -(q+1) removed).  A bipartite one is exactly
+    paired, the nontrivial sigma descending and then their negatives in
+    reverse order, so its first half is the nontrivial sigma.
     """
 
     values: tuple[float, ...]
     q: int
+    bipartite: bool = False
 
     def __len__(self) -> int:
         return len(self.values)
@@ -61,41 +67,54 @@ class NontrivialSpectrum:
         return float(np.max(np.abs(self.values))) if self.values else 0.0
 
 
-def eigenvalues_symmetric(m: np.ndarray) -> Spectrum:
-    """All eigenvalues of a symmetric matrix, by LAPACK (eigvalsh).
+def eigenvalues_symmetric(
+        m: np.ndarray,
+        bipartition: tuple[tuple[int, ...], tuple[int, ...]] | None = None) -> Spectrum:
+    """All eigenvalues of a symmetric matrix, by LAPACK.
 
-    Symmetry is required exactly (inputs are integer matrices).
+    Symmetry is required exactly (inputs are integer matrices).  Without a
+    bipartition the values are eigvalsh's.  Given the two parts of a
+    bipartite graph, m = [[0, B], [B^T, 0]] has the eigenvalues +/-sigma,
+    sigma the singular values of the square biadjacency block B; they are
+    returned as sigma followed by 0.0 - sigma reversed, so the spectrum is
+    exactly paired and descending and an exact zero stays +0.0.  Parts of
+    unequal size, or a nonzero entry inside a part, raise ValueError.
     """
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSymmetricError(f"expected a square matrix, got shape {a.shape}")
     if not np.array_equal(a, a.T):
         raise NonSymmetricError("matrix is not symmetric")
-    vals = np.linalg.eigvalsh(a.astype(np.float64))[::-1]
-    return Spectrum(tuple(float(v) for v in vals))
+    if bipartition is None:
+        vals = np.linalg.eigvalsh(a.astype(np.float64))[::-1]
+        return Spectrum(tuple(float(v) for v in vals))
+    half, order = len(bipartition[0]), [*bipartition[0], *bipartition[1]]
+    if 2 * half != len(a) or sorted(order) != list(range(len(a))):
+        raise ValueError("a bipartition splits the vertices into two equal parts")
+    a = a[order][:, order]
+    if a[:half, :half].any() or a[half:, half:].any():
+        raise ValueError("the bipartition has an edge inside a part")
+    sigma = np.linalg.svd(a[:half, half:].astype(np.float64), compute_uv=False)
+    return Spectrum(tuple(np.concatenate((sigma, 0.0 - sigma[::-1])).tolist()))
 
 
-def nontrivial_spectrum(s: Spectrum, p: GraphProfile,
-                        match_tol: float = TRIVIAL_MATCH_TOL) -> NontrivialSpectrum:
-    """Remove the trivial eigenvalues from a full spectrum.
+def nontrivial_spectrum(s: Spectrum, p: GraphProfile) -> NontrivialSpectrum:
+    """Remove the trivial eigenvalues from a descending spectrum.
 
-    Removes exactly one occurrence nearest q+1 and, for bipartite graphs,
-    one nearest -(q+1).  A nearest candidate deviating by more than
-    match_tol * (q+1) signals a non-connected or non-regular input that
-    slipped through validation.
+    A connected (q+1)-regular graph has q+1 as its largest eigenvalue, and
+    -(q+1) as its smallest when it is bipartite; so values[0] goes, and
+    values[-1] too for a bipartite graph.  A dropped value deviating from
+    its target by more than TRIVIAL_MATCH_TOL * (q+1) signals a
+    non-connected or non-regular input that slipped through validation.
     """
-    targets = [p.q + 1.0]
-    if p.bipartite:
-        targets.append(-(p.q + 1.0))
-    remaining = list(s.values)
-    for t in targets:
-        idx = min(range(len(remaining)), key=lambda i: abs(remaining[i] - t))
-        if abs(remaining[idx] - t) > match_tol * (p.q + 1.0):
+    top = p.q + 1.0
+    for i, target in ((0, top), (-1, -top)) if p.bipartite else ((0, top),):
+        if abs(s.values[i] - target) > TRIVIAL_MATCH_TOL * top:
             raise TrivialEigenvalueMissing(
-                f"no eigenvalue within {match_tol:.1e}*(q+1) of {t:g}; "
-                f"nearest is {remaining[idx]:.12g}")
-        remaining.pop(idx)
-    return NontrivialSpectrum(values=tuple(remaining), q=p.q)
+                f"no eigenvalue within {TRIVIAL_MATCH_TOL:.1e}*(q+1) of "
+                f"{target:g}; the spectrum ends at {s.values[i]:.12g}")
+    return NontrivialSpectrum(values=s.values[1:-1] if p.bipartite else s.values[1:],
+                              q=p.q, bipartite=p.bipartite)
 
 
 def scaled_spectrum(ns: NontrivialSpectrum) -> np.ndarray:

@@ -47,23 +47,32 @@ class ZeroAtOrigin(ValueError):
 
 
 class Factors(NamedTuple):
-    """prod over the rows of (c0 + c1*u + c2*u^2) ** power."""
+    """prod over the rows of (c0 + c1*v + c2*v^2) ** power, in the variable
+    v = u, or v = w = u^2 when in_w is set."""
 
     coefficients: np.ndarray  # (F, 3) floats c0, c1, c2
     powers: np.ndarray  # (F,) integers >= 1
+    in_w: bool = False
 
     @classmethod
-    def from_rows(cls, *rows: tuple[float, float, float, int]) -> "Factors":
+    def from_rows(cls, *rows: tuple[float, float, float, int],
+                  in_w: bool = False) -> "Factors":
         """Factors from (c0, c1, c2, power) rows; rows of power 0 are dropped."""
         table = np.array([r for r in rows if r[3] > 0], dtype=float).reshape(-1, 4)
-        return cls(table[:, :3], table[:, 3].astype(np.int64))
+        return cls(table[:, :3], table[:, 3].astype(np.int64), in_w)
+
+    def variable(self, u: np.ndarray) -> np.ndarray:
+        """The rows' variable at the points u: u itself, or u^2 in w."""
+        return u * u if self.in_w else u
 
 
 def expand_factors(factors: Factors) -> np.ndarray:
     """The product as one dense float64 coefficient array, ascending:
     np.convolve factor by factor in row order, each power by repeated
-    squaring.  For the coefficient arrays of the reports only; rounding
-    accumulates, and cancellation can swamp a coefficient entirely."""
+    squaring.  A product in w = u^2 is spread over the even powers of u,
+    its odd coefficients exactly 0.  For the coefficient arrays of the
+    reports only; rounding accumulates, and cancellation can swamp a
+    coefficient entirely."""
     out = np.ones(1)
     for row, e in zip(factors.coefficients, factors.powers.tolist()):
         base, power = (row if row[2] else row[:2]), np.ones(1)
@@ -74,6 +83,10 @@ def expand_factors(factors: Factors) -> np.ndarray:
             if e:
                 base = np.convolve(base, base)
         out = np.convolve(out, power)
+    if factors.in_w:
+        spread = np.zeros(2 * len(out) - 1)
+        spread[::2] = out
+        return spread
     return out
 
 
@@ -124,13 +137,15 @@ class RationalFunction:
         point lies below POLE_THRESHOLD * sum |c_j| |u|^j."""
         u = np.asarray(u, dtype=float)
         points = u.reshape(-1)
-        den = _horner(self.den.coefficients, points)
-        scale = _horner(np.abs(self.den.coefficients), np.abs(points))
+        at = self.den.variable(points)
+        den = _horner(self.den.coefficients, at)
+        scale = _horner(np.abs(self.den.coefficients), np.abs(at))
         near = np.any(np.abs(den) < POLE_THRESHOLD * scale, axis=1)
         if near.any():
             raise PoleHit(f"u={float(points[near][0])!r} is numerically a pole")
-        num_log2, num_sign = _log2_sign(_horner(self.num.coefficients, points),
-                                        self.num.powers)
+        num_log2, num_sign = _log2_sign(
+            _horner(self.num.coefficients, self.num.variable(points)),
+            self.num.powers)
         den_log2, den_sign = _log2_sign(den, self.den.powers)
         return ((num_log2 - den_log2).reshape(u.shape),
                 (num_sign * den_sign).reshape(u.shape))
@@ -141,10 +156,11 @@ class RationalFunction:
         return float(sign) * math.pow(2.0, float(log2))
 
     def scale_input(self, c: float) -> "RationalFunction":
-        """The function u -> f(c*u)."""
-        powers_of_c = np.array([1.0, c, c ** 2])
-        return RationalFunction(*(Factors(f.coefficients * powers_of_c, f.powers)
-                                  for f in (self.num, self.den)))
+        """The function u -> f(c*u); rows in w = u^2 scale by c^2."""
+        def scaled(f: Factors) -> Factors:
+            v = c * c if f.in_w else c
+            return f._replace(coefficients=f.coefficients * np.array([1.0, v, v ** 2]))
+        return RationalFunction(scaled(self.num), scaled(self.den))
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +185,18 @@ def zeta_inverse(s: Spectrum, q: int, n: int) -> np.ndarray:
 
 def xi_rational(ns: NontrivialSpectrum, q: int) -> RationalFunction:
     """Xi(u) = prod over the nontrivial spectrum of
-    (1 - lam*u + q*u^2) / (1 - sqrt(q)*u)^2."""
-    return RationalFunction(
-        Factors.from_rows(*_spectrum_quadratics(ns.values, q)),
-        Factors.from_rows((1.0, -math.sqrt(q), 0.0, 2 * len(ns))))
+    (1 - lam*u + q*u^2) / (1 - sqrt(q)*u)^2.
+
+    A bipartite spectrum pairs +/-sigma, and (1 - sigma*u + q*u^2)(1 +
+    sigma*u + q*u^2) = 1 + (2q - sigma^2) w + q^2 w^2 in w = u^2: one
+    numerator row in w per nontrivial sigma (the first half of ns).  The
+    denominator stays in u."""
+    den = Factors.from_rows((1.0, -math.sqrt(q), 0.0, 2 * len(ns)))
+    if ns.bipartite:
+        sigma = ns.values[:len(ns) // 2]
+        return RationalFunction(Factors.from_rows(
+            *((1.0, 2.0 * q - x * x, float(q * q), 1) for x in sigma), in_w=True), den)
+    return RationalFunction(Factors.from_rows(*_spectrum_quadratics(ns.values, q)), den)
 
 
 def xi_from_zeta(zeta_factors: Factors, q: int, n: int,
@@ -246,9 +270,22 @@ def _logder_rows(coefficients: np.ndarray, K: int) -> np.ndarray:
     return np.ascontiguousarray(s.T)[:, 2:]
 
 
+def _in_u(factors: Factors, rows: np.ndarray, K: int) -> np.ndarray:
+    """First K Maclaurin coefficients in u of sum e * p'/p over the factors
+    (p, e), from their _logder_rows table of at least K columns.  For rows
+    in w = u^2, d/du ln p(u^2) = 2u (p'/p)(w): the coefficient of w^j, of
+    the first K/2 columns, lands doubled at u^(2j+1), and every even power
+    of u is exactly 0."""
+    if not factors.in_w:
+        return factors.powers.astype(float) @ rows
+    out = np.zeros(K)
+    out[1::2] = 2.0 * (factors.powers.astype(float) @ rows[:, :K // 2])
+    return out
+
+
 def _logder(factors: Factors, K: int) -> np.ndarray:
-    """First K Maclaurin coefficients of sum e * p'/p over the factors (p, e)."""
-    return factors.powers.astype(float) @ _logder_rows(factors.coefficients, K)
+    """First K Maclaurin coefficients in u of sum e * p'/p over the factors."""
+    return _in_u(factors, _logder_rows(factors.coefficients, K), K)
 
 
 def log_series(rf: RationalFunction, K: int) -> np.ndarray:
@@ -258,17 +295,28 @@ def log_series(rf: RationalFunction, K: int) -> np.ndarray:
     The log-derivative is taken factor by factor, numerator and denominator
     in one pass, in float64: nothing is expanded, so there is no root
     cluster for rounding to split, and no extra working precision is needed.
+    Rows in w share the pass and use its first K/2 steps: a step costs its
+    numpy calls, whatever the number of rows.
     """
     split = len(rf.num.powers)
     rows = _logder_rows(np.vstack((rf.num.coefficients, rf.den.coefficients)), K)
-    return (rf.num.powers.astype(float) @ rows[:split]
-            - rf.den.powers.astype(float) @ rows[split:])
+    return _in_u(rf.num, rows[:split], K) - _in_u(rf.den, rows[split:], K)
 
 
 def hk_series(xi: RationalFunction, q: int, K: int) -> np.ndarray:
     """h_1..h_K from the definition: the log-derivative series of
-    Xi(u/sqrt(q)), summed over the factors of Xi in float64 (log_series)."""
-    return log_series(xi.scale_input(1.0 / math.sqrt(q)), K)
+    Xi(u/sqrt(q)), summed over the factors of Xi in float64 (log_series).
+
+    A bipartite Xi (numerator in w = u^2) takes its odd h_k from the
+    denominator (1 - sqrt(q) u)^(2(n-2)) alone, which the rescaling makes
+    (1 - u)^(2(n-2)): they are 2(n-2) exactly.  In float64 sqrt(q) *
+    (1/sqrt(q)) misses 1 by an ulp for some q (15, 29, 30, ...), which
+    would drift h_k by k ulps, so they are set to the denominator's degree.
+    """
+    h = log_series(xi.scale_input(1.0 / math.sqrt(q)), K)
+    if xi.num.in_w:
+        h[0::2] = float(xi.den.powers.sum())
+    return h
 
 
 def nk_from_spectrum(s: Spectrum, q: int, n: int, k: int) -> float:
@@ -293,6 +341,10 @@ def nk_spectral_budget(s: Spectrum, q: float, n: int, k: int | np.ndarray):
     * Eigenvalues.  LAPACK is backward stable, |lam~ - lam| <= dlam =
       n eps ||A||_2 = n eps (q+1), and d(a^k + b^k)/dlam = k U_(k-1), so a
       row moves by at most k^2 rho^(k-1) dlam, rho taken at |lam~| + dlam.
+      A bipartite spectrum is +/-sigma from the SVD of its n/2 x n/2 block
+      B, backward stable too: each sigma lies within a small multiple of
+      (n/2) eps ||B||_2 of its exact value, ||B||_2 = ||A||_2 = q+1, and
+      the exact negation 0.0 - sigma adds nothing, so dlam holds for it.
     * The recurrence.  c0 = 1 and c2 = q are exact, so the division and the
       negation are; step j rounds two products and a sum, at most eps
       (|lam s_(j-1)| + q |s_(j-2)|) <= 6 eps rho^(j+1) (s_1: eps (lam^2 + q)

@@ -9,7 +9,8 @@ import pytest
 
 from iharazeta.census import CycleCensus, build_census
 from iharazeta.graphs import (GraphProfile, Multigraph, adjacency_matrix,
-                              build_graph, generate, profile)
+                              build_graph, generate, parse_generator,
+                              profile)
 from iharazeta.hk import HkSequence, hk_from_ck, hk_spectral
 from iharazeta.spectral import (NontrivialSpectrum, Spectrum,
                                 eigenvalues_symmetric, nontrivial_spectrum,
@@ -27,6 +28,14 @@ RAMANUJAN_FIXTURES = ["k4", "cycle5", "cycle6", "petersen", "kmm3",
 NON_RAMANUJAN_FIXTURES = ["prism24", "prism30"]
 ALL_FIXTURES = sorted(set(ACCEPTANCE_FIXTURES + SMALL_FIXTURES
                           + NON_RAMANUJAN_FIXTURES))
+# every bipartite fixture, then every bipartite graph of scripts/check_ladder.py
+# by its generator string (get_graph takes both)
+BIPARTITE_GRAPHS = ["cycle4", "cycle6", "kmm3", "hypercube3", "prism6",
+                    "prism24", "prism30", "doubled_cycle4",
+                    "kmm:6", "kmm:10", "kmm:30", "hypercube:4", "hypercube:5",
+                    "hypercube:6", "hypercube:7", "prism:16", "prism:20",
+                    "prism:24", "prism:50", "prism:100", "circulant:12:1,3",
+                    "circulant:20:1,3,5", "circulant:200:1,5,17"]
 
 
 def _double_triangle() -> Multigraph:
@@ -64,7 +73,8 @@ _BUILDERS = {
 
 @lru_cache(maxsize=None)
 def get_graph(name: str) -> Multigraph:
-    return _BUILDERS[name]()
+    """A fixture by name, or else the graph of a generator string."""
+    return _BUILDERS[name]() if name in _BUILDERS else parse_generator(name)
 
 
 @lru_cache(maxsize=None)
@@ -74,7 +84,8 @@ def get_profile(name: str) -> GraphProfile:
 
 @lru_cache(maxsize=None)
 def get_spectrum(name: str) -> Spectrum:
-    return eigenvalues_symmetric(adjacency_matrix(get_graph(name)))
+    return eigenvalues_symmetric(adjacency_matrix(get_graph(name)),
+                                 get_profile(name).bipartition)
 
 
 @lru_cache(maxsize=None)

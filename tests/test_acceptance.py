@@ -46,7 +46,7 @@ def test_criterion_01_route_agreement_under_30s():
         g = get_graph(name)
         prof = profile(g)
         q, n = prof.q, g.n
-        spectrum = eigenvalues_symmetric(adjacency_matrix(g))
+        spectrum = eigenvalues_symmetric(adjacency_matrix(g), prof.bipartition)
         ns = nontrivial_spectrum(spectrum, prof)
         census = build_census(g, q, 40)
         seqs = [

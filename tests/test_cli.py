@@ -235,6 +235,18 @@ def test_xi_cross_check_near_the_pole_exits_zero(capsys, spec):
     assert json.loads(out)["functional_equation"]["ok"]
 
 
+@pytest.mark.parametrize("spec, k", [
+    *((spec, k) for k in (150, 200)
+      for spec in ("prism:16", "prism:20", "prism:24", "prism:50", "prism:100",
+                   "hypercube:7", "circulant:200:1,5,17")),
+    ("circulant:200:1,5,17", 50)])
+def test_check_on_bipartite_graphs_reaches_a_verdict(capsys, spec, k):
+    # the float h_k routes once cancelled +/-lam at odd k and exited 3
+    # ("h_k routes disagree") on each of these
+    code, _, err = run(capsys, "check", spec, "--k", str(k), "--no-timings")
+    assert code in (0, 1), err
+
+
 def _reject_constant(token):
     raise AssertionError(f"invalid JSON token {token}")
 

@@ -233,7 +233,8 @@ def test_hk_from_ck_exact_under_cancellation(spec, k):
     g = parse_generator(spec)
     prof = profile(g)
     census = build_census(g, prof.q, k)
-    ns = nontrivial_spectrum(eigenvalues_symmetric(adjacency_matrix(g)), prof)
+    ns = nontrivial_spectrum(
+        eigenvalues_symmetric(adjacency_matrix(g), prof.bipartition), prof)
     exact = hk_from_ck(census, prof.q, g.n, prof.bipartite, k).h(k)
     spectral = hk_spectral(scaled_spectrum(ns), k, prof.q, g.n, prof.bipartite).h(k)
     assert exact == pytest.approx(spectral, rel=1e-9)

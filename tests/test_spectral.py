@@ -11,7 +11,8 @@ from iharazeta.spectral import (NonSymmetricError, Spectrum,
                                 eigenvalues_symmetric, nontrivial_spectrum,
                                 scaled_spectrum)
 
-from conftest import ALL_FIXTURES, get_graph, get_nontrivial, get_spectrum
+from conftest import (ALL_FIXTURES, BIPARTITE_GRAPHS, get_graph, get_nontrivial,
+                      get_profile, get_spectrum)
 
 
 def test_k4_spectrum():
@@ -108,11 +109,52 @@ def test_bipartite_spectrum_symmetric(name):
     assert np.allclose(vals + vals[::-1], 0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("name", BIPARTITE_GRAPHS)
+def test_bipartite_spectrum_is_exactly_paired(name):
+    """+/-sigma from the SVD of the biadjacency block: values[i] is
+    -values[n-1-i] exactly, and within 1e-9 of eigvalsh of the whole
+    matrix; the nontrivial spectrum drops exactly the two ends."""
+    a = adjacency_matrix(get_graph(name))
+    assert get_profile(name).bipartite
+    vals = get_spectrum(name).values
+    n = len(vals)
+    assert all(vals[i] == -vals[n - 1 - i] for i in range(n))
+    ref = np.linalg.eigvalsh(a.astype(float))[::-1]
+    assert np.max(np.abs(np.array(vals) - ref)) < 1e-9
+    ns = get_nontrivial(name)
+    assert ns.bipartite and ns.values == vals[1:-1]
+
+
+def test_paired_spectrum_keeps_zero_positive():
+    # a zero block: every singular value is an exact 0.0, and so is its pair
+    vals = eigenvalues_symmetric(np.zeros((4, 4), dtype=int),
+                                 ((0, 1), (2, 3))).values
+    assert vals == (0.0, 0.0, 0.0, 0.0)
+    assert all(math.copysign(1.0, v) == 1.0 for v in vals)
+
+
+def test_bad_bipartition_is_rejected():
+    k4 = np.ones((4, 4), dtype=int) - np.eye(4, dtype=int)
+    with pytest.raises(ValueError, match="inside a part"):
+        eigenvalues_symmetric(k4, ((0, 1), (2, 3)))
+    looped = np.array([[2, 1], [1, 2]])
+    with pytest.raises(ValueError, match="inside a part"):
+        eigenvalues_symmetric(looped, ((0,), (1,)))
+    path = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    for parts in (((0, 2), (1,)), ((0,), (1,)), ((0, 0), (1, 2))):
+        with pytest.raises(ValueError, match="two equal parts"):
+            eigenvalues_symmetric(path, parts)
+
+
 def test_trivial_eigenvalue_missing():
     fake = Spectrum((1.0, 0.5, 0.1))
     prof = GraphProfile(q=2, bipartite=False, connected=True)
     with pytest.raises(TrivialEigenvalueMissing):
         nontrivial_spectrum(fake, prof)
+    # a bipartite spectrum must end at -(q+1) as well
+    ends_high = Spectrum((3.0, 1.0, -1.0, -2.0))
+    with pytest.raises(TrivialEigenvalueMissing):
+        nontrivial_spectrum(ends_high, GraphProfile(q=2, bipartite=True, connected=True))
 
 
 def test_scaled_spectrum_petersen():

@@ -20,10 +20,12 @@ from iharazeta.zetaxi import (Factors, PoleHit, RationalFunction,
                               xi_from_zeta, xi_rational, zeta_inverse,
                               zeta_inverse_factors)
 
-from iharazeta.hk import hk_from_ck
+from iharazeta.hk import hk_from_ck, hk_spectral
+from iharazeta.spectral import scaled_spectrum
 
-from conftest import (ACCEPTANCE_FIXTURES, RAMANUJAN_FIXTURES, get_census,
-                      get_graph, get_nontrivial, get_profile, get_spectrum)
+from conftest import (ACCEPTANCE_FIXTURES, BIPARTITE_GRAPHS, RAMANUJAN_FIXTURES,
+                      get_census, get_graph, get_nontrivial, get_profile,
+                      get_spectrum)
 
 
 def iconv(*polys):
@@ -348,3 +350,48 @@ def test_log_series_zeta_check_rejects_off_by_one_census(shift):
         ok, _ = log_series_zeta_check(dataclasses.replace(census, nk=tuple(nk)),
                                       zf, 20)
         assert not ok, k + 1
+
+
+@pytest.mark.parametrize("name", BIPARTITE_GRAPHS)
+def test_bipartite_float_routes_are_exact_at_odd_k(name):
+    """Both float h_k routes give 2(n-2) at every odd k exactly, and Xi's
+    numerator, a product in w = u^2, has odd coefficients exactly 0."""
+    n, q, K = get_graph(name).n, get_profile(name).q, 200
+    ns = get_nontrivial(name)
+    xi = xi_rational(ns, q)
+    spectral = hk_spectral(scaled_spectrum(ns), K, q, n, True).values
+    series = hk_series(xi, q, K)
+    assert all(spectral[0::2] == float(2 * (n - 2)))
+    assert all(series[0::2] == float(2 * (n - 2)))
+    numerator = expand_factors(xi.num)
+    assert len(numerator) == 2 * (n - 2) + 1
+    assert all(numerator[1::2] == 0.0)
+
+
+@pytest.mark.parametrize("name", ["prism:20", "hypercube:7", "circulant:200:1,5,17"])
+def test_bipartite_float_routes_track_the_census_to_k200(name):
+    # the unpaired routes cancelled +/-lam in T_k at odd k and strayed by
+    # O(1) here; the paired ones stay within a few 1e-13
+    n, q, K = get_graph(name).n, get_profile(name).q, 200
+    ns = get_nontrivial(name)
+    exact = hk_from_ck(get_census(name, K), q, n, True, K).values
+    scale = np.maximum(1.0, np.abs(exact))
+    for route in (hk_spectral(scaled_spectrum(ns), K, q, n, True).values,
+                  hk_series(xi_rational(ns, q), q, K)):
+        assert np.max(np.abs(route - exact) / scale) < 1e-11
+
+
+def test_w_rows_evaluate_and_scale_in_u_squared():
+    # 1 + 2w + w^2 = (1 + u^2)^2, over (1 - u)
+    rf = RationalFunction(Factors.from_rows((1.0, 2.0, 1.0, 1), in_w=True),
+                          Factors.from_rows((1.0, -1.0, 0.0, 1)))
+    u = np.array([0.3, -0.5])
+    log2, sign = rf.log2_sign(u)
+    assert np.allclose(sign * np.exp2(log2), (1 + u * u) ** 2 / (1 - u))
+    scaled = rf.scale_input(0.5)
+    log2, sign = scaled.log2_sign(u)
+    assert np.allclose(sign * np.exp2(log2), (1 + u * u / 4) ** 2 / (1 - u / 2))
+    assert expand_factors(rf.num).tolist() == [1.0, 0.0, 2.0, 0.0, 1.0]
+    # d/du ln (1 + u^2)^2 = 4u - 4u^3 + 4u^5 - ...; the denominator adds
+    # -d/du ln(1 - u) = 1 + u + u^2 + ...
+    assert log_series(rf, 7).tolist() == [1.0, 5.0, 1.0, -3.0, 1.0, 5.0, 1.0]
