@@ -3,10 +3,12 @@
 
 The ladder spans seven generator families, from petersen to n = 200.  For
 each horizon and graph the table gives the exit code (0 Ramanujan, 1
-refuted, 2 bad input, 3 internal fault), the check's wall time in seconds
-and the first line the command wrote to stderr, past the note that every
---k above 100 prints.  Each check runs in this process through
-iharazeta.cli.main; its JSON on stdout is dropped.
+refuted, 2 bad input, 3 internal fault), the spectral verdict (whether every
+nontrivial |lam| <= 2 sqrt(q)), the h_k verdict's witness (the first k with
+h_k < 0, or None), the check's wall time in seconds and the first line the
+command wrote to stderr, past the note that every --k above 100 prints.
+Both verdicts read "-" when the check wrote no report.  Each check runs in
+this process through iharazeta.cli.main.
 
 Usage: python scripts/check_ladder.py [--k 50 150 200]
 """
@@ -14,6 +16,7 @@ Usage: python scripts/check_ladder.py [--k 50 150 200]
 import argparse
 import contextlib
 import io
+import json
 import sys
 import time
 from pathlib import Path
@@ -34,15 +37,20 @@ LADDER = (
 )
 
 
-def check(spec: str, k: int) -> tuple[int, str]:
-    """Exit code and first stderr line (other than the cost note) of
-    `ihara check spec --k k --no-timings`."""
+def check(spec: str, k: int) -> tuple[int, str, str, str]:
+    """Exit code, spectral verdict, h_k witness and first stderr line (other
+    than the cost note) of `ihara check spec --k k --no-timings`."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = ihara(["check", spec, "--k", str(k), "--no-timings"])
+    spectral = witness = "-"
+    if out.getvalue():
+        verdicts = json.loads(out.getvalue())["verdicts"]
+        spectral = str(verdicts["spectral"]["is_ramanujan"])
+        witness = str(verdicts["hk"]["witness"])
     lines = [line for line in err.getvalue().splitlines()
              if not line.startswith("note: ")]
-    return code, lines[0] if lines else ""
+    return code, spectral, witness, lines[0] if lines else ""
 
 
 def main() -> None:
@@ -50,13 +58,15 @@ def main() -> None:
     parser.add_argument("--k", type=int, nargs="+", default=[50, 150, 200])
     args = parser.parse_args()
 
-    print(f"{'K':>4} {'graph':<22} {'exit':>4} {'wall_s':>7}  stderr")
+    print(f"{'K':>4} {'graph':<22} {'exit':>4} {'spectral':>8} {'witness':>7} "
+          f"{'wall_s':>7}  stderr")
     for k in args.k:
         for spec in LADDER:
             t0 = time.perf_counter()
-            code, line = check(spec, k)
+            code, spectral, witness, line = check(spec, k)
             wall = time.perf_counter() - t0
-            print(f"{k:>4} {spec:<22} {code:>4} {wall:>7.3f}  {line}")
+            print(f"{k:>4} {spec:<22} {code:>4} {spectral:>8} {witness:>7} "
+                  f"{wall:>7.3f}  {line}")
 
 
 if __name__ == "__main__":

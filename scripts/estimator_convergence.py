@@ -33,7 +33,7 @@ def main() -> None:
     prof = profile(g)
     spectrum = eigenvalues_symmetric(adjacency_matrix(g), prof.bipartition)
     ns = nontrivial_spectrum(spectrum, prof)
-    seq = hk_spectral(scaled_spectrum(ns), args.k, prof.q, g.n, prof.bipartite)
+    seq = hk_spectral(scaled_spectrum(ns), args.k, prof.q, prof.bipartite)
 
     target = (2 * math.cos(2 * math.pi / args.ring) + 1) / math.sqrt(prof.q)
     print(f"prism({args.ring}): n={g.n}, target q^-1/2 max|lam| = {target:.10f}")

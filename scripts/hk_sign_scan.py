@@ -4,7 +4,8 @@
 A prism (circular ladder) on an even ring is 3-regular and bipartite; its
 largest nontrivial eigenvalue 2cos(pi/m) + 1 crosses the 2*sqrt(2) threshold
 as the ring grows, so the family walks from Ramanujan to non-Ramanujan and
-the sign scan shows exactly where the coefficient criterion notices.
+the sign scan shows exactly where the coefficient criterion notices.  Each
+sign is decided exactly from the census (ramanujan_hk).
 
 Usage: python scripts/hk_sign_scan.py [--max-ring 30] [--k 80]
 """
@@ -17,10 +18,9 @@ from pathlib import Path
 # the checkout's own sources come first, so the script runs without PYTHONPATH
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from iharazeta.analysis import ramanujan_spectral  # noqa: E402
+from iharazeta.analysis import ramanujan_hk, ramanujan_spectral  # noqa: E402
 from iharazeta.census import build_census  # noqa: E402
 from iharazeta.graphs import adjacency_matrix, generate, profile  # noqa: E402
-from iharazeta.hk import hk_from_ck  # noqa: E402
 from iharazeta.spectral import eigenvalues_symmetric, nontrivial_spectrum  # noqa: E402
 
 
@@ -39,8 +39,7 @@ def main() -> None:
         ns = nontrivial_spectrum(spectrum, prof)
         verdict = ramanujan_spectral(ns, prof.q)
         census = build_census(g, prof.q, args.k)
-        seq = hk_from_ck(census, prof.q, g.n, prof.bipartite, args.k)
-        witness = next((k for k in range(1, args.k + 1) if seq.h(k) < -1e-8), None)
+        witness = ramanujan_hk(census.nk, prof.q, g.n, prof.bipartite).witness
         print(f"{m:>5} {g.n:>4} {verdict.max_nontrivial_abs:>10.6f} "
               f"{2 * math.sqrt(prof.q):>9.6f} {str(verdict.is_ramanujan):>10} "
               f"{str(witness):>12}")

@@ -14,7 +14,7 @@ from .census import (CycleCensus, build_census, closed_walk_counts,
 from .graphs import (GraphProfile, Multigraph, OrientedEdge, adjacency_matrix,
                      build_graph, generate, parse_generator, profile,
                      read_edge_list, write_edge_list)
-from .hk import HkSequence, chebyshev_T, hk_from_ck, hk_nonneg, hk_spectral
+from .hk import HkSequence, chebyshev_T, hk_excess, hk_from_ck, hk_spectral
 from .report import analyze, report_to_json
 from .spectral import (NontrivialSpectrum, Spectrum, eigenvalues_symmetric,
                        nontrivial_spectrum, scaled_spectrum)

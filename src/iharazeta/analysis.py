@@ -13,15 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-import numpy as np
-
-from .hk import HkSequence
+from .hk import HkSequence, hk_base, hk_excess
 from .spectral import NontrivialSpectrum
 
-ROUTE_SPECTRAL_DEFINITION = "spectral_definition"
-ROUTE_HK_CRITERION = "hk_criterion"
 # slack of the spectral comparison, in units of sqrt(q)
 SPECTRAL_SLACK = 1e-8
 
@@ -44,14 +40,12 @@ class EstimatorSignMismatch(RuntimeError):
 class RamanujanVerdict:
     is_ramanujan: bool
     threshold: float
-    route: str
     max_nontrivial_abs: float | None = None
     witness: float | int | None = None
     horizon: int | None = None
 
 
-@dataclass(frozen=True)
-class HasseWeilRecord:
+class HasseWeilRecord(NamedTuple):
     k: int
     lhs: int
     rhs: float
@@ -91,27 +85,20 @@ def ramanujan_spectral(ns: NontrivialSpectrum, q: int) -> RamanujanVerdict:
     worst = max(ns.values, key=abs) if ns.values else 0.0
     ok = abs(worst) <= threshold + SPECTRAL_SLACK * math.sqrt(q)
     return RamanujanVerdict(is_ramanujan=ok, threshold=threshold,
-                            route=ROUTE_SPECTRAL_DEFINITION,
                             max_nontrivial_abs=abs(worst),
                             witness=None if ok else float(worst))
 
 
-def ramanujan_hk(seq: HkSequence) -> RamanujanVerdict:
-    """Sign scan of h_1..h_K: one genuinely negative coefficient refutes;
-    an all-nonnegative scan is consistency up to the horizon, never a full
-    certificate.  Negativity is judged against 1e-8 times the running max
-    magnitude so exact zeros pass."""
-    threshold = 2.0 * math.sqrt(seq.q)
-    running = 1.0
-    for k in range(1, seq.horizon + 1):
-        h = seq.h(k)
-        running = max(running, abs(h))
-        if h < -1e-8 * running:
-            return RamanujanVerdict(is_ramanujan=False, threshold=threshold,
-                                    route=ROUTE_HK_CRITERION, witness=k,
-                                    horizon=seq.horizon)
-    return RamanujanVerdict(is_ramanujan=True, threshold=threshold,
-                            route=ROUTE_HK_CRITERION, horizon=seq.horizon)
+def ramanujan_hk(nk: Sequence[int], q: int, n: int,
+                 bipartite: bool) -> RamanujanVerdict:
+    """Exact sign scan of h_1..h_K, K = len(nk) (hk_excess): the first
+    negative h_k refutes; a clean scan is consistency up to K, never a
+    certificate."""
+    witness = next((k for k, (_, side) in hk_excess(nk, q, n, bipartite).items()
+                    if side < 0), None)
+    return RamanujanVerdict(is_ramanujan=witness is None,
+                            threshold=2.0 * math.sqrt(q), witness=witness,
+                            horizon=len(nk))
 
 
 def _bound_for_size(size: int, k: int) -> float:
@@ -151,41 +138,31 @@ def hasse_weil_check(nk: Sequence[int], q: int, n: int,
                      bipartite: bool) -> HasseWeilReport:
     """Two-sided bounds on N_1..N_K, K = len(nk).
 
-    Nonbipartite: |N_k - q^k - 1| <= 2(n-1) q^(k/2) for odd k, with the main
-    term shifted by n(q-1) for even k.  Bipartite: even k only,
-    |N_k - n(q-1) - 2q^k - 2| <= 2(n-2) q^(k/2).  The comparison is exact in
-    integers (odd k squares both sides); rhs is reported as a float.
+    Nonbipartite: |N_k - q^k - 1| <= 2(n-1) q^(k/2), with the main term
+    shifted by n(q-1) for even k.  Bipartite: even k only,
+    |N_k - n(q-1) - 2q^k - 2| <= 2(n-2) q^(k/2).  The left side is |a_k|,
+    and the bound is 0 <= h_k <= 2 base, both from hk_excess in integers;
+    rhs is reported as a float.
     """
-    m = n - 2 if bipartite else n - 1
-    records = []
-    for k in range(1, len(nk) + 1):
-        if bipartite and k % 2 == 1:
-            continue
-        lhs = abs(int(nk[k - 1]) - (2 if bipartite else 1) * (q ** k + 1)
-                  - (n * (q - 1) if k % 2 == 0 else 0))
-        if k % 2 == 0:
-            rhs = 2.0 * m * float(q ** (k // 2))
-            satisfied = lhs <= 2 * m * q ** (k // 2)
-        else:
-            rhs = 2.0 * m * q ** ((k - 1) // 2) * math.sqrt(q)
-            satisfied = lhs * lhs <= 4 * m * m * q ** k
-        records.append(HasseWeilRecord(k=k, lhs=lhs, rhs=rhs,
-                                       satisfied=satisfied))
+    base = hk_base(n, bipartite)
+    records = tuple(
+        HasseWeilRecord(k=k, lhs=abs(a), rhs=float(base) * float(q ** (k // 2))
+                        * (math.sqrt(q) if k % 2 else 1.0), satisfied=side == 0)
+        for k, (a, side) in hk_excess(nk, q, n, bipartite).items())
     return HasseWeilReport(branch="bipartite" if bipartite else "nonbipartite",
-                           records=tuple(records))
+                           records=records)
 
 
 def hk_upper_bound(n: int, bipartite: bool) -> int:
-    """Upper bound on every h_k of a Ramanujan graph: 4(n-1), or 4(n-2)
+    """The cap 2 base on every h_k of a Ramanujan graph: 4(n-1), or 4(n-2)
     when bipartite."""
-    return 4 * (n - 2) if bipartite else 4 * (n - 1)
+    return 2 * hk_base(n, bipartite)
 
 
-def hk_upper_check(seq: HkSequence) -> bool:
-    """Every h_k of seq within hk_upper_bound of its graph, up to 1e-9
-    relative."""
-    bound = hk_upper_bound(seq.n, seq.bipartite)
-    return bool(np.all(seq.values <= bound * (1.0 + 1e-9)))
+def hk_upper_check(nk: Sequence[int], q: int, n: int, bipartite: bool) -> bool:
+    """Every h_k up to K = len(nk) within hk_upper_bound, read exactly from
+    the census N_1..N_K (hk_excess)."""
+    return all(side <= 0 for _, side in hk_excess(nk, q, n, bipartite).values())
 
 
 def estimate_max_eigenvalue(seq: HkSequence) -> EigenvalueEstimate:

@@ -84,7 +84,7 @@ def cmd_series(args: argparse.Namespace) -> int:
             ns = nontrivial_spectrum(eigenvalues_symmetric(
                 adjacency_matrix(g), prof.bipartition), prof)
         if "spectral" in want:
-            routes["spectral"] = list(hk_spectral(scaled_spectrum(ns), K, q, n,
+            routes["spectral"] = list(hk_spectral(scaled_spectrum(ns), K, q,
                                                   prof.bipartite).values)
         if "ck" in want:
             census = build_census(g, q, K)
@@ -165,7 +165,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_estimate(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     prof, _, ns = _pipeline_pieces(g)
-    seq = hk_spectral(scaled_spectrum(ns), args.k, prof.q, g.n, prof.bipartite)
+    seq = hk_spectral(scaled_spectrum(ns), args.k, prof.q, prof.bipartite)
     payload = estimator_block(seq)
     payload.update({"schema": SCHEMA_VERSION, "source": args.input,
                     "k_horizon": args.k})

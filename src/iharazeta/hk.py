@@ -10,12 +10,11 @@ the rescaled xi function) admits two closed-form routes implemented here:
   * spectral -- from the scaled nontrivial spectrum via T_k sums,
   * from_ck  -- from exact closed-walk counts C_k via alternating binomial
     sums S_k, all K of them by two integer recurrences, one per parity of k
-    (ck_alternating_sums), in integers up to the final division.
-    The census takes those sums to get N_k, and from_ck reads S_k back from
-    its N_k.
-A third, generic power-series route lives in zetaxi.log_series.  (A separate
-route from the geodesic-cycle counts N_k would repeat from_ck, which already
-reads its sums from them.)
+    (ck_alternating_sums), in integers up to the final division.  The census
+    takes those sums to get N_k, and hk_excess reads them back from N_k.
+A third, generic power-series route lives in zetaxi.log_series.  The sign of
+h_k, and where it lies against the cap and the Hasse-Weil bound, is decided
+from the same integers, with no float (hk_excess).
 """
 
 from __future__ import annotations
@@ -95,14 +94,12 @@ def chebyshev_T_table(K: int, xs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HkSequence:
-    """h_1..h_K with the route that produced it and the graph metadata the
-    downstream checks need."""
+    """h_1..h_K with the route that produced it and the q the estimator
+    scales by."""
 
     values: np.ndarray = field(repr=False)
     route: str
     q: int
-    n: int
-    bipartite: bool
 
     @property
     def horizon(self) -> int:
@@ -113,7 +110,7 @@ class HkSequence:
         return float(self.values[k - 1])
 
 
-def hk_spectral(scaled: np.ndarray, K: int, q: int, n: int,
+def hk_spectral(scaled: np.ndarray, K: int, q: int,
                 bipartite: bool) -> HkSequence:
     """h_k = 2|Spec*| - sum of T_k over the scaled nontrivial spectrum.
 
@@ -131,8 +128,7 @@ def hk_spectral(scaled: np.ndarray, K: int, q: int, n: int,
         values[1::2] -= 2.0 * chebyshev_T_table(K // 2, half * half - 2.0).sum(axis=1)
     else:
         values = 2.0 * m - chebyshev_T_table(K, scaled).sum(axis=1)
-    return HkSequence(values=values, route=ROUTE_SPECTRAL, q=q, n=n,
-                      bipartite=bipartite)
+    return HkSequence(values=values, route=ROUTE_SPECTRAL, q=q)
 
 
 def ck_alternating_sums(c: Sequence[int], q: int, K: int) -> list[int]:
@@ -170,45 +166,52 @@ def ck_alternating_sums(c: Sequence[int], q: int, K: int) -> list[int]:
     return sums[1:]
 
 
+def hk_base(n: int, bipartite: bool) -> int:
+    """base = 2(n-1), or 2(n-2) for a bipartite graph, whose odd h_k are
+    exactly base."""
+    return 2 * (n - 2) if bipartite else 2 * (n - 1)
+
+
+def hk_excess(nk: Sequence[int], q: int, n: int,
+              bipartite: bool) -> dict[int, tuple[int, int]]:
+    """(a_k, side) by k, for every k <= len(nk) whose h_k depends on the
+    counts: h_k = base + a_k / q^(k/2), a_k = mult (q^k + 1) - S_k.
+
+    S_k = N_k - n(q-1)[k even] is the alternating sum of C_0..C_k, and mult
+    is 1, or 2 for a bipartite graph, whose odd k are skipped.  side says
+    where h_k lies, by the one integer comparison a_k^2 > base^2 q^k: -1
+    below 0, 1 above 2 base = analysis.hk_upper_bound, and 0 in [0, 2 base],
+    which is the Hasse-Weil bound at k.
+    """
+    base2 = hk_base(n, bipartite) ** 2
+    mult = step = 2 if bipartite else 1
+    shift = n * (q - 1)
+    excess = {}
+    for k in range(step, len(nk) + 1, step):
+        qk = q ** k
+        a = mult * (qk + 1) - int(nk[k - 1]) + (0 if k % 2 else shift)
+        excess[k] = (a, 0 if a * a <= base2 * qk else -1 if a < 0 else 1)
+    return excess
+
+
 def hk_from_ck(census: CycleCensus, q: int, n: int, bipartite: bool,
                K: int) -> HkSequence:
-    """h_k from an exact census to horizon at least K.
-
-    S_k is the alternating sum of C_0..C_k (ck_alternating_sums).  The
-    census already took it for N_k = S_k + n(q-1)[k even] (census.nk_from_ck),
-    so S_k is read back from N_k, exactly.  With Q = q^(k/2), nonbipartite
-    graphs have h_k = 2(n-1) + Q + 1/Q - S_k/Q.  Bipartite graphs have
-    h_k = 2(n-2) for odd k (no count dependence at all) and
-    2(n-2) + 2Q + 2/Q - S_k/Q for even k.  The terms cancel to O(n), so
-    they are never added in float.  Even k forms the integer numerator over
-    the integer Q and divides once, which rounds correctly.  Odd k divides
-    the integer q^k + 1 - S_k by q^((k-1)/2), then by sqrt(q), and adds
-    2(n-1): an error of a few ulps of max(|h_k|, 4n).
-    """
+    """h_k = base + a_k / q^(k/2) from an exact census to horizon at least K
+    (hk_excess).  The terms cancel to O(n), so they are never added in
+    float: even k divides the integer base q^(k/2) + a_k by q^(k/2) once,
+    which rounds correctly; odd k divides a_k by q^((k-1)/2), then by
+    sqrt(q), and adds base: a few ulps of max(|h_k|, 4n)."""
     if K > census.horizon:
         raise ValueError(f"census horizon {census.horizon} < requested K={K}")
-    base, mult = (2 * (n - 2), 2) if bipartite else (2 * (n - 1), 1)
-    values = np.empty(K)
-    for k, nk in enumerate(census.nk[:K], start=1):
-        if bipartite and k % 2 == 1:
-            values[k - 1] = base
-            continue
-        s = nk - (n * (q - 1) if k % 2 == 0 else 0)
+    base = hk_base(n, bipartite)
+    values = np.full(K, float(base))
+    for k, (a, _) in hk_excess(census.nk[:K], q, n, bipartite).items():
         half = q ** (k // 2)
         if k % 2 == 0:
-            values[k - 1] = (base * half + mult * (half * half + 1) - s) / half
+            values[k - 1] = (base * half + a) / half
         else:
-            values[k - 1] = base + (q ** k + 1 - s) / half / math.sqrt(q)
-    return HkSequence(values=values, route=ROUTE_FROM_CK, q=q, n=n,
-                      bipartite=bipartite)
-
-
-def hk_nonneg(seq: HkSequence) -> list[tuple[int, float, bool]]:
-    """Per-k nonnegativity verdicts: h_k counts as nonnegative when it is
-    >= -1e-8 * max(1, ||h||_inf), so exact zeros pass."""
-    scale = max(1.0, float(np.max(np.abs(seq.values))) if seq.horizon else 1.0)
-    return [(k, float(seq.values[k - 1]), bool(seq.values[k - 1] >= -1e-8 * scale))
-            for k in range(1, seq.horizon + 1)]
+            values[k - 1] = base + a / half / math.sqrt(q)
+    return HkSequence(values=values, route=ROUTE_FROM_CK, q=q)
 
 
 def max_route_deviation(seqs: Sequence[HkSequence]) -> float:

@@ -3,7 +3,8 @@
 One call runs: profile -> spectrum -> exact census -> zeta/xi -> the three
 h_k routes (spectral, from_ck, series) -> every certification check ->
 estimator, and returns a plain dict shaped like the emitted JSON.  The h_k
-verdict and the checks that need exact values read the from_ck route.
+verdict and the checks that need exact values read the signs of h_k from the
+census N_k in integers (hk.hk_excess).
 N_1..N_20 are checked exactly against the operator traces and within an
 a-priori budget against the Z(u)^-1 log-series.  Disagreements beyond
 tolerance or budget raise InternalConsistencyError: they indicate a bug,
@@ -26,7 +27,7 @@ from .analysis import (DomainError, EstimatorNotApplicable,
                        hk_upper_check, ramanujan_hk, ramanujan_spectral)
 from .census import build_census, geodesic_cycles_operator
 from .graphs import Multigraph, adjacency_matrix, profile
-from .hk import (ROUTE_FROM_CK, ROUTE_SERIES, ROUTE_SPECTRAL, HkSequence,
+from .hk import (ROUTE_SERIES, ROUTE_SPECTRAL, HkSequence, hk_excess,
                  hk_from_ck, hk_spectral, max_route_deviation)
 from .spectral import (Spectrum, eigenvalues_symmetric, nontrivial_spectrum,
                        scaled_spectrum)
@@ -152,10 +153,9 @@ def analyze(g: Multigraph, source: str, K: int,
     timings["zeta_xi"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    series = HkSequence(values=hk_series(xi, q, K), route=ROUTE_SERIES, q=q,
-                        n=n, bipartite=prof.bipartite)
+    series = HkSequence(values=hk_series(xi, q, K), route=ROUTE_SERIES, q=q)
     seqs = {seq.route: seq for seq in (
-        hk_spectral(scaled, K, q, n, prof.bipartite),
+        hk_spectral(scaled, K, q, prof.bipartite),
         hk_from_ck(census, q, n, prof.bipartite, K),
         series)}
     route_dev = max_route_deviation(list(seqs.values()))
@@ -166,13 +166,12 @@ def analyze(g: Multigraph, source: str, K: int,
 
     t0 = time.perf_counter()
     verdict_spec = ramanujan_spectral(ns, q)
-    exact_seq = seqs[ROUTE_FROM_CK]
-    verdict_hk = ramanujan_hk(exact_seq)
+    verdict_hk = ramanujan_hk(census.nk, q, n, prof.bipartite)
     hw = hasse_weil_check(census.nk, q, n, prof.bipartite)
     bounds = []
     max_abs = ns.max_abs()
-    for k in range(2, K + 1, 2):
-        if exact_seq.h(k) < 0:
+    for k, (_, side) in hk_excess(census.nk, q, n, prof.bipartite).items():
+        if k % 2 or side < 0:
             continue
         try:
             bound = even_k_bound(k, n, q, prof.bipartite)
@@ -183,7 +182,8 @@ def analyze(g: Multigraph, source: str, K: int,
             "bound": bound,
             "satisfied": bool(max_abs <= bound + 1e-9),
         })
-    upper_ok = hk_upper_check(exact_seq) if verdict_spec.is_ramanujan else None
+    upper_ok = (hk_upper_check(census.nk, q, n, prof.bipartite)
+                if verdict_spec.is_ramanujan else None)
     timings["checks"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

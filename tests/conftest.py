@@ -108,9 +108,9 @@ def get_hk_routes(name: str, K: int) -> MappingProxyType:
     census = get_census(name, K)
     scaled = scaled_spectrum(get_nontrivial(name))
     series = HkSequence(values=hk_series(xi_rational(get_nontrivial(name), q), q, K),
-                        route="series", q=q, n=n, bipartite=prof.bipartite)
+                        route="series", q=q)
     return MappingProxyType({seq.route: seq for seq in (
-        hk_spectral(scaled, K, q, n, prof.bipartite),
+        hk_spectral(scaled, K, q, prof.bipartite),
         hk_from_ck(census, q, n, prof.bipartite, K),
         series,
     )})

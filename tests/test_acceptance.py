@@ -50,10 +50,10 @@ def test_criterion_01_route_agreement_under_30s():
         ns = nontrivial_spectrum(spectrum, prof)
         census = build_census(g, q, 40)
         seqs = [
-            hk_spectral(scaled_spectrum(ns), 40, q, n, prof.bipartite),
+            hk_spectral(scaled_spectrum(ns), 40, q, prof.bipartite),
             hk_from_ck(census, q, n, prof.bipartite, 40),
             HkSequence(values=hk_series(xi_rational(ns, q), q, 40),
-                       route="series", q=q, n=n, bipartite=prof.bipartite),
+                       route="series", q=q),
         ]
         worst = max(worst, max_route_deviation(seqs))
     elapsed = time.perf_counter() - t0

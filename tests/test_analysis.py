@@ -12,7 +12,8 @@ from iharazeta.analysis import (DomainError, EstimatorNotApplicable,
                                 even_k_bound, hasse_weil_check, hk_upper_bound,
                                 hk_upper_check, multiset_bound, ramanujan_hk,
                                 ramanujan_spectral)
-from iharazeta.hk import HkSequence, chebyshev_T
+from iharazeta.census import CycleCensus
+from iharazeta.hk import HkSequence, chebyshev_T, hk_from_ck
 from iharazeta.spectral import scaled_spectrum
 
 from conftest import (ACCEPTANCE_FIXTURES, NON_RAMANUJAN_FIXTURES,
@@ -20,9 +21,36 @@ from conftest import (ACCEPTANCE_FIXTURES, NON_RAMANUJAN_FIXTURES,
                       get_hk_routes, get_nontrivial, get_profile)
 
 
-def _seq(values, q=2, n=10, bipartite=False):
+def _seq(values, q=2):
     return HkSequence(values=np.asarray(values, dtype=float), route="spectral",
-                      q=q, n=n, bipartite=bipartite)
+                      q=q)
+
+
+def _hk_verdict(name, K):
+    prof = get_profile(name)
+    return ramanujan_hk(get_census(name, K).nk, prof.q, get_graph(name).n,
+                        prof.bipartite)
+
+
+def _hk_upper(name, K):
+    prof = get_profile(name)
+    return hk_upper_check(get_census(name, K).nk, prof.q, get_graph(name).n,
+                          prof.bipartite)
+
+
+def _synthetic_nk(n, q, K, bipartite, k, a):
+    """N_1..N_K whose a_j (hk_excess) is 0, so h_j = base, at every j but k,
+    where a_k = a."""
+    mult = 2 if bipartite else 1
+    nk = [mult * (q ** j + 1) + (n * (q - 1) if j % 2 == 0 else 0)
+          for j in range(1, K + 1)]
+    nk[k - 1] -= a
+    return nk
+
+
+def _h(nk, q, n, bipartite, k):
+    census = CycleCensus(c=(), nk=tuple(nk), horizon=len(nk))
+    return hk_from_ck(census, q, n, bipartite, len(nk)).h(k)
 
 
 # ---------------------------------------------------------------------------
@@ -52,18 +80,18 @@ def test_spectral_verdict_prism24():
 # h_k verdict
 
 def test_hk_verdict_petersen():
-    v = ramanujan_hk(get_hk_routes("petersen", 40)["from_ck"])
+    v = _hk_verdict("petersen", 40)
     assert v.is_ramanujan and v.horizon == 40 and v.witness is None
 
 
 def test_hk_verdict_prism24_refutes_with_even_witness():
-    v = ramanujan_hk(get_hk_routes("prism24", 40)["from_ck"])
+    v = _hk_verdict("prism24", 40)
     assert not v.is_ramanujan
     assert v.witness is not None and v.witness % 2 == 0
 
 
 def test_hk_verdict_kmm3_boundary_zero():
-    v = ramanujan_hk(get_hk_routes("kmm3", 40)["from_ck"])
+    v = _hk_verdict("kmm3", 40)
     assert v.is_ramanujan
 
 
@@ -71,15 +99,41 @@ def test_hk_verdict_kmm3_boundary_zero():
 def test_verdicts_never_disagree_ramanujan(name):
     # spectral certification implies no negative h_k to K = 100
     assert ramanujan_spectral(get_nontrivial(name), get_profile(name).q).is_ramanujan
-    seq = get_hk_routes(name, 100)["spectral"]
-    assert ramanujan_hk(seq).is_ramanujan
+    assert _hk_verdict(name, 100).is_ramanujan
 
 
 @pytest.mark.parametrize("name", NON_RAMANUJAN_FIXTURES)
 def test_verdicts_never_disagree_non_ramanujan(name):
     assert not ramanujan_spectral(get_nontrivial(name), get_profile(name).q).is_ramanujan
-    v = ramanujan_hk(get_hk_routes(name, 100)["spectral"])
+    v = _hk_verdict(name, 100)
     assert not v.is_ramanujan and v.witness <= 60
+
+
+def test_hk_verdict_is_exact_at_zero_even_k():
+    # n=10, q=2: h_60 = 0 passes; one more count gives h_60 = -2^-30, which
+    # refutes, where a tolerance of 1e-8 * max|h| would still have passed it
+    n, q, K, base = 10, 2, 60, 18
+    nk = _synthetic_nk(n, q, K, False, 60, -base * q ** 30)
+    assert _h(nk, q, n, False, 60) == 0.0
+    assert ramanujan_hk(nk, q, n, False).is_ramanujan
+    nk[59] += 1
+    assert _h(nk, q, n, False, 60) == -2.0 ** -30
+    v = ramanujan_hk(nk, q, n, False)
+    assert not v.is_ramanujan and v.witness == 60 and v.horizon == 60
+
+
+def test_hk_verdict_is_exact_at_zero_odd_k():
+    # n=10, q=4: h_61 = 18 + a_61 / (4^30 * 2) = 0 at a_61 = -36 * 4^30; one
+    # count past it, h_61 = -2^-61 rounds to 0.0 in float, and the integers
+    # still refute
+    n, q, K, base = 10, 4, 61, 18
+    nk = _synthetic_nk(n, q, K, False, 61, -2 * base * q ** 30)
+    assert _h(nk, q, n, False, 61) == 0.0
+    assert ramanujan_hk(nk, q, n, False).is_ramanujan
+    nk[60] += 1
+    assert _h(nk, q, n, False, 61) == 0.0
+    v = ramanujan_hk(nk, q, n, False)
+    assert not v.is_ramanujan and v.witness == 61
 
 
 # ---------------------------------------------------------------------------
@@ -201,22 +255,37 @@ def test_hasse_weil_violated_on_prism24():
 # upper bound on h_k
 
 def test_hk_upper_petersen():
-    seq = get_hk_routes("petersen", 100)["spectral"]
     assert hk_upper_bound(10, False) == 36
-    assert hk_upper_check(seq)
+    assert _hk_upper("petersen", 100)
 
 
 def test_hk_upper_kmm3_attained():
     seq = get_hk_routes("kmm3", 100)["spectral"]
     assert hk_upper_bound(6, True) == 16
-    assert hk_upper_check(seq)
+    assert _hk_upper("kmm3", 100)
     assert seq.h(2) == pytest.approx(16.0, abs=1e-10)
 
 
 def test_hk_upper_cycle5():
     seq = get_hk_routes("cycle5", 100)["spectral"]
-    assert hk_upper_check(seq)
+    assert _hk_upper("cycle5", 100)
     assert float(np.max(seq.values)) <= 16 + 1e-9
+
+
+def test_hk_upper_is_exact_at_the_cap():
+    # n=10, q=2: h_60 = 2 base = 36 passes; one count fewer gives
+    # h_60 = 36 + 2^-30, which fails, where a relative slack of 1e-9 would
+    # still have passed it
+    n, q, K, base = 10, 2, 60, 18
+    nk = _synthetic_nk(n, q, K, False, 60, base * q ** 30)
+    assert _h(nk, q, n, False, 60) == 36.0
+    assert hk_upper_check(nk, q, n, False)
+    assert hasse_weil_check(nk, q, n, False).all_satisfied
+    nk[59] -= 1
+    assert _h(nk, q, n, False, 60) == 36.0 + 2.0 ** -30
+    assert not hk_upper_check(nk, q, n, False)
+    assert hasse_weil_check(nk, q, n, False).first_violation == 60
+    assert ramanujan_hk(nk, q, n, False).is_ramanujan
 
 
 @pytest.mark.parametrize("name", RAMANUJAN_FIXTURES)

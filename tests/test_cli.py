@@ -247,6 +247,26 @@ def test_check_on_bipartite_graphs_reaches_a_verdict(capsys, spec, k):
     assert code in (0, 1), err
 
 
+@pytest.mark.parametrize("k", [50, 150, 200])
+def test_check_doubled_12_cycle_at_equality(tmp_path, capsys, k):
+    # every edge of the 12-cycle doubled: bipartite, q = 3, and a nontrivial
+    # eigenvalue 4 cos(pi/6) of exactly 2 sqrt(q)
+    path = tmp_path / "doubled12.edges"
+    path.write_text("n 12\n" + "".join(f"{i} {(i + 1) % 12}\n" * 2
+                                        for i in range(12)))
+    code, out, err = run(capsys, "check", str(path), "--k", str(k),
+                         "--require-ramanujan", "--no-timings")
+    assert code == 0, err
+    payload = json.loads(out)
+    verdicts = payload["verdicts"]
+    assert verdicts["spectral"]["is_ramanujan"]
+    assert verdicts["spectral"]["max_nontrivial_abs"] == pytest.approx(
+        2 * math.sqrt(3), abs=1e-10)
+    assert verdicts["hk"]["is_ramanujan"] and verdicts["hk"]["horizon"] == k
+    assert verdicts["hasse_weil"]["all_satisfied"]
+    assert verdicts["hk_upper"]["ok"] is True
+
+
 def _reject_constant(token):
     raise AssertionError(f"invalid JSON token {token}")
 

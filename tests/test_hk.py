@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iharazeta.hk import (binomial_ext, chebyshev_T, chebyshev_T_binomial,
-                          chebyshev_T_even_form, ck_alternating_sums, hk_from_ck, hk_nonneg, hk_spectral, max_route_deviation,
+                          chebyshev_T_even_form, ck_alternating_sums, hk_excess, hk_from_ck, hk_spectral, max_route_deviation,
                           tk_weight)
 from iharazeta.census import build_census
 from iharazeta.graphs import adjacency_matrix, parse_generator, profile
@@ -99,13 +99,13 @@ def _scaled(name):
 
 
 def test_hk_spectral_petersen():
-    seq = hk_spectral(_scaled("petersen"), 4, 2, 10, False)
+    seq = hk_spectral(_scaled("petersen"), 4, 2, False)
     assert seq.h(1) == pytest.approx(18 + 3 / math.sqrt(2), rel=1e-12)
     assert seq.h(2) == pytest.approx(25.5, rel=1e-12)
 
 
 def test_hk_spectral_kmm3():
-    seq = hk_spectral(_scaled("kmm3"), 4, 2, 6, True)
+    seq = hk_spectral(_scaled("kmm3"), 4, 2, True)
     assert seq.h(2) == pytest.approx(16.0, abs=1e-12)
     assert seq.h(4) == pytest.approx(0.0, abs=1e-12)
 
@@ -213,7 +213,7 @@ def test_hk_from_ck_kmm3_h2():
 def test_hk_from_ck_k4_h3_matches_spectral():
     census = get_census("k4", 3)
     via_c = hk_from_ck(census, 2, 4, False, 3)
-    spectral = hk_spectral(_scaled("k4"), 3, 2, 4, False)
+    spectral = hk_spectral(_scaled("k4"), 3, 2, False)
     assert via_c.h(3) == pytest.approx(spectral.h(3), rel=1e-10)
     # hand value: 2(n-1) + q^1.5 + q^-1.5 - q^-1.5 * 24
     expected = 6 + 2 ** 1.5 + 2 ** -1.5 - 2 ** -1.5 * 24
@@ -236,7 +236,7 @@ def test_hk_from_ck_exact_under_cancellation(spec, k):
     ns = nontrivial_spectrum(
         eigenvalues_symmetric(adjacency_matrix(g), prof.bipartition), prof)
     exact = hk_from_ck(census, prof.q, g.n, prof.bipartite, k).h(k)
-    spectral = hk_spectral(scaled_spectrum(ns), k, prof.q, g.n, prof.bipartite).h(k)
+    spectral = hk_spectral(scaled_spectrum(ns), k, prof.q, prof.bipartite).h(k)
     assert exact == pytest.approx(spectral, rel=1e-9)
 
 
@@ -250,16 +250,20 @@ def test_bipartite_odd_constant_is_exact(name):
         assert seq.h(k) == float(2 * (g.n - 2))  # exact equality
 
 
-def test_hk_nonneg_picks_out_negatives():
-    verdicts = hk_nonneg(get_hk_routes("prism24", 40)["from_ck"])
-    assert any(not ok for _, _, ok in verdicts)
-    neg_ks = [k for k, _, ok in verdicts if not ok]
-    assert all(k % 2 == 0 for k in neg_ks)
+def test_hk_excess_picks_out_negatives():
+    # odd k of a bipartite graph is skipped: there h_k = 2(n-2) > 0
+    excess = hk_excess(get_census("prism24", 40).nk, 2, 48, True)
+    assert list(excess) == list(range(2, 41, 2))
+    neg_ks = [k for k, (_, side) in excess.items() if side < 0]
+    assert neg_ks
+    assert all(get_hk_routes("prism24", 40)["from_ck"].h(k) < 0 for k in neg_ks)
 
 
-def test_hk_nonneg_zero_passes():
-    verdicts = hk_nonneg(get_hk_routes("kmm3", 10)["spectral"])
-    assert all(ok for _, _, ok in verdicts)
+def test_hk_excess_zero_passes():
+    # K33's h_k = 8 - 8(-1)^(k/2) at even k: exact zeros at k = 4, 8
+    excess = hk_excess(get_census("kmm3", 10).nk, 2, 6, True)
+    assert all(side >= 0 for _, side in excess.values())
+    assert [k for k, (a, _) in excess.items() if a == -8 * 2 ** (k // 2)] == [4, 8]
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)

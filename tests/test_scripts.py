@@ -8,10 +8,26 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def test_hk_sign_scan_runs_without_pythonpath(tmp_path):
+def _run_script(tmp_path, *argv):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "hk_sign_scan.py"), "--max-ring", "6", "--k", "20"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1].split()[0] == "6"
+    return proc.stdout.splitlines()
+
+
+def test_hk_sign_scan_runs_without_pythonpath(tmp_path):
+    assert _run_script(tmp_path, "hk_sign_scan.py", "--max-ring", "6",
+                       "--k", "20")[-1].split()[0] == "6"
+
+
+def test_check_ladder_runs_without_pythonpath(tmp_path):
+    header, *rows = _run_script(tmp_path, "check_ladder.py", "--k", "50")
+    assert header.split()[:5] == ["K", "graph", "exit", "spectral", "witness"]
+    assert len(rows) == 24
+    for row in rows:
+        k, spec, code, spectral, witness = row.split()[:5]
+        assert k == "50" and code in ("0", "1"), row
+        # the spectral verdict and the exact h_k witness agree at K = 50
+        assert (spectral == "True") == (witness == "None"), row

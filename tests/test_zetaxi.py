@@ -359,7 +359,7 @@ def test_bipartite_float_routes_are_exact_at_odd_k(name):
     n, q, K = get_graph(name).n, get_profile(name).q, 200
     ns = get_nontrivial(name)
     xi = xi_rational(ns, q)
-    spectral = hk_spectral(scaled_spectrum(ns), K, q, n, True).values
+    spectral = hk_spectral(scaled_spectrum(ns), K, q, True).values
     series = hk_series(xi, q, K)
     assert all(spectral[0::2] == float(2 * (n - 2)))
     assert all(series[0::2] == float(2 * (n - 2)))
@@ -376,7 +376,7 @@ def test_bipartite_float_routes_track_the_census_to_k200(name):
     ns = get_nontrivial(name)
     exact = hk_from_ck(get_census(name, K), q, n, True, K).values
     scale = np.maximum(1.0, np.abs(exact))
-    for route in (hk_spectral(scaled_spectrum(ns), K, q, n, True).values,
+    for route in (hk_spectral(scaled_spectrum(ns), K, q, True).values,
                   hk_series(xi_rational(ns, q), q, K)):
         assert np.max(np.abs(route - exact) / scale) < 1e-11
 
