@@ -21,6 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from iharazeta.analysis import ramanujan_hk, ramanujan_spectral  # noqa: E402
 from iharazeta.census import build_census  # noqa: E402
 from iharazeta.graphs import adjacency_matrix, generate, profile  # noqa: E402
+from iharazeta.hk import hk_excess  # noqa: E402
 from iharazeta.spectral import eigenvalues_symmetric, nontrivial_spectrum  # noqa: E402
 
 
@@ -39,7 +40,8 @@ def main() -> None:
         ns = nontrivial_spectrum(spectrum, prof)
         verdict = ramanujan_spectral(ns, prof.q)
         census = build_census(g, prof.q, args.k)
-        witness = ramanujan_hk(census.nk, prof.q, g.n, prof.bipartite).witness
+        excess = hk_excess(census.nk, prof.q, g.n, prof.bipartite)
+        witness = ramanujan_hk(excess, prof.q, args.k).witness
         print(f"{m:>5} {g.n:>4} {verdict.max_nontrivial_abs:>10.6f} "
               f"{2 * math.sqrt(prof.q):>9.6f} {str(verdict.is_ramanujan):>10} "
               f"{str(witness):>12}")

@@ -8,9 +8,10 @@ from .analysis import (EigenvalueEstimate, EstimatorNotApplicable,
                        RamanujanVerdict, estimate_max_eigenvalue,
                        even_k_bound, hasse_weil_check, hk_upper_check,
                        multiset_bound, ramanujan_hk, ramanujan_spectral)
-from .census import (CycleCensus, build_census, closed_walk_counts,
-                     geodesic_cycles_bruteforce, geodesic_cycles_operator,
-                     nk_from_ck, nonbacktracking_matrix)
+from .census import (CycleCensus, build_census, characteristic_polynomial,
+                     closed_walk_counts, geodesic_cycles_bruteforce,
+                     geodesic_cycles_operator, nk_from_ck,
+                     nonbacktracking_matrix)
 from .graphs import (GraphProfile, Multigraph, OrientedEdge, adjacency_matrix,
                      build_graph, generate, parse_generator, profile,
                      read_edge_list, write_edge_list)
@@ -18,7 +19,7 @@ from .hk import HkSequence, chebyshev_T, hk_excess, hk_from_ck, hk_spectral
 from .report import analyze, report_to_json
 from .spectral import (NontrivialSpectrum, Spectrum, eigenvalues_symmetric,
                        nontrivial_spectrum, scaled_spectrum)
-from .zetaxi import (Factors, PoleHit, RationalFunction,
+from .zetaxi import (Factors, PoleHit, RationalFunction, bass_determinant,
                      functional_equation_residual, hk_series, log_series,
                      log_series_zeta_check, nk_from_spectrum, relative_gap,
                      xi_from_zeta, xi_rational, zeta_inverse)

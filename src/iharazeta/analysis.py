@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .hk import HkSequence, hk_base, hk_excess
+from .hk import HkSequence, hk_base
 from .spectral import NontrivialSpectrum
 
 # slack of the spectral comparison, in units of sqrt(q)
@@ -89,16 +89,15 @@ def ramanujan_spectral(ns: NontrivialSpectrum, q: int) -> RamanujanVerdict:
                             witness=None if ok else float(worst))
 
 
-def ramanujan_hk(nk: Sequence[int], q: int, n: int,
-                 bipartite: bool) -> RamanujanVerdict:
-    """Exact sign scan of h_1..h_K, K = len(nk) (hk_excess): the first
-    negative h_k refutes; a clean scan is consistency up to K, never a
-    certificate."""
-    witness = next((k for k, (_, side) in hk_excess(nk, q, n, bipartite).items()
-                    if side < 0), None)
+def ramanujan_hk(excess: dict[int, tuple[int, int]], q: int,
+                 K: int) -> RamanujanVerdict:
+    """Exact sign scan of h_1..h_K from the (a_k, side) pairs of hk_excess
+    to horizon K: the first negative h_k refutes; a clean scan is
+    consistency up to K, never a certificate."""
+    witness = next((k for k, (_, side) in excess.items() if side < 0), None)
     return RamanujanVerdict(is_ramanujan=witness is None,
                             threshold=2.0 * math.sqrt(q), witness=witness,
-                            horizon=len(nk))
+                            horizon=K)
 
 
 def _bound_for_size(size: int, k: int) -> float:
@@ -134,21 +133,22 @@ def even_k_bound(k: int, n: int, q: int, bipartite: bool) -> float:
     return _bound_for_size(n - 1, k) * math.sqrt(q)
 
 
-def hasse_weil_check(nk: Sequence[int], q: int, n: int,
+def hasse_weil_check(excess: dict[int, tuple[int, int]], q: int, n: int,
                      bipartite: bool) -> HasseWeilReport:
-    """Two-sided bounds on N_1..N_K, K = len(nk).
+    """Two-sided bounds on N_k, one record per (a_k, side) pair of
+    hk_excess.
 
     Nonbipartite: |N_k - q^k - 1| <= 2(n-1) q^(k/2), with the main term
     shifted by n(q-1) for even k.  Bipartite: even k only,
     |N_k - n(q-1) - 2q^k - 2| <= 2(n-2) q^(k/2).  The left side is |a_k|,
-    and the bound is 0 <= h_k <= 2 base, both from hk_excess in integers;
+    and the bound is 0 <= h_k <= 2 base, which side decides in integers;
     rhs is reported as a float.
     """
     base = hk_base(n, bipartite)
     records = tuple(
         HasseWeilRecord(k=k, lhs=abs(a), rhs=float(base) * float(q ** (k // 2))
                         * (math.sqrt(q) if k % 2 else 1.0), satisfied=side == 0)
-        for k, (a, side) in hk_excess(nk, q, n, bipartite).items())
+        for k, (a, side) in excess.items())
     return HasseWeilReport(branch="bipartite" if bipartite else "nonbipartite",
                            records=records)
 
@@ -159,10 +159,10 @@ def hk_upper_bound(n: int, bipartite: bool) -> int:
     return 2 * hk_base(n, bipartite)
 
 
-def hk_upper_check(nk: Sequence[int], q: int, n: int, bipartite: bool) -> bool:
-    """Every h_k up to K = len(nk) within hk_upper_bound, read exactly from
-    the census N_1..N_K (hk_excess)."""
-    return all(side <= 0 for _, side in hk_excess(nk, q, n, bipartite).values())
+def hk_upper_check(excess: dict[int, tuple[int, int]]) -> bool:
+    """Every h_k within hk_upper_bound, read exactly from the (a_k, side)
+    pairs of hk_excess."""
+    return all(side <= 0 for _, side in excess.values())
 
 
 def estimate_max_eigenvalue(seq: HkSequence) -> EigenvalueEstimate:

@@ -199,31 +199,40 @@ def _recurrence_traces(a: np.ndarray, weight: np.ndarray | None,
     return out
 
 
-def extend_traces(head: Sequence[int], K: int) -> list[int]:
-    """Traces p_1..p_K of an s x s integer matrix from its first s traces
-    head = p_1..p_s, all exact Python integers.
+def characteristic_polynomial(head: Sequence[int]) -> list[int]:
+    """The characteristic polynomial x^s + a_1 x^(s-1) + ... + a_s of an
+    s x s integer matrix, as the exact integers [1, a_1, ..., a_s], from its
+    first s traces head = p_1..p_s.
 
-    Write the characteristic polynomial as x^s - c_1 x^(s-1) - ... - c_s,
-    so c_i = (-1)^(i-1) e_i with e_i its elementary symmetric coefficients.
-    Newton's identities k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i read
-    k c_k = p_k - sum_{i=1..k-1} c_i p_(k-i) and give c_1..c_s, which are
-    integers, so every division by k is exact.  A remainder means a corrupt
-    trace and raises ArithmeticError.  Cayley-Hamilton then gives
-    p_k = sum_{i=1..s} c_i p_(k-i) for k = s+1..K.
+    a_i = (-1)^i e_i, with e_i the elementary symmetric functions of the
+    eigenvalues, so Newton's identities k e_k = sum_{i=1..k} (-1)^(i-1)
+    e_(k-i) p_i read k a_k = -(p_k + sum_{i=1..k-1} a_i p_(k-i)).  The a_k
+    are integers, so every division by k is exact; a remainder means a
+    corrupt trace and raises ArithmeticError.
     """
-    p = list(head)
-    size = len(p)
-    c: list[int] = []
-    for k in range(1, size + 1):
-        known = sum(map(operator.mul, c, reversed(p[:k - 1])))
-        ck, rem = divmod(p[k - 1] - known, k)
+    a: list[int] = []
+    for k in range(1, len(head) + 1):
+        known = sum(map(operator.mul, a, reversed(head[:k - 1])))
+        ak, rem = divmod(-head[k - 1] - known, k)
         if rem:
             raise ArithmeticError(
                 f"Newton's identities leave remainder {rem} at k={k}: the "
                 f"traces p_1..p_{k} cannot come from an integer matrix")
-        c.append(ck)
+        a.append(ak)
+    return [1] + a
+
+
+def extend_traces(head: Sequence[int], K: int) -> list[int]:
+    """Traces p_1..p_K of an s x s integer matrix from its first s traces
+    head = p_1..p_s, all exact Python integers: Cayley-Hamilton on its
+    characteristic_polynomial gives p_k = -sum_{i=1..s} a_i p_(k-i) for
+    k = s+1..K.
+    """
+    p = list(head)
+    size = len(p)
+    a = characteristic_polynomial(p)[1:]
     for k in range(size, K):
-        p.append(sum(map(operator.mul, c, reversed(p[k - size:k]))))
+        p.append(-sum(map(operator.mul, a, reversed(p[k - size:k]))))
     return p
 
 

@@ -3,7 +3,9 @@
 Subcommands: analyze, series, census, zeta, check, estimate, generate.
 Inputs are either an edge-list file path or a generator string such as
 "petersen" or "prism:24".  Exit codes: 0 success, 1 certification refused
-under --require-ramanujan, 2 invalid input, 3 internal consistency failure.
+under --require-ramanujan, 2 invalid input (an input file that cannot be
+read or an --out path that cannot be written included), 3 internal
+consistency failure.
 Exit 1 means only "refuted": any other uncaught exception also exits 3, with
 one line "internal error: <type>: <message>" on stderr and no traceback.
 """
@@ -18,15 +20,15 @@ import os
 import sys
 
 from .census import (BruteForceBudgetExceeded, build_census,
-                     geodesic_cycles_bruteforce)
+                     characteristic_polynomial, geodesic_cycles_bruteforce)
 from .graphs import (GraphError, Multigraph, adjacency_matrix, parse_generator,
                      profile, read_edge_list, write_edge_list)
-from .hk import hk_from_ck, hk_spectral
+from .hk import hk_excess, hk_from_ck, hk_spectral
 from .report import (SCHEMA_VERSION, InternalConsistencyError, analyze,
-                     estimator_block, report_to_json, zeta_block)
+                     estimator_block, report_to_json)
 from .spectral import (eigenvalues_symmetric, nontrivial_spectrum,
                        scaled_spectrum)
-from .zetaxi import hk_series, xi_rational
+from .zetaxi import bass_determinant, hk_series, xi_rational
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -39,25 +41,26 @@ SERIES_ROUTES = ["spectral", "ck", "series"]
 
 def _load_graph(source: str) -> Multigraph:
     if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            return read_edge_list(fh.read())
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read {source}: {exc.strerror or exc}") from exc
+        return read_edge_list(text)
     return parse_generator(source)
 
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-
-
-def _pipeline_pieces(g: Multigraph):
-    prof = profile(g)
-    spectrum = eigenvalues_symmetric(adjacency_matrix(g), prof.bipartition)
-    return prof, spectrum, nontrivial_spectrum(spectrum, prof)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -87,8 +90,8 @@ def cmd_series(args: argparse.Namespace) -> int:
             routes["spectral"] = list(hk_spectral(scaled_spectrum(ns), K, q,
                                                   prof.bipartite).values)
         if "ck" in want:
-            census = build_census(g, q, K)
-            routes["ck"] = list(hk_from_ck(census, q, n, prof.bipartite, K).values)
+            excess = hk_excess(build_census(g, q, K).nk, q, n, prof.bipartite)
+            routes["ck"] = list(hk_from_ck(excess, q, n, prof.bipartite, K).values)
         if "series" in want:
             routes["series"] = list(hk_series(xi_rational(ns, q), q, K))
     if args.format == "json":
@@ -134,10 +137,14 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 
 def cmd_zeta(args: argparse.Namespace) -> int:
+    """Z(u)^-1 = (1-u^2)^e det(I - uA + qu^2 I), exactly: the determinant's
+    coefficients from chi_A, which the first n census traces give."""
     g = _load_graph(args.input)
-    prof, spectrum, ns = _pipeline_pieces(g)
+    q, n = profile(g).q, g.n
+    chi = characteristic_polynomial(build_census(g, q, n).c[1:])
     payload = {"schema": SCHEMA_VERSION, "source": args.input,
-               **zeta_block(spectrum, xi_rational(ns, prof.q), prof.q, g.n)}
+               "det_coefficients": [str(d) for d in bass_determinant(chi, q)],
+               "one_minus_u2_power": n * (q - 1) // 2, "degree": n * (q + 1)}
     _emit(report_to_json(payload), args.out)
     return EXIT_OK
 
@@ -164,7 +171,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
-    prof, _, ns = _pipeline_pieces(g)
+    prof = profile(g)
+    ns = nontrivial_spectrum(eigenvalues_symmetric(
+        adjacency_matrix(g), prof.bipartition), prof)
     seq = hk_spectral(scaled_spectrum(ns), args.k, prof.q, prof.bipartite)
     payload = estimator_block(seq)
     payload.update({"schema": SCHEMA_VERSION, "source": args.input,
@@ -218,7 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-check N_k by brute force up to this k")
     p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("zeta", help="zeta/xi coefficient arrays as JSON")
+    p = sub.add_parser("zeta", help="exact Z(u)^-1 as JSON: the integer "
+                       "coefficients of det(I - uA + qu^2 I) and the power "
+                       "of (1 - u^2)")
     common(p, k_default=None)
     p.set_defaults(func=cmd_zeta)
 

@@ -21,12 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .census import CycleCensus
 
 ROUTE_SPECTRAL = "spectral"
 ROUTE_FROM_CK = "from_ck"
@@ -194,18 +191,22 @@ def hk_excess(nk: Sequence[int], q: int, n: int,
     return excess
 
 
-def hk_from_ck(census: CycleCensus, q: int, n: int, bipartite: bool,
-               K: int) -> HkSequence:
-    """h_k = base + a_k / q^(k/2) from an exact census to horizon at least K
-    (hk_excess).  The terms cancel to O(n), so they are never added in
-    float: even k divides the integer base q^(k/2) + a_k by q^(k/2) once,
-    which rounds correctly; odd k divides a_k by q^((k-1)/2), then by
-    sqrt(q), and adds base: a few ulps of max(|h_k|, 4n)."""
-    if K > census.horizon:
-        raise ValueError(f"census horizon {census.horizon} < requested K={K}")
+def hk_from_ck(excess: dict[int, tuple[int, int]], q: int, n: int,
+               bipartite: bool, K: int) -> HkSequence:
+    """h_k = base + a_k / q^(k/2) for k = 1..K from the (a_k, side) pairs of
+    hk_excess, which must reach the last k <= K that the counts decide.  The
+    terms cancel to O(n), so they are never added in float: even k divides
+    the integer base q^(k/2) + a_k by q^(k/2) once, which rounds correctly;
+    odd k divides a_k by q^((k-1)/2), then by sqrt(q), and adds base: a few
+    ulps of max(|h_k|, 4n)."""
+    last = K - K % 2 if bipartite else K
+    if last and last not in excess:
+        raise ValueError(f"no a_k at k={last} for the requested K={K}")
     base = hk_base(n, bipartite)
     values = np.full(K, float(base))
-    for k, (a, _) in hk_excess(census.nk[:K], q, n, bipartite).items():
+    for k, (a, _) in excess.items():
+        if k > K:
+            break
         half = q ** (k // 2)
         if k % 2 == 0:
             values[k - 1] = (base * half + a) / half

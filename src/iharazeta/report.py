@@ -3,8 +3,8 @@
 One call runs: profile -> spectrum -> exact census -> zeta/xi -> the three
 h_k routes (spectral, from_ck, series) -> every certification check ->
 estimator, and returns a plain dict shaped like the emitted JSON.  The h_k
-verdict and the checks that need exact values read the signs of h_k from the
-census N_k in integers (hk.hk_excess).
+verdict, the from_ck route and the checks that need exact values all read
+one pass of hk.hk_excess over the census N_k: the signs of h_k in integers.
 N_1..N_20 are checked exactly against the operator traces and within an
 a-priori budget against the Z(u)^-1 log-series.  Disagreements beyond
 tolerance or budget raise InternalConsistencyError: they indicate a bug,
@@ -29,15 +29,12 @@ from .census import build_census, geodesic_cycles_operator
 from .graphs import Multigraph, adjacency_matrix, profile
 from .hk import (ROUTE_SERIES, ROUTE_SPECTRAL, HkSequence, hk_excess,
                  hk_from_ck, hk_spectral, max_route_deviation)
-from .spectral import (Spectrum, eigenvalues_symmetric, nontrivial_spectrum,
-                       scaled_spectrum)
-from .zetaxi import (RationalFunction, expand_factors,
-                     functional_equation_points, functional_equation_residual,
+from .spectral import eigenvalues_symmetric, nontrivial_spectrum, scaled_spectrum
+from .zetaxi import (functional_equation_points, functional_equation_residual,
                      hk_series, log_series_zeta_check, relative_gap,
-                     xi_from_zeta, xi_rational, zeta_inverse,
-                     zeta_inverse_factors)
+                     xi_from_zeta, xi_rational, zeta_inverse)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 # seed of the functional-equation sample points, printed as the report's seed
 DEFAULT_SEED = 42
 # largest Ihara-Bass companion size 2n for which the operator cross-check
@@ -66,19 +63,6 @@ def _float_list(values) -> list[float]:
 
 def _decimal_strings(values) -> list[str]:
     return [str(int(v)) for v in values]
-
-
-def zeta_block(spectrum: Spectrum, xi: RationalFunction, q: int,
-               n: int) -> dict:
-    """The float64 coefficient arrays of Z(u)^-1 and of Xi's numerator and
-    denominator, as the zeta and analyze outputs print them."""
-    zinv = zeta_inverse(spectrum, q, n)
-    return {
-        "zeta_inverse_coefficients": zinv.tolist(),
-        "degree": len(zinv) - 1,
-        "xi_numerator": expand_factors(xi.num).tolist(),
-        "xi_denominator": expand_factors(xi.den).tolist(),
-    }
 
 
 def estimator_block(seq: HkSequence) -> dict:
@@ -130,7 +114,7 @@ def analyze(g: Multigraph, source: str, K: int,
             raise InternalConsistencyError(
                 "non-backtracking operator traces disagree with the "
                 "closed-walk conversion for N_k")
-    zfactors = zeta_inverse_factors(spectrum, q, n)
+    zfactors = zeta_inverse(spectrum, q, n)
     zeta_ok, zeta_records = log_series_zeta_check(census, zfactors, upto)
     if not zeta_ok:
         raise InternalConsistencyError(
@@ -140,7 +124,6 @@ def analyze(g: Multigraph, source: str, K: int,
 
     t0 = time.perf_counter()
     xi = xi_rational(ns, q)
-    zeta = zeta_block(spectrum, xi, q, n)
     xi_alt = xi_from_zeta(zfactors, q, n, prof.bipartite)
     gaps = relative_gap(*xi.log2_sign(XI_PROBES), *xi_alt.log2_sign(XI_PROBES))
     if np.any(gaps > ROUTE_TOL):
@@ -153,10 +136,11 @@ def analyze(g: Multigraph, source: str, K: int,
     timings["zeta_xi"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    excess = hk_excess(census.nk, q, n, prof.bipartite)
     series = HkSequence(values=hk_series(xi, q, K), route=ROUTE_SERIES, q=q)
     seqs = {seq.route: seq for seq in (
         hk_spectral(scaled, K, q, prof.bipartite),
-        hk_from_ck(census, q, n, prof.bipartite, K),
+        hk_from_ck(excess, q, n, prof.bipartite, K),
         series)}
     route_dev = max_route_deviation(list(seqs.values()))
     if route_dev > ROUTE_TOL:
@@ -166,11 +150,11 @@ def analyze(g: Multigraph, source: str, K: int,
 
     t0 = time.perf_counter()
     verdict_spec = ramanujan_spectral(ns, q)
-    verdict_hk = ramanujan_hk(census.nk, q, n, prof.bipartite)
-    hw = hasse_weil_check(census.nk, q, n, prof.bipartite)
+    verdict_hk = ramanujan_hk(excess, q, K)
+    hw = hasse_weil_check(excess, q, n, prof.bipartite)
     bounds = []
     max_abs = ns.max_abs()
-    for k, (_, side) in hk_excess(census.nk, q, n, prof.bipartite).items():
+    for k, (_, side) in excess.items():
         if k % 2 or side < 0:
             continue
         try:
@@ -182,8 +166,7 @@ def analyze(g: Multigraph, source: str, K: int,
             "bound": bound,
             "satisfied": bool(max_abs <= bound + 1e-9),
         })
-    upper_ok = (hk_upper_check(census.nk, q, n, prof.bipartite)
-                if verdict_spec.is_ramanujan else None)
+    upper_ok = hk_upper_check(excess) if verdict_spec.is_ramanujan else None
     timings["checks"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -217,7 +200,6 @@ def analyze(g: Multigraph, source: str, K: int,
             "tolerance": ROUTE_TOL,
             "ok": True,
         },
-        "zeta": zeta,
         "functional_equation": {
             "points": FE_POINTS,
             "max_residual": fe_max,

@@ -1,14 +1,17 @@
 """The zeta function Z(u) and its normalization Xi(u) as explicit rational
 functions.
 
-Z(u)^-1 expands to (1-u^2)^(n(q-1)/2) * prod(1 - lam*u + q*u^2) over the full
-spectrum; Xi(u) is prod((1 - lam*u + q*u^2) / (1 - sqrt(q)*u)^2) over the
-nontrivial spectrum and satisfies Xi(1/(q*u)) = Xi(u).
+Z(u)^-1 = (1-u^2)^(n(q-1)/2) * det(I - u*A + q*u^2*I) (Ihara-Bass), and the
+determinant is prod(1 - lam*u + q*u^2) over the full spectrum; Xi(u) is
+prod((1 - lam*u + q*u^2) / (1 - sqrt(q)*u)^2) over the nontrivial spectrum
+and satisfies Xi(1/(q*u)) = Xi(u).
 
-A product of factors is stored as two arrays: an (F, 3) array of the
-coefficients c0 + c1*u + c2*u^2 (no factor has degree above two) and a
-vector of F integer powers.  It is expanded only for the coefficient arrays
-of the reports.  Evaluation takes a whole vector of points at once and
+The determinant is expanded once, in integers: it is u^n chi_A((1 + q*u^2)/u)
+for the characteristic polynomial chi_A, which the census gives exactly
+(bass_determinant).  The float routes never expand a product.  A product of
+factors is stored as two arrays: an (F, 3) array of the coefficients
+c0 + c1*u + c2*u^2 (no factor has degree above two) and a vector of F
+integer powers.  Evaluation takes a whole vector of points at once and
 returns log2|value| = sum e*log2|p(u)| with a sign from the parity of the
 negative factors, so values beyond the float range (Xi near its pole
 u = q^(-1/2)) stay representable, and relative_gap compares two of them
@@ -66,30 +69,6 @@ class Factors(NamedTuple):
         return u * u if self.in_w else u
 
 
-def expand_factors(factors: Factors) -> np.ndarray:
-    """The product as one dense float64 coefficient array, ascending:
-    np.convolve factor by factor in row order, each power by repeated
-    squaring.  A product in w = u^2 is spread over the even powers of u,
-    its odd coefficients exactly 0.  For the coefficient arrays of the
-    reports only; rounding accumulates, and cancellation can swamp a
-    coefficient entirely."""
-    out = np.ones(1)
-    for row, e in zip(factors.coefficients, factors.powers.tolist()):
-        base, power = (row if row[2] else row[:2]), np.ones(1)
-        while e:
-            if e & 1:
-                power = np.convolve(power, base)
-            e >>= 1
-            if e:
-                base = np.convolve(base, base)
-        out = np.convolve(out, power)
-    if factors.in_w:
-        spread = np.zeros(2 * len(out) - 1)
-        spread[::2] = out
-        return spread
-    return out
-
-
 def _horner(coefficients: np.ndarray, u: np.ndarray) -> np.ndarray:
     """c0 + c1*u + c2*u^2 at every point (rows) for every factor (columns)."""
     u = u[:, None]
@@ -119,8 +98,7 @@ class RationalFunction:
     Evaluation multiplies factor values (as a sum of logarithms) instead of
     running Horner on expanded coefficients; for things like
     prod(1 - lam*u + q*u^2) / (1 - sqrt(q)u)^2M that is the difference
-    between full accuracy and catastrophic cancellation.  expand_factors
-    gives the expanded numerator and denominator.
+    between full accuracy and catastrophic cancellation.
     """
 
     __slots__ = ("num", "den")
@@ -171,16 +149,28 @@ def _spectrum_quadratics(values: Sequence[float], q: int):
     return ((1.0, -lam, float(q), 1) for lam in values)
 
 
-def zeta_inverse_factors(s: Spectrum, q: int, n: int) -> Factors:
+def zeta_inverse(s: Spectrum, q: int, n: int) -> Factors:
+    """Z(u)^-1 = (1-u^2)^(n(q-1)/2) * prod over the full spectrum of
+    (1 - lam*u + q*u^2), as its factors; degree n(q+1), constant term 1."""
     return Factors.from_rows((1.0, 0.0, -1.0, n * (q - 1) // 2),
                              *_spectrum_quadratics(s.values, q))
 
 
-def zeta_inverse(s: Spectrum, q: int, n: int) -> np.ndarray:
-    """Z(u)^-1 = (1-u^2)^(n(q-1)/2) * prod over the full spectrum of
-    (1 - lam*u + q*u^2), expanded (expand_factors); degree n(q+1), constant
-    term 1."""
-    return expand_factors(zeta_inverse_factors(s, q, n))
+def bass_determinant(chi: Sequence[int], q: int) -> list[int]:
+    """The 2n+1 integer coefficients d_0..d_2n, ascending in u, of
+    det(I - u*A + q*u^2*I) = prod(1 - lam*u + q*u^2) = u^n chi_A((1 + q*u^2)/u),
+    from chi_A = [1, a_1, ..., a_n], x^n + a_1 x^(n-1) + ... + a_n
+    (census.characteristic_polynomial).
+
+    Horner in x = (1 + q*u^2)/u, times u^m: R_0 = 1 and R_m = (1 + q*u^2)
+    R_(m-1) + a_m u^m, so R_n is the determinant.  Each factor satisfies
+    q*u^2 p(1/(q*u)) = p(u), so d_(2n-j) = q^(n-j) d_j.
+    """
+    d = [chi[0]]
+    for m, a in enumerate(chi[1:], start=1):
+        d = [x + q * y for x, y in zip(d + [0, 0], [0, 0] + d)]
+        d[m] += a
+    return d
 
 
 def xi_rational(ns: NontrivialSpectrum, q: int) -> RationalFunction:
@@ -322,7 +312,7 @@ def hk_series(xi: RationalFunction, q: int, K: int) -> np.ndarray:
 def nk_from_spectrum(s: Spectrum, q: int, n: int, k: int) -> float:
     """Floating-point N_k: the coefficient of u^(k-1) in -d/du ln Z(u)^-1,
     q^(k/2) * sum of T_k over the scaled spectrum, plus n(q-1) for even k."""
-    return float(-_logder(zeta_inverse_factors(s, q, n), k)[k - 1])
+    return float(-_logder(zeta_inverse(s, q, n), k)[k - 1])
 
 
 def nk_spectral_budget(s: Spectrum, q: float, n: int, k: int | np.ndarray):

@@ -11,7 +11,7 @@ from iharazeta.census import CycleCensus, build_census
 from iharazeta.graphs import (GraphProfile, Multigraph, adjacency_matrix,
                               build_graph, generate, parse_generator,
                               profile)
-from iharazeta.hk import HkSequence, hk_from_ck, hk_spectral
+from iharazeta.hk import HkSequence, hk_excess, hk_from_ck, hk_spectral
 from iharazeta.spectral import (NontrivialSpectrum, Spectrum,
                                 eigenvalues_symmetric, nontrivial_spectrum,
                                 scaled_spectrum)
@@ -99,19 +99,27 @@ def get_census(name: str, K: int) -> CycleCensus:
 
 
 @lru_cache(maxsize=None)
+def get_excess(name: str, K: int) -> MappingProxyType:
+    """hk_excess of the census to horizon K, read-only: the (a_k, side)
+    pairs by k."""
+    prof = get_profile(name)
+    return MappingProxyType(hk_excess(get_census(name, K).nk, prof.q,
+                                      get_graph(name).n, prof.bipartite))
+
+
+@lru_cache(maxsize=None)
 def get_hk_routes(name: str, K: int) -> MappingProxyType:
     """The three h_k routes at horizon K, read-only and keyed by route name:
     spectral, from_ck (exact integer provenance) and series."""
     g = get_graph(name)
     prof = get_profile(name)
     q, n = prof.q, g.n
-    census = get_census(name, K)
     scaled = scaled_spectrum(get_nontrivial(name))
     series = HkSequence(values=hk_series(xi_rational(get_nontrivial(name), q), q, K),
                         route="series", q=q)
     return MappingProxyType({seq.route: seq for seq in (
         hk_spectral(scaled, K, q, prof.bipartite),
-        hk_from_ck(census, q, n, prof.bipartite, K),
+        hk_from_ck(get_excess(name, K), q, n, prof.bipartite, K),
         series,
     )})
 

@@ -12,23 +12,24 @@ import numpy as np
 from iharazeta.analysis import (estimate_max_eigenvalue, even_k_bound,
                                 hasse_weil_check, hk_upper_bound,
                                 ramanujan_spectral)
-from iharazeta.census import (build_census, geodesic_cycles_bruteforce,
+from iharazeta.census import (build_census, characteristic_polynomial,
+                              geodesic_cycles_bruteforce,
                               geodesic_cycles_operator,
                               nk_from_spectrum_rounded)
 from iharazeta.graphs import adjacency_matrix, profile
 from iharazeta.hk import (HkSequence, chebyshev_T, chebyshev_T_binomial,
-                          chebyshev_T_even_form, hk_from_ck, hk_spectral,
-                          max_route_deviation)
+                          chebyshev_T_even_form, hk_excess, hk_from_ck,
+                          hk_spectral, max_route_deviation)
 from iharazeta.spectral import (eigenvalues_symmetric, nontrivial_spectrum,
                                 scaled_spectrum)
-from iharazeta.zetaxi import (functional_equation_points,
+from iharazeta.zetaxi import (bass_determinant, functional_equation_points,
                               functional_equation_residual,
                               log_series_zeta_check, xi_rational,
-                              zeta_inverse, zeta_inverse_factors, hk_series)
+                              zeta_inverse, hk_series)
 
 from conftest import (ACCEPTANCE_FIXTURES, SMALL_FIXTURES, get_census,
-                      get_graph, get_hk_routes, get_nontrivial, get_profile,
-                      get_spectrum)
+                      get_excess, get_graph, get_hk_routes, get_nontrivial,
+                      get_profile, get_spectrum)
 
 RAMANUJAN_SET = ["petersen", "kmm3", "k4", "hypercube3"]
 
@@ -51,7 +52,8 @@ def test_criterion_01_route_agreement_under_30s():
         census = build_census(g, q, 40)
         seqs = [
             hk_spectral(scaled_spectrum(ns), 40, q, prof.bipartite),
-            hk_from_ck(census, q, n, prof.bipartite, 40),
+            hk_from_ck(hk_excess(census.nk, q, n, prof.bipartite), q, n,
+                       prof.bipartite, 40),
             HkSequence(values=hk_series(xi_rational(ns, q), q, 40),
                        route="series", q=q),
         ]
@@ -135,13 +137,13 @@ def test_criterion_06_hasse_weil():
                  "prism6"]:
         g = get_graph(name)
         prof = get_profile(name)
-        report = hasse_weil_check(get_census(name, 40).nk, prof.q, g.n,
+        report = hasse_weil_check(get_excess(name, 40), prof.q, g.n,
                                   prof.bipartite)
         ok = ok and report.all_satisfied
-    kmm = hasse_weil_check(get_census("kmm3", 2).nk, 2, 6, True)
+    kmm = hasse_weil_check(get_excess("kmm3", 2), 2, 6, True)
     ok = ok and kmm.records[0].lhs == 16 and kmm.records[0].rhs == 16.0 \
         and kmm.records[0].satisfied
-    prism = hasse_weil_check(get_census("prism24", 60).nk, 2, 48, True)
+    prism = hasse_weil_check(get_excess("prism24", 60), 2, 48, True)
     ok = ok and prism.first_violation is not None and prism.first_violation <= 60
     _verdict(6, f"bounds hold to k=40 on Ramanujan fixtures (K33 k=2 tight "
                 f"at 16=16); prism24 violates by k={prism.first_violation}", ok)
@@ -206,10 +208,12 @@ def test_criterion_10_zeta_consistency():
         g = get_graph(name)
         q = get_profile(name).q
         spectrum = get_spectrum(name)
-        zf = zeta_inverse_factors(spectrum, q, g.n)
-        zinv = zeta_inverse(spectrum, q, g.n)
-        ok = ok and len(zinv) - 1 == g.n * (q + 1)
-        ok = ok and abs(zinv[0] - 1.0) < 1e-12
+        zf = zeta_inverse(spectrum, q, g.n)
+        # the exact form: (1-u^2)^(n(q-1)/2) times the determinant
+        det = bass_determinant(characteristic_polynomial(
+            get_census(name, g.n).c[1:]), q)
+        ok = ok and len(det) - 1 + g.n * (q - 1) == g.n * (q + 1)
+        ok = ok and det[0] == 1
         good, records = log_series_zeta_check(get_census(name, 10), zf, 10)
         worst = max(worst, max(r[3] for r in records))
         ok = ok and good

@@ -12,12 +12,11 @@ from iharazeta.analysis import (DomainError, EstimatorNotApplicable,
                                 even_k_bound, hasse_weil_check, hk_upper_bound,
                                 hk_upper_check, multiset_bound, ramanujan_hk,
                                 ramanujan_spectral)
-from iharazeta.census import CycleCensus
-from iharazeta.hk import HkSequence, chebyshev_T, hk_from_ck
+from iharazeta.hk import HkSequence, chebyshev_T, hk_excess, hk_from_ck
 from iharazeta.spectral import scaled_spectrum
 
 from conftest import (ACCEPTANCE_FIXTURES, NON_RAMANUJAN_FIXTURES,
-                      RAMANUJAN_FIXTURES, get_census, get_graph,
+                      RAMANUJAN_FIXTURES, get_excess, get_graph,
                       get_hk_routes, get_nontrivial, get_profile)
 
 
@@ -27,15 +26,11 @@ def _seq(values, q=2):
 
 
 def _hk_verdict(name, K):
-    prof = get_profile(name)
-    return ramanujan_hk(get_census(name, K).nk, prof.q, get_graph(name).n,
-                        prof.bipartite)
+    return ramanujan_hk(get_excess(name, K), get_profile(name).q, K)
 
 
 def _hk_upper(name, K):
-    prof = get_profile(name)
-    return hk_upper_check(get_census(name, K).nk, prof.q, get_graph(name).n,
-                          prof.bipartite)
+    return hk_upper_check(get_excess(name, K))
 
 
 def _synthetic_nk(n, q, K, bipartite, k, a):
@@ -49,8 +44,16 @@ def _synthetic_nk(n, q, K, bipartite, k, a):
 
 
 def _h(nk, q, n, bipartite, k):
-    census = CycleCensus(c=(), nk=tuple(nk), horizon=len(nk))
-    return hk_from_ck(census, q, n, bipartite, len(nk)).h(k)
+    return hk_from_ck(hk_excess(nk, q, n, bipartite), q, n, bipartite,
+                      len(nk)).h(k)
+
+
+def _verdict(nk, q, n, bipartite):
+    return ramanujan_hk(hk_excess(nk, q, n, bipartite), q, len(nk))
+
+
+def _hasse_weil(nk, q, n, bipartite):
+    return hasse_weil_check(hk_excess(nk, q, n, bipartite), q, n, bipartite)
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +118,10 @@ def test_hk_verdict_is_exact_at_zero_even_k():
     n, q, K, base = 10, 2, 60, 18
     nk = _synthetic_nk(n, q, K, False, 60, -base * q ** 30)
     assert _h(nk, q, n, False, 60) == 0.0
-    assert ramanujan_hk(nk, q, n, False).is_ramanujan
+    assert _verdict(nk, q, n, False).is_ramanujan
     nk[59] += 1
     assert _h(nk, q, n, False, 60) == -2.0 ** -30
-    v = ramanujan_hk(nk, q, n, False)
+    v = _verdict(nk, q, n, False)
     assert not v.is_ramanujan and v.witness == 60 and v.horizon == 60
 
 
@@ -129,10 +132,10 @@ def test_hk_verdict_is_exact_at_zero_odd_k():
     n, q, K, base = 10, 4, 61, 18
     nk = _synthetic_nk(n, q, K, False, 61, -2 * base * q ** 30)
     assert _h(nk, q, n, False, 61) == 0.0
-    assert ramanujan_hk(nk, q, n, False).is_ramanujan
+    assert _verdict(nk, q, n, False).is_ramanujan
     nk[60] += 1
     assert _h(nk, q, n, False, 61) == 0.0
-    v = ramanujan_hk(nk, q, n, False)
+    v = _verdict(nk, q, n, False)
     assert not v.is_ramanujan and v.witness == 61
 
 
@@ -191,7 +194,7 @@ def test_even_k_bound_implied_by_nonneg_hk(name):
 # Hasse-Weil records
 
 def test_hasse_weil_petersen_k5():
-    report = hasse_weil_check(get_census("petersen", 5).nk, 2, 10, False)
+    report = hasse_weil_check(get_excess("petersen", 5), 2, 10, False)
     rec = report.records[4]
     assert rec.k == 5 and rec.lhs == 87
     assert rec.rhs == pytest.approx(2 * 9 * 2 ** 2.5, rel=1e-12)
@@ -199,13 +202,13 @@ def test_hasse_weil_petersen_k5():
 
 
 def test_hasse_weil_kmm3_tight_equality():
-    report = hasse_weil_check(get_census("kmm3", 2).nk, 2, 6, True)
+    report = hasse_weil_check(get_excess("kmm3", 2), 2, 6, True)
     rec = report.records[0]
     assert rec.k == 2 and rec.lhs == 16 and rec.rhs == 16.0 and rec.satisfied
 
 
 def test_hasse_weil_bipartite_branch_only_even():
-    report = hasse_weil_check(get_census("kmm3", 9).nk, 2, 6, True)
+    report = hasse_weil_check(get_excess("kmm3", 9), 2, 6, True)
     assert report.branch == "bipartite"
     assert [r.k for r in report.records] == [2, 4, 6, 8]
 
@@ -214,7 +217,7 @@ def test_hasse_weil_bipartite_branch_only_even():
 def test_hasse_weil_holds_on_ramanujan_fixtures(name):
     g = get_graph(name)
     prof = get_profile(name)
-    report = hasse_weil_check(get_census(name, 40).nk, prof.q, g.n, prof.bipartite)
+    report = hasse_weil_check(get_excess(name, 40), prof.q, g.n, prof.bipartite)
     assert report.all_satisfied
 
 
@@ -228,25 +231,25 @@ def test_hasse_weil_is_exact_at_the_bound():
     for lhs, expected in ((0, True), (1, False)):
         nk[59] = q ** 60 + 1 + n * (q - 1) + even_bound + lhs
         nk[60] = q ** 61 + 1 + odd_bound + lhs
-        records = hasse_weil_check(nk, q, n, False).records
+        records = _hasse_weil(nk, q, n, False).records
         assert (records[59].k, records[59].lhs) == (60, even_bound + lhs)
         assert (records[60].k, records[60].lhs) == (61, odd_bound + lhs)
         assert records[59].satisfied is expected
         assert records[60].satisfied is expected
-    assert hasse_weil_check(nk, q, n, False).first_violation == 60
+    assert _hasse_weil(nk, q, n, False).first_violation == 60
 
 
 def test_hasse_weil_bipartite_is_exact_at_the_bound():
     n, q = 6, 2
     nk = [0] * 8
     nk[7] = n * (q - 1) + 2 * q ** 8 + 2 + 2 * (n - 2) * q ** 4
-    assert hasse_weil_check(nk, q, n, True).records[3].satisfied
+    assert _hasse_weil(nk, q, n, True).records[3].satisfied
     nk[7] += 1
-    assert not hasse_weil_check(nk, q, n, True).records[3].satisfied
+    assert not _hasse_weil(nk, q, n, True).records[3].satisfied
 
 
 def test_hasse_weil_violated_on_prism24():
-    report = hasse_weil_check(get_census("prism24", 60).nk, 2, 48, True)
+    report = hasse_weil_check(get_excess("prism24", 60), 2, 48, True)
     assert not report.all_satisfied
     assert report.first_violation is not None and report.first_violation <= 60
 
@@ -279,13 +282,13 @@ def test_hk_upper_is_exact_at_the_cap():
     n, q, K, base = 10, 2, 60, 18
     nk = _synthetic_nk(n, q, K, False, 60, base * q ** 30)
     assert _h(nk, q, n, False, 60) == 36.0
-    assert hk_upper_check(nk, q, n, False)
-    assert hasse_weil_check(nk, q, n, False).all_satisfied
+    assert hk_upper_check(hk_excess(nk, q, n, False))
+    assert _hasse_weil(nk, q, n, False).all_satisfied
     nk[59] -= 1
     assert _h(nk, q, n, False, 60) == 36.0 + 2.0 ** -30
-    assert not hk_upper_check(nk, q, n, False)
-    assert hasse_weil_check(nk, q, n, False).first_violation == 60
-    assert ramanujan_hk(nk, q, n, False).is_ramanujan
+    assert not hk_upper_check(hk_excess(nk, q, n, False))
+    assert _hasse_weil(nk, q, n, False).first_violation == 60
+    assert _verdict(nk, q, n, False).is_ramanujan
 
 
 @pytest.mark.parametrize("name", RAMANUJAN_FIXTURES)

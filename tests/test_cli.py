@@ -8,6 +8,7 @@ import pytest
 
 from iharazeta.census import extend_traces
 from iharazeta.cli import main
+from iharazeta.report import report_to_json
 
 
 def run(capsys, *argv):
@@ -25,12 +26,12 @@ def run_json(capsys, *argv):
 # sha256 of `ihara census <g> --k 150 --no-timings`: exact integers, so the
 # digest is the same on every platform
 CENSUS_K150_SHA256 = {
-    "hypercube:6": "152d5a806fbf10dcd7a31c72d12571b63abf5a93629162d187ace9510e62fadb",
-    "complete:30": "c2abc65fe1638c4859cf4f215c08c33db43b1d0e38064c909b4bc7a36f40c121",
-    "prism:24": "6cad25783522c7fceb92688635a8e64c6ab8670035884649c798e2ebd14986ba",
-    "circulant:40:1,7": "aa15cf46295cea46404f0225300f92f61a7b94a632aebddf6de07466b8235799",
-    "hypercube:5": "d90b7d5c118172e4716835247895c767c048b737e55e1e76eef1546d75cf81f8",
-    "kmm:16": "f27a5c72424486c4d5f58834c3edf5d33bee57e213d0436ec049e7de9e7c9e6c",
+    "hypercube:6": "17c7e06a04416bb66a1ba233462f586706e03ce374b76f60125c7553c61f331a",
+    "complete:30": "78a71879732761abfed0c42d5a9b98c66fed76e5e11068a7fce17aabb5fe387e",
+    "prism:24": "00dd2eda7d208d3407db48017e6f0fa1fb947a29173e7fe0cbba6ad5cdd8f772",
+    "circulant:40:1,7": "3f7cd9c43ee06158c9c43c77e65aedd9910f28c7975b1dd89837193cba0519b7",
+    "hypercube:5": "5ed3c263033188b5ba32145f77aec35af8c09bbf28463931748d72d2eed29be0",
+    "kmm:16": "6b16473b1f0a859ae60fd16da8d952c04f18c5c196539fc3dc9e6cce36800bbf",
 }
 
 
@@ -43,7 +44,7 @@ def test_census_k150_output_is_pinned(capsys, spec):
 
 def test_analyze_petersen(capsys):
     report = run_json(capsys, "analyze", "petersen", "--k", "20")
-    assert report["schema"] == 2
+    assert report["schema"] == 3
     assert report["graph"] == {"n": 10, "q": 2, "edges": 15, "loops": 0,
                                "bipartite": False, "connected": True}
     assert report["verdicts"]["spectral"]["is_ramanujan"]
@@ -121,7 +122,7 @@ def test_uncaught_exception_exits_internal(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise OverflowError("stage blew up")
 
-    monkeypatch.setattr("iharazeta.report.zeta_inverse", broken)
+    monkeypatch.setattr("iharazeta.report.xi_from_zeta", broken)
     code, out, err = run(capsys, "analyze", "petersen", "--k", "10")
     assert code == 3
     assert out == ""
@@ -271,22 +272,83 @@ def _reject_constant(token):
     raise AssertionError(f"invalid JSON token {token}")
 
 
+def _float_or_inf(c):
+    try:
+        return float(c)
+    except OverflowError:
+        return math.inf if c > 0 else -math.inf
+
+
 @pytest.mark.parametrize("argv", [["analyze", "complete:60", "--k", "50"],
                                   ["zeta", "complete:60"]])
 def test_overflowed_coefficients_print_as_null(capsys, argv):
-    # the float expansion of Z(u)^-1 of degree 3540 overflows
+    # Z(u)^-1 of complete:60 has degree 3540, and its float expansion
+    # overflows.  Neither command prints that expansion, both print strict
+    # JSON, and the writer they use turns its overflowed floats into null
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     payload = json.loads(out, parse_constant=_reject_constant)
-    coefficients = payload.get("zeta", payload)["zeta_inverse_coefficients"]
+    assert "zeta" not in payload and "zeta_inverse_coefficients" not in payload
+    if argv[0] != "zeta":
+        payload = run_json(capsys, "zeta", "complete:60")
+    det = [int(d) for d in payload["det_coefficients"]]
+    e = payload["one_minus_u2_power"]
+    exact = [0] * (len(det) + 2 * e)
+    for i in range(e + 1):
+        b = (-1) ** i * math.comb(e, i)
+        for j, d in enumerate(det):
+            exact[2 * i + j] += b * d
+    assert len(exact) == payload["degree"] + 1
+    floats = [_float_or_inf(c) for c in exact]
+    coefficients = json.loads(report_to_json({"c": floats}),
+                              parse_constant=_reject_constant)["c"]
     assert coefficients[0] == 1.0 and None in coefficients
+    for c, x in zip(coefficients, exact):
+        assert c is None if math.isinf(_float_or_inf(x)) else (
+            c == pytest.approx(x, rel=1e-11))
+
+
+def test_zeta_prints_only_decimal_strings(capsys):
+    # Z(u)^-1 of complete:60 has degree 3540; its determinant's 121
+    # coefficients run to hundreds of digits, and every one prints exactly
+    code, out, err = run(capsys, "zeta", "complete:60")
+    assert code == 0, err
+    payload = json.loads(out, parse_constant=_reject_constant)
+    det = payload["det_coefficients"]
+    assert len(det) == 121 and all(isinstance(d, str) for d in det)
+    assert det[0] == "1" and max(map(len, det)) > 100
+    d = [int(x) for x in det]
+    assert all(d[120 - j] == 58 ** (60 - j) * d[j] for j in range(61))
+    assert (payload["one_minus_u2_power"], payload["degree"]) == (1710, 3540)
 
 
 def test_zeta_payload(capsys):
     payload = run_json(capsys, "zeta", "petersen")
-    assert payload["degree"] == 30
-    assert payload["zeta_inverse_coefficients"][0] == 1.0
-    assert len(payload["xi_denominator"]) == 19
+    assert payload["schema"] == 3
+    assert payload["degree"] == 30 and payload["one_minus_u2_power"] == 5
+    assert len(payload["det_coefficients"]) == 21
+    assert payload["det_coefficients"][0] == "1"
+    assert payload["det_coefficients"][20] == str(2 ** 10)
+    assert set(payload) == {"schema", "source", "det_coefficients",
+                            "one_minus_u2_power", "degree"}
+    # K4: (1 - 3u + 2u^2)(1 + u + 2u^2)^3
+    assert run_json(capsys, "zeta", "complete:4")["det_coefficients"] == [
+        "1", "0", "2", "-8", "-3", "-16", "8", "0", "16"]
+
+
+def test_unreadable_input_is_bad_input(tmp_path, capsys):
+    code, out, err = run(capsys, "analyze", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read ")
+
+
+def test_unwritable_out_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "census", "petersen", "--k", "5",
+                         "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write ")
+    assert not path.exists()
 
 
 def test_check_payload(capsys):

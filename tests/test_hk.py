@@ -158,7 +158,7 @@ def test_ck_alternating_sums_when_a_parity_is_zero(q, shape):
 
 def test_hk_from_ck_petersen_h3():
     census = get_census("petersen", 4)
-    seq = hk_from_ck(census, 2, 10, False, 4)
+    seq = hk_from_ck(hk_excess(census.nk, 2, 10, False), 2, 10, False, 4)
     expected = 18 + 2 * math.sqrt(2) + 1 / (2 * math.sqrt(2))
     assert seq.h(3) == pytest.approx(expected, rel=1e-12)
 
@@ -166,10 +166,10 @@ def test_hk_from_ck_petersen_h3():
 def test_hk_from_ck_bipartite_odd_ignores_counts():
     # odd-k values are the constant 2(n-2), independent of the counts
     census = get_census("kmm3", 6)
-    seq = hk_from_ck(census, 2, 6, True, 6)
+    seq = hk_from_ck(hk_excess(census.nk, 2, 6, True), 2, 6, True, 6)
     garbage = dataclasses.replace(census, nk=tuple(
         10 ** 9 if k % 2 else x for k, x in enumerate(census.nk, start=1)))
-    seq2 = hk_from_ck(garbage, 2, 6, True, 6)
+    seq2 = hk_from_ck(hk_excess(garbage.nk, 2, 6, True), 2, 6, True, 6)
     for k in (1, 3, 5):
         assert seq.h(k) == seq2.h(k) == 8.0
 
@@ -196,23 +196,24 @@ def test_hk_from_ck_reads_the_alternating_sums_back_from_nk(name):
     g = get_graph(name)
     prof = get_profile(name)
     census = get_census(name, 60)
-    seq = hk_from_ck(census, prof.q, g.n, prof.bipartite, 60)
+    excess = hk_excess(census.nk, prof.q, g.n, prof.bipartite)
+    seq = hk_from_ck(excess, prof.q, g.n, prof.bipartite, 60)
     assert seq.values.tolist() == _hk_from_sums(census.c, prof.q, g.n,
                                                 prof.bipartite, 60)
-    assert hk_from_ck(census, prof.q, g.n, prof.bipartite, 20).horizon == 20
-    with pytest.raises(ValueError, match="census horizon 60"):
-        hk_from_ck(census, prof.q, g.n, prof.bipartite, 61)
+    assert hk_from_ck(excess, prof.q, g.n, prof.bipartite, 20).horizon == 20
+    with pytest.raises(ValueError, match="k=62"):
+        hk_from_ck(excess, prof.q, g.n, prof.bipartite, 62)
 
 
 def test_hk_from_ck_kmm3_h2():
     census = get_census("kmm3", 2)
-    seq = hk_from_ck(census, 2, 6, True, 2)
+    seq = hk_from_ck(hk_excess(census.nk, 2, 6, True), 2, 6, True, 2)
     assert seq.h(2) == pytest.approx(16.0, abs=1e-12)
 
 
 def test_hk_from_ck_k4_h3_matches_spectral():
     census = get_census("k4", 3)
-    via_c = hk_from_ck(census, 2, 4, False, 3)
+    via_c = hk_from_ck(hk_excess(census.nk, 2, 4, False), 2, 4, False, 3)
     spectral = hk_spectral(_scaled("k4"), 3, 2, False)
     assert via_c.h(3) == pytest.approx(spectral.h(3), rel=1e-10)
     # hand value: 2(n-1) + q^1.5 + q^-1.5 - q^-1.5 * 24
@@ -222,7 +223,7 @@ def test_hk_from_ck_k4_h3_matches_spectral():
 
 def test_hk_from_ck_petersen_h2():
     census = get_census("petersen", 2)
-    seq = hk_from_ck(census, 2, 10, False, 2)
+    seq = hk_from_ck(hk_excess(census.nk, 2, 10, False), 2, 10, False, 2)
     assert seq.h(2) == pytest.approx(25.5, rel=1e-12)
 
 
@@ -235,7 +236,8 @@ def test_hk_from_ck_exact_under_cancellation(spec, k):
     census = build_census(g, prof.q, k)
     ns = nontrivial_spectrum(
         eigenvalues_symmetric(adjacency_matrix(g), prof.bipartition), prof)
-    exact = hk_from_ck(census, prof.q, g.n, prof.bipartite, k).h(k)
+    excess = hk_excess(census.nk, prof.q, g.n, prof.bipartite)
+    exact = hk_from_ck(excess, prof.q, g.n, prof.bipartite, k).h(k)
     spectral = hk_spectral(scaled_spectrum(ns), k, prof.q, prof.bipartite).h(k)
     assert exact == pytest.approx(spectral, rel=1e-9)
 
@@ -245,7 +247,8 @@ def test_bipartite_odd_constant_is_exact(name):
     g = get_graph(name)
     prof = get_profile(name)
     census = get_census(name, 11)
-    seq = hk_from_ck(census, prof.q, g.n, True, 11)
+    seq = hk_from_ck(hk_excess(census.nk, prof.q, g.n, True), prof.q, g.n,
+                     True, 11)
     for k in range(1, 12, 2):
         assert seq.h(k) == float(2 * (g.n - 2))  # exact equality
 

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+import iharazeta.analysis as analysis_mod
 import iharazeta.cli as cli_mod
+import iharazeta.hk as hk_mod
 import iharazeta.report as report_mod
 from iharazeta.census import CycleCensus
 from iharazeta.report import InternalConsistencyError, analyze, report_to_json
@@ -16,14 +18,32 @@ from conftest import get_graph
 
 def test_report_shape_petersen():
     rep = analyze(get_graph("petersen"), "petersen", 12)
-    assert rep["schema"] == report_mod.SCHEMA_VERSION == 2
+    assert rep["schema"] == report_mod.SCHEMA_VERSION == 3
     assert rep["k_horizon"] == 12
     assert set(rep["h"]) == {"spectral", "from_ck", "series"}
     assert all(len(v) == 12 for v in rep["h"].values())
     assert len(rep["census"]["c"]) == 13 and len(rep["census"]["n"]) == 12
     assert all(isinstance(x, str) for x in rep["census"]["c"])
     assert rep["verdicts"]["hk"]["horizon"] == 12
-    assert rep["zeta"]["degree"] == 30
+    assert "zeta" not in rep
+
+
+@pytest.mark.parametrize("name", ["petersen", "prism6"])
+def test_analyze_takes_one_excess_pass(monkeypatch, name):
+    # the h_k verdict, the from_ck route, Hasse-Weil, the cap and the even-k
+    # gate all read the same (a_k, side) pairs
+    calls, original = [], hk_mod.hk_excess
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (hk_mod, analysis_mod, report_mod, cli_mod):
+        if hasattr(module, "hk_excess"):
+            monkeypatch.setattr(module, "hk_excess", counted)
+    rep = analyze(get_graph(name), name, 40)
+    assert len(calls) == 1
+    assert rep["verdicts"]["hasse_weil"]["records"] and rep["verdicts"]["hk_upper"]["ok"]
 
 
 @pytest.mark.parametrize("name", ["double_triangle", "looped_cycle4"])

@@ -1,6 +1,7 @@
 """zeta-xi: rational-function forms, functional equation, series routes."""
 
 import dataclasses
+import functools
 import math
 import os
 import subprocess
@@ -12,15 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import iharazeta
+from fractions import Fraction
+
+from iharazeta.census import build_census, characteristic_polynomial
+from iharazeta.graphs import parse_generator, profile
 from iharazeta.zetaxi import (Factors, PoleHit, RationalFunction,
-                              ZeroAtOrigin, expand_factors,
+                              ZeroAtOrigin, bass_determinant,
                               functional_equation_points,
                               functional_equation_residual, hk_series,
                               log_series, log_series_zeta_check, relative_gap,
-                              xi_from_zeta, xi_rational, zeta_inverse,
-                              zeta_inverse_factors)
+                              xi_from_zeta, xi_rational, zeta_inverse)
 
-from iharazeta.hk import hk_from_ck, hk_spectral
+from iharazeta.hk import hk_excess, hk_from_ck, hk_spectral
 from iharazeta.spectral import scaled_spectrum
 
 from conftest import (ACCEPTANCE_FIXTURES, BIPARTITE_GRAPHS, RAMANUJAN_FIXTURES,
@@ -40,6 +44,26 @@ def iconv(*polys):
     return out
 
 
+def expand(f: Factors) -> np.ndarray:
+    """The product of f's rows as one float64 array, ascending in u, by
+    functools.reduce(np.convolve) over the rows repeated by their powers; a
+    product in w = u^2 is expanded in w and spread over the even powers."""
+    rows = [row if row[2] else row[:2]
+            for row, e in zip(f.coefficients, f.powers.tolist()) for _ in range(e)]
+    out = functools.reduce(np.convolve, rows, np.ones(1))
+    if f.in_w:
+        spread = np.zeros(2 * len(out) - 1)
+        spread[::2] = out
+        return spread
+    return out
+
+
+def exact_determinant(g, q):
+    """det(I - uA + qu^2 I) from the census to horizon n, as `ihara zeta`
+    takes it."""
+    return bass_determinant(characteristic_polynomial(build_census(g, q, g.n).c[1:]), q)
+
+
 def polynomial(*coefficients):
     """One factor of degree <= 2 as a rational function over 1."""
     padded = tuple(coefficients) + (0.0,) * (3 - len(coefficients))
@@ -56,19 +80,23 @@ def test_poly_derivative_and_eval():
     assert p(0.25) == pytest.approx(1 - 0.75 + 0.125, rel=1e-15)
 
 
-@given(st.lists(st.tuples(st.integers(1, 5), st.integers(-5, 5),
-                          st.integers(-5, 5), st.integers(1, 4)),
-                min_size=1, max_size=4),
-       st.floats(-2, 2))
+@given(st.lists(st.integers(-8, 8), min_size=1, max_size=8),
+       st.integers(1, 7), st.floats(-2, 2))
 @settings(max_examples=60, deadline=None)
-def test_expanded_product_evaluates_like_its_factors(rows, x):
-    # Horner on the expanded coefficients is accurate only up to the scale
-    # sum |a_i| |x|^i, far above the value where the product cancels
-    f = Factors.from_rows(*rows)
-    coefficients = expand_factors(f)[::-1]
-    scale = np.polyval(np.abs(coefficients), abs(x))
+def test_expanded_product_evaluates_like_its_factors(roots, q, x):
+    # chi = prod (x - lam) over integer roots: the Horner substitution gives
+    # exactly the product of the rows 1 - lam*u + q*u^2, which evaluates like
+    # the factors, each accurate up to its scale 1 + |lam x| + q x^2
+    chi = functools.reduce(np.polymul, [[1, -lam] for lam in roots], [1])
+    d = bass_determinant([int(a) for a in chi], q)
+    assert d == iconv(*([1, -lam, q] for lam in roots))
+    n = len(roots)
+    assert all(d[2 * n - j] == q ** (n - j) * d[j] for j in range(n + 1))
+    f = Factors.from_rows(*((1.0, float(-lam), float(q), 1) for lam in roots))
     value = RationalFunction(f, Factors.from_rows())(x)
-    assert np.polyval(coefficients, x) == pytest.approx(value, abs=1e-12 * scale)
+    exact = float(sum(c * Fraction(x) ** i for i, c in enumerate(d)))
+    scale = math.prod(1 + abs(lam * x) + q * x * x for lam in roots)
+    assert exact == pytest.approx(value, abs=1e-12 * scale)
 
 
 def test_poly_scale_input():
@@ -79,31 +107,62 @@ def test_poly_scale_input():
 
 
 # ---------------------------------------------------------------------------
-# zeta_inverse
+# zeta_inverse: the factors, and the exact determinant from the census
 
 def test_zeta_inverse_k4_exact_expansion():
     # (1-u^2)^2 (1-3u+2u^2) (1+u+2u^2)^3, degree 12, constant term 1
-    expected = iconv([1, 0, -2, 0, 1], [1, -3, 2],
-                     [1, 1, 2], [1, 1, 2], [1, 1, 2])
-    got = zeta_inverse(get_spectrum("k4"), 2, 4)
-    assert len(got) - 1 == 12
-    assert np.allclose(got, expected, rtol=1e-9, atol=1e-9)
+    det = exact_determinant(get_graph("k4"), 2)
+    assert det == iconv([1, -3, 2], [1, 1, 2], [1, 1, 2], [1, 1, 2])
+    assert iconv([1, 0, -2, 0, 1], det) == iconv(
+        [1, 0, -2, 0, 1], [1, -3, 2], [1, 1, 2], [1, 1, 2], [1, 1, 2])
+    f = zeta_inverse(get_spectrum("k4"), 2, 4)
+    assert f.powers.tolist() == [2, 1, 1, 1, 1]  # (1 - u^2)^2 first
 
 
 def test_zeta_inverse_cycle4():
-    expected = iconv([1, -2, 1], [1, 0, 1], [1, 0, 1], [1, 2, 1])
-    got = zeta_inverse(get_spectrum("cycle4"), 1, 4)
-    assert len(got) - 1 == 8
-    assert np.allclose(got, expected, rtol=1e-9, atol=1e-9)
+    # q = 1: no (1 - u^2) factor, and the determinant is all of Z(u)^-1
+    det = exact_determinant(get_graph("cycle4"), 1)
+    assert det == iconv([1, -2, 1], [1, 0, 1], [1, 0, 1], [1, 2, 1])
+    assert len(zeta_inverse(get_spectrum("cycle4"), 1, 4).powers) == 4
+
+
+def _check_exact_determinant(g, q):
+    det = exact_determinant(g, q)
+    n, e = g.n, g.n * (q - 1) // 2
+    assert det[0] == 1 and len(det) == 2 * n + 1
+    assert len(det) - 1 + 2 * e == n * (q + 1)
+    assert all(det[2 * n - j] == q ** (n - j) * det[j] for j in range(n + 1))
+    return det, e
 
 
 @pytest.mark.parametrize("name", ACCEPTANCE_FIXTURES)
 def test_zeta_inverse_degree_and_constant(name):
+    # the exact form: constant term 1, degree n(q+1), the functional
+    # equation coefficient by coefficient, and the same values as the
+    # float product of the factors
     g = get_graph(name)
     q = get_profile(name).q
-    z = zeta_inverse(get_spectrum(name), q, g.n)
-    assert len(z) - 1 == g.n * (q + 1)
-    assert z[0] == pytest.approx(1.0, abs=1e-12)
+    det, e = _check_exact_determinant(g, q)
+    factors = RationalFunction(zeta_inverse(get_spectrum(name), q, g.n),
+                               Factors.from_rows())
+    for u in (Fraction(1, 10), Fraction(-1, 5)):
+        exact = (1 - u * u) ** e * sum(c * u ** i for i, c in enumerate(det))
+        assert factors(float(u)) == pytest.approx(float(exact), rel=1e-9)
+
+
+# the graphs of scripts/check_ladder.py with n <= 64
+LADDER_UP_TO_64 = ["petersen", "cycle:7", "complete:6", "complete:10",
+                   "complete:16", "complete:30", "complete:60", "kmm:6",
+                   "kmm:10", "kmm:30", "hypercube:4", "hypercube:5",
+                   "hypercube:6", "prism:16", "prism:20", "prism:24",
+                   "circulant:12:1,3", "circulant:20:1,3,5", "circulant:30:1,4"]
+
+
+@pytest.mark.parametrize("spec", LADDER_UP_TO_64)
+def test_exact_determinant_functional_equation_on_the_ladder(spec):
+    g = parse_generator(spec)
+    assert g.n <= 64
+    _check_exact_determinant(g, profile(g).q)
 
 
 @pytest.mark.parametrize("name", ["k4", "petersen", "kmm3", "hypercube3"])
@@ -120,19 +179,19 @@ def test_nontrivial_pole_moduli_on_ramanujan_fixtures(name):
 
 def test_xi_kmm3_form():
     xi = xi_rational(get_nontrivial("kmm3"), 2)
-    assert np.allclose(expand_factors(xi.num),
-                       iconv([1, 0, 2], [1, 0, 2], [1, 0, 2], [1, 0, 2]),
+    assert np.allclose(expand(xi.num),
+                       functools.reduce(np.convolve, [[1, 0, 2]] * 4),
                        rtol=1e-9, atol=1e-9)
     s = math.sqrt(2)
     expected_den = [math.comb(8, j) * (-s) ** j for j in range(9)]
-    assert np.allclose(expand_factors(xi.den), expected_den,
+    assert np.allclose(expand(xi.den), expected_den,
                        rtol=1e-9)
 
 
 def test_xi_petersen_form():
     xi = xi_rational(get_nontrivial("petersen"), 2)
-    expected = iconv(*([[1, -1, 2]] * 5 + [[1, 2, 2]] * 4))
-    assert np.allclose(expand_factors(xi.num), expected,
+    expected = functools.reduce(np.convolve, [[1, -1, 2]] * 5 + [[1, 2, 2]] * 4)
+    assert np.allclose(expand(xi.num), expected,
                        rtol=1e-8, atol=1e-6)
 
 
@@ -147,7 +206,7 @@ def test_xi_from_zeta_agrees_with_direct_form(name):
     g = get_graph(name)
     prof = get_profile(name)
     spectrum = get_spectrum(name)
-    zf = zeta_inverse_factors(spectrum, prof.q, g.n)
+    zf = zeta_inverse(spectrum, prof.q, g.n)
     via_zeta = xi_from_zeta(zf, prof.q, g.n, prof.bipartite)
     direct = xi_rational(get_nontrivial(name), prof.q)
     rng = np.random.default_rng(7)
@@ -295,8 +354,9 @@ def test_hk_series_matches_exact_route_deep(name):
     q = get_profile(name).q
     n = get_graph(name).n
     series = hk_series(xi_rational(get_nontrivial(name), q), q, 150)
-    exact = hk_from_ck(get_census(name, 150), q, n,
-                       get_profile(name).bipartite, 150).values
+    bipartite = get_profile(name).bipartite
+    exact = hk_from_ck(hk_excess(get_census(name, 150).nk, q, n, bipartite),
+                       q, n, bipartite, 150).values
     assert np.all(np.abs(series - exact) <= 1e-11 * np.maximum(1.0, np.abs(exact)))
 
 
@@ -310,7 +370,7 @@ def test_import_leaves_mpmath_unloaded():
 def test_log_series_zeta_check_petersen():
     census = get_census("petersen", 10)
     spectrum = get_spectrum("petersen")
-    zf = zeta_inverse_factors(spectrum, 2, 10)
+    zf = zeta_inverse(spectrum, 2, 10)
     ok, records = log_series_zeta_check(census, zf, 10)
     assert ok
     assert max(r[3] for r in records) < 1e-6
@@ -319,7 +379,7 @@ def test_log_series_zeta_check_petersen():
 def test_log_series_zeta_check_k4_n3():
     census = get_census("k4", 8)
     spectrum = get_spectrum("k4")
-    zf = zeta_inverse_factors(spectrum, 2, 4)
+    zf = zeta_inverse(spectrum, 2, 4)
     ok, records = log_series_zeta_check(census, zf, 8)
     assert ok
     k3 = records[2]
@@ -329,7 +389,7 @@ def test_log_series_zeta_check_k4_n3():
 def test_log_series_zeta_check_cycle5():
     census = get_census("cycle5", 10)
     spectrum = get_spectrum("cycle5")
-    zf = zeta_inverse_factors(spectrum, 1, 5)
+    zf = zeta_inverse(spectrum, 1, 5)
     ok, records = log_series_zeta_check(census, zf, 10)
     assert ok
     assert census.nk[4] == 10
@@ -341,7 +401,7 @@ def test_log_series_zeta_check_rejects_off_by_one_census(shift):
     # the budget pins N_k on prism:24 to k = 20, so a census one off at any
     # single k fails the check
     census = get_census("prism24", 20)
-    zf = zeta_inverse_factors(get_spectrum("prism24"), get_profile("prism24").q,
+    zf = zeta_inverse(get_spectrum("prism24"), get_profile("prism24").q,
                               get_graph("prism24").n)
     assert log_series_zeta_check(census, zf, 20)[0]
     for k in range(20):
@@ -363,7 +423,7 @@ def test_bipartite_float_routes_are_exact_at_odd_k(name):
     series = hk_series(xi, q, K)
     assert all(spectral[0::2] == float(2 * (n - 2)))
     assert all(series[0::2] == float(2 * (n - 2)))
-    numerator = expand_factors(xi.num)
+    numerator = expand(xi.num)
     assert len(numerator) == 2 * (n - 2) + 1
     assert all(numerator[1::2] == 0.0)
 
@@ -374,7 +434,8 @@ def test_bipartite_float_routes_track_the_census_to_k200(name):
     # O(1) here; the paired ones stay within a few 1e-13
     n, q, K = get_graph(name).n, get_profile(name).q, 200
     ns = get_nontrivial(name)
-    exact = hk_from_ck(get_census(name, K), q, n, True, K).values
+    exact = hk_from_ck(hk_excess(get_census(name, K).nk, q, n, True),
+                       q, n, True, K).values
     scale = np.maximum(1.0, np.abs(exact))
     for route in (hk_spectral(scaled_spectrum(ns), K, q, True).values,
                   hk_series(xi_rational(ns, q), q, K)):
@@ -391,7 +452,7 @@ def test_w_rows_evaluate_and_scale_in_u_squared():
     scaled = rf.scale_input(0.5)
     log2, sign = scaled.log2_sign(u)
     assert np.allclose(sign * np.exp2(log2), (1 + u * u / 4) ** 2 / (1 - u / 2))
-    assert expand_factors(rf.num).tolist() == [1.0, 0.0, 2.0, 0.0, 1.0]
+    assert expand(rf.num).tolist() == [1.0, 0.0, 2.0, 0.0, 1.0]
     # d/du ln (1 + u^2)^2 = 4u - 4u^3 + 4u^5 - ...; the denominator adds
     # -d/du ln(1 - u) = 1 + u + u^2 + ...
     assert log_series(rf, 7).tolist() == [1.0, 5.0, 1.0, -3.0, 1.0, 5.0, 1.0]
