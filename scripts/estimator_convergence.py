@@ -33,13 +33,13 @@ def main() -> None:
     prof = profile(g)
     spectrum = eigenvalues_symmetric(adjacency_matrix(g), prof.bipartition)
     ns = nontrivial_spectrum(spectrum, prof)
-    seq = hk_spectral(scaled_spectrum(ns), args.k, prof.q, prof.bipartite)
+    seq = hk_spectral(scaled_spectrum(ns), args.k, prof.bipartite)
 
     target = (2 * math.cos(2 * math.pi / args.ring) + 1) / math.sqrt(prof.q)
     print(f"prism({args.ring}): n={g.n}, target q^-1/2 max|lam| = {target:.10f}")
     print(f"{'k':>4} {'h_k':>16} {'estimate':>14} {'error':>12}")
     for k in range(2, args.k - 1, 2):
-        a, b = seq.h(k), seq.h(k + 2)
+        a, b = seq[k - 1], seq[k + 1]
         if a < 0 and b < 0:
             r = math.sqrt(b / a)
             est = r + 1 / r

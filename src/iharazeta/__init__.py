@@ -15,13 +15,13 @@ from .census import (CycleCensus, build_census, characteristic_polynomial,
 from .graphs import (GraphProfile, Multigraph, OrientedEdge, adjacency_matrix,
                      build_graph, generate, parse_generator, profile,
                      read_edge_list, write_edge_list)
-from .hk import HkSequence, chebyshev_T, hk_excess, hk_from_ck, hk_spectral
+from .hk import chebyshev_T, hk_excess, hk_from_ck, hk_spectral
 from .report import analyze, report_to_json
-from .spectral import (NontrivialSpectrum, Spectrum, eigenvalues_symmetric,
+from .spectral import (NontrivialSpectrum, eigenvalues_symmetric,
                        nontrivial_spectrum, scaled_spectrum)
 from .zetaxi import (Factors, PoleHit, RationalFunction, bass_determinant,
                      functional_equation_residual, hk_series, log_series,
                      log_series_zeta_check, nk_from_spectrum, relative_gap,
-                     xi_from_zeta, xi_rational, zeta_inverse)
+                     xi_rational, zeta_inverse)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .hk import HkSequence, hk_base
+import numpy as np
+
+from .hk import hk_base
 from .spectral import NontrivialSpectrum
 
 # slack of the spectral comparison, in units of sqrt(q)
@@ -82,7 +84,7 @@ def ramanujan_spectral(ns: NontrivialSpectrum, q: int) -> RamanujanVerdict:
     """Direct check: max |lam| over the nontrivial spectrum against
     2*sqrt(q), with slack SPECTRAL_SLACK*sqrt(q)."""
     threshold = 2.0 * math.sqrt(q)
-    worst = max(ns.values, key=abs) if ns.values else 0.0
+    worst = float(ns.values[np.argmax(np.abs(ns.values))]) if len(ns) else 0.0
     ok = abs(worst) <= threshold + SPECTRAL_SLACK * math.sqrt(q)
     return RamanujanVerdict(is_ramanujan=ok, threshold=threshold,
                             max_nontrivial_abs=abs(worst),
@@ -165,8 +167,9 @@ def hk_upper_check(excess: dict[int, tuple[int, int]]) -> bool:
     return all(side <= 0 for _, side in excess.values())
 
 
-def estimate_max_eigenvalue(seq: HkSequence) -> EigenvalueEstimate:
-    """Estimate q^(-1/2) * max|lam| from the tail of negative even h_k.
+def estimate_max_eigenvalue(h: np.ndarray, q: int) -> EigenvalueEstimate:
+    """Estimate q^(-1/2) * max|lam| from the tail of negative even h_k, h_k
+    at h[k-1].
 
     For a non-Ramanujan graph, h_2k behaves like -m*mu^(2k), so
     sqrt(h_{2k+2}/h_{2k}) + sqrt(h_{2k}/h_{2k+2}) converges to mu + 1/mu,
@@ -176,29 +179,27 @@ def estimate_max_eigenvalue(seq: HkSequence) -> EigenvalueEstimate:
     negative and EstimatorSignMismatch when negatives exist but never in
     adjacent even pairs.
     """
-    evens = range(2, seq.horizon + 1, 2)
-    some_negative = any(seq.h(k) < 0.0 for k in evens)
-    usable = [k for k in evens
-              if k + 2 <= seq.horizon and seq.h(k) < 0.0 and seq.h(k + 2) < 0.0]
-    if not usable:
-        if some_negative:
+    negative = h[1::2] < 0.0  # h_2, h_4, ...
+    usable = np.flatnonzero(negative[:-1] & negative[1:])  # i: h_(2i+2), h_(2i+4)
+    if not len(usable):
+        if negative.any():
             raise EstimatorSignMismatch(
                 "negative even h_k present but never in adjacent pairs; "
                 "increase the horizon")
         raise EstimatorNotApplicable(
-            f"no negative even h_k up to K={seq.horizon}; "
+            f"no negative even h_k up to K={len(h)}; "
             "graph appears Ramanujan at this horizon")
 
     def pair_estimate(k: int) -> float:
-        r = math.sqrt(seq.h(k + 2) / seq.h(k))
+        r = math.sqrt(float(h[k + 1]) / float(h[k - 1]))
         return r + 1.0 / r
 
-    k_lo = usable[-1]
+    k_lo = 2 * int(usable[-1]) + 2
     estimate = pair_estimate(k_lo)
     converged = False
-    if len(usable) >= 2 and usable[-2] == k_lo - 2:
+    if len(usable) >= 2 and usable[-2] == usable[-1] - 1:
         converged = abs(estimate - pair_estimate(k_lo - 2)) < 1e-4
     mu = (estimate + math.sqrt(max(estimate * estimate - 4.0, 0.0))) / 2.0
     return EigenvalueEstimate(estimate=estimate, mu=mu,
-                              implied_max_abs_eigenvalue=math.sqrt(seq.q) * estimate,
+                              implied_max_abs_eigenvalue=math.sqrt(q) * estimate,
                               k_used=(k_lo, k_lo + 2), converged=converged)

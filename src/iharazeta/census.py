@@ -47,7 +47,6 @@ import numpy as np
 
 from .graphs import Multigraph, adjacency_matrix
 from .hk import ck_alternating_sums
-from .spectral import Spectrum
 from .zetaxi import nk_from_spectrum, nk_spectral_budget
 
 # residues live below these primes; products stay exact in float64 while
@@ -351,7 +350,7 @@ def nk_from_ck(c: Sequence[int], q: int, n: int, K: int) -> tuple[int, ...]:
                  for k, s in enumerate(ck_alternating_sums(c, q, K), start=1))
 
 
-def nk_from_spectrum_rounded(s: Spectrum, q: int, n: int, k: int) -> int:
+def nk_from_spectrum_rounded(s: np.ndarray, q: int, n: int, k: int) -> int:
     """The integer the spectral N_k evaluation pins: the nearest one, when
     the error budget is below 1/2 and the residual is within the budget."""
     value = nk_from_spectrum(s, q, n, k)

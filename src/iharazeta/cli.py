@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import os
@@ -37,6 +38,8 @@ EXIT_INTERNAL = 3
 
 # h_k routes of the series subcommand, in CSV column order
 SERIES_ROUTES = ["spectral", "ck", "series"]
+# a census past this horizon prints a cost note on stderr
+COSTLY_HORIZON = 100
 
 
 def _load_graph(source: str) -> Multigraph:
@@ -48,6 +51,23 @@ def _load_graph(source: str) -> Multigraph:
             raise ValueError(f"cannot read {source}: {exc.strerror or exc}") from exc
         return read_edge_list(text)
     return parse_generator(source)
+
+
+def _check_out(out: str | None) -> None:
+    """Fail an --out path that names a directory, or a file in a directory
+    that does not exist, before any work starts; nothing is created."""
+    if out and os.path.isdir(out):
+        raise ValueError(f"cannot write {out}: {os.strerror(errno.EISDIR)}")
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        raise ValueError(f"cannot write {out}: {os.strerror(errno.ENOENT)}")
+
+
+def _cost_note(what: str, horizon: int) -> None:
+    """Say on stderr that a census to a horizon past COSTLY_HORIZON is
+    costly; called where a census runs."""
+    if horizon > COSTLY_HORIZON:
+        print(f"note: {what} {horizon} is costly; census entries grow like "
+              "(q+1)^k", file=sys.stderr)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -65,6 +85,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
+    _cost_note("--k", args.k)
     report = analyze(g, args.input, args.k, include_timings=not args.no_timings)
     _emit(report_to_json(report), args.out)
     if args.require_ramanujan:
@@ -80,24 +101,23 @@ def cmd_series(args: argparse.Namespace) -> int:
     K = args.k
     prof = profile(g)
     q, n = prof.q, g.n
-    routes: dict[str, list[float]] = {}
+    routes: dict = {}
     want = SERIES_ROUTES if args.route == "all" else [args.route]
     if K >= 1:
         if "spectral" in want or "series" in want:
             ns = nontrivial_spectrum(eigenvalues_symmetric(
                 adjacency_matrix(g), prof.bipartition), prof)
         if "spectral" in want:
-            routes["spectral"] = list(hk_spectral(scaled_spectrum(ns), K, q,
-                                                  prof.bipartite).values)
+            routes["spectral"] = hk_spectral(scaled_spectrum(ns), K, prof.bipartite)
         if "ck" in want:
+            _cost_note("--k", K)
             excess = hk_excess(build_census(g, q, K).nk, q, n, prof.bipartite)
-            routes["ck"] = list(hk_from_ck(excess, q, n, prof.bipartite, K).values)
+            routes["ck"] = hk_from_ck(excess, q, n, prof.bipartite, K)
         if "series" in want:
-            routes["series"] = list(hk_series(xi_rational(ns, q), q, K))
+            routes["series"] = hk_series(xi_rational(ns, q), q, K)
     if args.format == "json":
         payload = {"schema": SCHEMA_VERSION, "source": args.input, "k_horizon": K,
-                   "routes": {r: [float(v) for v in vals]
-                              for r, vals in routes.items()}}
+                   "routes": {r: h.tolist() for r, h in routes.items()}}
         _emit(report_to_json(payload), args.out)
         return EXIT_OK
     buf = io.StringIO()
@@ -117,6 +137,7 @@ def cmd_series(args: argparse.Namespace) -> int:
 def cmd_census(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     prof = profile(g)
+    _cost_note("--k", args.k)
     census = build_census(g, prof.q, args.k)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -141,6 +162,7 @@ def cmd_zeta(args: argparse.Namespace) -> int:
     coefficients from chi_A, which the first n census traces give."""
     g = _load_graph(args.input)
     q, n = profile(g).q, g.n
+    _cost_note("the census to n =", n)
     chi = characteristic_polynomial(build_census(g, q, n).c[1:])
     payload = {"schema": SCHEMA_VERSION, "source": args.input,
                "det_coefficients": [str(d) for d in bass_determinant(chi, q)],
@@ -151,6 +173,7 @@ def cmd_zeta(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
+    _cost_note("--k", args.k)
     report = analyze(g, args.input, args.k, include_timings=not args.no_timings)
     verdicts = report["verdicts"]
     payload = {
@@ -174,8 +197,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     prof = profile(g)
     ns = nontrivial_spectrum(eigenvalues_symmetric(
         adjacency_matrix(g), prof.bipartition), prof)
-    seq = hk_spectral(scaled_spectrum(ns), args.k, prof.q, prof.bipartite)
-    payload = estimator_block(seq)
+    payload = estimator_block(
+        hk_spectral(scaled_spectrum(ns), args.k, prof.bipartite), prof.q)
     payload.update({"schema": SCHEMA_VERSION, "source": args.input,
                     "k_horizon": args.k})
     _emit(report_to_json(payload), args.out)
@@ -261,11 +284,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise GraphError("--k must be >= 0")
             if k > 200:
                 raise GraphError("--k capped at 200 (cost grows with (q+1)^k)")
-            if k > 100:
-                print(f"note: --k {k} is costly; census entries grow like "
-                      "(q+1)^k", file=sys.stderr)
         if getattr(args, "oracle_k", 0) < 0:
             raise GraphError("--oracle-k must be >= 0")
+        _check_out(args.out)
         return args.func(args)
     except (GraphError, ValueError, BruteForceBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

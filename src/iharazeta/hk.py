@@ -12,22 +12,19 @@ the rescaled xi function) admits two closed-form routes implemented here:
     sums S_k, all K of them by two integer recurrences, one per parity of k
     (ck_alternating_sums), in integers up to the final division.  The census
     takes those sums to get N_k, and hk_excess reads them back from N_k.
-A third, generic power-series route lives in zetaxi.log_series.  The sign of
+A third, generic power-series route lives in zetaxi.log_series.  Each route
+gives h_1..h_K as a float64 array, h_k at index k-1.  The sign of
 h_k, and where it lies against the cap and the Hasse-Weil bound, is decided
 from the same integers, with no float (hk_excess).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-
-ROUTE_SPECTRAL = "spectral"
-ROUTE_FROM_CK = "from_ck"
-ROUTE_SERIES = "series"
 
 
 def binomial_ext(m: int, j: int) -> int:
@@ -47,15 +44,11 @@ def tk_weight(k: int, i: int) -> int:
 
 
 def chebyshev_T(k: int, x: float) -> float:
-    """T_k(x) by the forward three-term recurrence."""
+    """T_k(x) by the forward three-term recurrence: row k of
+    chebyshev_T_table, with T_0 = 2."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        return 2.0
-    prev, cur = 2.0, float(x)
-    for _ in range(k - 1):
-        prev, cur = cur, x * cur - prev
-    return cur
+    return float(chebyshev_T_table(k, [x])[k - 1, 0]) if k else 2.0
 
 
 def chebyshev_T_binomial(k: int, x: float) -> float:
@@ -89,27 +82,9 @@ def chebyshev_T_table(K: int, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class HkSequence:
-    """h_1..h_K with the route that produced it and the q the estimator
-    scales by."""
-
-    values: np.ndarray = field(repr=False)
-    route: str
-    q: int
-
-    @property
-    def horizon(self) -> int:
-        return len(self.values)
-
-    def h(self, k: int) -> float:
-        """1-based accessor: h(1) is the first coefficient."""
-        return float(self.values[k - 1])
-
-
-def hk_spectral(scaled: np.ndarray, K: int, q: int,
-                bipartite: bool) -> HkSequence:
-    """h_k = 2|Spec*| - sum of T_k over the scaled nontrivial spectrum.
+def hk_spectral(scaled: np.ndarray, K: int, bipartite: bool) -> np.ndarray:
+    """h_1..h_K, h_k = 2|Spec*| - sum of T_k over the scaled nontrivial
+    spectrum.
 
     A bipartite graph's scaled nontrivial spectrum is +/-x, x its first
     half (NontrivialSpectrum), and T_k(-x) = (-1)^k T_k(x).  So odd h_k is
@@ -119,13 +94,12 @@ def hk_spectral(scaled: np.ndarray, K: int, q: int,
     """
     scaled = np.asarray(scaled, dtype=np.float64)
     m = len(scaled)
-    if bipartite:
-        half = scaled[:m // 2]
-        values = np.full(K, 2.0 * m)
-        values[1::2] -= 2.0 * chebyshev_T_table(K // 2, half * half - 2.0).sum(axis=1)
-    else:
-        values = 2.0 * m - chebyshev_T_table(K, scaled).sum(axis=1)
-    return HkSequence(values=values, route=ROUTE_SPECTRAL, q=q)
+    if not bipartite:
+        return 2.0 * m - chebyshev_T_table(K, scaled).sum(axis=1)
+    half = scaled[:m // 2]
+    values = np.full(K, 2.0 * m)
+    values[1::2] -= 2.0 * chebyshev_T_table(K // 2, half * half - 2.0).sum(axis=1)
+    return values
 
 
 def ck_alternating_sums(c: Sequence[int], q: int, K: int) -> list[int]:
@@ -192,8 +166,8 @@ def hk_excess(nk: Sequence[int], q: int, n: int,
 
 
 def hk_from_ck(excess: dict[int, tuple[int, int]], q: int, n: int,
-               bipartite: bool, K: int) -> HkSequence:
-    """h_k = base + a_k / q^(k/2) for k = 1..K from the (a_k, side) pairs of
+               bipartite: bool, K: int) -> np.ndarray:
+    """h_1..h_K, h_k = base + a_k / q^(k/2), from the (a_k, side) pairs of
     hk_excess, which must reach the last k <= K that the counts decide.  The
     terms cancel to O(n), so they are never added in float: even k divides
     the integer base q^(k/2) + a_k by q^(k/2) once, which rounds correctly;
@@ -212,18 +186,14 @@ def hk_from_ck(excess: dict[int, tuple[int, int]], q: int, n: int,
             values[k - 1] = (base * half + a) / half
         else:
             values[k - 1] = base + a / half / math.sqrt(q)
-    return HkSequence(values=values, route=ROUTE_FROM_CK, q=q)
+    return values
 
 
-def max_route_deviation(seqs: Sequence[HkSequence]) -> float:
-    """Largest pairwise relative deviation between h-sequences, where the
-    relative scale at each k is max(1, |a_k|, |b_k|)."""
+def max_route_deviation(seqs: Sequence[np.ndarray]) -> float:
+    """Largest pairwise relative deviation between h-sequences of one
+    horizon, where the relative scale at each k is max(1, |a_k|, |b_k|)."""
     worst = 0.0
-    for i in range(len(seqs)):
-        for j in range(i + 1, len(seqs)):
-            a, b = seqs[i].values, seqs[j].values
-            upto = min(len(a), len(b))
-            av, bv = a[:upto], b[:upto]
-            scale = np.maximum(1.0, np.maximum(np.abs(av), np.abs(bv)))
-            worst = max(worst, float(np.max(np.abs(av - bv) / scale)) if upto else 0.0)
+    for a, b in itertools.combinations(seqs, 2):
+        scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        worst = max(worst, float(np.max(np.abs(a - b) / scale, initial=0.0)))
     return worst

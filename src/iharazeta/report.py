@@ -1,10 +1,12 @@
 """Full analysis pipeline and machine-readable report assembly.
 
-One call runs: profile -> spectrum -> exact census -> zeta/xi -> the three
-h_k routes (spectral, from_ck, series) -> every certification check ->
-estimator, and returns a plain dict shaped like the emitted JSON.  The h_k
-verdict, the from_ck route and the checks that need exact values all read
-one pass of hk.hk_excess over the census N_k: the signs of h_k in integers.
+One call runs: profile -> spectrum -> exact census -> xi -> the three h_k
+routes (spectral, from_ck, series) -> every certification check ->
+estimator, and returns a plain dict shaped like the emitted JSON.  Xi is
+built once, from the nontrivial spectrum; the factors of Z(u)^-1 feed only
+the log-series N_k check.  The h_k verdict, the from_ck route and the
+checks that need exact values all read one pass of hk.hk_excess over the
+census N_k: the signs of h_k in integers.
 N_1..N_20 are checked exactly against the operator traces and within an
 a-priori budget against the Z(u)^-1 log-series.  Disagreements beyond
 tolerance or budget raise InternalConsistencyError: they indicate a bug,
@@ -18,8 +20,6 @@ import math
 import time
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
 from . import __version__
 from .analysis import (DomainError, EstimatorNotApplicable,
                        EstimatorSignMismatch, estimate_max_eigenvalue,
@@ -27,12 +27,11 @@ from .analysis import (DomainError, EstimatorNotApplicable,
                        hk_upper_check, ramanujan_hk, ramanujan_spectral)
 from .census import build_census, geodesic_cycles_operator
 from .graphs import Multigraph, adjacency_matrix, profile
-from .hk import (ROUTE_SERIES, ROUTE_SPECTRAL, HkSequence, hk_excess,
-                 hk_from_ck, hk_spectral, max_route_deviation)
+from .hk import hk_excess, hk_from_ck, hk_spectral, max_route_deviation
 from .spectral import eigenvalues_symmetric, nontrivial_spectrum, scaled_spectrum
 from .zetaxi import (functional_equation_points, functional_equation_residual,
-                     hk_series, log_series_zeta_check, relative_gap,
-                     xi_from_zeta, xi_rational, zeta_inverse)
+                     hk_series, log_series_zeta_check, xi_rational,
+                     zeta_inverse)
 
 SCHEMA_VERSION = 3
 # seed of the functional-equation sample points, printed as the report's seed
@@ -42,10 +41,8 @@ DEFAULT_SEED = 42
 OPERATOR_CROSSCHECK_SIZE_LIMIT = 400
 # orders of N_k checked against the census (operator, Z^-1 log-series)
 NK_CROSSCHECK_K = 20
-# relative tolerance of the cross-route and xi-construction comparisons
+# relative tolerance of the cross-route comparison
 ROUTE_TOL = 1e-6
-# where the two xi constructions are compared
-XI_PROBES = (0.12, -0.21, 0.3)
 # functional-equation sample count and residual tolerance
 FE_POINTS = 100
 FE_TOL = 1e-8
@@ -57,19 +54,15 @@ class InternalConsistencyError(RuntimeError):
     """Independent computation routes disagreed beyond tolerance."""
 
 
-def _float_list(values) -> list[float]:
-    return [float(v) for v in values]
-
-
 def _decimal_strings(values) -> list[str]:
     return [str(int(v)) for v in values]
 
 
-def estimator_block(seq: HkSequence) -> dict:
-    """The tail-ratio estimate from an h_k sequence, as the estimate and
-    analyze outputs print it, or the status saying why it does not apply."""
+def estimator_block(h, q: int) -> dict:
+    """The tail-ratio estimate from h_1..h_K, as the estimate and analyze
+    outputs print it, or the status saying why it does not apply."""
     try:
-        est = estimate_max_eigenvalue(seq)
+        est = estimate_max_eigenvalue(h, q)
     except EstimatorNotApplicable as exc:
         return {"status": "not_applicable", "detail": str(exc)}
     except EstimatorSignMismatch as exc:
@@ -114,8 +107,8 @@ def analyze(g: Multigraph, source: str, K: int,
             raise InternalConsistencyError(
                 "non-backtracking operator traces disagree with the "
                 "closed-walk conversion for N_k")
-    zfactors = zeta_inverse(spectrum, q, n)
-    zeta_ok, zeta_records = log_series_zeta_check(census, zfactors, upto)
+    zeta_ok, zeta_records = log_series_zeta_check(
+        census, zeta_inverse(spectrum, q, n), upto)
     if not zeta_ok:
         raise InternalConsistencyError(
             "the Z(u)^-1 log-series N_k strays from the exact census beyond "
@@ -124,25 +117,16 @@ def analyze(g: Multigraph, source: str, K: int,
 
     t0 = time.perf_counter()
     xi = xi_rational(ns, q)
-    xi_alt = xi_from_zeta(zfactors, q, n, prof.bipartite)
-    gaps = relative_gap(*xi.log2_sign(XI_PROBES), *xi_alt.log2_sign(XI_PROBES))
-    if np.any(gaps > ROUTE_TOL):
-        worst = int(np.argmax(gaps))
-        raise InternalConsistencyError(
-            f"xi constructions disagree at u={XI_PROBES[worst]}: relative "
-            f"gap {gaps[worst]:.3e}")
     fe_max = float(functional_equation_residual(
         xi, q, functional_equation_points(FE_POINTS, DEFAULT_SEED)).max())
     timings["zeta_xi"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     excess = hk_excess(census.nk, q, n, prof.bipartite)
-    series = HkSequence(values=hk_series(xi, q, K), route=ROUTE_SERIES, q=q)
-    seqs = {seq.route: seq for seq in (
-        hk_spectral(scaled, K, q, prof.bipartite),
-        hk_from_ck(excess, q, n, prof.bipartite, K),
-        series)}
-    route_dev = max_route_deviation(list(seqs.values()))
+    routes = {"spectral": hk_spectral(scaled, K, prof.bipartite),
+              "from_ck": hk_from_ck(excess, q, n, prof.bipartite, K),
+              "series": hk_series(xi, q, K)}
+    route_dev = max_route_deviation(list(routes.values()))
     if route_dev > ROUTE_TOL:
         raise InternalConsistencyError(
             f"h_k routes disagree: max relative deviation {route_dev:.3e}")
@@ -170,7 +154,7 @@ def analyze(g: Multigraph, source: str, K: int,
     timings["checks"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    estimator = estimator_block(seqs[ROUTE_SPECTRAL])
+    estimator = estimator_block(routes["spectral"], q)
     timings["estimator"] = time.perf_counter() - t0
 
     report = {
@@ -187,14 +171,14 @@ def analyze(g: Multigraph, source: str, K: int,
             "bipartite": prof.bipartite,
             "connected": prof.connected,
         },
-        "spectrum": _float_list(spectrum.values),
-        "nontrivial_spectrum": _float_list(ns.values),
-        "scaled_nontrivial_spectrum": _float_list(scaled),
+        "spectrum": spectrum.tolist(),
+        "nontrivial_spectrum": ns.values.tolist(),
+        "scaled_nontrivial_spectrum": scaled.tolist(),
         "census": {
             "c": _decimal_strings(census.c),
             "n": _decimal_strings(census.nk),
         },
-        "h": {route: _float_list(seq.values) for route, seq in seqs.items()},
+        "h": {route: h.tolist() for route, h in routes.items()},
         "route_agreement": {
             "max_relative_deviation": route_dev,
             "tolerance": ROUTE_TOL,

@@ -29,23 +29,10 @@ class TrivialEigenvalueMissing(ValueError):
     present: the input was not a connected regular graph."""
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """All eigenvalues of a symmetric matrix, sorted descending, with
-    multiplicity."""
-
-    values: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.values)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NontrivialSpectrum:
-    """Eigenvalue multiset with the trivial eigenvalues removed.
+    """Eigenvalue multiset with the trivial eigenvalues removed, as a slice
+    of the descending float64 spectrum.
 
     Size is n-1 for a nonbipartite graph (q+1 removed) and n-2 for a
     bipartite one (both q+1 and -(q+1) removed).  A bipartite one is exactly
@@ -53,24 +40,22 @@ class NontrivialSpectrum:
     reverse order, so its first half is the nontrivial sigma.
     """
 
-    values: tuple[float, ...]
+    values: np.ndarray
     q: int
     bipartite: bool = False
 
     def __len__(self) -> int:
         return len(self.values)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.values)
-
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values else 0.0
+        return float(np.max(np.abs(self.values))) if len(self.values) else 0.0
 
 
 def eigenvalues_symmetric(
         m: np.ndarray,
-        bipartition: tuple[tuple[int, ...], tuple[int, ...]] | None = None) -> Spectrum:
-    """All eigenvalues of a symmetric matrix, by LAPACK.
+        bipartition: tuple[tuple[int, ...], tuple[int, ...]] | None = None) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix, by LAPACK: a float64 array,
+    descending, with multiplicity.
 
     Symmetry is required exactly (inputs are integer matrices).  Without a
     bipartition the values are eigvalsh's.  Given the two parts of a
@@ -86,8 +71,7 @@ def eigenvalues_symmetric(
     if not np.array_equal(a, a.T):
         raise NonSymmetricError("matrix is not symmetric")
     if bipartition is None:
-        vals = np.linalg.eigvalsh(a.astype(np.float64))[::-1]
-        return Spectrum(tuple(float(v) for v in vals))
+        return np.linalg.eigvalsh(a.astype(np.float64))[::-1].copy()
     half, order = len(bipartition[0]), [*bipartition[0], *bipartition[1]]
     if 2 * half != len(a) or sorted(order) != list(range(len(a))):
         raise ValueError("a bipartition splits the vertices into two equal parts")
@@ -95,28 +79,28 @@ def eigenvalues_symmetric(
     if a[:half, :half].any() or a[half:, half:].any():
         raise ValueError("the bipartition has an edge inside a part")
     sigma = np.linalg.svd(a[:half, half:].astype(np.float64), compute_uv=False)
-    return Spectrum(tuple(np.concatenate((sigma, 0.0 - sigma[::-1])).tolist()))
+    return np.concatenate((sigma, 0.0 - sigma[::-1]))
 
 
-def nontrivial_spectrum(s: Spectrum, p: GraphProfile) -> NontrivialSpectrum:
+def nontrivial_spectrum(s: np.ndarray, p: GraphProfile) -> NontrivialSpectrum:
     """Remove the trivial eigenvalues from a descending spectrum.
 
     A connected (q+1)-regular graph has q+1 as its largest eigenvalue, and
-    -(q+1) as its smallest when it is bipartite; so values[0] goes, and
-    values[-1] too for a bipartite graph.  A dropped value deviating from
-    its target by more than TRIVIAL_MATCH_TOL * (q+1) signals a
-    non-connected or non-regular input that slipped through validation.
+    -(q+1) as its smallest when it is bipartite; so s[0] goes, and s[-1]
+    too for a bipartite graph.  A dropped value deviating from its target by
+    more than TRIVIAL_MATCH_TOL * (q+1) signals a non-connected or
+    non-regular input that slipped through validation.
     """
     top = p.q + 1.0
     for i, target in ((0, top), (-1, -top)) if p.bipartite else ((0, top),):
-        if abs(s.values[i] - target) > TRIVIAL_MATCH_TOL * top:
+        if abs(s[i] - target) > TRIVIAL_MATCH_TOL * top:
             raise TrivialEigenvalueMissing(
                 f"no eigenvalue within {TRIVIAL_MATCH_TOL:.1e}*(q+1) of "
-                f"{target:g}; the spectrum ends at {s.values[i]:.12g}")
-    return NontrivialSpectrum(values=s.values[1:-1] if p.bipartite else s.values[1:],
+                f"{target:g}; the spectrum ends at {s[i]:.12g}")
+    return NontrivialSpectrum(values=s[1:-1] if p.bipartite else s[1:],
                               q=p.q, bipartite=p.bipartite)
 
 
 def scaled_spectrum(ns: NontrivialSpectrum) -> np.ndarray:
     """The nontrivial eigenvalues divided by sqrt(q), order preserved."""
-    return ns.as_array() / math.sqrt(ns.q)
+    return ns.values / math.sqrt(ns.q)

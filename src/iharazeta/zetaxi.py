@@ -23,7 +23,10 @@ degree 2n ever forms, so no cluster of 2n-2 equal roots has to be resolved
 from rounded coefficients, and float64 suffices: the series inherits the
 rounding of the float eigenvalues, not extra error from its own arithmetic.
 Taken of Z(u)^-1 it is the one float N_k (nk_from_spectrum), checked against
-the exact census within its a-priori nk_spectral_budget.
+the exact census within its a-priori nk_spectral_budget; that check is all
+Z(u)^-1's factors feed.  Xi is built once, from the nontrivial spectrum
+(xi_rational): built from Z(u)^-1 instead, it would differ only by a fixed
+elementary prefactor.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .spectral import NontrivialSpectrum, Spectrum
+from .spectral import NontrivialSpectrum
 
 if TYPE_CHECKING:
     from .census import CycleCensus
@@ -149,11 +152,11 @@ def _spectrum_quadratics(values: Sequence[float], q: int):
     return ((1.0, -lam, float(q), 1) for lam in values)
 
 
-def zeta_inverse(s: Spectrum, q: int, n: int) -> Factors:
-    """Z(u)^-1 = (1-u^2)^(n(q-1)/2) * prod over the full spectrum of
+def zeta_inverse(s: np.ndarray, q: int, n: int) -> Factors:
+    """Z(u)^-1 = (1-u^2)^(n(q-1)/2) * prod over the full spectrum s of
     (1 - lam*u + q*u^2), as its factors; degree n(q+1), constant term 1."""
     return Factors.from_rows((1.0, 0.0, -1.0, n * (q - 1) // 2),
-                             *_spectrum_quadratics(s.values, q))
+                             *_spectrum_quadratics(s, q))
 
 
 def bass_determinant(chi: Sequence[int], q: int) -> list[int]:
@@ -187,21 +190,6 @@ def xi_rational(ns: NontrivialSpectrum, q: int) -> RationalFunction:
         return RationalFunction(Factors.from_rows(
             *((1.0, 2.0 * q - x * x, float(q * q), 1) for x in sigma), in_w=True), den)
     return RationalFunction(Factors.from_rows(*_spectrum_quadratics(ns.values, q)), den)
-
-
-def xi_from_zeta(zeta_factors: Factors, q: int, n: int,
-                 bipartite: bool) -> RationalFunction:
-    """Xi(u) assembled as the factors of Z(u)^-1 over the elementary
-    polynomial that multiplies Z(u) to give Xi(u)^-1."""
-    sq, e = math.sqrt(q), n * (q - 1) // 2
-    if bipartite:
-        prefactor = Factors.from_rows((1.0, 0.0, -float(q * q), 1),
-                                      (1.0, -sq, 0.0, 2 * n - 4),
-                                      (1.0, 0.0, -1.0, e + 1))
-    else:
-        prefactor = Factors.from_rows((1.0, -1.0, 0.0, 1), (1.0, -float(q), 0.0, 1),
-                                      (1.0, -sq, 0.0, 2 * n - 2), (1.0, 0.0, -1.0, e))
-    return RationalFunction(zeta_factors, prefactor)
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +297,13 @@ def hk_series(xi: RationalFunction, q: int, K: int) -> np.ndarray:
     return h
 
 
-def nk_from_spectrum(s: Spectrum, q: int, n: int, k: int) -> float:
+def nk_from_spectrum(s: np.ndarray, q: int, n: int, k: int) -> float:
     """Floating-point N_k: the coefficient of u^(k-1) in -d/du ln Z(u)^-1,
     q^(k/2) * sum of T_k over the scaled spectrum, plus n(q-1) for even k."""
     return float(-_logder(zeta_inverse(s, q, n), k)[k - 1])
 
 
-def nk_spectral_budget(s: Spectrum, q: float, n: int, k: int | np.ndarray):
+def nk_spectral_budget(s: np.ndarray, q: float, n: int, k: int | np.ndarray):
     """A-priori bound on |nk_from_spectrum(s, q, n, k) - N_k| for the float64
     spectrum s LAPACK gives: a float for an integer k, an array for an array.
 
@@ -351,7 +339,7 @@ def nk_spectral_budget(s: Spectrum, q: float, n: int, k: int | np.ndarray):
     eps = float(np.finfo(np.float64).eps)
     root_q = math.sqrt(q)
     dlam = n * eps * (q + 1)
-    x = (np.abs(s.as_array()) + dlam) / root_q
+    x = (np.abs(s) + dlam) / root_q
     rho = root_q * np.maximum(1.0, (x + np.sqrt(np.maximum(x * x - 4.0, 0.0))) / 2.0)
     k = np.asarray(k, dtype=float)
     drift = rho ** (k[..., None] - 1.0)
@@ -372,8 +360,7 @@ def log_series_zeta_check(census: CycleCensus, zeta_factors: Factors, K: int
         raise ValueError(f"census horizon {census.horizon} < requested K={K}")
     c = zeta_factors.coefficients
     quadratic = c[:, 2] > 0
-    spectrum = Spectrum(tuple((-c[quadratic, 1]).tolist()))
-    budgets = nk_spectral_budget(spectrum, float(c[quadratic, 2].max()),
+    budgets = nk_spectral_budget(-c[quadratic, 1], float(c[quadratic, 2].max()),
                                  census.c[0], np.arange(1, K + 1))
     coefficients, exact = -_logder(zeta_factors, K), np.array(census.nk[:K], dtype=float)
     deviations = np.abs(coefficients - exact)

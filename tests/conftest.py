@@ -5,16 +5,16 @@ from __future__ import annotations
 from functools import lru_cache
 from types import MappingProxyType
 
+import numpy as np
 import pytest
 
 from iharazeta.census import CycleCensus, build_census
 from iharazeta.graphs import (GraphProfile, Multigraph, adjacency_matrix,
                               build_graph, generate, parse_generator,
                               profile)
-from iharazeta.hk import HkSequence, hk_excess, hk_from_ck, hk_spectral
-from iharazeta.spectral import (NontrivialSpectrum, Spectrum,
-                                eigenvalues_symmetric, nontrivial_spectrum,
-                                scaled_spectrum)
+from iharazeta.hk import hk_excess, hk_from_ck, hk_spectral
+from iharazeta.spectral import (NontrivialSpectrum, eigenvalues_symmetric,
+                                nontrivial_spectrum, scaled_spectrum)
 from iharazeta.zetaxi import hk_series, xi_rational
 
 # the eight fixtures the acceptance criteria run on
@@ -82,10 +82,17 @@ def get_profile(name: str) -> GraphProfile:
     return profile(get_graph(name))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: the cached arrays are shared between tests."""
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=None)
-def get_spectrum(name: str) -> Spectrum:
-    return eigenvalues_symmetric(adjacency_matrix(get_graph(name)),
-                                 get_profile(name).bipartition)
+def get_spectrum(name: str) -> np.ndarray:
+    """The descending spectrum, read-only."""
+    return _read_only(eigenvalues_symmetric(adjacency_matrix(get_graph(name)),
+                                            get_profile(name).bipartition))
 
 
 @lru_cache(maxsize=None)
@@ -109,18 +116,17 @@ def get_excess(name: str, K: int) -> MappingProxyType:
 
 @lru_cache(maxsize=None)
 def get_hk_routes(name: str, K: int) -> MappingProxyType:
-    """The three h_k routes at horizon K, read-only and keyed by route name:
-    spectral, from_ck (exact integer provenance) and series."""
+    """The three h_k routes at horizon K as read-only arrays, h_k at index
+    k-1, keyed by route name: spectral, from_ck (exact integer provenance)
+    and series."""
     g = get_graph(name)
     prof = get_profile(name)
     q, n = prof.q, g.n
-    scaled = scaled_spectrum(get_nontrivial(name))
-    series = HkSequence(values=hk_series(xi_rational(get_nontrivial(name), q), q, K),
-                        route="series", q=q)
-    return MappingProxyType({seq.route: seq for seq in (
-        hk_spectral(scaled, K, q, prof.bipartite),
-        hk_from_ck(get_excess(name, K), q, n, prof.bipartite, K),
-        series,
+    ns = get_nontrivial(name)
+    return MappingProxyType({route: _read_only(h) for route, h in (
+        ("spectral", hk_spectral(scaled_spectrum(ns), K, prof.bipartite)),
+        ("from_ck", hk_from_ck(get_excess(name, K), q, n, prof.bipartite, K)),
+        ("series", hk_series(xi_rational(ns, q), q, K)),
     )})
 
 

@@ -17,7 +17,7 @@ from iharazeta.census import (build_census, characteristic_polynomial,
                               geodesic_cycles_operator,
                               nk_from_spectrum_rounded)
 from iharazeta.graphs import adjacency_matrix, profile
-from iharazeta.hk import (HkSequence, chebyshev_T, chebyshev_T_binomial,
+from iharazeta.hk import (chebyshev_T, chebyshev_T_binomial,
                           chebyshev_T_even_form, hk_excess, hk_from_ck,
                           hk_spectral, max_route_deviation)
 from iharazeta.spectral import (eigenvalues_symmetric, nontrivial_spectrum,
@@ -51,11 +51,10 @@ def test_criterion_01_route_agreement_under_30s():
         ns = nontrivial_spectrum(spectrum, prof)
         census = build_census(g, q, 40)
         seqs = [
-            hk_spectral(scaled_spectrum(ns), 40, q, prof.bipartite),
+            hk_spectral(scaled_spectrum(ns), 40, prof.bipartite),
             hk_from_ck(hk_excess(census.nk, q, n, prof.bipartite), q, n,
                        prof.bipartite, 40),
-            HkSequence(values=hk_series(xi_rational(ns, q), q, 40),
-                       route="series", q=q),
+            hk_series(xi_rational(ns, q), q, 40),
         ]
         worst = max(worst, max_route_deviation(seqs))
     elapsed = time.perf_counter() - t0
@@ -105,11 +104,11 @@ def test_criterion_04_sign_directions():
         assert ramanujan_spectral(get_nontrivial(name),
                                   get_profile(name).q).is_ramanujan
         seq = get_hk_routes(name, 100)["spectral"]
-        ok = ok and bool(np.all(seq.values >= -1e-8))
+        ok = ok and bool(np.all(seq >= -1e-8))
     witnesses = {}
     for name in ["prism24", "prism30"]:
         seq = get_hk_routes(name, 60)["from_ck"]
-        negative_even = [k for k in range(2, 61, 2) if seq.h(k) < 0]
+        negative_even = [k for k in range(2, 61, 2) if seq[k - 1] < 0]
         witnesses[name] = negative_even[0] if negative_even else None
         ok = ok and bool(negative_even)
     _verdict(4, f"Ramanujan fixtures keep h_k >= -1e-8 to k=100; prisms go "
@@ -124,7 +123,7 @@ def test_criterion_05_even_k_bound_property():
         seq = get_hk_routes(name, 40)["from_ck"]
         worst_lam = get_nontrivial(name).max_abs()
         for k in range(2, 41, 2):
-            if seq.h(k) >= 0:
+            if seq[k - 1] >= 0:
                 bound = even_k_bound(k, g.n, prof.q, prof.bipartite)
                 ok = ok and worst_lam <= bound + 1e-9
     _verdict(5, "h_k >= 0 at even k implies the (1 + radical) * sqrt(q) "
@@ -151,7 +150,7 @@ def test_criterion_06_hasse_weil():
 
 def test_criterion_07_estimator():
     seq = get_hk_routes("prism24", 100)["spectral"]
-    est = estimate_max_eigenvalue(seq)
+    est = estimate_max_eigenvalue(seq, 2)
     target = (2 * math.cos(math.pi / 12) + 1) / math.sqrt(2)
     err = abs(est.estimate - target)
     _verdict(7, f"prism24 K=100 estimator error {err:.2e} vs target "
@@ -194,9 +193,9 @@ def test_criterion_09_hk_upper_bound():
         prof = get_profile(name)
         seq = get_hk_routes(name, 100)["spectral"]
         bound = hk_upper_bound(g.n, prof.bipartite)
-        ok = ok and bool(np.all(seq.values <= bound * (1 + 1e-9)))
+        ok = ok and bool(np.all(seq <= bound * (1 + 1e-9)))
     kmm_seq = get_hk_routes("kmm3", 100)["spectral"]
-    ok = ok and abs(kmm_seq.h(2) - 16.0) < 1e-9  # attains 4(n-2)
+    ok = ok and abs(kmm_seq[1] - 16.0) < 1e-9  # attains 4(n-2)
     _verdict(9, "Ramanujan fixtures keep h_k <= 4(n-1)/4(n-2) to k=100, "
                 "K33 attains 16 at k=2", ok)
 

@@ -12,17 +12,12 @@ from iharazeta.analysis import (DomainError, EstimatorNotApplicable,
                                 even_k_bound, hasse_weil_check, hk_upper_bound,
                                 hk_upper_check, multiset_bound, ramanujan_hk,
                                 ramanujan_spectral)
-from iharazeta.hk import HkSequence, chebyshev_T, hk_excess, hk_from_ck
+from iharazeta.hk import chebyshev_T, hk_excess, hk_from_ck
 from iharazeta.spectral import scaled_spectrum
 
 from conftest import (ACCEPTANCE_FIXTURES, NON_RAMANUJAN_FIXTURES,
                       RAMANUJAN_FIXTURES, get_excess, get_graph,
                       get_hk_routes, get_nontrivial, get_profile)
-
-
-def _seq(values, q=2):
-    return HkSequence(values=np.asarray(values, dtype=float), route="spectral",
-                      q=q)
 
 
 def _hk_verdict(name, K):
@@ -45,7 +40,7 @@ def _synthetic_nk(n, q, K, bipartite, k, a):
 
 def _h(nk, q, n, bipartite, k):
     return hk_from_ck(hk_excess(nk, q, n, bipartite), q, n, bipartite,
-                      len(nk)).h(k)
+                      len(nk))[k - 1]
 
 
 def _verdict(nk, q, n, bipartite):
@@ -186,7 +181,7 @@ def test_even_k_bound_implied_by_nonneg_hk(name):
     seq = get_hk_routes(name, 40)["from_ck"]
     worst = get_nontrivial(name).max_abs()
     for k in range(2, 41, 2):
-        if seq.h(k) >= 0:
+        if seq[k - 1] >= 0:
             assert worst <= even_k_bound(k, g.n, prof.q, prof.bipartite) + 1e-9
 
 
@@ -266,13 +261,13 @@ def test_hk_upper_kmm3_attained():
     seq = get_hk_routes("kmm3", 100)["spectral"]
     assert hk_upper_bound(6, True) == 16
     assert _hk_upper("kmm3", 100)
-    assert seq.h(2) == pytest.approx(16.0, abs=1e-10)
+    assert seq[1] == pytest.approx(16.0, abs=1e-10)
 
 
 def test_hk_upper_cycle5():
     seq = get_hk_routes("cycle5", 100)["spectral"]
     assert _hk_upper("cycle5", 100)
-    assert float(np.max(seq.values)) <= 16 + 1e-9
+    assert float(np.max(seq)) <= 16 + 1e-9
 
 
 def test_hk_upper_is_exact_at_the_cap():
@@ -303,7 +298,7 @@ def test_tk_bounded_on_ramanujan_scaled_spectra(name):
 
 def test_estimator_prism24():
     seq = get_hk_routes("prism24", 100)["spectral"]
-    est = estimate_max_eigenvalue(seq)
+    est = estimate_max_eigenvalue(seq, 2)
     target = (2 * math.cos(math.pi / 12) + 1) / math.sqrt(2)
     assert abs(est.estimate - target) < 1e-3
     assert est.converged
@@ -316,7 +311,7 @@ def test_estimator_prism24():
 
 def test_estimator_prism30():
     seq = get_hk_routes("prism30", 100)["spectral"]
-    est = estimate_max_eigenvalue(seq)
+    est = estimate_max_eigenvalue(seq, 2)
     target = (2 * math.cos(math.pi / 15) + 1) / math.sqrt(2)
     assert abs(est.estimate - target) < 1e-3
 
@@ -324,13 +319,13 @@ def test_estimator_prism30():
 def test_estimator_not_applicable_on_ramanujan():
     seq = get_hk_routes("petersen", 60)["spectral"]
     with pytest.raises(EstimatorNotApplicable):
-        estimate_max_eigenvalue(seq)
+        estimate_max_eigenvalue(seq, 2)
 
 
 def test_estimator_synthetic_exact_ratio():
     mu = 1.5
     values = [1.0 if k % 2 else -(mu ** k) for k in range(1, 13)]
-    est = estimate_max_eigenvalue(_seq(values))
+    est = estimate_max_eigenvalue(np.array(values), 2)
     assert est.estimate == pytest.approx(mu + 1 / mu, rel=1e-12)
     assert est.mu == pytest.approx(mu, rel=1e-10)
 
@@ -338,4 +333,4 @@ def test_estimator_synthetic_exact_ratio():
 def test_estimator_sign_mismatch():
     values = [1.0, -1.0, 1.0, 1.0, 1.0, 1.0]  # lone negative h_2
     with pytest.raises(EstimatorSignMismatch):
-        estimate_max_eigenvalue(_seq(values))
+        estimate_max_eigenvalue(np.array(values), 2)

@@ -18,7 +18,6 @@ from iharazeta.census import (BruteForceBudgetExceeded,
 from iharazeta.graphs import (Multigraph, adjacency_matrix, parse_generator,
                               profile)
 from iharazeta.hk import chebyshev_T_table
-from iharazeta.spectral import Spectrum
 
 from conftest import (ALL_FIXTURES, SMALL_FIXTURES, get_census, get_graph,
                       get_profile, get_spectrum)
@@ -150,7 +149,7 @@ def test_nk_from_spectrum_examples():
 
 def test_rounding_residual_guard():
     # a visibly wrong spectrum must be caught, not silently rounded
-    bad = Spectrum((3.01,) + (1.0,) * 5 + (-2.0,) * 4)
+    bad = np.array([3.01] + [1.0] * 5 + [-2.0] * 4)
     with pytest.raises(RoundingResidualTooLarge):
         for k in range(1, 9):
             nk_from_spectrum_rounded(bad, 2, 10, k)
@@ -182,7 +181,7 @@ def test_tk_power_sum_identity(name):
 
     q = get_profile(name).q
     census = get_census(name, 20)
-    scaled = get_spectrum(name).as_array() / math.sqrt(q)
+    scaled = get_spectrum(name) / math.sqrt(q)
     table = chebyshev_T_table(20, scaled)
     sums = ck_alternating_sums(census.c, q, 20)
     for k in range(1, 21):
@@ -361,7 +360,7 @@ def test_integer_power_traces_cross_int64_boundary():
     # 3-regular on 48 vertices crosses the int64 threshold near k = 38
     a = adjacency_matrix(get_graph("prism24"))
     traces = integer_power_traces(a, 42)
-    vals = np.array(get_spectrum("prism24").values)
+    vals = get_spectrum("prism24")
     for k in (40, 41, 42):
         approx = float(np.sum(vals ** k))
         scale = float(np.sum(np.abs(vals) ** k))

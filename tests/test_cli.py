@@ -122,7 +122,7 @@ def test_uncaught_exception_exits_internal(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise OverflowError("stage blew up")
 
-    monkeypatch.setattr("iharazeta.report.xi_from_zeta", broken)
+    monkeypatch.setattr("iharazeta.report.xi_rational", broken)
     code, out, err = run(capsys, "analyze", "petersen", "--k", "10")
     assert code == 3
     assert out == ""
@@ -229,8 +229,8 @@ def test_series_ck_route_skips_eigensolver(monkeypatch, capsys):
 @pytest.mark.parametrize("spec", ["circulant:80:1,2,3,4,5,6",
                                   "circulant:100:1,2,3,4,5,6"])
 def test_xi_cross_check_near_the_pole_exits_zero(capsys, spec):
-    # q = 11: the probe u = 0.3 lies 0.5% from the pole q^(-1/2), where
-    # |Xi(0.3)| is beyond the float range
+    # q = 11: the pole q^(-1/2) ~ 0.3015 lies inside the functional
+    # equation's sample range, and |Xi| there reaches 2^769 and 2^962
     code, out, err = run(capsys, "check", spec, "--k", "50")
     assert code == 0, err
     assert json.loads(out)["functional_equation"]["ok"]
@@ -351,6 +351,26 @@ def test_unwritable_out_is_bad_input(tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("cmd", ["analyze", "check"])
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_out_fails_before_the_pipeline(monkeypatch, tmp_path, capsys,
+                                                  cmd, where):
+    # a missing directory, or an --out that is a directory, exits 2 before
+    # any work starts, and leaves no file behind
+    def unused(*args, **kwargs):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr("iharazeta.cli.analyze", unused)
+    monkeypatch.setattr("iharazeta.cli._load_graph", unused)
+    path = tmp_path / "missing" / "x.json" if where == "missing" else tmp_path
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run(capsys, cmd, "circulant:150:1,2,3", "--k", "150",
+                         "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_check_payload(capsys):
     payload = run_json(capsys, "check", "kmm:3", "--k", "20")
     assert payload["verdicts"]["spectral"]["is_ramanujan"]
@@ -402,9 +422,37 @@ def test_k_cap(capsys):
 
 
 def test_k_cost_warning(capsys):
-    code, _, err = run(capsys, "estimate", "complete:4", "--k", "120")
+    code, _, err = run(capsys, "census", "complete:4", "--k", "120")
     assert code == 0
-    assert "costly" in err
+    assert err == ("note: --k 120 is costly; census entries grow like "
+                   "(q+1)^k\n")
+    code, _, err = run(capsys, "estimate", "complete:4", "--k", "120")
+    assert (code, err) == (0, "")
+
+
+# the cost note appears exactly where a census runs past horizon 100
+K_NOTE = "note: --k 101 is costly; census entries grow like (q+1)^k\n"
+N_NOTE = "note: the census to n = 101 is costly; census entries grow like (q+1)^k\n"
+COST_NOTES = [
+    (["analyze", "complete:4", "--k", "101"], K_NOTE),
+    (["check", "complete:4", "--k", "101"], K_NOTE),
+    (["census", "complete:4", "--k", "101"], K_NOTE),
+    (["census", "complete:4", "--k", "100"], ""),
+    (["series", "complete:4", "--k", "101", "--route", "ck"], K_NOTE),
+    (["series", "complete:4", "--k", "101"], K_NOTE),
+    (["series", "complete:4", "--k", "101", "--route", "spectral"], ""),
+    (["series", "complete:4", "--k", "101", "--route", "series"], ""),
+    (["estimate", "complete:4", "--k", "200"], ""),
+    (["zeta", "cycle:101"], N_NOTE),
+    (["zeta", "cycle:100"], ""),
+]
+
+
+@pytest.mark.parametrize("argv, note", COST_NOTES,
+                         ids=[" ".join(argv) for argv, _ in COST_NOTES])
+def test_cost_note_where_a_census_runs(capsys, argv, note):
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, note)
 
 
 def test_series_json_format(capsys):

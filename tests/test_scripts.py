@@ -31,3 +31,18 @@ def test_check_ladder_runs_without_pythonpath(tmp_path):
         assert k == "50" and code in ("0", "1"), row
         # the spectral verdict and the exact h_k witness agree at K = 50
         assert (spectral == "True") == (witness == "None"), row
+
+
+def test_output_digests_are_stable_lines(tmp_path):
+    first = _run_script(tmp_path, "output_digests.py", "petersen", "complete:4")
+    assert first == _run_script(tmp_path, "output_digests.py", "petersen",
+                                "complete:4")
+    labels = ["analyze", "census", "series-csv", "series-json", "check",
+              "estimate", "zeta"]
+    assert [line.split()[:2] for line in first] == [
+        [label, spec] for spec in ("petersen", "complete:4") for label in labels]
+    empty = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    for line in first:
+        _, _, out, err, code = line.split()
+        assert len(out) == 64 and int(out, 16) and out != empty, line
+        assert (err, code) == (empty, "0"), line
