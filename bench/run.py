@@ -14,7 +14,11 @@ every (graph, K) once, in ladder order.  Per graph and K the file records:
   time in one cli.main call.
 
 The file also records src_lines, the line count (as `wc -l`) of the
-package's *.py files under --src.
+package's *.py files under --src, and under `oneshot` the cost a command-line
+user pays per call: each of ONESHOT runs as `ihara` in a fresh interpreter
+(output to /dev/null), once to warm the file cache and then once per run, and
+the file records the median wall time from spawn to exit and the median
+peak resident set size of the child (its ru_maxrss, from os.wait4).
 
 report_to_json and the layers are timed by wrapping the names cli and
 report import them under.
@@ -53,6 +57,11 @@ MIN_RUNS = 5
 WRITER = ("cli", "report_to_json")
 LAYERS = (("report", "eigenvalues_symmetric"), ("report", "build_census"),
           ("report", "geodesic_cycles_operator"), ("report", "hk_series"))
+ONESHOT = (("analyze", "petersen", "--k", "50"), ("check", "petersen", "--k", "50"),
+           ("census", "complete:30", "--k", "150"), ("estimate", "prism:50", "--k", "100"))
+# the child's program: argv[1] is the src directory, the rest is ihara's argv
+CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); "
+         "from iharazeta.cli import main; raise SystemExit(main(sys.argv[2:]))")
 
 
 def _median(values):
@@ -121,6 +130,35 @@ def measure(src: Path, runs: int) -> list[dict]:
     } for (g, K), s in samples.items()]
 
 
+def _spawn(src: Path, argv: tuple[str, ...]) -> tuple[int, float, float]:
+    """Run `ihara argv` from src in a fresh interpreter; its exit code, wall
+    time in seconds and peak RSS in MB (ru_maxrss is in KiB on Linux)."""
+    devnull = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]
+    t0 = time.perf_counter()
+    pid = os.posix_spawn(sys.executable, [sys.executable, "-c", CHILD, str(src), *argv],
+                         os.environ, file_actions=devnull)
+    _, status, usage = os.wait4(pid, 0)
+    wall = time.perf_counter() - t0
+    return os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss / 1024
+
+
+def measure_oneshot(src: Path, runs: int) -> list[dict]:
+    """Each ONESHOT command in runs + 1 fresh interpreters, the first a
+    warm-up; one record per command with the median wall time and peak RSS."""
+    samples = {argv: [] for argv in ONESHOT}
+    for run in range(runs + 1):
+        for argv in ONESHOT:
+            sample = _spawn(src, argv)
+            if run:
+                samples[argv].append(sample)
+    return [{
+        "command": " ".join(argv),
+        "exit_codes": sorted({code for code, _, _ in s}),
+        "wall_s": _median([wall for _, wall, _ in s]),
+        "peak_rss_mb": _median([rss for _, _, rss in s]),
+    } for argv, s in samples.items()]
+
+
 def src_lines(src: Path) -> int:
     """Line count of the iharazeta package's *.py files under src."""
     return sum(path.read_bytes().count(b"\n")
@@ -132,9 +170,9 @@ def _ms(seconds) -> str:
 
 
 def compare(base_path: str, change_path: str) -> None:
-    """Print the src line counts and the median wall, writer and
-    build_census times of two BENCH files side by side (files without
-    src_lines or layers_s show "-")."""
+    """Print the src line counts, the median wall, writer and build_census
+    times and the one-shot costs of two BENCH files side by side (files
+    without src_lines, layers_s or oneshot show "-")."""
     base, change = (json.loads(Path(p).read_text(encoding="utf-8"))
                     for p in (base_path, change_path))
     print(f"src lines: {base.get('src_lines', '-')} -> {change.get('src_lines', '-')}")
@@ -150,6 +188,19 @@ def compare(base_path: str, change_path: str) -> None:
         print(f"{r['graph']:<12} {r['k']:>4} {b['exit_code']!s:>4}->{r['exit_code']!s:<3}"
               f"  {1e3 * b['wall_s']:>13.1f} ms {1e3 * r['wall_s']:>13.1f} ms "
               f"{r['wall_s'] / b['wall_s']:>6.2f}  {writer:<16} {census:>20}")
+    shots = {r["command"]: r for r in base.get("oneshot", [])}
+    if not shots and not change.get("oneshot"):
+        return
+    print(f"\n{'one-shot command':<30} {'wall (ms)':>20} {'ratio':>6} "
+          f"{'peak RSS (MB)':>20} {'ratio':>6}")
+    for r in change.get("oneshot", []):
+        b = shots.get(r["command"])
+        if b is None:
+            print(f"{r['command']:<30} {'-':>20}")
+            continue
+        print(f"{r['command']:<30} {1e3 * b['wall_s']:>9.1f} -> {1e3 * r['wall_s']:<7.1f} "
+              f"{r['wall_s'] / b['wall_s']:>6.2f} {b['peak_rss_mb']:>9.2f} -> "
+              f"{r['peak_rss_mb']:<7.2f} {r['peak_rss_mb'] / b['peak_rss_mb']:>6.2f}")
 
 
 def main() -> int:
@@ -170,6 +221,7 @@ def main() -> int:
     import numpy as np
 
     src = args.src.resolve()
+    oneshot = measure_oneshot(src, args.runs)
     results = measure(src, args.runs)
     report = {
         "label": args.label,
@@ -181,6 +233,7 @@ def main() -> int:
                     "numpy": np.__version__},
         "ladder_wall_s": sum(r["wall_s"] for r in results),
         "results": results,
+        "oneshot": oneshot,
     }
     path = BENCH_DIR / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
@@ -189,6 +242,9 @@ def main() -> int:
         print(f"{r['graph']:<12} K={r['k']:<4} exit {r['exit_code']}  "
               f"{1e3 * r['wall_s']:8.1f} ms  writer {_ms(r['writer_s'])} ms  "
               f"build_census {_ms(r['layers_s'].get('build_census'))} ms")
+    for r in oneshot:
+        print(f"{r['command']:<30} exit {r['exit_codes']}  {1e3 * r['wall_s']:8.1f} ms  "
+              f"peak RSS {r['peak_rss_mb']:.2f} MB")
     print(f"wrote {path}")
     return 0
 

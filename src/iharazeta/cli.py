@@ -38,7 +38,8 @@ EXIT_INTERNAL = 3
 
 # h_k routes of the series subcommand, in CSV column order
 SERIES_ROUTES = ["spectral", "ck", "series"]
-# a census past this horizon prints a cost note on stderr
+# a census past this horizon, or of a matrix with more rows, prints a cost
+# note on stderr
 COSTLY_HORIZON = 100
 
 
@@ -63,8 +64,8 @@ def _check_out(out: str | None) -> None:
 
 
 def _cost_note(what: str, horizon: int) -> None:
-    """Say on stderr that a census to a horizon past COSTLY_HORIZON is
-    costly; called where a census runs."""
+    """Say on stderr that a census to a horizon (or of a matrix size) past
+    COSTLY_HORIZON is costly; called where a census runs."""
     if horizon > COSTLY_HORIZON:
         print(f"note: {what} {horizon} is costly; census entries grow like "
               "(q+1)^k", file=sys.stderr)
@@ -159,10 +160,16 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 def cmd_zeta(args: argparse.Namespace) -> int:
     """Z(u)^-1 = (1-u^2)^e det(I - uA + qu^2 I), exactly: the determinant's
-    coefficients from chi_A, which the first n census traces give."""
+    coefficients from chi_A, which the first n census traces give.  The cost
+    note goes by the matrix build_census powers: A, or the n/2 x n/2 Gram
+    matrix of a bipartite graph."""
     g = _load_graph(args.input)
-    q, n = profile(g).q, g.n
-    _cost_note("the census to n =", n)
+    prof = profile(g)
+    q, n = prof.q, g.n
+    if prof.bipartite:
+        _cost_note("the census to n/2 =", n // 2)
+    else:
+        _cost_note("the census to n =", n)
     chi = characteristic_polynomial(build_census(g, q, n).c[1:])
     payload = {"schema": SCHEMA_VERSION, "source": args.input,
                "det_coefficients": [str(d) for d in bass_determinant(chi, q)],

@@ -193,6 +193,10 @@ def analyze(g: Multigraph, source: str, K: int,
         "zeta_census_check": {
             "k_checked": len(zeta_records),
             "max_residual": max((r[3] for r in zeta_records), default=0.0),
+            # the leading orders whose budget is below 1/2, where the check
+            # pins N_k and so catches a census off by one
+            "k_pinned": next((r[0] - 1 for r in zeta_records if r[4] >= 0.5),
+                             len(zeta_records)),
             "ok": zeta_ok,
         },
         "verdicts": {

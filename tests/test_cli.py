@@ -3,8 +3,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
+
+import iharazeta
 
 from iharazeta.census import extend_traces
 from iharazeta.cli import main
@@ -21,6 +27,20 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+@pytest.mark.parametrize("command", ["analyze", "check"])
+def test_functional_equation_leaves_numpy_random_unloaded(command):
+    # numpy.random costs a fresh process about 7 MB and 20 ms to import
+    src = os.path.dirname(os.path.dirname(iharazeta.__file__))
+    code = ("import contextlib, io, sys\n"
+            "from iharazeta.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main([{command!r}, 'petersen', '--k', '10']) == 0\n"
+            "assert 'numpy.random' not in sys.modules, 'numpy.random loaded'\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
 
 
 # sha256 of `ihara census <g> --k 150 --no-timings`: exact integers, so the
@@ -101,7 +121,7 @@ def test_spectral_nk_budget_checked_above_operator_edge_limit(monkeypatch, capsy
     # prism:101 has a 404 x 404 Ihara-Bass companion, past the operator
     # cross-check's size limit; the spectral N_k check must still run there
     monkeypatch.setattr("iharazeta.zetaxi.nk_spectral_budget",
-                        lambda *args: -1.0)
+                        lambda s, q, n, k: np.full(np.shape(k), -1.0))
     monkeypatch.setattr("iharazeta.report.geodesic_cycles_operator", None)
     code, _, err = run(capsys, "analyze", "prism:101", "--k", "20")
     assert code == 3
@@ -445,6 +465,13 @@ COST_NOTES = [
     (["estimate", "complete:4", "--k", "200"], ""),
     (["zeta", "cycle:101"], N_NOTE),
     (["zeta", "cycle:100"], ""),
+    # a bipartite graph powers its n/2 x n/2 Gram matrix: the note goes by n/2
+    (["zeta", "hypercube:7"], ""),
+    (["zeta", "prism:100"], ""),
+    (["zeta", "circulant:200:1,5,17"], ""),
+    (["zeta", "cycle:102"], ""),
+    (["zeta", "cycle:200"], ""),
+    (["zeta", "cycle:202"], N_NOTE.replace("n = 101", "n/2 = 101")),
 ]
 
 

@@ -46,6 +46,19 @@ def test_analyze_takes_one_excess_pass(monkeypatch, name):
     assert rep["verdicts"]["hasse_weil"]["records"] and rep["verdicts"]["hk_upper"]["ok"]
 
 
+# the leading k at K=20 whose Z(u)^-1 log-series budget is below 1/2, so that
+# the check pins the census N_k there
+K_PINNED = {"complete:60": 6, "kmm:30": 7, "complete:30": 8, "complete:16": 10,
+            "hypercube:6": 15, "petersen": 20}
+
+
+@pytest.mark.parametrize("spec", sorted(K_PINNED))
+def test_zeta_census_check_reports_k_pinned(spec):
+    check = analyze(get_graph(spec), spec, 20)["zeta_census_check"]
+    assert (check["k_checked"], check["k_pinned"]) == (20, K_PINNED[spec])
+    assert check["ok"]
+
+
 @pytest.mark.parametrize("name", ["double_triangle", "looped_cycle4"])
 def test_pipeline_handles_multigraphs(name):
     rep = analyze(get_graph(name), name, 25)

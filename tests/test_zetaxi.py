@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -21,10 +22,12 @@ from iharazeta.zetaxi import (Factors, PoleHit, RationalFunction,
                               ZeroAtOrigin, bass_determinant,
                               functional_equation_points,
                               functional_equation_residual, hk_series,
-                              log_series, log_series_zeta_check, relative_gap,
-                              xi_rational, zeta_inverse)
+                              log_series, log_series_zeta_check,
+                              nk_spectral_budget, relative_gap, xi_rational,
+                              zeta_inverse)
 
 from iharazeta.hk import hk_excess, hk_from_ck, hk_spectral
+from iharazeta.report import DEFAULT_SEED, FE_POINTS, FE_TOL
 from iharazeta.spectral import scaled_spectrum
 
 from conftest import (ACCEPTANCE_FIXTURES, ALL_FIXTURES, BIPARTITE_GRAPHS,
@@ -273,8 +276,8 @@ def test_functional_equation_hundred_points(name):
 
 
 def test_functional_equation_beyond_float_range():
-    # some of prism30's xi values at the default points exceed the float range
-    xi = xi_rational(get_nontrivial("prism30"), 2)
+    # some of prism:100's xi values at the default points exceed the float range
+    xi = xi_rational(get_nontrivial("prism:100"), 2)
     points = [float(u) for u in functional_equation_points(100, seed=42)]
     with pytest.raises(OverflowError):
         for u in points:
@@ -318,6 +321,45 @@ def test_functional_equation_residual_array_rejects_any_bad_point():
         functional_equation_residual(xi, 2, np.array([0.1, 1 / math.sqrt(2), 0.3]))
     with pytest.raises(ValueError):
         functional_equation_residual(xi, 2, np.array([0.1, 0.0, 0.3]))
+
+
+def numpy_reference_points(count: int = 100, seed: int = 42) -> np.ndarray:
+    """The functional-equation points as numpy.random drew them before the
+    standard library's generator replaced it: a second, independent set."""
+    rng = np.random.default_rng(seed)
+    mags = rng.uniform(0.1, 0.9, size=count)
+    return mags * np.where(rng.random(count) < 0.5, -1.0, 1.0)
+
+
+FE_POINT_SETS = {"random.Random": functional_equation_points(FE_POINTS, DEFAULT_SEED),
+                 "numpy.random": numpy_reference_points(FE_POINTS, DEFAULT_SEED)}
+
+
+@pytest.mark.parametrize("points", sorted(FE_POINT_SETS))
+@pytest.mark.parametrize("name", ALL_FIXTURES + ["doubled_cycle4"])
+def test_functional_equation_holds_at_either_point_set(name, points):
+    # a fault in xi must show at the report's points and at the old ones alike
+    q = get_profile(name).q
+    xi = xi_rational(get_nontrivial(name), q)
+    assert functional_equation_residual(xi, q, FE_POINT_SETS[points]).max() < FE_TOL
+
+
+@pytest.mark.parametrize("points", sorted(FE_POINT_SETS))
+def test_functional_equation_points_keep_off_the_pole(points):
+    # u = q^(-1/2) is the pole of Xi(u) and of Xi(1/(q*u)); both signs kept clear
+    pole = np.arange(2, 10 ** 4 + 1) ** -0.5
+    gaps = np.abs(np.abs(FE_POINT_SETS[points])[:, None] - pole)
+    assert gaps.min() > 1e-6
+
+
+def test_functional_equation_points_from_the_standard_library():
+    rng = random.Random(42)
+    mags = [0.1 + 0.8 * rng.random() for _ in range(3)]
+    signs = [-1.0 if rng.random() < 0.5 else 1.0 for _ in range(3)]
+    points = functional_equation_points(3, seed=42)
+    assert points.dtype == np.float64
+    assert points.tolist() == [s * m for s, m in zip(signs, mags)]
+    assert functional_equation_points(0).shape == (0,)
 
 
 def test_sample_points_deterministic():
@@ -412,6 +454,15 @@ def test_log_series_zeta_check_cycle5():
     assert ok
     assert census.nk[4] == 10
     assert [census.nk[k] for k in range(9) if k != 4] == [0] * 8
+
+
+def test_log_series_zeta_check_records_carry_the_budget():
+    census, spectrum = get_census("complete:30", 20), get_spectrum("complete:30")
+    _, records = log_series_zeta_check(census, zeta_inverse(spectrum, 28, 30), 20)
+    budgets = nk_spectral_budget(spectrum, 28.0, 30, np.arange(1, 21))
+    assert [r[4] for r in records] == budgets.tolist()
+    # the budget passes 1/2 after k = 8: from there a census one off can pass
+    assert budgets[7] < 0.5 <= budgets[8]
 
 
 @pytest.mark.parametrize("shift", [1, -1])
