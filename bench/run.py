@@ -1,9 +1,14 @@
 """Ladder benchmark of `ihara analyze`, written to BENCH_<label>.json.
 
-Runs iharazeta.cli.main(["analyze", g, "--k", K, "--out", <tmp>]) in-process,
-with BLAS/OpenMP threads pinned to one, over a fixed ladder of graphs at
-K = 50, 150 and 200.  After one warm-up run of the whole ladder, each run times
-every (graph, K) once, in ladder order.  Per graph and K the file records:
+Runs iharazeta.cli.main(["analyze", g, "--k", K, "--out", <tmp>]) over a
+fixed ladder of graphs at K = 50, 150 and 200, with BLAS/OpenMP threads
+pinned to one.  Each run is a fresh child process that runs the whole ladder
+once as a warm-up and then times every (graph, K) once, in ladder order.
+Given two or more source trees (--src, each with its --label), the script
+interleaves their children run by run, the order reversed on every other run,
+so that drift of the machine over the session falls on every tree alike;
+wall times of trees measured in separate invocations drift apart by up to
+30%.  Per tree, graph and K the tree's file records:
 
 - the exit code (the same in every run, or the run is reported as unstable);
 - wall_s: the median end-to-end time of the cli.main call;
@@ -14,11 +19,12 @@ every (graph, K) once, in ladder order.  Per graph and K the file records:
   time in one cli.main call.
 
 The file also records src_lines, the line count (as `wc -l`) of the
-package's *.py files under --src, and under `oneshot` the cost a command-line
-user pays per call: each of ONESHOT runs as `ihara` in a fresh interpreter
-(output to /dev/null), once to warm the file cache and then once per run, and
-the file records the median wall time from spawn to exit and the median
-peak resident set size of the child (its ru_maxrss, from os.wait4).
+package's *.py files under the tree, and under `oneshot` the cost a
+command-line user pays per call: each of ONESHOT runs as `ihara` in a fresh
+interpreter (output to /dev/null), once to warm the file cache and then once
+per run, the trees interleaved the same way, and the file records the median
+wall time from spawn to exit and the median peak resident set size of the
+child (its ru_maxrss, from os.wait4).
 
 report_to_json and the layers are timed by wrapping the names cli and
 report import them under.
@@ -26,7 +32,8 @@ report import them under.
 It is not part of the test suite.
 
     python bench/run.py --label mine                     # this checkout's src/
-    python bench/run.py --label base --src /path/to/other/checkout/src
+    python bench/run.py --label base --src /path/to/other/checkout/src \
+                        --label mine --src src           # alternated, two files
     python bench/run.py --compare bench/BENCH_base.json bench/BENCH_mine.json
 """
 
@@ -44,6 +51,7 @@ import io  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
@@ -59,9 +67,13 @@ LAYERS = (("report", "eigenvalues_symmetric"), ("report", "build_census"),
           ("report", "geodesic_cycles_operator"), ("report", "hk_series"))
 ONESHOT = (("analyze", "petersen", "--k", "50"), ("check", "petersen", "--k", "50"),
            ("census", "complete:30", "--k", "150"), ("estimate", "prism:50", "--k", "100"))
-# the child's program: argv[1] is the src directory, the rest is ihara's argv
+CASES = tuple((g, K) for K in HORIZONS for g in LADDER)
+# a one-shot child's program: argv[1] is the src directory, the rest is ihara's argv
 CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); "
          "from iharazeta.cli import main; raise SystemExit(main(sys.argv[2:]))")
+# a ladder child's program: argv[1] is this directory, argv[2] the src directory
+LADDER_CHILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); from pathlib import Path; "
+                "from run import ladder_once; print(json.dumps(ladder_once(Path(sys.argv[2]))))")
 
 
 def _median(values):
@@ -79,25 +91,21 @@ def _timed(fn, name: str, totals: dict[str, float]):
     return wrapper
 
 
-def measure(src: Path, runs: int) -> list[dict]:
-    """Time the ladder `runs` times after one warm-up, with the program
-    imported from `src`; one record per (graph, K)."""
+def ladder_once(src: Path) -> list[dict]:
+    """Time the ladder once after one warm-up, with the program imported
+    from `src`; one raw sample per (graph, K).  Runs in a child process."""
     sys.path.insert(0, str(src))
     from iharazeta import cli, report
 
     modules = {"cli": cli, "report": report}
     totals: dict[str, float] = {}
-    originals = [(modules[mod], name, getattr(modules[mod], name))
-                 for mod, name in (WRITER, *LAYERS)]
-    for module, name, real in originals:
-        setattr(module, name, _timed(real, name, totals))
-    cases = [(g, K) for K in HORIZONS for g in LADDER]
-    samples = {case: {"codes": set(), "wall": [], "writer": [], "stages": {},
-                      "layers": {}} for case in cases}
+    for mod, name in (WRITER, *LAYERS):
+        setattr(modules[mod], name, _timed(getattr(modules[mod], name), name, totals))
+    samples = []
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report.json")
-        for run in range(runs + 1):
-            for g, K in cases:
+        for run in range(2):
+            for g, K in CASES:
                 if os.path.exists(out):
                     os.remove(out)
                 totals.clear()
@@ -107,27 +115,60 @@ def measure(src: Path, runs: int) -> list[dict]:
                     wall = time.perf_counter() - t0
                 if run == 0:  # warm-up
                     continue
-                sample = samples[g, K]
-                sample["codes"].add(code)
-                sample["wall"].append(wall)
-                if WRITER[1] in totals:
-                    sample["writer"].append(totals.pop(WRITER[1]))
-                for name, t in totals.items():
-                    sample["layers"].setdefault(name, []).append(t)
+                stages = {}
                 if code == 0:
                     with open(out, encoding="utf-8") as fh:
-                        for stage, t in json.load(fh)["timings"].items():
-                            sample["stages"].setdefault(stage, []).append(t)
-    for module, name, real in originals:
-        setattr(module, name, real)
-    return [{
-        "graph": g, "k": K,
-        "exit_code": s["codes"].pop() if len(s["codes"]) == 1 else "unstable",
-        "wall_s": _median(s["wall"]),
-        "stages_s": {stage: _median(t) for stage, t in s["stages"].items()},
-        "writer_s": _median(s["writer"]),
-        "layers_s": {name: _median(t) for name, t in s["layers"].items()},
-    } for (g, K), s in samples.items()]
+                        stages = json.load(fh)["timings"]
+                samples.append({"code": code, "wall": wall,
+                                "writer": totals.pop(WRITER[1], None),
+                                "stages": stages, "layers": dict(totals)})
+    return samples
+
+
+def _ladder_child(src: Path) -> list[dict]:
+    """ladder_once(src) in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", LADDER_CHILD, str(BENCH_DIR), str(src)],
+                          stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def _alternate(trees, runs: int):
+    """(run, tree) for each run, the trees in order on even runs and in
+    reverse on odd ones, so that drift over the session hits each alike."""
+    for run in range(runs):
+        for tree in (trees if run % 2 == 0 else trees[::-1]):
+            yield run, tree
+
+
+def measure(srcs: list[Path], runs: int) -> dict[Path, list[dict]]:
+    """Per src tree, one record per (graph, K): the medians over `runs`
+    child processes, each timing the ladder once after a warm-up, the
+    trees' children interleaved run by run."""
+    samples = {src: [] for src in srcs}
+    for _, src in _alternate(srcs, runs):
+        samples[src].append(_ladder_child(src))
+    results = {}
+    for src, children in samples.items():
+        rows = []
+        for i, (g, K) in enumerate(CASES):
+            s = [child[i] for child in children]
+            codes = {x["code"] for x in s}
+            stage_names = dict.fromkeys(name for x in s for name in x["stages"])
+            layer_names = dict.fromkeys(name for x in s for name in x["layers"])
+            rows.append({
+                "graph": g, "k": K,
+                "exit_code": codes.pop() if len(codes) == 1 else "unstable",
+                "wall_s": _median([x["wall"] for x in s]),
+                "stages_s": {name: _median([x["stages"][name] for x in s
+                                            if name in x["stages"]])
+                             for name in stage_names},
+                "writer_s": _median([x["writer"] for x in s if x["writer"] is not None]),
+                "layers_s": {name: _median([x["layers"][name] for x in s
+                                            if name in x["layers"]])
+                             for name in layer_names},
+            })
+        results[src] = rows
+    return results
 
 
 def _spawn(src: Path, argv: tuple[str, ...]) -> tuple[int, float, float]:
@@ -142,21 +183,22 @@ def _spawn(src: Path, argv: tuple[str, ...]) -> tuple[int, float, float]:
     return os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss / 1024
 
 
-def measure_oneshot(src: Path, runs: int) -> list[dict]:
-    """Each ONESHOT command in runs + 1 fresh interpreters, the first a
-    warm-up; one record per command with the median wall time and peak RSS."""
-    samples = {argv: [] for argv in ONESHOT}
-    for run in range(runs + 1):
+def measure_oneshot(srcs: list[Path], runs: int) -> dict[Path, list[dict]]:
+    """Per src tree, each ONESHOT command in runs + 1 fresh interpreters,
+    the first a warm-up and the trees interleaved run by run; one record per
+    command with the median wall time and peak RSS."""
+    samples = {src: {argv: [] for argv in ONESHOT} for src in srcs}
+    for run, src in _alternate(srcs, runs + 1):
         for argv in ONESHOT:
             sample = _spawn(src, argv)
             if run:
-                samples[argv].append(sample)
-    return [{
+                samples[src][argv].append(sample)
+    return {src: [{
         "command": " ".join(argv),
         "exit_codes": sorted({code for code, _, _ in s}),
         "wall_s": _median([wall for _, wall, _ in s]),
         "peak_rss_mb": _median([rss for _, _, rss in s]),
-    } for argv, s in samples.items()]
+    } for argv, s in per_src.items()] for src, per_src in samples.items()}
 
 
 def src_lines(src: Path) -> int:
@@ -205,47 +247,59 @@ def compare(base_path: str, change_path: str) -> None:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", help="names the output BENCH_<label>.json")
+    parser.add_argument("--label", action="append", default=[],
+                        help="names the output BENCH_<label>.json; once per --src")
     parser.add_argument("--runs", type=int, default=MIN_RUNS,
                         help=f"timed runs of the ladder (at least {MIN_RUNS})")
-    parser.add_argument("--src", type=Path, default=BENCH_DIR.parent / "src",
-                        help="directory that holds the iharazeta package")
+    parser.add_argument("--src", type=Path, action="append", default=[],
+                        help="directory that holds the iharazeta package "
+                             "(default: this checkout's src/)")
     parser.add_argument("--compare", nargs=2, metavar=("BASE", "CHANGE"),
                         help="print two BENCH files side by side and exit")
     args = parser.parse_args()
     if args.compare:
         compare(*args.compare)
         return 0
-    if not args.label or args.runs < MIN_RUNS:
-        parser.error(f"--label is required and --runs must be >= {MIN_RUNS}")
+    srcs = [src.resolve() for src in args.src or [BENCH_DIR.parent / "src"]]
+    if (not args.label or len(args.label) != len(srcs) or len(set(args.label)) < len(srcs)
+            or len(set(srcs)) < len(srcs) or args.runs < MIN_RUNS):
+        parser.error(f"give one distinct --label per distinct --src (one --label "
+                     f"without --src), and --runs >= {MIN_RUNS}")
     import numpy as np
 
-    src = args.src.resolve()
-    oneshot = measure_oneshot(src, args.runs)
-    results = measure(src, args.runs)
-    report = {
-        "label": args.label,
-        "src_lines": src_lines(src),
-        "runs": args.runs,
-        "blas_threads": 1,
-        "machine": {"platform": platform.platform(), "processor": platform.machine(),
-                    "cpus": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": np.__version__},
-        "ladder_wall_s": sum(r["wall_s"] for r in results),
-        "results": results,
-        "oneshot": oneshot,
-    }
-    path = BENCH_DIR / f"BENCH_{args.label}.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    for r in results:
-        print(f"{r['graph']:<12} K={r['k']:<4} exit {r['exit_code']}  "
-              f"{1e3 * r['wall_s']:8.1f} ms  writer {_ms(r['writer_s'])} ms  "
-              f"build_census {_ms(r['layers_s'].get('build_census'))} ms")
-    for r in oneshot:
-        print(f"{r['command']:<30} exit {r['exit_codes']}  {1e3 * r['wall_s']:8.1f} ms  "
-              f"peak RSS {r['peak_rss_mb']:.2f} MB")
-    print(f"wrote {path}")
+    oneshot = measure_oneshot(srcs, args.runs)
+    results = measure(srcs, args.runs)
+    paths = []
+    for label, src in zip(args.label, srcs):
+        report = {
+            "label": label,
+            "src_lines": src_lines(src),
+            "runs": args.runs,
+            "alternated_with": [other for other in args.label if other != label],
+            "blas_threads": 1,
+            "machine": {"platform": platform.platform(), "processor": platform.machine(),
+                        "cpus": os.cpu_count(), "python": platform.python_version(),
+                        "numpy": np.__version__},
+            "ladder_wall_s": sum(r["wall_s"] for r in results[src]),
+            "results": results[src],
+            "oneshot": oneshot[src],
+        }
+        path = BENCH_DIR / f"BENCH_{label}.json"
+        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
+                        encoding="utf-8")
+        paths.append(path)
+        print(f"{label}: {src}")
+        for r in results[src]:
+            print(f"  {r['graph']:<12} K={r['k']:<4} exit {r['exit_code']}  "
+                  f"{1e3 * r['wall_s']:8.1f} ms  writer {_ms(r['writer_s'])} ms  "
+                  f"build_census {_ms(r['layers_s'].get('build_census'))} ms")
+        for r in oneshot[src]:
+            print(f"  {r['command']:<30} exit {r['exit_codes']}  {1e3 * r['wall_s']:8.1f} ms  "
+                  f"peak RSS {r['peak_rss_mb']:.2f} MB")
+        print(f"wrote {path}")
+    for change in paths[1:]:
+        print()
+        compare(str(paths[0]), str(change))
     return 0
 
 

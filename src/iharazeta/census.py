@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -76,17 +77,50 @@ class CycleCensus:
     horizon: int
 
 
+# the largest primes below PRIME_LIMIT, descending; _largest_primes extends
+# it under the lock, so that two threads never append the same prime
+_PRIMES: list[int] = []
+_PRIMES_LOCK = threading.Lock()
+
+
+def _is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin for m < 3 215 031 751, where the bases 2,
+    3, 5 and 7 admit no strong pseudoprime (PRIME_LIMIT is far below)."""
+    if m < 11:
+        return m in (2, 3, 5, 7)
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for base in (2, 3, 5, 7):
+        x = pow(base, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _largest_primes(count: int) -> list[int]:
+    """The `count` largest primes below PRIME_LIMIT, descending."""
+    with _PRIMES_LOCK:
+        candidate = (_PRIMES[-1] if _PRIMES else PRIME_LIMIT + 1) - 2
+        while len(_PRIMES) < count:
+            if _is_prime(candidate):
+                _PRIMES.append(candidate)
+            candidate -= 2
+        return _PRIMES[:count]
+
+
 @functools.cache
 def _crt_basis(count: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
     """The `count` largest primes below 2^26, their product M, and the CRT
     basis e_i = (M/p_i) * ((M/p_i)^-1 mod p_i), so that sum r_i e_i mod M is
     the integer that is r_i modulo every p_i."""
-    primes: list[int] = []
-    candidate = PRIME_LIMIT - 1
-    while len(primes) < count:
-        if all(candidate % d for d in range(3, math.isqrt(candidate) + 1, 2)):
-            primes.append(candidate)
-        candidate -= 2
+    primes = _largest_primes(count)
     modulus = math.prod(primes)
     basis = tuple(modulus // p * pow(modulus // p, -1, p) for p in primes)
     return tuple(primes), modulus, basis
@@ -167,24 +201,27 @@ def _recurrence_traces(a: np.ndarray, weight: np.ndarray | None,
     prime = np.array(primes, dtype=np.float64)[:, None]
     column = np.repeat(prime, size, axis=0)
     inverse, prime_inverse, factor = 1.0 / column, 1.0 / prime, a.astype(np.float64)
-    prev, cur = np.zeros((count * size, size)), np.tile(np.eye(size), (count, 1))
-    buf = np.empty_like(cur)
+    # the three rotating arrays, each with its (count, size) diagonal view
+    prev, cur, buf = ((x, x.reshape(count, size, size).diagonal(axis1=1, axis2=2))
+                      for x in (np.zeros((count * size, size)),
+                                np.tile(np.eye(size), (count, 1)),
+                                np.empty((count * size, size))))
     diagonals = np.ones((steps + 1, count, size))  # row k: the diagonal of X_k
     prev_bound, cur_bound = 0, 1
     for k in range(1, steps + 1):
         if c * cur_bound + d * prev_bound > EXACT_LIMIT:
-            _reduce(cur, column, inverse, out=buf)
+            _reduce(cur[0], column, inverse, out=buf[0])
             cur, buf = buf, cur
             if weight is not None:
-                _reduce(prev, column, inverse, out=buf)
+                _reduce(prev[0], column, inverse, out=buf[0])
                 prev, buf = buf, prev
             prev_bound = cur_bound = reduced_bound
-        np.matmul(cur, factor, out=buf)
+        np.matmul(cur[0], factor, out=buf[0])
         if weight is not None:
-            buf += np.multiply(prev, weight, out=prev)
+            np.add(buf[0], np.multiply(prev[0], weight, out=prev[0]), out=buf[0])
         prev, cur, buf = cur, buf, prev
         prev_bound, cur_bound = cur_bound, c * cur_bound + d * prev_bound
-        diagonals[k] = cur.reshape(count, size, size).diagonal(axis1=1, axis2=2)
+        diagonals[k] = cur[1]
     diagonals = _reduce(diagonals, prime, prime_inverse, out=np.empty_like(diagonals))
     traces = diagonals[1:].sum(axis=2)
     if weight is not None:

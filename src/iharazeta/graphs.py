@@ -107,6 +107,16 @@ class Multigraph:
         return (tuple(x for x in range(self.n) if colour[x] == 0),
                 tuple(x for x in range(self.n) if colour[x] == 1))
 
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """The read-only adjacency matrix (adjacency_matrix)."""
+        u, v = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.int64,
+                           count=2 * len(self.edges)).reshape(-1, 2).T
+        cells = np.concatenate([u * self.n + v, v * self.n + u])
+        a = np.bincount(cells, minlength=self.n * self.n).reshape(self.n, self.n)
+        a.flags.writeable = False
+        return a
+
     @property
     def edge_count(self) -> int:
         return len(self.edges)
@@ -177,11 +187,9 @@ def profile(g: Multigraph) -> GraphProfile:
 
 def adjacency_matrix(g: Multigraph) -> np.ndarray:
     """Integer adjacency matrix: entry (x, y) counts oriented edges x -> y;
-    each loop adds 2 to its diagonal entry, so row sums equal valencies."""
-    u, v = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.int64,
-                       count=2 * len(g.edges)).reshape(-1, 2).T
-    cells = np.concatenate([u * g.n + v, v * g.n + u])
-    return np.bincount(cells, minlength=g.n * g.n).reshape(g.n, g.n)
+    each loop adds 2 to its diagonal entry, so row sums equal valencies.
+    Built once per graph (Multigraph.adjacency) and read-only."""
+    return g.adjacency
 
 
 # ---------------------------------------------------------------------------

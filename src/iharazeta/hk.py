@@ -71,15 +71,18 @@ def chebyshev_T_even_form(k: int, x: float) -> float:
 
 
 def chebyshev_T_table(K: int, xs: np.ndarray) -> np.ndarray:
-    """Matrix of T_k(x) values, shape (K, len(xs)), rows k = 1..K."""
+    """Matrix of T_k(x) values, shape (K, len(xs)), rows k = 1..K: the
+    recurrence runs in the rows of a table that starts at T_0, two numpy
+    calls per k."""
     xs = np.asarray(xs, dtype=np.float64)
-    out = np.empty((K, len(xs)))
-    prev = np.full(len(xs), 2.0)
-    cur = xs.copy()
-    for k in range(1, K + 1):
-        out[k - 1] = cur
-        prev, cur = cur, xs * cur - prev
-    return out
+    table = np.empty((K + 1, len(xs)))
+    table[0] = 2.0
+    table[1:2] = xs
+    rows = list(table)
+    for before, last, row in zip(rows, rows[1:], rows[2:]):
+        np.multiply(xs, last, out=row)
+        np.subtract(row, before, out=row)
+    return table[1:]
 
 
 def hk_spectral(scaled: np.ndarray, K: int, bipartite: bool) -> np.ndarray:

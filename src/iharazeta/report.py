@@ -17,6 +17,7 @@ every subcommand's output.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from json.encoder import encode_basestring_ascii
 
@@ -48,6 +49,8 @@ FE_POINTS = 100
 FE_TOL = 1e-8
 # the rounding of every float a report prints
 _TWELVE_DIGITS = "{:.12g}".format
+_SMALLEST_NORMAL = sys.float_info.min
+_LITERALS = {True: "true", False: "false", None: "null"}
 
 
 class InternalConsistencyError(RuntimeError):
@@ -235,29 +238,83 @@ def analyze(g: Multigraph, source: str, K: int,
     return report
 
 
+def _float_text(text: str, x: float) -> str:
+    """repr(float(text)) for text = x at 12 significant digits, or "null"
+    for a non-finite x.  Only an e+ form and a magnitude below the smallest
+    normal double take that round trip: any other text of at most 12 digits
+    already is the shortest repr of its double, less the ".0" of an integral
+    value."""
+    if "e" in text:
+        return text if "e-" in text and abs(x) >= _SMALLEST_NORMAL else repr(float(text))
+    if "." in text:
+        return text
+    return text + ".0" if math.isfinite(x) else "null"  # JSON has no NaN or infinity
+
+
+def _float_texts(values: list) -> list[str]:
+    """Each of values (floats) as _float_text writes it; a list whose every
+    text has a fraction and no exponent is written as it is formatted."""
+    texts = list(map(_TWELVE_DIGITS, values))
+    joined = "".join(texts)
+    if "e" in joined or joined.count(".") != len(texts):
+        texts = list(map(_float_text, texts, values))
+    return texts
+
+
+def _record_texts(records: list[dict], pad: str) -> list[str] | None:
+    """Dicts that all share one nonempty key set, each written at
+    indentation pad through one template, every key's values in one batch;
+    None for any other list of dicts."""
+    keys = records[0].keys()
+    if not keys or any(r.keys() != keys for r in records):
+        return None
+    inner = pad + "  "
+    names = sorted(keys)
+    template = ("{\n" + ",\n".join(
+        f"{inner}{encode_basestring_ascii(name).replace('%', '%%')}: %s"
+        for name in names) + f"\n{pad}}}")
+    columns = [_item_texts([r[name] for r in records], inner) for name in names]
+    return [template % row for row in zip(*columns)]
+
+
+def _item_texts(values: list, pad: str) -> list[str]:
+    """Each of values as JSON at indentation pad, a list of only floats,
+    only strings, only ints or only bools and None in one batch."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return _float_texts(values)
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds <= {bool, type(None)}:
+        return list(map(_LITERALS.__getitem__, values))
+    if kinds == {dict}:
+        texts = _record_texts(values, pad)
+        if texts is not None:
+            return texts
+    return [_to_json(value, pad) for value in values]
+
+
 def _to_json(obj, pad: str = "") -> str:
     """obj as JSON nested at indentation pad, each float rounded as it is
-    written; a list of only finite floats or only strings in one batch."""
+    written."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None or isinstance(obj, bool):
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, float):  # JSON has no NaN or infinity
-        return repr(float(_TWELVE_DIGITS(obj))) if math.isfinite(obj) else "null"
+        return _LITERALS[obj]
+    if isinstance(obj, float):
+        return _float_text(_TWELVE_DIGITS(obj), obj)
     if isinstance(obj, int):
         return int.__repr__(obj)
     inner = pad + "  "
     if isinstance(obj, dict):
         items = [f"{encode_basestring_ascii(key)}: {_to_json(value, inner)}"
                  for key, value in sorted(obj.items())]
-    elif not isinstance(obj, (list, tuple)):
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    elif set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
-        items = list(map(repr, map(float, map(_TWELVE_DIGITS, obj))))
-    elif set(map(type, obj)) == {str}:
-        items = list(map(encode_basestring_ascii, obj))
+    elif isinstance(obj, (list, tuple)):
+        items = _item_texts(obj, inner)
     else:
-        items = [_to_json(value, inner) for value in obj]
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     first, last = "{}" if isinstance(obj, dict) else "[]"
     if not items:
         return first + last

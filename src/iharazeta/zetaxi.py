@@ -31,6 +31,7 @@ elementary prefactor.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -196,14 +197,18 @@ def xi_rational(ns: NontrivialSpectrum, q: int) -> RationalFunction:
 # ---------------------------------------------------------------------------
 # functional equation
 
+@functools.cache
 def functional_equation_points(count: int = 100, seed: int = 42) -> np.ndarray:
     """Deterministic sample points, uniform over [-0.9,-0.1] u [0.1,0.9]:
     count magnitudes, then count signs, from the standard library's Mersenne
     Twister random.Random(seed).  numpy.random would do the same, but its
-    import costs a fresh process about 7 MB and 20 ms for 100 floats."""
+    import costs a fresh process about 7 MB and 20 ms for 100 floats.
+    Drawn once per (count, seed) in a process, and read-only."""
     rng = random.Random(seed)
     mags = [0.1 + 0.8 * rng.random() for _ in range(count)]
-    return np.array([-m if rng.random() < 0.5 else m for m in mags], dtype=float)
+    points = np.array([-m if rng.random() < 0.5 else m for m in mags], dtype=float)
+    points.flags.writeable = False
+    return points
 
 
 def functional_equation_residual(xi: RationalFunction, q: int, u):
@@ -230,24 +235,27 @@ def _logder_rows(coefficients: np.ndarray, K: int) -> np.ndarray:
     """(F, K) table: row i holds the first K Maclaurin coefficients of p'/p
     for the factor p = c_0 + c_1 u + c_2 u^2 of row i.
 
-    s = p'/p solves p*s = p', so s_k = ((k+1) c_{k+1} - (c_2 s_{k-2}
-    + c_1 s_{k-1})) / c_0: one row of a (K, F) table per k, every factor at
-    once, in four numpy calls into preallocated buffers.  The table is
-    returned transposed, with rows of stride K + 2: numpy picks the BLAS
-    kernel, and so the rounding, of the dot products that follow by layout.
+    p'/p does not change when p is scaled, so each row is divided by its c_0
+    once (exact where c_0 = 1, as for every factor the program builds).
+    Then s = p'/p solves p*s = p' with c_0 = 1: s_k = (k+1) c_{k+1} -
+    (c_2 s_{k-2} + c_1 s_{k-1}), one row of a (K, F) table per k, every
+    factor at once, in three numpy calls that write into the table's row.
+    The table is returned transposed, with rows of stride K + 2: numpy picks
+    the BLAS kernel, and so the rounding, of the dot products that follow
+    by layout.
     """
     if np.any(coefficients[:, 0] == 0.0):
         raise ZeroAtOrigin("series requires every factor nonzero at u = 0")
-    c0, c1, c2 = np.ascontiguousarray(coefficients.T)
+    _, c1, c2 = np.ascontiguousarray(coefficients.T) / coefficients[:, 0]
     tail = np.stack((c2, c1))  # against s_{k-2}, s_{k-1}
-    derivative = np.stack((c1, 2.0 * c2, np.zeros_like(c0)))  # (k+1) c_{k+1}
-    s = np.zeros((2 + K, len(c0)))  # two leading rows stand for s_{-2}, s_{-1}
-    products, step = np.empty_like(tail), np.empty(len(c0))
-    for k in range(K):
+    derivative = [c1, 2.0 * c2] + [np.zeros_like(c1)] * K  # (k+1) c_{k+1}
+    s = np.zeros((2 + K, len(c1)))  # two leading rows stand for s_{-2}, s_{-1}
+    products = np.empty_like(tail)
+    first, second = products
+    for k, (row, d) in enumerate(zip(s[2:], derivative)):
         np.multiply(tail, s[k:k + 2], out=products)
-        np.add(products[0], products[1], out=step)
-        np.subtract(derivative[min(k, 2)], step, out=step)
-        np.divide(step, c0, out=s[2 + k])
+        np.add(first, second, out=row)
+        np.subtract(d, row, out=row)
     return np.ascontiguousarray(s.T)[:, 2:]
 
 

@@ -1,6 +1,8 @@
 """cycle-census: exact C_k / N_k counting and the four-route cross-check."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -211,6 +213,54 @@ def test_integer_power_traces_match_bigint_reference(name):
     reference = _reference_traces(a, 150)
     assert integer_power_traces(a, 150) == reference
     assert integer_power_traces(a, 1) == reference[:1]
+
+
+def _trial_division_primes(count):
+    # the reference: the largest odd numbers below 2^26 with no odd divisor
+    primes, candidate = [], census_mod.PRIME_LIMIT - 1
+    while len(primes) < count:
+        if all(candidate % d for d in range(3, math.isqrt(candidate) + 1, 2)):
+            primes.append(candidate)
+        candidate -= 2
+    return primes
+
+
+def test_crt_basis_primes_match_trial_division():
+    reference = _trial_division_primes(100)
+    for count in (1, 7, 3, 62, 100):
+        primes, modulus, basis = census_mod._crt_basis(count)
+        assert list(primes) == reference[:count]
+        assert modulus == math.prod(reference[:count])
+        assert basis == tuple(modulus // p * pow(modulus // p, -1, p)
+                              for p in reference[:count])
+
+
+def test_prime_list_extends_once_under_threads():
+    # threads that extend the shared prime list at once append each prime once
+    counts = [40, 10, 25, 3, 33, 17, 40, 8] * 4
+    reference = _trial_division_primes(max(counts))
+    interval = sys.getswitchinterval()
+    census_mod._PRIMES.clear()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(census_mod._largest_primes, n) for n in counts]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [reference[:n] for n in counts]
+    assert census_mod._PRIMES == reference
+
+
+def test_miller_rabin_matches_trial_division():
+    def prime(m):
+        return m > 1 and all(m % d for d in range(2, math.isqrt(m) + 1))
+
+    candidates = [*range(3000), *range(2 ** 26 - 3000, 2 ** 26 + 50)]
+    assert [census_mod._is_prime(m) for m in candidates] == list(map(prime, candidates))
+    # Carmichael numbers, strong pseudoprimes to base 2 and, last, to 2, 3 and 5
+    for m in (561, 1105, 1729, 2047, 3277, 4033, 4681, 8321, 25326001):
+        assert not census_mod._is_prime(m)
 
 
 @pytest.mark.parametrize("entry", [-3, 7, 2 ** 27 - 1])

@@ -97,6 +97,16 @@ def test_adjacency_k4():
     assert np.array_equal(a, np.ones((4, 4), dtype=np.int64) - np.eye(4, dtype=np.int64))
 
 
+def test_adjacency_built_once_and_read_only():
+    # the spectrum, the census and the operator check share one matrix
+    g = parse_generator("prism:6")
+    a = adjacency_matrix(g)
+    assert adjacency_matrix(g) is a and not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0] = 1
+    assert adjacency_matrix(parse_generator("prism:6")) is not a
+
+
 def test_adjacency_loop_counts_twice():
     g = get_graph("looped_cycle4")
     a = adjacency_matrix(g)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iharazeta.hk import (binomial_ext, chebyshev_T, chebyshev_T_binomial,
-                          chebyshev_T_even_form, ck_alternating_sums, hk_excess, hk_from_ck, hk_spectral, max_route_deviation,
+                          chebyshev_T_even_form, chebyshev_T_table, ck_alternating_sums, hk_excess, hk_from_ck, hk_spectral, max_route_deviation,
                           tk_weight)
 from iharazeta.census import build_census
 from iharazeta.graphs import adjacency_matrix, parse_generator, profile
@@ -69,6 +69,25 @@ def test_even_power_form_matches_recurrence(x):
     for k in range(26):
         a, b = chebyshev_T(k, x), chebyshev_T_even_form(k, x)
         assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
+
+
+def _T_table_loop(K, xs):
+    # the reference table: T_k kept in two rotating arrays, each row copied out
+    out = np.empty((K, len(xs)))
+    prev, cur = np.full(len(xs), 2.0), xs.copy()
+    for k in range(1, K + 1):
+        out[k - 1] = cur
+        prev, cur = cur, xs * cur - prev
+    return out
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 3, 60])
+def test_T_table_equals_the_loop(K):
+    # the recurrence run in the table's rows does the same arithmetic
+    xs = np.array([random.Random(K).uniform(-3.0, 3.0) for _ in range(17)] + [2.0, 0.0])
+    table = chebyshev_T_table(K, xs)
+    assert table.shape == (K, len(xs))
+    assert np.array_equal(table, _T_table_loop(K, xs))
 
 
 @given(st.floats(-2.0, 2.0), st.integers(0, 50))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import iharazeta.analysis as analysis_mod
 import iharazeta.cli as cli_mod
@@ -142,12 +144,49 @@ WRITER_PAYLOADS = {
     "bools": [True, False, {"t": True, "f": False, "n": None}],
     "scalar-float": 0.1 + 0.2,
     "scalar-str": "\u00e9",
+    # every form "%.12g" takes: a fraction, an integral value, e- and e+
+    # exponents, the 1e12..1e16 band where repr has no exponent, subnormals
+    "float-forms": [0.0, -0.0, 1.0, -3.0, 0.5, 123456789012.0, 999999999999.6,
+                    1e12, -1.5e12, 1e15, 1234567890123456.0, 9.99999999999e15,
+                    1e16, 1e17, -2.0 ** 60, 1e-4, 9.99999999999999e-5, 1e-5,
+                    -1.5e-7, 1e-300, 2.2250738585072014e-308, 2.225e-308,
+                    1e-310, 5e-324, -5e-324, 1.7976931348623157e308],
+    "float-form-scalars": {"zero": 0.0, "neg-zero": -0.0, "integral": 7.0,
+                           "e+": 1e13, "e-": 3e-9, "subnormal": 5e-324},
+    "numpy-float-forms": [np.float64(x) for x in (0.0, -0.0, 2.0, 1e13, 5e-324, 0.1)],
+    # record lists: one template for one key set, the walk for any other
+    "records-differing-keys": [{"k": 1, "a": 2.0}, {"k": 2, "b": 3.0}],
+    "records-nested": [{"k": 1, "v": [1.0, 2.5]}, {"k": 2, "v": {"x": None, "y": [[]]}}],
+    "records-non-finite": [{"k": 2, "rhs": math.inf}, {"k": 4, "rhs": 1.5},
+                           {"k": 6, "rhs": math.nan}],
+    "records-mixed-values": [{"a": 1, "b": True}, {"a": "x", "b": None},
+                             {"a": 2.0, "b": False}, {"a": None, "b": 3}],
+    "records-empty": [{}, {}],
+    "records-percent-keys": [{"50%": 1.0, "%s": "%d"}, {"50%": 2, "%s": "%%"}],
+    "records-deep": {"outer": [{"k": k, "inner": [{"j": j, "x": j / 3.0} for j in range(3)]}
+                               for k in range(3)]},
 }
 
 
 @pytest.mark.parametrize("name", sorted(WRITER_PAYLOADS))
 def test_writer_matches_json_dumps_of_rounded_payload(name):
     payload = WRITER_PAYLOADS[name]
+    assert report_to_json(payload) == _reference_json(payload)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=2000, deadline=None)
+def test_float_text_is_the_repr_of_the_rounded_float(x):
+    assert report_to_json(x) == repr(float(f"{x:.12g}"))
+    assert report_to_json([x]) == f"[\n  {repr(float(f'{x:.12g}'))}\n]"
+
+
+@given(st.lists(st.floats() | st.integers() | st.none() | st.booleans(), max_size=6),
+       st.lists(st.dictionaries(st.sampled_from("kab"), st.floats() | st.text(max_size=3)),
+                max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_writer_matches_json_dumps_on_generated_lists(values, records):
+    payload = {"values": values, "records": records}
     assert report_to_json(payload) == _reference_json(payload)
 
 

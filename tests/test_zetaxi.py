@@ -19,7 +19,7 @@ from fractions import Fraction
 from iharazeta.census import build_census, characteristic_polynomial
 from iharazeta.graphs import parse_generator, profile
 from iharazeta.zetaxi import (Factors, PoleHit, RationalFunction,
-                              ZeroAtOrigin, bass_determinant,
+                              ZeroAtOrigin, _logder_rows, bass_determinant,
                               functional_equation_points,
                               functional_equation_residual, hk_series,
                               log_series, log_series_zeta_check,
@@ -371,6 +371,14 @@ def test_sample_points_deterministic():
     assert np.all((np.abs(a) >= 0.1) & (np.abs(a) <= 0.9))
 
 
+def test_functional_equation_points_drawn_once_and_read_only():
+    points = functional_equation_points(FE_POINTS, DEFAULT_SEED)
+    assert functional_equation_points(FE_POINTS, DEFAULT_SEED) is points
+    assert not points.flags.writeable
+    with pytest.raises(ValueError):
+        points[0] = 0.5
+
+
 # ---------------------------------------------------------------------------
 # series routes
 
@@ -404,6 +412,33 @@ def test_log_series_geometric_oracle():
     rf = RationalFunction(Factors.from_rows((1.0, 0.0, 0.0, 1)),
                           Factors.from_rows((1.0, -1.0, 0.0, 400)))
     assert np.all(log_series(rf, 200) == 400.0)
+
+
+def _logder_rows_per_step(coefficients, K):
+    # the reference recurrence, dividing by c_0 at every step
+    c0, c1, c2 = coefficients.T
+    derivative = (c1, 2.0 * c2, np.zeros_like(c0))
+    s = np.zeros((2 + K, len(c0)))
+    for k in range(K):
+        s[2 + k] = (derivative[min(k, 2)] - (c2 * s[k] + c1 * s[k + 1])) / c0
+    return s.T[:, 2:]
+
+
+def test_logder_rows_scale_each_row_once():
+    # p'/p does not change when p is scaled: rows with c_0 != 1 stay within
+    # the series tolerance of the reference, and rows with c_0 = 1 equal it
+    rng = random.Random(5)
+    rows = []
+    for i in range(60):
+        a, b = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        c0 = (1.0, -1.0, 0.5, 3.0, rng.uniform(-4.0, 4.0))[i % 5]
+        rows.append((c0, -c0 * (a + b), c0 * a * b))
+    coefficients = np.array(rows)
+    got = _logder_rows(coefficients, 80)
+    ref = _logder_rows_per_step(coefficients, 80)
+    assert np.all(np.abs(got - ref) <= 1e-11 * np.maximum(1.0, np.abs(ref)))
+    unit = coefficients[:, 0] == 1.0
+    assert unit.sum() == 12 and np.array_equal(got[unit], ref[unit])
 
 
 @pytest.mark.parametrize("name", RAMANUJAN_FIXTURES + ["double_triangle",
