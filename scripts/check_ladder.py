@@ -6,7 +6,8 @@ each horizon and graph the table gives the exit code (0 Ramanujan, 1
 refuted, 2 bad input, 3 internal fault), the spectral verdict (whether every
 nontrivial |lam| <= 2 sqrt(q)), the h_k verdict's witness (the first k with
 h_k < 0, or None), the check's wall time in seconds and the first line the
-command wrote to stderr, past the note that every --k above 100 prints.
+command wrote to stderr, past the cost note of a census that takes more
+than 100 matrix-power steps.
 Both verdicts read "-" when the check wrote no report.  Each check runs in
 this process through iharazeta.cli.main.
 

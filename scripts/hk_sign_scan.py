@@ -41,9 +41,9 @@ def main() -> None:
         verdict = ramanujan_spectral(ns, prof.q)
         census = build_census(g, prof.q, args.k)
         excess = hk_excess(census.nk, prof.q, g.n, prof.bipartite)
-        witness = ramanujan_hk(excess, prof.q, args.k).witness
-        print(f"{m:>5} {g.n:>4} {verdict.max_nontrivial_abs:>10.6f} "
-              f"{2 * math.sqrt(prof.q):>9.6f} {str(verdict.is_ramanujan):>10} "
+        witness = ramanujan_hk(excess, args.k)["witness"]
+        print(f"{m:>5} {g.n:>4} {verdict['max_nontrivial_abs']:>10.6f} "
+              f"{2 * math.sqrt(prof.q):>9.6f} {str(verdict['is_ramanujan']):>10} "
               f"{str(witness):>12}")
 
 

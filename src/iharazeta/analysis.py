@@ -7,13 +7,14 @@ only certifies consistency up to its horizon.  Further routes implemented
 here: the even-k eigenvalue bound implied by a single nonnegative even h_k,
 the Hasse-Weil-style two-sided bounds on geodesic-cycle counts, and the
 dominant-eigenvalue estimator from the tail ratio of negative even h_k.
+Each verdict, and the estimate, is returned as the plain dict that the
+analyze report prints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,68 +39,23 @@ class EstimatorSignMismatch(RuntimeError):
     horizon is too small for the asymptotic regime."""
 
 
-@dataclass(frozen=True)
-class RamanujanVerdict:
-    is_ramanujan: bool
-    threshold: float
-    max_nontrivial_abs: float | None = None
-    witness: float | int | None = None
-    horizon: int | None = None
-
-
-class HasseWeilRecord(NamedTuple):
-    k: int
-    lhs: int
-    rhs: float
-    satisfied: bool
-
-
-@dataclass(frozen=True)
-class HasseWeilReport:
-    branch: str
-    records: tuple[HasseWeilRecord, ...]
-
-    @property
-    def all_satisfied(self) -> bool:
-        return all(r.satisfied for r in self.records)
-
-    @property
-    def first_violation(self) -> int | None:
-        for r in self.records:
-            if not r.satisfied:
-                return r.k
-        return None
-
-
-@dataclass(frozen=True)
-class EigenvalueEstimate:
-    estimate: float
-    mu: float
-    implied_max_abs_eigenvalue: float
-    k_used: tuple[int, int]
-    converged: bool
-
-
-def ramanujan_spectral(ns: NontrivialSpectrum, q: int) -> RamanujanVerdict:
+def ramanujan_spectral(ns: NontrivialSpectrum, q: int) -> dict:
     """Direct check: max |lam| over the nontrivial spectrum against
-    2*sqrt(q), with slack SPECTRAL_SLACK*sqrt(q)."""
+    2*sqrt(q), with slack SPECTRAL_SLACK*sqrt(q); the witness is the worst
+    eigenvalue of a refuted graph."""
     threshold = 2.0 * math.sqrt(q)
     worst = float(ns.values[np.argmax(np.abs(ns.values))]) if len(ns) else 0.0
     ok = abs(worst) <= threshold + SPECTRAL_SLACK * math.sqrt(q)
-    return RamanujanVerdict(is_ramanujan=ok, threshold=threshold,
-                            max_nontrivial_abs=abs(worst),
-                            witness=None if ok else float(worst))
+    return {"is_ramanujan": ok, "max_nontrivial_abs": abs(worst),
+            "threshold": threshold, "witness": None if ok else worst}
 
 
-def ramanujan_hk(excess: dict[int, tuple[int, int]], q: int,
-                 K: int) -> RamanujanVerdict:
+def ramanujan_hk(excess: dict[int, tuple[int, int]], K: int) -> dict:
     """Exact sign scan of h_1..h_K from the (a_k, side) pairs of hk_excess
-    to horizon K: the first negative h_k refutes; a clean scan is
-    consistency up to K, never a certificate."""
+    to horizon K: the first negative h_k refutes, and its k is the witness;
+    a clean scan is consistency up to K, never a certificate."""
     witness = next((k for k, (_, side) in excess.items() if side < 0), None)
-    return RamanujanVerdict(is_ramanujan=witness is None,
-                            threshold=2.0 * math.sqrt(q), witness=witness,
-                            horizon=K)
+    return {"is_ramanujan": witness is None, "horizon": K, "witness": witness}
 
 
 def _bound_for_size(size: int, k: int) -> float:
@@ -135,8 +91,23 @@ def even_k_bound(k: int, n: int, q: int, bipartite: bool) -> float:
     return _bound_for_size(n - 1, k) * math.sqrt(q)
 
 
+def even_k_bounds(excess: dict[int, tuple[int, int]], n: int, q: int,
+                  bipartite: bool, max_abs: float) -> list[dict]:
+    """even_k_bound at every even k whose h_k >= 0 by the (a_k, side) pairs
+    of hk_excess, each against max_abs, the largest nontrivial |lam|, with a
+    slack of 1e-9.  A connected regular bipartite graph has n even and
+    n >= 4, so every accepted graph is inside the bound's domain."""
+    bounds = []
+    for k, (_, side) in excess.items():
+        if k % 2 == 0 and side >= 0:
+            bound = even_k_bound(k, n, q, bipartite)
+            bounds.append({"k": k, "bound": bound,
+                           "satisfied": bool(max_abs <= bound + 1e-9)})
+    return bounds
+
+
 def hasse_weil_check(excess: dict[int, tuple[int, int]], q: int, n: int,
-                     bipartite: bool) -> HasseWeilReport:
+                     bipartite: bool) -> dict:
     """Two-sided bounds on N_k, one record per (a_k, side) pair of
     hk_excess.
 
@@ -144,15 +115,17 @@ def hasse_weil_check(excess: dict[int, tuple[int, int]], q: int, n: int,
     shifted by n(q-1) for even k.  Bipartite: even k only,
     |N_k - n(q-1) - 2q^k - 2| <= 2(n-2) q^(k/2).  The left side is |a_k|,
     and the bound is 0 <= h_k <= 2 base, which side decides in integers;
-    rhs is reported as a float.
+    lhs is written as a decimal string and rhs as a float.
     """
     base = hk_base(n, bipartite)
-    records = tuple(
-        HasseWeilRecord(k=k, lhs=abs(a), rhs=float(base) * float(q ** (k // 2))
-                        * (math.sqrt(q) if k % 2 else 1.0), satisfied=side == 0)
-        for k, (a, side) in excess.items())
-    return HasseWeilReport(branch="bipartite" if bipartite else "nonbipartite",
-                           records=records)
+    records = [{"k": k, "lhs": str(abs(a)), "satisfied": side == 0,
+                "rhs": float(base) * float(q ** (k // 2))
+                * (math.sqrt(q) if k % 2 else 1.0)}
+               for k, (a, side) in excess.items()]
+    first = next((r["k"] for r in records if not r["satisfied"]), None)
+    return {"branch": "bipartite" if bipartite else "nonbipartite",
+            "all_satisfied": first is None, "first_violation_k": first,
+            "records": records}
 
 
 def hk_upper_bound(n: int, bipartite: bool) -> int:
@@ -167,17 +140,18 @@ def hk_upper_check(excess: dict[int, tuple[int, int]]) -> bool:
     return all(side <= 0 for _, side in excess.values())
 
 
-def estimate_max_eigenvalue(h: np.ndarray, q: int) -> EigenvalueEstimate:
+def estimate_max_eigenvalue(h: np.ndarray, q: int) -> dict:
     """Estimate q^(-1/2) * max|lam| from the tail of negative even h_k, h_k
     at h[k-1].
 
     For a non-Ramanujan graph, h_2k behaves like -m*mu^(2k), so
     sqrt(h_{2k+2}/h_{2k}) + sqrt(h_{2k}/h_{2k+2}) converges to mu + 1/mu,
     the largest scaled eigenvalue magnitude.  Uses the deepest usable pair
-    of adjacent negative even entries; converged means the previous pair
-    agrees within 1e-4.  Raises EstimatorNotApplicable when no even entry is
-    negative and EstimatorSignMismatch when negatives exist but never in
-    adjacent even pairs.
+    of adjacent negative even entries, k_used; converged means the previous
+    pair agrees within 1e-4.  Returns the estimator block, status "ok".
+    Raises EstimatorNotApplicable when no even entry is negative and
+    EstimatorSignMismatch when negatives exist but never in adjacent even
+    pairs.
     """
     negative = h[1::2] < 0.0  # h_2, h_4, ...
     usable = np.flatnonzero(negative[:-1] & negative[1:])  # i: h_(2i+2), h_(2i+4)
@@ -200,6 +174,6 @@ def estimate_max_eigenvalue(h: np.ndarray, q: int) -> EigenvalueEstimate:
     if len(usable) >= 2 and usable[-2] == usable[-1] - 1:
         converged = abs(estimate - pair_estimate(k_lo - 2)) < 1e-4
     mu = (estimate + math.sqrt(max(estimate * estimate - 4.0, 0.0))) / 2.0
-    return EigenvalueEstimate(estimate=estimate, mu=mu,
-                              implied_max_abs_eigenvalue=math.sqrt(q) * estimate,
-                              k_used=(k_lo, k_lo + 2), converged=converged)
+    return {"status": "ok", "estimate": estimate, "mu": mu,
+            "implied_max_abs_eigenvalue": math.sqrt(q) * estimate,
+            "k_used": [k_lo, k_lo + 2], "converged": converged}

@@ -38,8 +38,7 @@ EXIT_INTERNAL = 3
 
 # h_k routes of the series subcommand, in CSV column order
 SERIES_ROUTES = ["spectral", "ck", "series"]
-# a census past this horizon, or of a matrix with more rows, prints a cost
-# note on stderr
+# a census of more matrix-power steps than this prints a cost note on stderr
 COSTLY_HORIZON = 100
 
 
@@ -63,12 +62,22 @@ def _check_out(out: str | None) -> None:
         raise ValueError(f"cannot write {out}: {os.strerror(errno.ENOENT)}")
 
 
-def _cost_note(what: str, horizon: int) -> None:
-    """Say on stderr that a census to a horizon (or of a matrix size) past
-    COSTLY_HORIZON is costly; called where a census runs."""
-    if horizon > COSTLY_HORIZON:
-        print(f"note: {what} {horizon} is costly; census entries grow like "
-              "(q+1)^k", file=sys.stderr)
+def _cost_note(g: Multigraph, K: int, what: str | None = None) -> None:
+    """Say on stderr that what (by default "--k K") is costly when the census
+    of g to horizon K takes more than COSTLY_HORIZON matrix-power steps:
+    min(K, n) on A, or min(K/2, n/2) on the n/2 x n/2 Gram matrix of a
+    bipartite graph (build_census).  Called where a census runs."""
+    steps = min(K, g.n) if g.bipartition is None else min(K // 2, g.n // 2)
+    if steps > COSTLY_HORIZON:
+        print(f"note: {what or f'--k {K}'} is costly; census entries grow "
+              "like (q+1)^k", file=sys.stderr)
+
+
+def _verdict_exit(args: argparse.Namespace, verdicts: dict) -> int:
+    """EXIT_REFUTED under --require-ramanujan unless both verdicts certify;
+    EXIT_OK otherwise."""
+    certified = verdicts["spectral"]["is_ramanujan"] and verdicts["hk"]["is_ramanujan"]
+    return EXIT_REFUTED if args.require_ramanujan and not certified else EXIT_OK
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -86,15 +95,10 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
-    _cost_note("--k", args.k)
+    _cost_note(g, args.k)
     report = analyze(g, args.input, args.k, include_timings=not args.no_timings)
     _emit(report_to_json(report), args.out)
-    if args.require_ramanujan:
-        verdicts = report["verdicts"]
-        if not (verdicts["spectral"]["is_ramanujan"]
-                and verdicts["hk"]["is_ramanujan"]):
-            return EXIT_REFUTED
-    return EXIT_OK
+    return _verdict_exit(args, report["verdicts"])
 
 
 def cmd_series(args: argparse.Namespace) -> int:
@@ -111,7 +115,7 @@ def cmd_series(args: argparse.Namespace) -> int:
         if "spectral" in want:
             routes["spectral"] = hk_spectral(scaled_spectrum(ns), K, prof.bipartite)
         if "ck" in want:
-            _cost_note("--k", K)
+            _cost_note(g, K)
             excess = hk_excess(build_census(g, q, K).nk, q, n, prof.bipartite)
             routes["ck"] = hk_from_ck(excess, q, n, prof.bipartite, K)
         if "series" in want:
@@ -138,7 +142,7 @@ def cmd_series(args: argparse.Namespace) -> int:
 def cmd_census(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     prof = profile(g)
-    _cost_note("--k", args.k)
+    _cost_note(g, args.k)
     census = build_census(g, prof.q, args.k)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -160,16 +164,12 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 def cmd_zeta(args: argparse.Namespace) -> int:
     """Z(u)^-1 = (1-u^2)^e det(I - uA + qu^2 I), exactly: the determinant's
-    coefficients from chi_A, which the first n census traces give.  The cost
-    note goes by the matrix build_census powers: A, or the n/2 x n/2 Gram
-    matrix of a bipartite graph."""
+    coefficients from chi_A, which the census to horizon n gives."""
     g = _load_graph(args.input)
     prof = profile(g)
     q, n = prof.q, g.n
-    if prof.bipartite:
-        _cost_note("the census to n/2 =", n // 2)
-    else:
-        _cost_note("the census to n =", n)
+    _cost_note(g, n, f"the census to n/2 = {n // 2}" if prof.bipartite
+               else f"the census to n = {n}")
     chi = characteristic_polynomial(build_census(g, q, n).c[1:])
     payload = {"schema": SCHEMA_VERSION, "source": args.input,
                "det_coefficients": [str(d) for d in bass_determinant(chi, q)],
@@ -180,23 +180,18 @@ def cmd_zeta(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
-    _cost_note("--k", args.k)
+    _cost_note(g, args.k)
     report = analyze(g, args.input, args.k, include_timings=not args.no_timings)
-    verdicts = report["verdicts"]
     payload = {
         "schema": SCHEMA_VERSION,
         "source": args.input,
         "k_horizon": args.k,
-        "verdicts": verdicts,
+        "verdicts": report["verdicts"],
         "functional_equation": report["functional_equation"],
         "route_agreement": report["route_agreement"],
     }
     _emit(report_to_json(payload), args.out)
-    if args.require_ramanujan:
-        if not (verdicts["spectral"]["is_ramanujan"]
-                and verdicts["hk"]["is_ramanujan"]):
-            return EXIT_REFUTED
-    return EXIT_OK
+    return _verdict_exit(args, report["verdicts"])
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:

@@ -22,10 +22,10 @@ import time
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .analysis import (DomainError, EstimatorNotApplicable,
-                       EstimatorSignMismatch, estimate_max_eigenvalue,
-                       even_k_bound, hasse_weil_check, hk_upper_bound,
-                       hk_upper_check, ramanujan_hk, ramanujan_spectral)
+from .analysis import (EstimatorNotApplicable, EstimatorSignMismatch,
+                       estimate_max_eigenvalue, even_k_bounds,
+                       hasse_weil_check, hk_upper_bound, hk_upper_check,
+                       ramanujan_hk, ramanujan_spectral)
 from .census import build_census, geodesic_cycles_operator
 from .graphs import Multigraph, adjacency_matrix, profile
 from .hk import hk_excess, hk_from_ck, hk_spectral, max_route_deviation
@@ -65,19 +65,11 @@ def estimator_block(h, q: int) -> dict:
     """The tail-ratio estimate from h_1..h_K, as the estimate and analyze
     outputs print it, or the status saying why it does not apply."""
     try:
-        est = estimate_max_eigenvalue(h, q)
+        return estimate_max_eigenvalue(h, q)
     except EstimatorNotApplicable as exc:
         return {"status": "not_applicable", "detail": str(exc)}
     except EstimatorSignMismatch as exc:
         return {"status": "sign_mismatch", "detail": str(exc)}
-    return {
-        "status": "ok",
-        "estimate": est.estimate,
-        "mu": est.mu,
-        "implied_max_abs_eigenvalue": est.implied_max_abs_eigenvalue,
-        "k_used": list(est.k_used),
-        "converged": est.converged,
-    }
 
 
 def analyze(g: Multigraph, source: str, K: int,
@@ -136,24 +128,18 @@ def analyze(g: Multigraph, source: str, K: int,
     timings["hk_routes"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    verdict_spec = ramanujan_spectral(ns, q)
-    verdict_hk = ramanujan_hk(excess, q, K)
-    hw = hasse_weil_check(excess, q, n, prof.bipartite)
-    bounds = []
-    max_abs = ns.max_abs()
-    for k, (_, side) in excess.items():
-        if k % 2 or side < 0:
-            continue
-        try:
-            bound = even_k_bound(k, n, q, prof.bipartite)
-        except DomainError:
-            continue
-        bounds.append({
-            "k": k,
-            "bound": bound,
-            "satisfied": bool(max_abs <= bound + 1e-9),
-        })
-    upper_ok = hk_upper_check(excess) if verdict_spec.is_ramanujan else None
+    spectral = ramanujan_spectral(ns, q)
+    verdicts = {
+        "spectral": spectral,
+        "hk": ramanujan_hk(excess, K),
+        "hasse_weil": hasse_weil_check(excess, q, n, prof.bipartite),
+        "even_k_bounds": even_k_bounds(excess, n, q, prof.bipartite,
+                                       spectral["max_nontrivial_abs"]),
+        "hk_upper": {
+            "bound": hk_upper_bound(n, prof.bipartite),
+            "ok": hk_upper_check(excess) if spectral["is_ramanujan"] else None,
+        },
+    }
     timings["checks"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -202,34 +188,7 @@ def analyze(g: Multigraph, source: str, K: int,
                              len(zeta_records)),
             "ok": zeta_ok,
         },
-        "verdicts": {
-            "spectral": {
-                "is_ramanujan": verdict_spec.is_ramanujan,
-                "max_nontrivial_abs": verdict_spec.max_nontrivial_abs,
-                "threshold": verdict_spec.threshold,
-                "witness": verdict_spec.witness,
-            },
-            "hk": {
-                "is_ramanujan": verdict_hk.is_ramanujan,
-                "horizon": verdict_hk.horizon,
-                "witness": verdict_hk.witness,
-            },
-            "hasse_weil": {
-                "branch": hw.branch,
-                "all_satisfied": hw.all_satisfied,
-                "first_violation_k": hw.first_violation,
-                "records": [
-                    {"k": r.k, "lhs": str(r.lhs), "rhs": r.rhs,
-                     "satisfied": r.satisfied}
-                    for r in hw.records
-                ],
-            },
-            "even_k_bounds": bounds,
-            "hk_upper": {
-                "bound": hk_upper_bound(n, prof.bipartite),
-                "ok": upper_ok,
-            },
-        },
+        "verdicts": verdicts,
         "estimator": estimator,
         "notes": notes,
     }

@@ -21,7 +21,7 @@ from conftest import (ACCEPTANCE_FIXTURES, NON_RAMANUJAN_FIXTURES,
 
 
 def _hk_verdict(name, K):
-    return ramanujan_hk(get_excess(name, K), get_profile(name).q, K)
+    return ramanujan_hk(get_excess(name, K), K)
 
 
 def _hk_upper(name, K):
@@ -44,7 +44,7 @@ def _h(nk, q, n, bipartite, k):
 
 
 def _verdict(nk, q, n, bipartite):
-    return ramanujan_hk(hk_excess(nk, q, n, bipartite), q, len(nk))
+    return ramanujan_hk(hk_excess(nk, q, n, bipartite), len(nk))
 
 
 def _hasse_weil(nk, q, n, bipartite):
@@ -56,22 +56,22 @@ def _hasse_weil(nk, q, n, bipartite):
 
 def test_spectral_verdict_petersen():
     v = ramanujan_spectral(get_nontrivial("petersen"), 2)
-    assert v.is_ramanujan
-    assert v.max_nontrivial_abs == pytest.approx(2.0, abs=1e-10)
-    assert v.threshold == pytest.approx(2 * math.sqrt(2))
+    assert v["is_ramanujan"]
+    assert v["max_nontrivial_abs"] == pytest.approx(2.0, abs=1e-10)
+    assert v["threshold"] == pytest.approx(2 * math.sqrt(2))
 
 
 def test_spectral_verdict_kmm3():
     v = ramanujan_spectral(get_nontrivial("kmm3"), 2)
-    assert v.is_ramanujan and v.max_nontrivial_abs == pytest.approx(0.0, abs=1e-10)
+    assert v["is_ramanujan"] and v["max_nontrivial_abs"] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_spectral_verdict_prism24():
     v = ramanujan_spectral(get_nontrivial("prism24"), 2)
-    assert not v.is_ramanujan
-    assert v.max_nontrivial_abs == pytest.approx(2 * math.cos(math.pi / 12) + 1,
-                                                 abs=1e-9)
-    assert v.witness is not None
+    assert not v["is_ramanujan"]
+    assert v["max_nontrivial_abs"] == pytest.approx(2 * math.cos(math.pi / 12) + 1,
+                                                    abs=1e-9)
+    assert v["witness"] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -79,32 +79,32 @@ def test_spectral_verdict_prism24():
 
 def test_hk_verdict_petersen():
     v = _hk_verdict("petersen", 40)
-    assert v.is_ramanujan and v.horizon == 40 and v.witness is None
+    assert v["is_ramanujan"] and v["horizon"] == 40 and v["witness"] is None
 
 
 def test_hk_verdict_prism24_refutes_with_even_witness():
     v = _hk_verdict("prism24", 40)
-    assert not v.is_ramanujan
-    assert v.witness is not None and v.witness % 2 == 0
+    assert not v["is_ramanujan"]
+    assert v["witness"] is not None and v["witness"] % 2 == 0
 
 
 def test_hk_verdict_kmm3_boundary_zero():
     v = _hk_verdict("kmm3", 40)
-    assert v.is_ramanujan
+    assert v["is_ramanujan"]
 
 
 @pytest.mark.parametrize("name", RAMANUJAN_FIXTURES)
 def test_verdicts_never_disagree_ramanujan(name):
     # spectral certification implies no negative h_k to K = 100
-    assert ramanujan_spectral(get_nontrivial(name), get_profile(name).q).is_ramanujan
-    assert _hk_verdict(name, 100).is_ramanujan
+    assert ramanujan_spectral(get_nontrivial(name), get_profile(name).q)["is_ramanujan"]
+    assert _hk_verdict(name, 100)["is_ramanujan"]
 
 
 @pytest.mark.parametrize("name", NON_RAMANUJAN_FIXTURES)
 def test_verdicts_never_disagree_non_ramanujan(name):
-    assert not ramanujan_spectral(get_nontrivial(name), get_profile(name).q).is_ramanujan
+    assert not ramanujan_spectral(get_nontrivial(name), get_profile(name).q)["is_ramanujan"]
     v = _hk_verdict(name, 100)
-    assert not v.is_ramanujan and v.witness <= 60
+    assert not v["is_ramanujan"] and v["witness"] <= 60
 
 
 def test_hk_verdict_is_exact_at_zero_even_k():
@@ -113,11 +113,11 @@ def test_hk_verdict_is_exact_at_zero_even_k():
     n, q, K, base = 10, 2, 60, 18
     nk = _synthetic_nk(n, q, K, False, 60, -base * q ** 30)
     assert _h(nk, q, n, False, 60) == 0.0
-    assert _verdict(nk, q, n, False).is_ramanujan
+    assert _verdict(nk, q, n, False)["is_ramanujan"]
     nk[59] += 1
     assert _h(nk, q, n, False, 60) == -2.0 ** -30
     v = _verdict(nk, q, n, False)
-    assert not v.is_ramanujan and v.witness == 60 and v.horizon == 60
+    assert not v["is_ramanujan"] and v["witness"] == 60 and v["horizon"] == 60
 
 
 def test_hk_verdict_is_exact_at_zero_odd_k():
@@ -127,11 +127,11 @@ def test_hk_verdict_is_exact_at_zero_odd_k():
     n, q, K, base = 10, 4, 61, 18
     nk = _synthetic_nk(n, q, K, False, 61, -2 * base * q ** 30)
     assert _h(nk, q, n, False, 61) == 0.0
-    assert _verdict(nk, q, n, False).is_ramanujan
+    assert _verdict(nk, q, n, False)["is_ramanujan"]
     nk[60] += 1
     assert _h(nk, q, n, False, 61) == 0.0
     v = _verdict(nk, q, n, False)
-    assert not v.is_ramanujan and v.witness == 61
+    assert not v["is_ramanujan"] and v["witness"] == 61
 
 
 # ---------------------------------------------------------------------------
@@ -190,22 +190,22 @@ def test_even_k_bound_implied_by_nonneg_hk(name):
 
 def test_hasse_weil_petersen_k5():
     report = hasse_weil_check(get_excess("petersen", 5), 2, 10, False)
-    rec = report.records[4]
-    assert rec.k == 5 and rec.lhs == 87
-    assert rec.rhs == pytest.approx(2 * 9 * 2 ** 2.5, rel=1e-12)
-    assert rec.satisfied
+    rec = report["records"][4]
+    assert rec["k"] == 5 and rec["lhs"] == "87"
+    assert rec["rhs"] == pytest.approx(2 * 9 * 2 ** 2.5, rel=1e-12)
+    assert rec["satisfied"]
 
 
 def test_hasse_weil_kmm3_tight_equality():
     report = hasse_weil_check(get_excess("kmm3", 2), 2, 6, True)
-    rec = report.records[0]
-    assert rec.k == 2 and rec.lhs == 16 and rec.rhs == 16.0 and rec.satisfied
+    rec = report["records"][0]
+    assert rec["k"] == 2 and rec["lhs"] == "16" and rec["rhs"] == 16.0 and rec["satisfied"]
 
 
 def test_hasse_weil_bipartite_branch_only_even():
     report = hasse_weil_check(get_excess("kmm3", 9), 2, 6, True)
-    assert report.branch == "bipartite"
-    assert [r.k for r in report.records] == [2, 4, 6, 8]
+    assert report["branch"] == "bipartite"
+    assert [r["k"] for r in report["records"]] == [2, 4, 6, 8]
 
 
 @pytest.mark.parametrize("name", RAMANUJAN_FIXTURES)
@@ -213,7 +213,7 @@ def test_hasse_weil_holds_on_ramanujan_fixtures(name):
     g = get_graph(name)
     prof = get_profile(name)
     report = hasse_weil_check(get_excess(name, 40), prof.q, g.n, prof.bipartite)
-    assert report.all_satisfied
+    assert report["all_satisfied"]
 
 
 def test_hasse_weil_is_exact_at_the_bound():
@@ -226,27 +226,28 @@ def test_hasse_weil_is_exact_at_the_bound():
     for lhs, expected in ((0, True), (1, False)):
         nk[59] = q ** 60 + 1 + n * (q - 1) + even_bound + lhs
         nk[60] = q ** 61 + 1 + odd_bound + lhs
-        records = _hasse_weil(nk, q, n, False).records
-        assert (records[59].k, records[59].lhs) == (60, even_bound + lhs)
-        assert (records[60].k, records[60].lhs) == (61, odd_bound + lhs)
-        assert records[59].satisfied is expected
-        assert records[60].satisfied is expected
-    assert _hasse_weil(nk, q, n, False).first_violation == 60
+        records = _hasse_weil(nk, q, n, False)["records"]
+        assert (records[59]["k"], records[59]["lhs"]) == (60, str(even_bound + lhs))
+        assert (records[60]["k"], records[60]["lhs"]) == (61, str(odd_bound + lhs))
+        assert records[59]["satisfied"] is expected
+        assert records[60]["satisfied"] is expected
+    assert _hasse_weil(nk, q, n, False)["first_violation_k"] == 60
 
 
 def test_hasse_weil_bipartite_is_exact_at_the_bound():
     n, q = 6, 2
     nk = [0] * 8
     nk[7] = n * (q - 1) + 2 * q ** 8 + 2 + 2 * (n - 2) * q ** 4
-    assert _hasse_weil(nk, q, n, True).records[3].satisfied
+    assert _hasse_weil(nk, q, n, True)["records"][3]["satisfied"]
     nk[7] += 1
-    assert not _hasse_weil(nk, q, n, True).records[3].satisfied
+    assert not _hasse_weil(nk, q, n, True)["records"][3]["satisfied"]
 
 
 def test_hasse_weil_violated_on_prism24():
     report = hasse_weil_check(get_excess("prism24", 60), 2, 48, True)
-    assert not report.all_satisfied
-    assert report.first_violation is not None and report.first_violation <= 60
+    assert not report["all_satisfied"]
+    first = report["first_violation_k"]
+    assert first is not None and first <= 60
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +279,12 @@ def test_hk_upper_is_exact_at_the_cap():
     nk = _synthetic_nk(n, q, K, False, 60, base * q ** 30)
     assert _h(nk, q, n, False, 60) == 36.0
     assert hk_upper_check(hk_excess(nk, q, n, False))
-    assert _hasse_weil(nk, q, n, False).all_satisfied
+    assert _hasse_weil(nk, q, n, False)["all_satisfied"]
     nk[59] -= 1
     assert _h(nk, q, n, False, 60) == 36.0 + 2.0 ** -30
     assert not hk_upper_check(hk_excess(nk, q, n, False))
-    assert _hasse_weil(nk, q, n, False).first_violation == 60
-    assert _verdict(nk, q, n, False).is_ramanujan
+    assert _hasse_weil(nk, q, n, False)["first_violation_k"] == 60
+    assert _verdict(nk, q, n, False)["is_ramanujan"]
 
 
 @pytest.mark.parametrize("name", RAMANUJAN_FIXTURES)
@@ -300,20 +301,20 @@ def test_estimator_prism24():
     seq = get_hk_routes("prism24", 100)["spectral"]
     est = estimate_max_eigenvalue(seq, 2)
     target = (2 * math.cos(math.pi / 12) + 1) / math.sqrt(2)
-    assert abs(est.estimate - target) < 1e-3
-    assert est.converged
-    assert est.k_used == (98, 100)
-    assert est.implied_max_abs_eigenvalue == pytest.approx(
+    assert abs(est["estimate"] - target) < 1e-3
+    assert est["converged"]
+    assert est["k_used"] == [98, 100]
+    assert est["implied_max_abs_eigenvalue"] == pytest.approx(
         2 * math.cos(math.pi / 12) + 1, abs=1e-3)
-    assert est.mu == pytest.approx((target + math.sqrt(target ** 2 - 4)) / 2,
-                                   abs=1e-3)
+    assert est["mu"] == pytest.approx((target + math.sqrt(target ** 2 - 4)) / 2,
+                                      abs=1e-3)
 
 
 def test_estimator_prism30():
     seq = get_hk_routes("prism30", 100)["spectral"]
     est = estimate_max_eigenvalue(seq, 2)
     target = (2 * math.cos(math.pi / 15) + 1) / math.sqrt(2)
-    assert abs(est.estimate - target) < 1e-3
+    assert abs(est["estimate"] - target) < 1e-3
 
 
 def test_estimator_not_applicable_on_ramanujan():
@@ -326,8 +327,8 @@ def test_estimator_synthetic_exact_ratio():
     mu = 1.5
     values = [1.0 if k % 2 else -(mu ** k) for k in range(1, 13)]
     est = estimate_max_eigenvalue(np.array(values), 2)
-    assert est.estimate == pytest.approx(mu + 1 / mu, rel=1e-12)
-    assert est.mu == pytest.approx(mu, rel=1e-10)
+    assert est["estimate"] == pytest.approx(mu + 1 / mu, rel=1e-12)
+    assert est["mu"] == pytest.approx(mu, rel=1e-10)
 
 
 def test_estimator_sign_mismatch():

@@ -98,12 +98,16 @@ def test_analyze_prism24_refutation(capsys):
 
 
 def test_analyze_require_ramanujan_exit_code(capsys):
-    code, _, _ = run(capsys, "analyze", "prism:24", "--k", "40",
-                     "--require-ramanujan")
-    assert code == 1
-    code, _, _ = run(capsys, "analyze", "petersen", "--k", "40",
-                     "--require-ramanujan")
-    assert code == 0
+    # analyze and check refuse by one rule, and only under the flag
+    for cmd in ("analyze", "check"):
+        code, _, _ = run(capsys, cmd, "prism:24", "--k", "40",
+                         "--require-ramanujan")
+        assert code == 1
+        code, _, _ = run(capsys, cmd, "petersen", "--k", "40",
+                         "--require-ramanujan")
+        assert code == 0
+        code, _, _ = run(capsys, cmd, "prism:24", "--k", "40")
+        assert code == 0
 
 
 @pytest.mark.parametrize("spec", ["hypercube:4", "kmm:6", "circulant:12:1,3",
@@ -442,37 +446,53 @@ def test_k_cap(capsys):
 
 
 def test_k_cost_warning(capsys):
-    code, _, err = run(capsys, "census", "complete:4", "--k", "120")
+    code, _, err = run(capsys, "census", "cycle:101", "--k", "120")
     assert code == 0
     assert err == ("note: --k 120 is costly; census entries grow like "
                    "(q+1)^k\n")
-    code, _, err = run(capsys, "estimate", "complete:4", "--k", "120")
+    code, _, err = run(capsys, "census", "cycle:101", "--k", "100")
+    assert (code, err) == (0, "")
+    code, _, err = run(capsys, "estimate", "cycle:101", "--k", "120")
+    assert (code, err) == (0, "")
+    # the census of complete:4 takes 4 matrix-power steps at any K
+    code, _, err = run(capsys, "census", "complete:4", "--k", "120")
     assert (code, err) == (0, "")
 
 
-# the cost note appears exactly where a census runs past horizon 100
+# the cost note appears exactly where a census takes more than 100
+# matrix-power steps: min(K, n), or min(K/2, n/2) on a bipartite graph's
+# Gram matrix, so that --k (at most 200) never gives it on a bipartite graph
 K_NOTE = "note: --k 101 is costly; census entries grow like (q+1)^k\n"
 N_NOTE = "note: the census to n = 101 is costly; census entries grow like (q+1)^k\n"
-COST_NOTES = [
-    (["analyze", "complete:4", "--k", "101"], K_NOTE),
-    (["check", "complete:4", "--k", "101"], K_NOTE),
-    (["census", "complete:4", "--k", "101"], K_NOTE),
-    (["census", "complete:4", "--k", "100"], ""),
-    (["series", "complete:4", "--k", "101", "--route", "ck"], K_NOTE),
-    (["series", "complete:4", "--k", "101"], K_NOTE),
-    (["series", "complete:4", "--k", "101", "--route", "spectral"], ""),
-    (["series", "complete:4", "--k", "101", "--route", "series"], ""),
-    (["estimate", "complete:4", "--k", "200"], ""),
-    (["zeta", "cycle:101"], N_NOTE),
-    (["zeta", "cycle:100"], ""),
-    # a bipartite graph powers its n/2 x n/2 Gram matrix: the note goes by n/2
-    (["zeta", "hypercube:7"], ""),
-    (["zeta", "prism:100"], ""),
-    (["zeta", "circulant:200:1,5,17"], ""),
-    (["zeta", "cycle:102"], ""),
-    (["zeta", "cycle:200"], ""),
-    (["zeta", "cycle:202"], N_NOTE.replace("n = 101", "n/2 = 101")),
-]
+CENSUS_RUNS = (["analyze"], ["check"], ["census"], ["series", "--route", "ck"],
+               ["series"])
+COST_NOTES = (
+    [([cmd, "cycle:101", "--k", "101", *rest], K_NOTE)
+     for cmd, *rest in CENSUS_RUNS]
+    + [([cmd, "cycle:101", "--k", "100", *rest], "")
+       for cmd, *rest in CENSUS_RUNS]
+    + [([cmd, graph, "--k", "150", *rest], "")
+       for graph in ("prism:24", "complete:30") for cmd, *rest in CENSUS_RUNS]
+    + [([cmd, "complete:4", "--k", "101", *rest], "")
+       for cmd, *rest in CENSUS_RUNS]
+    + [
+        (["census", "complete:4", "--k", "100"], ""),
+        (["series", "cycle:101", "--k", "101", "--route", "spectral"], ""),
+        (["series", "cycle:101", "--k", "101", "--route", "series"], ""),
+        (["series", "complete:4", "--k", "101", "--route", "spectral"], ""),
+        (["series", "complete:4", "--k", "101", "--route", "series"], ""),
+        (["estimate", "cycle:101", "--k", "200"], ""),
+        (["estimate", "complete:4", "--k", "200"], ""),
+        (["zeta", "cycle:101"], N_NOTE),
+        (["zeta", "cycle:100"], ""),
+        # a bipartite graph powers its n/2 x n/2 Gram matrix: the note goes by n/2
+        (["zeta", "hypercube:7"], ""),
+        (["zeta", "prism:100"], ""),
+        (["zeta", "circulant:200:1,5,17"], ""),
+        (["zeta", "cycle:102"], ""),
+        (["zeta", "cycle:200"], ""),
+        (["zeta", "cycle:202"], N_NOTE.replace("n = 101", "n/2 = 101")),
+    ])
 
 
 @pytest.mark.parametrize("argv, note", COST_NOTES,

@@ -12,10 +12,15 @@ import iharazeta.analysis as analysis_mod
 import iharazeta.cli as cli_mod
 import iharazeta.hk as hk_mod
 import iharazeta.report as report_mod
+from iharazeta.analysis import (estimate_max_eigenvalue, even_k_bounds,
+                                hasse_weil_check, hk_upper_bound,
+                                hk_upper_check, ramanujan_hk,
+                                ramanujan_spectral)
 from iharazeta.census import CycleCensus
 from iharazeta.report import InternalConsistencyError, analyze, report_to_json
 
-from conftest import get_graph
+from conftest import (ALL_FIXTURES, NON_RAMANUJAN_FIXTURES, get_excess,
+                      get_graph, get_hk_routes, get_nontrivial, get_profile)
 
 
 def test_report_shape_petersen():
@@ -46,6 +51,29 @@ def test_analyze_takes_one_excess_pass(monkeypatch, name):
     rep = analyze(get_graph(name), name, 40)
     assert len(calls) == 1
     assert rep["verdicts"]["hasse_weil"]["records"] and rep["verdicts"]["hk_upper"]["ok"]
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES + ["doubled_cycle4"])
+def test_report_prints_the_analysis_blocks(name):
+    # every fixture conftest builds: the verdicts and the estimate reach the
+    # report exactly as the analysis functions return them
+    g, prof, K = get_graph(name), get_profile(name), 50
+    excess, ns = get_excess(name, K), get_nontrivial(name)
+    rep = analyze(g, name, K)
+    spectral = ramanujan_spectral(ns, prof.q)
+    assert rep["verdicts"] == {
+        "spectral": spectral,
+        "hk": ramanujan_hk(excess, K),
+        "hasse_weil": hasse_weil_check(excess, prof.q, g.n, prof.bipartite),
+        "even_k_bounds": even_k_bounds(excess, g.n, prof.q, prof.bipartite,
+                                       ns.max_abs()),
+        "hk_upper": {"bound": hk_upper_bound(g.n, prof.bipartite),
+                     "ok": hk_upper_check(excess) if spectral["is_ramanujan"] else None},
+    }
+    assert (rep["estimator"]["status"] == "ok") == (name in NON_RAMANUJAN_FIXTURES)
+    if rep["estimator"]["status"] == "ok":
+        assert rep["estimator"] == estimate_max_eigenvalue(
+            get_hk_routes(name, K)["spectral"], prof.q)
 
 
 # the leading k at K=20 whose Z(u)^-1 log-series budget is below 1/2, so that
