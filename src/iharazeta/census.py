@@ -30,7 +30,8 @@ general route tr(A^k), for every graph.
 Four routes to N_k are cross-checked in the test suite: a brute-force
 enumeration, the traces of the non-backtracking operator (through the
 n-wide top block row of its 2n x 2n Ihara-Bass companion, on the same
-engine), an exact conversion from C_k (two parity chains), and zetaxi's
+engine; n/2-wide on the Gram matrix B^TB for a bipartite regular graph),
+an exact conversion from C_k (two parity chains), and zetaxi's
 float N_k (the Z(u)^-1 log-series), which pins an integer within its
 a-priori budget (nk_from_spectrum_rounded).
 """
@@ -130,7 +131,10 @@ def _reduce(x: np.ndarray, prime: np.ndarray, inverse: np.ndarray,
             out: np.ndarray) -> np.ndarray:
     """out = x - prime * rint(x * inverse), a representative of x modulo
     prime, written without temporaries; exact under the conditions given in
-    integer_power_traces."""
+    _recurrence_traces.  out must not overlap x: x is read after out is
+    written, so an aliased call would return zeros (ValueError)."""
+    if np.may_share_memory(x, out):
+        raise ValueError("_reduce cannot write its result over its input")
     np.multiply(x, inverse, out=out)
     np.rint(out, out=out)
     np.multiply(out, prime, out=out)
@@ -144,10 +148,18 @@ def integer_power_traces(m: np.ndarray, K: int) -> list[int]:
     weights); the traces past s follow exactly from the first s
     (`extend_traces`).
     """
+    return _traces(np.asarray(m), None, K, len(m))
+
+
+def _traces(a: np.ndarray, weight: np.ndarray | None, K: int,
+            size: int) -> list[int]:
+    """The first K traces of _recurrence_traces(a, weight, .), which are
+    those of the powers of an integer matrix of the given size: the
+    recurrence runs min(K, size) steps and extend_traces gives the rest."""
     if K < 1:
         return []
-    out = _recurrence_traces(np.asarray(m), None, min(K, len(m)))
-    return out if K <= len(m) else extend_traces(out, K)
+    out = _recurrence_traces(a, weight, min(K, size))
+    return out if K <= size else extend_traces(out, K)
 
 
 def _recurrence_traces(a: np.ndarray, weight: np.ndarray | None,
@@ -323,13 +335,32 @@ def geodesic_cycles_operator(g: Multigraph, K: int) -> list[int]:
     diagonal of degrees.  Exactness is _recurrence_traces's argument with
     weights 1 - deg: entries of X_k at most B_k = c B_(k-1) + d B_(k-2), c
     the largest degree and d = max |1 - deg|, reduced before B_k passes 2^52.
+
+    A connected bipartite (q+1)-regular graph runs at half size.  There
+    I - D = -qI, so X_k = V_k(A) with V_k = x V_(k-1) - q V_(k-2): odd for
+    odd k, where a bipartite spectrum gives tr(M^k) = 0, and for even k
+    V_k = (x^2 - 2q) V_(k-2) - q^2 V_(k-4).  As A^2 = diag(BB^T, B^TB) has
+    two equal-sized blocks of one spectrum, tr(M^2j) = 2 [tr Y_j -
+    q^2 tr Y_(j-2)] with Y_j = Y_(j-1)(G - 2qI) - q^2 Y_(j-2) and G = B^TB,
+    taken from A's rows of the second colour class (the census powers BB^T
+    of the first): the engine with weights -q^2, to min(K/2, n) steps, and
+    extend_traces past that companion's size n.  The engine needs c + d =
+    2q^2 + 2q - 1 below 2^27, q <= 8191; other graphs take the full size.
     """
     if K < 1:
         raise ValueError("horizon must be >= 1")
-    a = adjacency_matrix(g)
-    steps = min(K, 2 * g.n)
-    out = _recurrence_traces(a, 1 - a.sum(axis=1), steps)
-    out = out if K <= steps else extend_traces(out, K)
+    a, q, parts = adjacency_matrix(g), g.valencies[0] - 1, g.bipartition
+    if (parts is None or len(set(g.valencies)) > 1
+            or 2 * q * (q + 1) > COLUMN_SUM_LIMIT):
+        out = _traces(a, 1 - a.sum(axis=1), K, 2 * g.n)
+    else:
+        # a float GEMM, exact (entries <= (q+1)^2); the copy keeps numpy from
+        # sending x @ x.T to BLAS syrk, whose first call raised the peak
+        # resident memory by about 0.2 MB (OpenBLAS 0.3.31)
+        rows = a[parts[1], :].astype(np.float64)
+        gram = (rows @ rows.T.copy() - 2 * q * np.eye(len(rows))).astype(np.int64)
+        half = _traces(gram, np.full(len(rows), -q * q), K // 2, g.n)
+        out = [0 if k % 2 else 2 * half[k // 2 - 1] for k in range(1, K + 1)]
     excess = g.edge_count - g.n
     return [t + (2 * excess if k % 2 == 0 else 0)
             for k, t in enumerate(out, start=1)]

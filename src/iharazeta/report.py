@@ -38,7 +38,8 @@ SCHEMA_VERSION = 3
 # seed of the functional-equation sample points, printed as the report's seed
 DEFAULT_SEED = 42
 # largest Ihara-Bass companion size 2n for which the operator cross-check
-# (N_k as traces of the 2n x 2n companion of B) runs; 400 covers n <= 200
+# (N_k as traces of the 2n x 2n companion of B, n/2-wide on B^TB for a
+# bipartite regular graph) runs; 400 covers n <= 200
 OPERATOR_CROSSCHECK_SIZE_LIMIT = 400
 # orders of N_k checked against the census (operator, Z^-1 log-series)
 NK_CROSSCHECK_K = 20

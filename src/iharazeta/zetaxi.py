@@ -219,12 +219,14 @@ def functional_equation_residual(xi: RationalFunction, q: int, u):
     float range near the pole, so the comparison is normalized by magnitude
     and made on log2 values.  Raises ValueError if some u is zero, and
     PoleHit when some evaluation point sits on a pole (u = q^(-1/2) maps to
-    itself and is always rejected).
+    itself and is always rejected).  Xi is evaluated once, over u and
+    1/(q*u) stacked.
     """
     u = np.asarray(u, dtype=float)
     if np.any(u == 0.0):
         raise ValueError("u must be nonzero")
-    gap = relative_gap(*xi.log2_sign(u), *xi.log2_sign(1.0 / (q * u)))
+    log2, sign = xi.log2_sign(np.stack((u, 1.0 / (q * u))))
+    gap = relative_gap(log2[0], sign[0], log2[1], sign[1])
     return float(gap) if gap.ndim == 0 else gap
 
 

@@ -3,6 +3,7 @@
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from iharazeta.census import (BruteForceBudgetExceeded,
                               nk_from_ck, nk_from_spectrum,
                               nk_from_spectrum_rounded, nk_spectral_budget,
                               nonbacktracking_matrix)
-from iharazeta.graphs import (Multigraph, adjacency_matrix, parse_generator,
-                              profile)
+from iharazeta.graphs import (Multigraph, adjacency_matrix, build_graph,
+                              parse_generator, profile)
 from iharazeta.hk import chebyshev_T_table
 
 from conftest import (ALL_FIXTURES, SMALL_FIXTURES, get_census, get_graph,
@@ -286,11 +287,12 @@ def test_companion_matches_nonbacktracking_traces(name):
             == integer_power_traces(nonbacktracking_matrix(g), 20))
 
 
-@pytest.mark.parametrize("spec", ["complete:30", "prism:100"])
+@pytest.mark.parametrize("spec", ["complete:30", "prism:100", "hypercube:7"])
 def test_operator_block_form_matches_census(spec):
     # complete:30 has q = 28: the weighted recurrence passes 2^52 every few
     # steps, so both arrays are reduced several times before K = 20;
-    # prism:100 is as large as the report's check gets.  Their operator
+    # prism:100 is as large as the report's check gets, and it and
+    # hypercube:7 take the half-size Gram recurrence.  Their operator
     # matrices take seconds to power, so the exact census is the reference.
     g = parse_generator(spec)
     assert (geodesic_cycles_operator(g, 20)
@@ -316,6 +318,63 @@ def test_operator_block_form_irregular_multigraph():
     for K in (1, 2, 7, 8, 9, 30):
         assert (geodesic_cycles_operator(g, K)
                 == integer_power_traces(nonbacktracking_matrix(g), K))
+
+
+def _operator_with_matrix_sizes(monkeypatch, g, K):
+    # geodesic_cycles_operator(g, K) and the size of every matrix it hands
+    # to the recurrence engine: n/2 on the half-size path, n on the full one
+    sizes = []
+    engine = census_mod._recurrence_traces
+
+    def recording(a, weight, steps):
+        sizes.append(len(a))
+        return engine(a, weight, steps)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(census_mod, "_recurrence_traces", recording)
+        return geodesic_cycles_operator(g, K), sizes
+
+
+@lru_cache(maxsize=None)
+def _nonbacktracking_traces(name, K):
+    return integer_power_traces(nonbacktracking_matrix(get_graph(name)), K)
+
+
+@pytest.mark.parametrize("name", BIPARTITE_FIXTURES + ["prism30"])
+def test_operator_half_size_matches_nonbacktracking_traces(name, monkeypatch):
+    # bipartite and regular: the even traces come from the n/2 x n/2 Gram
+    # matrix B^TB through a recurrence whose companion has size n, so the
+    # horizons straddle n steps (2n + 1 and 2n + 3 traces of B) and the
+    # first even k
+    g = get_graph(name)
+    reference = _nonbacktracking_traces(name, 2 * g.n + 3)
+    for K in (1, 2, 3, g.n - 1, g.n, g.n + 1, 2 * g.n + 1, 2 * g.n + 3):
+        out, sizes = _operator_with_matrix_sizes(monkeypatch, g, K)
+        assert out == reference[:K]
+        assert sizes == ([] if K == 1 else [g.n // 2])
+
+
+@pytest.mark.parametrize("multiplicity, half_size", [(4096, True), (4097, False)])
+def test_operator_half_size_column_sum_limit(multiplicity, half_size, monkeypatch):
+    # a 4-cycle with every edge of one multiplicity: q = 8191 is the largest
+    # q whose Gram recurrence has c + d = 2q^2 + 2q - 1 below 2^27; q = 8193
+    # takes the full-size recurrence, and both still match the census
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)] * multiplicity)
+    q = profile(g).q
+    out, sizes = _operator_with_matrix_sizes(monkeypatch, g, 6)
+    assert out == list(build_census(g, q, 6).nk)
+    assert sizes == ([2] if half_size else [4])
+
+
+def test_operator_full_size_off_bipartite_regular(monkeypatch):
+    # nonbipartite graphs and irregular bipartite multigraphs keep the
+    # 2n-wide companion recurrence
+    irregular = Multigraph(4, ((0, 1), (0, 1), (1, 2), (2, 3)))
+    assert irregular.bipartition is not None
+    for g in (get_graph("petersen"), irregular):
+        out, sizes = _operator_with_matrix_sizes(monkeypatch, g, 9)
+        assert out == integer_power_traces(nonbacktracking_matrix(g), 9)
+        assert sizes == [g.n]
 
 
 def _reference_recurrence_traces(a, weight, K):
@@ -396,6 +455,18 @@ def test_extend_traces_rejects_corrupt_traces():
     with pytest.raises(ArithmeticError, match="remainder"):
         extend_traces([1, 2], 5)
     assert extend_traces([1, 3], 5) == [1, 3, 4, 7, 11]  # [[1, 1], [1, 0]]
+
+
+def test_reduce_rejects_aliased_output():
+    # x is read after out is written, so out = x would give zeros
+    x = np.array([[7.0, -9.0]])
+    prime = np.array([[5.0]])
+    with pytest.raises(ValueError, match="over its input"):
+        census_mod._reduce(x, prime, 1.0 / prime, out=x)
+    with pytest.raises(ValueError, match="over its input"):
+        census_mod._reduce(x, prime, 1.0 / prime, out=x.reshape(-1)[:1])
+    assert census_mod._reduce(x, prime, 1.0 / prime,
+                              out=np.empty_like(x)).tolist() == [[2.0, 1.0]]
 
 
 def test_integer_power_traces_column_sum_precondition():
