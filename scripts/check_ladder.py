@@ -5,10 +5,11 @@ The ladder spans seven generator families, from petersen to n = 200.  For
 each horizon and graph the table gives the exit code (0 Ramanujan, 1
 refuted, 2 bad input, 3 internal fault), the spectral verdict (whether every
 nontrivial |lam| <= 2 sqrt(q)), the h_k verdict's witness (the first k with
-h_k < 0, or None), the check's wall time in seconds and the first line the
-command wrote to stderr, past the cost note of a census that takes more
-than 100 matrix-power steps.
-Both verdicts read "-" when the check wrote no report.  Each check runs in
+h_k < 0, or None), k_pinned (the leading orders where the spectral h_k
+budget pins the census N_k), the check's wall time in seconds and the first
+line the command wrote to stderr, past the cost note of a census that takes
+more than 100 matrix-power steps.
+The verdicts and k_pinned read "-" when the check wrote no report.  Each check runs in
 this process through iharazeta.cli.main.
 
 Usage: python scripts/check_ladder.py [--k 50 150 200]
@@ -38,20 +39,22 @@ LADDER = (
 )
 
 
-def check(spec: str, k: int) -> tuple[int, str, str, str]:
-    """Exit code, spectral verdict, h_k witness and first stderr line (other
-    than the cost note) of `ihara check spec --k k --no-timings`."""
+def check(spec: str, k: int) -> tuple[int, str, str, str, str]:
+    """Exit code, spectral verdict, h_k witness, k_pinned and first stderr
+    line (other than the cost note) of `ihara check spec --k k
+    --no-timings`."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = ihara(["check", spec, "--k", str(k), "--no-timings"])
-    spectral = witness = "-"
+    spectral = witness = pinned = "-"
     if out.getvalue():
-        verdicts = json.loads(out.getvalue())["verdicts"]
-        spectral = str(verdicts["spectral"]["is_ramanujan"])
-        witness = str(verdicts["hk"]["witness"])
+        payload = json.loads(out.getvalue())
+        spectral = str(payload["verdicts"]["spectral"]["is_ramanujan"])
+        witness = str(payload["verdicts"]["hk"]["witness"])
+        pinned = str(payload["zeta_census_check"]["k_pinned"])
     lines = [line for line in err.getvalue().splitlines()
              if not line.startswith("note: ")]
-    return code, spectral, witness, lines[0] if lines else ""
+    return code, spectral, witness, pinned, lines[0] if lines else ""
 
 
 def main() -> None:
@@ -60,14 +63,14 @@ def main() -> None:
     args = parser.parse_args()
 
     print(f"{'K':>4} {'graph':<22} {'exit':>4} {'spectral':>8} {'witness':>7} "
-          f"{'wall_s':>7}  stderr")
+          f"{'k_pinned':>8} {'wall_s':>7}  stderr")
     for k in args.k:
         for spec in LADDER:
             t0 = time.perf_counter()
-            code, spectral, witness, line = check(spec, k)
+            code, spectral, witness, pinned, line = check(spec, k)
             wall = time.perf_counter() - t0
             print(f"{k:>4} {spec:<22} {code:>4} {spectral:>8} {witness:>7} "
-                  f"{wall:>7.3f}  {line}")
+                  f"{pinned:>8} {wall:>7.3f}  {line}")
 
 
 if __name__ == "__main__":

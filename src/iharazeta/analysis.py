@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .hk import hk_base
-from .spectral import NontrivialSpectrum
+from .spectral import NontrivialSpectrum, eigenvalue_error
 
 # slack of the spectral comparison, in units of sqrt(q)
 SPECTRAL_SLACK = 1e-8
@@ -94,15 +94,17 @@ def even_k_bound(k: int, n: int, q: int, bipartite: bool) -> float:
 def even_k_bounds(excess: dict[int, tuple[int, int]], n: int, q: int,
                   bipartite: bool, max_abs: float) -> list[dict]:
     """even_k_bound at every even k whose h_k >= 0 by the (a_k, side) pairs
-    of hk_excess, each against max_abs, the largest nontrivial |lam|, with a
-    slack of 1e-9.  A connected regular bipartite graph has n even and
-    n >= 4, so every accepted graph is inside the bound's domain."""
+    of hk_excess, each against max_abs, the largest nontrivial float |lam|,
+    with a slack of its eigenvalue_error and 4 ulps of the bound, which
+    rounds in a power, a square root and a product.  A connected regular
+    bipartite graph has n even and n >= 4, so every accepted graph is inside
+    the bound's domain."""
     bounds = []
     for k, (_, side) in excess.items():
         if k % 2 == 0 and side >= 0:
             bound = even_k_bound(k, n, q, bipartite)
-            bounds.append({"k": k, "bound": bound,
-                           "satisfied": bool(max_abs <= bound + 1e-9)})
+            bounds.append({"k": k, "bound": bound, "satisfied": bool(
+                max_abs <= bound + 4.0 * math.ulp(bound) + eigenvalue_error(n, q))})
     return bounds
 
 

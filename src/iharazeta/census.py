@@ -27,13 +27,13 @@ and the recurrence past n/2 has order n/2.  G's column sums are (q+1)^2,
 which must stay below 2^27: q+1 <= 11585.  closed_walk_counts remains the
 general route tr(A^k), for every graph.
 
-Four routes to N_k are cross-checked in the test suite: a brute-force
-enumeration, the traces of the non-backtracking operator (through the
-n-wide top block row of its 2n x 2n Ihara-Bass companion, on the same
-engine; n/2-wide on the Gram matrix B^TB for a bipartite regular graph),
-an exact conversion from C_k (two parity chains), and zetaxi's
-float N_k (the Z(u)^-1 log-series), which pins an integer within its
-a-priori budget (nk_from_spectrum_rounded).
+Three exact routes to N_k are cross-checked in the test suite: a
+brute-force enumeration, the traces of the non-backtracking operator
+(through the n-wide top block row of its 2n x 2n Ihara-Bass companion, on
+the same engine; n/2-wide on the Gram matrix for a bipartite regular
+graph), and an exact conversion from C_k (two parity chains).  The float
+h_k of hk.hk_spectral check the census against the spectrum within
+hk.hk_spectral_budget.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ import numpy as np
 
 from .graphs import Multigraph, adjacency_matrix
 from .hk import ck_alternating_sums
-from .zetaxi import nk_from_spectrum, nk_spectral_budget
 
 # residues live below these primes; products stay exact in float64 while
 # the matrix's absolute column sums stay below COLUMN_SUM_LIMIT, and the
@@ -62,11 +61,6 @@ BRUTE_FORCE_BUDGET = 10 ** 8
 
 class BruteForceBudgetExceeded(RuntimeError):
     """Enumeration would exceed the step budget; use the operator route."""
-
-
-class RoundingResidualTooLarge(RuntimeError):
-    """A spectral N_k evaluation cannot pin an integer: it landed outside its
-    error budget of the nearest one, or the budget is 1/2 or more."""
 
 
 @dataclass(frozen=True)
@@ -284,6 +278,21 @@ def extend_traces(head: Sequence[int], K: int) -> list[int]:
     return p
 
 
+def _gram_traces(a: np.ndarray, part, K: int, shift: int = 0,
+                 weight: np.ndarray | None = None, size: int = 0) -> list[int]:
+    """0 at odd k and 2 T_j at k = 2j <= K, T_j the j-th of _traces(G -
+    shift I, weight, ., size or that of G), for the n/2 x n/2 Gram matrix
+    G = a[part] a[part]^T of a bipartite graph's colour class part: BB^T or
+    B^TB, whose traces are equal.  One float64 GEMM, exact as its entries
+    are at most (q+1)^2; the copy keeps numpy from sending x @ x.T to BLAS
+    syrk, whose first call raised the peak resident memory by about 0.2 MB
+    (OpenBLAS 0.3.31)."""
+    rows = a[part, :].astype(np.float64)
+    gram = (rows @ rows.T.copy() - shift * np.eye(len(rows))).astype(np.int64)
+    half = _traces(gram, weight, K // 2, size or len(rows))
+    return [0 if k % 2 else 2 * half[k // 2 - 1] for k in range(1, K + 1)]
+
+
 def closed_walk_counts(g: Multigraph, K: int) -> list[int]:
     """C_0..C_K where C_k = trace(A^k) and C_0 = n, all exact: the general
     route, for any graph (build_census halves the matrix when the graph is
@@ -341,11 +350,11 @@ def geodesic_cycles_operator(g: Multigraph, K: int) -> list[int]:
     odd k, where a bipartite spectrum gives tr(M^k) = 0, and for even k
     V_k = (x^2 - 2q) V_(k-2) - q^2 V_(k-4).  As A^2 = diag(BB^T, B^TB) has
     two equal-sized blocks of one spectrum, tr(M^2j) = 2 [tr Y_j -
-    q^2 tr Y_(j-2)] with Y_j = Y_(j-1)(G - 2qI) - q^2 Y_(j-2) and G = B^TB,
-    taken from A's rows of the second colour class (the census powers BB^T
-    of the first): the engine with weights -q^2, to min(K/2, n) steps, and
-    extend_traces past that companion's size n.  The engine needs c + d =
-    2q^2 + 2q - 1 below 2^27, q <= 8191; other graphs take the full size.
+    q^2 tr Y_(j-2)] with Y_j = Y_(j-1)(G - 2qI) - q^2 Y_(j-2), G the census's
+    Gram matrix (_gram_traces): the engine with weights -q^2, to min(K/2, n)
+    steps, and extend_traces past that companion's size n.  The engine needs
+    c + d = 2q^2 + 2q - 1 below 2^27, q <= 8191; other graphs take the full
+    size.
     """
     if K < 1:
         raise ValueError("horizon must be >= 1")
@@ -354,13 +363,7 @@ def geodesic_cycles_operator(g: Multigraph, K: int) -> list[int]:
             or 2 * q * (q + 1) > COLUMN_SUM_LIMIT):
         out = _traces(a, 1 - a.sum(axis=1), K, 2 * g.n)
     else:
-        # a float GEMM, exact (entries <= (q+1)^2); the copy keeps numpy from
-        # sending x @ x.T to BLAS syrk, whose first call raised the peak
-        # resident memory by about 0.2 MB (OpenBLAS 0.3.31)
-        rows = a[parts[1], :].astype(np.float64)
-        gram = (rows @ rows.T.copy() - 2 * q * np.eye(len(rows))).astype(np.int64)
-        half = _traces(gram, np.full(len(rows), -q * q), K // 2, g.n)
-        out = [0 if k % 2 else 2 * half[k // 2 - 1] for k in range(1, K + 1)]
+        out = _gram_traces(a, parts[0], K, 2 * q, np.full(g.n // 2, -q * q), g.n)
     excess = g.edge_count - g.n
     return [t + (2 * excess if k % 2 == 0 else 0)
             for k, t in enumerate(out, start=1)]
@@ -418,20 +421,6 @@ def nk_from_ck(c: Sequence[int], q: int, n: int, K: int) -> tuple[int, ...]:
                  for k, s in enumerate(ck_alternating_sums(c, q, K), start=1))
 
 
-def nk_from_spectrum_rounded(s: np.ndarray, q: int, n: int, k: int) -> int:
-    """The integer the spectral N_k evaluation pins: the nearest one, when
-    the error budget is below 1/2 and the residual is within the budget."""
-    value = nk_from_spectrum(s, q, n, k)
-    budget = nk_spectral_budget(s, q, n, k)
-    nearest = round(value)
-    if budget >= 0.5 or abs(value - nearest) > budget:
-        raise RoundingResidualTooLarge(
-            f"N_{k} evaluated to {value!r}, residual "
-            f"{abs(value - nearest):.3e} against an error budget of "
-            f"{budget:.3e}")
-    return int(nearest)
-
-
 def build_census(g: Multigraph, q: int, K: int) -> CycleCensus:
     """Exact census to horizon K: C_k by matrix powers and, past the matrix
     size, the Cayley-Hamilton recurrence; N_k by the exact conversion from
@@ -439,9 +428,10 @@ def build_census(g: Multigraph, q: int, K: int) -> CycleCensus:
 
     A nonbipartite graph powers A itself (closed_walk_counts).  A connected
     bipartite graph (g.bipartition) powers the n/2 x n/2 Gram matrix
-    G = BB^T of its biadjacency block B = A[part0, part1]: C_2j = 2 tr(G^j)
-    and odd C_k = 0.  The engine bounds tr(G^j) by (n/2) ((q+1)^2)^j and
-    takes primes for twice that bound at j = min(K/2, n/2).  G's column sums
+    G = BB^T of its biadjacency block B = A[part0, part1] (_gram_traces):
+    C_2j = 2 tr(G^j) and odd C_k = 0.  The engine bounds tr(G^j) by
+    (n/2) ((q+1)^2)^j and takes primes for twice that bound at
+    j = min(K/2, n/2).  G's column sums
     are (q+1)^2, which the engine requires below 2^27 (COLUMN_SUM_LIMIT), so
     a bipartite census needs q+1 <= 11585 and raises ValueError past it.
     """
@@ -451,8 +441,5 @@ def build_census(g: Multigraph, q: int, K: int) -> CycleCensus:
     if parts is None:
         c = closed_walk_counts(g, K)
     else:
-        b = adjacency_matrix(g)[np.ix_(*parts)]
-        half = integer_power_traces(b @ b.T, K // 2)
-        c = [g.n] + [0 if k % 2 else 2 * half[k // 2 - 1]
-                     for k in range(1, K + 1)]
+        c = [g.n] + _gram_traces(adjacency_matrix(g), parts[0], K)
     return CycleCensus(c=tuple(c), nk=nk_from_ck(c, q, g.n, K), horizon=K)

@@ -189,6 +189,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         "verdicts": report["verdicts"],
         "functional_equation": report["functional_equation"],
         "route_agreement": report["route_agreement"],
+        "zeta_census_check": report["zeta_census_check"],
     }
     _emit(report_to_json(payload), args.out)
     return _verdict_exit(args, report["verdicts"])

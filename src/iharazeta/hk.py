@@ -16,6 +16,11 @@ A third, generic power-series route lives in zetaxi.log_series.  Each route
 gives h_1..h_K as a float64 array, h_k at index k-1.  The sign of
 h_k, and where it lies against the cap and the Hasse-Weil bound, is decided
 from the same integers, with no float (hk_excess).
+
+The spectral route is the paper's N_k series of Z(u)^-1 less its exact
+trivial terms, over q^(k/2): so it checks the census at every k, against
+the a-priori hk_spectral_budget.  Where q^(k/2) times that budget is below
+1/2, a census N_k one off moves from_ck outside it.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ import math
 from typing import Sequence
 
 import numpy as np
+
+from .spectral import eigenvalue_error
 
 
 def binomial_ext(m: int, j: int) -> int:
@@ -190,6 +197,48 @@ def hk_from_ck(excess: dict[int, tuple[int, int]], q: int, n: int,
         else:
             values[k - 1] = base + a / half / math.sqrt(q)
     return values
+
+
+def hk_spectral_budget(values: np.ndarray, q: int, n: int,
+                       h: np.ndarray) -> np.ndarray:
+    """A-priori bound on |hk_spectral - hk_from_ck| at k = 1..len(h), for
+    the nontrivial float64 eigenvalues `values` of a graph on n vertices and
+    the from_ck values h.
+
+    Each x = lam/sqrt(q) enters T_k(x) = y^k + y^-k, x = y + 1/y.  With
+    r = max(|y|, 1/|y|) (1 while |x| <= 2), |x| <= 2r, |T_k| <= 2 r^k and
+    U_m = sum_(t=0..m) y^(2t-m) has |U_m| <= (m+1) r^m.  First order in
+    eps = 2^-52:
+
+    * Eigenvalues.  |lam~ - lam| <= spectral.eigenvalue_error, and
+      lam/sqrt(q) rounds by eps |lam| <= eps (q+1) more, so dx =
+      (n+1) eps (q+1)/sqrt(q); dT_k/dx = k U_(k-1), so T_k moves by at most
+      k^2 r^(k-1) dx, r taken at |x~| + dx.
+    * The table.  Step j of T_j = x T_(j-1) - T_(j-2) rounds a product and
+      a difference, at most eps (|x T_(j-1)| + |T_(j-2)|) <= 6 eps r^j,
+      which reaches T_k times U_(k-j): sum_(j=2..k) 6 eps r^j (k-j+1)
+      r^(k-j) = 3k(k-1) eps r^k.  The bipartite table T_j(x^2 - 2) at
+      k = 2j, over the first half of the values and doubled exactly, takes
+      3j(j-1) eps r^k for its steps and 3j^2 eps r^k for x^2 - 2: less.
+    * The sum of at most n values T_k and its subtraction from 2|values|
+      round by (n eps/2)(2 sum r^k) + (eps/2)(2n + 2 sum r^k).
+    * hk_from_ck's divisions and its odd-k sqrt(q) and sum round by at most
+      2.75 eps max(|h_k|, 4n), taken as 4.
+
+    So |error| <= k^2 dx sum r_i^(k-1) + (3k(k-1) + n + 2) eps sum r_i^k
+    + n eps, doubled for second-order terms, plus 4 eps max(|h_k|, 4n).
+    One census N_k off by one moves h_k by q^(-k/2).
+    """
+    eps = float(np.finfo(np.float64).eps)
+    root_q = math.sqrt(q)
+    dx = (eigenvalue_error(n, q) + eps * (q + 1)) / root_q
+    x = np.abs(values) / root_q + dx
+    r = np.maximum(1.0, (x + np.sqrt(np.maximum(x * x - 4.0, 0.0))) / 2.0)
+    k = np.arange(1.0, len(h) + 1.0)
+    drift = r ** (k[:, None] - 1.0)
+    return (2.0 * (k * k * dx * drift.sum(axis=1) + n * eps
+                   + (3.0 * k * (k - 1.0) + n + 2) * eps * (drift * r).sum(axis=1))
+            + 4.0 * eps * np.maximum(np.abs(h), 4.0 * n))
 
 
 def max_route_deviation(seqs: Sequence[np.ndarray]) -> float:

@@ -82,6 +82,15 @@ def eigenvalues_symmetric(
     return np.concatenate((sigma, 0.0 - sigma[::-1]))
 
 
+def eigenvalue_error(n: int, q: int) -> float:
+    """A-priori bound n eps ||A||_2 = n eps (q+1), eps = 2^-52, on the error
+    of each eigenvalue eigenvalues_symmetric gives for a (q+1)-regular graph
+    on n vertices: LAPACK is backward stable, and so is the SVD of a
+    bipartite graph's block B, ||B||_2 = ||A||_2, whose exact negation
+    0.0 - sigma adds nothing."""
+    return n * float(np.finfo(np.float64).eps) * (q + 1)
+
+
 def nontrivial_spectrum(s: np.ndarray, p: GraphProfile) -> NontrivialSpectrum:
     """Remove the trivial eigenvalues from a descending spectrum.
 

@@ -22,11 +22,10 @@ factors at once (a Xi's numerator and denominator together).  No product of
 degree 2n ever forms, so no cluster of 2n-2 equal roots has to be resolved
 from rounded coefficients, and float64 suffices: the series inherits the
 rounding of the float eigenvalues, not extra error from its own arithmetic.
-Taken of Z(u)^-1 it is the one float N_k (nk_from_spectrum), checked against
-the exact census within its a-priori nk_spectral_budget; that check is all
-Z(u)^-1's factors feed.  Xi is built once, from the nontrivial spectrum
-(xi_rational): built from Z(u)^-1 instead, it would differ only by a fixed
-elementary prefactor.
+Xi is built once, from the nontrivial spectrum (xi_rational): built from
+Z(u)^-1 instead, it would differ only by a fixed elementary prefactor.  The
+N_k series of Z(u)^-1 is that of Xi plus exact trivial terms, so its float
+form is hk.hk_spectral's h_k, scaled by q^(k/2).
 """
 
 from __future__ import annotations
@@ -34,14 +33,11 @@ from __future__ import annotations
 import functools
 import math
 import random
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .spectral import NontrivialSpectrum
-
-if TYPE_CHECKING:
-    from .census import CycleCensus
 
 POLE_THRESHOLD = 1e-12
 
@@ -149,18 +145,6 @@ class RationalFunction:
 # ---------------------------------------------------------------------------
 # construction
 
-def _spectrum_quadratics(values: Sequence[float], q: int):
-    """One row 1 - lam*u + q*u^2 per eigenvalue."""
-    return ((1.0, -lam, float(q), 1) for lam in values)
-
-
-def zeta_inverse(s: np.ndarray, q: int, n: int) -> Factors:
-    """Z(u)^-1 = (1-u^2)^(n(q-1)/2) * prod over the full spectrum s of
-    (1 - lam*u + q*u^2), as its factors; degree n(q+1), constant term 1."""
-    return Factors.from_rows((1.0, 0.0, -1.0, n * (q - 1) // 2),
-                             *_spectrum_quadratics(s, q))
-
-
 def bass_determinant(chi: Sequence[int], q: int) -> list[int]:
     """The 2n+1 integer coefficients d_0..d_2n, ascending in u, of
     det(I - u*A + q*u^2*I) = prod(1 - lam*u + q*u^2) = u^n chi_A((1 + q*u^2)/u),
@@ -191,7 +175,8 @@ def xi_rational(ns: NontrivialSpectrum, q: int) -> RationalFunction:
         sigma = ns.values[:len(ns) // 2]
         return RationalFunction(Factors.from_rows(
             *((1.0, 2.0 * q - x * x, float(q * q), 1) for x in sigma), in_w=True), den)
-    return RationalFunction(Factors.from_rows(*_spectrum_quadratics(ns.values, q)), den)
+    return RationalFunction(Factors.from_rows(
+        *((1.0, -lam, float(q), 1) for lam in ns.values)), den)
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +259,6 @@ def _in_u(factors: Factors, rows: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
-def _logder(factors: Factors, K: int) -> np.ndarray:
-    """First K Maclaurin coefficients in u of sum e * p'/p over the factors."""
-    return _in_u(factors, _logder_rows(factors.coefficients, K), K)
-
-
 def log_series(rf: RationalFunction, K: int) -> np.ndarray:
     """First K Maclaurin coefficients of d/du ln(rf), i.e. of N'/N - D'/D.
 
@@ -308,76 +288,3 @@ def hk_series(xi: RationalFunction, q: int, K: int) -> np.ndarray:
     if xi.num.in_w:
         h[0::2] = float(xi.den.powers.sum())
     return h
-
-
-def nk_from_spectrum(s: np.ndarray, q: int, n: int, k: int) -> float:
-    """Floating-point N_k: the coefficient of u^(k-1) in -d/du ln Z(u)^-1,
-    q^(k/2) * sum of T_k over the scaled spectrum, plus n(q-1) for even k."""
-    return float(-_logder(zeta_inverse(s, q, n), k)[k - 1])
-
-
-def nk_spectral_budget(s: np.ndarray, q: float, n: int, k: int | np.ndarray):
-    """A-priori bound on |nk_from_spectrum(s, q, n, k) - N_k| for the float64
-    spectrum s LAPACK gives: a float for an integer k, an array for an array.
-
-    Eigenvalue lam gives the row 1 - lam*u + q*u^2 = (1 - a u)(1 - b u) and
-    _logder's recurrence s_0 = -lam, s_1 = 2q - lam^2, s_j = lam s_(j-1) -
-    q s_(j-2), solved by s_j = -(a^(j+1) + b^(j+1)).  With rho = max(|a|,
-    |b|) (sqrt(q) while |lam| <= 2 sqrt(q)), |lam| <= 2 rho, q <= rho^2 and
-    |s_j| <= 2 rho^(j+1); U_m = sum_(t=0..m) a^t b^(m-t) has |U_m| <= (m+1)
-    rho^m.  N_k = -sum e s_(k-1) over the rows, the exact (1 - u^2) row
-    (s = 0, -2, 0, -2, ...) of power n(q-1)/2 adding n(q-1) at even k.  The
-    error bounds, first order in eps = 2^-52:
-
-    * Eigenvalues.  LAPACK is backward stable, |lam~ - lam| <= dlam =
-      n eps ||A||_2 = n eps (q+1), and d(a^k + b^k)/dlam = k U_(k-1), so a
-      row moves by at most k^2 rho^(k-1) dlam, rho taken at |lam~| + dlam.
-      A bipartite spectrum is +/-sigma from the SVD of its n/2 x n/2 block
-      B, backward stable too: each sigma lies within a small multiple of
-      (n/2) eps ||B||_2 of its exact value, ||B||_2 = ||A||_2 = q+1, and
-      the exact negation 0.0 - sigma adds nothing, so dlam holds for it.
-    * The recurrence.  c0 = 1 and c2 = q are exact, so the division and the
-      negation are; step j rounds two products and a sum, at most eps
-      (|lam s_(j-1)| + q |s_(j-2)|) <= 6 eps rho^(j+1) (s_1: eps (lam^2 + q)
-      <= 5 eps rho^2).  That error reaches s_m times U_(m-j), so s_(k-1) is
-      off by at most sum_(j=1..k-1) 6 eps rho^(j+1) (k-j) rho^(k-1-j) =
-      3 k(k-1) eps rho^k.
-    * The dot product over F <= n+1 rows rounds by (F eps/2)(1 + F eps)
-      times sum |e s_(k-1)| <= 2 sum rho^k + n(q-1), and comparing with N_k
-      in float costs eps/2 of the same.
-
-    So |error| <= k^2 dlam sum rho_i^(k-1) + (3k(k-1) + n + 2) eps sum rho_i^k
-    + (n + 2) eps n(q-1)/2, doubled for second-order terms; < 1/2 pins N_k.
-    """
-    eps = float(np.finfo(np.float64).eps)
-    root_q = math.sqrt(q)
-    dlam = n * eps * (q + 1)
-    x = (np.abs(s) + dlam) / root_q
-    rho = root_q * np.maximum(1.0, (x + np.sqrt(np.maximum(x * x - 4.0, 0.0))) / 2.0)
-    k = np.asarray(k, dtype=float)
-    drift = rho ** (k[..., None] - 1.0)
-    budget = 2.0 * (k * k * dlam * drift.sum(axis=-1) + (n + 2) * eps * n * (q - 1) / 2.0
-                    + (3.0 * k * (k - 1.0) + n + 2) * eps * (drift * rho).sum(axis=-1))
-    return float(budget) if budget.ndim == 0 else budget
-
-
-def log_series_zeta_check(census: CycleCensus, zeta_factors: Factors, K: int
-                          ) -> tuple[bool, list[tuple[int, float, int, float]]]:
-    """Verify that -d/du ln(Z(u)^-1), from the factors of Z(u)^-1, has
-    Maclaurin coefficient N_{k+1} at u^k within nk_spectral_budget, taken
-    from the rows 1 - lam*u + q*u^2 (c2 > 0), one per eigenvalue, and n = C_0.
-    Returns (all_ok, records) with one (k, coefficient, N_k, relative
-    residual, budget) record per 1 <= k <= K.  Where the budget reaches 1/2
-    the coefficient no longer pins N_k, so a census off by one there can pass.
-    """
-    if K > census.horizon:
-        raise ValueError(f"census horizon {census.horizon} < requested K={K}")
-    c = zeta_factors.coefficients
-    quadratic = c[:, 2] > 0
-    budgets = nk_spectral_budget(-c[quadratic, 1], float(c[quadratic, 2].max()),
-                                 census.c[0], np.arange(1, K + 1))
-    coefficients, exact = -_logder(zeta_factors, K), np.array(census.nk[:K], dtype=float)
-    deviations = np.abs(coefficients - exact)
-    return bool(np.all(deviations <= budgets)), list(zip(
-        range(1, K + 1), coefficients.tolist(), census.nk,
-        (deviations / np.maximum(1.0, np.abs(exact))).tolist(), budgets.tolist()))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import runpy
 from functools import lru_cache
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -12,7 +14,7 @@ from iharazeta.census import CycleCensus, build_census
 from iharazeta.graphs import (GraphProfile, Multigraph, adjacency_matrix,
                               build_graph, generate, parse_generator,
                               profile)
-from iharazeta.hk import hk_excess, hk_from_ck, hk_spectral
+from iharazeta.hk import hk_excess, hk_from_ck, hk_spectral, hk_spectral_budget
 from iharazeta.spectral import (NontrivialSpectrum, eigenvalues_symmetric,
                                 nontrivial_spectrum, scaled_spectrum)
 from iharazeta.zetaxi import hk_series, xi_rational
@@ -28,6 +30,9 @@ RAMANUJAN_FIXTURES = ["k4", "cycle5", "cycle6", "petersen", "kmm3",
 NON_RAMANUJAN_FIXTURES = ["prism24", "prism30"]
 ALL_FIXTURES = sorted(set(ACCEPTANCE_FIXTURES + SMALL_FIXTURES
                           + NON_RAMANUJAN_FIXTURES))
+# the 24-graph ladder of scripts/check_ladder.py, generator strings
+LADDER = runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts"
+                            / "check_ladder.py"))["LADDER"]
 # every bipartite fixture, then every bipartite graph of scripts/check_ladder.py
 # by its generator string (get_graph takes both)
 BIPARTITE_GRAPHS = ["cycle4", "cycle6", "kmm3", "hypercube3", "prism6",
@@ -128,6 +133,28 @@ def get_hk_routes(name: str, K: int) -> MappingProxyType:
         ("from_ck", hk_from_ck(get_excess(name, K), q, n, prof.bipartite, K)),
         ("series", hk_series(xi_rational(ns, q), q, K)),
     )})
+
+
+def spectral_nk(name: str, K: int) -> list[int]:
+    """N_1..N_K as the spectral h_k route pins them: N_k = t_k + q^(k/2)
+    (2|Spec*| - h_k) + n(q-1)[k even], where t_k = q^k + 1 is the trivial
+    eigenvalues' share (doubled at even k, and 0 at odd k, for a bipartite
+    graph).  Each float part must lie within q^(k/2) hk_spectral_budget of
+    an integer, and that below 1/2."""
+    g, prof, ns = get_graph(name), get_profile(name), get_nontrivial(name)
+    q, n = prof.q, g.n
+    h = get_hk_routes(name, K)["spectral"]
+    budget = hk_spectral_budget(ns.values, q, n, h)
+    out = []
+    for k in range(1, K + 1):
+        scale = q ** (k / 2)
+        value = scale * (2 * len(ns) - float(h[k - 1]))
+        nearest = round(value)
+        assert scale * budget[k - 1] < 0.5, (name, k)
+        assert abs(value - nearest) <= scale * budget[k - 1], (name, k, value)
+        trivial = (q ** k + 1) * (1 + (-1) ** k if prof.bipartite else 1)
+        out.append(trivial + nearest + (0 if k % 2 else n * (q - 1)))
+    return out
 
 
 def rel_dev(a: float, b: float) -> float:

@@ -1,5 +1,6 @@
 """cycle-census: exact C_k / N_k counting and the four-route cross-check."""
 
+import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -10,20 +11,19 @@ import pytest
 
 import iharazeta.census as census_mod
 
-from iharazeta.census import (BruteForceBudgetExceeded,
-                              RoundingResidualTooLarge, build_census,
+from iharazeta.census import (BruteForceBudgetExceeded, build_census,
                               closed_walk_counts, extend_traces,
                               geodesic_cycles_bruteforce,
                               geodesic_cycles_operator, integer_power_traces,
-                              nk_from_ck, nk_from_spectrum,
-                              nk_from_spectrum_rounded, nk_spectral_budget,
-                              nonbacktracking_matrix)
+                              nk_from_ck, nonbacktracking_matrix)
 from iharazeta.graphs import (Multigraph, adjacency_matrix, build_graph,
                               parse_generator, profile)
-from iharazeta.hk import chebyshev_T_table
+from iharazeta.hk import (chebyshev_T_table, hk_excess, hk_from_ck,
+                          hk_spectral, hk_spectral_budget)
 
-from conftest import (ALL_FIXTURES, SMALL_FIXTURES, get_census, get_graph,
-                      get_profile, get_spectrum)
+from conftest import (ALL_FIXTURES, SMALL_FIXTURES, get_census, get_excess,
+                      get_graph, get_hk_routes, get_nontrivial, get_profile,
+                      get_spectrum, spectral_nk)
 
 
 def test_closed_walks_k4():
@@ -123,17 +123,17 @@ def test_operator_rows_sum_to_q(name):
 
 @pytest.mark.parametrize("name", SMALL_FIXTURES)
 def test_oracle_equivalence(name):
-    # brute force == operator trace == C_k conversion == rounded spectral
+    # brute force == operator trace == C_k conversion == the N_k that the
+    # spectral h_k route pins within its budget
     g = get_graph(name)
-    prof = get_profile(name)
     census = get_census(name, 8)
     operator = geodesic_cycles_operator(g, 8)
-    spectrum = get_spectrum(name)
+    spectral = spectral_nk(name, 8)
     for k in range(1, 9):
         brute = geodesic_cycles_bruteforce(g, k)
         assert brute == operator[k - 1]
         assert brute == census.nk[k - 1]
-        assert brute == nk_from_spectrum_rounded(spectrum, prof.q, g.n, k)
+        assert brute == spectral[k - 1]
 
 
 def test_nk_from_ck_examples():
@@ -143,37 +143,41 @@ def test_nk_from_ck_examples():
 
 
 def test_nk_from_spectrum_examples():
-    k4 = get_spectrum("k4")
-    assert abs(nk_from_spectrum(k4, 2, 4, 3) - 24.0) < 1e-9
-    pet = get_spectrum("petersen")
-    assert abs(nk_from_spectrum(pet, 2, 10, 5) - 120.0) < 1e-8
-    assert abs(nk_from_spectrum(pet, 2, 10, 2) - 0.0) < 1e-9
+    assert spectral_nk("k4", 3)[2] == 24
+    assert spectral_nk("petersen", 5)[4] == 120
+    assert spectral_nk("petersen", 5)[1] == 0
 
 
 def test_rounding_residual_guard():
-    # a visibly wrong spectrum must be caught, not silently rounded
-    bad = np.array([3.01] + [1.0] * 5 + [-2.0] * 4)
-    with pytest.raises(RoundingResidualTooLarge):
-        for k in range(1, 9):
-            nk_from_spectrum_rounded(bad, 2, 10, k)
+    # a nontrivial eigenvalue off by 1e-9 must be caught, not silently
+    # rounded: its spectral h_k leave their budget around the exact ones
+    values = get_nontrivial("petersen").values.copy()
+    values[0] += 1e-9
+    h = hk_spectral(values / math.sqrt(2), 20, False)
+    exact = get_hk_routes("petersen", 20)["from_ck"]
+    budget = hk_spectral_budget(values, 2, 10, exact)
+    assert np.any(np.abs(h - exact) > budget)
 
 
 def test_spectral_budget_rejects_off_by_one_census():
-    # on prism:24 the budget stays below 1/2 up to k = 20, so the spectral
-    # evaluation pins N_k and a census entry one off lies outside the budget
-    g = get_graph("prism24")
-    q = get_profile("prism24").q
-    spectrum = get_spectrum("prism24")
-    census = get_census("prism24", 20)
-    for k in range(1, 21):
-        value = nk_from_spectrum(spectrum, q, g.n, k)
-        budget = nk_spectral_budget(spectrum, q, g.n, k)
-        exact = census.nk[k - 1]
-        assert budget < 0.5
-        assert abs(value - exact) <= budget
-        assert abs(value - (exact + 1)) > budget
-        assert abs(value - (exact - 1)) > budget
-        assert nk_from_spectrum_rounded(spectrum, q, g.n, k) == exact
+    # q^(k/2) times the budget stays below 1/2 up to k = 20 on petersen and
+    # prism:24, so a census N_k one off moves the from_ck h_k outside the
+    # budget around the spectral one, at each k that h_k reads (a bipartite
+    # graph's odd N_k are 0 by construction, and no h_k reads them)
+    for name in ("petersen", "prism24"):
+        g, prof, ns = get_graph(name), get_profile(name), get_nontrivial(name)
+        q, K = prof.q, 20
+        spectral = get_hk_routes(name, K)["spectral"]
+        exact = get_hk_routes(name, K)["from_ck"]
+        budget = hk_spectral_budget(ns.values, q, g.n, exact)
+        assert np.all(q ** (np.arange(1, K + 1) / 2) * budget < 0.5)
+        assert np.all(np.abs(spectral - exact) <= budget)
+        for k, shift in itertools.product(get_excess(name, K), (1, -1)):
+            nk = list(get_census(name, K).nk)
+            nk[k - 1] += shift
+            wrong = hk_from_ck(hk_excess(nk, q, g.n, prof.bipartite), q, g.n,
+                               prof.bipartite, K)
+            assert abs(spectral[k - 1] - wrong[k - 1]) > budget[k - 1], (name, k)
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)

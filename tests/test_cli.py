@@ -6,11 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import iharazeta
+import iharazeta.report as report_mod
 
 from iharazeta.census import extend_traces
 from iharazeta.cli import main
@@ -115,21 +117,49 @@ def test_analyze_require_ramanujan_exit_code(capsys):
                                   "kmm:30"])
 def test_check_spectral_nk_within_budget(capsys, spec):
     # N_k = 0 at bipartite odd k and N_k past 2^53 once tripped a fixed
-    # rounding tolerance in the spectral N_k check; on kmm:30 the float
-    # N_k at odd k is about 0.09 from the exact 0, well inside its budget
+    # rounding tolerance in the spectral N_k check, which the spectral h_k
+    # budget now makes
     payload = run_json(capsys, "check", spec, "--k", "50", "--no-timings")
     assert payload["route_agreement"]["ok"]
+    assert payload["zeta_census_check"]["ok"]
 
 
 def test_spectral_nk_budget_checked_above_operator_edge_limit(monkeypatch, capsys):
     # prism:101 has a 404 x 404 Ihara-Bass companion, past the operator
-    # cross-check's size limit; the spectral N_k check must still run there
-    monkeypatch.setattr("iharazeta.zetaxi.nk_spectral_budget",
-                        lambda s, q, n, k: np.full(np.shape(k), -1.0))
+    # cross-check's size limit; the spectral h_k budget check must still run
+    # there
+    monkeypatch.setattr("iharazeta.report.hk_spectral_budget",
+                        lambda values, q, n, h: np.full(len(h), -1.0))
     monkeypatch.setattr("iharazeta.report.geodesic_cycles_operator", None)
     code, _, err = run(capsys, "analyze", "prism:101", "--k", "20")
     assert code == 3
     assert "error budget" in err
+
+
+@pytest.mark.parametrize("spec", ["petersen", "kmm:5", "hypercube:3", "cycle:7",
+                                  "prism:6", "prism:12", "circulant:30:1,4",
+                                  "prism:16", "prism:20", "prism:24"])
+def test_spectral_route_off_by_one_part_in_1e9_exits_internal(monkeypatch, capsys,
+                                                              spec):
+    # the analyze-k50 benchmark graphs: a spectral h_k route scaled by
+    # 1 + 1e-9 stays within the fixed route tolerance, but not within its
+    # a-priori budget
+    real = report_mod.hk_spectral
+    monkeypatch.setattr(report_mod, "hk_spectral",
+                        lambda *args: real(*args) * (1.0 + 1e-9))
+    code, _, err = run(capsys, "analyze", spec, "--k", "50", "--no-timings")
+    assert code == 3
+    assert "error budget" in err
+
+
+def test_spectral_budget_stays_finite_at_k200(capsys):
+    # complete:60 at K = 200: nothing on stderr, so no RuntimeWarning from
+    # the budget's powers
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "check", "complete:60", "--k", "200",
+                           "--no-timings")
+    assert (code, err) == (0, "")
 
 
 def test_operator_check_runs_on_dense_graphs(monkeypatch, capsys):

@@ -19,7 +19,7 @@ from iharazeta.analysis import (estimate_max_eigenvalue, even_k_bounds,
 from iharazeta.census import CycleCensus
 from iharazeta.report import InternalConsistencyError, analyze, report_to_json
 
-from conftest import (ALL_FIXTURES, NON_RAMANUJAN_FIXTURES, get_excess,
+from conftest import (ALL_FIXTURES, LADDER, NON_RAMANUJAN_FIXTURES, get_excess,
                       get_graph, get_hk_routes, get_nontrivial, get_profile)
 
 
@@ -76,17 +76,62 @@ def test_report_prints_the_analysis_blocks(name):
             get_hk_routes(name, K)["spectral"], prof.q)
 
 
-# the leading k at K=20 whose Z(u)^-1 log-series budget is below 1/2, so that
-# the check pins the census N_k there
-K_PINNED = {"complete:60": 6, "kmm:30": 7, "complete:30": 8, "complete:16": 10,
-            "hypercube:6": 15, "petersen": 20}
+# the leading k at K=50 where q^(k/2) times the spectral h_k budget is below
+# 1/2, so that the check pins the census N_k there
+K_PINNED = {"complete:60": 9, "kmm:30": 11, "complete:30": 12, "complete:16": 16,
+            "hypercube:6": 23, "petersen": 50}
 
 
 @pytest.mark.parametrize("spec", sorted(K_PINNED))
 def test_zeta_census_check_reports_k_pinned(spec):
-    check = analyze(get_graph(spec), spec, 20)["zeta_census_check"]
-    assert (check["k_checked"], check["k_pinned"]) == (20, K_PINNED[spec])
-    assert check["ok"]
+    g, prof, K = get_graph(spec), get_profile(spec), 50
+    check = analyze(g, spec, K)["zeta_census_check"]
+    assert (check["k_checked"], check["k_pinned"]) == (K, K_PINNED[spec])
+    budget = hk_mod.hk_spectral_budget(get_nontrivial(spec).values, prof.q, g.n,
+                                       get_hk_routes(spec, K)["from_ck"])
+    scaled = [prof.q ** (k / 2) * b for k, b in enumerate(budget.tolist(), start=1)]
+    pinned = K_PINNED[spec]
+    assert all(x < 0.5 for x in scaled[:pinned])
+    assert pinned == K or scaled[pinned] >= 0.5
+    assert check["ok"] and 0.0 <= check["max_residual"] <= 1.0
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+@pytest.mark.parametrize("spec", ["petersen", "prism:24", "complete:16"])
+def test_hk_budget_rejects_off_by_one_census(monkeypatch, spec, shift):
+    # with the operator cross-check off, a census N_k one off at any
+    # k <= k_pinned that h_k reads fails the spectral h_k budget, named by
+    # its k; a bipartite graph's odd N_k are 0 by construction, read by no
+    # h_k, and pinned by the operator cross-check instead, up to its k = 20
+    g, K, real = get_graph(spec), 50, report_mod.build_census
+    pinned = analyze(g, spec, K)["zeta_census_check"]["k_pinned"]
+    bipartite = get_profile(spec).bipartite
+    for k in range(1, pinned + 1):
+        if bipartite and k % 2 and k > report_mod.NK_CROSSCHECK_K:
+            continue
+
+        def corrupted(g, q, K):
+            census = real(g, q, K)
+            nk = list(census.nk)
+            nk[k - 1] += shift
+            return CycleCensus(c=census.c, nk=tuple(nk), horizon=census.horizon)
+
+        monkeypatch.setattr(report_mod, "build_census", corrupted)
+        monkeypatch.setattr(report_mod, "OPERATOR_CROSSCHECK_SIZE_LIMIT",
+                            2 * g.n if bipartite and k % 2 else 0)
+        with pytest.raises(InternalConsistencyError, match=(
+                "operator traces" if bipartite and k % 2 else f"h_{k} strays")):
+            analyze(g, spec, K)
+
+
+@pytest.mark.parametrize("spec", [*LADDER, "double_triangle", "looped_cycle4"])
+def test_spectral_route_within_budget(spec):
+    # on every ladder graph and multigraph fixture the spectral h_k stay
+    # within their budget around the census's at K = 50, 150 and 200
+    for K in (50, 150, 200):
+        check = analyze(get_graph(spec), spec, K)["zeta_census_check"]
+        assert check["ok"] and check["k_checked"] == K
+        assert 0.0 <= check["max_residual"] <= 1.0
 
 
 @pytest.mark.parametrize("name", ["double_triangle", "looped_cycle4"])
