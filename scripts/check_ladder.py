@@ -9,8 +9,8 @@ h_k < 0, or None), k_pinned (the leading orders where the spectral h_k
 budget pins the census N_k), the check's wall time in seconds and the first
 line the command wrote to stderr, past the cost note of a census that takes
 more than 100 matrix-power steps.
-The verdicts and k_pinned read "-" when the check wrote no report.  Each check runs in
-this process through iharazeta.cli.main.
+The verdicts and k_pinned read "-" when the check wrote no report.  Each
+check runs in this process through iharazeta.cli.main.
 
 Usage: python scripts/check_ladder.py [--k 50 150 200]
 """

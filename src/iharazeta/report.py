@@ -6,12 +6,11 @@ estimator, and returns a plain dict shaped like the emitted JSON.  Xi is
 built once, from the nontrivial spectrum.  The h_k verdict, the from_ck
 route and the checks that need exact values all read one pass of
 hk.hk_excess over the census N_k: the signs of h_k in integers.
-N_1..N_20 are checked exactly against the operator traces, and every h_k of
-the census (from_ck) against the spectral route within the a-priori
-hk.hk_spectral_budget; the series route meets a fixed tolerance.
-Disagreements beyond tolerance or budget raise InternalConsistencyError:
-they indicate a bug, not a mathematical verdict.  report_to_json is the one JSON writer for
-every subcommand's output.
+N_1..N_20 are checked exactly against the operator traces, every from_ck
+h_k against the spectral route within the a-priori hk.hk_spectral_budget,
+and the series route within a fixed tolerance.  Disagreements raise
+InternalConsistencyError: they indicate a bug, not a mathematical verdict.
+report_to_json is the one JSON writer for every subcommand's output.
 """
 
 from __future__ import annotations

@@ -216,7 +216,8 @@ def test_criterion_10_zeta_consistency():
              for m in range(11)]
         s = []
         for k in range(10):
-            s.append(-(k + 1) * p[k + 1] - sum(p[j] * s[k - j] for j in range(1, k + 1)))
+            s.append(-(k + 1) * p[k + 1]
+                     - sum(p[j] * s[k - j] for j in range(1, k + 1)))
         ok = ok and s == list(get_census(name, 10).nk)
     _verdict(10, "-d/du ln(Z^-1), in integers from the exact Z^-1, reproduces "
                  "N_k for k<=10; degree n(q+1), constant term 1", ok)
