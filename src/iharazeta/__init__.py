@@ -21,6 +21,7 @@ from .spectral import (NontrivialSpectrum, eigenvalues_symmetric,
                        nontrivial_spectrum, scaled_spectrum)
 from .zetaxi import (Factors, PoleHit, RationalFunction, bass_determinant,
                      functional_equation_residual, hk_series, log_series,
-                     relative_gap, xi_rational)
+                     log_series_zeta_check, relative_gap, xi_rational,
+                     zeta_inverse)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

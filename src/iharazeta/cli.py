@@ -29,7 +29,7 @@ from .report import (SCHEMA_VERSION, InternalConsistencyError, analyze,
                      estimator_block, report_to_json)
 from .spectral import (eigenvalues_symmetric, nontrivial_spectrum,
                        scaled_spectrum)
-from .zetaxi import bass_determinant, hk_series, xi_rational
+from .zetaxi import bass_determinant, hk_series, xi_rational, zeta_inverse
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -119,7 +119,7 @@ def cmd_series(args: argparse.Namespace) -> int:
             excess = hk_excess(build_census(g, q, K).nk, q, n, prof.bipartite)
             routes["ck"] = hk_from_ck(excess, q, n, prof.bipartite, K)
         if "series" in want:
-            routes["series"] = hk_series(xi_rational(ns, q), q, K)
+            routes["series"] = hk_series(xi_rational(zeta_inverse(ns), q), q, K)
     if args.format == "json":
         payload = {"schema": SCHEMA_VERSION, "source": args.input, "k_horizon": K,
                    "routes": {r: h.tolist() for r, h in routes.items()}}

@@ -22,10 +22,11 @@ factors at once (a Xi's numerator and denominator together).  No product of
 degree 2n ever forms, so no cluster of 2n-2 equal roots has to be resolved
 from rounded coefficients, and float64 suffices: the series inherits the
 rounding of the float eigenvalues, not extra error from its own arithmetic.
-Xi is built once, from the nontrivial spectrum (xi_rational): built from
-Z(u)^-1 instead, it would differ only by a fixed elementary prefactor.  The
-N_k series of Z(u)^-1 is that of Xi plus exact trivial terms, so its float
-form is hk.hk_spectral's h_k, scaled by q^(k/2).
+Xi is built once, as the paper defines it: the factors of Z(u)^-1
+(zeta_inverse) less the exact trivial ones, over (1 - sqrt(q)*u)^2 per
+nontrivial eigenvalue (xi_rational).  The N_k series of Z(u)^-1 is that of
+Xi plus exact trivial terms, so its float form is hk.hk_spectral's h_k,
+scaled by q^(k/2): log_series_zeta_check holds it to the census.
 """
 
 from __future__ import annotations
@@ -162,21 +163,37 @@ def bass_determinant(chi: Sequence[int], q: int) -> list[int]:
     return d
 
 
-def xi_rational(ns: NontrivialSpectrum, q: int) -> RationalFunction:
-    """Xi(u) = prod over the nontrivial spectrum of
-    (1 - lam*u + q*u^2) / (1 - sqrt(q)*u)^2.
+def zeta_inverse(ns: NontrivialSpectrum) -> Factors:
+    """Z(u)^-1 = (1-u^2)^(n(q-1)/2) * prod(1 - lam*u + q*u^2) over the
+    spectrum, as its factors: one row per nontrivial eigenvalue, then the
+    exact trivial rows, (1-u)(1-qu) for q+1 and, when q > 1, (1-u^2) of
+    power n(q-1)/2.
 
     A bipartite spectrum pairs +/-sigma, and (1 - sigma*u + q*u^2)(1 +
-    sigma*u + q*u^2) = 1 + (2q - sigma^2) w + q^2 w^2 in w = u^2: one
-    numerator row in w per nontrivial sigma (the first half of ns).  The
-    denominator stays in u."""
-    den = Factors.from_rows((1.0, -math.sqrt(q), 0.0, 2 * len(ns)))
+    sigma*u + q*u^2) = 1 + (2q - sigma^2) w + q^2 w^2 in w = u^2: one row in
+    w per nontrivial sigma (the first half of ns), then 1 - (q^2+1) w +
+    q^2 w^2 for +/-(q+1) and 1 - w, so every row is in w."""
+    q = ns.q
+    e = (len(ns) + (2 if ns.bipartite else 1)) * (q - 1) // 2
     if ns.bipartite:
-        sigma = ns.values[:len(ns) // 2]
-        return RationalFunction(Factors.from_rows(
-            *((1.0, 2.0 * q - x * x, float(q * q), 1) for x in sigma), in_w=True), den)
-    return RationalFunction(Factors.from_rows(
-        *((1.0, -lam, float(q), 1) for lam in ns.values)), den)
+        return Factors.from_rows(
+            *((1.0, 2.0 * q - x * x, float(q * q), 1) for x in ns.values[:len(ns) // 2]),
+            (1.0, -(q * q + 1.0), float(q * q), 1), (1.0, -1.0, 0.0, e), in_w=True)
+    return Factors.from_rows(*((1.0, -lam, float(q), 1) for lam in ns.values),
+                             (1.0, -(q + 1.0), float(q), 1), (1.0, 0.0, -1.0, e))
+
+
+def xi_rational(z: Factors, q: int) -> RationalFunction:
+    """Xi(u) from the factors z of Z(u)^-1 (zeta_inverse).  The paper's
+    Xi(u)^-1 = (1-u)(1-qu)(1 - sqrt(q) u)^(2n-2)(1-u^2)^(n(q-1)/2) Z(u), or
+    (1 - q^2 u^2)(1 - sqrt(q) u)^(2n-4)(1-u^2)^(n(q-1)/2+1) Z(u) when
+    bipartite, makes Xi(u) the product over the nontrivial spectrum of
+    (1 - lam*u + q*u^2) / (1 - sqrt(q)*u)^2: z's rows less the trivial
+    ones, which come last, over a denominator in u."""
+    rows = len(z.powers) - (2 if q > 1 else 1)
+    num = Factors(z.coefficients[:rows], z.powers[:rows], z.in_w)
+    degree = int(num.powers.sum()) * (2 if z.in_w else 1)
+    return RationalFunction(num, Factors.from_rows((1.0, -math.sqrt(q), 0.0, 2 * degree)))
 
 
 # ---------------------------------------------------------------------------
@@ -288,3 +305,27 @@ def hk_series(xi: RationalFunction, q: int, K: int) -> np.ndarray:
     if xi.num.in_w:
         h[0::2] = float(xi.den.powers.sum())
     return h
+
+
+def log_series_zeta_check(spectral: np.ndarray, census: np.ndarray, budget: np.ndarray,
+                          q: int) -> tuple[dict | None, str | None]:
+    """Hold -d/du ln Z(u)^-1 = sum N_k u^(k-1) to the census at k = 1..K, in
+    the h scale: the spectral h_k (hk.hk_spectral) are its coefficients
+    less their exact trivial terms, over q^(k/2), and must lie within the
+    a-priori budget (hk.hk_spectral_budget) of the census's (hk.hk_from_ck).
+
+    Returns the report's zeta_census_check block -- K, the largest deviation
+    as a fraction of its budget, k_pinned and ok -- and None, or, when some
+    k fails, None and a message naming the first.  k_pinned counts the
+    leading orders where q^(k/2) budget < 1/2: a census N_k one off there
+    moves h_k outside it.
+    """
+    deviation = np.abs(spectral - census)
+    outside = np.flatnonzero(~(deviation <= budget))
+    if len(outside):
+        i = outside[0]
+        return None, (f"spectral h_{i + 1} strays from the census's by "
+                      f"{deviation[i]:.3e}, beyond its error budget {budget[i]:.3e}")
+    pinned = np.log2(budget) + 0.5 * math.log2(q) * np.arange(1, len(budget) + 1) < -1.0
+    return {"k_checked": len(budget), "max_residual": float(np.max(deviation / budget)),
+            "k_pinned": int(np.logical_and.accumulate(pinned).sum()), "ok": True}, None

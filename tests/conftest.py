@@ -17,7 +17,7 @@ from iharazeta.graphs import (GraphProfile, Multigraph, adjacency_matrix,
 from iharazeta.hk import hk_excess, hk_from_ck, hk_spectral, hk_spectral_budget
 from iharazeta.spectral import (NontrivialSpectrum, eigenvalues_symmetric,
                                 nontrivial_spectrum, scaled_spectrum)
-from iharazeta.zetaxi import hk_series, xi_rational
+from iharazeta.zetaxi import hk_series, xi_rational, zeta_inverse
 
 # the eight fixtures the acceptance criteria run on
 ACCEPTANCE_FIXTURES = ["k4", "cycle5", "cycle6", "petersen", "kmm3",
@@ -131,7 +131,7 @@ def get_hk_routes(name: str, K: int) -> MappingProxyType:
     return MappingProxyType({route: _read_only(h) for route, h in (
         ("spectral", hk_spectral(scaled_spectrum(ns), K, prof.bipartite)),
         ("from_ck", hk_from_ck(get_excess(name, K), q, n, prof.bipartite, K)),
-        ("series", hk_series(xi_rational(ns, q), q, K)),
+        ("series", hk_series(xi_rational(zeta_inverse(ns), q), q, K)),
     )})
 
 

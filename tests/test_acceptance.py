@@ -23,7 +23,7 @@ from iharazeta.spectral import (eigenvalues_symmetric, nontrivial_spectrum,
                                 scaled_spectrum)
 from iharazeta.zetaxi import (bass_determinant, functional_equation_points,
                               functional_equation_residual, xi_rational,
-                              hk_series)
+                              hk_series, zeta_inverse)
 
 from conftest import (ACCEPTANCE_FIXTURES, SMALL_FIXTURES, get_census,
                       get_excess, get_graph, get_hk_routes, get_nontrivial,
@@ -52,7 +52,7 @@ def test_criterion_01_route_agreement_under_30s():
             hk_spectral(scaled_spectrum(ns), 40, prof.bipartite),
             hk_from_ck(hk_excess(census.nk, q, n, prof.bipartite), q, n,
                        prof.bipartite, 40),
-            hk_series(xi_rational(ns, q), q, 40),
+            hk_series(xi_rational(zeta_inverse(ns), q), q, 40),
         ]
         worst = max(worst, max_route_deviation(seqs))
     elapsed = time.perf_counter() - t0
@@ -88,7 +88,7 @@ def test_criterion_03_functional_equation():
     worst = 0.0
     for name in ACCEPTANCE_FIXTURES:
         q = get_profile(name).q
-        xi = xi_rational(get_nontrivial(name), q)
+        xi = xi_rational(zeta_inverse(get_nontrivial(name)), q)
         for u in functional_equation_points(100, seed=42):
             worst = max(worst, functional_equation_residual(xi, q, float(u)))
     _verdict(3, f"xi(1/(qu)) matches xi(u) at 100 seeded points per fixture "

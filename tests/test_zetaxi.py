@@ -21,15 +21,16 @@ from iharazeta.zetaxi import (Factors, PoleHit, RationalFunction,
                               ZeroAtOrigin, _logder_rows, bass_determinant,
                               functional_equation_points,
                               functional_equation_residual, hk_series,
-                              log_series, relative_gap, xi_rational)
+                              log_series, log_series_zeta_check,
+                              relative_gap, xi_rational, zeta_inverse)
 
-from iharazeta.hk import hk_excess, hk_from_ck, hk_spectral
+from iharazeta.hk import hk_excess, hk_from_ck, hk_spectral, hk_spectral_budget
 from iharazeta.report import DEFAULT_SEED, FE_POINTS, FE_TOL
 from iharazeta.spectral import scaled_spectrum
 
 from conftest import (ACCEPTANCE_FIXTURES, ALL_FIXTURES, BIPARTITE_GRAPHS,
-                      RAMANUJAN_FIXTURES, get_census, get_graph, get_nontrivial,
-                      get_profile, get_spectrum)
+                      RAMANUJAN_FIXTURES, get_census, get_graph, get_hk_routes,
+                      get_nontrivial, get_profile, get_spectrum, spectral_nk)
 
 
 def iconv(*polys):
@@ -116,6 +117,8 @@ def test_zeta_inverse_k4_exact_expansion():
     assert iconv([1, 0, -2, 0, 1], det) == iconv(
         [1, 0, -2, 0, 1], [1, -3, 2], [1, 1, 2], [1, 1, 2], [1, 1, 2])
     assert _check_exact_determinant(get_graph("k4"), 2)[1] == 2
+    f = zeta_inverse(get_nontrivial("k4"))
+    assert f.powers.tolist() == [1, 1, 1, 1, 2]  # (1 - u^2)^2 last
 
 
 def test_zeta_inverse_cycle4():
@@ -123,6 +126,8 @@ def test_zeta_inverse_cycle4():
     det = exact_determinant(get_graph("cycle4"), 1)
     assert det == iconv([1, -2, 1], [1, 0, 1], [1, 0, 1], [1, 2, 1])
     assert _check_exact_determinant(get_graph("cycle4"), 1)[1] == 0
+    # rows in w: one for the nontrivial pair 0, 0 and one for +/-2
+    assert len(zeta_inverse(get_nontrivial("cycle4")).powers) == 2
 
 
 def _check_exact_determinant(g, q):
@@ -138,15 +143,18 @@ def _check_exact_determinant(g, q):
 def test_zeta_inverse_degree_and_constant(name):
     # the exact form: constant term 1, degree n(q+1), the functional
     # equation coefficient by coefficient, and the same values as the
-    # product of (1 - lam*u + q*u^2) over the float spectrum
+    # product of (1 - lam*u + q*u^2) over the float spectrum and as the
+    # factors of zeta_inverse
     g = get_graph(name)
     q = get_profile(name).q
     det, e = _check_exact_determinant(g, q)
+    factors = RationalFunction(zeta_inverse(get_nontrivial(name)), Factors.from_rows())
     for u in (Fraction(1, 10), Fraction(-1, 5)):
         exact = (1 - u * u) ** e * sum(c * u ** i for i, c in enumerate(det))
         x = float(u)
         product = (1 - x * x) ** e * np.prod(1 - get_spectrum(name) * x + q * x * x)
         assert product == pytest.approx(float(exact), rel=1e-9)
+        assert factors(x) == pytest.approx(float(exact), rel=1e-9)
 
 
 # the graphs of scripts/check_ladder.py with n <= 64
@@ -177,7 +185,7 @@ def test_nontrivial_pole_moduli_on_ramanujan_fixtures(name):
 # xi
 
 def test_xi_kmm3_form():
-    xi = xi_rational(get_nontrivial("kmm3"), 2)
+    xi = xi_rational(zeta_inverse(get_nontrivial("kmm3")), 2)
     assert np.allclose(expand(xi.num),
                        functools.reduce(np.convolve, [[1, 0, 2]] * 4),
                        rtol=1e-9, atol=1e-9)
@@ -188,7 +196,7 @@ def test_xi_kmm3_form():
 
 
 def test_xi_petersen_form():
-    xi = xi_rational(get_nontrivial("petersen"), 2)
+    xi = xi_rational(zeta_inverse(get_nontrivial("petersen")), 2)
     expected = functools.reduce(np.convolve, [[1, -1, 2]] * 5 + [[1, 2, 2]] * 4)
     assert np.allclose(expand(xi.num), expected,
                        rtol=1e-8, atol=1e-6)
@@ -196,7 +204,7 @@ def test_xi_petersen_form():
 
 @pytest.mark.parametrize("name", ACCEPTANCE_FIXTURES)
 def test_xi_is_one_at_origin(name):
-    xi = xi_rational(get_nontrivial(name), get_profile(name).q)
+    xi = xi_rational(zeta_inverse(get_nontrivial(name)), get_profile(name).q)
     assert xi(0.0) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -230,7 +238,7 @@ def test_xi_from_zeta_agrees_with_direct_form(name):
     # the exact Z(u)^-1 from the census and the float nontrivial spectrum
     # give one Xi, unless the prefactor is wrong or a trivial eigenvalue is
     # off q+1
-    direct = xi_rational(get_nontrivial(name), get_profile(name).q)
+    direct = xi_rational(zeta_inverse(get_nontrivial(name)), get_profile(name).q)
     rng = np.random.default_rng(7)
     u = np.concatenate(([0.12, -0.21, 0.3],
                         rng.uniform(0.05, 0.35, 20) * rng.choice([-1, 1], 20)))
@@ -242,29 +250,29 @@ def test_xi_from_zeta_agrees_with_direct_form(name):
 # functional equation
 
 def test_functional_equation_petersen_spot():
-    xi = xi_rational(get_nontrivial("petersen"), 2)
+    xi = xi_rational(zeta_inverse(get_nontrivial("petersen")), 2)
     assert functional_equation_residual(xi, 2, 0.1) < 1e-9
 
 
 def test_functional_equation_kmm3_negative_u():
-    xi = xi_rational(get_nontrivial("kmm3"), 2)
+    xi = xi_rational(zeta_inverse(get_nontrivial("kmm3")), 2)
     assert functional_equation_residual(xi, 2, -0.2) < 1e-9
 
 
 def test_functional_equation_fixed_point_is_the_pole():
     # u = q^-1/2 maps to itself and sits exactly on the pole
-    xi = xi_rational(get_nontrivial("petersen"), 2)
+    xi = xi_rational(zeta_inverse(get_nontrivial("petersen")), 2)
     with pytest.raises(PoleHit):
         functional_equation_residual(xi, 2, 1 / math.sqrt(2))
 
 
 def test_functional_equation_near_fixed_point():
-    xi = xi_rational(get_nontrivial("petersen"), 2)
+    xi = xi_rational(zeta_inverse(get_nontrivial("petersen")), 2)
     assert functional_equation_residual(xi, 2, 1 / math.sqrt(2) + 0.02) < 1e-10
 
 
 def test_functional_equation_rejects_zero():
-    xi = xi_rational(get_nontrivial("petersen"), 2)
+    xi = xi_rational(zeta_inverse(get_nontrivial("petersen")), 2)
     with pytest.raises(ValueError):
         functional_equation_residual(xi, 2, 0.0)
 
@@ -272,14 +280,14 @@ def test_functional_equation_rejects_zero():
 @pytest.mark.parametrize("name", ACCEPTANCE_FIXTURES)
 def test_functional_equation_hundred_points(name):
     q = get_profile(name).q
-    xi = xi_rational(get_nontrivial(name), q)
+    xi = xi_rational(zeta_inverse(get_nontrivial(name)), q)
     for u in functional_equation_points(100, seed=42):
         assert functional_equation_residual(xi, q, float(u)) < 1e-8
 
 
 def test_functional_equation_beyond_float_range():
     # some of prism:100's xi values at the default points exceed the float range
-    xi = xi_rational(get_nontrivial("prism:100"), 2)
+    xi = xi_rational(zeta_inverse(get_nontrivial("prism:100")), 2)
     points = [float(u) for u in functional_equation_points(100, seed=42)]
     with pytest.raises(OverflowError):
         for u in points:
@@ -309,7 +317,7 @@ def test_relative_gap_beyond_float_range():
 @pytest.mark.parametrize("name", ["petersen", "kmm3", "prism30"])
 def test_functional_equation_residual_array_matches_points(name):
     q = get_profile(name).q
-    xi = xi_rational(get_nontrivial(name), q)
+    xi = xi_rational(zeta_inverse(get_nontrivial(name)), q)
     points = functional_equation_points(100, seed=42)
     together = functional_equation_residual(xi, q, points)
     assert together.shape == (100,)
@@ -318,7 +326,7 @@ def test_functional_equation_residual_array_matches_points(name):
 
 
 def test_functional_equation_residual_array_rejects_any_bad_point():
-    xi = xi_rational(get_nontrivial("petersen"), 2)
+    xi = xi_rational(zeta_inverse(get_nontrivial("petersen")), 2)
     with pytest.raises(PoleHit):
         functional_equation_residual(xi, 2, np.array([0.1, 1 / math.sqrt(2), 0.3]))
     with pytest.raises(ValueError):
@@ -342,7 +350,7 @@ FE_POINT_SETS = {"random.Random": functional_equation_points(FE_POINTS, DEFAULT_
 def test_functional_equation_holds_at_either_point_set(name, points):
     # a fault in xi must show at the report's points and at the old ones alike
     q = get_profile(name).q
-    xi = xi_rational(get_nontrivial(name), q)
+    xi = xi_rational(zeta_inverse(get_nontrivial(name)), q)
     assert functional_equation_residual(xi, q, FE_POINT_SETS[points]).max() < FE_TOL
 
 
@@ -385,13 +393,13 @@ def test_functional_equation_points_drawn_once_and_read_only():
 # series routes
 
 def test_log_series_petersen_h1():
-    xi = xi_rational(get_nontrivial("petersen"), 2)
+    xi = xi_rational(zeta_inverse(get_nontrivial("petersen")), 2)
     h = hk_series(xi, 2, 5)
     assert h[0] == pytest.approx(18 + 3 / math.sqrt(2), rel=1e-10)
 
 
 def test_log_series_kmm3_values():
-    xi = xi_rational(get_nontrivial("kmm3"), 2)
+    xi = xi_rational(zeta_inverse(get_nontrivial("kmm3")), 2)
     h = hk_series(xi, 2, 6)
     assert h[0] == pytest.approx(8.0, abs=1e-9)
     assert h[3] == pytest.approx(0.0, abs=1e-9)
@@ -450,7 +458,7 @@ def test_hk_series_matches_exact_route_deep(name):
     # digits; the factor-by-factor float64 series needs none
     q = get_profile(name).q
     n = get_graph(name).n
-    series = hk_series(xi_rational(get_nontrivial(name), q), q, 150)
+    series = hk_series(xi_rational(zeta_inverse(get_nontrivial(name)), q), q, 150)
     bipartite = get_profile(name).bipartite
     exact = hk_from_ck(hk_excess(get_census(name, 150).nk, q, n, bipartite),
                        q, n, bipartite, 150)
@@ -464,13 +472,71 @@ def test_import_leaves_mpmath_unloaded():
                    env={**os.environ, "PYTHONPATH": src})
 
 
+def zeta_check(name: str, K: int, nk=None) -> tuple[dict, str | None]:
+    """log_series_zeta_check of the spectral h_k against the census's, or
+    against those of the N_k nk in its place, within hk_spectral_budget."""
+    g, prof, ns = get_graph(name), get_profile(name), get_nontrivial(name)
+    q, n = prof.q, g.n
+    census = hk_from_ck(hk_excess(nk or get_census(name, K).nk, q, n, prof.bipartite),
+                        q, n, prof.bipartite, K)
+    spectral = hk_spectral(scaled_spectrum(ns), K, prof.bipartite)
+    return log_series_zeta_check(spectral, census,
+                                 hk_spectral_budget(ns.values, q, n, census), q)
+
+
+def test_log_series_zeta_check_petersen():
+    block, problem = zeta_check("petersen", 10)
+    assert problem is None and block["ok"]
+    assert block["k_checked"] == block["k_pinned"] == 10
+    assert 0.0 <= block["max_residual"] <= 1.0
+
+
+def test_log_series_zeta_check_k4_n3():
+    block, problem = zeta_check("k4", 8)
+    assert problem is None and block["ok"]
+    assert get_census("k4", 8).nk[2] == 24 == spectral_nk("k4", 8)[2]
+
+
+def test_log_series_zeta_check_cycle5():
+    block, problem = zeta_check("cycle5", 10)
+    assert problem is None and block["k_pinned"] == 10
+    census = get_census("cycle5", 10)
+    assert census.nk[4] == 10
+    assert [census.nk[k] for k in range(9) if k != 4] == [0] * 8
+
+
+def test_log_series_zeta_check_records_carry_the_budget():
+    block, _ = zeta_check("complete:30", 20)
+    routes = get_hk_routes("complete:30", 20)
+    budget = hk_spectral_budget(get_nontrivial("complete:30").values, 28, 30,
+                                routes["from_ck"])
+    deviation = np.abs(routes["spectral"] - routes["from_ck"])
+    assert block["max_residual"] == float(np.max(deviation / budget))
+    # q^(k/2) budget passes 1/2 after k = 12: from there a census one off
+    # can pass
+    scaled = 28.0 ** (np.arange(1, 21) / 2) * budget
+    assert block["k_pinned"] == 12 and scaled[11] < 0.5 <= scaled[12]
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_log_series_zeta_check_rejects_off_by_one_census(shift):
+    # the budget pins N_k on petersen to k = 20, so a census one off at any
+    # single k fails the check, which names that k
+    assert zeta_check("petersen", 20)[0]["k_pinned"] == 20
+    for k in range(1, 21):
+        nk = list(get_census("petersen", 20).nk)
+        nk[k - 1] += shift
+        block, problem = zeta_check("petersen", 20, nk)
+        assert block is None and problem.startswith(f"spectral h_{k} strays"), k
+
+
 @pytest.mark.parametrize("name", BIPARTITE_GRAPHS)
 def test_bipartite_float_routes_are_exact_at_odd_k(name):
     """Both float h_k routes give 2(n-2) at every odd k exactly, and Xi's
     numerator, a product in w = u^2, has odd coefficients exactly 0."""
     n, q, K = get_graph(name).n, get_profile(name).q, 200
     ns = get_nontrivial(name)
-    xi = xi_rational(ns, q)
+    xi = xi_rational(zeta_inverse(ns), q)
     spectral = hk_spectral(scaled_spectrum(ns), K, True)
     series = hk_series(xi, q, K)
     assert all(spectral[0::2] == float(2 * (n - 2)))
@@ -490,7 +556,7 @@ def test_bipartite_float_routes_track_the_census_to_k200(name):
                        q, n, True, K)
     scale = np.maximum(1.0, np.abs(exact))
     for route in (hk_spectral(scaled_spectrum(ns), K, True),
-                  hk_series(xi_rational(ns, q), q, K)):
+                  hk_series(xi_rational(zeta_inverse(ns), q), q, K)):
         assert np.max(np.abs(route - exact) / scale) < 1e-11
 
 
