@@ -20,7 +20,7 @@ from .report import analyze, report_to_json
 from .spectral import (NontrivialSpectrum, eigenvalues_symmetric,
                        nontrivial_spectrum, scaled_spectrum)
 from .zetaxi import (Factors, PoleHit, RationalFunction, bass_determinant,
-                     functional_equation_residual, hk_series, log_series,
+                     functional_equation_residual, hk_series,
                      log_series_zeta_check, relative_gap, xi_rational,
                      zeta_inverse)
 

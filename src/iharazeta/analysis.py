@@ -81,14 +81,9 @@ def even_k_bound(k: int, n: int, q: int, bipartite: bool) -> float:
     (size (n-2)/2), giving (1 + (2n-7)^(1/k)) * sqrt(q).  Bipartite n <= 3
     is outside the bound's domain.
     """
-    if k < 2 or k % 2 != 0:
-        raise ValueError("k must be a positive even integer")
-    if bipartite:
-        if 2 * n - 7 < 1:
-            raise DomainError(f"bound undefined for bipartite graphs with n={n}")
-        # multiset size (n-2)/2, so 4|S| - 3 = 2n - 7
-        return (1.0 + (2.0 * n - 7.0) ** (1.0 / k)) * math.sqrt(q)
-    return _bound_for_size(n - 1, k) * math.sqrt(q)
+    if bipartite and n < 4:
+        raise DomainError(f"bound undefined for bipartite graphs with n={n}")
+    return _bound_for_size((n - 2) // 2 if bipartite else n - 1, k) * math.sqrt(q)
 
 
 def even_k_bounds(excess: dict[int, tuple[int, int]], n: int, q: int,

@@ -119,7 +119,7 @@ def cmd_series(args: argparse.Namespace) -> int:
             excess = hk_excess(build_census(g, q, K).nk, q, n, prof.bipartite)
             routes["ck"] = hk_from_ck(excess, q, n, prof.bipartite, K)
         if "series" in want:
-            routes["series"] = hk_series(xi_rational(zeta_inverse(ns), q), q, K)
+            routes["series"] = hk_series(xi_rational(zeta_inverse(ns), q), K)
     if args.format == "json":
         payload = {"schema": SCHEMA_VERSION, "source": args.input, "k_horizon": K,
                    "routes": {r: h.tolist() for r, h in routes.items()}}

@@ -12,10 +12,11 @@ the rescaled xi function) admits two closed-form routes implemented here:
     sums S_k, all K of them by two integer recurrences, one per parity of k
     (ck_alternating_sums), in integers up to the final division.  The census
     takes those sums to get N_k, and hk_excess reads them back from N_k.
-A third, generic power-series route lives in zetaxi.log_series.  Each route
-gives h_1..h_K as a float64 array, h_k at index k-1.  The sign of
-h_k, and where it lies against the cap and the Hasse-Weil bound, is decided
-from the same integers, with no float (hk_excess).
+A third route, the power series of Xi's log-derivative taken factor by
+factor, lives in zetaxi.hk_series.  Each route gives h_1..h_K as a float64
+array, h_k at index k-1.  The sign of h_k, and where it lies against the
+cap and the Hasse-Weil bound, is decided from the same integers, with no
+float (hk_excess).
 
 The spectral route is the paper's N_k series of Z(u)^-1 less its exact
 trivial terms, over q^(k/2): so it checks the census at every k, against

@@ -6,11 +6,12 @@ estimator, and returns a plain dict shaped like the emitted JSON.  Xi is
 built once, from the factors of Z(u)^-1.  The h_k verdict, the from_ck
 route and the checks that need exact values all read one pass of
 hk.hk_excess over the census N_k: the signs of h_k in integers.
-N_1..N_20 are checked exactly against the operator traces, every from_ck
-h_k against the spectral route within the a-priori hk.hk_spectral_budget
+N_1..N_20 are checked exactly against the operator traces, a bipartite
+census's odd C_k and N_k to be 0 at every k, every from_ck h_k against the
+spectral route within the a-priori hk.hk_spectral_budget
 (zetaxi.log_series_zeta_check), and the series route within a fixed
-tolerance.  Disagreements raise
-InternalConsistencyError: they indicate a bug, not a mathematical verdict.
+tolerance.  Disagreements raise InternalConsistencyError: they indicate a
+bug, not a mathematical verdict.
 report_to_json is the one JSON writer for every subcommand's output.
 """
 
@@ -105,19 +106,25 @@ def analyze(g: Multigraph, source: str, K: int,
             raise InternalConsistencyError(
                 "non-backtracking operator traces disagree with the "
                 "closed-walk conversion for N_k")
+    if prof.bipartite:
+        odd = next((k for k in range(1, K + 1, 2)
+                    if census.c[k] or census.nk[k - 1]), 0)
+        if odd:
+            raise InternalConsistencyError(
+                f"bipartite census counts odd length k={odd}")
     timings["census"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     xi = xi_rational(zeta_inverse(ns), q)
     fe_max = float(functional_equation_residual(
-        xi, q, functional_equation_points(FE_POINTS, DEFAULT_SEED)).max())
+        xi, functional_equation_points(FE_POINTS, DEFAULT_SEED)).max())
     timings["zeta_xi"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     excess = hk_excess(census.nk, q, n, prof.bipartite)
     routes = {"spectral": hk_spectral(scaled, K, prof.bipartite),
               "from_ck": hk_from_ck(excess, q, n, prof.bipartite, K),
-              "series": hk_series(xi, q, K)}
+              "series": hk_series(xi, K)}
     zeta_check, problem = log_series_zeta_check(
         routes["spectral"], routes["from_ck"],
         hk_spectral_budget(ns.values, q, n, routes["from_ck"]), q)

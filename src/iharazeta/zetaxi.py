@@ -11,17 +11,20 @@ for the characteristic polynomial chi_A, which the census gives exactly
 (bass_determinant).  The float routes never expand a product.  A product of
 factors is stored as two arrays: an (F, 3) array of the coefficients
 c0 + c1*u + c2*u^2 (no factor has degree above two) and a vector of F
-integer powers.  Evaluation takes a whole vector of points at once and
-returns log2|value| = sum e*log2|p(u)| with a sign from the parity of the
-negative factors, so values beyond the float range (Xi near its pole
-u = q^(-1/2)) stay representable, and relative_gap compares two of them
-without forming either.  The series extraction does not expand either: the
-log-derivative of a product is the sum of e*p'/p over its factors, and each
-p'/p follows from a short recurrence in p's own coefficients, run for all
-factors at once (a Xi's numerator and denominator together).  No product of
-degree 2n ever forms, so no cluster of 2n-2 equal roots has to be resolved
-from rounded coefficients, and float64 suffices: the series inherits the
-rounding of the float eigenvalues, not extra error from its own arithmetic.
+integer powers.  Xi is that product over (1 - sqrt(q)*u)^degree, the one
+denominator the paper gives it, held as q and degree (RationalFunction).
+Evaluation takes a whole vector of points at once and returns
+log2|value| = sum e*log2|p(u)| with a sign from the parity of the negative
+factors, so values beyond the float range (Xi near its pole u = q^(-1/2))
+stay representable, and relative_gap compares two of them without forming
+either.  The series extraction does not expand either: the log-derivative
+of a product is the sum of e*p'/p over its factors, and each p'/p follows
+from a short recurrence in p's own coefficients, run for all factors at
+once; the denominator adds its degree at every k exactly (hk_series).  No
+product of degree 2n ever forms, so no cluster of 2n-2 equal roots has to
+be resolved from rounded coefficients, and float64 suffices: the series
+inherits the rounding of the float eigenvalues, not extra error from its
+own arithmetic.
 Xi is built once, as the paper defines it: the factors of Z(u)^-1
 (zeta_inverse) less the exact trivial ones, over (1 - sqrt(q)*u)^2 per
 nontrivial eigenvalue (xi_rational).  The N_k series of Z(u)^-1 is that of
@@ -45,10 +48,6 @@ POLE_THRESHOLD = 1e-12
 
 class PoleHit(ArithmeticError):
     """Evaluation point is (numerically) a pole of the rational function."""
-
-
-class ZeroAtOrigin(ValueError):
-    """Series extraction needs numerator and denominator nonzero at u = 0."""
 
 
 class Factors(NamedTuple):
@@ -95,38 +94,36 @@ def relative_gap(log2_a, sign_a, log2_b, sign_b):
 
 
 class RationalFunction:
-    """Ratio of two products of factors of degree at most two.
+    """Xi's float form: the product num of factors of degree at most two,
+    over (1 - sqrt(q)*u)^degree.
 
     Evaluation multiplies factor values (as a sum of logarithms) instead of
-    running Horner on expanded coefficients; for things like
+    running Horner on expanded coefficients; for
     prod(1 - lam*u + q*u^2) / (1 - sqrt(q)u)^2M that is the difference
     between full accuracy and catastrophic cancellation.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "q", "degree")
 
-    def __init__(self, num: Factors, den: Factors):
-        if not np.all(den.coefficients.any(axis=1)):
-            raise ZeroDivisionError("denominator is identically zero")
-        self.num, self.den = num, den
+    def __init__(self, num: Factors, q: int, degree: int):
+        self.num, self.q, self.degree = num, q, degree
 
     def log2_sign(self, u) -> tuple[np.ndarray, np.ndarray]:
         """log2 of the absolute value and the sign, at every point of u (a
         scalar or an array), without forming the value; an exact zero is
-        (-inf, 0).  Raises PoleHit when some denominator factor at some
-        point lies below POLE_THRESHOLD * sum |c_j| |u|^j."""
+        (-inf, 0).  Raises PoleHit when 1 - sqrt(q)*u at some point lies
+        below POLE_THRESHOLD * (1 + sqrt(q)*|u|)."""
         u = np.asarray(u, dtype=float)
         points = u.reshape(-1)
-        at = self.den.variable(points)
-        den = _horner(self.den.coefficients, at)
-        scale = _horner(np.abs(self.den.coefficients), np.abs(at))
-        near = np.any(np.abs(den) < POLE_THRESHOLD * scale, axis=1)
+        root_u = math.sqrt(self.q) * points
+        den = 1.0 - root_u
+        near = np.abs(den) < POLE_THRESHOLD * (1.0 + np.abs(root_u))
         if near.any():
             raise PoleHit(f"u={float(points[near][0])!r} is numerically a pole")
         num_log2, num_sign = _log2_sign(
             _horner(self.num.coefficients, self.num.variable(points)),
             self.num.powers)
-        den_log2, den_sign = _log2_sign(den, self.den.powers)
+        den_log2, den_sign = _log2_sign(den[:, None], self.degree)
         return ((num_log2 - den_log2).reshape(u.shape),
                 (num_sign * den_sign).reshape(u.shape))
 
@@ -134,13 +131,6 @@ class RationalFunction:
         """The value at u; OverflowError beyond the float range."""
         log2, sign = self.log2_sign(u)
         return float(sign) * math.pow(2.0, float(log2))
-
-    def scale_input(self, c: float) -> "RationalFunction":
-        """The function u -> f(c*u); rows in w = u^2 scale by c^2."""
-        def scaled(f: Factors) -> Factors:
-            v = c * c if f.in_w else c
-            return f._replace(coefficients=f.coefficients * np.array([1.0, v, v ** 2]))
-        return RationalFunction(scaled(self.num), scaled(self.den))
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +179,11 @@ def xi_rational(z: Factors, q: int) -> RationalFunction:
     (1 - q^2 u^2)(1 - sqrt(q) u)^(2n-4)(1-u^2)^(n(q-1)/2+1) Z(u) when
     bipartite, makes Xi(u) the product over the nontrivial spectrum of
     (1 - lam*u + q*u^2) / (1 - sqrt(q)*u)^2: z's rows less the trivial
-    ones, which come last, over a denominator in u."""
+    ones, which come last, over (1 - sqrt(q)*u) to twice the numerator's
+    degree in u."""
     rows = len(z.powers) - (2 if q > 1 else 1)
     num = Factors(z.coefficients[:rows], z.powers[:rows], z.in_w)
-    degree = int(num.powers.sum()) * (2 if z.in_w else 1)
-    return RationalFunction(num, Factors.from_rows((1.0, -math.sqrt(q), 0.0, 2 * degree)))
+    return RationalFunction(num, q, int(num.powers.sum()) * (4 if z.in_w else 2))
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +203,9 @@ def functional_equation_points(count: int = 100, seed: int = 42) -> np.ndarray:
     return points
 
 
-def functional_equation_residual(xi: RationalFunction, q: int, u):
-    """relative_gap of Xi(u) and Xi(1/(q*u)): a float for a scalar u, an
-    array for an array of points.
+def functional_equation_residual(xi: RationalFunction, u):
+    """relative_gap of Xi(u) and Xi(1/(q*u)), q = xi.q: a float for a scalar
+    u, an array for an array of points.
 
     Xi values reach 1e20 and beyond at ordinary sample points, and pass the
     float range near the pole, so the comparison is normalized by magnitude
@@ -227,7 +217,7 @@ def functional_equation_residual(xi: RationalFunction, q: int, u):
     u = np.asarray(u, dtype=float)
     if np.any(u == 0.0):
         raise ValueError("u must be nonzero")
-    log2, sign = xi.log2_sign(np.stack((u, 1.0 / (q * u))))
+    log2, sign = xi.log2_sign(np.stack((u, 1.0 / (xi.q * u))))
     gap = relative_gap(log2[0], sign[0], log2[1], sign[1])
     return float(gap) if gap.ndim == 0 else gap
 
@@ -235,22 +225,14 @@ def functional_equation_residual(xi: RationalFunction, q: int, u):
 # ---------------------------------------------------------------------------
 # series extraction
 
-def _logder_rows(coefficients: np.ndarray, K: int) -> np.ndarray:
-    """(F, K) table: row i holds the first K Maclaurin coefficients of p'/p
-    for the factor p = c_0 + c_1 u + c_2 u^2 of row i.
+def _logder_rows(c1: np.ndarray, c2: np.ndarray, K: int) -> np.ndarray:
+    """(K, F) table: column i holds the first K Maclaurin coefficients of
+    p'/p for the factor p = 1 + c1[i] u + c2[i] u^2.
 
-    p'/p does not change when p is scaled, so each row is divided by its c_0
-    once (exact where c_0 = 1, as for every factor the program builds).
-    Then s = p'/p solves p*s = p' with c_0 = 1: s_k = (k+1) c_{k+1} -
-    (c_2 s_{k-2} + c_1 s_{k-1}), one row of a (K, F) table per k, every
-    factor at once, in three numpy calls that write into the table's row.
-    The table is returned transposed, with rows of stride K + 2: numpy picks
-    the BLAS kernel, and so the rounding, of the dot products that follow
-    by layout.
+    s = p'/p solves p*s = p': s_k = (k+1) c_{k+1} - (c_2 s_{k-2} + c_1
+    s_{k-1}), one row of the table per k, every factor at once, in three
+    numpy calls that write into the table's row.
     """
-    if np.any(coefficients[:, 0] == 0.0):
-        raise ZeroAtOrigin("series requires every factor nonzero at u = 0")
-    _, c1, c2 = np.ascontiguousarray(coefficients.T) / coefficients[:, 0]
     tail = np.stack((c2, c1))  # against s_{k-2}, s_{k-1}
     derivative = [c1, 2.0 * c2] + [np.zeros_like(c1)] * K  # (k+1) c_{k+1}
     s = np.zeros((2 + K, len(c1)))  # two leading rows stand for s_{-2}, s_{-1}
@@ -260,50 +242,31 @@ def _logder_rows(coefficients: np.ndarray, K: int) -> np.ndarray:
         np.multiply(tail, s[k:k + 2], out=products)
         np.add(first, second, out=row)
         np.subtract(d, row, out=row)
-    return np.ascontiguousarray(s.T)[:, 2:]
+    return s[2:]
 
 
-def _in_u(factors: Factors, rows: np.ndarray, K: int) -> np.ndarray:
-    """First K Maclaurin coefficients in u of sum e * p'/p over the factors
-    (p, e), from their _logder_rows table of at least K columns.  For rows
-    in w = u^2, d/du ln p(u^2) = 2u (p'/p)(w): the coefficient of w^j, of
-    the first K/2 columns, lands doubled at u^(2j+1), and every even power
-    of u is exactly 0."""
-    if not factors.in_w:
-        return factors.powers.astype(float) @ rows
-    out = np.zeros(K)
-    out[1::2] = 2.0 * (factors.powers.astype(float) @ rows[:, :K // 2])
-    return out
+def hk_series(xi: RationalFunction, K: int) -> np.ndarray:
+    """h_1..h_K from the definition: the Maclaurin coefficients of
+    d/du ln Xi(u/sqrt(q)), q = xi.q, summed over the factors of Xi in
+    float64.
 
-
-def log_series(rf: RationalFunction, K: int) -> np.ndarray:
-    """First K Maclaurin coefficients of d/du ln(rf), i.e. of N'/N - D'/D.
-
-    Feed a xi function already rescaled by u -> u/sqrt(q) to obtain h_1..h_K.
-    The log-derivative is taken factor by factor, numerator and denominator
-    in one pass, in float64: nothing is expanded, so there is no root
-    cluster for rounding to split, and no extra working precision is needed.
-    Rows in w share the pass and use its first K/2 steps: a step costs its
-    numpy calls, whatever the number of rows.
+    The rescaling divides each numerator row's c1 by sqrt(q) and its c2 by
+    q (by q and q^2 for rows in w = u^2), so every row is 1 + c1 v + v^2
+    exactly, and the denominator becomes (1 - u)^degree, whose -d/du ln
+    adds exactly degree at every k.  For rows in w, d/du ln p(u^2) =
+    2u (p'/p)(w): the coefficient of w^j, of the first K/2, lands doubled
+    at u^(2j+1), so a bipartite Xi's odd h_k are its degree, 2(n-2),
+    exactly.
     """
-    split = len(rf.num.powers)
-    rows = _logder_rows(np.vstack((rf.num.coefficients, rf.den.coefficients)), K)
-    return _in_u(rf.num, rows[:split], K) - _in_u(rf.den, rows[split:], K)
-
-
-def hk_series(xi: RationalFunction, q: int, K: int) -> np.ndarray:
-    """h_1..h_K from the definition: the log-derivative series of
-    Xi(u/sqrt(q)), summed over the factors of Xi in float64 (log_series).
-
-    A bipartite Xi (numerator in w = u^2) takes its odd h_k from the
-    denominator (1 - sqrt(q) u)^(2(n-2)) alone, which the rescaling makes
-    (1 - u)^(2(n-2)): they are 2(n-2) exactly.  In float64 sqrt(q) *
-    (1/sqrt(q)) misses 1 by an ulp for some q (15, 29, 30, ...), which
-    would drift h_k by k ulps, so they are set to the denominator's degree.
-    """
-    h = log_series(xi.scale_input(1.0 / math.sqrt(q)), K)
-    if xi.num.in_w:
-        h[0::2] = float(xi.den.powers.sum())
+    num, q = xi.num, xi.q
+    d1, d2 = (q, q * q) if num.in_w else (math.sqrt(q), q)
+    _, c1, c2 = num.coefficients.T
+    powers = num.powers.astype(float)
+    h = np.full(K, float(xi.degree))
+    if num.in_w:
+        h[1::2] += 2.0 * (_logder_rows(c1 / d1, c2 / d2, K // 2) @ powers)
+    else:
+        h += _logder_rows(c1 / d1, c2 / d2, K) @ powers
     return h
 
 

@@ -131,7 +131,7 @@ def get_hk_routes(name: str, K: int) -> MappingProxyType:
     return MappingProxyType({route: _read_only(h) for route, h in (
         ("spectral", hk_spectral(scaled_spectrum(ns), K, prof.bipartite)),
         ("from_ck", hk_from_ck(get_excess(name, K), q, n, prof.bipartite, K)),
-        ("series", hk_series(xi_rational(zeta_inverse(ns), q), q, K)),
+        ("series", hk_series(xi_rational(zeta_inverse(ns), q), K)),
     )})
 
 

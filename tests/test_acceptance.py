@@ -52,7 +52,7 @@ def test_criterion_01_route_agreement_under_30s():
             hk_spectral(scaled_spectrum(ns), 40, prof.bipartite),
             hk_from_ck(hk_excess(census.nk, q, n, prof.bipartite), q, n,
                        prof.bipartite, 40),
-            hk_series(xi_rational(zeta_inverse(ns), q), q, 40),
+            hk_series(xi_rational(zeta_inverse(ns), q), 40),
         ]
         worst = max(worst, max_route_deviation(seqs))
     elapsed = time.perf_counter() - t0
@@ -90,7 +90,7 @@ def test_criterion_03_functional_equation():
         q = get_profile(name).q
         xi = xi_rational(zeta_inverse(get_nontrivial(name)), q)
         for u in functional_equation_points(100, seed=42):
-            worst = max(worst, functional_equation_residual(xi, q, float(u)))
+            worst = max(worst, functional_equation_residual(xi, float(u)))
     _verdict(3, f"xi(1/(qu)) matches xi(u) at 100 seeded points per fixture "
                 f"(max residual {worst:.2e})", worst < 1e-8)
 

@@ -101,14 +101,16 @@ def test_zeta_census_check_reports_k_pinned(spec):
 def test_hk_budget_rejects_off_by_one_census(monkeypatch, spec, shift):
     # with the operator cross-check off, a census N_k one off at any
     # k <= k_pinned that h_k reads fails the spectral h_k budget, named by
-    # its k; a bipartite graph's odd N_k are 0 by construction, read by no
-    # h_k, and pinned by the operator cross-check instead, up to its k = 20
+    # its k; a bipartite graph's odd N_k are 0 by construction and read by
+    # no h_k: the operator cross-check pins them up to its k = 20, and the
+    # bipartite census's parity check past it
     g, K, real = get_graph(spec), 50, report_mod.build_census
     pinned = analyze(g, spec, K)["zeta_census_check"]["k_pinned"]
     bipartite = get_profile(spec).bipartite
     for k in range(1, pinned + 1):
-        if bipartite and k % 2 and k > report_mod.NK_CROSSCHECK_K:
-            continue
+        odd = bipartite and k % 2
+        expected = ("operator traces" if k <= report_mod.NK_CROSSCHECK_K
+                    else f"odd length k={k}$") if odd else f"h_{k} strays"
 
         def corrupted(g, q, K):
             census = real(g, q, K)
@@ -118,10 +120,25 @@ def test_hk_budget_rejects_off_by_one_census(monkeypatch, spec, shift):
 
         monkeypatch.setattr(report_mod, "build_census", corrupted)
         monkeypatch.setattr(report_mod, "OPERATOR_CROSSCHECK_SIZE_LIMIT",
-                            2 * g.n if bipartite and k % 2 else 0)
-        with pytest.raises(InternalConsistencyError, match=(
-                "operator traces" if bipartite and k % 2 else f"h_{k} strays")):
+                            2 * g.n if odd else 0)
+        with pytest.raises(InternalConsistencyError, match=expected):
             analyze(g, spec, K)
+
+
+@pytest.mark.parametrize("k", [1, 21, 49])
+def test_bipartite_census_with_an_odd_closed_walk_is_rejected(monkeypatch, k):
+    # no h_k and no operator trace reads a bipartite graph's odd C_k
+    real = report_mod.build_census
+
+    def corrupted(g, q, K):
+        census = real(g, q, K)
+        c = list(census.c)
+        c[k] += 2
+        return CycleCensus(c=tuple(c), nk=census.nk, horizon=census.horizon)
+
+    monkeypatch.setattr(report_mod, "build_census", corrupted)
+    with pytest.raises(InternalConsistencyError, match=f"odd length k={k}$"):
+        analyze(get_graph("prism:24"), "prism:24", 50)
 
 
 @pytest.mark.parametrize("spec", [*LADDER, "double_triangle", "looped_cycle4"])

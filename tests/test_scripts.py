@@ -24,8 +24,8 @@ def test_hk_sign_scan_runs_without_pythonpath(tmp_path):
 
 def test_check_ladder_runs_without_pythonpath(tmp_path):
     header, *rows = _run_script(tmp_path, "check_ladder.py", "--k", "50")
-    assert header.split()[:6] == ["K", "graph", "exit", "spectral", "witness",
-                                  "k_pinned"]
+    assert header.split()[:7] == ["K", "graph", "exit", "spectral", "witness",
+                                  "k_pinned", "route_dev"]
     assert len(rows) == 24
     for row in rows:
         k, spec, code, spectral, witness = row.split()[:5]
