@@ -3,8 +3,9 @@
 prism.
 
 Prints, for each adjacent pair of negative even h_k, the running estimate of
-q^(-1/2) * max|lam| against the closed-form value 2cos(pi/m) + 1 scaled by
-1/sqrt(2); the error decays geometrically in k.
+q^(-1/2) * max|lam| against the closed-form value 2cos(2pi/m) + 1, for a
+ring of m vertices, scaled by 1/sqrt(2); the error decays geometrically in
+k.
 
 Usage: python scripts/estimator_convergence.py [--ring 24] [--k 100]
 """

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Scan the prism family for the first negative even h_k.
 
-A prism (circular ladder) on an even ring is 3-regular and bipartite; its
-largest nontrivial eigenvalue 2cos(pi/m) + 1 crosses the 2*sqrt(2) threshold
-as the ring grows, so the family walks from Ramanujan to non-Ramanujan and
-the sign scan shows exactly where the coefficient criterion notices.  Each
-sign is decided exactly from the census (ramanujan_hk).
+A prism (circular ladder) on an even ring of m vertices is 3-regular and
+bipartite; its largest nontrivial eigenvalue 2cos(2pi/m) + 1 crosses the
+2*sqrt(2) threshold as the ring grows, so the family walks from Ramanujan to
+non-Ramanujan and the sign scan shows exactly where the coefficient
+criterion notices.  Each sign is decided exactly from the census
+(ramanujan_hk).
 
 Usage: python scripts/hk_sign_scan.py [--max-ring 30] [--k 80]
 """

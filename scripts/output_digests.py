@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
-"""Print a sha256 digest of every output of seven `ihara` commands per graph.
+"""Print a sha256 digest of every output of eight `ihara` commands per graph.
 
 One line per (command, graph): the command's label, the graph, the sha256
 of what it wrote to stdout, the sha256 of what it wrote to stderr, and its
 exit code.  The commands are `analyze --k 50 --no-timings`, `census --k 50`,
-`series --k 50` as csv and as json, `check --k 50`, `estimate --k 100` and
-`zeta`; the graphs are those given, or else the 24-graph ladder of
-check_ladder.py and complete:4.  Each command runs in this process through
-iharazeta.cli.main, so two checkouts print the same lines exactly when their
-outputs are byte-identical:
+`series --k 50` as csv and as json, `series --k 200` as csv, `check --k 50`,
+`estimate --k 100` and `zeta`; the graphs are those given, or else the
+24-graph ladder of check_ladder.py and complete:4.  Each command runs in
+this process through iharazeta.cli.main, so two checkouts print the same
+lines exactly when their outputs are byte-identical:
 
     python scripts/output_digests.py > before.txt   # in one checkout
     python scripts/output_digests.py > after.txt    # in the other
@@ -35,6 +35,7 @@ COMMANDS = (
     ("census", ["census", "--k", "50"]),
     ("series-csv", ["series", "--k", "50"]),
     ("series-json", ["series", "--k", "50", "--format", "json"]),
+    ("series-k200", ["series", "--k", "200"]),
     ("check", ["check", "--k", "50"]),
     ("estimate", ["estimate", "--k", "100"]),
     ("zeta", ["zeta"]),

@@ -3,8 +3,7 @@ with Ramanujan-property certification by three cross-validated h_k routes."""
 
 __version__ = "0.1.0"
 
-from .analysis import (EstimatorNotApplicable, EstimatorSignMismatch,
-                       estimate_max_eigenvalue, even_k_bound, even_k_bounds,
+from .analysis import (estimate_max_eigenvalue, even_k_bound, even_k_bounds,
                        hasse_weil_check, hk_upper_check, multiset_bound,
                        ramanujan_hk, ramanujan_spectral)
 from .census import (CycleCensus, build_census, characteristic_polynomial,

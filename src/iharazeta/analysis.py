@@ -29,16 +29,6 @@ class DomainError(ValueError):
     """Parameters outside the domain where a bound is defined."""
 
 
-class EstimatorNotApplicable(RuntimeError):
-    """All scanned even-index h are nonnegative: the graph looks Ramanujan
-    up to the horizon, and the tail-ratio estimator has nothing to use."""
-
-
-class EstimatorSignMismatch(RuntimeError):
-    """Adjacent even-index entries disagree in sign near the tail; the
-    horizon is too small for the asymptotic regime."""
-
-
 def ramanujan_spectral(ns: NontrivialSpectrum, q: int) -> dict:
     """Direct check: max |lam| over the nontrivial spectrum against
     2*sqrt(q), with slack SPECTRAL_SLACK*sqrt(q); the witness is the worst
@@ -145,21 +135,22 @@ def estimate_max_eigenvalue(h: np.ndarray, q: int) -> dict:
     sqrt(h_{2k+2}/h_{2k}) + sqrt(h_{2k}/h_{2k+2}) converges to mu + 1/mu,
     the largest scaled eigenvalue magnitude.  Uses the deepest usable pair
     of adjacent negative even entries, k_used; converged means the previous
-    pair agrees within 1e-4.  Returns the estimator block, status "ok".
-    Raises EstimatorNotApplicable when no even entry is negative and
-    EstimatorSignMismatch when negatives exist but never in adjacent even
-    pairs.
+    pair agrees within 1e-4.  Returns the estimator block: status "ok",
+    or a detail with status "not_applicable" when no even entry is negative
+    (the graph looks Ramanujan up to the horizon) and "sign_mismatch" when
+    negatives exist but never in adjacent even pairs (the horizon is too
+    small for the asymptotic regime).
     """
     negative = h[1::2] < 0.0  # h_2, h_4, ...
     usable = np.flatnonzero(negative[:-1] & negative[1:])  # i: h_(2i+2), h_(2i+4)
     if not len(usable):
         if negative.any():
-            raise EstimatorSignMismatch(
-                "negative even h_k present but never in adjacent pairs; "
-                "increase the horizon")
-        raise EstimatorNotApplicable(
-            f"no negative even h_k up to K={len(h)}; "
-            "graph appears Ramanujan at this horizon")
+            return {"status": "sign_mismatch",
+                    "detail": "negative even h_k present but never in adjacent "
+                              "pairs; increase the horizon"}
+        return {"status": "not_applicable",
+                "detail": f"no negative even h_k up to K={len(h)}; "
+                          "graph appears Ramanujan at this horizon"}
 
     def pair_estimate(k: int) -> float:
         r = math.sqrt(float(h[k + 1]) / float(h[k - 1]))

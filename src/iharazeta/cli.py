@@ -20,13 +20,14 @@ import io
 import os
 import sys
 
+from .analysis import estimate_max_eigenvalue
 from .census import (BruteForceBudgetExceeded, build_census,
                      characteristic_polynomial, geodesic_cycles_bruteforce)
 from .graphs import (GraphError, Multigraph, adjacency_matrix, parse_generator,
                      profile, read_edge_list, write_edge_list)
 from .hk import hk_excess, hk_from_ck, hk_spectral
 from .report import (SCHEMA_VERSION, InternalConsistencyError, analyze,
-                     estimator_block, report_to_json)
+                     report_to_json)
 from .spectral import (eigenvalues_symmetric, nontrivial_spectrum,
                        scaled_spectrum)
 from .zetaxi import bass_determinant, hk_series, xi_rational, zeta_inverse
@@ -200,7 +201,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     prof = profile(g)
     ns = nontrivial_spectrum(eigenvalues_symmetric(
         adjacency_matrix(g), prof.bipartition), prof)
-    payload = estimator_block(
+    payload = estimate_max_eigenvalue(
         hk_spectral(scaled_spectrum(ns), args.k, prof.bipartite), prof.q)
     payload.update({"schema": SCHEMA_VERSION, "source": args.input,
                     "k_horizon": args.k})

@@ -13,10 +13,12 @@ the rescaled xi function) admits two closed-form routes implemented here:
     (ck_alternating_sums), in integers up to the final division.  The census
     takes those sums to get N_k, and hk_excess reads them back from N_k.
 A third route, the power series of Xi's log-derivative taken factor by
-factor, lives in zetaxi.hk_series.  Each route gives h_1..h_K as a float64
-array, h_k at index k-1.  The sign of h_k, and where it lies against the
-cap and the Hasse-Weil bound, is decided from the same integers, with no
-float (hk_excess).
+factor, lives in zetaxi.hk_series: it runs chebyshev_T_table on x read
+back from Xi's rows, so it shares the spectral route's table and checks
+how Xi is built, not the table's arithmetic.  Each route gives h_1..h_K
+as a float64 array, h_k at index k-1.  The sign of h_k, and where it lies
+against the cap and the Hasse-Weil bound, is decided from the same
+integers, with no float (hk_excess).
 
 The spectral route is the paper's N_k series of Z(u)^-1 less its exact
 trivial terms, over q^(k/2): so it checks the census at every k, against

@@ -23,8 +23,7 @@ import time
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .analysis import (EstimatorNotApplicable, EstimatorSignMismatch,
-                       estimate_max_eigenvalue, even_k_bounds,
+from .analysis import (estimate_max_eigenvalue, even_k_bounds,
                        hasse_weil_check, hk_upper_bound, hk_upper_check,
                        ramanujan_hk, ramanujan_spectral)
 from .census import build_census, geodesic_cycles_operator
@@ -63,17 +62,6 @@ class InternalConsistencyError(RuntimeError):
 
 def _decimal_strings(values) -> list[str]:
     return [str(int(v)) for v in values]
-
-
-def estimator_block(h, q: int) -> dict:
-    """The tail-ratio estimate from h_1..h_K, as the estimate and analyze
-    outputs print it, or the status saying why it does not apply."""
-    try:
-        return estimate_max_eigenvalue(h, q)
-    except EstimatorNotApplicable as exc:
-        return {"status": "not_applicable", "detail": str(exc)}
-    except EstimatorSignMismatch as exc:
-        return {"status": "sign_mismatch", "detail": str(exc)}
 
 
 def analyze(g: Multigraph, source: str, K: int,
@@ -152,7 +140,7 @@ def analyze(g: Multigraph, source: str, K: int,
     timings["checks"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    estimator = estimator_block(routes["spectral"], q)
+    estimator = estimate_max_eigenvalue(routes["spectral"], q)
     timings["estimator"] = time.perf_counter() - t0
 
     report = {

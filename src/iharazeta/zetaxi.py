@@ -18,13 +18,15 @@ log2|value| = sum e*log2|p(u)| with a sign from the parity of the negative
 factors, so values beyond the float range (Xi near its pole u = q^(-1/2))
 stay representable, and relative_gap compares two of them without forming
 either.  The series extraction does not expand either: the log-derivative
-of a product is the sum of e*p'/p over its factors, and each p'/p follows
-from a short recurrence in p's own coefficients, run for all factors at
-once; the denominator adds its degree at every k exactly (hk_series).  No
-product of degree 2n ever forms, so no cluster of 2n-2 equal roots has to
-be resolved from rounded coefficients, and float64 suffices: the series
-inherits the rounding of the float eigenvalues, not extra error from its
-own arithmetic.
+of a product is the sum of e*p'/p over its factors, and each rescaled row
+1 - x v + v^2 has p'/p = -sum T_k(x) v^(k-1), so hk_series runs the
+spectral route's table (hk.chebyshev_T_table) on the rows' x; the
+denominator adds its degree at every k exactly.  On a nonbipartite graph x
+is the scaled spectrum itself, so the two routes differ only in how they
+sum the table: what the series route checks on its own is how Xi is built,
+its rows, the trivial rows xi_rational drops and its degree.  No product
+of degree 2n ever forms, so no cluster of 2n-2 equal roots has to be
+resolved from rounded coefficients.
 Xi is built once, as the paper defines it: the factors of Z(u)^-1
 (zeta_inverse) less the exact trivial ones, over (1 - sqrt(q)*u)^2 per
 nontrivial eigenvalue (xi_rational).  The N_k series of Z(u)^-1 is that of
@@ -41,6 +43,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .hk import chebyshev_T_table
 from .spectral import NontrivialSpectrum
 
 POLE_THRESHOLD = 1e-12
@@ -225,48 +228,31 @@ def functional_equation_residual(xi: RationalFunction, u):
 # ---------------------------------------------------------------------------
 # series extraction
 
-def _logder_rows(c1: np.ndarray, c2: np.ndarray, K: int) -> np.ndarray:
-    """(K, F) table: column i holds the first K Maclaurin coefficients of
-    p'/p for the factor p = 1 + c1[i] u + c2[i] u^2.
-
-    s = p'/p solves p*s = p': s_k = (k+1) c_{k+1} - (c_2 s_{k-2} + c_1
-    s_{k-1}), one row of the table per k, every factor at once, in three
-    numpy calls that write into the table's row.
-    """
-    tail = np.stack((c2, c1))  # against s_{k-2}, s_{k-1}
-    derivative = [c1, 2.0 * c2] + [np.zeros_like(c1)] * K  # (k+1) c_{k+1}
-    s = np.zeros((2 + K, len(c1)))  # two leading rows stand for s_{-2}, s_{-1}
-    products = np.empty_like(tail)
-    first, second = products
-    for k, (row, d) in enumerate(zip(s[2:], derivative)):
-        np.multiply(tail, s[k:k + 2], out=products)
-        np.add(first, second, out=row)
-        np.subtract(d, row, out=row)
-    return s[2:]
-
-
 def hk_series(xi: RationalFunction, K: int) -> np.ndarray:
     """h_1..h_K from the definition: the Maclaurin coefficients of
     d/du ln Xi(u/sqrt(q)), q = xi.q, summed over the factors of Xi in
     float64.
 
-    The rescaling divides each numerator row's c1 by sqrt(q) and its c2 by
-    q (by q and q^2 for rows in w = u^2), so every row is 1 + c1 v + v^2
-    exactly, and the denominator becomes (1 - u)^degree, whose -d/du ln
-    adds exactly degree at every k.  For rows in w, d/du ln p(u^2) =
-    2u (p'/p)(w): the coefficient of w^j, of the first K/2, lands doubled
-    at u^(2j+1), so a bipartite Xi's odd h_k are its degree, 2(n-2),
-    exactly.
+    The rescaling makes every numerator row 1 - x v + v^2, x = -c1/sqrt(q)
+    (-c1/q for rows in w = u^2), and the denominator (1 - u)^degree, whose
+    -d/du ln adds exactly degree at every k.  With x = y + 1/y the row is
+    (1 - y v)(1 - v/y), so its log-derivative has coefficient -T_k(x) at
+    v^(k-1) (hk.chebyshev_T_table).  For rows in w, d/du ln p(u^2) =
+    2u (p'/p)(w): the coefficient of w^(j-1), of the first K/2, lands
+    doubled at u^(2j-1), so a bipartite Xi's odd h_k are its degree,
+    2(n-2), exactly.  Raises ValueError for a row that is not Xi-shaped,
+    c0 = 1 and c2 = q (q^2 in w), the rows for which the table is exact.
     """
     num, q = xi.num, xi.q
-    d1, d2 = (q, q * q) if num.in_w else (math.sqrt(q), q)
-    _, c1, c2 = num.coefficients.T
+    c0, c1, c2 = num.coefficients.T
+    if np.any(c0 != 1.0) or np.any(c2 != (q * q if num.in_w else q)):
+        raise ValueError("hk_series needs rows 1 + c1*v + q*v^2 (q^2*v^2 in w = u^2)")
     powers = num.powers.astype(float)
     h = np.full(K, float(xi.degree))
     if num.in_w:
-        h[1::2] += 2.0 * (_logder_rows(c1 / d1, c2 / d2, K // 2) @ powers)
+        h[1::2] -= 2.0 * (chebyshev_T_table(K // 2, -c1 / q) @ powers)
     else:
-        h += _logder_rows(c1 / d1, c2 / d2, K) @ powers
+        h -= chebyshev_T_table(K, -c1 / math.sqrt(q)) @ powers
     return h
 
 

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iharazeta.analysis import (DomainError, EstimatorNotApplicable,
-                                EstimatorSignMismatch, estimate_max_eigenvalue,
+from iharazeta.analysis import (DomainError, estimate_max_eigenvalue,
                                 even_k_bound, hasse_weil_check, hk_upper_bound,
                                 hk_upper_check, multiset_bound, ramanujan_hk,
                                 ramanujan_spectral)
@@ -319,8 +318,10 @@ def test_estimator_prism30():
 
 def test_estimator_not_applicable_on_ramanujan():
     seq = get_hk_routes("petersen", 60)["spectral"]
-    with pytest.raises(EstimatorNotApplicable):
-        estimate_max_eigenvalue(seq, 2)
+    assert estimate_max_eigenvalue(seq, 2) == {
+        "status": "not_applicable",
+        "detail": "no negative even h_k up to K=60; "
+                  "graph appears Ramanujan at this horizon"}
 
 
 def test_estimator_synthetic_exact_ratio():
@@ -333,5 +334,7 @@ def test_estimator_synthetic_exact_ratio():
 
 def test_estimator_sign_mismatch():
     values = [1.0, -1.0, 1.0, 1.0, 1.0, 1.0]  # lone negative h_2
-    with pytest.raises(EstimatorSignMismatch):
-        estimate_max_eigenvalue(np.array(values), 2)
+    assert estimate_max_eigenvalue(np.array(values), 2) == {
+        "status": "sign_mismatch",
+        "detail": "negative even h_k present but never in adjacent pairs; "
+                  "increase the horizon"}

@@ -18,7 +18,7 @@ from fractions import Fraction
 from iharazeta.census import build_census, characteristic_polynomial
 from iharazeta.graphs import parse_generator, profile
 from iharazeta.zetaxi import (Factors, PoleHit, RationalFunction,
-                              _logder_rows, bass_determinant,
+                              bass_determinant,
                               functional_equation_points,
                               functional_equation_residual, hk_series,
                               log_series_zeta_check, relative_gap,
@@ -410,8 +410,17 @@ def test_log_series_geometric_oracle():
     # of multiplicity 400 costs nothing when the denominator is taken whole
     for q in (1, 4, 29):
         for degree, K in ((1, 8), (400, 200)):
-            rf = RationalFunction(Factors.from_rows((1.0, 0.0, 0.0, 1)), q, degree)
-            assert np.all(hk_series(rf, K) == float(degree))
+            for in_w in (False, True):
+                rf = RationalFunction(Factors.from_rows(in_w=in_w), q, degree)
+                assert np.all(hk_series(rf, K) == float(degree))
+        # the T_k table is exact only for rows 1 + c1 v + q v^2 (q^2 in w)
+        bad = [((1.0, 0.0, 0.0, 1), False), ((2.0, 0.0, 2.0 * q, 1), False)]
+        if q > 1:
+            bad += [((1.0, 0.0, float(q * q), 1), False), ((1.0, 0.0, float(q), 1), True)]
+        for row, in_w in bad:
+            rf = RationalFunction(Factors.from_rows(row, in_w=in_w), q, 1)
+            with pytest.raises(ValueError, match="rows 1 \\+ c1"):
+                hk_series(rf, 8)
 
 
 def _logder_rows_per_factor(c1, c2, K):
@@ -425,14 +434,24 @@ def _logder_rows_per_factor(c1, c2, K):
     return np.array(table).T
 
 
-def test_logder_rows_match_the_per_factor_recurrence():
-    rng = random.Random(5)
-    pairs = [(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(60)]
-    c1 = np.array([-(a + b) for a, b in pairs])
-    c2 = np.array([a * b for a, b in pairs])
-    got = _logder_rows(c1, c2, 80)
-    assert got.shape == (80, 60)
-    assert np.array_equal(got, _logder_rows_per_factor(c1, c2, 80))
+def test_hk_series_matches_the_per_factor_recurrence():
+    # p'/p of each rescaled row by s_k = (k+1) c_(k+1) - (c2 s_(k-2) + c1
+    # s_(k-1)) agrees with the T_k table bit for bit; the reference table
+    # is made contiguous, since a transposed one rounds @ differently
+    K = 80
+    for name in ("petersen", "complete:30", "prism:24", "kmm:6"):
+        q = get_profile(name).q
+        xi = xi_rational(zeta_inverse(get_nontrivial(name)), q)
+        _, c1, c2 = xi.num.coefficients.T
+        d1, d2, rows = (q, q * q, K // 2) if xi.num.in_w else (math.sqrt(q), q, K)
+        table = np.ascontiguousarray(_logder_rows_per_factor(c1 / d1, c2 / d2, rows))
+        expected = np.full(K, float(xi.degree))
+        if xi.num.in_w:
+            expected[1::2] += 2.0 * (table @ xi.num.powers.astype(float))
+        else:
+            expected += table @ xi.num.powers.astype(float)
+        assert xi.num.in_w == get_profile(name).bipartite
+        assert np.array_equal(hk_series(xi, K), expected)
 
 
 @pytest.mark.parametrize("name", RAMANUJAN_FIXTURES + ["double_triangle",
