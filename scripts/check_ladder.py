@@ -8,8 +8,8 @@ nontrivial |lam| <= 2 sqrt(q)), the h_k verdict's witness (the first k with
 h_k < 0, or None), k_pinned (the leading orders where the spectral h_k
 budget pins the census N_k), route_dev (the largest relative deviation
 between the h_k routes), the check's wall time in seconds and the first
-line the command wrote to stderr, past the cost note of a census that takes
-more than 100 matrix-power steps.
+line the command wrote to stderr, past the cost note of a costly census
+(cli.COSTLY_WORK).
 The verdicts, k_pinned and route_dev read "-" when the check wrote no
 report.  Each check runs in this process through iharazeta.cli.main.
 

@@ -18,22 +18,19 @@ size, Newton's identities turn the first s traces into the exact integer
 characteristic polynomial, every division checked to be exact, and
 Cayley-Hamilton gives each later trace as an integer recurrence.
 
-A bipartite graph takes a half-size matrix.  With the vertices ordered by
-colour class, A = [[0, B], [B^T, 0]] for the biadjacency block B, so
-A^2 = diag(BB^T, B^TB) and tr((B^TB)^j) = tr((BB^T)^j): C_2j = 2 tr(G^j)
-for the n/2 x n/2 Gram matrix G = BB^T, and every odd C_k is 0.  The engine
-powers G to min(K/2, n/2) with primes for 2 (n/2) ((q+1)^2)^min(K/2, n/2),
-and the recurrence past n/2 has order n/2.  G's column sums are (q+1)^2,
-which must stay below 2^27: q+1 <= 11585.  closed_walk_counts remains the
-general route tr(A^k), for every graph.
+One routine, _walk_traces, runs the walk recurrence X_k = X_(k-1) A +
+w X_(k-2) for the census (w = 0, the traces of A^k) and for the operator
+check (w = -q, the Ihara-Bass companion), and alone decides the size: a
+connected bipartite graph, where A^2 = diag(BB^T, B^TB) for its
+biadjacency block B, runs it on the n/2 x n/2 Gram matrix BB^T while the
+column sums allow (q+1 <= 11585 at w = 0), and at full size past that.
+closed_walk_counts remains the general route tr(A^k), for every graph.
 
 Three exact routes to N_k are cross-checked in the test suite: a
 brute-force enumeration, the traces of the non-backtracking operator
-(through the n-wide top block row of its 2n x 2n Ihara-Bass companion, on
-the same engine; n/2-wide on the Gram matrix for a bipartite regular
-graph), and an exact conversion from C_k (two parity chains).  The float
-h_k of hk.hk_spectral check the census against the spectrum within
-hk.hk_spectral_budget.
+through its Ihara-Bass companion, and an exact conversion from C_k (two
+parity chains).  The float h_k of hk.hk_spectral check the census against
+the spectrum within hk.hk_spectral_budget.
 """
 
 from __future__ import annotations
@@ -69,7 +66,6 @@ class CycleCensus:
 
     c: tuple[int, ...]
     nk: tuple[int, ...]
-    horizon: int
 
 
 # the largest primes below PRIME_LIMIT, descending; _largest_primes extends
@@ -136,17 +132,13 @@ def _reduce(x: np.ndarray, prime: np.ndarray, inverse: np.ndarray,
 
 
 def integer_power_traces(m: np.ndarray, K: int) -> list[int]:
-    """Traces of m^1..m^K, exact, for any square integer matrix m of size s.
-
-    The first min(K, s) come from matrix powers (_recurrence_traces with no
-    weights); the traces past s follow exactly from the first s
-    (`extend_traces`).
-    """
-    return _traces(np.asarray(m), None, K, len(m))
+    """Traces of m^1..m^K, exact, for any square integer matrix m of size s:
+    the first min(K, s) from matrix powers (_recurrence_traces at weight 0),
+    and the rest from those by extend_traces."""
+    return _traces(np.asarray(m), 0, K, len(m))
 
 
-def _traces(a: np.ndarray, weight: np.ndarray | None, K: int,
-            size: int) -> list[int]:
+def _traces(a: np.ndarray, weight: int, K: int, size: int) -> list[int]:
     """The first K traces of _recurrence_traces(a, weight, .), which are
     those of the powers of an integer matrix of the given size: the
     recurrence runs min(K, size) steps and extend_traces gives the rest."""
@@ -156,21 +148,34 @@ def _traces(a: np.ndarray, weight: np.ndarray | None, K: int,
     return out if K <= size else extend_traces(out, K)
 
 
-def _recurrence_traces(a: np.ndarray, weight: np.ndarray | None,
-                       steps: int) -> list[int]:
-    """tr(X_k) + tr(X_(k-2) W) for k = 1..steps, exact, where X_(-1) = 0,
-    X_0 = I and X_k = X_(k-1) a + X_(k-2) W, for a square integer matrix a
-    of size s and W = diag(weight), integers (None: W = 0, and the traces
-    are those of a^k).
+def _plan(a: np.ndarray, weight: int, steps: int) -> tuple[int, int]:
+    """c, the largest absolute column sum of a, and the number P of primes
+    that _recurrence_traces(a, weight, steps) takes: enough for their
+    product to exceed twice the bound s max B_k on its traces tr(X_k), with
+    B_k = c B_(k-1) + |weight| B_(k-2), B_(-1) = 0 and B_0 = 1."""
+    c, d = int(np.abs(a).sum(axis=0).max(initial=0)), abs(weight)
+    if c + d >= COLUMN_SUM_LIMIT:
+        raise ValueError(f"largest absolute column sum {c + d} of the matrix "
+                         f"is not below 2^27; its powers cannot be taken "
+                         f"exactly in float64 residues")
+    bounds = [0, 1]  # B_(-1), B_0, ..., B_steps
+    for _ in range(steps):
+        bounds.append(c * bounds[-1] + d * bounds[-2])
+    return c, (2 * len(a) * max(bounds)).bit_length() // 25 + 1
 
-    With c the largest absolute column sum of a and d = max |weight|, the
-    entries of X_k are bounded by B_k = c B_(k-1) + d B_(k-2) (B_(-1) = 0,
-    B_0 = 1), so each trace by s (1 + d) max B_k, and they are recovered by
-    CRT from their residues modulo primes whose product M exceeds twice
-    that, taking the representative in (-M/2, M/2].  X_k is kept modulo
-    every prime at once: one (P*s) x s float64 array, multiplied by the
-    unreduced a (one GEMM per k), plus X_(k-2) with its columns scaled by
-    the weights, and reduced only now and then.
+
+def _recurrence_traces(a: np.ndarray, weight: int, steps: int) -> list[int]:
+    """tr(X_k) + weight tr(X_(k-2)) for k = 1..steps, exact, where
+    X_(-1) = 0, X_0 = I and X_k = X_(k-1) a + weight X_(k-2), for a square
+    integer matrix a of size s (at weight 0, the traces of a^k).
+
+    The entries of X_k are bounded by B_k (_plan, with c and d = |weight|),
+    so each tr(X_k) by s max B_k, and each is recovered by CRT from its
+    residues modulo _plan's primes as the representative in (-M/2, M/2], M
+    their product; the weighted sums are formed from those exact integers.
+    X_k is kept modulo every prime at once: one (P*s) x s float64 array,
+    multiplied by the unreduced a (one GEMM per k), plus weight X_(k-2),
+    and reduced only now and then.
 
     Exactness.  All values are integers held in float64, exact below 2^53.
     Every product and partial sum of a step is bounded by B_k too, so a step
@@ -183,27 +188,16 @@ def _recurrence_traces(a: np.ndarray, weight: np.ndarray | None,
     The largest prime is 2^26 - 5, so a reduced array has entries at most
     2^25 - 2, and a step takes reduced arrays to at most
     (2^25 - 2)(c + d) < 2^52 while c + d < 2^27 (COLUMN_SUM_LIMIT).  The
-    loop tracks B and reduces X_(k-1), and X_(k-2) when there are weights,
+    loop tracks B and reduces X_(k-1), and X_(k-2) at a nonzero weight,
     before a step only when B_k would pass 2^52 (every 17 GEMMs for a 0/1
     matrix of column sum 3), and B falls back to 2^25 - 2.  Every diagonal
-    (|x| <= 2^52) is reduced, each weighted diagonal entry of X_(k-2) W (at
-    most (2^25 - 2) d < 2^52) is reduced again, and each trace sums at most
-    2s reduced values, exactly; the CRT accepts any representative.
+    (|x| <= 2^52) is reduced, and each trace sums s reduced values,
+    exactly; the CRT accepts any representative.
     """
-    size, c = len(a), int(np.abs(a).sum(axis=0).max(initial=0))
-    d = 0 if weight is None else int(np.abs(weight).max(initial=0))
-    if c + d >= COLUMN_SUM_LIMIT:
-        raise ValueError(f"largest absolute column sum {c + d} of the matrix "
-                         f"is not below 2^27; its powers cannot be taken "
-                         f"exactly in float64 residues (a bipartite census "
-                         f"powers BB^T, whose column sums are (q+1)^2, so "
-                         f"it needs q+1 <= 11585)")
-    bounds = [0, 1]  # B_(-1), B_0, ..., B_steps
-    for _ in range(steps):
-        bounds.append(c * bounds[-1] + d * bounds[-2])
-    primes, modulus, basis = _crt_basis(
-        (2 * size * (1 + d) * max(bounds)).bit_length() // 25 + 1)
-    count, reduced_bound = len(primes), (primes[0] + 1) // 2
+    size, d = len(a), abs(weight)
+    c, count = _plan(a, weight, steps)
+    primes, modulus, basis = _crt_basis(count)
+    reduced_bound = (primes[0] + 1) // 2
     prime = np.array(primes, dtype=np.float64)[:, None]
     column = np.repeat(prime, size, axis=0)
     inverse, prime_inverse, factor = 1.0 / column, 1.0 / prime, a.astype(np.float64)
@@ -218,27 +212,22 @@ def _recurrence_traces(a: np.ndarray, weight: np.ndarray | None,
         if c * cur_bound + d * prev_bound > EXACT_LIMIT:
             _reduce(cur[0], column, inverse, out=buf[0])
             cur, buf = buf, cur
-            if weight is not None:
+            if weight:
                 _reduce(prev[0], column, inverse, out=buf[0])
                 prev, buf = buf, prev
             prev_bound = cur_bound = reduced_bound
         np.matmul(cur[0], factor, out=buf[0])
-        if weight is not None:
+        if weight:
             np.add(buf[0], np.multiply(prev[0], weight, out=prev[0]), out=buf[0])
         prev, cur, buf = cur, buf, prev
         prev_bound, cur_bound = cur_bound, c * cur_bound + d * prev_bound
         diagonals[k] = cur[1]
     diagonals = _reduce(diagonals, prime, prime_inverse, out=np.empty_like(diagonals))
-    traces = diagonals[1:].sum(axis=2)
-    if weight is not None:
-        weighted = diagonals[:-2] * weight
-        traces[1:] += _reduce(weighted, prime, prime_inverse,
-                              out=np.empty_like(weighted)).sum(axis=2)
-    out = []
-    for residues in traces.astype(np.int64).tolist():
+    traces = []  # tr(X_0) .. tr(X_steps)
+    for residues in diagonals.sum(axis=2).astype(np.int64).tolist():
         value = sum(map(operator.mul, residues, basis)) % modulus
-        out.append(value - modulus if 2 * value > modulus else value)
-    return out
+        traces.append(value - modulus if 2 * value > modulus else value)
+    return [t + weight * u for t, u in zip(traces[1:], [0] + traces)]
 
 
 def characteristic_polynomial(head: Sequence[int]) -> list[int]:
@@ -278,19 +267,54 @@ def extend_traces(head: Sequence[int], K: int) -> list[int]:
     return p
 
 
-def _gram_traces(a: np.ndarray, part, K: int, shift: int = 0,
-                 weight: np.ndarray | None = None, size: int = 0) -> list[int]:
-    """0 at odd k and 2 T_j at k = 2j <= K, T_j the j-th of _traces(G -
-    shift I, weight, ., size or that of G), for the n/2 x n/2 Gram matrix
-    G = a[part] a[part]^T of a bipartite graph's colour class part: BB^T or
-    B^TB, whose traces are equal.  One float64 GEMM, exact as its entries
-    are at most (q+1)^2; the copy keeps numpy from sending x @ x.T to BLAS
-    syrk, whose first call raised the peak resident memory by about 0.2 MB
-    (OpenBLAS 0.3.31)."""
-    rows = a[part, :].astype(np.float64)
-    gram = (rows @ rows.T.copy() - shift * np.eye(len(rows))).astype(np.int64)
-    half = _traces(gram, weight, K // 2, size or len(rows))
-    return [0 if k % 2 else 2 * half[k // 2 - 1] for k in range(1, K + 1)]
+def _walk_matrix(g: Multigraph, weight: int) -> tuple[np.ndarray, int, int, bool]:
+    """The matrix, weight and companion size that _walk_traces(g, ., weight)
+    hands to the engine, and whether they are the half-size plan.  The Gram
+    matrix is one float64 GEMM, exact as its entries are at most (q+1)^2;
+    the copy keeps numpy from sending x @ x.T to BLAS syrk, whose first call
+    raised the peak resident memory by about 0.2 MB (OpenBLAS 0.3.31).
+    G's columns sum to (q+1)^2 at most and a regular graph's diagonal is at
+    least q+1, so the engine's c + d is at most (q+1)q + |q+1+2w| + w^2."""
+    a, parts, q = adjacency_matrix(g), g.bipartition, max(g.valencies) - 1
+    if (parts is None or (q + 1) * q + abs(q + 1 + 2 * weight) + weight ** 2
+            >= COLUMN_SUM_LIMIT):
+        return a, weight, (2 if weight else 1) * g.n, False
+    rows = a[parts[0], :].astype(np.float64)
+    gram = rows @ rows.T.copy() + 2 * weight * np.eye(len(rows))
+    return gram.astype(np.int64), -weight ** 2, (2 if weight else 1) * len(rows), True
+
+
+def _walk_traces(g: Multigraph, K: int, weight: int = 0) -> list[int]:
+    """tr(X_k) + w tr(X_(k-2)) for k = 1..K, exact, for X_k = X_(k-1) A +
+    w X_(k-2) from X_(-1) = 0 and X_0 = I: at w = 0 the traces of A^k, at
+    w = -q those of the Ihara-Bass companion M = [[A, -qI], [I, 0]], whose
+    top block row of M^k is [X_k, -q X_(k-1)].
+
+    X_k = V_k(A) with V_k = x V_(k-1) + w V_(k-2), odd for odd k, and for
+    even k V_k = (x^2 + 2w) V_(k-2) - w^2 V_(k-4).  So on a connected
+    bipartite graph, where A^2 = diag(BB^T, B^TB) has two blocks of one
+    spectrum, odd traces are 0 and the trace at k = 2j is 2 T_j, T_j those
+    of the same recurrence on G + 2wI at weight -w^2, G = BB^T, whose
+    companion has size n/2 at w = 0 and n otherwise.  That runs while the
+    engine's c + d bound (_walk_matrix) is below 2^27: q+1 <= 11585 at
+    w = 0, q <= 8191 at w = -q; other graphs run on A, of companion size n
+    or 2n.  The engine takes min(K, size) steps (K/2 at half size) and
+    extend_traces gives the rest.
+    """
+    a, w, size, half = _walk_matrix(g, weight)
+    if not half:
+        return _traces(a, w, K, size)
+    t = _traces(a, w, K // 2, size)
+    return [0 if k % 2 else 2 * t[k // 2 - 1] for k in range(1, K + 1)]
+
+
+def census_work(g: Multigraph, K: int) -> int:
+    """steps x P x s^3 of build_census(g, ., K): its matrix-power steps, CRT
+    prime count and matrix size, read from the plan _walk_traces follows;
+    the census's time grows about in proportion (cli's cost note)."""
+    a, _, size, half = _walk_matrix(g, 0)
+    steps = min(K // 2 if half else K, size)
+    return steps * _plan(a, 0, steps)[1] * size ** 3
 
 
 def closed_walk_counts(g: Multigraph, K: int) -> list[int]:
@@ -329,44 +353,22 @@ def nonbacktracking_matrix(g: Multigraph) -> np.ndarray:
 
 def geodesic_cycles_operator(g: Multigraph, K: int) -> list[int]:
     """N_1..N_K as traces of powers of the non-backtracking operator B,
-    exact integers, taken on its 2n x 2n Ihara-Bass companion.
+    exact integers, for a regular graph g (ValueError otherwise).
 
     Ihara-Bass (Bass 1992; Kotani-Sunada 2000) gives det(I - uB) =
     (1 - u^2)^(m-n) det(I - uM) with M = [[A, I - D], [I, 0]], D the
     diagonal of degrees.  Taking -log of both sides and comparing the
-    coefficients of u^k/k, tr(B^k) = tr(M^k) + (m - n)(1 + (-1)^k).
-
-    M is never formed.  The top block row of M^k is [X_k, X_(k-1)(I - D)],
-    X_k = X_(k-1) A + X_(k-2)(I - D) from X_(-1) = 0 and X_0 = I, and its
-    bottom block row is the top row of M^(k-1), so tr(M^k) = tr(X_k) +
-    tr(X_(k-2)(I - D)): one n-wide GEMM and one column scaling per step, to
-    min(K, 2n), and extend_traces past the size 2n of M.  D may be any
-    diagonal of degrees.  Exactness is _recurrence_traces's argument with
-    weights 1 - deg: entries of X_k at most B_k = c B_(k-1) + d B_(k-2), c
-    the largest degree and d = max |1 - deg|, reduced before B_k passes 2^52.
-
-    A connected bipartite (q+1)-regular graph runs at half size.  There
-    I - D = -qI, so X_k = V_k(A) with V_k = x V_(k-1) - q V_(k-2): odd for
-    odd k, where a bipartite spectrum gives tr(M^k) = 0, and for even k
-    V_k = (x^2 - 2q) V_(k-2) - q^2 V_(k-4).  As A^2 = diag(BB^T, B^TB) has
-    two equal-sized blocks of one spectrum, tr(M^2j) = 2 [tr Y_j -
-    q^2 tr Y_(j-2)] with Y_j = Y_(j-1)(G - 2qI) - q^2 Y_(j-2), G the census's
-    Gram matrix (_gram_traces): the engine with weights -q^2, to min(K/2, n)
-    steps, and extend_traces past that companion's size n.  The engine needs
-    c + d = 2q^2 + 2q - 1 below 2^27, q <= 8191; other graphs take the full
-    size.
+    coefficients of u^k/k, tr(B^k) = tr(M^k) + (m - n)(1 + (-1)^k), and on
+    a (q+1)-regular graph I - D = -qI: tr(M^k) is _walk_traces at -q.
     """
     if K < 1:
         raise ValueError("horizon must be >= 1")
-    a, q, parts = adjacency_matrix(g), g.valencies[0] - 1, g.bipartition
-    if (parts is None or len(set(g.valencies)) > 1
-            or 2 * q * (q + 1) > COLUMN_SUM_LIMIT):
-        out = _traces(a, 1 - a.sum(axis=1), K, 2 * g.n)
-    else:
-        out = _gram_traces(a, parts[0], K, 2 * q, np.full(g.n // 2, -q * q), g.n)
+    if len(set(g.valencies)) > 1:
+        raise ValueError("the operator traces need a regular graph; "
+                         f"valencies range over {min(g.valencies)}..{max(g.valencies)}")
     excess = g.edge_count - g.n
     return [t + (2 * excess if k % 2 == 0 else 0)
-            for k, t in enumerate(out, start=1)]
+            for k, t in enumerate(_walk_traces(g, K, 1 - g.valencies[0]), start=1)]
 
 
 def brute_force_cost(g: Multigraph, k: int) -> int:
@@ -422,24 +424,10 @@ def nk_from_ck(c: Sequence[int], q: int, n: int, K: int) -> tuple[int, ...]:
 
 
 def build_census(g: Multigraph, q: int, K: int) -> CycleCensus:
-    """Exact census to horizon K: C_k by matrix powers and, past the matrix
-    size, the Cayley-Hamilton recurrence; N_k by the exact conversion from
-    C_k.
-
-    A nonbipartite graph powers A itself (closed_walk_counts).  A connected
-    bipartite graph (g.bipartition) powers the n/2 x n/2 Gram matrix
-    G = BB^T of its biadjacency block B = A[part0, part1] (_gram_traces):
-    C_2j = 2 tr(G^j) and odd C_k = 0.  The engine bounds tr(G^j) by
-    (n/2) ((q+1)^2)^j and takes primes for twice that bound at
-    j = min(K/2, n/2).  G's column sums
-    are (q+1)^2, which the engine requires below 2^27 (COLUMN_SUM_LIMIT), so
-    a bipartite census needs q+1 <= 11585 and raises ValueError past it.
-    """
+    """Exact census to horizon K: C_k as the traces of A^k (_walk_traces at
+    weight 0, at half size on a connected bipartite graph's Gram matrix
+    while q+1 <= 11585), and N_k by the exact conversion from C_k."""
     if K < 1:
         raise ValueError("horizon must be >= 1")
-    parts = g.bipartition
-    if parts is None:
-        c = closed_walk_counts(g, K)
-    else:
-        c = [g.n] + _gram_traces(adjacency_matrix(g), parts[0], K)
-    return CycleCensus(c=tuple(c), nk=nk_from_ck(c, q, g.n, K), horizon=K)
+    c = [g.n] + _walk_traces(g, K)
+    return CycleCensus(c=tuple(c), nk=nk_from_ck(c, q, g.n, K))

@@ -21,7 +21,7 @@ import os
 import sys
 
 from .analysis import estimate_max_eigenvalue
-from .census import (BruteForceBudgetExceeded, build_census,
+from .census import (BruteForceBudgetExceeded, build_census, census_work,
                      characteristic_polynomial, geodesic_cycles_bruteforce)
 from .graphs import (GraphError, Multigraph, adjacency_matrix, parse_generator,
                      profile, read_edge_list, write_edge_list)
@@ -39,8 +39,12 @@ EXIT_INTERNAL = 3
 
 # h_k routes of the series subcommand, in CSV column order
 SERIES_ROUTES = ["spectral", "ck", "series"]
-# a census of more matrix-power steps than this prints a cost note on stderr
-COSTLY_HORIZON = 100
+# a census of more work (census.census_work: steps x primes x size^3) prints
+# a cost note on stderr.  build_census takes 5-10e-11 s a unit at size >= 60
+# (x86-64, one BLAS thread): 5.2e8 units and 30 ms for cycle:101 at K = 101,
+# 9.6e9 and 0.61 s for circulant:150:1,2,3,50 at K = 150, 1.5e10 and 0.79 s
+# for cycle:201 at K = 200, 2.2e10 and 1.9 s for complete:150 at K = 150
+COSTLY_WORK = 10 ** 10
 
 
 def _load_graph(source: str) -> Multigraph:
@@ -65,11 +69,9 @@ def _check_out(out: str | None) -> None:
 
 def _cost_note(g: Multigraph, K: int, what: str | None = None) -> None:
     """Say on stderr that what (by default "--k K") is costly when the census
-    of g to horizon K takes more than COSTLY_HORIZON matrix-power steps:
-    min(K, n) on A, or min(K/2, n/2) on the n/2 x n/2 Gram matrix of a
-    bipartite graph (build_census).  Called where a census runs."""
-    steps = min(K, g.n) if g.bipartition is None else min(K // 2, g.n // 2)
-    if steps > COSTLY_HORIZON:
+    of g to horizon K does more than COSTLY_WORK units of work
+    (census_work).  Called where a census runs."""
+    if census_work(g, K) > COSTLY_WORK:
         print(f"note: {what or f'--k {K}'} is costly; census entries grow "
               "like (q+1)^k", file=sys.stderr)
 
@@ -169,8 +171,7 @@ def cmd_zeta(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     prof = profile(g)
     q, n = prof.q, g.n
-    _cost_note(g, n, f"the census to n/2 = {n // 2}" if prof.bipartite
-               else f"the census to n = {n}")
+    _cost_note(g, n, f"the census to n = {n}")
     chi = characteristic_polynomial(build_census(g, q, n).c[1:])
     payload = {"schema": SCHEMA_VERSION, "source": args.input,
                "det_coefficients": [str(d) for d in bass_determinant(chi, q)],

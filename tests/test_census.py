@@ -316,17 +316,17 @@ def test_operator_block_form_matches_operator_matrix(spec, K):
 
 
 def test_operator_block_form_irregular_multigraph():
-    # a path 0-1-2-3 with a loop at 0: degrees 3, 2, 2, 1, so the weights
-    # 1 - deg are -2, -1, -1 and 0, no multiple of one another
+    # a path 0-1-2-3 with a loop at 0: degrees 3, 2, 2, 1.  Ihara-Bass
+    # would need the weights 1 - deg, and the operator route takes only the
+    # scalar -q of a regular graph
     g = Multigraph(4, ((0, 0), (0, 1), (1, 2), (2, 3)))
-    for K in (1, 2, 7, 8, 9, 30):
-        assert (geodesic_cycles_operator(g, K)
-                == integer_power_traces(nonbacktracking_matrix(g), K))
+    with pytest.raises(ValueError, match="regular"):
+        geodesic_cycles_operator(g, 9)
 
 
-def _operator_with_matrix_sizes(monkeypatch, g, K):
-    # geodesic_cycles_operator(g, K) and the size of every matrix it hands
-    # to the recurrence engine: n/2 on the half-size path, n on the full one
+def _with_matrix_sizes(monkeypatch, route, g, K):
+    # route(g, K) and the size of every matrix it hands to the recurrence
+    # engine: n/2 on the half-size path, n on the full one
     sizes = []
     engine = census_mod._recurrence_traces
 
@@ -336,7 +336,7 @@ def _operator_with_matrix_sizes(monkeypatch, g, K):
 
     with monkeypatch.context() as patch:
         patch.setattr(census_mod, "_recurrence_traces", recording)
-        return geodesic_cycles_operator(g, K), sizes
+        return route(g, K), sizes
 
 
 @lru_cache(maxsize=None)
@@ -353,7 +353,7 @@ def test_operator_half_size_matches_nonbacktracking_traces(name, monkeypatch):
     g = get_graph(name)
     reference = _nonbacktracking_traces(name, 2 * g.n + 3)
     for K in (1, 2, 3, g.n - 1, g.n, g.n + 1, 2 * g.n + 1, 2 * g.n + 3):
-        out, sizes = _operator_with_matrix_sizes(monkeypatch, g, K)
+        out, sizes = _with_matrix_sizes(monkeypatch, geodesic_cycles_operator, g, K)
         assert out == reference[:K]
         assert sizes == ([] if K == 1 else [g.n // 2])
 
@@ -365,34 +365,53 @@ def test_operator_half_size_column_sum_limit(multiplicity, half_size, monkeypatc
     # takes the full-size recurrence, and both still match the census
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)] * multiplicity)
     q = profile(g).q
-    out, sizes = _operator_with_matrix_sizes(monkeypatch, g, 6)
+    out, sizes = _with_matrix_sizes(monkeypatch, geodesic_cycles_operator, g, 6)
     assert out == list(build_census(g, q, 6).nk)
     assert sizes == ([2] if half_size else [4])
 
 
+@pytest.mark.parametrize("a, b, half_size", [
+    (5792, 5792, True), (5792, 5793, True), (5793, 5793, False)],
+    ids=["q+1=11584", "q+1=11585", "q+1=11586"])
+def test_census_half_size_column_sum_limit(a, b, half_size, monkeypatch):
+    # a 4-cycle with edges 01, 23 taken a times and 12, 30 b times, so
+    # q+1 = a + b: the Gram matrix BB^T has column sums (q+1)^2, below 2^27
+    # up to q+1 = 11585; past it the census powers A itself, and both match
+    # the general route
+    g = build_graph(4, [(0, 1), (2, 3)] * a + [(1, 2), (3, 0)] * b)
+    q = profile(g).q
+    c, sizes = _with_matrix_sizes(
+        monkeypatch, lambda g, K: build_census(g, q, K).c, g, 9)
+    assert c == tuple(closed_walk_counts(g, 9))
+    assert sizes == ([2] if half_size else [4])
+    assert geodesic_cycles_operator(g, 9) == list(build_census(g, q, 9).nk)
+
+
 def test_operator_full_size_off_bipartite_regular(monkeypatch):
-    # nonbipartite graphs and irregular bipartite multigraphs keep the
-    # 2n-wide companion recurrence
+    # a nonbipartite graph keeps the 2n-wide companion recurrence, and an
+    # irregular bipartite multigraph has no scalar weight -q
+    g = get_graph("petersen")
+    out, sizes = _with_matrix_sizes(monkeypatch, geodesic_cycles_operator, g, 9)
+    assert out == integer_power_traces(nonbacktracking_matrix(g), 9)
+    assert sizes == [g.n]
     irregular = Multigraph(4, ((0, 1), (0, 1), (1, 2), (2, 3)))
     assert irregular.bipartition is not None
-    for g in (get_graph("petersen"), irregular):
-        out, sizes = _operator_with_matrix_sizes(monkeypatch, g, 9)
-        assert out == integer_power_traces(nonbacktracking_matrix(g), 9)
-        assert sizes == [g.n]
+    with pytest.raises(ValueError, match="regular"):
+        geodesic_cycles_operator(irregular, 9)
 
 
 def _reference_recurrence_traces(a, weight, K):
-    # X_k = X_(k-1) a + X_(k-2) diag(weight) in Python integers, from
-    # X_(-1) = 0 and X_0 = I; the traces of X_k + X_(k-2) diag(weight)
+    # X_k = X_(k-1) a + weight X_(k-2) in Python integers, from X_(-1) = 0
+    # and X_0 = I; the traces of X_k + weight X_(k-2)
     size = len(a)
     a = [[int(v) for v in row] for row in a]
     prev = [[0] * size for _ in range(size)]
     cur = [[int(i == j) for j in range(size)] for i in range(size)]
     traces = []
     for _ in range(K):
-        nxt = [[sum(cur[i][l] * a[l][j] for l in range(size)) + prev[i][j] * int(weight[j])
+        nxt = [[sum(cur[i][l] * a[l][j] for l in range(size)) + weight * prev[i][j]
                 for j in range(size)] for i in range(size)]
-        traces.append(sum(nxt[i][i] + prev[i][i] * int(weight[i]) for i in range(size)))
+        traces.append(sum(nxt[i][i] + weight * prev[i][i] for i in range(size)))
         prev, cur = cur, nxt
     return traces
 
@@ -403,9 +422,7 @@ def test_recurrence_traces_with_large_weights(largest_weight):
     # bound's d B_(k-2) term decides when both arrays are reduced
     rng = np.random.default_rng(largest_weight)
     a = rng.integers(-3, 4, size=(6, 6))
-    d = min(2 ** 27 - 1 - int(np.abs(a).sum(axis=0).max()), largest_weight)
-    weight = rng.integers(-d, d + 1, size=6)
-    weight[0] = -d
+    weight = -min(2 ** 27 - 1 - int(np.abs(a).sum(axis=0).max()), largest_weight)
     assert census_mod._recurrence_traces(a, weight, 30) == \
         _reference_recurrence_traces(a, weight, 30)
 

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 import iharazeta
+import iharazeta.cli as cli_mod
 import iharazeta.report as report_mod
 
-from iharazeta.census import extend_traces
+from iharazeta.census import census_work, extend_traces
 from iharazeta.cli import main
+from iharazeta.graphs import parse_generator
 from iharazeta.report import report_to_json
 
 
@@ -208,6 +210,20 @@ def test_analyze_not_regular_exit(tmp_path, capsys):
     path.write_text("0 1\n0 2\n0 3\n")
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 2
+
+
+def test_bipartite_census_past_gram_column_sum_limit(tmp_path, capsys):
+    # a 4-cycle with every edge 5793 times: q+1 = 11586, where the Gram
+    # matrix's column sums (q+1)^2 pass 2^27 and the census powers A itself;
+    # A's spectrum is 11586, 0, 0, -11586
+    path = tmp_path / "heavy4.edges"
+    path.write_text("n 4\n" + "".join(f"{i} {(i + 1) % 4}\n" * 5793
+                                       for i in range(4)))
+    census = run_json(capsys, "census", str(path), "--k", "6")
+    assert census["c"] == ["4"] + [str(2 * 11586 ** k if k % 2 == 0 else 0)
+                                   for k in range(1, 7)]
+    code, _, err = run(capsys, "zeta", str(path))
+    assert (code, err) == (0, "")
 
 
 def test_census_k4(capsys):
@@ -475,59 +491,71 @@ def test_k_cap(capsys):
     assert "200" in err
 
 
+def _k_note(k):
+    return f"note: --k {k} is costly; census entries grow like (q+1)^k\n"
+
+
 def test_k_cost_warning(capsys):
-    code, _, err = run(capsys, "census", "cycle:101", "--k", "120")
-    assert code == 0
-    assert err == ("note: --k 120 is costly; census entries grow like "
-                   "(q+1)^k\n")
-    code, _, err = run(capsys, "census", "cycle:101", "--k", "100")
-    assert (code, err) == (0, "")
-    code, _, err = run(capsys, "estimate", "cycle:101", "--k", "120")
-    assert (code, err) == (0, "")
+    # the note goes by census_work, steps x primes x size^3, against
+    # COSTLY_WORK; no census runs here.  cycle:101 at K = 101 (5.2e8 units)
+    # and circulant:101:1,7,19 at K = 100 (1.1e9) took 30 and 66 ms, where
+    # complete:150 at K = 150 (2.2e10) took 1.9 s
+    cases = [("cycle:101", 101, 5 * 101 ** 4, False),
+             ("circulant:101:1,7,19", 100, 11 * 100 * 101 ** 3, False),
+             ("complete:60", 200, 15 * 60 ** 4, False),
+             ("hypercube:7", 200, 15 * 64 ** 4, False),
+             ("cycle:202", 202, 9 * 101 ** 4, False),
+             ("cycle:201", 200, 9 * 200 * 201 ** 3, True),
+             ("complete:150", 150, 44 * 150 ** 4, True)]
+    for spec, K, work, noted in cases:
+        g = parse_generator(spec)
+        assert census_work(g, K) == work
+        assert (work > cli_mod.COSTLY_WORK) == noted
+        cli_mod._cost_note(g, K)
+        assert capsys.readouterr().err == (_k_note(K) if noted else "")
     # the census of complete:4 takes 4 matrix-power steps at any K
     code, _, err = run(capsys, "census", "complete:4", "--k", "120")
     assert (code, err) == (0, "")
 
 
-# the cost note appears exactly where a census takes more than 100
-# matrix-power steps: min(K, n), or min(K/2, n/2) on a bipartite graph's
-# Gram matrix, so that --k (at most 200) never gives it on a bipartite graph
-K_NOTE = "note: --k 101 is costly; census entries grow like (q+1)^k\n"
-N_NOTE = "note: the census to n = 101 is costly; census entries grow like (q+1)^k\n"
+def _n_note(n):
+    return f"note: the census to n = {n} is costly; census entries grow like (q+1)^k\n"
+
+
+# every census that a command runs is costly when COSTLY_WORK is -1, so the
+# note appears exactly where a census runs (test_k_cost_warning checks the
+# real bound); --k notes name the horizon, zeta's the census to n
 CENSUS_RUNS = (["analyze"], ["check"], ["census"], ["series", "--route", "ck"],
                ["series"])
 COST_NOTES = (
-    [([cmd, "cycle:101", "--k", "101", *rest], K_NOTE)
+    [([cmd, graph, "--k", k, *rest], _k_note(k))
+     for graph, k in (("cycle:101", "101"), ("cycle:101", "100"),
+                      ("prism:24", "150"), ("complete:30", "150"),
+                      ("complete:4", "101"))
      for cmd, *rest in CENSUS_RUNS]
-    + [([cmd, "cycle:101", "--k", "100", *rest], "")
-       for cmd, *rest in CENSUS_RUNS]
-    + [([cmd, graph, "--k", "150", *rest], "")
-       for graph in ("prism:24", "complete:30") for cmd, *rest in CENSUS_RUNS]
-    + [([cmd, "complete:4", "--k", "101", *rest], "")
-       for cmd, *rest in CENSUS_RUNS]
     + [
-        (["census", "complete:4", "--k", "100"], ""),
+        (["census", "complete:4", "--k", "100"], _k_note(100)),
         (["series", "cycle:101", "--k", "101", "--route", "spectral"], ""),
         (["series", "cycle:101", "--k", "101", "--route", "series"], ""),
         (["series", "complete:4", "--k", "101", "--route", "spectral"], ""),
         (["series", "complete:4", "--k", "101", "--route", "series"], ""),
         (["estimate", "cycle:101", "--k", "200"], ""),
         (["estimate", "complete:4", "--k", "200"], ""),
-        (["zeta", "cycle:101"], N_NOTE),
-        (["zeta", "cycle:100"], ""),
-        # a bipartite graph powers its n/2 x n/2 Gram matrix: the note goes by n/2
-        (["zeta", "hypercube:7"], ""),
-        (["zeta", "prism:100"], ""),
-        (["zeta", "circulant:200:1,5,17"], ""),
-        (["zeta", "cycle:102"], ""),
-        (["zeta", "cycle:200"], ""),
-        (["zeta", "cycle:202"], N_NOTE.replace("n = 101", "n/2 = 101")),
+        (["zeta", "cycle:101"], _n_note(101)),
+        (["zeta", "cycle:100"], _n_note(100)),
+        (["zeta", "hypercube:7"], _n_note(128)),
+        (["zeta", "prism:100"], _n_note(200)),
+        (["zeta", "circulant:200:1,5,17"], _n_note(200)),
+        (["zeta", "cycle:102"], _n_note(102)),
+        (["zeta", "cycle:200"], _n_note(200)),
+        (["zeta", "cycle:202"], _n_note(202)),
     ])
 
 
 @pytest.mark.parametrize("argv, note", COST_NOTES,
                          ids=[" ".join(argv) for argv, _ in COST_NOTES])
-def test_cost_note_where_a_census_runs(capsys, argv, note):
+def test_cost_note_where_a_census_runs(monkeypatch, capsys, argv, note):
+    monkeypatch.setattr(cli_mod, "COSTLY_WORK", -1)
     code, _, err = run(capsys, *argv)
     assert (code, err) == (0, note)
 

@@ -116,7 +116,7 @@ def test_hk_budget_rejects_off_by_one_census(monkeypatch, spec, shift):
             census = real(g, q, K)
             nk = list(census.nk)
             nk[k - 1] += shift
-            return CycleCensus(c=census.c, nk=tuple(nk), horizon=census.horizon)
+            return CycleCensus(c=census.c, nk=tuple(nk))
 
         monkeypatch.setattr(report_mod, "build_census", corrupted)
         monkeypatch.setattr(report_mod, "OPERATOR_CROSSCHECK_SIZE_LIMIT",
@@ -134,7 +134,7 @@ def test_bipartite_census_with_an_odd_closed_walk_is_rejected(monkeypatch, k):
         census = real(g, q, K)
         c = list(census.c)
         c[k] += 2
-        return CycleCensus(c=tuple(c), nk=census.nk, horizon=census.horizon)
+        return CycleCensus(c=tuple(c), nk=census.nk)
 
     monkeypatch.setattr(report_mod, "build_census", corrupted)
     with pytest.raises(InternalConsistencyError, match=f"odd length k={k}$"):
@@ -174,7 +174,7 @@ def test_consistency_trap_fires(monkeypatch):
         census = real(g, q, K)
         bad_nk = list(census.nk)
         bad_nk[2] += 1
-        return CycleCensus(c=census.c, nk=tuple(bad_nk), horizon=census.horizon)
+        return CycleCensus(c=census.c, nk=tuple(bad_nk))
 
     monkeypatch.setattr(report_mod, "build_census", corrupted)
     with pytest.raises(InternalConsistencyError):
