@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Print a sha256 digest of every output of eight `ihara` commands per graph.
+"""Print a sha256 digest of every output of nine `ihara` commands per graph.
 
 One line per (command, graph): the command's label, the graph, the sha256
 of what it wrote to stdout, the sha256 of what it wrote to stderr, and its
-exit code.  The commands are `analyze --k 50 --no-timings`, `census --k 50`,
-`series --k 50` as csv and as json, `series --k 200` as csv, `check --k 50`,
-`estimate --k 100` and `zeta`; the graphs are those given, or else the
-24-graph ladder of check_ladder.py and complete:4.  Each command runs in
-this process through iharazeta.cli.main, so two checkouts print the same
-lines exactly when their outputs are byte-identical:
+exit code.  The commands are `analyze --k 50 --no-timings` and `--k 200
+--no-timings`, `census --k 50`, `series --k 50` as csv and as json,
+`series --k 200` as csv, `check --k 50`, `estimate --k 100` and `zeta`;
+the graphs are those given, or else the 24-graph ladder of check_ladder.py
+and complete:4.  Each command runs in this process through
+iharazeta.cli.main, so two checkouts print the same lines exactly when
+their outputs are byte-identical:
 
     python scripts/output_digests.py > before.txt   # in one checkout
     python scripts/output_digests.py > after.txt    # in the other
@@ -32,6 +33,7 @@ from iharazeta.cli import main as ihara  # noqa: E402
 
 COMMANDS = (
     ("analyze", ["analyze", "--k", "50", "--no-timings"]),
+    ("analyze-k200", ["analyze", "--k", "200", "--no-timings"]),
     ("census", ["census", "--k", "50"]),
     ("series-csv", ["series", "--k", "50"]),
     ("series-json", ["series", "--k", "50", "--format", "json"]),

@@ -18,13 +18,11 @@ size, Newton's identities turn the first s traces into the exact integer
 characteristic polynomial, every division checked to be exact, and
 Cayley-Hamilton gives each later trace as an integer recurrence.
 
-One routine, _walk_traces, runs the walk recurrence X_k = X_(k-1) A +
-w X_(k-2) for the census (w = 0, the traces of A^k) and for the operator
-check (w = -q, the Ihara-Bass companion), and alone decides the size: a
-connected bipartite graph, where A^2 = diag(BB^T, B^TB) for its
-biadjacency block B, runs it on the n/2 x n/2 Gram matrix BB^T while the
-column sums allow (q+1 <= 11585 at w = 0), and at full size past that.
-closed_walk_counts remains the general route tr(A^k), for every graph.
+walk_plan alone plans the walk recurrence X_k = X_(k-1) A + w X_(k-2) for
+the census (w = 0) and the operator traces (w = -q): size, steps, primes.
+Given one prime, a plan takes all K steps modulo it: report.analyze checks
+every census N_k so, modulo CHECK_PRIME.  closed_walk_counts remains the
+general route tr(A^k), for every graph.
 
 Three exact routes to N_k are cross-checked in the test suite: a
 brute-force enumeration, the traces of the non-backtracking operator
@@ -54,6 +52,8 @@ PRIME_LIMIT = 2 ** 26
 COLUMN_SUM_LIMIT = 2 ** 27
 EXACT_LIMIT = 2 ** 52
 BRUTE_FORCE_BUDGET = 10 ** 8
+# the largest prime below 2^25, so below every census prime (all > 2^25)
+CHECK_PRIME = 33554393
 
 
 class BruteForceBudgetExceeded(RuntimeError):
@@ -66,6 +66,21 @@ class CycleCensus:
 
     c: tuple[int, ...]
     nk: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class Plan:
+    """X_k = X_(k-1) matrix + weight X_(k-2) for `steps` steps modulo the
+    descending `primes`, on a companion of `size`; column_sum is the largest
+    absolute one, and `half` marks a bipartite graph's Gram matrix."""
+
+    matrix: np.ndarray
+    weight: int
+    steps: int
+    size: int
+    primes: tuple[int, ...]
+    column_sum: int
+    half: bool = False
 
 
 # the largest primes below PRIME_LIMIT, descending; _largest_primes extends
@@ -107,14 +122,12 @@ def _largest_primes(count: int) -> list[int]:
 
 
 @functools.cache
-def _crt_basis(count: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-    """The `count` largest primes below 2^26, their product M, and the CRT
-    basis e_i = (M/p_i) * ((M/p_i)^-1 mod p_i), so that sum r_i e_i mod M is
-    the integer that is r_i modulo every p_i."""
-    primes = _largest_primes(count)
+def _crt_basis(primes: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The product M of the primes and the CRT basis e_i = (M/p_i) *
+    ((M/p_i)^-1 mod p_i), so that sum r_i e_i mod M is the integer that is
+    r_i modulo every p_i."""
     modulus = math.prod(primes)
-    basis = tuple(modulus // p * pow(modulus // p, -1, p) for p in primes)
-    return tuple(primes), modulus, basis
+    return modulus, tuple(modulus // p * pow(modulus // p, -1, p) for p in primes)
 
 
 def _reduce(x: np.ndarray, prime: np.ndarray, inverse: np.ndarray,
@@ -135,44 +148,47 @@ def integer_power_traces(m: np.ndarray, K: int) -> list[int]:
     """Traces of m^1..m^K, exact, for any square integer matrix m of size s:
     the first min(K, s) from matrix powers (_recurrence_traces at weight 0),
     and the rest from those by extend_traces."""
-    return _traces(np.asarray(m), 0, K, len(m))
+    return _traces(_plan(np.asarray(m), 0, K), K)
 
 
-def _traces(a: np.ndarray, weight: int, K: int, size: int) -> list[int]:
-    """The first K traces of _recurrence_traces(a, weight, .), which are
-    those of the powers of an integer matrix of the given size: the
-    recurrence runs min(K, size) steps and extend_traces gives the rest."""
-    if K < 1:
-        return []
-    out = _recurrence_traces(a, weight, min(K, size))
-    return out if K <= size else extend_traces(out, K)
+def _traces(plan: Plan, K: int) -> list[int]:
+    """The plan's traces, continued to K by extend_traces (exact plans)."""
+    out = _recurrence_traces(plan) if K > 0 else []
+    return out if K <= plan.steps else extend_traces(out, K)
 
 
-def _plan(a: np.ndarray, weight: int, steps: int) -> tuple[int, int]:
-    """c, the largest absolute column sum of a, and the number P of primes
-    that _recurrence_traces(a, weight, steps) takes: enough for their
-    product to exceed twice the bound s max B_k on its traces tr(X_k), with
-    B_k = c B_(k-1) + |weight| B_(k-2), B_(-1) = 0 and B_0 = 1."""
+def _plan(a: np.ndarray, weight: int, K: int, prime: int | None = None,
+          half: bool = False) -> Plan:
+    """The Plan of X_k = X_(k-1) a + weight X_(k-2) to its K-th trace: all K
+    steps modulo a given prime, or else min(K, s) steps, s the companion
+    size, and enough primes for their product to exceed twice the bound
+    len(a) max B_k on tr(X_k), B_k = c B_(k-1) + |weight| B_(k-2) from
+    B_(-1) = 0 and B_0 = 1, with c the largest absolute column sum."""
     c, d = int(np.abs(a).sum(axis=0).max(initial=0)), abs(weight)
     if c + d >= COLUMN_SUM_LIMIT:
         raise ValueError(f"largest absolute column sum {c + d} of the matrix "
                          f"is not below 2^27; its powers cannot be taken "
                          f"exactly in float64 residues")
+    size = (2 if weight else 1) * len(a)
+    if prime:
+        return Plan(a, weight, K, size, (prime,), c, half)
+    steps = min(K, size)
     bounds = [0, 1]  # B_(-1), B_0, ..., B_steps
     for _ in range(steps):
         bounds.append(c * bounds[-1] + d * bounds[-2])
-    return c, (2 * len(a) * max(bounds)).bit_length() // 25 + 1
+    count = (2 * len(a) * max(bounds)).bit_length() // 25 + 1
+    return Plan(a, weight, steps, size, tuple(_largest_primes(count)), c, half)
 
 
-def _recurrence_traces(a: np.ndarray, weight: int, steps: int) -> list[int]:
-    """tr(X_k) + weight tr(X_(k-2)) for k = 1..steps, exact, where
-    X_(-1) = 0, X_0 = I and X_k = X_(k-1) a + weight X_(k-2), for a square
-    integer matrix a of size s (at weight 0, the traces of a^k).
+def _recurrence_traces(plan: Plan) -> list[int]:
+    """tr(X_k) + weight tr(X_(k-2)) for k = 1..steps, where X_(-1) = 0,
+    X_0 = I and X_k = X_(k-1) a + weight X_(k-2) for the plan's s x s
+    integer matrix a: exact, or modulo the one prime of a check plan.
 
     The entries of X_k are bounded by B_k (_plan, with c and d = |weight|),
     so each tr(X_k) by s max B_k, and each is recovered by CRT from its
-    residues modulo _plan's primes as the representative in (-M/2, M/2], M
-    their product; the weighted sums are formed from those exact integers.
+    residues modulo the plan's primes as the representative in (-M/2, M/2],
+    M their product; the weighted sums are formed from those integers.
     X_k is kept modulo every prime at once: one (P*s) x s float64 array,
     multiplied by the unreduced a (one GEMM per k), plus weight X_(k-2),
     and reduced only now and then.
@@ -194,9 +210,9 @@ def _recurrence_traces(a: np.ndarray, weight: int, steps: int) -> list[int]:
     (|x| <= 2^52) is reduced, and each trace sums s reduced values,
     exactly; the CRT accepts any representative.
     """
-    size, d = len(a), abs(weight)
-    c, count = _plan(a, weight, steps)
-    primes, modulus, basis = _crt_basis(count)
+    a, weight, steps, primes = plan.matrix, plan.weight, plan.steps, plan.primes
+    size, count, c, d = len(a), len(primes), plan.column_sum, abs(weight)
+    modulus, basis = _crt_basis(primes)
     reduced_bound = (primes[0] + 1) // 2
     prime = np.array(primes, dtype=np.float64)[:, None]
     column = np.repeat(prime, size, axis=0)
@@ -267,54 +283,42 @@ def extend_traces(head: Sequence[int], K: int) -> list[int]:
     return p
 
 
-def _walk_matrix(g: Multigraph, weight: int) -> tuple[np.ndarray, int, int, bool]:
-    """The matrix, weight and companion size that _walk_traces(g, ., weight)
-    hands to the engine, and whether they are the half-size plan.  The Gram
-    matrix is one float64 GEMM, exact as its entries are at most (q+1)^2;
-    the copy keeps numpy from sending x @ x.T to BLAS syrk, whose first call
-    raised the peak resident memory by about 0.2 MB (OpenBLAS 0.3.31).
-    G's columns sum to (q+1)^2 at most and a regular graph's diagonal is at
-    least q+1, so the engine's c + d is at most (q+1)q + |q+1+2w| + w^2."""
+def walk_plan(g: Multigraph, K: int, weight: int = 0,
+              prime: int | None = None) -> Plan:
+    """The one Plan (_plan) for tr(X_k) + w tr(X_(k-2)), k = 1..K, with
+    X_k = X_(k-1) A + w X_(k-2) from X_(-1) = 0 and X_0 = I: at w = 0 the
+    traces of A^k, at w = -q those of the Ihara-Bass companion [[A, -qI],
+    [I, 0]], whose k-th power has top block row [X_k, -q X_(k-1)].
+
+    X_k = V_k(A) with V_k = x V_(k-1) + w V_(k-2), odd for odd k, and
+    V_k = (x^2 + 2w) V_(k-2) - w^2 V_(k-4).  So on a connected bipartite
+    graph, where A^2 = diag(BB^T, B^TB), odd traces are 0 and the trace at
+    k = 2j is 2 T_j, T_j those of the same recurrence on G + 2wI at weight
+    -w^2, G = BB^T (the half plan, to K/2).  G's columns sum to (q+1)^2 at
+    most and its diagonal is at least q+1, so c + d <= (q+1)q + |q+1+2w| +
+    w^2, below 2^27 for q+1 <= 11585 at w = 0 and q <= 8191 at w = -q; past
+    that, and off bipartite graphs, the plan runs on A.  G is one float64
+    GEMM, exact as its entries are at most (q+1)^2; the copy keeps numpy
+    from sending x @ x.T to BLAS syrk, whose first call raised the peak
+    resident memory by about 0.2 MB (OpenBLAS 0.3.31).
+    """
     a, parts, q = adjacency_matrix(g), g.bipartition, max(g.valencies) - 1
     if (parts is None or (q + 1) * q + abs(q + 1 + 2 * weight) + weight ** 2
             >= COLUMN_SUM_LIMIT):
-        return a, weight, (2 if weight else 1) * g.n, False
+        return _plan(a, weight, K, prime)
     rows = a[parts[0], :].astype(np.float64)
     gram = rows @ rows.T.copy() + 2 * weight * np.eye(len(rows))
-    return gram.astype(np.int64), -weight ** 2, (2 if weight else 1) * len(rows), True
+    return _plan(gram.astype(np.int64), -weight ** 2, K // 2, prime, half=True)
 
 
-def _walk_traces(g: Multigraph, K: int, weight: int = 0) -> list[int]:
-    """tr(X_k) + w tr(X_(k-2)) for k = 1..K, exact, for X_k = X_(k-1) A +
-    w X_(k-2) from X_(-1) = 0 and X_0 = I: at w = 0 the traces of A^k, at
-    w = -q those of the Ihara-Bass companion M = [[A, -qI], [I, 0]], whose
-    top block row of M^k is [X_k, -q X_(k-1)].
-
-    X_k = V_k(A) with V_k = x V_(k-1) + w V_(k-2), odd for odd k, and for
-    even k V_k = (x^2 + 2w) V_(k-2) - w^2 V_(k-4).  So on a connected
-    bipartite graph, where A^2 = diag(BB^T, B^TB) has two blocks of one
-    spectrum, odd traces are 0 and the trace at k = 2j is 2 T_j, T_j those
-    of the same recurrence on G + 2wI at weight -w^2, G = BB^T, whose
-    companion has size n/2 at w = 0 and n otherwise.  That runs while the
-    engine's c + d bound (_walk_matrix) is below 2^27: q+1 <= 11585 at
-    w = 0, q <= 8191 at w = -q; other graphs run on A, of companion size n
-    or 2n.  The engine takes min(K, size) steps (K/2 at half size) and
-    extend_traces gives the rest.
-    """
-    a, w, size, half = _walk_matrix(g, weight)
-    if not half:
-        return _traces(a, w, K, size)
-    t = _traces(a, w, K // 2, size)
+def _walk_traces(g: Multigraph, K: int, weight: int = 0,
+                 prime: int | None = None) -> list[int]:
+    """The K traces that walk_plan(g, K, weight, prime) plans."""
+    plan = walk_plan(g, K, weight, prime)
+    if not plan.half:
+        return _traces(plan, K)
+    t = _traces(plan, K // 2)
     return [0 if k % 2 else 2 * t[k // 2 - 1] for k in range(1, K + 1)]
-
-
-def census_work(g: Multigraph, K: int) -> int:
-    """steps x P x s^3 of build_census(g, ., K): its matrix-power steps, CRT
-    prime count and matrix size, read from the plan _walk_traces follows;
-    the census's time grows about in proportion (cli's cost note)."""
-    a, _, size, half = _walk_matrix(g, 0)
-    steps = min(K // 2 if half else K, size)
-    return steps * _plan(a, 0, steps)[1] * size ** 3
 
 
 def closed_walk_counts(g: Multigraph, K: int) -> list[int]:
@@ -351,9 +355,11 @@ def nonbacktracking_matrix(g: Multigraph) -> np.ndarray:
     return b
 
 
-def geodesic_cycles_operator(g: Multigraph, K: int) -> list[int]:
-    """N_1..N_K as traces of powers of the non-backtracking operator B,
-    exact integers, for a regular graph g (ValueError otherwise).
+def geodesic_cycles_operator(g: Multigraph, K: int,
+                             prime: int | None = None) -> list[int]:
+    """N_1..N_K as traces of powers of the non-backtracking operator B, for
+    a regular graph g (ValueError otherwise): exact integers, or, given a
+    prime, integers congruent to them modulo that prime.
 
     Ihara-Bass (Bass 1992; Kotani-Sunada 2000) gives det(I - uB) =
     (1 - u^2)^(m-n) det(I - uM) with M = [[A, I - D], [I, 0]], D the
@@ -366,9 +372,9 @@ def geodesic_cycles_operator(g: Multigraph, K: int) -> list[int]:
     if len(set(g.valencies)) > 1:
         raise ValueError("the operator traces need a regular graph; "
                          f"valencies range over {min(g.valencies)}..{max(g.valencies)}")
-    excess = g.edge_count - g.n
-    return [t + (2 * excess if k % 2 == 0 else 0)
-            for k, t in enumerate(_walk_traces(g, K, 1 - g.valencies[0]), start=1)]
+    traces = _walk_traces(g, K, 1 - g.valencies[0], prime)
+    return [t + (0 if k % 2 else 2 * (g.edge_count - g.n))
+            for k, t in enumerate(traces, start=1)]
 
 
 def brute_force_cost(g: Multigraph, k: int) -> int:
@@ -424,7 +430,7 @@ def nk_from_ck(c: Sequence[int], q: int, n: int, K: int) -> tuple[int, ...]:
 
 
 def build_census(g: Multigraph, q: int, K: int) -> CycleCensus:
-    """Exact census to horizon K: C_k as the traces of A^k (_walk_traces at
+    """Exact census to horizon K: C_k as the traces of A^k (walk_plan at
     weight 0, at half size on a connected bipartite graph's Gram matrix
     while q+1 <= 11585), and N_k by the exact conversion from C_k."""
     if K < 1:

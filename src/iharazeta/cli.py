@@ -21,7 +21,7 @@ import os
 import sys
 
 from .analysis import estimate_max_eigenvalue
-from .census import (BruteForceBudgetExceeded, build_census, census_work,
+from .census import (BruteForceBudgetExceeded, build_census, walk_plan,
                      characteristic_polynomial, geodesic_cycles_bruteforce)
 from .graphs import (GraphError, Multigraph, adjacency_matrix, parse_generator,
                      profile, read_edge_list, write_edge_list)
@@ -39,7 +39,7 @@ EXIT_INTERNAL = 3
 
 # h_k routes of the series subcommand, in CSV column order
 SERIES_ROUTES = ["spectral", "ck", "series"]
-# a census of more work (census.census_work: steps x primes x size^3) prints
+# a census of more work (steps x primes x size^3 of census.walk_plan) prints
 # a cost note on stderr.  build_census takes 5-10e-11 s a unit at size >= 60
 # (x86-64, one BLAS thread): 5.2e8 units and 30 ms for cycle:101 at K = 101,
 # 9.6e9 and 0.61 s for circulant:150:1,2,3,50 at K = 150, 1.5e10 and 0.79 s
@@ -69,9 +69,10 @@ def _check_out(out: str | None) -> None:
 
 def _cost_note(g: Multigraph, K: int, what: str | None = None) -> None:
     """Say on stderr that what (by default "--k K") is costly when the census
-    of g to horizon K does more than COSTLY_WORK units of work
-    (census_work).  Called where a census runs."""
-    if census_work(g, K) > COSTLY_WORK:
+    of g to horizon K does more than COSTLY_WORK units of work (steps x
+    primes x size^3 of its walk_plan).  Called where a census runs."""
+    plan = walk_plan(g, K)
+    if plan.steps * len(plan.primes) * plan.size ** 3 > COSTLY_WORK:
         print(f"note: {what or f'--k {K}'} is costly; census entries grow "
               "like (q+1)^k", file=sys.stderr)
 

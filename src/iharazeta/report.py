@@ -6,12 +6,12 @@ estimator, and returns a plain dict shaped like the emitted JSON.  Xi is
 built once, from the factors of Z(u)^-1.  The h_k verdict, the from_ck
 route and the checks that need exact values all read one pass of
 hk.hk_excess over the census N_k: the signs of h_k in integers.
-N_1..N_20 are checked exactly against the operator traces, a bipartite
-census's odd C_k and N_k to be 0 at every k, every from_ck h_k against the
-spectral route within the a-priori hk.hk_spectral_budget
-(zetaxi.log_series_zeta_check), and the series route within a fixed
-tolerance.  Disagreements raise InternalConsistencyError: they indicate a
-bug, not a mathematical verdict.
+Every census N_k is checked against the operator traces modulo
+census.CHECK_PRIME, a bipartite census's odd C_k and N_k to be 0 at every
+k, every from_ck h_k against the spectral route within the a-priori
+hk.hk_spectral_budget (zetaxi.log_series_zeta_check), and the series
+route within a fixed tolerance.  Disagreements raise
+InternalConsistencyError: they indicate a bug, not a mathematical verdict.
 report_to_json is the one JSON writer for every subcommand's output.
 """
 
@@ -26,7 +26,7 @@ from . import __version__
 from .analysis import (estimate_max_eigenvalue, even_k_bounds,
                        hasse_weil_check, hk_upper_bound, hk_upper_check,
                        ramanujan_hk, ramanujan_spectral)
-from .census import build_census, geodesic_cycles_operator
+from .census import CHECK_PRIME, build_census, geodesic_cycles_operator
 from .graphs import Multigraph, adjacency_matrix, profile
 from .hk import (hk_excess, hk_from_ck, hk_spectral, hk_spectral_budget,
                  max_route_deviation)
@@ -38,12 +38,6 @@ from .zetaxi import (functional_equation_points, functional_equation_residual,
 SCHEMA_VERSION = 3
 # seed of the functional-equation sample points, printed as the report's seed
 DEFAULT_SEED = 42
-# largest Ihara-Bass companion size 2n for which the operator cross-check
-# (N_k as traces of the 2n x 2n companion of B, n/2-wide on B^TB for a
-# bipartite regular graph) runs; 400 covers n <= 200
-OPERATOR_CROSSCHECK_SIZE_LIMIT = 400
-# orders of N_k checked against the operator traces
-NK_CROSSCHECK_K = 20
 # relative tolerance of the cross-route comparison; the spectral and from_ck
 # routes also meet hk_spectral_budget at every k, so it binds the series route
 ROUTE_TOL = 1e-6
@@ -87,13 +81,12 @@ def analyze(g: Multigraph, source: str, K: int,
 
     t0 = time.perf_counter()
     census = build_census(g, q, K)
-    upto = min(K, NK_CROSSCHECK_K)
-    if 2 * n <= OPERATOR_CROSSCHECK_SIZE_LIMIT:
-        operator_nk = geodesic_cycles_operator(g, upto)
-        if list(operator_nk) != list(census.nk[:upto]):
-            raise InternalConsistencyError(
-                "non-backtracking operator traces disagree with the "
-                "closed-walk conversion for N_k")
+    wrong = next((k for k, (x, y) in enumerate(zip(geodesic_cycles_operator(
+        g, K, CHECK_PRIME), census.nk), start=1) if (x - y) % CHECK_PRIME), 0)
+    if wrong:
+        raise InternalConsistencyError(
+            "non-backtracking operator traces disagree with the closed-walk "
+            f"conversion for N_{wrong} modulo {CHECK_PRIME}")
     if prof.bipartite:
         odd = next((k for k in range(1, K + 1, 2)
                     if census.c[k] or census.nk[k - 1]), 0)

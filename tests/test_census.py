@@ -233,11 +233,23 @@ def _trial_division_primes(count):
 def test_crt_basis_primes_match_trial_division():
     reference = _trial_division_primes(100)
     for count in (1, 7, 3, 62, 100):
-        primes, modulus, basis = census_mod._crt_basis(count)
-        assert list(primes) == reference[:count]
+        primes = census_mod._largest_primes(count)
+        modulus, basis = census_mod._crt_basis(tuple(primes))
+        assert primes == reference[:count]
         assert modulus == math.prod(reference[:count])
         assert basis == tuple(modulus // p * pow(modulus // p, -1, p)
                               for p in reference[:count])
+
+
+def test_check_prime_lies_below_every_census_prime():
+    # the largest census plan that --k <= 200 allows; the check prime is
+    # the largest prime below 2^25, so its residues are none of the census's
+    prime = census_mod.CHECK_PRIME
+    assert census_mod._is_prime(prime)
+    assert not any(map(census_mod._is_prime, range(prime + 1, 2 ** 25)))
+    plan = census_mod.walk_plan(parse_generator("complete:200"), 200)
+    assert (plan.steps, len(plan.matrix)) == (200, 200)
+    assert prime < 2 ** 25 < min(plan.primes)
 
 
 def test_prime_list_extends_once_under_threads():
@@ -330,9 +342,9 @@ def _with_matrix_sizes(monkeypatch, route, g, K):
     sizes = []
     engine = census_mod._recurrence_traces
 
-    def recording(a, weight, steps):
-        sizes.append(len(a))
-        return engine(a, weight, steps)
+    def recording(plan):
+        sizes.append(len(plan.matrix))
+        return engine(plan)
 
     with monkeypatch.context() as patch:
         patch.setattr(census_mod, "_recurrence_traces", recording)
@@ -419,12 +431,21 @@ def _reference_recurrence_traces(a, weight, K):
 @pytest.mark.parametrize("largest_weight", [100, 2 ** 20, 2 ** 27])
 def test_recurrence_traces_with_large_weights(largest_weight):
     # weights that dominate the column sums, up to c + d = 2^27 - 1: the
-    # bound's d B_(k-2) term decides when both arrays are reduced
+    # bound's d B_(k-2) term decides when both arrays are reduced.  The
+    # exact plan stops at the companion size 12 and extend_traces gives the
+    # rest; the check plan runs all 30 steps modulo its prime
     rng = np.random.default_rng(largest_weight)
     a = rng.integers(-3, 4, size=(6, 6))
     weight = -min(2 ** 27 - 1 - int(np.abs(a).sum(axis=0).max()), largest_weight)
-    assert census_mod._recurrence_traces(a, weight, 30) == \
-        _reference_recurrence_traces(a, weight, 30)
+    reference = _reference_recurrence_traces(a, weight, 30)
+    exact = census_mod._plan(a, weight, 30)
+    assert exact.steps == 12
+    assert census_mod._traces(exact, 30) == reference
+    prime = census_mod.CHECK_PRIME
+    check = census_mod._plan(a, weight, 30, prime)
+    assert (check.steps, check.primes) == (30, (prime,))
+    residues = census_mod._recurrence_traces(check)
+    assert [(x - y) % prime for x, y in zip(residues, reference)] == [0] * 30
 
 
 def _strictly_upper(size):

@@ -1,9 +1,11 @@
 """cli-report: subcommands, exit codes, determinism, round-trips."""
 
+import dataclasses
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -15,7 +17,8 @@ import iharazeta
 import iharazeta.cli as cli_mod
 import iharazeta.report as report_mod
 
-from iharazeta.census import census_work, extend_traces
+import iharazeta.census as census_mod
+from iharazeta.census import CycleCensus, extend_traces, walk_plan
 from iharazeta.cli import main
 from iharazeta.graphs import parse_generator
 from iharazeta.report import report_to_json
@@ -127,12 +130,11 @@ def test_check_spectral_nk_within_budget(capsys, spec):
 
 
 def test_spectral_nk_budget_checked_above_operator_edge_limit(monkeypatch, capsys):
-    # prism:101 has a 404 x 404 Ihara-Bass companion, past the operator
-    # cross-check's size limit; the spectral h_k budget check must still run
-    # there
+    # prism:101 has a 404 x 404 Ihara-Bass companion, past the size limit
+    # the operator cross-check once had; the check now runs there, passes,
+    # and the spectral h_k budget check must still run after it
     monkeypatch.setattr("iharazeta.report.hk_spectral_budget",
                         lambda values, q, n, h: np.full(len(h), -1.0))
-    monkeypatch.setattr("iharazeta.report.geodesic_cycles_operator", None)
     code, _, err = run(capsys, "analyze", "prism:101", "--k", "20")
     assert code == 3
     assert "error budget" in err
@@ -168,7 +170,7 @@ def test_operator_check_runs_on_dense_graphs(monkeypatch, capsys):
     # complete:60 has 3540 oriented edges but a 120 x 120 companion, so the
     # operator cross-check runs, and a wrong N_k from it is an internal fault
     monkeypatch.setattr("iharazeta.report.geodesic_cycles_operator",
-                        lambda g, K: [0] * K)
+                        lambda g, K, prime: [0] * K)
     code, _, err = run(capsys, "analyze", "complete:60", "--k", "20")
     assert code == 3
     assert "operator traces disagree" in err
@@ -195,6 +197,55 @@ def test_corrupt_census_trace_exits_internal(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: ArithmeticError: ")
+
+
+# (graph, K, k): a census N_k one off past k_pinned, where the spectral h_k
+# budget misses it, and past k = 20 or on prism:101 (n > 200), where an
+# operator check of N_1..N_20 on n <= 200 would miss it too; the operator
+# traces modulo census.CHECK_PRIME at every k <= K catch each
+OFF_BY_ONE_CENSUS = [("complete:60", 50, 21), ("complete:60", 200, 200),
+                     ("kmm:30", 200, 40), ("circulant:200:1,5,17", 200, 100),
+                     ("petersen", 200, 200), ("prism:24", 200, 200),
+                     ("prism:101", 200, 200)]
+
+
+def _operator_failure(k):
+    return ("internal consistency failure: non-backtracking operator "
+            "traces disagree with the closed-walk conversion for "
+            f"N_{k} modulo {census_mod.CHECK_PRIME}\n")
+
+
+@pytest.mark.parametrize("spec, K, k", OFF_BY_ONE_CENSUS)
+def test_off_by_one_census_fails_the_operator_check(monkeypatch, capsys, spec, K, k):
+    real = report_mod.build_census
+
+    def corrupted(g, q, K):
+        census = real(g, q, K)
+        nk = list(census.nk)
+        nk[k - 1] += 1
+        return CycleCensus(c=census.c, nk=tuple(nk))
+
+    monkeypatch.setattr(report_mod, "build_census", corrupted)
+    monkeypatch.setattr(cli_mod, "COSTLY_WORK", math.inf)
+    assert run(capsys, "analyze", spec, "--k", str(K)) == (3, "", _operator_failure(k))
+
+
+def test_census_short_of_primes_fails_the_operator_check(monkeypatch, capsys):
+    # every exact plan takes half its primes, so the census of
+    # circulant:200:1,5,17 wraps modulo their product; K <= n, so no Newton
+    # step runs to notice, and the check plan's one prime catches it
+    real = census_mod._plan
+
+    def short(*args, **kwargs):
+        plan = real(*args, **kwargs)
+        half = plan.primes[:max(1, len(plan.primes) // 2)]
+        return dataclasses.replace(plan, primes=half)
+
+    monkeypatch.setattr(census_mod, "_plan", short)
+    monkeypatch.setattr(cli_mod, "COSTLY_WORK", math.inf)
+    code, out, err = run(capsys, "analyze", "circulant:200:1,5,17", "--k", "200")
+    assert (code, out) == (3, "")
+    assert re.fullmatch(_operator_failure(r"\d+"), err), err
 
 
 def test_analyze_malformed_file(tmp_path, capsys):
@@ -495,8 +546,13 @@ def _k_note(k):
     return f"note: --k {k} is costly; census entries grow like (q+1)^k\n"
 
 
+def _census_work(g, K):
+    plan = walk_plan(g, K)
+    return plan.steps * len(plan.primes) * plan.size ** 3
+
+
 def test_k_cost_warning(capsys):
-    # the note goes by census_work, steps x primes x size^3, against
+    # the note goes by the census's walk_plan, steps x primes x size^3, against
     # COSTLY_WORK; no census runs here.  cycle:101 at K = 101 (5.2e8 units)
     # and circulant:101:1,7,19 at K = 100 (1.1e9) took 30 and 66 ms, where
     # complete:150 at K = 150 (2.2e10) took 1.9 s
@@ -509,7 +565,7 @@ def test_k_cost_warning(capsys):
              ("complete:150", 150, 44 * 150 ** 4, True)]
     for spec, K, work, noted in cases:
         g = parse_generator(spec)
-        assert census_work(g, K) == work
+        assert _census_work(g, K) == work
         assert (work > cli_mod.COSTLY_WORK) == noted
         cli_mod._cost_note(g, K)
         assert capsys.readouterr().err == (_k_note(K) if noted else "")

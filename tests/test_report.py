@@ -99,28 +99,28 @@ def test_zeta_census_check_reports_k_pinned(spec):
 @pytest.mark.parametrize("shift", [1, -1])
 @pytest.mark.parametrize("spec", ["petersen", "prism:24", "complete:16"])
 def test_hk_budget_rejects_off_by_one_census(monkeypatch, spec, shift):
-    # with the operator cross-check off, a census N_k one off at any
-    # k <= k_pinned that h_k reads fails the spectral h_k budget, named by
-    # its k; a bipartite graph's odd N_k are 0 by construction and read by
-    # no h_k: the operator cross-check pins them up to its k = 20, and the
-    # bipartite census's parity check past it
+    # with the operator traces stubbed to agree with the census, a census
+    # N_k one off at any k <= k_pinned that h_k reads fails the spectral
+    # h_k budget, named by its k; a bipartite graph's odd N_k are 0 by
+    # construction and read by no h_k, and the bipartite census's parity
+    # check rejects them
     g, K, real = get_graph(spec), 50, report_mod.build_census
     pinned = analyze(g, spec, K)["zeta_census_check"]["k_pinned"]
     bipartite = get_profile(spec).bipartite
+    built = []
+    monkeypatch.setattr(report_mod, "geodesic_cycles_operator",
+                        lambda g, K, prime: list(built[-1].nk))
     for k in range(1, pinned + 1):
-        odd = bipartite and k % 2
-        expected = ("operator traces" if k <= report_mod.NK_CROSSCHECK_K
-                    else f"odd length k={k}$") if odd else f"h_{k} strays"
+        expected = f"odd length k={k}$" if bipartite and k % 2 else f"h_{k} strays"
 
         def corrupted(g, q, K):
             census = real(g, q, K)
             nk = list(census.nk)
             nk[k - 1] += shift
-            return CycleCensus(c=census.c, nk=tuple(nk))
+            built.append(CycleCensus(c=census.c, nk=tuple(nk)))
+            return built[-1]
 
         monkeypatch.setattr(report_mod, "build_census", corrupted)
-        monkeypatch.setattr(report_mod, "OPERATOR_CROSSCHECK_SIZE_LIMIT",
-                            2 * g.n if odd else 0)
         with pytest.raises(InternalConsistencyError, match=expected):
             analyze(g, spec, K)
 

@@ -38,8 +38,8 @@ def test_output_digests_are_stable_lines(tmp_path):
     first = _run_script(tmp_path, "output_digests.py", "petersen", "complete:4")
     assert first == _run_script(tmp_path, "output_digests.py", "petersen",
                                 "complete:4")
-    labels = ["analyze", "census", "series-csv", "series-json", "series-k200",
-              "check", "estimate", "zeta"]
+    labels = ["analyze", "analyze-k200", "census", "series-csv", "series-json",
+              "series-k200", "check", "estimate", "zeta"]
     assert [line.split()[:2] for line in first] == [
         [label, spec] for spec in ("petersen", "complete:4") for label in labels]
     empty = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
