@@ -26,8 +26,7 @@ from .census import (BruteForceBudgetExceeded, build_census, walk_plan,
 from .graphs import (GraphError, Multigraph, adjacency_matrix, parse_generator,
                      profile, read_edge_list, write_edge_list)
 from .hk import hk_excess, hk_from_ck, hk_spectral
-from .report import (SCHEMA_VERSION, InternalConsistencyError, analyze,
-                     report_to_json)
+from .report import InternalConsistencyError, analyze, report_to_json
 from .spectral import (eigenvalues_symmetric, nontrivial_spectrum,
                        scaled_spectrum)
 from .zetaxi import bass_determinant, hk_series, xi_rational, zeta_inverse
@@ -37,6 +36,9 @@ EXIT_REFUTED = 1
 EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
 
+# the schema of the census, series, zeta and estimate outputs; analyze and
+# check print report.SCHEMA_VERSION
+DATA_SCHEMA = 3
 # h_k routes of the series subcommand, in CSV column order
 SERIES_ROUTES = ["spectral", "ck", "series"]
 # a census of more work (steps x primes x size^3 of census.walk_plan) prints
@@ -125,7 +127,7 @@ def cmd_series(args: argparse.Namespace) -> int:
         if "series" in want:
             routes["series"] = hk_series(xi_rational(zeta_inverse(ns), q), K)
     if args.format == "json":
-        payload = {"schema": SCHEMA_VERSION, "source": args.input, "k_horizon": K,
+        payload = {"schema": DATA_SCHEMA, "source": args.input, "k_horizon": K,
                    "routes": {r: h.tolist() for r, h in routes.items()}}
         _emit(report_to_json(payload), args.out)
         return EXIT_OK
@@ -149,7 +151,7 @@ def cmd_census(args: argparse.Namespace) -> int:
     _cost_note(g, args.k)
     census = build_census(g, prof.q, args.k)
     payload = {
-        "schema": SCHEMA_VERSION,
+        "schema": DATA_SCHEMA,
         "source": args.input,
         "k_horizon": args.k,
         "c": [str(x) for x in census.c],
@@ -174,7 +176,7 @@ def cmd_zeta(args: argparse.Namespace) -> int:
     q, n = prof.q, g.n
     _cost_note(g, n, f"the census to n = {n}")
     chi = characteristic_polynomial(build_census(g, q, n).c[1:])
-    payload = {"schema": SCHEMA_VERSION, "source": args.input,
+    payload = {"schema": DATA_SCHEMA, "source": args.input,
                "det_coefficients": [str(d) for d in bass_determinant(chi, q)],
                "one_minus_u2_power": n * (q - 1) // 2, "degree": n * (q + 1)}
     _emit(report_to_json(payload), args.out)
@@ -186,12 +188,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     _cost_note(g, args.k)
     report = analyze(g, args.input, args.k, include_timings=not args.no_timings)
     payload = {
-        "schema": SCHEMA_VERSION,
+        "schema": report["schema"],
         "source": args.input,
         "k_horizon": args.k,
         "verdicts": report["verdicts"],
-        "functional_equation": report["functional_equation"],
         "route_agreement": report["route_agreement"],
+        "operator_check": report["operator_check"],
         "zeta_census_check": report["zeta_census_check"],
     }
     _emit(report_to_json(payload), args.out)
@@ -205,7 +207,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         adjacency_matrix(g), prof.bipartition), prof)
     payload = estimate_max_eigenvalue(
         hk_spectral(scaled_spectrum(ns), args.k, prof.bipartite), prof.q)
-    payload.update({"schema": SCHEMA_VERSION, "source": args.input,
+    payload.update({"schema": DATA_SCHEMA, "source": args.input,
                     "k_horizon": args.k})
     _emit(report_to_json(payload), args.out)
     return EXIT_OK

@@ -3,11 +3,15 @@
 One call runs: profile -> spectrum -> exact census -> xi -> the three h_k
 routes (spectral, from_ck, series) -> every certification check ->
 estimator, and returns a plain dict shaped like the emitted JSON.  Xi is
-built once, from the factors of Z(u)^-1.  The h_k verdict, the from_ck
+built once, from the factors of Z(u)^-1, for the series route; its
+functional equation Xi(1/(qu)) = Xi(u) is not sampled, since every row
+1 - lam*u + q*u^2 satisfies it for any real lam (the exact statement is
+`ihara zeta`'s d_(2n-j) = q^(n-j) d_j).  The h_k verdict, the from_ck
 route and the checks that need exact values all read one pass of
 hk.hk_excess over the census N_k: the signs of h_k in integers.
 Every census N_k is checked against the operator traces modulo
-census.CHECK_PRIME, a bipartite census's odd C_k and N_k to be 0 at every
+census.CHECK_PRIME (the report's operator_check names the prime and the
+horizon), a bipartite census's odd C_k and N_k to be 0 at every
 k, every from_ck h_k against the spectral route within the a-priori
 hk.hk_spectral_budget (zetaxi.log_series_zeta_check), and the series
 route within a fixed tolerance.  Disagreements raise
@@ -31,19 +35,13 @@ from .graphs import Multigraph, adjacency_matrix, profile
 from .hk import (hk_excess, hk_from_ck, hk_spectral, hk_spectral_budget,
                  max_route_deviation)
 from .spectral import eigenvalues_symmetric, nontrivial_spectrum, scaled_spectrum
-from .zetaxi import (functional_equation_points, functional_equation_residual,
-                     hk_series, log_series_zeta_check, xi_rational,
-                     zeta_inverse)
+from .zetaxi import hk_series, log_series_zeta_check, xi_rational, zeta_inverse
 
-SCHEMA_VERSION = 3
-# seed of the functional-equation sample points, printed as the report's seed
-DEFAULT_SEED = 42
+# the schema of analyze's report and check's digest of it
+SCHEMA_VERSION = 4
 # relative tolerance of the cross-route comparison; the spectral and from_ck
 # routes also meet hk_spectral_budget at every k, so it binds the series route
 ROUTE_TOL = 1e-6
-# functional-equation sample count and residual tolerance
-FE_POINTS = 100
-FE_TOL = 1e-8
 # the rounding of every float a report prints
 _TWELVE_DIGITS = "{:.12g}".format
 _SMALLEST_NORMAL = sys.float_info.min
@@ -97,8 +95,6 @@ def analyze(g: Multigraph, source: str, K: int,
 
     t0 = time.perf_counter()
     xi = xi_rational(zeta_inverse(ns), q)
-    fe_max = float(functional_equation_residual(
-        xi, functional_equation_points(FE_POINTS, DEFAULT_SEED)).max())
     timings["zeta_xi"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -141,7 +137,6 @@ def analyze(g: Multigraph, source: str, K: int,
         "version": __version__,
         "source": source,
         "k_horizon": K,
-        "seed": DEFAULT_SEED,
         "graph": {
             "n": n,
             "q": q,
@@ -163,12 +158,7 @@ def analyze(g: Multigraph, source: str, K: int,
             "tolerance": ROUTE_TOL,
             "ok": True,
         },
-        "functional_equation": {
-            "points": FE_POINTS,
-            "max_residual": fe_max,
-            "tolerance": FE_TOL,
-            "ok": bool(fe_max < FE_TOL),
-        },
+        "operator_check": {"prime": CHECK_PRIME, "k_checked": K},
         "zeta_census_check": zeta_check,
         "verdicts": verdicts,
         "estimator": estimator,

@@ -17,8 +17,6 @@ import numpy as np
 
 from .graphs import GraphProfile
 
-TRIVIAL_MATCH_TOL = 1e-6
-
 
 class NonSymmetricError(ValueError):
     pass
@@ -96,16 +94,17 @@ def nontrivial_spectrum(s: np.ndarray, p: GraphProfile) -> NontrivialSpectrum:
 
     A connected (q+1)-regular graph has q+1 as its largest eigenvalue, and
     -(q+1) as its smallest when it is bipartite; so s[0] goes, and s[-1]
-    too for a bipartite graph.  A dropped value deviating from its target by
-    more than TRIVIAL_MATCH_TOL * (q+1) signals a non-connected or
-    non-regular input that slipped through validation.
+    too for a bipartite graph.  A dropped value farther from its target than
+    eigenvalue_error(len(s), q), the bound on every computed eigenvalue,
+    signals a non-connected or non-regular input that slipped through
+    validation.
     """
-    top = p.q + 1.0
+    top, bound = p.q + 1.0, eigenvalue_error(len(s), p.q)
     for i, target in ((0, top), (-1, -top)) if p.bipartite else ((0, top),):
-        if abs(s[i] - target) > TRIVIAL_MATCH_TOL * top:
+        if abs(s[i] - target) > bound:
             raise TrivialEigenvalueMissing(
-                f"no eigenvalue within {TRIVIAL_MATCH_TOL:.1e}*(q+1) of "
-                f"{target:g}; the spectrum ends at {s[i]:.12g}")
+                f"no eigenvalue within {bound:.3g} of {target:g}; the "
+                f"spectrum ends at {s[i]:.17g}")
     return NontrivialSpectrum(values=s[1:-1] if p.bipartite else s[1:],
                               q=p.q, bipartite=p.bipartite)
 

@@ -20,8 +20,10 @@ import iharazeta.report as report_mod
 import iharazeta.census as census_mod
 from iharazeta.census import CycleCensus, extend_traces, walk_plan
 from iharazeta.cli import main
-from iharazeta.graphs import parse_generator
+from iharazeta.graphs import parse_generator, write_edge_list
 from iharazeta.report import report_to_json
+
+from conftest import ALL_FIXTURES, get_graph
 
 
 def run(capsys, *argv):
@@ -71,12 +73,12 @@ def test_census_k150_output_is_pinned(capsys, spec):
 
 def test_analyze_petersen(capsys):
     report = run_json(capsys, "analyze", "petersen", "--k", "20")
-    assert report["schema"] == 3
+    assert report["schema"] == 4
     assert report["graph"] == {"n": 10, "q": 2, "edges": 15, "loops": 0,
                                "bipartite": False, "connected": True}
     assert report["verdicts"]["spectral"]["is_ramanujan"]
     assert report["verdicts"]["hk"]["is_ramanujan"]
-    assert report["functional_equation"]["ok"]
+    assert "functional_equation" not in report and "seed" not in report
     assert report["route_agreement"]["ok"]
     assert report["estimator"]["status"] == "not_applicable"
     assert len(report["h"]["spectral"]) == 20
@@ -86,10 +88,10 @@ def test_analyze_petersen(capsys):
 @pytest.mark.parametrize("spec", ["prism:26", "prism:30", "complete:6",
                                   "complete:30"])
 def test_analyze_exits_zero_past_float_range_and_cancellation(capsys, spec):
-    # prism:26/30 have xi values past the float range at sample points;
-    # complete:6/30 have h_k terms that cancel to O(n)
+    # prism:26/30 have xi values past the float range at u in [0.1, 0.9],
+    # where no step of analyze evaluates xi; complete:6/30 have h_k terms
+    # that cancel to O(n)
     report = run_json(capsys, "analyze", spec, "--k", "50", "--no-timings")
-    assert report["functional_equation"]["ok"]
     assert report["route_agreement"]["ok"]
 
 
@@ -350,11 +352,11 @@ def test_series_ck_route_skips_eigensolver(monkeypatch, capsys):
 @pytest.mark.parametrize("spec", ["circulant:80:1,2,3,4,5,6",
                                   "circulant:100:1,2,3,4,5,6"])
 def test_xi_cross_check_near_the_pole_exits_zero(capsys, spec):
-    # q = 11: the pole q^(-1/2) ~ 0.3015 lies inside the functional
-    # equation's sample range, and |Xi| there reaches 2^769 and 2^962
+    # q = 11: the pole q^(-1/2) ~ 0.3015 lies inside [0.1, 0.9], where
+    # |Xi| reaches 2^769 and 2^962; the series route reads Xi's rows alone
     code, out, err = run(capsys, "check", spec, "--k", "50")
     assert code == 0, err
-    assert json.loads(out)["functional_equation"]["ok"]
+    assert json.loads(out)["route_agreement"]["ok"]
 
 
 @pytest.mark.parametrize("spec, k", [
@@ -495,7 +497,39 @@ def test_unwritable_out_fails_before_the_pipeline(monkeypatch, tmp_path, capsys,
 def test_check_payload(capsys):
     payload = run_json(capsys, "check", "kmm:3", "--k", "20")
     assert payload["verdicts"]["spectral"]["is_ramanujan"]
-    assert payload["functional_equation"]["ok"]
+    assert set(payload) == {"schema", "source", "k_horizon", "verdicts",
+                            "route_agreement", "operator_check",
+                            "zeta_census_check"}
+    assert payload["schema"] == 4
+
+
+@pytest.mark.parametrize("spec", ["petersen", "kmm:3"])
+def test_report_names_its_operator_check(capsys, spec):
+    # nonbipartite and bipartite (the half-size check plan) alike: analyze
+    # and check name the one prime and the horizon of the operator check
+    expected = {"prime": census_mod.CHECK_PRIME, "k_checked": 30}
+    for command in ("analyze", "check"):
+        payload = run_json(capsys, command, spec, "--k", "30", "--no-timings")
+        assert payload["operator_check"] == expected
+
+
+def test_analyze_never_samples_the_functional_equation(monkeypatch, tmp_path,
+                                                       capsys):
+    # Xi(1/(qu)) = Xi(u) holds row by row for any spectrum, so analyze does
+    # not evaluate the float residual, and its report has no seed
+    def unused(*args, **kwargs):
+        raise AssertionError("the functional-equation residual ran")
+
+    monkeypatch.setattr("iharazeta.zetaxi.functional_equation_residual", unused)
+    monkeypatch.setattr(report_mod, "functional_equation_residual", unused,
+                        raising=False)
+    for name in ALL_FIXTURES + ["doubled_cycle4"]:
+        path = tmp_path / f"{name}.edges"
+        path.write_text(write_edge_list(get_graph(name)))
+        code, out, err = run(capsys, "analyze", str(path), "--k", "30")
+        assert code == 0, (name, err)
+        report = json.loads(out)
+        assert "seed" not in report and "functional_equation" not in report
 
 
 def test_estimate_prism(capsys):

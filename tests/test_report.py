@@ -25,7 +25,13 @@ from conftest import (ALL_FIXTURES, LADDER, NON_RAMANUJAN_FIXTURES, get_excess,
 
 def test_report_shape_petersen():
     rep = analyze(get_graph("petersen"), "petersen", 12)
-    assert rep["schema"] == report_mod.SCHEMA_VERSION == 3
+    assert rep["schema"] == report_mod.SCHEMA_VERSION == 4
+    assert set(rep) == {"schema", "version", "source", "k_horizon", "graph",
+                        "spectrum", "nontrivial_spectrum",
+                        "scaled_nontrivial_spectrum", "census", "h",
+                        "route_agreement", "operator_check",
+                        "zeta_census_check", "verdicts", "estimator", "notes",
+                        "timings"}
     assert rep["k_horizon"] == 12
     assert set(rep["h"]) == {"spectral", "from_ck", "series"}
     assert all(len(v) == 12 for v in rep["h"].values())
@@ -155,7 +161,7 @@ def test_spectral_route_within_budget(spec):
 def test_pipeline_handles_multigraphs(name):
     rep = analyze(get_graph(name), name, 25)
     assert rep["route_agreement"]["ok"]
-    assert rep["functional_equation"]["ok"]
+    assert rep["operator_check"]["k_checked"] == 25
     g = get_graph(name)
     assert rep["census"]["c"][1] == str(2 * g.loop_count)
 

@@ -7,8 +7,8 @@ import pytest
 
 from iharazeta.graphs import GraphProfile, adjacency_matrix
 from iharazeta.spectral import (NonSymmetricError, TrivialEigenvalueMissing,
-                                eigenvalues_symmetric, nontrivial_spectrum,
-                                scaled_spectrum)
+                                eigenvalue_error, eigenvalues_symmetric,
+                                nontrivial_spectrum, scaled_spectrum)
 
 from conftest import (ALL_FIXTURES, BIPARTITE_GRAPHS, get_graph, get_nontrivial,
                       get_profile, get_spectrum)
@@ -155,6 +155,26 @@ def test_trivial_eigenvalue_missing():
     ends_high = np.array([3.0, 1.0, -1.0, -2.0])
     with pytest.raises(TrivialEigenvalueMissing):
         nontrivial_spectrum(ends_high, GraphProfile(q=2, bipartite=True, connected=True))
+
+
+@pytest.mark.parametrize("bipartite", [False, True])
+def test_trivial_eigenvalue_matched_within_the_eigenvalue_error(bipartite):
+    # q+1 (and -(q+1)) are matched within eigenvalue_error(n, q), the bound
+    # on every computed eigenvalue: half of it passes, twice it does not
+    prof = GraphProfile(q=2, bipartite=bipartite, connected=True)
+    bound = eigenvalue_error(4, 2)
+    assert bound == 4 * 2.0 ** -52 * 3
+    for end in (0, -1) if bipartite else (0,):
+        for off, fits in ((0.5 * bound, True), (-0.5 * bound, True),
+                          (2 * bound, False), (-2 * bound, False)):
+            s = np.array([3.0, 1.0, -1.0, -3.0])
+            s[end] += off
+            if fits:
+                assert nontrivial_spectrum(s, prof).values.tolist() == (
+                    [1.0, -1.0] if bipartite else [1.0, -1.0, -3.0])
+            else:
+                with pytest.raises(TrivialEigenvalueMissing, match="no eigenvalue within"):
+                    nontrivial_spectrum(s, prof)
 
 
 def test_scaled_spectrum_petersen():
