@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Run `ihara check` over a fixed 24-graph ladder and tabulate the outcomes.
+"""Run `ihara check` over a fixed 24-graph ladder, or over the graphs
+given, and tabulate the outcomes.
 
-The ladder spans seven generator families, from petersen to n = 200.  For
-each horizon and graph the table gives the exit code (0 Ramanujan, 1
+The ladder spans seven generator families, from petersen to n = 200; a
+graph given is a generator string or an edge-list file, so a multigraph
+can be tabulated too.  For each horizon and graph the table gives the exit code (0 Ramanujan, 1
 refuted, 2 bad input, 3 internal fault), the spectral verdict (whether every
 nontrivial |lam| <= 2 sqrt(q)), the h_k verdict's witness (the first k with
 h_k < 0, or None), k_pinned (the leading orders where the spectral h_k
@@ -13,7 +15,7 @@ line the command wrote to stderr, past the cost note of a costly census
 The verdicts, k_pinned and route_dev read "-" when the check wrote no
 report.  Each check runs in this process through iharazeta.cli.main.
 
-Usage: python scripts/check_ladder.py [--k 50 150 200]
+Usage: python scripts/check_ladder.py [graph ...] [--k 50 150 200]
 """
 
 import argparse
@@ -62,12 +64,14 @@ def check(spec: str, k: int) -> tuple[int, str, str, str, str, str]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--k", type=int, nargs="+", default=[50, 150, 200])
+    parser.add_argument("graphs", nargs="*", default=LADDER,
+                        help="generator strings or edge-list files")
     args = parser.parse_args()
 
     print(f"{'K':>4} {'graph':<22} {'exit':>4} {'spectral':>8} {'witness':>7} "
           f"{'k_pinned':>8} {'route_dev':>9} {'wall_s':>7}  stderr")
     for k in args.k:
-        for spec in LADDER:
+        for spec in args.graphs:
             t0 = time.perf_counter()
             code, spectral, witness, pinned, route_dev, line = check(spec, k)
             wall = time.perf_counter() - t0

@@ -21,21 +21,24 @@ import numpy as np
 from .hk import hk_base
 from .spectral import NontrivialSpectrum, eigenvalue_error
 
-# slack of the spectral comparison, in units of sqrt(q)
-SPECTRAL_SLACK = 1e-8
-
 
 class DomainError(ValueError):
     """Parameters outside the domain where a bound is defined."""
 
 
+def within_bound(max_abs: float, bound: float, n: int, q: int) -> bool:
+    """max_abs, a float max |lam| of a (q+1)-regular graph on n vertices,
+    within bound plus 4 ulps (its rounding) and eigenvalue_error(n, q)."""
+    return bool(max_abs <= bound + 4.0 * math.ulp(bound) + eigenvalue_error(n, q))
+
+
 def ramanujan_spectral(ns: NontrivialSpectrum, q: int) -> dict:
-    """Direct check: max |lam| over the nontrivial spectrum against
-    2*sqrt(q), with slack SPECTRAL_SLACK*sqrt(q); the witness is the worst
-    eigenvalue of a refuted graph."""
+    """Direct check: max |lam| over the nontrivial spectrum within_bound of
+    2*sqrt(q) on n = len(ns) + 1 vertices (+ 2 bipartite); the witness is
+    the worst eigenvalue of a refuted graph."""
     threshold = 2.0 * math.sqrt(q)
     worst = float(ns.values[np.argmax(np.abs(ns.values))]) if len(ns) else 0.0
-    ok = abs(worst) <= threshold + SPECTRAL_SLACK * math.sqrt(q)
+    ok = within_bound(abs(worst), threshold, len(ns) + (2 if ns.bipartite else 1), q)
     return {"is_ramanujan": ok, "max_nontrivial_abs": abs(worst),
             "threshold": threshold, "witness": None if ok else worst}
 
@@ -80,16 +83,14 @@ def even_k_bounds(excess: dict[int, tuple[int, int]], n: int, q: int,
                   bipartite: bool, max_abs: float) -> list[dict]:
     """even_k_bound at every even k whose h_k >= 0 by the (a_k, side) pairs
     of hk_excess, each against max_abs, the largest nontrivial float |lam|,
-    with a slack of its eigenvalue_error and 4 ulps of the bound, which
-    rounds in a power, a square root and a product.  A connected regular
-    bipartite graph has n even and n >= 4, so every accepted graph is inside
-    the bound's domain."""
+    by within_bound.  A connected regular bipartite graph has n even and
+    n >= 4, so every accepted graph is inside the bound's domain."""
     bounds = []
     for k, (_, side) in excess.items():
         if k % 2 == 0 and side >= 0:
             bound = even_k_bound(k, n, q, bipartite)
-            bounds.append({"k": k, "bound": bound, "satisfied": bool(
-                max_abs <= bound + 4.0 * math.ulp(bound) + eigenvalue_error(n, q))})
+            bounds.append({"k": k, "bound": bound,
+                           "satisfied": within_bound(max_abs, bound, n, q)})
     return bounds
 
 
@@ -102,12 +103,18 @@ def hasse_weil_check(excess: dict[int, tuple[int, int]], q: int, n: int,
     shifted by n(q-1) for even k.  Bipartite: even k only,
     |N_k - n(q-1) - 2q^k - 2| <= 2(n-2) q^(k/2).  The left side is |a_k|,
     and the bound is 0 <= h_k <= 2 base, which side decides in integers;
-    lhs is written as a decimal string and rhs as a float.
+    lhs is written as a decimal string and rhs as a float, inf (written
+    null) past the double range.
     """
     base = hk_base(n, bipartite)
-    records = [{"k": k, "lhs": str(abs(a)), "satisfied": side == 0,
-                "rhs": float(base) * float(q ** (k // 2))
-                * (math.sqrt(q) if k % 2 else 1.0)}
+
+    def rhs(k: int) -> float:
+        try:
+            return float(base) * float(q ** (k // 2)) * (math.sqrt(q) if k % 2 else 1.0)
+        except OverflowError:
+            return math.inf
+
+    records = [{"k": k, "lhs": str(abs(a)), "satisfied": side == 0, "rhs": rhs(k)}
                for k, (a, side) in excess.items()]
     first = next((r["k"] for r in records if not r["satisfied"]), None)
     return {"branch": "bipartite" if bipartite else "nonbipartite",
@@ -135,11 +142,12 @@ def estimate_max_eigenvalue(h: np.ndarray, q: int) -> dict:
     sqrt(h_{2k+2}/h_{2k}) + sqrt(h_{2k}/h_{2k+2}) converges to mu + 1/mu,
     the largest scaled eigenvalue magnitude.  Uses the deepest usable pair
     of adjacent negative even entries, k_used; converged means the previous
-    pair agrees within 1e-4.  Returns the estimator block: status "ok",
-    or a detail with status "not_applicable" when no even entry is negative
-    (the graph looks Ramanujan up to the horizon) and "sign_mismatch" when
-    negatives exist but never in adjacent even pairs (the horizon is too
-    small for the asymptotic regime).
+    pair agrees within 1e-4, a reporting threshold that decides no verdict
+    or exit, far above the rounding of h_k.  Returns the estimator block:
+    status "ok", or a detail with status "not_applicable" when no even
+    entry is negative (the graph looks Ramanujan up to the horizon) and
+    "sign_mismatch" when negatives exist but never in adjacent even pairs
+    (the horizon is too small for the asymptotic regime).
     """
     negative = h[1::2] < 0.0  # h_2, h_4, ...
     usable = np.flatnonzero(negative[:-1] & negative[1:])  # i: h_(2i+2), h_(2i+4)

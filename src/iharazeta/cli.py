@@ -4,8 +4,8 @@ Subcommands: analyze, series, census, zeta, check, estimate, generate.
 Inputs are either an edge-list file path or a generator string such as
 "petersen" or "prism:24".  Exit codes: 0 success, 1 certification refused
 under --require-ramanujan, 2 invalid input (an input file that cannot be
-read or an --out path that cannot be written included), 3 internal
-consistency failure.
+read, an --out path that cannot be written, and a horizon at which some
+h_k passes the double range included), 3 internal consistency failure.
 Exit 1 means only "refuted": any other uncaught exception also exits 3, with
 one line "internal error: <type>: <message>" on stderr and no traceback.
 """
@@ -100,9 +100,12 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    """analyze's report, or check's projection of it onto args.keys."""
     g = _load_graph(args.input)
     _cost_note(g, args.k)
     report = analyze(g, args.input, args.k, include_timings=not args.no_timings)
+    if args.keys:
+        report = {key: report[key] for key in args.keys}
     _emit(report_to_json(report), args.out)
     return _verdict_exit(args, report["verdicts"])
 
@@ -183,23 +186,6 @@ def cmd_zeta(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    g = _load_graph(args.input)
-    _cost_note(g, args.k)
-    report = analyze(g, args.input, args.k, include_timings=not args.no_timings)
-    payload = {
-        "schema": report["schema"],
-        "source": args.input,
-        "k_horizon": args.k,
-        "verdicts": report["verdicts"],
-        "route_agreement": report["route_agreement"],
-        "operator_check": report["operator_check"],
-        "zeta_census_check": report["zeta_census_check"],
-    }
-    _emit(report_to_json(payload), args.out)
-    return _verdict_exit(args, report["verdicts"])
-
-
 def cmd_estimate(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     prof = profile(g)
@@ -238,11 +224,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-timings", action="store_true",
                        help="omit wall-clock timings for byte-stable output")
 
-    p = sub.add_parser("analyze", help="full pipeline, JSON report")
-    common(p)
-    p.add_argument("--require-ramanujan", action="store_true",
-                   help="exit 1 unless both verdicts certify")
-    p.set_defaults(func=cmd_analyze)
+    for name, description, keys in (
+            ("analyze", "full pipeline, JSON report", None),
+            ("check", "verdicts only, JSON",
+             ("schema", "source", "k_horizon", "verdicts", "route_agreement",
+              "operator_check", "zeta_census_check"))):
+        p = sub.add_parser(name, help=description)
+        common(p)
+        p.add_argument("--require-ramanujan", action="store_true",
+                       help="exit 1 unless both verdicts certify")
+        p.set_defaults(func=cmd_analyze, keys=keys)
 
     p = sub.add_parser("series", help="h_k table as CSV")
     common(p)
@@ -263,11 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "of (1 - u^2)")
     common(p, k_default=None)
     p.set_defaults(func=cmd_zeta)
-
-    p = sub.add_parser("check", help="verdicts only, JSON")
-    common(p)
-    p.add_argument("--require-ramanujan", action="store_true")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("estimate", help="dominant-eigenvalue estimator")
     common(p, k_default=100)

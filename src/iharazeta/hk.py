@@ -28,6 +28,7 @@ the a-priori hk_spectral_budget.  Where q^(k/2) times that budget is below
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from typing import Sequence
@@ -80,6 +81,23 @@ def chebyshev_T_even_form(k: int, x: float) -> float:
     return 2.0 * half ** k * total
 
 
+class HorizonOverflow(ValueError):
+    """h_k, or a term the float routes sum for it, passes the double range
+    at k, the first such k up to the horizon."""
+
+    def __init__(self, k: int):
+        super().__init__(f"h_{k} passes the double range; take a horizon below {k}")
+
+
+def finite_h(h: np.ndarray) -> np.ndarray:
+    """h_1..h_K as they are, or HorizonOverflow at the first that is not
+    finite."""
+    finite = np.isfinite(h)
+    if not finite.all():
+        raise HorizonOverflow(int(np.argmin(finite)) + 1)
+    return h
+
+
 def chebyshev_T_table(K: int, xs: np.ndarray) -> np.ndarray:
     """Matrix of T_k(x) values, shape (K, len(xs)), rows k = 1..K: the
     recurrence runs in the rows of a table that starts at T_0, two numpy
@@ -95,6 +113,7 @@ def chebyshev_T_table(K: int, xs: np.ndarray) -> np.ndarray:
     return table[1:]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def hk_spectral(scaled: np.ndarray, K: int, bipartite: bool) -> np.ndarray:
     """h_1..h_K, h_k = 2|Spec*| - sum of T_k over the scaled nontrivial
     spectrum.
@@ -103,16 +122,17 @@ def hk_spectral(scaled: np.ndarray, K: int, bipartite: bool) -> np.ndarray:
     half (NontrivialSpectrum), and T_k(-x) = (-1)^k T_k(x).  So odd h_k is
     exactly 2|Spec*| = 2(n-2), and h_2j = 2(n-2) - 2 sum T_j(x^2 - 2) by
     T_2j(x) = T_j(T_2(x)): one table of K/2 rows over n/2 - 1 values, with
-    no +/- cancellation.
+    no +/- cancellation.  A table that passes the double range raises
+    HorizonOverflow (finite_h), with no numpy warning.
     """
     scaled = np.asarray(scaled, dtype=np.float64)
     m = len(scaled)
     if not bipartite:
-        return 2.0 * m - chebyshev_T_table(K, scaled).sum(axis=1)
+        return finite_h(2.0 * m - chebyshev_T_table(K, scaled).sum(axis=1))
     half = scaled[:m // 2]
     values = np.full(K, 2.0 * m)
     values[1::2] -= 2.0 * chebyshev_T_table(K // 2, half * half - 2.0).sum(axis=1)
-    return values
+    return finite_h(values)
 
 
 def ck_alternating_sums(c: Sequence[int], q: int, K: int) -> list[int]:
@@ -185,7 +205,9 @@ def hk_from_ck(excess: dict[int, tuple[int, int]], q: int, n: int,
     terms cancel to O(n), so they are never added in float: even k divides
     the integer base q^(k/2) + a_k by q^(k/2) once, which rounds correctly;
     odd k divides a_k by q^((k-1)/2), then by sqrt(q), and adds base: a few
-    ulps of max(|h_k|, 4n)."""
+    ulps of max(|h_k|, 4n).  An h_k past the double range raises
+    HorizonOverflow at its k; at odd k, where a_k / q^((k-1)/2) alone
+    passes it, h_k is base + a_k / q^((k+1)/2) * sqrt(q)."""
     last = K - K % 2 if bipartite else K
     if last and last not in excess:
         raise ValueError(f"no a_k at k={last} for the requested K={K}")
@@ -195,10 +217,19 @@ def hk_from_ck(excess: dict[int, tuple[int, int]], q: int, n: int,
         if k > K:
             break
         half = q ** (k // 2)
-        if k % 2 == 0:
-            values[k - 1] = (base * half + a) / half
-        else:
-            values[k - 1] = base + a / half / math.sqrt(q)
+        try:
+            if k % 2 == 0:
+                values[k - 1] = (base * half + a) / half
+            else:
+                values[k - 1] = base + a / half / math.sqrt(q)
+        except OverflowError:
+            h = math.inf
+            if k % 2:
+                with contextlib.suppress(OverflowError):
+                    h = base + a / (half * q) * math.sqrt(q)
+            if math.isinf(h):
+                raise HorizonOverflow(k) from None
+            values[k - 1] = h
     return values
 
 

@@ -43,10 +43,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .hk import chebyshev_T_table
+from .hk import chebyshev_T_table, finite_h
 from .spectral import NontrivialSpectrum
-
-POLE_THRESHOLD = 1e-12
 
 
 class PoleHit(ArithmeticError):
@@ -114,13 +112,13 @@ class RationalFunction:
     def log2_sign(self, u) -> tuple[np.ndarray, np.ndarray]:
         """log2 of the absolute value and the sign, at every point of u (a
         scalar or an array), without forming the value; an exact zero is
-        (-inf, 0).  Raises PoleHit when 1 - sqrt(q)*u at some point lies
-        below POLE_THRESHOLD * (1 + sqrt(q)*|u|)."""
+        (-inf, 0).  Raises PoleHit where 1 - sqrt(q)*u is 0 within its
+        rounding, eps|sqrt(q) u|, taken as 2 eps (1 + sqrt(q)|u|)."""
         u = np.asarray(u, dtype=float)
         points = u.reshape(-1)
         root_u = math.sqrt(self.q) * points
         den = 1.0 - root_u
-        near = np.abs(den) < POLE_THRESHOLD * (1.0 + np.abs(root_u))
+        near = np.abs(den) <= 2.0 * np.finfo(np.float64).eps * (1.0 + np.abs(root_u))
         if near.any():
             raise PoleHit(f"u={float(points[near][0])!r} is numerically a pole")
         num_log2, num_sign = _log2_sign(
@@ -228,6 +226,7 @@ def functional_equation_residual(xi: RationalFunction, u):
 # ---------------------------------------------------------------------------
 # series extraction
 
+@np.errstate(over="ignore", invalid="ignore")
 def hk_series(xi: RationalFunction, K: int) -> np.ndarray:
     """h_1..h_K from the definition: the Maclaurin coefficients of
     d/du ln Xi(u/sqrt(q)), q = xi.q, summed over the factors of Xi in
@@ -241,7 +240,8 @@ def hk_series(xi: RationalFunction, K: int) -> np.ndarray:
     2u (p'/p)(w): the coefficient of w^(j-1), of the first K/2, lands
     doubled at u^(2j-1), so a bipartite Xi's odd h_k are its degree,
     2(n-2), exactly.  Raises ValueError for a row that is not Xi-shaped,
-    c0 = 1 and c2 = q (q^2 in w), the rows for which the table is exact.
+    c0 = 1 and c2 = q (q^2 in w), the rows for which the table is exact,
+    and HorizonOverflow (hk.finite_h) for a table past the double range.
     """
     num, q = xi.num, xi.q
     c0, c1, c2 = num.coefficients.T
@@ -253,7 +253,7 @@ def hk_series(xi: RationalFunction, K: int) -> np.ndarray:
         h[1::2] -= 2.0 * (chebyshev_T_table(K // 2, -c1 / q) @ powers)
     else:
         h -= chebyshev_T_table(K, -c1 / math.sqrt(q)) @ powers
-    return h
+    return finite_h(h)
 
 
 def log_series_zeta_check(spectral: np.ndarray, census: np.ndarray, budget: np.ndarray,

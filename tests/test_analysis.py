@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iharazeta.analysis import (DomainError, estimate_max_eigenvalue,
-                                even_k_bound, hasse_weil_check, hk_upper_bound,
-                                hk_upper_check, multiset_bound, ramanujan_hk,
-                                ramanujan_spectral)
+                                even_k_bound, even_k_bounds, hasse_weil_check,
+                                hk_upper_bound, hk_upper_check, multiset_bound,
+                                ramanujan_hk, ramanujan_spectral)
 from iharazeta.hk import chebyshev_T, hk_excess, hk_from_ck
-from iharazeta.spectral import scaled_spectrum
+from iharazeta.spectral import (NontrivialSpectrum, eigenvalue_error,
+                                scaled_spectrum)
 
 from conftest import (ACCEPTANCE_FIXTURES, NON_RAMANUJAN_FIXTURES,
                       RAMANUJAN_FIXTURES, get_excess, get_graph,
@@ -71,6 +72,35 @@ def test_spectral_verdict_prism24():
     assert v["max_nontrivial_abs"] == pytest.approx(2 * math.cos(math.pi / 12) + 1,
                                                     abs=1e-9)
     assert v["witness"] is not None
+
+
+def _margin(bound, n, q):
+    """The spectral margin: 4 ulps of the bound and the eigenvalue error."""
+    return 4.0 * math.ulp(bound) + eigenvalue_error(n, q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 13, 1399])
+@pytest.mark.parametrize("bipartite", [False, True])
+def test_spectral_margin_is_derived(q, bipartite):
+    # a synthetic spectrum whose largest |lam| is 2 sqrt(q) plus half, then
+    # twice, the margin for its n: len + 1, or len + 2 when bipartite (the
+    # fixed slack of 1e-8 sqrt(q) passed both); the even-k bounds take the
+    # same rule at h_2 >= 0 (a_2 = 0)
+    threshold = 2.0 * math.sqrt(q)
+    rest = [0.5, -0.5] if bipartite else [0.5, 0.25, -1.0]
+    n = len(rest) + (4 if bipartite else 2)
+    bound = even_k_bound(2, n, q, bipartite)
+    for factor, ramanujan in ((0.5, True), (2.0, False)):
+        worst = threshold + factor * _margin(threshold, n, q)
+        values = [worst, *rest] + ([-worst] if bipartite else [])
+        v = ramanujan_spectral(NontrivialSpectrum(
+            np.array(sorted(values, reverse=True)), q, bipartite), q)
+        assert v["is_ramanujan"] is ramanujan
+        assert v["threshold"] == threshold and v["max_nontrivial_abs"] == worst
+        assert v["witness"] == (None if ramanujan else pytest.approx(worst))
+        max_abs = bound + factor * _margin(bound, n, q)
+        assert even_k_bounds({2: (0, 0)}, n, q, bipartite, max_abs) == [
+            {"k": 2, "bound": bound, "satisfied": ramanujan}]
 
 
 # ---------------------------------------------------------------------------

@@ -391,6 +391,55 @@ def test_check_doubled_12_cycle_at_equality(tmp_path, capsys, k):
     assert verdicts["hk_upper"]["ok"] is True
 
 
+def _repeated_triangle(tmp_path, copies):
+    """The 3-cycle with each edge listed copies times: q = 2 copies - 1, and
+    the nontrivial eigenvalue -copies twice, far past 2 sqrt(q)."""
+    path = tmp_path / f"triangle{copies}.edges"
+    path.write_text("0 1\n1 2\n2 0\n" * copies)
+    return str(path)
+
+
+@pytest.mark.parametrize("copies, k", [(700, 200), (5000, 160)])
+def test_hasse_weil_rhs_past_the_double_range_is_null(tmp_path, capsys, copies, k):
+    # q^(k/2) passes the double range (1399^100, 9999^80): the rhs was
+    # float(q ** (k // 2)) and exited 3 with an OverflowError
+    path = _repeated_triangle(tmp_path, copies)
+    q = 2 * copies - 1
+    for command in ("analyze", "check"):
+        payload = run_json(capsys, command, path, "--k", str(k), "--no-timings")
+        records = payload["verdicts"]["hasse_weil"]["records"]
+        assert [r["k"] for r in records] == list(range(1, k + 1))
+        for r in records:
+            # rhs = 2(n - 1) q^(k/2) = 4 q^(k/2), null past the double range
+            log_rhs = math.log(4) + r["k"] / 2 * math.log(q)
+            if r["rhs"] is None:
+                assert log_rhs > math.log(sys.float_info.max) - 1e-12, r
+            else:
+                assert math.log(r["rhs"]) == pytest.approx(log_rhs, rel=1e-12), r
+            assert isinstance(r["lhs"], str) and isinstance(r["satisfied"], bool)
+        assert records[-1]["rhs"] is None
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["check"], ["series"],
+                                  ["series", "--route", "ck"],
+                                  ["series", "--route", "series"],
+                                  ["estimate"]], ids=" ".join)
+def test_h_past_the_double_range_is_bad_input(tmp_path, capsys, argv):
+    # each edge of the 3-cycle 5000 times: |h_k| ~ 2 * 50^k passes the
+    # double range at k = 182.  analyze, check and series exited 3 with an
+    # OverflowError from hk_from_ck; estimate printed a null estimate and
+    # numpy RuntimeWarnings
+    path = _repeated_triangle(tmp_path, 5000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv[0], path, *argv[1:], "--k", "200")
+    assert (code, out) == (2, "")
+    assert err == "error: h_182 passes the double range; take a horizon below 182\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(capsys, argv[0], path, *argv[1:], "--k", "181")[0] == 0
+
+
 def _reject_constant(token):
     raise AssertionError(f"invalid JSON token {token}")
 
@@ -501,6 +550,17 @@ def test_check_payload(capsys):
                             "route_agreement", "operator_check",
                             "zeta_census_check"}
     assert payload["schema"] == 4
+
+
+@pytest.mark.parametrize("spec", ["petersen", "kmm:3", "prism:24"])
+def test_check_prints_a_projection_of_analyze(capsys, spec):
+    # the same seven keys of the same report, byte for byte
+    report = run_json(capsys, "analyze", spec, "--k", "30")
+    code, out, err = run(capsys, "check", spec, "--k", "30")
+    assert (code, err) == (0, "")
+    keys = ("schema", "source", "k_horizon", "verdicts", "route_agreement",
+            "operator_check", "zeta_census_check")
+    assert out == report_to_json({key: report[key] for key in keys}) + "\n"
 
 
 @pytest.mark.parametrize("spec", ["petersen", "kmm:3"])

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iharazeta.hk import (binomial_ext, chebyshev_T, chebyshev_T_binomial,
+from iharazeta.hk import (HorizonOverflow, binomial_ext, chebyshev_T, chebyshev_T_binomial,
                           chebyshev_T_even_form, chebyshev_T_table, ck_alternating_sums, hk_excess, hk_from_ck, hk_spectral, max_route_deviation,
                           tk_weight)
 from iharazeta.census import build_census
-from iharazeta.graphs import adjacency_matrix, parse_generator, profile
+from iharazeta.graphs import (adjacency_matrix, parse_generator, profile,
+                              read_edge_list)
 from iharazeta.spectral import (eigenvalues_symmetric, nontrivial_spectrum,
                                 scaled_spectrum)
 
@@ -299,3 +300,23 @@ def test_route_tags():
     routes = get_hk_routes("k4", 5)
     assert list(routes) == ["spectral", "from_ck", "series"]
     assert all(h.dtype == np.float64 and h.shape == (5,) for h in routes.values())
+
+
+def test_h_past_the_double_range_raises_at_its_k():
+    # the 3-cycle with each edge 5000 times: q = 9999, x = -5000/sqrt(q)
+    # twice, so h_k ~ 2 * 50^k.  h_181 ~ 6e307 fits, though a_181 / q^90
+    # alone does not; h_182 ~ -3e309 does not fit
+    g = read_edge_list("0 1\n1 2\n2 0\n" * 5000)
+    prof, K = profile(g), 182
+    excess = hk_excess(build_census(g, prof.q, K).nk, prof.q, g.n, False)
+    scaled = scaled_spectrum(nontrivial_spectrum(eigenvalues_symmetric(
+        adjacency_matrix(g)), prof))
+    spectral = hk_spectral(scaled, K - 1, False)
+    exact = hk_from_ck(excess, prof.q, g.n, False, K - 1)
+    assert 1e307 < spectral[-1] < 1e308
+    assert exact[-1] == pytest.approx(spectral[-1], rel=1e-12)
+    with pytest.raises(HorizonOverflow, match="^h_182 passes the double range"):
+        hk_from_ck(excess, prof.q, g.n, False, K)
+    with pytest.raises(HorizonOverflow, match="^h_182 passes the double range"):
+        hk_spectral(scaled, K, False)
+

@@ -34,6 +34,18 @@ def test_check_ladder_runs_without_pythonpath(tmp_path):
         assert (spectral == "True") == (witness == "None"), row
 
 
+def test_check_ladder_tabulates_an_edge_list_file(tmp_path):
+    # the doubled 12-cycle, a multigraph no generator string gives, sits at
+    # max |lam| = 2 sqrt(q) exactly and reads Ramanujan at K = 200
+    (tmp_path / "doubled12.edges").write_text(
+        "".join(f"{i} {(i + 1) % 12}\n" * 2 for i in range(12)))
+    header, row = _run_script(tmp_path, "check_ladder.py", "doubled12.edges",
+                              "--k", "200")
+    assert header.split()[:7] == ["K", "graph", "exit", "spectral", "witness",
+                                  "k_pinned", "route_dev"]
+    assert row.split()[:5] == ["200", "doubled12.edges", "0", "True", "None"]
+
+
 def test_output_digests_are_stable_lines(tmp_path):
     first = _run_script(tmp_path, "output_digests.py", "petersen", "complete:4")
     assert first == _run_script(tmp_path, "output_digests.py", "petersen",

@@ -270,6 +270,28 @@ def test_functional_equation_fixed_point_is_the_pole():
         functional_equation_residual(xi, 1 / math.sqrt(2))
 
 
+@pytest.mark.parametrize("gap", [1e-13, -3e-14, 2e-15])
+def test_functional_equation_residual_finite_next_to_the_pole(gap):
+    # 1 - sqrt(q) u = gap, far above its rounding error of a few 1e-16:
+    # Xi there passes the float range, its log2 does not.  A fixed
+    # threshold of 1e-12 (1 + sqrt(q)|u|) called such points poles
+    xi = xi_rational(zeta_inverse(get_nontrivial("prism30")), 2)
+    u = (1.0 - gap) / math.sqrt(2)
+    assert 1e-15 < abs(1.0 - math.sqrt(2) * u) < 1e-12
+    assert math.isfinite(functional_equation_residual(xi, u))
+    log2, _ = xi.log2_sign(u)
+    assert log2 > 1024  # past the float range
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 13, 1399, 9999])
+def test_exact_pole_still_raises(q):
+    rf = RationalFunction(Factors.from_rows((1.0, 0.0, float(q), 1)), q, 2)
+    with pytest.raises(PoleHit):
+        rf.log2_sign(1.0 / math.sqrt(q))
+    with pytest.raises(PoleHit):
+        rf.log2_sign(np.array([0.1, 1.0 / math.sqrt(q)]))
+
+
 def test_functional_equation_near_fixed_point():
     xi = xi_rational(zeta_inverse(get_nontrivial("petersen")), 2)
     assert functional_equation_residual(xi, 1 / math.sqrt(2) + 0.02) < 1e-10
