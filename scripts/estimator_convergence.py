@@ -5,7 +5,8 @@ prism.
 Prints, for each adjacent pair of negative even h_k, the running estimate of
 q^(-1/2) * max|lam| against the closed-form value 2cos(2pi/m) + 1, for a
 ring of m vertices, scaled by 1/sqrt(2); the error decays geometrically in
-k.
+k.  The h_k are the spectral route of report.analyze, so every
+cross-check runs too.
 
 Usage: python scripts/estimator_convergence.py [--ring 24] [--k 100]
 """
@@ -18,10 +19,8 @@ from pathlib import Path
 # the checkout's own sources come first, so the script runs without PYTHONPATH
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from iharazeta.graphs import adjacency_matrix, generate, profile  # noqa: E402
-from iharazeta.hk import hk_spectral  # noqa: E402
-from iharazeta.spectral import (eigenvalues_symmetric,  # noqa: E402
-                                nontrivial_spectrum, scaled_spectrum)
+from iharazeta.graphs import generate  # noqa: E402
+from iharazeta.report import analyze  # noqa: E402
 
 
 def main() -> None:
@@ -30,14 +29,13 @@ def main() -> None:
     parser.add_argument("--k", type=int, default=100)
     args = parser.parse_args()
 
-    g = generate("prism", [args.ring])
-    prof = profile(g)
-    spectrum = eigenvalues_symmetric(adjacency_matrix(g), prof.bipartition)
-    ns = nontrivial_spectrum(spectrum, prof)
-    seq = hk_spectral(scaled_spectrum(ns), args.k, prof.bipartite)
+    report = analyze(generate("prism", [args.ring]), f"prism:{args.ring}",
+                     args.k, include_timings=False)
+    n, q = report["graph"]["n"], report["graph"]["q"]
+    seq = report["h"]["spectral"]
 
-    target = (2 * math.cos(2 * math.pi / args.ring) + 1) / math.sqrt(prof.q)
-    print(f"prism({args.ring}): n={g.n}, target q^-1/2 max|lam| = {target:.10f}")
+    target = (2 * math.cos(2 * math.pi / args.ring) + 1) / math.sqrt(q)
+    print(f"prism({args.ring}): n={n}, target q^-1/2 max|lam| = {target:.10f}")
     print(f"{'k':>4} {'h_k':>16} {'estimate':>14} {'error':>12}")
     for k in range(2, args.k - 1, 2):
         a, b = seq[k - 1], seq[k + 1]

@@ -5,8 +5,8 @@ A prism (circular ladder) on an even ring of m vertices is 3-regular and
 bipartite; its largest nontrivial eigenvalue 2cos(2pi/m) + 1 crosses the
 2*sqrt(2) threshold as the ring grows, so the family walks from Ramanujan to
 non-Ramanujan and the sign scan shows exactly where the coefficient
-criterion notices.  Each sign is decided exactly from the census
-(ramanujan_hk).
+criterion notices.  Each row reads report.analyze, so every cross-check
+runs too; each sign is decided exactly from the census (ramanujan_hk).
 
 Usage: python scripts/hk_sign_scan.py [--max-ring 30] [--k 80]
 """
@@ -19,11 +19,8 @@ from pathlib import Path
 # the checkout's own sources come first, so the script runs without PYTHONPATH
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from iharazeta.analysis import ramanujan_hk, ramanujan_spectral  # noqa: E402
-from iharazeta.census import build_census  # noqa: E402
-from iharazeta.graphs import adjacency_matrix, generate, profile  # noqa: E402
-from iharazeta.hk import hk_excess  # noqa: E402
-from iharazeta.spectral import eigenvalues_symmetric, nontrivial_spectrum  # noqa: E402
+from iharazeta.graphs import generate  # noqa: E402
+from iharazeta.report import analyze  # noqa: E402
 
 
 def main() -> None:
@@ -35,17 +32,13 @@ def main() -> None:
     print(f"{'ring':>5} {'n':>4} {'max|lam*|':>10} {'2sqrt(q)':>9} "
           f"{'ramanujan':>10} {'first h_k<0':>12}")
     for m in range(3, args.max_ring + 1):
-        g = generate("prism", [m])
-        prof = profile(g)
-        spectrum = eigenvalues_symmetric(adjacency_matrix(g), prof.bipartition)
-        ns = nontrivial_spectrum(spectrum, prof)
-        verdict = ramanujan_spectral(ns, prof.q)
-        census = build_census(g, prof.q, args.k)
-        excess = hk_excess(census.nk, prof.q, g.n, prof.bipartite)
-        witness = ramanujan_hk(excess, args.k)["witness"]
-        print(f"{m:>5} {g.n:>4} {verdict['max_nontrivial_abs']:>10.6f} "
-              f"{2 * math.sqrt(prof.q):>9.6f} {str(verdict['is_ramanujan']):>10} "
-              f"{str(witness):>12}")
+        report = analyze(generate("prism", [m]), f"prism:{m}", args.k,
+                         include_timings=False)
+        graph, verdicts = report["graph"], report["verdicts"]
+        spectral = verdicts["spectral"]
+        print(f"{m:>5} {graph['n']:>4} {spectral['max_nontrivial_abs']:>10.6f} "
+              f"{2 * math.sqrt(graph['q']):>9.6f} {str(spectral['is_ramanujan']):>10} "
+              f"{str(verdicts['hk']['witness']):>12}")
 
 
 if __name__ == "__main__":

@@ -82,6 +82,11 @@ class Plan:
     column_sum: int
     half: bool = False
 
+    @property
+    def work(self) -> int:
+        """The cost model of taking the plan: steps x primes x size^3."""
+        return self.steps * len(self.primes) * self.size ** 3
+
 
 # the largest primes below PRIME_LIMIT, descending; _largest_primes extends
 # it under the lock, so that two threads never append the same prime

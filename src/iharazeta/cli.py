@@ -23,8 +23,8 @@ import sys
 from .analysis import estimate_max_eigenvalue
 from .census import (BruteForceBudgetExceeded, build_census, walk_plan,
                      characteristic_polynomial, geodesic_cycles_bruteforce)
-from .graphs import (GraphError, Multigraph, adjacency_matrix, parse_generator,
-                     profile, read_edge_list, write_edge_list)
+from .graphs import (GraphError, GraphProfile, Multigraph, adjacency_matrix,
+                     parse_generator, profile, read_edge_list, write_edge_list)
 from .hk import hk_excess, hk_from_ck, hk_spectral
 from .report import InternalConsistencyError, analyze, report_to_json
 from .spectral import (eigenvalues_symmetric, nontrivial_spectrum,
@@ -41,23 +41,27 @@ EXIT_INTERNAL = 3
 DATA_SCHEMA = 3
 # h_k routes of the series subcommand, in CSV column order
 SERIES_ROUTES = ["spectral", "ck", "series"]
-# a census of more work (steps x primes x size^3 of census.walk_plan) prints
-# a cost note on stderr.  build_census takes 5-10e-11 s a unit at size >= 60
+# a census of more work (the Plan.work of its census.walk_plan) prints a
+# cost note on stderr.  build_census takes 5-10e-11 s a unit at size >= 60
 # (x86-64, one BLAS thread): 5.2e8 units and 30 ms for cycle:101 at K = 101,
 # 9.6e9 and 0.61 s for circulant:150:1,2,3,50 at K = 150, 1.5e10 and 0.79 s
 # for cycle:201 at K = 200, 2.2e10 and 1.9 s for complete:150 at K = 150
 COSTLY_WORK = 10 ** 10
 
 
-def _load_graph(source: str) -> Multigraph:
+def _load_graph(source: str) -> tuple[Multigraph, GraphProfile]:
+    """The graph that source names, and its profile: every subcommand but
+    generate validates here, before any census is planned."""
     if os.path.exists(source):
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ValueError(f"cannot read {source}: {exc.strerror or exc}") from exc
-        return read_edge_list(text)
-    return parse_generator(source)
+        g = read_edge_list(text)
+    else:
+        g = parse_generator(source)
+    return g, profile(g)
 
 
 def _check_out(out: str | None) -> None:
@@ -71,10 +75,9 @@ def _check_out(out: str | None) -> None:
 
 def _cost_note(g: Multigraph, K: int, what: str | None = None) -> None:
     """Say on stderr that what (by default "--k K") is costly when the census
-    of g to horizon K does more than COSTLY_WORK units of work (steps x
-    primes x size^3 of its walk_plan).  Called where a census runs."""
-    plan = walk_plan(g, K)
-    if plan.steps * len(plan.primes) * plan.size ** 3 > COSTLY_WORK:
+    of g to horizon K does more than COSTLY_WORK units of work (the
+    Plan.work of its walk_plan).  Called where a census runs."""
+    if walk_plan(g, K).work > COSTLY_WORK:
         print(f"note: {what or f'--k {K}'} is costly; census entries grow "
               "like (q+1)^k", file=sys.stderr)
 
@@ -101,7 +104,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     """analyze's report, or check's projection of it onto args.keys."""
-    g = _load_graph(args.input)
+    g, _ = _load_graph(args.input)
     _cost_note(g, args.k)
     report = analyze(g, args.input, args.k, include_timings=not args.no_timings)
     if args.keys:
@@ -111,9 +114,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    g = _load_graph(args.input)
+    g, prof = _load_graph(args.input)
     K = args.k
-    prof = profile(g)
     q, n = prof.q, g.n
     routes: dict = {}
     want = SERIES_ROUTES if args.route == "all" else [args.route]
@@ -149,8 +151,7 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    g = _load_graph(args.input)
-    prof = profile(g)
+    g, prof = _load_graph(args.input)
     _cost_note(g, args.k)
     census = build_census(g, prof.q, args.k)
     payload = {
@@ -174,8 +175,7 @@ def cmd_census(args: argparse.Namespace) -> int:
 def cmd_zeta(args: argparse.Namespace) -> int:
     """Z(u)^-1 = (1-u^2)^e det(I - uA + qu^2 I), exactly: the determinant's
     coefficients from chi_A, which the census to horizon n gives."""
-    g = _load_graph(args.input)
-    prof = profile(g)
+    g, prof = _load_graph(args.input)
     q, n = prof.q, g.n
     _cost_note(g, n, f"the census to n = {n}")
     chi = characteristic_polynomial(build_census(g, q, n).c[1:])
@@ -187,8 +187,7 @@ def cmd_zeta(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    g = _load_graph(args.input)
-    prof = profile(g)
+    g, prof = _load_graph(args.input)
     ns = nontrivial_spectrum(eigenvalues_symmetric(
         adjacency_matrix(g), prof.bipartition), prof)
     payload = estimate_max_eigenvalue(
@@ -282,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
             raise GraphError("--oracle-k must be >= 0")
         _check_out(args.out)
         return args.func(args)
-    except (GraphError, ValueError, BruteForceBudgetExceeded) as exc:
+    except (ValueError, BruteForceBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except InternalConsistencyError as exc:

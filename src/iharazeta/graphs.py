@@ -168,9 +168,13 @@ def profile(g: Multigraph) -> GraphProfile:
     """Validate regularity and connectivity; classify bipartiteness.
 
     Raises NotRegularError / NotConnectedError when the standing assumptions
-    fail.  Bipartiteness is read from the graph's cached 2-colouring
+    fail; a graph of more vertices than edges + 1 fails before any
+    per-vertex work, since a connected graph on n vertices has at least
+    n - 1 edges.  Bipartiteness is read from the graph's cached 2-colouring
     (Multigraph.colouring); any loop counts as an odd cycle.
     """
+    if g.n > g.edge_count + 1:
+        raise NotConnectedError(f"{g.edge_count} edges cannot connect {g.n} vertices")
     degs = g.valencies
     if min(degs) != max(degs):
         lo, hi = min(degs), max(degs)
@@ -203,10 +207,23 @@ _PETERSEN_EDGES = [
 ]
 
 
+# each family's parameter names, in generator-string order; "..." lets
+# circulant take more offsets s
+_PARAMETERS = {"complete": ("n",), "cycle": ("n",), "complete_bipartite": ("m",),
+               "petersen": (), "hypercube": ("d",), "prism": ("m",),
+               "circulant": ("n", "s", "...")}
+
+
 def generate(name: str, params: Sequence[int] = ()) -> Multigraph:
     """Build a named graph: complete, cycle, complete_bipartite (K_{m,m}),
     petersen, hypercube, prism (circular ladder), or circulant."""
-    params = list(params)
+    if name not in _PARAMETERS:
+        raise GraphError(f"unknown generator {name!r}")
+    names = _PARAMETERS[name]
+    fixed = len(names) - names.count("...")
+    if len(params) < fixed or len(params) > fixed and "..." not in names:
+        raise GraphError(f"{name} takes parameters ({', '.join(names)}), "
+                         f"got {len(params)}")
     if name == "complete":
         (n,) = params
         return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
@@ -219,8 +236,6 @@ def generate(name: str, params: Sequence[int] = ()) -> Multigraph:
             raise GraphError("complete_bipartite needs m >= 2")
         return build_graph(2 * m, [(i, m + j) for i in range(m) for j in range(m)])
     if name == "petersen":
-        if params:
-            raise GraphError("petersen takes no parameters")
         return build_graph(10, _PETERSEN_EDGES)
     if name == "hypercube":
         (d,) = params
@@ -240,34 +255,21 @@ def generate(name: str, params: Sequence[int] = ()) -> Multigraph:
             edges.append((m + i, m + j))    # inner ring
             edges.append((i, m + i))        # rung
         return build_graph(2 * m, edges)
-    if name == "circulant":
-        n, *offsets = params
-        if not offsets:
-            raise GraphError("circulant needs a connection set")
-        edges = []
-        for s in offsets:
-            s %= n
-            if s == 0:
-                raise GraphError("circulant offset must be nonzero mod n")
-            s = min(s, n - s)
-            if 2 * s == n:
-                edges.extend((i, i + s) for i in range(s))
-            else:
-                edges.extend((i, (i + s) % n) for i in range(n))
-        return build_graph(n, edges)
-    raise GraphError(f"unknown generator {name!r}")
+    n, *offsets = params  # circulant
+    edges = []
+    for s in offsets:
+        s %= n
+        if s == 0:
+            raise GraphError("circulant offset must be nonzero mod n")
+        s = min(s, n - s)
+        if 2 * s == n:
+            edges.extend((i, i + s) for i in range(s))
+        else:
+            edges.extend((i, (i + s) % n) for i in range(n))
+    return build_graph(n, edges)
 
 
-_GENERATOR_ALIASES = {
-    "complete": "complete",
-    "cycle": "cycle",
-    "kmm": "complete_bipartite",
-    "complete_bipartite": "complete_bipartite",
-    "petersen": "petersen",
-    "hypercube": "hypercube",
-    "prism": "prism",
-    "circulant": "circulant",
-}
+_GENERATOR_ALIASES = {"kmm": "complete_bipartite"}
 
 
 def parse_generator(spec: str) -> Multigraph:
@@ -275,15 +277,13 @@ def parse_generator(spec: str) -> Multigraph:
     "kmm:3", "prism:24" or "circulant:12:1,3"."""
     parts = spec.strip().split(":")
     name = parts[0].strip().lower()
-    if name not in _GENERATOR_ALIASES:
-        raise GraphError(f"unknown generator {name!r}")
     params: list[int] = []
     try:
         for chunk in parts[1:]:
             params.extend(int(tok) for tok in chunk.split(",") if tok.strip() != "")
     except ValueError as exc:
         raise GraphError(f"bad generator parameters in {spec!r}") from exc
-    return generate(_GENERATOR_ALIASES[name], params)
+    return generate(_GENERATOR_ALIASES.get(name, name), params)
 
 
 # ---------------------------------------------------------------------------

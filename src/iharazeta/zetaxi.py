@@ -36,7 +36,6 @@ scaled by q^(k/2): log_series_zeta_check holds it to the census.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from typing import NamedTuple, Sequence
@@ -190,18 +189,14 @@ def xi_rational(z: Factors, q: int) -> RationalFunction:
 # ---------------------------------------------------------------------------
 # functional equation
 
-@functools.cache
 def functional_equation_points(count: int = 100, seed: int = 42) -> np.ndarray:
     """Deterministic sample points, uniform over [-0.9,-0.1] u [0.1,0.9]:
     count magnitudes, then count signs, from the standard library's Mersenne
     Twister random.Random(seed).  numpy.random would do the same, but its
-    import costs a fresh process about 7 MB and 20 ms for 100 floats.
-    Drawn once per (count, seed) in a process, and read-only."""
+    import costs a fresh process about 7 MB and 20 ms for 100 floats."""
     rng = random.Random(seed)
     mags = [0.1 + 0.8 * rng.random() for _ in range(count)]
-    points = np.array([-m if rng.random() < 0.5 else m for m in mags], dtype=float)
-    points.flags.writeable = False
-    return points
+    return np.array([-m if rng.random() < 0.5 else m for m in mags], dtype=float)
 
 
 def functional_equation_residual(xi: RationalFunction, u):

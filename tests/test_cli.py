@@ -258,6 +258,45 @@ def test_analyze_malformed_file(tmp_path, capsys):
     assert "line 2" in err
 
 
+TRIANGLE = "0 1\n1 2\n2 0\n"
+# inputs that name no connected regular graph: edge lists (a triangle plus
+# one line) whose vertex count far exceeds their edges, and generator
+# strings with the wrong number of parameters; each with its one error line
+MALFORMED_INPUTS = (
+    [(f"{name}.edges", text, f"{edges} edges cannot connect {n} vertices")
+     for name, text, edges, n in (
+         ("far-loop", TRIANGLE + "1099511627775 1099511627775\n", 4, 2 ** 40),
+         ("header", "n 2147483648\n" + TRIANGLE, 3, 2 ** 31),
+         ("mid-loop", TRIANGLE + "9999999 9999999\n", 4, 10 ** 7),
+         ("near-loop", TRIANGLE + "4999 4999\n", 4, 5000))]
+    + [(spec, None, f"{name} takes parameters ({params}), got {got}")
+       for spec, name, params, got in (
+           ("complete", "complete", "n", 0),
+           ("cycle", "cycle", "n", 0),
+           ("kmm", "complete_bipartite", "m", 0),
+           ("hypercube", "hypercube", "d", 0),
+           ("circulant", "circulant", "n, s, ...", 0),
+           ("prism:3:4", "prism", "m", 2),
+           ("complete:3:4", "complete", "n", 2),
+           ("petersen:3", "petersen", "", 1))])
+
+
+@pytest.mark.parametrize("source, text, message", MALFORMED_INPUTS,
+                         ids=[source for source, _, _ in MALFORMED_INPUTS])
+def test_malformed_input_fails_before_any_census(tmp_path, capsys, source,
+                                                 text, message):
+    # every subcommand validates the graph before it plans or allocates
+    # anything: one error line, exit 2, no cost note and no internal error
+    commands = ["analyze", "check", "series", "census", "zeta", "estimate"]
+    if text is None:
+        commands.append("generate")
+    else:
+        (tmp_path / source).write_text(text)
+        source = str(tmp_path / source)
+    for command in commands:
+        assert run(capsys, command, source) == (2, "", f"error: {message}\n"), command
+
+
 def test_analyze_not_regular_exit(tmp_path, capsys):
     path = tmp_path / "star.edges"
     path.write_text("0 1\n0 2\n0 3\n")
@@ -640,14 +679,9 @@ def _k_note(k):
     return f"note: --k {k} is costly; census entries grow like (q+1)^k\n"
 
 
-def _census_work(g, K):
-    plan = walk_plan(g, K)
-    return plan.steps * len(plan.primes) * plan.size ** 3
-
-
 def test_k_cost_warning(capsys):
-    # the note goes by the census's walk_plan, steps x primes x size^3, against
-    # COSTLY_WORK; no census runs here.  cycle:101 at K = 101 (5.2e8 units)
+    # the note goes by the Plan.work of the census's walk_plan, steps x
+    # primes x size^3, against COSTLY_WORK; no census runs here.  cycle:101 at K = 101 (5.2e8 units)
     # and circulant:101:1,7,19 at K = 100 (1.1e9) took 30 and 66 ms, where
     # complete:150 at K = 150 (2.2e10) took 1.9 s
     cases = [("cycle:101", 101, 5 * 101 ** 4, False),
@@ -659,7 +693,7 @@ def test_k_cost_warning(capsys):
              ("complete:150", 150, 44 * 150 ** 4, True)]
     for spec, K, work, noted in cases:
         g = parse_generator(spec)
-        assert _census_work(g, K) == work
+        assert walk_plan(g, K).work == work
         assert (work > cli_mod.COSTLY_WORK) == noted
         cli_mod._cost_note(g, K)
         assert capsys.readouterr().err == (_k_note(K) if noted else "")

@@ -1,6 +1,7 @@
 """graph-core: construction, validation, generators, edge-list format."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,20 @@ def test_profile_disconnected():
     g = build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     with pytest.raises(NotConnectedError):
         profile(g)
+
+
+def test_profile_refuses_too_few_edges_before_any_per_vertex_work():
+    # a connected graph on n vertices has at least n - 1 edges, so a
+    # triangle named as a graph on 2^40 vertices fails at once
+    g = build_graph(2 ** 40, [(0, 1), (1, 2), (2, 0)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotConnectedError, match="3 edges cannot connect"):
+            profile(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_adjacency_k4():

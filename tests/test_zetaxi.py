@@ -409,12 +409,14 @@ def test_sample_points_deterministic():
     assert np.all((np.abs(a) >= 0.1) & (np.abs(a) <= 0.9))
 
 
-def test_functional_equation_points_drawn_once_and_read_only():
+def test_functional_equation_points_are_a_fresh_array_per_call():
+    # nothing is cached: a caller that writes into its points leaves the
+    # next call's points as they were drawn
     points = functional_equation_points(100, 42)
-    assert functional_equation_points(100, 42) is points
-    assert not points.flags.writeable
-    with pytest.raises(ValueError):
-        points[0] = 0.5
+    again = functional_equation_points(100, 42)
+    assert again is not points and np.array_equal(again, points)
+    points[0] = 0.5
+    assert functional_equation_points(100, 42)[0] == again[0] != 0.5
 
 
 # ---------------------------------------------------------------------------
