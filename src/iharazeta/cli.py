@@ -200,6 +200,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     g = parse_generator(args.spec)
+    profile(g)
     _emit(write_edge_list(g), args.out)
     return EXIT_OK
 
@@ -226,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, description, keys in (
             ("analyze", "full pipeline, JSON report", None),
             ("check", "verdicts only, JSON",
-             ("schema", "source", "k_horizon", "verdicts", "route_agreement",
-              "operator_check", "zeta_census_check"))):
+             ("schema", "source", "k_horizon", "verdicts", "operator_check",
+              "zeta_census_check"))):
         p = sub.add_parser(name, help=description)
         common(p)
         p.add_argument("--require-ramanujan", action="store_true",

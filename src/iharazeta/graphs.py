@@ -17,6 +17,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+# the most vertices profile admits: a nonbipartite census holds at least
+# five dense n x n arrays of 8-byte entries (the adjacency, its float64 copy,
+# three power arrays per prime), 40 n^2 bytes: 640 MiB here, 1 GiB at 5181
+MAX_VERTICES = 2 ** 12
+
 
 class GraphError(ValueError):
     """Base class for graph construction and validation failures."""
@@ -168,13 +173,15 @@ def profile(g: Multigraph) -> GraphProfile:
     """Validate regularity and connectivity; classify bipartiteness.
 
     Raises NotRegularError / NotConnectedError when the standing assumptions
-    fail; a graph of more vertices than edges + 1 fails before any
-    per-vertex work, since a connected graph on n vertices has at least
-    n - 1 edges.  Bipartiteness is read from the graph's cached 2-colouring
-    (Multigraph.colouring); any loop counts as an odd cycle.
+    fail; a graph of more vertices than edges + 1 (a connected graph on n
+    vertices has at least n - 1 edges), or than MAX_VERTICES, fails before
+    any per-vertex work.  Bipartiteness is read from the graph's cached
+    2-colouring (Multigraph.colouring); any loop counts as an odd cycle.
     """
     if g.n > g.edge_count + 1:
         raise NotConnectedError(f"{g.edge_count} edges cannot connect {g.n} vertices")
+    if g.n > MAX_VERTICES:
+        raise GraphError(f"{g.n} vertices exceed the limit of {MAX_VERTICES}")
     degs = g.valencies
     if min(degs) != max(degs):
         lo, hi = min(degs), max(degs)
@@ -208,15 +215,15 @@ _PETERSEN_EDGES = [
 
 
 # each family's parameter names, in generator-string order; "..." lets
-# circulant take more offsets s
+# circulant take more offsets s; kmm is complete_bipartite
 _PARAMETERS = {"complete": ("n",), "cycle": ("n",), "complete_bipartite": ("m",),
-               "petersen": (), "hypercube": ("d",), "prism": ("m",),
+               "kmm": ("m",), "petersen": (), "hypercube": ("d",), "prism": ("m",),
                "circulant": ("n", "s", "...")}
 
 
 def generate(name: str, params: Sequence[int] = ()) -> Multigraph:
-    """Build a named graph: complete, cycle, complete_bipartite (K_{m,m}),
-    petersen, hypercube, prism (circular ladder), or circulant."""
+    """Build a named graph: complete, cycle, complete_bipartite or kmm
+    (K_{m,m}), petersen, hypercube, prism (circular ladder), or circulant."""
     if name not in _PARAMETERS:
         raise GraphError(f"unknown generator {name!r}")
     names = _PARAMETERS[name]
@@ -230,10 +237,10 @@ def generate(name: str, params: Sequence[int] = ()) -> Multigraph:
     if name == "cycle":
         (n,) = params
         return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
-    if name == "complete_bipartite":
+    if name in ("complete_bipartite", "kmm"):
         (m,) = params
         if m < 2:
-            raise GraphError("complete_bipartite needs m >= 2")
+            raise GraphError(f"{name} needs m >= 2")
         return build_graph(2 * m, [(i, m + j) for i in range(m) for j in range(m)])
     if name == "petersen":
         return build_graph(10, _PETERSEN_EDGES)
@@ -269,9 +276,6 @@ def generate(name: str, params: Sequence[int] = ()) -> Multigraph:
     return build_graph(n, edges)
 
 
-_GENERATOR_ALIASES = {"kmm": "complete_bipartite"}
-
-
 def parse_generator(spec: str) -> Multigraph:
     """Parse a generator DSL string such as "petersen", "complete:4",
     "kmm:3", "prism:24" or "circulant:12:1,3"."""
@@ -283,7 +287,7 @@ def parse_generator(spec: str) -> Multigraph:
             params.extend(int(tok) for tok in chunk.split(",") if tok.strip() != "")
     except ValueError as exc:
         raise GraphError(f"bad generator parameters in {spec!r}") from exc
-    return generate(_GENERATOR_ALIASES.get(name, name), params)
+    return generate(name, params)
 
 
 # ---------------------------------------------------------------------------

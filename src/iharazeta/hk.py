@@ -21,9 +21,9 @@ against the cap and the Hasse-Weil bound, is decided from the same
 integers, with no float (hk_excess).
 
 The spectral route is the paper's N_k series of Z(u)^-1 less its exact
-trivial terms, over q^(k/2): so it checks the census at every k, against
-the a-priori hk_spectral_budget.  Where q^(k/2) times that budget is below
-1/2, a census N_k one off moves from_ck outside it.
+trivial terms, over q^(k/2): so both float routes check the census at
+every k, against the one a-priori hk_spectral_budget.  Where q^(k/2) times
+that budget is below 1/2, a census N_k one off moves from_ck outside it.
 """
 
 from __future__ import annotations
@@ -233,11 +233,11 @@ def hk_from_ck(excess: dict[int, tuple[int, int]], q: int, n: int,
     return values
 
 
-def hk_spectral_budget(values: np.ndarray, q: int, n: int,
-                       h: np.ndarray) -> np.ndarray:
-    """A-priori bound on |hk_spectral - hk_from_ck| at k = 1..len(h), for
-    the nontrivial float64 eigenvalues `values` of a graph on n vertices and
-    the from_ck values h.
+def hk_spectral_budget(values: np.ndarray, q: int, n: int, h: np.ndarray,
+                       bipartite: bool) -> np.ndarray:
+    """A-priori bound on |hk_spectral - hk_from_ck| and |zetaxi.hk_series -
+    hk_from_ck| at k = 1..len(h), for the nontrivial float64 eigenvalues
+    `values` of a graph on n vertices, bipartite or not, and the from_ck h.
 
     Each x = lam/sqrt(q) enters T_k(x) = y^k + y^-k, x = y + 1/y.  With
     r = max(|y|, 1/|y|) (1 while |x| <= 2), |x| <= 2r, |T_k| <= 2 r^k and
@@ -251,17 +251,24 @@ def hk_spectral_budget(values: np.ndarray, q: int, n: int,
     * The table.  Step j of T_j = x T_(j-1) - T_(j-2) rounds a product and
       a difference, at most eps (|x T_(j-1)| + |T_(j-2)|) <= 6 eps r^j,
       which reaches T_k times U_(k-j): sum_(j=2..k) 6 eps r^j (k-j+1)
-      r^(k-j) = 3k(k-1) eps r^k.  The bipartite table T_j(x^2 - 2) at
-      k = 2j, over the first half of the values and doubled exactly, takes
-      3j(j-1) eps r^k for its steps and 3j^2 eps r^k for x^2 - 2: less.
+      r^(k-j) = 3k(k-1) eps r^k.  Off bipartite graphs, hk_series reads
+      x = -c1/sqrt(q) from Xi's rows, scaled_spectrum's bit for bit.  The
+      bipartite table T_j(y) at k = 2j, over the first half of the values
+      and doubled exactly, takes 3j(j-1) eps r^k for its steps and
+      j^2 r^(k-2) times the error of y: y = x^2 - 2 rounds by eps/2 (x^2 +
+      |y|) <= 3 eps r^2 (|y| <= 2r^2), and hk_series's y = -c1/q =
+      (sigma^2 - 2q)/q, rounded thrice, by eps/2 (x^2 + 2|y|) <= 4 eps r^2.
+      That is 7j^2 - 3j <= 3k(k-1) in all, and sigma's error moves either
+      y by 2x dx, as x^2 - 2.
     * The sum of at most n values T_k and its subtraction from 2|values|
       round by (n eps/2)(2 sum r^k) + (eps/2)(2n + 2 sum r^k).
     * hk_from_ck's divisions and its odd-k sqrt(q) and sum round by at most
       2.75 eps max(|h_k|, 4n), taken as 4.
 
     So |error| <= k^2 dx sum r_i^(k-1) + (3k(k-1) + n + 2) eps sum r_i^k
-    + n eps, doubled for second-order terms, plus 4 eps max(|h_k|, 4n).
-    One census N_k off by one moves h_k by q^(-k/2).
+    + n eps, doubled for second-order terms, plus 4 eps max(|h_k|, 4n),
+    which alone stays at a bipartite graph's odd k, where all three routes
+    give 2(n-2) exactly.  One census N_k off by one moves h_k by q^(-k/2).
     """
     eps = float(np.finfo(np.float64).eps)
     root_q = math.sqrt(q)
@@ -270,9 +277,11 @@ def hk_spectral_budget(values: np.ndarray, q: int, n: int,
     r = np.maximum(1.0, (x + np.sqrt(np.maximum(x * x - 4.0, 0.0))) / 2.0)
     k = np.arange(1.0, len(h) + 1.0)
     drift = r ** (k[:, None] - 1.0)
-    return (2.0 * (k * k * dx * drift.sum(axis=1) + n * eps
+    table = 2.0 * (k * k * dx * drift.sum(axis=1) + n * eps
                    + (3.0 * k * (k - 1.0) + n + 2) * eps * (drift * r).sum(axis=1))
-            + 4.0 * eps * np.maximum(np.abs(h), 4.0 * n))
+    if bipartite:
+        table[0::2] = 0.0
+    return table + 4.0 * eps * np.maximum(np.abs(h), 4.0 * n)
 
 
 def max_route_deviation(seqs: Sequence[np.ndarray]) -> float:

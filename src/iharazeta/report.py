@@ -3,20 +3,18 @@
 One call runs: profile -> spectrum -> exact census -> xi -> the three h_k
 routes (spectral, from_ck, series) -> every certification check ->
 estimator, and returns a plain dict shaped like the emitted JSON.  Xi is
-built once, from the factors of Z(u)^-1, for the series route; its
-functional equation Xi(1/(qu)) = Xi(u) is not sampled, since every row
-1 - lam*u + q*u^2 satisfies it for any real lam (the exact statement is
-`ihara zeta`'s d_(2n-j) = q^(n-j) d_j).  The h_k verdict, the from_ck
-route and the checks that need exact values all read one pass of
-hk.hk_excess over the census N_k: the signs of h_k in integers.
-Every census N_k is checked against the operator traces modulo
+built once, for the series route; its functional equation is not sampled,
+since every row 1 - lam*u + q*u^2 satisfies it for any real lam.  The h_k
+verdict, the from_ck route and the checks that need exact values all read
+one pass of hk.hk_excess over the census N_k: the signs of h_k in
+integers.  Every census N_k is checked against the operator traces modulo
 census.CHECK_PRIME (the report's operator_check names the prime and the
-horizon), a bipartite census's odd C_k and N_k to be 0 at every
-k, every from_ck h_k against the spectral route within the a-priori
-hk.hk_spectral_budget (zetaxi.log_series_zeta_check), and the series
-route within a fixed tolerance.  Disagreements raise
-InternalConsistencyError: they indicate a bug, not a mathematical verdict.
-report_to_json is the one JSON writer for every subcommand's output.
+horizon), a bipartite census's odd C_k and N_k to be 0 at every k, and
+every from_ck h_k against both float routes within the one a-priori
+hk.hk_spectral_budget (zetaxi.log_series_zeta_check).  Disagreements
+raise InternalConsistencyError: they indicate a bug, not a mathematical
+verdict.  report_to_json is the one JSON writer for every subcommand's
+output.
 """
 
 from __future__ import annotations
@@ -32,16 +30,12 @@ from .analysis import (estimate_max_eigenvalue, even_k_bounds,
                        ramanujan_hk, ramanujan_spectral)
 from .census import CHECK_PRIME, build_census, geodesic_cycles_operator
 from .graphs import Multigraph, adjacency_matrix, profile
-from .hk import (hk_excess, hk_from_ck, hk_spectral, hk_spectral_budget,
-                 max_route_deviation)
+from .hk import hk_excess, hk_from_ck, hk_spectral, hk_spectral_budget
 from .spectral import eigenvalues_symmetric, nontrivial_spectrum, scaled_spectrum
 from .zetaxi import hk_series, log_series_zeta_check, xi_rational, zeta_inverse
 
 # the schema of analyze's report and check's digest of it
-SCHEMA_VERSION = 4
-# relative tolerance of the cross-route comparison; the spectral and from_ck
-# routes also meet hk_spectral_budget at every k, so it binds the series route
-ROUTE_TOL = 1e-6
+SCHEMA_VERSION = 5
 # the rounding of every float a report prints
 _TWELVE_DIGITS = "{:.12g}".format
 _SMALLEST_NORMAL = sys.float_info.min
@@ -49,7 +43,7 @@ _LITERALS = {True: "true", False: "false", None: "null"}
 
 
 class InternalConsistencyError(RuntimeError):
-    """Independent computation routes disagreed beyond tolerance."""
+    """Independent computation routes disagreed beyond their error bound."""
 
 
 def _decimal_strings(values) -> list[str]:
@@ -99,18 +93,13 @@ def analyze(g: Multigraph, source: str, K: int,
 
     t0 = time.perf_counter()
     excess = hk_excess(census.nk, q, n, prof.bipartite)
-    routes = {"spectral": hk_spectral(scaled, K, prof.bipartite),
-              "from_ck": hk_from_ck(excess, q, n, prof.bipartite, K),
+    exact = hk_from_ck(excess, q, n, prof.bipartite, K)
+    floats = {"spectral": hk_spectral(scaled, K, prof.bipartite),
               "series": hk_series(xi, K)}
     zeta_check, problem = log_series_zeta_check(
-        routes["spectral"], routes["from_ck"],
-        hk_spectral_budget(ns.values, q, n, routes["from_ck"]), q)
+        floats, exact, hk_spectral_budget(ns.values, q, n, exact, prof.bipartite), q)
     if problem:
         raise InternalConsistencyError(problem)
-    route_dev = max_route_deviation(list(routes.values()))
-    if route_dev > ROUTE_TOL:
-        raise InternalConsistencyError(
-            f"h_k routes disagree: max relative deviation {route_dev:.3e}")
     timings["hk_routes"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -129,7 +118,7 @@ def analyze(g: Multigraph, source: str, K: int,
     timings["checks"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    estimator = estimate_max_eigenvalue(routes["spectral"], q)
+    estimator = estimate_max_eigenvalue(floats["spectral"], q)
     timings["estimator"] = time.perf_counter() - t0
 
     report = {
@@ -152,12 +141,7 @@ def analyze(g: Multigraph, source: str, K: int,
             "c": _decimal_strings(census.c),
             "n": _decimal_strings(census.nk),
         },
-        "h": {route: h.tolist() for route, h in routes.items()},
-        "route_agreement": {
-            "max_relative_deviation": route_dev,
-            "tolerance": ROUTE_TOL,
-            "ok": True,
-        },
+        "h": {"from_ck": exact.tolist(), **{r: h.tolist() for r, h in floats.items()}},
         "operator_check": {"prime": CHECK_PRIME, "k_checked": K},
         "zeta_census_check": zeta_check,
         "verdicts": verdicts,

@@ -21,17 +21,17 @@ either.  The series extraction does not expand either: the log-derivative
 of a product is the sum of e*p'/p over its factors, and each rescaled row
 1 - x v + v^2 has p'/p = -sum T_k(x) v^(k-1), so hk_series runs the
 spectral route's table (hk.chebyshev_T_table) on the rows' x; the
-denominator adds its degree at every k exactly.  On a nonbipartite graph x
-is the scaled spectrum itself, so the two routes differ only in how they
-sum the table: what the series route checks on its own is how Xi is built,
-its rows, the trivial rows xi_rational drops and its degree.  No product
-of degree 2n ever forms, so no cluster of 2n-2 equal roots has to be
-resolved from rounded coefficients.
+denominator adds its degree at every k exactly.  What the series route
+checks on its own is how Xi is built: its rows, the trivial rows
+xi_rational drops and its degree.  No product of degree 2n ever forms, so
+no cluster of 2n-2 equal roots has to be resolved from rounded
+coefficients.
 Xi is built once, as the paper defines it: the factors of Z(u)^-1
 (zeta_inverse) less the exact trivial ones, over (1 - sqrt(q)*u)^2 per
 nontrivial eigenvalue (xi_rational).  The N_k series of Z(u)^-1 is that of
 Xi plus exact trivial terms, so its float form is hk.hk_spectral's h_k,
-scaled by q^(k/2): log_series_zeta_check holds it to the census.
+scaled by q^(k/2): log_series_zeta_check holds both float routes, the
+spectral one and hk_series, to the census within one a-priori budget.
 """
 
 from __future__ import annotations
@@ -251,25 +251,26 @@ def hk_series(xi: RationalFunction, K: int) -> np.ndarray:
     return finite_h(h)
 
 
-def log_series_zeta_check(spectral: np.ndarray, census: np.ndarray, budget: np.ndarray,
-                          q: int) -> tuple[dict | None, str | None]:
+def log_series_zeta_check(routes: dict[str, np.ndarray], census: np.ndarray,
+                          budget: np.ndarray, q: int) -> tuple[dict | None, str | None]:
     """Hold -d/du ln Z(u)^-1 = sum N_k u^(k-1) to the census at k = 1..K, in
-    the h scale: the spectral h_k (hk.hk_spectral) are its coefficients
-    less their exact trivial terms, over q^(k/2), and must lie within the
-    a-priori budget (hk.hk_spectral_budget) of the census's (hk.hk_from_ck).
+    the h scale: the h_1..h_K of each float route in routes, by name
+    (hk.hk_spectral, hk_series), are its coefficients less their exact
+    trivial terms, over q^(k/2), and must lie within the a-priori budget
+    (hk.hk_spectral_budget) of the census's (hk.hk_from_ck).
 
     Returns the report's zeta_census_check block -- K, the largest deviation
-    as a fraction of its budget, k_pinned and ok -- and None, or, when some
-    k fails, None and a message naming the first.  k_pinned counts the
-    leading orders where q^(k/2) budget < 1/2: a census N_k one off there
-    moves h_k outside it.
+    of a route as a fraction of its budget, k_pinned and ok -- and None, or,
+    when some k fails, None and a message naming the first, and the first
+    route failing there.  k_pinned counts the leading orders where q^(k/2)
+    budget < 1/2: a census N_k one off there moves h_k outside it.
     """
-    deviation = np.abs(spectral - census)
-    outside = np.flatnonzero(~(deviation <= budget))
+    deviation = np.abs(np.array(list(routes.values())) - census)
+    outside = np.argwhere(~(deviation <= budget).T)  # (k - 1, route), by k
     if len(outside):
-        i = outside[0]
-        return None, (f"spectral h_{i + 1} strays from the census's by "
-                      f"{deviation[i]:.3e}, beyond its error budget {budget[i]:.3e}")
+        i, r = outside[0]
+        return None, (f"{list(routes)[r]} h_{i + 1} strays from the census's by "
+                      f"{deviation[r, i]:.3e}, beyond its error budget {budget[i]:.3e}")
     pinned = np.log2(budget) + 0.5 * math.log2(q) * np.arange(1, len(budget) + 1) < -1.0
     return {"k_checked": len(budget), "max_residual": float(np.max(deviation / budget)),
             "k_pinned": int(np.logical_and.accumulate(pinned).sum()), "ok": True}, None

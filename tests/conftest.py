@@ -144,7 +144,7 @@ def spectral_nk(name: str, K: int) -> list[int]:
     g, prof, ns = get_graph(name), get_profile(name), get_nontrivial(name)
     q, n = prof.q, g.n
     h = get_hk_routes(name, K)["spectral"]
-    budget = hk_spectral_budget(ns.values, q, n, h)
+    budget = hk_spectral_budget(ns.values, q, n, h, prof.bipartite)
     out = []
     for k in range(1, K + 1):
         scale = q ** (k / 2)

@@ -155,7 +155,7 @@ def test_rounding_residual_guard():
     values[0] += 1e-9
     h = hk_spectral(values / math.sqrt(2), 20, False)
     exact = get_hk_routes("petersen", 20)["from_ck"]
-    budget = hk_spectral_budget(values, 2, 10, exact)
+    budget = hk_spectral_budget(values, 2, 10, exact, False)
     assert np.any(np.abs(h - exact) > budget)
 
 
@@ -169,7 +169,7 @@ def test_spectral_budget_rejects_off_by_one_census():
         q, K = prof.q, 20
         spectral = get_hk_routes(name, K)["spectral"]
         exact = get_hk_routes(name, K)["from_ck"]
-        budget = hk_spectral_budget(ns.values, q, g.n, exact)
+        budget = hk_spectral_budget(ns.values, q, g.n, exact, prof.bipartite)
         assert np.all(q ** (np.arange(1, K + 1) / 2) * budget < 0.5)
         assert np.all(np.abs(spectral - exact) <= budget)
         for k, shift in itertools.product(get_excess(name, K), (1, -1)):

@@ -15,6 +15,7 @@ import pytest
 
 import iharazeta
 import iharazeta.cli as cli_mod
+import iharazeta.graphs as graphs_mod
 import iharazeta.report as report_mod
 
 import iharazeta.census as census_mod
@@ -73,13 +74,13 @@ def test_census_k150_output_is_pinned(capsys, spec):
 
 def test_analyze_petersen(capsys):
     report = run_json(capsys, "analyze", "petersen", "--k", "20")
-    assert report["schema"] == 4
+    assert report["schema"] == 5
     assert report["graph"] == {"n": 10, "q": 2, "edges": 15, "loops": 0,
                                "bipartite": False, "connected": True}
     assert report["verdicts"]["spectral"]["is_ramanujan"]
     assert report["verdicts"]["hk"]["is_ramanujan"]
     assert "functional_equation" not in report and "seed" not in report
-    assert report["route_agreement"]["ok"]
+    assert "route_agreement" not in report and report["zeta_census_check"]["ok"]
     assert report["estimator"]["status"] == "not_applicable"
     assert len(report["h"]["spectral"]) == 20
     assert "timings" in report
@@ -92,7 +93,7 @@ def test_analyze_exits_zero_past_float_range_and_cancellation(capsys, spec):
     # where no step of analyze evaluates xi; complete:6/30 have h_k terms
     # that cancel to O(n)
     report = run_json(capsys, "analyze", spec, "--k", "50", "--no-timings")
-    assert report["route_agreement"]["ok"]
+    assert report["zeta_census_check"]["ok"]
 
 
 def test_analyze_prism24_refutation(capsys):
@@ -127,7 +128,6 @@ def test_check_spectral_nk_within_budget(capsys, spec):
     # rounding tolerance in the spectral N_k check, which the spectral h_k
     # budget now makes
     payload = run_json(capsys, "check", spec, "--k", "50", "--no-timings")
-    assert payload["route_agreement"]["ok"]
     assert payload["zeta_census_check"]["ok"]
 
 
@@ -136,26 +136,63 @@ def test_spectral_nk_budget_checked_above_operator_edge_limit(monkeypatch, capsy
     # the operator cross-check once had; the check now runs there, passes,
     # and the spectral h_k budget check must still run after it
     monkeypatch.setattr("iharazeta.report.hk_spectral_budget",
-                        lambda values, q, n, h: np.full(len(h), -1.0))
+                        lambda values, q, n, h, bipartite: np.full(len(h), -1.0))
     code, _, err = run(capsys, "analyze", "prism:101", "--k", "20")
     assert code == 3
     assert "error budget" in err
 
 
-@pytest.mark.parametrize("spec", ["petersen", "kmm:5", "hypercube:3", "cycle:7",
-                                  "prism:6", "prism:12", "circulant:30:1,4",
-                                  "prism:16", "prism:20", "prism:24"])
+# the analyze-k50 benchmark graphs
+ANALYZE_K50_GRAPHS = ["petersen", "kmm:5", "hypercube:3", "cycle:7", "prism:6",
+                      "prism:12", "circulant:30:1,4", "prism:16", "prism:20",
+                      "prism:24"]
+
+
+@pytest.mark.parametrize("spec", ANALYZE_K50_GRAPHS)
 def test_spectral_route_off_by_one_part_in_1e9_exits_internal(monkeypatch, capsys,
                                                               spec):
-    # the analyze-k50 benchmark graphs: a spectral h_k route scaled by
-    # 1 + 1e-9 stays within the fixed route tolerance, but not within its
-    # a-priori budget
+    # a spectral h_k route scaled by 1 + 1e-9 stays within 1e-6 relative,
+    # but not within its a-priori budget
     real = report_mod.hk_spectral
     monkeypatch.setattr(report_mod, "hk_spectral",
                         lambda *args: real(*args) * (1.0 + 1e-9))
     code, _, err = run(capsys, "analyze", spec, "--k", "50", "--no-timings")
     assert code == 3
     assert "error budget" in err
+
+
+@pytest.mark.parametrize("spec", ANALYZE_K50_GRAPHS)
+def test_series_route_off_by_one_part_in_1e9_exits_internal(monkeypatch, capsys,
+                                                            spec):
+    # the series route meets the spectral route's a-priori budget, and the
+    # failure names it
+    real = report_mod.hk_series
+    monkeypatch.setattr(report_mod, "hk_series",
+                        lambda *args: real(*args) * (1.0 + 1e-9))
+    code, _, err = run(capsys, "analyze", spec, "--k", "50", "--no-timings")
+    assert code == 3
+    assert re.match(r"internal consistency failure: series h_\d+ strays .* "
+                    r"beyond its error budget", err), err
+
+
+@pytest.mark.parametrize("route", ["hk_spectral", "hk_series"])
+def test_float_route_off_at_a_bipartite_odd_k_exits_internal(monkeypatch, capsys,
+                                                             route):
+    # every route gives h_49 = 2(n-2) = 196 exactly on prism:100, so its
+    # budget is from_ck's rounding alone; 0.01 more is 5e-5 relative, inside
+    # the 0.046 that the T_k table's terms would add there
+    real = getattr(report_mod, route)
+
+    def shifted(*args):
+        h = real(*args).copy()
+        h[48] += 0.01
+        return h
+
+    monkeypatch.setattr(report_mod, route, shifted)
+    code, _, err = run(capsys, "analyze", "prism:100", "--k", "50", "--no-timings")
+    assert code == 3
+    name = route.removeprefix("hk_")
+    assert err.startswith(f"internal consistency failure: {name} h_49 strays"), err
 
 
 def test_spectral_budget_stays_finite_at_k200(capsys):
@@ -273,20 +310,27 @@ MALFORMED_INPUTS = (
        for spec, name, params, got in (
            ("complete", "complete", "n", 0),
            ("cycle", "cycle", "n", 0),
-           ("kmm", "complete_bipartite", "m", 0),
+           ("kmm", "kmm", "m", 0),
            ("hypercube", "hypercube", "d", 0),
            ("circulant", "circulant", "n, s, ...", 0),
            ("prism:3:4", "prism", "m", 2),
            ("complete:3:4", "complete", "n", 2),
-           ("petersen:3", "petersen", "", 1))])
+           ("petersen:3", "petersen", "", 1))]
+    + [("kmm:1", None, "kmm needs m >= 2"),
+       ("cycle:100000", None, "100000 vertices exceed the limit of 4096")])
 
 
 @pytest.mark.parametrize("source, text, message", MALFORMED_INPUTS,
                          ids=[source for source, _, _ in MALFORMED_INPUTS])
-def test_malformed_input_fails_before_any_census(tmp_path, capsys, source,
-                                                 text, message):
+def test_malformed_input_fails_before_any_census(monkeypatch, tmp_path, capsys,
+                                                 source, text, message):
     # every subcommand validates the graph before it plans or allocates
-    # anything: one error line, exit 2, no cost note and no internal error
+    # anything: one error line, exit 2, no cost note, no internal error and
+    # no n x n adjacency matrix
+    def unused(g):
+        raise AssertionError("an n x n adjacency matrix formed")
+
+    monkeypatch.setattr(graphs_mod.Multigraph, "adjacency", property(unused))
     commands = ["analyze", "check", "series", "census", "zeta", "estimate"]
     if text is None:
         commands.append("generate")
@@ -395,7 +439,7 @@ def test_xi_cross_check_near_the_pole_exits_zero(capsys, spec):
     # |Xi| reaches 2^769 and 2^962; the series route reads Xi's rows alone
     code, out, err = run(capsys, "check", spec, "--k", "50")
     assert code == 0, err
-    assert json.loads(out)["route_agreement"]["ok"]
+    assert json.loads(out)["zeta_census_check"]["ok"]
 
 
 @pytest.mark.parametrize("spec, k", [
@@ -586,19 +630,18 @@ def test_check_payload(capsys):
     payload = run_json(capsys, "check", "kmm:3", "--k", "20")
     assert payload["verdicts"]["spectral"]["is_ramanujan"]
     assert set(payload) == {"schema", "source", "k_horizon", "verdicts",
-                            "route_agreement", "operator_check",
-                            "zeta_census_check"}
-    assert payload["schema"] == 4
+                            "operator_check", "zeta_census_check"}
+    assert payload["schema"] == 5
 
 
 @pytest.mark.parametrize("spec", ["petersen", "kmm:3", "prism:24"])
 def test_check_prints_a_projection_of_analyze(capsys, spec):
-    # the same seven keys of the same report, byte for byte
+    # the same six keys of the same report, byte for byte
     report = run_json(capsys, "analyze", spec, "--k", "30")
     code, out, err = run(capsys, "check", spec, "--k", "30")
     assert (code, err) == (0, "")
-    keys = ("schema", "source", "k_horizon", "verdicts", "route_agreement",
-            "operator_check", "zeta_census_check")
+    keys = ("schema", "source", "k_horizon", "verdicts", "operator_check",
+            "zeta_census_check")
     assert out == report_to_json({key: report[key] for key in keys}) + "\n"
 
 

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from iharazeta.census import closed_walk_counts
-from iharazeta.graphs import (EdgeListFormatError, GraphError,
+from iharazeta.graphs import (MAX_VERTICES, EdgeListFormatError, GraphError,
                               NotConnectedError, NotRegularError,
                               adjacency_matrix, build_graph, generate,
                               parse_generator, profile, read_edge_list,
@@ -105,6 +105,16 @@ def test_profile_refuses_too_few_edges_before_any_per_vertex_work():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_profile_refuses_more_vertices_than_the_limit():
+    # a cycle on MAX_VERTICES vertices passes; one more fails before the
+    # per-vertex work of the colouring and any n x n array
+    assert profile(generate("cycle", [MAX_VERTICES])).q == 1
+    g = generate("cycle", [MAX_VERTICES + 1])
+    with pytest.raises(GraphError, match=f"^{MAX_VERTICES + 1} vertices exceed"):
+        profile(g)
+    assert "colouring" not in vars(g) and "adjacency" not in vars(g)
 
 
 def test_adjacency_k4():

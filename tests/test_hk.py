@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iharazeta.hk import (HorizonOverflow, binomial_ext, chebyshev_T, chebyshev_T_binomial,
-                          chebyshev_T_even_form, chebyshev_T_table, ck_alternating_sums, hk_excess, hk_from_ck, hk_spectral, max_route_deviation,
-                          tk_weight)
+                          chebyshev_T_even_form, chebyshev_T_table, ck_alternating_sums, hk_excess, hk_from_ck, hk_spectral, hk_spectral_budget,
+                          max_route_deviation, tk_weight)
 from iharazeta.census import build_census
 from iharazeta.graphs import (adjacency_matrix, parse_generator, profile,
                               read_edge_list)
@@ -294,6 +294,18 @@ def test_hk_excess_zero_passes():
 def test_route_agreement_all_fixtures(name):
     # includes the loop and multi-edge fixtures
     assert max_route_deviation(list(get_hk_routes(name, 40).values())) <= 1e-6
+
+
+@pytest.mark.parametrize("name", ["kmm3", "prism24", "hypercube:7", "prism:100"])
+def test_spectral_budget_at_a_bipartite_odd_k_is_from_cks_rounding(name):
+    # every route gives 2(n-2) exactly at a bipartite graph's odd k, so only
+    # from_ck's final rounding is left there; even k keep the table's terms
+    n, q, K = get_graph(name).n, get_profile(name).q, 200
+    values, h = get_nontrivial(name).values, get_hk_routes(name, K)["from_ck"]
+    budget = hk_spectral_budget(values, q, n, h, True)
+    eps = np.finfo(np.float64).eps
+    assert budget[0::2].tolist() == (4 * eps * np.maximum(np.abs(h[0::2]), 4 * n)).tolist()
+    assert np.array_equal(budget[1::2], hk_spectral_budget(values, q, n, h, False)[1::2])
 
 
 def test_route_tags():

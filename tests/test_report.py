@@ -25,11 +25,11 @@ from conftest import (ALL_FIXTURES, LADDER, NON_RAMANUJAN_FIXTURES, get_excess,
 
 def test_report_shape_petersen():
     rep = analyze(get_graph("petersen"), "petersen", 12)
-    assert rep["schema"] == report_mod.SCHEMA_VERSION == 4
+    assert rep["schema"] == report_mod.SCHEMA_VERSION == 5
     assert set(rep) == {"schema", "version", "source", "k_horizon", "graph",
                         "spectrum", "nontrivial_spectrum",
                         "scaled_nontrivial_spectrum", "census", "h",
-                        "route_agreement", "operator_check",
+                        "operator_check",
                         "zeta_census_check", "verdicts", "estimator", "notes",
                         "timings"}
     assert rep["k_horizon"] == 12
@@ -94,7 +94,8 @@ def test_zeta_census_check_reports_k_pinned(spec):
     check = analyze(g, spec, K)["zeta_census_check"]
     assert (check["k_checked"], check["k_pinned"]) == (K, K_PINNED[spec])
     budget = hk_mod.hk_spectral_budget(get_nontrivial(spec).values, prof.q, g.n,
-                                       get_hk_routes(spec, K)["from_ck"])
+                                       get_hk_routes(spec, K)["from_ck"],
+                                       prof.bipartite)
     scaled = [prof.q ** (k / 2) * b for k, b in enumerate(budget.tolist(), start=1)]
     pinned = K_PINNED[spec]
     assert all(x < 0.5 for x in scaled[:pinned])
@@ -160,7 +161,7 @@ def test_spectral_route_within_budget(spec):
 @pytest.mark.parametrize("name", ["double_triangle", "looped_cycle4"])
 def test_pipeline_handles_multigraphs(name):
     rep = analyze(get_graph(name), name, 25)
-    assert rep["route_agreement"]["ok"]
+    assert rep["zeta_census_check"]["ok"]
     assert rep["operator_check"]["k_checked"] == 25
     g = get_graph(name)
     assert rep["census"]["c"][1] == str(2 * g.loop_count)

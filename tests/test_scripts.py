@@ -25,7 +25,7 @@ def test_hk_sign_scan_runs_without_pythonpath(tmp_path):
 def test_check_ladder_runs_without_pythonpath(tmp_path):
     header, *rows = _run_script(tmp_path, "check_ladder.py", "--k", "50")
     assert header.split()[:7] == ["K", "graph", "exit", "spectral", "witness",
-                                  "k_pinned", "route_dev"]
+                                  "k_pinned", "max_residual"]
     assert len(rows) == 24
     for row in rows:
         k, spec, code, spectral, witness = row.split()[:5]
@@ -42,7 +42,7 @@ def test_check_ladder_tabulates_an_edge_list_file(tmp_path):
     header, row = _run_script(tmp_path, "check_ladder.py", "doubled12.edges",
                               "--k", "200")
     assert header.split()[:7] == ["K", "graph", "exit", "spectral", "witness",
-                                  "k_pinned", "route_dev"]
+                                  "k_pinned", "max_residual"]
     assert row.split()[:5] == ["200", "doubled12.edges", "0", "True", "None"]
 
 

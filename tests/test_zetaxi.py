@@ -513,8 +513,9 @@ def zeta_check(name: str, K: int, nk=None) -> tuple[dict, str | None]:
     census = hk_from_ck(hk_excess(nk or get_census(name, K).nk, q, n, prof.bipartite),
                         q, n, prof.bipartite, K)
     spectral = hk_spectral(scaled_spectrum(ns), K, prof.bipartite)
-    return log_series_zeta_check(spectral, census,
-                                 hk_spectral_budget(ns.values, q, n, census), q)
+    return log_series_zeta_check(
+        {"spectral": spectral}, census,
+        hk_spectral_budget(ns.values, q, n, census, prof.bipartite), q)
 
 
 def test_log_series_zeta_check_petersen():
@@ -542,7 +543,7 @@ def test_log_series_zeta_check_records_carry_the_budget():
     block, _ = zeta_check("complete:30", 20)
     routes = get_hk_routes("complete:30", 20)
     budget = hk_spectral_budget(get_nontrivial("complete:30").values, 28, 30,
-                                routes["from_ck"])
+                                routes["from_ck"], False)
     deviation = np.abs(routes["spectral"] - routes["from_ck"])
     assert block["max_residual"] == float(np.max(deviation / budget))
     # q^(k/2) budget passes 1/2 after k = 12: from there a census one off
