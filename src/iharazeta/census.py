@@ -56,7 +56,7 @@ BRUTE_FORCE_BUDGET = 10 ** 8
 CHECK_PRIME = 33554393
 
 
-class BruteForceBudgetExceeded(RuntimeError):
+class BruteForceBudgetExceeded(ValueError):
     """Enumeration would exceed the step budget; use the operator route."""
 
 

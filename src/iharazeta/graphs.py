@@ -3,8 +3,9 @@
 A multigraph is a vertex count plus a multiset of unordered vertex pairs;
 loops (u == u) and repeated pairs are allowed.  Every undirected edge carries
 two oriented edges, one per direction; a loop carries two distinct oriented
-edges that happen to share origin and terminus.  All census and zeta
-machinery downstream works on the oriented-edge view.
+edges that happen to share origin and terminus.  Only the brute-force cycle
+oracle and nonbacktracking_matrix use that view: the census powers the
+adjacency matrix (or its bipartite Gram matrix), and Xi reads the spectrum.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-# the most vertices profile admits: a nonbipartite census holds at least
+# the most vertices build_graph admits: a nonbipartite census holds at least
 # five dense n x n arrays of 8-byte entries (the adjacency, its float64 copy,
 # three power arrays per prime), 40 n^2 bytes: 640 MiB here, 1 GiB at 5181
 MAX_VERTICES = 2 ** 12
@@ -152,14 +153,17 @@ class GraphProfile:
     bipartition: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
 
-def build_graph(n: int, edge_list: Sequence[tuple[int, int]]) -> Multigraph:
-    """Build a multigraph from a vertex count and a list of vertex pairs.
+def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Multigraph:
+    """Build a multigraph from a vertex count and an iterable of vertex pairs.
 
     Duplicate pairs accumulate multiplicity; (u, u) is a loop.  Requires
-    n >= 3 and all endpoints in range.
+    all endpoints in range and 3 <= n <= MAX_VERTICES, checked before the
+    first pair is read, so lazy edges never form for too large a graph.
     """
     if n < 3:
         raise GraphError(f"need at least 3 vertices, got n={n}")
+    if n > MAX_VERTICES:
+        raise GraphError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
     normalized = []
     for u, v in edge_list:
         if not (0 <= u < n and 0 <= v < n):
@@ -174,14 +178,12 @@ def profile(g: Multigraph) -> GraphProfile:
 
     Raises NotRegularError / NotConnectedError when the standing assumptions
     fail; a graph of more vertices than edges + 1 (a connected graph on n
-    vertices has at least n - 1 edges), or than MAX_VERTICES, fails before
-    any per-vertex work.  Bipartiteness is read from the graph's cached
-    2-colouring (Multigraph.colouring); any loop counts as an odd cycle.
+    vertices has at least n - 1 edges) fails before any per-vertex work.
+    Bipartiteness is read from the graph's cached 2-colouring
+    (Multigraph.colouring); any loop counts as an odd cycle.
     """
     if g.n > g.edge_count + 1:
         raise NotConnectedError(f"{g.edge_count} edges cannot connect {g.n} vertices")
-    if g.n > MAX_VERTICES:
-        raise GraphError(f"{g.n} vertices exceed the limit of {MAX_VERTICES}")
     degs = g.valencies
     if min(degs) != max(degs):
         lo, hi = min(degs), max(degs)
@@ -233,15 +235,15 @@ def generate(name: str, params: Sequence[int] = ()) -> Multigraph:
                          f"got {len(params)}")
     if name == "complete":
         (n,) = params
-        return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        return build_graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
     if name == "cycle":
         (n,) = params
-        return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+        return build_graph(n, ((i, (i + 1) % n) for i in range(n)))
     if name in ("complete_bipartite", "kmm"):
         (m,) = params
         if m < 2:
             raise GraphError(f"{name} needs m >= 2")
-        return build_graph(2 * m, [(i, m + j) for i in range(m) for j in range(m)])
+        return build_graph(2 * m, ((i, m + j) for i in range(m) for j in range(m)))
     if name == "petersen":
         return build_graph(10, _PETERSEN_EDGES)
     if name == "hypercube":
@@ -249,31 +251,25 @@ def generate(name: str, params: Sequence[int] = ()) -> Multigraph:
         if d < 2:
             raise GraphError("hypercube needs dimension >= 2")
         n = 1 << d
-        edges = [(x, x ^ (1 << b)) for x in range(n) for b in range(d) if x < x ^ (1 << b)]
-        return build_graph(n, edges)
+        return build_graph(n, ((x, x ^ (1 << b)) for x in range(n) for b in range(d)
+                               if x < x ^ (1 << b)))
     if name == "prism":
         (m,) = params
         if m < 3:
             raise GraphError("prism needs ring length >= 3")
-        edges = []
-        for i in range(m):
-            j = (i + 1) % m
-            edges.append((i, j))            # outer ring
-            edges.append((m + i, m + j))    # inner ring
-            edges.append((i, m + i))        # rung
-        return build_graph(2 * m, edges)
+        # outer ring, inner ring and rung at each i
+        return build_graph(2 * m, (e for i in range(m) for e in (
+            (i, (i + 1) % m), (m + i, m + (i + 1) % m), (i, m + i))))
     n, *offsets = params  # circulant
-    edges = []
-    for s in offsets:
-        s %= n
-        if s == 0:
-            raise GraphError("circulant offset must be nonzero mod n")
-        s = min(s, n - s)
-        if 2 * s == n:
-            edges.extend((i, i + s) for i in range(s))
-        else:
-            edges.extend((i, (i + s) % n) for i in range(n))
-    return build_graph(n, edges)
+
+    def edges():  # lazy: build_graph bounds n before the first s %= n
+        for s in offsets:
+            s %= n
+            if s == 0:
+                raise GraphError("circulant offset must be nonzero mod n")
+            s = min(s, n - s)
+            yield from ((i, (i + s) % n) for i in range(s if 2 * s == n else n))
+    return build_graph(n, edges())
 
 
 def parse_generator(spec: str) -> Multigraph:

@@ -61,8 +61,7 @@ def analyze(g: Multigraph, source: str, K: int,
     prof = profile(g)
     q, n = prof.q, g.n
     if q == 1:
-        notes.append("q = 1: the trivial poles +/-1 and +/-q^-1 coincide; "
-                     "pole classification is degenerate")
+        notes.append("q = 1: the trivial poles +/-1 and +/-q^-1 coincide")
     timings["profile"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

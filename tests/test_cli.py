@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -297,15 +298,16 @@ def test_analyze_malformed_file(tmp_path, capsys):
 
 TRIANGLE = "0 1\n1 2\n2 0\n"
 # inputs that name no connected regular graph: edge lists (a triangle plus
-# one line) whose vertex count far exceeds their edges, and generator
-# strings with the wrong number of parameters; each with its one error line
+# one line) whose vertex count passes the limit or far exceeds their edges,
+# and generator strings with the wrong number or size of parameters; each
+# with its one error line
 MALFORMED_INPUTS = (
-    [(f"{name}.edges", text, f"{edges} edges cannot connect {n} vertices")
-     for name, text, edges, n in (
-         ("far-loop", TRIANGLE + "1099511627775 1099511627775\n", 4, 2 ** 40),
-         ("header", "n 2147483648\n" + TRIANGLE, 3, 2 ** 31),
-         ("mid-loop", TRIANGLE + "9999999 9999999\n", 4, 10 ** 7),
-         ("near-loop", TRIANGLE + "4999 4999\n", 4, 5000))]
+    [(f"{name}.edges", text, f"{n} vertices exceed the limit of 4096")
+     for name, text, n in (
+         ("far-loop", TRIANGLE + "1099511627775 1099511627775\n", 2 ** 40),
+         ("header", "n 2147483648\n" + TRIANGLE, 2 ** 31),
+         ("mid-loop", TRIANGLE + "9999999 9999999\n", 10 ** 7))]
+    + [("near-loop.edges", TRIANGLE + "3999 3999\n", "4 edges cannot connect 4000 vertices")]
     + [(spec, None, f"{name} takes parameters ({params}), got {got}")
        for spec, name, params, got in (
            ("complete", "complete", "n", 0),
@@ -317,7 +319,8 @@ MALFORMED_INPUTS = (
            ("complete:3:4", "complete", "n", 2),
            ("petersen:3", "petersen", "", 1))]
     + [("kmm:1", None, "kmm needs m >= 2"),
-       ("cycle:100000", None, "100000 vertices exceed the limit of 4096")])
+       ("cycle:100000", None, "100000 vertices exceed the limit of 4096"),
+       ("circulant:0:1", None, "need at least 3 vertices, got n=0")])
 
 
 @pytest.mark.parametrize("source, text, message", MALFORMED_INPUTS,
@@ -339,6 +342,30 @@ def test_malformed_input_fails_before_any_census(monkeypatch, tmp_path, capsys,
         source = str(tmp_path / source)
     for command in commands:
         assert run(capsys, command, source) == (2, "", f"error: {message}\n"), command
+
+
+# generator strings with too many vertices (or, for circulant:0:1, too few)
+OUT_OF_RANGE_GENERATORS = {
+    "hypercube:26": 2 ** 26, "complete:100000": 10 ** 5, "cycle:1000000000": 10 ** 9,
+    "kmm:1000000": 2 * 10 ** 6, "prism:1000000000": 2 * 10 ** 9,
+    "circulant:1000000000:1": 10 ** 9, "circulant:0:1": 0}
+
+
+@pytest.mark.parametrize("spec, n", OUT_OF_RANGE_GENERATORS.items())
+def test_out_of_range_generator_fails_before_its_edges_form(capsys, spec, n):
+    # build_graph bounds the vertex count before it reads the first of the
+    # family's lazy edges, so no edge list forms
+    message = (f"need at least 3 vertices, got n={n}" if n < 3
+               else f"{n} vertices exceed the limit of 4096")
+    for command in ("census", "analyze", "generate"):
+        tracemalloc.start()
+        try:
+            result = run(capsys, command, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (2, "", f"error: {message}\n"), command
+        assert peak < 2 ** 20, (command, peak)
 
 
 def test_analyze_not_regular_exit(tmp_path, capsys):
@@ -378,6 +405,15 @@ def test_census_with_oracle(capsys):
 def test_census_rejects_k0(capsys):
     code, _, _ = run(capsys, "census", "petersen", "--k", "0")
     assert code == 2
+
+
+def test_census_oracle_past_its_budget_exits_2(capsys):
+    # the brute-force oracle refuses a k whose enumeration passes its step
+    # budget; kmm:90 runs k = 1, 2 and refuses k = 3 (2 * 90^2 * 89^2 steps)
+    code, out, err = run(capsys, "census", "kmm:90", "--k", "3", "--oracle-k", "3")
+    assert (code, out) == (2, "")
+    assert err == ("error: about 1.28e+08 enumeration steps needed (budget 1e+08); "
+                   "use geodesic_cycles_operator instead\n")
 
 
 def test_census_rejects_negative_oracle_k(capsys):

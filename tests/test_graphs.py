@@ -95,26 +95,43 @@ def test_profile_disconnected():
 
 def test_profile_refuses_too_few_edges_before_any_per_vertex_work():
     # a connected graph on n vertices has at least n - 1 edges, so a
-    # triangle named as a graph on 2^40 vertices fails at once
-    g = build_graph(2 ** 40, [(0, 1), (1, 2), (2, 0)])
+    # triangle named as a graph on MAX_VERTICES vertices fails at once,
+    # before the colouring and any n x n array
+    g = build_graph(MAX_VERTICES, [(0, 1), (1, 2), (2, 0)])
     tracemalloc.start()
     try:
-        with pytest.raises(NotConnectedError, match="3 edges cannot connect"):
+        with pytest.raises(NotConnectedError,
+                           match=f"^3 edges cannot connect {MAX_VERTICES} vertices"):
             profile(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
-
-
-def test_profile_refuses_more_vertices_than_the_limit():
-    # a cycle on MAX_VERTICES vertices passes; one more fails before the
-    # per-vertex work of the colouring and any n x n array
-    assert profile(generate("cycle", [MAX_VERTICES])).q == 1
-    g = generate("cycle", [MAX_VERTICES + 1])
-    with pytest.raises(GraphError, match=f"^{MAX_VERTICES + 1} vertices exceed"):
-        profile(g)
     assert "colouring" not in vars(g) and "adjacency" not in vars(g)
+
+
+def _unread_edges():
+    raise AssertionError("an edge was read")
+    yield
+
+
+def test_build_graph_bounds_the_vertex_count_before_any_edge():
+    with pytest.raises(GraphError, match=f"^{2 ** 40} vertices exceed the limit"):
+        build_graph(2 ** 40, _unread_edges())
+
+
+def test_generate_refuses_more_vertices_than_the_limit():
+    # a cycle on MAX_VERTICES vertices passes; one more fails before its
+    # first edge forms (test_cli covers every family's oversized member)
+    assert profile(generate("cycle", [MAX_VERTICES])).q == 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match=f"^{MAX_VERTICES + 1} vertices exceed"):
+            generate("cycle", [MAX_VERTICES + 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_adjacency_k4():
