@@ -10,7 +10,7 @@ from .census import (CycleCensus, build_census, characteristic_polynomial,
                      closed_walk_counts, geodesic_cycles_bruteforce,
                      geodesic_cycles_operator, nk_from_ck,
                      nonbacktracking_matrix)
-from .graphs import (GraphProfile, Multigraph, OrientedEdge, adjacency_matrix,
+from .graphs import (GraphProfile, Multigraph, adjacency_matrix,
                      build_graph, generate, parse_generator, profile,
                      read_edge_list, write_edge_list)
 from .hk import (chebyshev_T, hk_excess, hk_from_ck, hk_spectral,

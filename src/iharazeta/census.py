@@ -34,6 +34,7 @@ the spectrum within hk.hk_spectral_budget.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import threading
@@ -339,21 +340,24 @@ def closed_walk_counts(g: Multigraph, K: int) -> list[int]:
 # non-backtracking (oriented-edge) operator
 
 def nonbacktracking_successors(g: Multigraph) -> list[list[int]]:
-    """For each oriented edge e, the oriented edges f with
-    origin(f) = terminus(e) and f != inverse(e).  inverse(e) is e ^ 1."""
-    out_edges: list[list[int]] = [[] for _ in range(g.n)]
-    oriented = g.oriented_edges()
-    for e in oriented:
-        out_edges[e.origin].append(e.id)
-    return [[f for f in out_edges[e.terminus] if f != e.id ^ 1] for e in oriented]
+    """For each oriented edge e, the oriented edges f with origin(f) =
+    terminus(e) and f != inverse(e).  Edge i = (u, v) of the sorted edge
+    list owns oriented edges 2i (u -> v) and 2i + 1 (v -> u), so, with
+    origin the flattened edge list, inverse(e) = e ^ 1 and terminus(e) =
+    origin[e ^ 1]; a loop's two oriented edges share both ends."""
+    origin = list(itertools.chain.from_iterable(g.edges))
+    leaving: list[list[int]] = [[] for _ in range(g.n)]
+    for e, x in enumerate(origin):
+        leaving[x].append(e)
+    return [[f for f in leaving[origin[e ^ 1]] if f != e ^ 1]
+            for e in range(len(origin))]
 
 
 def nonbacktracking_matrix(g: Multigraph) -> np.ndarray:
     """0/1 matrix over oriented edges; row sums equal q for a (q+1)-regular
     graph."""
     succ = nonbacktracking_successors(g)
-    size = g.oriented_edge_count
-    b = np.zeros((size, size), dtype=np.int64)
+    b = np.zeros((len(succ), len(succ)), dtype=np.int64)
     for e, followers in enumerate(succ):
         for f in followers:
             b[e, f] = 1
@@ -384,7 +388,7 @@ def geodesic_cycles_operator(g: Multigraph, K: int,
 
 def brute_force_cost(g: Multigraph, k: int) -> int:
     q = max(g.valencies) - 1
-    return g.oriented_edge_count * max(1, q) ** (k - 1)
+    return 2 * g.edge_count * max(1, q) ** (k - 1)
 
 
 def geodesic_cycles_bruteforce(g: Multigraph, k: int,
@@ -402,9 +406,8 @@ def geodesic_cycles_bruteforce(g: Multigraph, k: int,
             f"about {brute_force_cost(g, k):.2e} enumeration steps needed "
             f"(budget {budget:.0e}); use geodesic_cycles_operator instead")
     succ = nonbacktracking_successors(g)
-    oriented = g.oriented_edges()
-    origin = [e.origin for e in oriented]
-    terminus = [e.terminus for e in oriented]
+    origin = list(itertools.chain.from_iterable(g.edges))  # as in succ
+    terminus = [origin[e ^ 1] for e in range(len(origin))]
     count = 0
 
     def extend(first: int, e: int, depth: int) -> None:
@@ -416,7 +419,7 @@ def geodesic_cycles_bruteforce(g: Multigraph, k: int,
         for f in succ[e]:
             extend(first, f, depth + 1)
 
-    for e0 in range(g.oriented_edge_count):
+    for e0 in range(len(origin)):
         extend(e0, e0, 1)
     return count
 

@@ -163,7 +163,8 @@ def cmd_census(args: argparse.Namespace) -> int:
     }
     if args.oracle_k:
         upto = min(args.oracle_k, args.k)
-        oracle = [geodesic_cycles_bruteforce(g, k) for k in range(1, upto + 1)]
+        # the costliest k first, so that one past the budget refuses at once
+        oracle = [geodesic_cycles_bruteforce(g, k) for k in range(upto, 0, -1)][::-1]
         payload["oracle_n"] = [str(x) for x in oracle]
         if oracle != list(census.nk[:upto]):
             raise InternalConsistencyError(

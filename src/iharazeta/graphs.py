@@ -1,11 +1,7 @@
-"""Finite connected regular multigraphs with an oriented-edge view.
+"""Finite connected regular multigraphs.
 
 A multigraph is a vertex count plus a multiset of unordered vertex pairs;
-loops (u == u) and repeated pairs are allowed.  Every undirected edge carries
-two oriented edges, one per direction; a loop carries two distinct oriented
-edges that happen to share origin and terminus.  Only the brute-force cycle
-oracle and nonbacktracking_matrix use that view: the census powers the
-adjacency matrix (or its bipartite Gram matrix), and Xi reads the spectrum.
+loops (u == u) and repeated pairs are allowed.
 """
 
 from __future__ import annotations
@@ -14,13 +10,13 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-# the most vertices build_graph admits: a nonbipartite census holds at least
-# five dense n x n arrays of 8-byte entries (the adjacency, its float64 copy,
-# three power arrays per prime), 40 n^2 bytes: 640 MiB here, 1 GiB at 5181
+# the most vertices build_graph admits.  It bounds a census's five dense
+# n x n arrays (640 MiB at 4096), not the edge tuples, about 100 B each, where
+# the densest graphs peak: generate complete:2048 takes 495 MB resident
 MAX_VERTICES = 2 ** 12
 
 
@@ -44,21 +40,12 @@ class EdgeListFormatError(GraphError):
         self.line = line
 
 
-class OrientedEdge(NamedTuple):
-    id: int
-    origin: int
-    terminus: int
-    inverse_id: int
-
-
 @dataclass(frozen=True)
 class Multigraph:
     """Immutable multigraph on vertices 0..n-1.
 
-    ``edges`` is a sorted tuple of (u, v) pairs with u <= v; sorting makes
-    iteration order (and thus oriented-edge ids) deterministic.  Edge i owns
-    oriented edges 2i (low -> high endpoint) and 2i+1 (the inverse), so the
-    inverse of oriented edge e is always e ^ 1.
+    ``edges`` is a sorted tuple of (u, v) pairs with u <= v, so iteration
+    order is deterministic.
     """
 
     n: int
@@ -127,17 +114,6 @@ class Multigraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @property
-    def oriented_edge_count(self) -> int:
-        return 2 * len(self.edges)
-
-    def oriented_edges(self) -> list[OrientedEdge]:
-        out = []
-        for i, (u, v) in enumerate(self.edges):
-            out.append(OrientedEdge(2 * i, u, v, 2 * i + 1))
-            out.append(OrientedEdge(2 * i + 1, v, u, 2 * i))
-        return out
-
 
 @dataclass(frozen=True)
 class GraphProfile:
@@ -149,7 +125,6 @@ class GraphProfile:
 
     q: int
     bipartite: bool
-    connected: bool
     bipartition: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
 
@@ -195,7 +170,7 @@ def profile(g: Multigraph) -> GraphProfile:
 
     bipartition = g.bipartition
     return GraphProfile(q=degs[0] - 1, bipartite=bipartition is not None,
-                        connected=True, bipartition=bipartition)
+                        bipartition=bipartition)
 
 
 def adjacency_matrix(g: Multigraph) -> np.ndarray:
@@ -250,6 +225,8 @@ def generate(name: str, params: Sequence[int] = ()) -> Multigraph:
         (d,) = params
         if d < 2:
             raise GraphError("hypercube needs dimension >= 2")
+        if d >= MAX_VERTICES.bit_length():  # before 1 << d forms
+            raise GraphError(f"2^{d} vertices exceed the limit of {MAX_VERTICES}")
         n = 1 << d
         return build_graph(n, ((x, x ^ (1 << b)) for x in range(n) for b in range(d)
                                if x < x ^ (1 << b)))

@@ -131,7 +131,7 @@ def analyze(g: Multigraph, source: str, K: int,
             "edges": g.edge_count,
             "loops": g.loop_count,
             "bipartite": prof.bipartite,
-            "connected": prof.connected,
+            "connected": True,  # profile refuses a disconnected graph
         },
         "spectrum": spectrum.tolist(),
         "nontrivial_spectrum": ns.values.tolist(),

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -346,16 +347,18 @@ def test_malformed_input_fails_before_any_census(monkeypatch, tmp_path, capsys,
 
 # generator strings with too many vertices (or, for circulant:0:1, too few)
 OUT_OF_RANGE_GENERATORS = {
-    "hypercube:26": 2 ** 26, "complete:100000": 10 ** 5, "cycle:1000000000": 10 ** 9,
-    "kmm:1000000": 2 * 10 ** 6, "prism:1000000000": 2 * 10 ** 9,
+    "hypercube:26": "2^26", "hypercube:20000": "2^20000",
+    "hypercube:100000000": "2^100000000", "complete:100000": 10 ** 5,
+    "cycle:1000000000": 10 ** 9, "kmm:1000000": 2 * 10 ** 6, "prism:1000000000": 2 * 10 ** 9,
     "circulant:1000000000:1": 10 ** 9, "circulant:0:1": 0}
 
 
 @pytest.mark.parametrize("spec, n", OUT_OF_RANGE_GENERATORS.items())
 def test_out_of_range_generator_fails_before_its_edges_form(capsys, spec, n):
     # build_graph bounds the vertex count before it reads the first of the
-    # family's lazy edges, so no edge list forms
-    message = (f"need at least 3 vertices, got n={n}" if n < 3
+    # family's lazy edges, so no edge list forms; hypercube bounds its
+    # dimension before 1 << d forms
+    message = (f"need at least 3 vertices, got n={n}" if n == 0
                else f"{n} vertices exceed the limit of 4096")
     for command in ("census", "analyze", "generate"):
         tracemalloc.start()
@@ -409,11 +412,21 @@ def test_census_rejects_k0(capsys):
 
 def test_census_oracle_past_its_budget_exits_2(capsys):
     # the brute-force oracle refuses a k whose enumeration passes its step
-    # budget; kmm:90 runs k = 1, 2 and refuses k = 3 (2 * 90^2 * 89^2 steps)
+    # budget; kmm:90 refuses k = 3 (2 * 90^2 * 89^2 steps) before k = 1, 2
     code, out, err = run(capsys, "census", "kmm:90", "--k", "3", "--oracle-k", "3")
     assert (code, out) == (2, "")
     assert err == ("error: about 1.28e+08 enumeration steps needed (budget 1e+08); "
                    "use geodesic_cycles_operator instead\n")
+
+
+def test_census_oracle_refuses_before_it_enumerates(capsys):
+    # the oracle prices its costliest k first: petersen at k = 30 needs
+    # 30 * 2^29 steps, so it refuses at once, not after enumerating k <= 22
+    start = time.perf_counter()
+    result = run(capsys, "census", "petersen", "--k", "30", "--oracle-k", "30")
+    assert time.perf_counter() - start < 2
+    assert result == (2, "", "error: about 1.61e+10 enumeration steps needed "
+                             "(budget 1e+08); use geodesic_cycles_operator instead\n")
 
 
 def test_census_rejects_negative_oracle_k(capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from iharazeta.census import closed_walk_counts
+from iharazeta.census import closed_walk_counts, nonbacktracking_successors
 from iharazeta.graphs import (MAX_VERTICES, EdgeListFormatError, GraphError,
                               NotConnectedError, NotRegularError,
                               adjacency_matrix, build_graph, generate,
@@ -45,20 +45,24 @@ def test_duplicate_pairs_accumulate():
     assert a[0, 1] == a[1, 0] == 2
 
 
-def test_oriented_edges_involution():
-    g = get_graph("looped_cycle4")
-    oriented = g.oriented_edges()
-    assert len(oriented) == 2 * g.edge_count
-    for e in oriented:
-        inv = oriented[e.inverse_id]
-        assert inv.inverse_id == e.id
-        assert inv.origin == e.terminus and inv.terminus == e.origin
-        assert e.inverse_id == e.id ^ 1
+def test_nonbacktracking_successors_involution():
+    # edge i = (u, v) owns oriented edges 2i (u -> v) and 2i + 1 (v -> u),
+    # and e ^ 1, never a successor of e, runs e's ends reversed
+    for name in ("looped_cycle4", "double_triangle", "petersen"):
+        g, q = get_graph(name), get_profile(name).q
+        ends = [end for u, v in g.edges for end in ((u, v), (v, u))]
+        succ = nonbacktracking_successors(g)
+        assert len(succ) == 2 * g.edge_count, name
+        for e, followers in enumerate(succ):
+            assert ends[e ^ 1] == ends[e][::-1], (name, e)
+            assert e ^ 1 not in followers, (name, e)
+            assert all(ends[f][0] == ends[e][1] for f in followers), (name, e)
+            assert len(followers) == q, (name, e)
 
 
 def test_profile_petersen():
     p = get_profile("petersen")
-    assert p.q == 2 and p.connected and not p.bipartite
+    assert p.q == 2 and not p.bipartite
 
 
 def test_profile_kmm3_bipartition():

@@ -148,20 +148,20 @@ def test_bad_bipartition_is_rejected():
 
 def test_trivial_eigenvalue_missing():
     fake = np.array([1.0, 0.5, 0.1])
-    prof = GraphProfile(q=2, bipartite=False, connected=True)
+    prof = GraphProfile(q=2, bipartite=False)
     with pytest.raises(TrivialEigenvalueMissing):
         nontrivial_spectrum(fake, prof)
     # a bipartite spectrum must end at -(q+1) as well
     ends_high = np.array([3.0, 1.0, -1.0, -2.0])
     with pytest.raises(TrivialEigenvalueMissing):
-        nontrivial_spectrum(ends_high, GraphProfile(q=2, bipartite=True, connected=True))
+        nontrivial_spectrum(ends_high, GraphProfile(q=2, bipartite=True))
 
 
 @pytest.mark.parametrize("bipartite", [False, True])
 def test_trivial_eigenvalue_matched_within_the_eigenvalue_error(bipartite):
     # q+1 (and -(q+1)) are matched within eigenvalue_error(n, q), the bound
     # on every computed eigenvalue: half of it passes, twice it does not
-    prof = GraphProfile(q=2, bipartite=bipartite, connected=True)
+    prof = GraphProfile(q=2, bipartite=bipartite)
     bound = eigenvalue_error(4, 2)
     assert bound == 4 * 2.0 ** -52 * 3
     for end in (0, -1) if bipartite else (0,):
