@@ -19,10 +19,10 @@ characteristic polynomial, every division checked to be exact, and
 Cayley-Hamilton gives each later trace as an integer recurrence.
 
 walk_plan alone plans the walk recurrence X_k = X_(k-1) A + w X_(k-2) for
-the census (w = 0) and the operator traces (w = -q): size, steps, primes.
-Given one prime, a plan takes all K steps modulo it: report.analyze checks
-every census N_k so, modulo CHECK_PRIME.  closed_walk_counts remains the
-general route tr(A^k), for every graph.
+the census (w = 0) and the operator traces (w = -q), and Plan.traces()
+alone turns a plan into its K traces.  Given one prime, a plan takes all K
+steps modulo it: report.analyze checks every census N_k so, modulo
+CHECK_PRIME.  closed_walk_counts remains the general route, for any graph.
 
 Three exact routes to N_k are cross-checked in the test suite: a
 brute-force enumeration, the traces of the non-backtracking operator
@@ -72,21 +72,33 @@ class CycleCensus:
 @dataclass(frozen=True)
 class Plan:
     """X_k = X_(k-1) matrix + weight X_(k-2) for `steps` steps modulo the
-    descending `primes`, on a companion of `size`; column_sum is the largest
+    descending `primes`, for `horizon` traces; column_sum is the largest
     absolute one, and `half` marks a bipartite graph's Gram matrix."""
 
     matrix: np.ndarray
     weight: int
     steps: int
-    size: int
     primes: tuple[int, ...]
     column_sum: int
+    horizon: int
     half: bool = False
 
     @property
     def work(self) -> int:
-        """The cost model of taking the plan: steps x primes x size^3."""
-        return self.steps * len(self.primes) * self.size ** 3
+        """The cost model: steps x primes x s^3, s the companion size."""
+        size = (2 if self.weight else 1) * len(self.matrix)
+        return self.steps * len(self.primes) * size ** 3
+
+    def traces(self) -> list[int]:
+        """The plan's `horizon` traces: _recurrence_traces, continued by
+        extend_traces past `steps` (exact plans), and on a half plan the
+        trace j placed at k = 2j as 2 t_j, with every odd k 0."""
+        count = self.horizon // 2 if self.half else self.horizon
+        t = _recurrence_traces(self) if count else []
+        t = t if count <= self.steps else extend_traces(t, count)
+        if not self.half:
+            return t
+        return [0 if k % 2 else 2 * t[k // 2 - 1] for k in range(1, self.horizon + 1)]
 
 
 # the largest primes below PRIME_LIMIT, descending; _largest_primes extends
@@ -154,36 +166,30 @@ def integer_power_traces(m: np.ndarray, K: int) -> list[int]:
     """Traces of m^1..m^K, exact, for any square integer matrix m of size s:
     the first min(K, s) from matrix powers (_recurrence_traces at weight 0),
     and the rest from those by extend_traces."""
-    return _traces(_plan(np.asarray(m), 0, K), K)
-
-
-def _traces(plan: Plan, K: int) -> list[int]:
-    """The plan's traces, continued to K by extend_traces (exact plans)."""
-    out = _recurrence_traces(plan) if K > 0 else []
-    return out if K <= plan.steps else extend_traces(out, K)
+    return _plan(np.asarray(m), 0, K).traces()
 
 
 def _plan(a: np.ndarray, weight: int, K: int, prime: int | None = None,
           half: bool = False) -> Plan:
-    """The Plan of X_k = X_(k-1) a + weight X_(k-2) to its K-th trace: all K
-    steps modulo a given prime, or else min(K, s) steps, s the companion
-    size, and enough primes for their product to exceed twice the bound
-    len(a) max B_k on tr(X_k), B_k = c B_(k-1) + |weight| B_(k-2) from
-    B_(-1) = 0 and B_0 = 1, with c the largest absolute column sum."""
+    """The Plan of X_k = X_(k-1) a + weight X_(k-2) for K traces (K/2 steps
+    on a half plan): all its steps modulo a given prime, or else at most s,
+    s the companion size, and enough primes for their product to exceed
+    twice the bound len(a) max B_k on tr(X_k), B_k = c B_(k-1) + |weight|
+    B_(k-2) from B_(-1) = 0 and B_0 = 1, c the largest absolute column sum."""
     c, d = int(np.abs(a).sum(axis=0).max(initial=0)), abs(weight)
     if c + d >= COLUMN_SUM_LIMIT:
         raise ValueError(f"largest absolute column sum {c + d} of the matrix "
                          f"is not below 2^27; its powers cannot be taken "
                          f"exactly in float64 residues")
-    size = (2 if weight else 1) * len(a)
+    count = K // 2 if half else K
     if prime:
-        return Plan(a, weight, K, size, (prime,), c, half)
-    steps = min(K, size)
+        return Plan(a, weight, count, (prime,), c, K, half)
+    steps = min(count, (2 if weight else 1) * len(a))
     bounds = [0, 1]  # B_(-1), B_0, ..., B_steps
     for _ in range(steps):
         bounds.append(c * bounds[-1] + d * bounds[-2])
-    count = (2 * len(a) * max(bounds)).bit_length() // 25 + 1
-    return Plan(a, weight, steps, size, tuple(_largest_primes(count)), c, half)
+    primes = (2 * len(a) * max(bounds)).bit_length() // 25 + 1
+    return Plan(a, weight, steps, tuple(_largest_primes(primes)), c, K, half)
 
 
 def _recurrence_traces(plan: Plan) -> list[int]:
@@ -308,23 +314,15 @@ def walk_plan(g: Multigraph, K: int, weight: int = 0,
     from sending x @ x.T to BLAS syrk, whose first call raised the peak
     resident memory by about 0.2 MB (OpenBLAS 0.3.31).
     """
+    if K < 1:
+        raise ValueError("horizon must be >= 1")
     a, parts, q = adjacency_matrix(g), g.bipartition, max(g.valencies) - 1
     if (parts is None or (q + 1) * q + abs(q + 1 + 2 * weight) + weight ** 2
             >= COLUMN_SUM_LIMIT):
         return _plan(a, weight, K, prime)
     rows = a[parts[0], :].astype(np.float64)
     gram = rows @ rows.T.copy() + 2 * weight * np.eye(len(rows))
-    return _plan(gram.astype(np.int64), -weight ** 2, K // 2, prime, half=True)
-
-
-def _walk_traces(g: Multigraph, K: int, weight: int = 0,
-                 prime: int | None = None) -> list[int]:
-    """The K traces that walk_plan(g, K, weight, prime) plans."""
-    plan = walk_plan(g, K, weight, prime)
-    if not plan.half:
-        return _traces(plan, K)
-    t = _traces(plan, K // 2)
-    return [0 if k % 2 else 2 * t[k // 2 - 1] for k in range(1, K + 1)]
+    return _plan(gram.astype(np.int64), -weight ** 2, K, prime, half=True)
 
 
 def closed_walk_counts(g: Multigraph, K: int) -> list[int]:
@@ -374,14 +372,12 @@ def geodesic_cycles_operator(g: Multigraph, K: int,
     (1 - u^2)^(m-n) det(I - uM) with M = [[A, I - D], [I, 0]], D the
     diagonal of degrees.  Taking -log of both sides and comparing the
     coefficients of u^k/k, tr(B^k) = tr(M^k) + (m - n)(1 + (-1)^k), and on
-    a (q+1)-regular graph I - D = -qI: tr(M^k) is _walk_traces at -q.
+    a (q+1)-regular graph I - D = -qI: tr(M^k) is walk_plan's at -q.
     """
-    if K < 1:
-        raise ValueError("horizon must be >= 1")
     if len(set(g.valencies)) > 1:
         raise ValueError("the operator traces need a regular graph; "
                          f"valencies range over {min(g.valencies)}..{max(g.valencies)}")
-    traces = _walk_traces(g, K, 1 - g.valencies[0], prime)
+    traces = walk_plan(g, K, 1 - g.valencies[0], prime).traces()
     return [t + (0 if k % 2 else 2 * (g.edge_count - g.n))
             for k, t in enumerate(traces, start=1)]
 
@@ -391,20 +387,19 @@ def brute_force_cost(g: Multigraph, k: int) -> int:
     return 2 * g.edge_count * max(1, q) ** (k - 1)
 
 
-def geodesic_cycles_bruteforce(g: Multigraph, k: int,
-                               budget: int = BRUTE_FORCE_BUDGET) -> int:
+def geodesic_cycles_bruteforce(g: Multigraph, k: int) -> int:
     """N_k by direct enumeration of oriented-edge sequences.
 
     Walks every non-backtracking sequence (e_1..e_k), accepting those that
     close up and whose wrap-around pair (e_k, e_1) is also backtrack-free.
-    Cost is about 2m * q^(k-1) steps; refuses beyond the budget.
+    Cost is about 2m * q^(k-1) steps; refuses beyond BRUTE_FORCE_BUDGET.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if brute_force_cost(g, k) > budget:
+    if brute_force_cost(g, k) > BRUTE_FORCE_BUDGET:
         raise BruteForceBudgetExceeded(
             f"about {brute_force_cost(g, k):.2e} enumeration steps needed "
-            f"(budget {budget:.0e}); use geodesic_cycles_operator instead")
+            f"(budget {BRUTE_FORCE_BUDGET:.0e}); use geodesic_cycles_operator instead")
     succ = nonbacktracking_successors(g)
     origin = list(itertools.chain.from_iterable(g.edges))  # as in succ
     terminus = [origin[e ^ 1] for e in range(len(origin))]
@@ -441,7 +436,5 @@ def build_census(g: Multigraph, q: int, K: int) -> CycleCensus:
     """Exact census to horizon K: C_k as the traces of A^k (walk_plan at
     weight 0, at half size on a connected bipartite graph's Gram matrix
     while q+1 <= 11585), and N_k by the exact conversion from C_k."""
-    if K < 1:
-        raise ValueError("horizon must be >= 1")
-    c = [g.n] + _walk_traces(g, K)
+    c = [g.n] + walk_plan(g, K).traces()
     return CycleCensus(c=tuple(c), nk=nk_from_ck(c, q, g.n, K))

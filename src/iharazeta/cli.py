@@ -223,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"series horizon (default {k_default}, max 200)")
         p.add_argument("--out", default=None, help="write output to this path")
         p.add_argument("--no-timings", action="store_true",
-                       help="omit wall-clock timings for byte-stable output")
+                       help="omit analyze's wall-clock timings for byte-stable "
+                            "output (a no-op elsewhere: no other output has any)")
 
     for name, description, keys in (
             ("analyze", "full pipeline, JSON report", None),

@@ -14,9 +14,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# the most vertices build_graph admits.  It bounds a census's five dense
-# n x n arrays (640 MiB at 4096), not the edge tuples, about 100 B each, where
-# the densest graphs peak: generate complete:2048 takes 495 MB resident
+# the most vertices build_graph admits.  It bounds neither the edge tuples,
+# about 100 B each, nor a census: census._recurrence_traces holds 3 P s^2 8
+# bytes, three (P s, s) float64 stacks for P primes and an s x s matrix, so
+# circulant:4096:1,2048 at K = 200 (P = 14) needs about 5.6 GB
 MAX_VERTICES = 2 ** 12
 
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
@@ -15,7 +16,7 @@ from iharazeta.census import (BruteForceBudgetExceeded, build_census,
                               closed_walk_counts, extend_traces,
                               geodesic_cycles_bruteforce,
                               geodesic_cycles_operator, integer_power_traces,
-                              nk_from_ck, nonbacktracking_matrix)
+                              nk_from_ck, nonbacktracking_matrix, walk_plan)
 from iharazeta.graphs import (Multigraph, adjacency_matrix, build_graph,
                               parse_generator, profile)
 from iharazeta.hk import (chebyshev_T_table, hk_excess, hk_from_ck,
@@ -252,6 +253,36 @@ def test_check_prime_lies_below_every_census_prime():
     assert prime < 2 ** 25 < min(plan.primes)
 
 
+
+def test_plan_memory_is_three_stacks():
+    # the memory note of graphs.MAX_VERTICES: _recurrence_traces holds three
+    # (P s, s) float64 stacks, 3 P s^2 8 bytes, and at few steps the rest
+    # (the float64 matrix, the diagonal tables) stays below a fourth;
+    # complete:200 at K = 200 plans P = 62, about 60 MB
+    plan = walk_plan(parse_generator("circulant:256:1,128"), 10)
+    stack = len(plan.primes) * len(plan.matrix) ** 2 * 8
+    tracemalloc.start()
+    try:
+        plan.traces()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 3 * stack <= peak < 4 * stack
+    assert len(walk_plan(parse_generator("complete:200"), 200).primes) == 62
+
+
+@pytest.mark.parametrize("route", [
+    lambda g: walk_plan(g, 0),
+    lambda g: build_census(g, 2, 0),
+    lambda g: geodesic_cycles_operator(g, 0),
+    lambda g: geodesic_cycles_operator(g, 0, census_mod.CHECK_PRIME),
+    lambda g: closed_walk_counts(g, 0),
+], ids=["walk_plan", "build_census", "operator", "operator_check",
+        "closed_walk_counts"])
+def test_graph_census_refuses_horizon_zero(route):
+    with pytest.raises(ValueError, match=r"^horizon must be >= 1$"):
+        route(get_graph("petersen"))
+
 def test_prime_list_extends_once_under_threads():
     # threads that extend the shared prime list at once append each prime once
     counts = [40, 10, 25, 3, 33, 17, 40, 8] * 4
@@ -440,7 +471,7 @@ def test_recurrence_traces_with_large_weights(largest_weight):
     reference = _reference_recurrence_traces(a, weight, 30)
     exact = census_mod._plan(a, weight, 30)
     assert exact.steps == 12
-    assert census_mod._traces(exact, 30) == reference
+    assert exact.traces() == reference
     prime = census_mod.CHECK_PRIME
     check = census_mod._plan(a, weight, 30, prime)
     assert (check.steps, check.primes) == (30, (prime,))

@@ -5,6 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from iharazeta.graphs import parse_generator
+from iharazeta.report import analyze
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -20,6 +23,15 @@ def _run_script(tmp_path, *argv):
 def test_hk_sign_scan_runs_without_pythonpath(tmp_path):
     assert _run_script(tmp_path, "hk_sign_scan.py", "--max-ring", "6",
                        "--k", "20")[-1].split()[0] == "6"
+
+
+def test_estimator_convergence_ends_at_analyze_estimate(tmp_path):
+    # the deepest pair the script prints is the one analyze's estimator uses
+    *_, last = _run_script(tmp_path, "estimator_convergence.py")
+    report = analyze(parse_generator("prism:24"), "prism:24", 100,
+                     include_timings=False)
+    assert last.split()[0] == "98"
+    assert last.split()[2] == f"{report['estimator']['estimate']:.10f}"
 
 
 def test_check_ladder_runs_without_pythonpath(tmp_path):
