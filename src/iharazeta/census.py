@@ -15,20 +15,22 @@ for their product to exceed twice the a-priori bound size * c^min(K, size)
 on those traces (c the largest absolute column sum), and the Chinese
 remainder theorem returns each as an exact Python integer.  Past the
 size, Newton's identities turn the first s traces into the exact integer
-characteristic polynomial, every division checked to be exact, and
-Cayley-Hamilton gives each later trace as an integer recurrence.
+characteristic polynomial, every division checked to be exact, and the
+same identities run forward (power_sums) give each later trace.
 
 walk_plan alone plans the walk recurrence X_k = X_(k-1) A + w X_(k-2) for
-the census (w = 0) and the operator traces (w = -q), and Plan.traces()
-alone turns a plan into its K traces.  Given one prime, a plan takes all K
-steps modulo it: report.analyze checks every census N_k so, modulo
-CHECK_PRIME.  closed_walk_counts remains the general route, for any graph.
+the census (w = 0) and the operator traces (w = -q), once per graph object
+and horizon, and Plan.traces() alone turns a plan into its K traces.  Given
+one prime, a plan takes all K steps modulo it: report.analyze checks every
+census N_k so, modulo CHECK_PRIME.  closed_walk_counts remains the general
+route, for any graph.
 
 Three exact routes to N_k are cross-checked in the test suite: a
 brute-force enumeration, the traces of the non-backtracking operator
-through its Ihara-Bass companion, and an exact conversion from C_k (two
-parity chains).  The float h_k of hk.hk_spectral check the census against
-the spectrum within hk.hk_spectral_budget.
+through its Ihara-Bass companion, and the census's own, which past that
+companion's size 2s reads N_k off zetaxi.bass_determinant(chi_A, q) and at
+or below it converts C_k by nk_from_ck (two parity chains, the reference).
+The float h_k of hk.hk_spectral check it within hk.hk_spectral_budget.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import numpy as np
 
 from .graphs import Multigraph, adjacency_matrix
 from .hk import ck_alternating_sums
+from .zetaxi import bass_determinant
 
 # residues live below these primes; products stay exact in float64 while
 # the matrix's absolute column sums stay below COLUMN_SUM_LIMIT, and the
@@ -55,6 +58,11 @@ EXACT_LIMIT = 2 ** 52
 BRUTE_FORCE_BUDGET = 10 ** 8
 # the largest prime below 2^25, so below every census prime (all > 2^25)
 CHECK_PRIME = 33554393
+# the most bytes of a graph's plan (Plan.memory, 3 P s^2 8): 2^32 keeps
+# cycle:4095 at K = 50 (P = 3, s = 4095, 1.2 GB) and hypercube:12 at K = 200
+# (P = 30, s = 2048, 3.0 GB), and refuses circulant:4096:1,2048 at K = 200
+# (P = 14, s = 4096, 5.6 GB); complete:200 at K = 200 takes 60 MB (P = 62)
+MAX_PLAN_BYTES = 2 ** 32
 
 
 class BruteForceBudgetExceeded(ValueError):
@@ -89,13 +97,25 @@ class Plan:
         size = (2 if self.weight else 1) * len(self.matrix)
         return self.steps * len(self.primes) * size ** 3
 
+    @property
+    def memory(self) -> int:
+        """The bytes of _recurrence_traces's three (P s, s) float64 stacks."""
+        return 3 * len(self.primes) * len(self.matrix) ** 2 * 8
+
+    @property
+    def count(self) -> int:
+        """The traces the plan's own matrix stands for: K/2 on a half plan."""
+        return self.horizon // 2 if self.half else self.horizon
+
     def traces(self) -> list[int]:
         """The plan's `horizon` traces: _recurrence_traces, continued by
-        extend_traces past `steps` (exact plans), and on a half plan the
-        trace j placed at k = 2j as 2 t_j, with every odd k 0."""
-        count = self.horizon // 2 if self.half else self.horizon
-        t = _recurrence_traces(self) if count else []
-        t = t if count <= self.steps else extend_traces(t, count)
+        extend_traces past `steps` (exact plans), and placed."""
+        t = _recurrence_traces(self) if self.count else []
+        return self.placed(t if self.count <= self.steps else extend_traces(t, self.count))
+
+    def placed(self, t: list[int]) -> list[int]:
+        """The plan's `count` values t as its `horizon` ones: on a half plan
+        t_j at k = 2j as 2 t_j and every odd k 0, else t itself."""
         if not self.half:
             return t
         return [0 if k % 2 else 2 * t[k // 2 - 1] for k in range(1, self.horizon + 1)]
@@ -281,18 +301,25 @@ def characteristic_polynomial(head: Sequence[int]) -> list[int]:
     return [1] + a
 
 
+def power_sums(poly: Sequence[int], K: int) -> list[int]:
+    """p_1..p_K, p_k the sum of the k-th powers of the roots of the monic
+    integer polynomial poly = [1, a_1, ..., a_s], x^s + a_1 x^(s-1) + ...,
+    all exact: Newton's identities run forward, p_k = -(k a_k +
+    sum_{i=1..k-1} a_i p_(k-i)) with a_i = 0 past s, so past s the
+    Cayley-Hamilton recurrence p_k = -sum_{i=1..s} a_i p_(k-i).
+    """
+    a, recent = poly[1:], []  # p_(k-1), p_(k-2), ..., p_1
+    for k in range(1, K + 1):
+        known = sum(map(operator.mul, a, recent))
+        recent.insert(0, -known - (k * a[k - 1] if k <= len(a) else 0))
+    return recent[::-1]
+
+
 def extend_traces(head: Sequence[int], K: int) -> list[int]:
     """Traces p_1..p_K of an s x s integer matrix from its first s traces
-    head = p_1..p_s, all exact Python integers: Cayley-Hamilton on its
-    characteristic_polynomial gives p_k = -sum_{i=1..s} a_i p_(k-i) for
-    k = s+1..K.
-    """
-    p = list(head)
-    size = len(p)
-    a = characteristic_polynomial(p)[1:]
-    for k in range(size, K):
-        p.append(-sum(map(operator.mul, a, reversed(p[k - size:k]))))
-    return p
+    head = p_1..p_s, all exact Python integers: the power_sums of its
+    characteristic_polynomial."""
+    return power_sums(characteristic_polynomial(head), K)
 
 
 def walk_plan(g: Multigraph, K: int, weight: int = 0,
@@ -313,16 +340,28 @@ def walk_plan(g: Multigraph, K: int, weight: int = 0,
     GEMM, exact as its entries are at most (q+1)^2; the copy keeps numpy
     from sending x @ x.T to BLAS syrk, whose first call raised the peak
     resident memory by about 0.2 MB (OpenBLAS 0.3.31).
+
+    Plans are kept on g (Multigraph.plans), so a cost note and its census
+    share one.  A plan past MAX_PLAN_BYTES is refused before any stack is.
     """
+    key = (K, weight, prime)
+    if key in g.plans:
+        return g.plans[key]
     if K < 1:
         raise ValueError("horizon must be >= 1")
     a, parts, q = adjacency_matrix(g), g.bipartition, max(g.valencies) - 1
     if (parts is None or (q + 1) * q + abs(q + 1 + 2 * weight) + weight ** 2
             >= COLUMN_SUM_LIMIT):
-        return _plan(a, weight, K, prime)
-    rows = a[parts[0], :].astype(np.float64)
-    gram = rows @ rows.T.copy() + 2 * weight * np.eye(len(rows))
-    return _plan(gram.astype(np.int64), -weight ** 2, K, prime, half=True)
+        plan = _plan(a, weight, K, prime)
+    else:
+        rows = a[parts[0], :].astype(np.float64)
+        gram = rows @ rows.T.copy() + 2 * weight * np.eye(len(rows))
+        plan = _plan(gram.astype(np.int64), -weight ** 2, K, prime, half=True)
+    if plan.memory > MAX_PLAN_BYTES:
+        raise ValueError(f"the census to horizon {K} needs {plan.memory} bytes "
+                         f"of power stacks, above the limit of {MAX_PLAN_BYTES}")
+    g.plans[key] = plan
+    return plan
 
 
 def closed_walk_counts(g: Multigraph, K: int) -> list[int]:
@@ -434,7 +473,19 @@ def nk_from_ck(c: Sequence[int], q: int, n: int, K: int) -> tuple[int, ...]:
 
 def build_census(g: Multigraph, q: int, K: int) -> CycleCensus:
     """Exact census to horizon K: C_k as the traces of A^k (walk_plan at
-    weight 0, at half size on a connected bipartite graph's Gram matrix
-    while q+1 <= 11585), and N_k by the exact conversion from C_k."""
-    c = [g.n] + walk_plan(g, K).traces()
-    return CycleCensus(c=tuple(c), nk=nk_from_ck(c, q, g.n, K))
+    weight 0, at half size s on a connected bipartite graph's Gram matrix
+    while q+1 <= 11585), and N_k from them.  By Ihara-Bass, N_k - n(q-1)[k
+    even] are the power sums of the 2s reciprocal roots of bass_determinant
+    (chi_A, q); on a half plan N_2j - n(q-1) = 2 p_j, p_j those of the
+    determinant in v = u^2 from chi_G.  Past that size (K, or K/2, above
+    2s) they are read so, chi formed once; at or below it nk_from_ck is
+    the cheaper."""
+    plan = walk_plan(g, K)
+    if plan.count <= 2 * len(plan.matrix):
+        c = [g.n] + plan.traces()
+        return CycleCensus(c=tuple(c), nk=nk_from_ck(c, q, g.n, K))
+    chi = characteristic_polynomial(_recurrence_traces(plan))
+    nk = plan.placed(power_sums(bass_determinant(chi, q, plan.half), plan.count))
+    return CycleCensus(c=tuple([g.n] + plan.placed(power_sums(chi, plan.count))),
+                       nk=tuple(t + (0 if k % 2 else g.n * (q - 1))
+                                for k, t in enumerate(nk, start=1)))

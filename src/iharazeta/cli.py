@@ -41,11 +41,13 @@ EXIT_INTERNAL = 3
 DATA_SCHEMA = 3
 # h_k routes of the series subcommand, in CSV column order
 SERIES_ROUTES = ["spectral", "ck", "series"]
+# the largest --k any subcommand takes
+MAX_K = 200
 # a census of more work (the Plan.work of its census.walk_plan) prints a
-# cost note on stderr.  build_census takes 5-10e-11 s a unit at size >= 60
-# (x86-64, one BLAS thread): 5.2e8 units and 30 ms for cycle:101 at K = 101,
-# 9.6e9 and 0.61 s for circulant:150:1,2,3,50 at K = 150, 1.5e10 and 0.79 s
-# for cycle:201 at K = 200, 2.2e10 and 1.9 s for complete:150 at K = 150
+# cost note on stderr.  build_census takes 4-7e-11 s a unit at size >= 60
+# (x86-64, one BLAS thread): 5.2e8 units, 21-33 ms, for cycle:101 at K = 101;
+# 9.6e9, 0.47 s, for circulant:150:1,2,3,50 and 2.2e10, 1.3 s, for
+# complete:150 at K = 150; 1.5e10, 0.69 s, for cycle:201 at K = 200
 COSTLY_WORK = 10 ** 10
 
 
@@ -76,7 +78,8 @@ def _check_out(out: str | None) -> None:
 def _cost_note(g: Multigraph, K: int, what: str | None = None) -> None:
     """Say on stderr that what (by default "--k K") is costly when the census
     of g to horizon K does more than COSTLY_WORK units of work (the
-    Plan.work of its walk_plan).  Called where a census runs."""
+    Plan.work of its walk_plan, which the census then reuses).  Called where
+    a census runs."""
     if walk_plan(g, K).work > COSTLY_WORK:
         print(f"note: {what or f'--k {K}'} is costly; census entries grow "
               "like (q+1)^k", file=sys.stderr)
@@ -220,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", help="edge-list file path or generator string")
         if k_default is not None:
             p.add_argument("--k", type=int, default=k_default,
-                           help=f"series horizon (default {k_default}, max 200)")
+                           help=f"series horizon (default {k_default}, max {MAX_K})")
         p.add_argument("--out", default=None, help="write output to this path")
         p.add_argument("--no-timings", action="store_true",
                        help="omit analyze's wall-clock timings for byte-stable "
@@ -278,8 +281,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise GraphError("--k must be >= 1")
             if k < 0:
                 raise GraphError("--k must be >= 0")
-            if k > 200:
-                raise GraphError("--k capped at 200 (cost grows with (q+1)^k)")
+            if k > MAX_K:
+                raise GraphError(f"--k capped at {MAX_K} (cost grows with (q+1)^k)")
         if getattr(args, "oracle_k", 0) < 0:
             raise GraphError("--oracle-k must be >= 0")
         _check_out(args.out)

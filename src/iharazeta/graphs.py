@@ -15,9 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 # the most vertices build_graph admits.  It bounds neither the edge tuples,
-# about 100 B each, nor a census: census._recurrence_traces holds 3 P s^2 8
-# bytes, three (P s, s) float64 stacks for P primes and an s x s matrix, so
-# circulant:4096:1,2048 at K = 200 (P = 14) needs about 5.6 GB
+# about 100 B each, nor a census, which census.MAX_PLAN_BYTES bounds
 MAX_VERTICES = 2 ** 12
 
 
@@ -110,6 +108,11 @@ class Multigraph:
         a = np.bincount(cells, minlength=self.n * self.n).reshape(self.n, self.n)
         a.flags.writeable = False
         return a
+
+    @cached_property
+    def plans(self) -> dict:
+        """census.walk_plan's plans for this graph object, by (K, weight, prime)."""
+        return {}
 
     @property
     def edge_count(self) -> int:

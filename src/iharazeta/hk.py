@@ -11,7 +11,8 @@ the rescaled xi function) admits two closed-form routes implemented here:
   * from_ck  -- from exact closed-walk counts C_k via alternating binomial
     sums S_k, all K of them by two integer recurrences, one per parity of k
     (ck_alternating_sums), in integers up to the final division.  The census
-    takes those sums to get N_k, and hk_excess reads them back from N_k.
+    takes those sums to get N_k up to the Ihara-Bass companion's size (past
+    it, power sums of the Bass determinant), and hk_excess reads them back.
 A third route, the power series of Xi's log-derivative taken factor by
 factor, lives in zetaxi.hk_series: it runs chebyshev_T_table on x read
 back from Xi's rows, so it shares the spectral route's table and checks

@@ -136,7 +136,7 @@ class RationalFunction:
 # ---------------------------------------------------------------------------
 # construction
 
-def bass_determinant(chi: Sequence[int], q: int) -> list[int]:
+def bass_determinant(chi: Sequence[int], q: int, gram: bool = False) -> list[int]:
     """The 2n+1 integer coefficients d_0..d_2n, ascending in u, of
     det(I - u*A + q*u^2*I) = prod(1 - lam*u + q*u^2) = u^n chi_A((1 + q*u^2)/u),
     from chi_A = [1, a_1, ..., a_n], x^n + a_1 x^(n-1) + ... + a_n
@@ -145,10 +145,14 @@ def bass_determinant(chi: Sequence[int], q: int) -> list[int]:
     Horner in x = (1 + q*u^2)/u, times u^m: R_0 = 1 and R_m = (1 + q*u^2)
     R_(m-1) + a_m u^m, so R_n is the determinant.  Each factor satisfies
     q*u^2 p(1/(q*u)) = p(u), so d_(2n-j) = q^(n-j) d_j.
+
+    Given gram, chi is chi_G of a bipartite graph's Gram matrix BB^T, of
+    eigenvalues sigma^2 for A's +/-sigma, and the result is the determinant
+    in v = u^2: v^(n/2) chi_G((1 + q*v)^2/v), Horner with (1 + q*v)^2.
     """
-    d = [chi[0]]
+    d, (f1, f2) = [chi[0]], ((2 * q, q * q) if gram else (0, q))
     for m, a in enumerate(chi[1:], start=1):
-        d = [x + q * y for x, y in zip(d + [0, 0], [0, 0] + d)]
+        d = [x + f1 * y + f2 * z for x, y, z in zip(d + [0, 0], [0] + d + [0], [0, 0] + d)]
         d[m] += a
     return d
 

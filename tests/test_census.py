@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -13,16 +14,19 @@ import pytest
 import iharazeta.census as census_mod
 
 from iharazeta.census import (BruteForceBudgetExceeded, build_census,
+                              characteristic_polynomial,
                               closed_walk_counts, extend_traces,
                               geodesic_cycles_bruteforce,
                               geodesic_cycles_operator, integer_power_traces,
                               nk_from_ck, nonbacktracking_matrix, walk_plan)
-from iharazeta.graphs import (Multigraph, adjacency_matrix, build_graph,
-                              parse_generator, profile)
+from iharazeta.graphs import (GraphError, Multigraph, adjacency_matrix,
+                              build_graph, parse_generator, profile)
 from iharazeta.hk import (chebyshev_T_table, hk_excess, hk_from_ck,
                           hk_spectral, hk_spectral_budget)
+from iharazeta.zetaxi import bass_determinant
 
-from conftest import (ALL_FIXTURES, SMALL_FIXTURES, get_census, get_excess,
+from conftest import (ALL_FIXTURES, BIPARTITE_GRAPHS, LADDER, SMALL_FIXTURES,
+                      get_census, get_excess,
                       get_graph, get_hk_routes, get_nontrivial, get_profile,
                       get_spectrum, spectral_nk)
 
@@ -261,6 +265,7 @@ def test_plan_memory_is_three_stacks():
     # complete:200 at K = 200 plans P = 62, about 60 MB
     plan = walk_plan(parse_generator("circulant:256:1,128"), 10)
     stack = len(plan.primes) * len(plan.matrix) ** 2 * 8
+    assert plan.memory == 3 * stack
     tracemalloc.start()
     try:
         plan.traces()
@@ -565,3 +570,74 @@ def test_census_growth_is_exact_bigint():
     census = get_census("prism24", 60)
     assert census.c[60] > 2 ** 63  # far beyond int64
     assert isinstance(census.c[60], int)
+
+
+# ---------------------------------------------------------------------------
+# N_k past the Ihara-Bass companion size
+
+def _random_regular(n, d, seed):
+    # the configuration model: each vertex's d stubs in vertex order,
+    # shuffled by random.Random(seed) until consecutive stubs pair into a
+    # connected multigraph (loops and multi-edges allowed)
+    rng = random.Random(seed)
+    stubs = [v for v in range(n) for _ in range(d)]
+    while True:
+        rng.shuffle(stubs)
+        g = build_graph(n, zip(stubs[::2], stubs[1::2]))
+        try:
+            profile(g)
+        except GraphError:
+            continue
+        return g
+
+
+RANDOM_REGULAR = {f"random:{n}:{d}:{seed}": (n, d, seed)
+                  for n, d, seed in ((9, 4, 1), (12, 3, 2), (20, 5, 3), (31, 6, 4),
+                                     (50, 3, 5), (64, 7, 6), (100, 3, 7))}
+
+
+def _census_graph(name):
+    return _random_regular(*RANDOM_REGULAR[name]) if name in RANDOM_REGULAR else get_graph(name)
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES + ["doubled_cycle4"] + list(LADDER)
+                         + list(RANDOM_REGULAR))
+def test_census_past_the_companion_size(name):
+    # past 2s (full plan) or 4s (half plan) the census reads N_k off the
+    # Bass determinant; every horizon equals the parity-chain conversion of
+    # its own C_k and the exact operator traces, on both sides of the cut
+    g = _census_graph(name)
+    q = profile(g).q
+    plan = walk_plan(g, 1)
+    cut = (4 if plan.half else 2) * len(plan.matrix)
+    horizons = (cut, cut + 1, cut + 2, 50, 150, 200)
+    operator = geodesic_cycles_operator(g, max(horizons))
+    for K in horizons:
+        census = build_census(g, q, K)
+        assert census.nk == nk_from_ck(census.c, q, g.n, K)
+        assert list(census.nk) == operator[:K]
+
+
+def test_power_sums_newton_forward():
+    # x^2 - x - 1: the Lucas numbers
+    assert census_mod.power_sums([1, -1, -1], 5) == [1, 3, 4, 7, 11]
+    # x^3 - 6x^2 + 11x - 6 = (x - 1)(x - 2)(x - 3), before and past its degree
+    assert census_mod.power_sums([1, -6, 11, -6], 5) == [
+        1 + 2 ** k + 3 ** k for k in range(1, 6)]
+    assert census_mod.power_sums([1, 5], 3) == [-5, 25, -125]
+
+
+@pytest.mark.parametrize("name", BIPARTITE_GRAPHS[:8])
+def test_half_plan_polynomial_is_the_even_bass_coefficients(name):
+    # chi_G of the half plan's Gram matrix, Horner-stepped in v = u^2 by
+    # (1 + qv)^2, is det(I - uA + qu^2 I) at u^2 = v: its odd
+    # coefficients are 0 and its even ones those of the half determinant
+    g = get_graph(name)
+    q = profile(g).q
+    plan = walk_plan(g, g.n)
+    assert plan.half and plan.steps == len(plan.matrix) == g.n // 2
+    chi_g = characteristic_polynomial(census_mod._recurrence_traces(plan))
+    chi_a = characteristic_polynomial(closed_walk_counts(g, g.n)[1:])
+    full = bass_determinant(chi_a, q)
+    assert full[1::2] == [0] * g.n
+    assert bass_determinant(chi_g, q, gram=True) == full[::2]

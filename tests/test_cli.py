@@ -21,7 +21,7 @@ import iharazeta.graphs as graphs_mod
 import iharazeta.report as report_mod
 
 import iharazeta.census as census_mod
-from iharazeta.census import CycleCensus, extend_traces, walk_plan
+from iharazeta.census import CycleCensus, characteristic_polynomial, walk_plan
 from iharazeta.cli import main
 from iharazeta.graphs import parse_generator, write_edge_list
 from iharazeta.report import report_to_json
@@ -230,10 +230,12 @@ def test_uncaught_exception_exits_internal(monkeypatch, capsys):
 
 def test_corrupt_census_trace_exits_internal(monkeypatch, capsys):
     # a trace that fails Newton's divisibility check is an internal fault
-    # (exit 3), not bad input (exit 2)
+    # (exit 3), not bad input (exit 2); past n = 7 the census forms chi_A
+    # from its traces, and cycle:7 at K = 20 reads N_k off the Bass
+    # determinant
     monkeypatch.setattr(
-        "iharazeta.census.extend_traces",
-        lambda head, K: extend_traces([head[0] + 1] + head[1:], K))
+        "iharazeta.census.characteristic_polynomial",
+        lambda head: characteristic_polynomial([head[0] + 1] + head[1:]))
     code, out, err = run(capsys, "census", "cycle:7", "--k", "20")
     assert code == 3
     assert out == ""
@@ -774,8 +776,8 @@ def _k_note(k):
 def test_k_cost_warning(capsys):
     # the note goes by the Plan.work of the census's walk_plan, steps x
     # primes x size^3, against COSTLY_WORK; no census runs here.  cycle:101 at K = 101 (5.2e8 units)
-    # and circulant:101:1,7,19 at K = 100 (1.1e9) took 30 and 66 ms, where
-    # complete:150 at K = 150 (2.2e10) took 1.9 s
+    # and circulant:101:1,7,19 at K = 100 (1.1e9) took 21-33 and 51-77 ms,
+    # where complete:150 at K = 150 (2.2e10) took 1.3 s
     cases = [("cycle:101", 101, 5 * 101 ** 4, False),
              ("circulant:101:1,7,19", 100, 11 * 100 * 101 ** 3, False),
              ("complete:60", 200, 15 * 60 ** 4, False),
@@ -792,6 +794,46 @@ def test_k_cost_warning(capsys):
     # the census of complete:4 takes 4 matrix-power steps at any K
     code, _, err = run(capsys, "census", "complete:4", "--k", "120")
     assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "petersen", "--k", "50"], ["analyze", "petersen", "--k", "50"],
+    ["check", "prism:24", "--k", "150"], ["series", "kmm:6", "--k", "30", "--route", "ck"],
+    ["zeta", "petersen"]], ids=lambda argv: " ".join(argv))
+def test_one_census_plan_per_call(monkeypatch, capsys, argv):
+    # the cost note and the census share the graph's one weight-0 plan; a
+    # second call parses a fresh graph and plans again
+    real, weights = census_mod._plan, []
+
+    def counted(a, weight, *args, **kwargs):
+        weights.append(weight)
+        return real(a, weight, *args, **kwargs)
+
+    monkeypatch.setattr(census_mod, "_plan", counted)
+    monkeypatch.setattr(cli_mod, "COSTLY_WORK", -1)
+    for calls in (1, 2):
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err.startswith("note: ")
+        assert weights.count(0) == calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "complete:30", "--k", "150"], ["analyze", "complete:30", "--k", "150"],
+    ["series", "complete:30", "--k", "150", "--route", "ck"], ["zeta", "complete:30"]],
+    ids=lambda argv: argv[0])
+def test_plan_memory_limit_exits_bad_input(monkeypatch, capsys, argv):
+    # a plan whose power stacks would pass MAX_PLAN_BYTES is refused in
+    # walk_plan, before the cost note prints or any stack is allocated
+    K = int(argv[3]) if len(argv) > 2 else 30
+    plan = walk_plan(parse_generator("complete:30"), K)
+    assert plan.memory == 3 * len(plan.primes) * 30 ** 2 * 8
+    monkeypatch.setattr(census_mod, "MAX_PLAN_BYTES", plan.memory - 1)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: the census to horizon {K} needs {plan.memory} bytes of "
+                   f"power stacks, above the limit of {plan.memory - 1}\n")
+    monkeypatch.setattr(census_mod, "MAX_PLAN_BYTES", plan.memory)
+    assert run(capsys, *argv)[0] == 0
 
 
 def _n_note(n):
