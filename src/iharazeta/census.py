@@ -2,35 +2,37 @@
 
 C_k is the trace of the k-th adjacency power; N_k counts closed oriented-edge
 sequences all of whose cyclic shifts are backtrack-free.  Both grow like
-(q+1)^k, so the traces are computed modulo word-size primes and
-reconstructed exactly.  Matrix powers run only up to min(K, size): the
-traces of an s x s matrix are fixed by its first s.  The powers are kept
-modulo 26-bit primes, all primes stacked in one float64 array, and each
-power step is one float64 GEMM.  The array is reduced, exactly, by
-x - p * rint(x * (1/p)), and only when a tracked bound on its entries says
-the next GEMM could pass 2^52; each trace is taken from the reduced
-diagonal.  With column sums below 2^27 every product and partial sum is an
-integer below 2^52, which float64 holds exactly.  Enough primes are taken
-for their product to exceed twice the a-priori bound size * c^min(K, size)
-on those traces (c the largest absolute column sum), and the Chinese
-remainder theorem returns each as an exact Python integer.  Past the
-size, Newton's identities turn the first s traces into the exact integer
-characteristic polynomial, every division checked to be exact, and the
-same identities run forward (power_sums) give each later trace.
+(q+1)^k, so the traces are computed modulo 26-bit primes, all stacked in
+one float64 array with one exact GEMM per power step (_recurrence_traces),
+and the Chinese remainder theorem returns each as an exact Python integer.
+Matrix powers run only up to min(K, s), s the size: the traces of an s x s
+matrix are fixed by its first s.  Past s, Newton's identities turn them
+into the exact integer characteristic polynomial chi, every division
+checked, and the same identities run forward (power_sums) give each later
+trace.
 
 walk_plan alone plans the walk recurrence X_k = X_(k-1) A + w X_(k-2) for
 the census (w = 0) and the operator traces (w = -q), once per graph object
 and horizon, and Plan.traces() alone turns a plan into its K traces.  Given
 one prime, a plan takes all K steps modulo it: report.analyze checks every
 census N_k so, modulo CHECK_PRIME.  closed_walk_counts remains the general
-route, for any graph.
+route, for any graph, and characteristic gives chi_A itself.
 
 Three exact routes to N_k are cross-checked in the test suite: a
 brute-force enumeration, the traces of the non-backtracking operator
-through its Ihara-Bass companion, and the census's own, which past that
-companion's size 2s reads N_k off zetaxi.bass_determinant(chi_A, q) and at
-or below it converts C_k by nk_from_ck (two parity chains, the reference).
-The float h_k of hk.hk_spectral check it within hk.hk_spectral_budget.
+through its Ihara-Bass companion, and the census's own, which converts C_k
+by nk_from_ck (two parity chains, the reference) up to that companion's
+size 2s.  Past it build_census continues on the squarefree part r = chi /
+gcd(chi, chi') (squarefree_part), of degree d, the number of distinct
+eigenvalues: C_k by r's d-term recurrence from the plan's p_1..p_s, and
+N_k - n(q-1)[k even], the power sums of the reciprocal roots of
+zetaxi.bass_determinant(chi, q), by the 2d-term recurrence of
+bass_determinant(r, q) from their first 2d values, which the parity chains
+give.  That is exact: r vanishes at every eigenvalue, so its recurrence
+holds for their power sums whatever the multiplicities, and
+bass_determinant(r, q) likewise vanishes at every reciprocal root of
+bass_determinant(chi, q).  The float h_k of hk.hk_spectral check the
+census within hk.hk_spectral_budget.
 """
 
 from __future__ import annotations
@@ -244,7 +246,6 @@ def _recurrence_traces(plan: Plan) -> list[int]:
     """
     a, weight, steps, primes = plan.matrix, plan.weight, plan.steps, plan.primes
     size, count, c, d = len(a), len(primes), plan.column_sum, abs(weight)
-    modulus, basis = _crt_basis(primes)
     reduced_bound = (primes[0] + 1) // 2
     prime = np.array(primes, dtype=np.float64)[:, None]
     column = np.repeat(prime, size, axis=0)
@@ -271,11 +272,16 @@ def _recurrence_traces(plan: Plan) -> list[int]:
         prev_bound, cur_bound = cur_bound, c * cur_bound + d * prev_bound
         diagonals[k] = cur[1]
     diagonals = _reduce(diagonals, prime, prime_inverse, out=np.empty_like(diagonals))
-    traces = []  # tr(X_0) .. tr(X_steps)
-    for residues in diagonals.sum(axis=2).astype(np.int64).tolist():
-        value = sum(map(operator.mul, residues, basis)) % modulus
-        traces.append(value - modulus if 2 * value > modulus else value)
+    traces = _lift(diagonals.sum(axis=2).astype(np.int64).tolist(), primes)
     return [t + weight * u for t, u in zip(traces[1:], [0] + traces)]
+
+
+def _lift(rows: Sequence[Sequence[int]], primes: tuple[int, ...]) -> list[int]:
+    """Per row of residues modulo the primes, the integer in (-M/2, M/2]
+    congruent to them, M the primes' product (CRT by _crt_basis)."""
+    modulus, basis = _crt_basis(primes)
+    values = [sum(map(operator.mul, residues, basis)) % modulus for residues in rows]
+    return [v - modulus if 2 * v > modulus else v for v in values]
 
 
 def characteristic_polynomial(head: Sequence[int]) -> list[int]:
@@ -301,18 +307,77 @@ def characteristic_polynomial(head: Sequence[int]) -> list[int]:
     return [1] + a
 
 
-def power_sums(poly: Sequence[int], K: int) -> list[int]:
+def power_sums(poly: Sequence[int], K: int, head: Sequence[int] = ()) -> list[int]:
     """p_1..p_K, p_k the sum of the k-th powers of the roots of the monic
     integer polynomial poly = [1, a_1, ..., a_s], x^s + a_1 x^(s-1) + ...,
     all exact: Newton's identities run forward, p_k = -(k a_k +
     sum_{i=1..k-1} a_i p_(k-i)) with a_i = 0 past s, so past s the
     Cayley-Hamilton recurrence p_k = -sum_{i=1..s} a_i p_(k-i).
+
+    Given head = p_1..p_h, h >= s, the recurrence alone continues it: it
+    holds for the power sums of any roots of poly, with any multiplicities.
     """
-    a, recent = poly[1:], []  # p_(k-1), p_(k-2), ..., p_1
-    for k in range(1, K + 1):
+    a, recent = poly[1:], list(reversed(head))  # p_(k-1), p_(k-2), ..., p_1
+    for k in range(len(head) + 1, K + 1):
         known = sum(map(operator.mul, a, recent))
         recent.insert(0, -known - (k * a[k - 1] if k <= len(a) else 0))
     return recent[::-1]
+
+
+def _gcd_modulo(a: Sequence[int], b: Sequence[int], prime: int) -> list[int]:
+    """The monic gcd of a and b modulo prime, by Euclid, a remainder one
+    degree down (the usual case) in one pass; ValueError (from pow) when
+    prime divides the leading coefficient of b."""
+    a, b = [x % prime for x in a], [x % prime for x in b]
+    while len(b) > 1:
+        inverse = pow(b[0], -1, prime)
+        if len(a) == len(b) + 1:  # a -= (f x + h) b
+            f = a[0] * inverse % prime
+            h = (a[1] - f * b[1]) * inverse % prime
+            a = [(x - f * y - h * z) % prime for x, y, z in zip(a[2:], b[2:] + [0], b[1:])]
+        while len(a) >= len(b):  # a -= f x^(len a - len b) b
+            f = a[0] * inverse % prime
+            a = [(x - f * y) % prime for x, y in zip(a[1:], b[1:])] + a[len(b):]
+        while a and not a[0]:
+            del a[0]
+        a, b = b, a
+    return [1] if b else [x * pow(a[0], -1, prime) % prime for x in a]
+
+
+def _divide(a: Sequence[int], b: Sequence[int], prime: int = 0) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the monic b, both descending; given a
+    prime, the quotient's residues modulo it."""
+    a, split = list(a), len(a) - len(b) + 1
+    for i in range(split):
+        a[i] = a[i] % prime if prime else a[i]
+        a[i + 1:i + len(b)] = [x - a[i] * y for x, y in zip(a[i + 1:i + len(b)], b[1:])]
+    return a[:split], a[split:]
+
+
+def squarefree_part(chi: Sequence[int], radius: int) -> list[int]:
+    """r = chi / gcd(chi, chi'), of degree d the number of distinct roots of
+    the monic integer chi, all in |x| <= radius; or else chi.  The gcd
+    modulo the largest prime (_largest_primes) is the test: 1 means
+    squarefree.  Otherwise r, of coefficients at most C(d, j) radius^j, is
+    lifted by CRT from enough primes, and kept only if it divides chi over Z
+    and the quotient g divides chi': a root of multiplicity m is one of chi'
+    m - 1 times, so then r vanishes at every root of chi.  That check, not
+    the primes, makes r exact; a prime dividing a leading coefficient of
+    chi' gives chi."""
+    derivative = [(len(chi) - 1 - i) * x for i, x in enumerate(chi[:-1])]
+    try:
+        gcd = _gcd_modulo(chi, derivative, _largest_primes(1)[0])
+        if len(gcd) == 1:
+            return list(chi)
+        count = (2 * (radius + 1) ** (len(chi) - len(gcd))).bit_length() // 25 + 1
+        primes = tuple(_largest_primes(count))
+        rows = [_divide(chi, _gcd_modulo(chi, derivative, p) if k else gcd, p)[0]
+                for k, p in enumerate(primes)]
+    except ValueError:
+        return list(chi)
+    r = _lift(list(zip(*rows)), primes)
+    g, rest = _divide(chi, r)
+    return list(chi) if any(rest) or any(_divide(derivative, g)[1]) else r
 
 
 def extend_traces(head: Sequence[int], K: int) -> list[int]:
@@ -362,6 +427,14 @@ def walk_plan(g: Multigraph, K: int, weight: int = 0,
                          f"of power stacks, above the limit of {MAX_PLAN_BYTES}")
     g.plans[key] = plan
     return plan
+
+
+def characteristic(g: Multigraph) -> list[int]:
+    """The exact chi_A = [1, a_1, ..., a_n] of g's adjacency matrix, from
+    its weight-0 walk_plan to horizon n: chi_G(x^2) on a half plan."""
+    plan = walk_plan(g, g.n)
+    chi = characteristic_polynomial(_recurrence_traces(plan))
+    return [0 if i % 2 else chi[i // 2] for i in range(2 * len(chi) - 1)] if plan.half else chi
 
 
 def closed_walk_counts(g: Multigraph, K: int) -> list[int]:
@@ -478,14 +551,18 @@ def build_census(g: Multigraph, q: int, K: int) -> CycleCensus:
     even] are the power sums of the 2s reciprocal roots of bass_determinant
     (chi_A, q); on a half plan N_2j - n(q-1) = 2 p_j, p_j those of the
     determinant in v = u^2 from chi_G.  Past that size (K, or K/2, above
-    2s) they are read so, chi formed once; at or below it nk_from_ck is
-    the cheaper."""
+    2s) they, and C_k, continue on chi's squarefree part r, from the first
+    2d sums the parity chains give; at or below it nk_from_ck is the
+    cheaper."""
     plan = walk_plan(g, K)
     if plan.count <= 2 * len(plan.matrix):
         c = [g.n] + plan.traces()
         return CycleCensus(c=tuple(c), nk=nk_from_ck(c, q, g.n, K))
-    chi = characteristic_polynomial(_recurrence_traces(plan))
-    nk = plan.placed(power_sums(bass_determinant(chi, q, plan.half), plan.count))
-    return CycleCensus(c=tuple([g.n] + plan.placed(power_sums(chi, plan.count))),
-                       nk=tuple(t + (0 if k % 2 else g.n * (q - 1))
-                                for k, t in enumerate(nk, start=1)))
+    head = _recurrence_traces(plan)
+    r = squarefree_part(characteristic_polynomial(head), plan.column_sum)
+    c = [g.n] + plan.placed(power_sums(r, plan.count, head))
+    sums = ck_alternating_sums(c, q, (4 if plan.half else 2) * (len(r) - 1))
+    nk = plan.placed(power_sums(bass_determinant(r, q, plan.half), plan.count,
+                                [x // 2 for x in sums[1::2]] if plan.half else sums))
+    return CycleCensus(c=tuple(c), nk=tuple(t + (0 if k % 2 else g.n * (q - 1))
+                                            for k, t in enumerate(nk, start=1)))

@@ -21,7 +21,7 @@ import os
 import sys
 
 from .analysis import estimate_max_eigenvalue
-from .census import (build_census, walk_plan, characteristic_polynomial,
+from .census import (build_census, walk_plan, characteristic,
                      geodesic_cycles_bruteforce)
 from .graphs import (GraphError, GraphProfile, Multigraph, adjacency_matrix,
                      parse_generator, profile, read_edge_list, write_edge_list)
@@ -178,13 +178,12 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 def cmd_zeta(args: argparse.Namespace) -> int:
     """Z(u)^-1 = (1-u^2)^e det(I - uA + qu^2 I), exactly: the determinant's
-    coefficients from chi_A, which the census to horizon n gives."""
+    coefficients from chi_A (census.characteristic)."""
     g, prof = _load_graph(args.input)
     q, n = prof.q, g.n
     _cost_note(g, n, f"the census to n = {n}")
-    chi = characteristic_polynomial(build_census(g, q, n).c[1:])
     payload = {"schema": DATA_SCHEMA, "source": args.input,
-               "det_coefficients": [str(d) for d in bass_determinant(chi, q)],
+               "det_coefficients": [str(d) for d in bass_determinant(characteristic(g), q)],
                "one_minus_u2_power": n * (q - 1) // 2, "degree": n * (q + 1)}
     _emit(report_to_json(payload), args.out)
     return EXIT_OK

@@ -14,9 +14,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# the most vertices build_graph admits.  It bounds neither the edge tuples,
-# about 100 B each, nor a census, which census.MAX_PLAN_BYTES bounds
+# the most vertices and edges build_graph admits.  An edge tuple holds about
+# 94 B (tracemalloc, complete:1000), so 2^20 edges take about 100 MB, less
+# than the 128 MiB of one n x n int64 array at MAX_VERTICES; the census is
+# bounded apart (census.MAX_PLAN_BYTES)
 MAX_VERTICES = 2 ** 12
+MAX_EDGES = 2 ** 20
 
 
 class GraphError(ValueError):
@@ -137,17 +140,20 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Multigraph:
 
     Duplicate pairs accumulate multiplicity; (u, u) is a loop.  Requires
     all endpoints in range and 3 <= n <= MAX_VERTICES, checked before the
-    first pair is read, so lazy edges never form for too large a graph.
+    first pair is read, so lazy edges never form for too large a graph, and
+    at most MAX_EDGES pairs: no more than one past the limit is read.
     """
     if n < 3:
         raise GraphError(f"need at least 3 vertices, got n={n}")
     if n > MAX_VERTICES:
         raise GraphError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
     normalized = []
-    for u, v in edge_list:
+    for u, v in itertools.islice(edge_list, MAX_EDGES + 1):
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
         normalized.append((min(u, v), max(u, v)))
+    if len(normalized) > MAX_EDGES:
+        raise GraphError(f"the edges exceed the limit of {MAX_EDGES}")
     normalized.sort()
     return Multigraph(n=n, edges=tuple(normalized))
 

@@ -6,6 +6,7 @@ import random
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -14,11 +15,12 @@ import pytest
 import iharazeta.census as census_mod
 
 from iharazeta.census import (BruteForceBudgetExceeded, build_census,
-                              characteristic_polynomial,
+                              characteristic, characteristic_polynomial,
                               closed_walk_counts, extend_traces,
                               geodesic_cycles_bruteforce,
                               geodesic_cycles_operator, integer_power_traces,
-                              nk_from_ck, nonbacktracking_matrix, walk_plan)
+                              nk_from_ck, nonbacktracking_matrix,
+                              squarefree_part, walk_plan)
 from iharazeta.graphs import (GraphError, Multigraph, adjacency_matrix,
                               build_graph, parse_generator, profile)
 from iharazeta.hk import (chebyshev_T_table, hk_excess, hk_from_ck,
@@ -592,8 +594,9 @@ def _random_regular(n, d, seed):
 
 
 RANDOM_REGULAR = {f"random:{n}:{d}:{seed}": (n, d, seed)
-                  for n, d, seed in ((9, 4, 1), (12, 3, 2), (20, 5, 3), (31, 6, 4),
-                                     (50, 3, 5), (64, 7, 6), (100, 3, 7))}
+                  for n, d, seed in ((9, 4, 1), (12, 3, 2), (20, 5, 3), (30, 4, 1),
+                                     (31, 6, 4), (50, 3, 5), (60, 3, 2), (64, 7, 6),
+                                     (98, 5, 3), (100, 3, 7))}
 
 
 def _census_graph(name):
@@ -641,3 +644,84 @@ def test_half_plan_polynomial_is_the_even_bass_coefficients(name):
     full = bass_determinant(chi_a, q)
     assert full[1::2] == [0] * g.n
     assert bass_determinant(chi_g, q, gram=True) == full[::2]
+
+
+# ---------------------------------------------------------------------------
+# the squarefree part of chi, which continues the census past 2s
+
+def _fraction_squarefree_part(chi):
+    # chi / gcd(chi, chi'), monic, by Euclid over the rationals
+    def divide(a, b):
+        a, quotient = [Fraction(x) for x in a], []
+        while len(a) >= len(b):
+            quotient.append(a[0] / b[0])
+            a = [x - quotient[-1] * y for x, y in zip(a[1:], b[1:])] + a[len(b):]
+        while a and a[0] == 0:
+            a.pop(0)
+        return quotient, a
+
+    a, b = list(chi), [(len(chi) - 1 - i) * x for i, x in enumerate(chi[:-1])]
+    while b:
+        a, b = b, divide(a, b)[1]
+    quotient = divide(chi, a)[0]
+    return [x / quotient[0] for x in quotient]
+
+
+def _distinct_eigenvalues(m):
+    values = np.linalg.eigvalsh(m.astype(np.float64))
+    gap = 1e-6 * max(1.0, float(np.abs(values).max()))
+    return 1 + int(np.count_nonzero(np.diff(values) > gap))
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES + ["doubled_cycle4"] + list(LADDER))
+def test_squarefree_part_has_one_root_per_distinct_eigenvalue(name):
+    # deg r is the number of distinct eigenvalues of the plan's matrix (A,
+    # or G = BB^T on a half plan), and r is the exact chi / gcd(chi, chi')
+    g = get_graph(name)
+    plan = walk_plan(g, g.n)
+    chi = characteristic_polynomial(census_mod._recurrence_traces(plan))
+    r = squarefree_part(chi, plan.column_sum)
+    assert len(r) - 1 == _distinct_eigenvalues(plan.matrix)
+    if len(chi) - 1 <= 32:
+        assert r == _fraction_squarefree_part(chi)
+
+
+def test_squarefree_part_falls_back_to_chi(monkeypatch):
+    # a squarefree chi, (x - 1)(x - 2)(x - 3)
+    assert squarefree_part([1, -6, 11, -6], 3) == [1, -6, 11, -6]
+
+    def squarefree_modulo(chi, radius, primes):
+        monkeypatch.setattr(census_mod, "_largest_primes", lambda count: primes[:count])
+        return squarefree_part(chi, radius)
+
+    # x (x - 7) is x^2 modulo 7, so r = x there: it divides chi, but the
+    # quotient g = x - 7 does not divide chi' = 2x - 7
+    assert squarefree_modulo([1, -7, 0], 7, [7]) == [1, -7, 0]
+    # modulo 11 the same chi is squarefree: gcds of different degrees
+    assert squarefree_modulo([1, -7, 0], 2 ** 30, [7, 11]) == [1, -7, 0]
+    # (x - 1)^2 (x + 2): r = (x - 1)(x + 2) modulo 7, but modulo 3 the
+    # leading coefficient 3 of chi' = 3x^2 - 3 cannot be inverted
+    assert squarefree_modulo([1, 0, -3, 2], 2, [7]) == [1, 1, -2]
+    assert squarefree_modulo([1, 0, -3, 2], 2, [3]) == [1, 0, -3, 2]
+
+
+@pytest.mark.parametrize("name", ["petersen", "kmm:16", "hypercube:6", "complete:30",
+                                  "circulant:40:1,7", "doubled_cycle4"])
+def test_census_counts_do_not_depend_on_the_squarefree_part(name, monkeypatch):
+    # the census-k150 graphs repeat eigenvalues; continuing on chi itself,
+    # as the fallback does, gives the same counts as continuing on r
+    g = get_graph(name)
+    q = profile(g).q
+    censuses = [build_census(g, q, 150)]
+    monkeypatch.setattr(census_mod, "squarefree_part", lambda chi, radius: list(chi))
+    censuses.append(build_census(g, q, 150))
+    assert censuses[0] == censuses[1]
+
+
+@pytest.mark.parametrize("name", ["k4", "petersen", "double_triangle", "looped_cycle4",
+                                  "doubled_cycle4", "kmm3", "hypercube:4", "prism:20",
+                                  "circulant:30:1,4"])
+def test_characteristic_is_chi_of_the_adjacency_matrix(name):
+    # chi_G(x^2) on a half plan equals the Newton polynomial of A's traces
+    g = get_graph(name)
+    assert characteristic(g) == characteristic_polynomial(closed_walk_counts(g, g.n)[1:])

@@ -373,6 +373,28 @@ def test_out_of_range_generator_fails_before_its_edges_form(capsys, spec, n):
         assert peak < 2 ** 20, (command, peak)
 
 
+@pytest.mark.parametrize("spec", ["complete:100", "kmm:40", "circulant:1000:1,2,3", "file"])
+def test_too_many_edges_fail_one_past_the_limit(tmp_path, monkeypatch, capsys, spec):
+    # build_graph reads at most MAX_EDGES + 1 pairs and then refuses, so a
+    # lazy edge list never forms past the limit (1000 here, 2^20 shipped);
+    # a file's pairs are parsed before build_graph counts them
+    commands = ("census", "analyze", "generate")
+    if spec == "file":
+        spec, commands = str(tmp_path / "k100.edges"), commands[:2]
+        with open(spec, "w") as fh:
+            fh.write(write_edge_list(parse_generator("complete:100")))
+    monkeypatch.setattr(graphs_mod, "MAX_EDGES", 1000)
+    for command in commands:
+        tracemalloc.start()
+        try:
+            result = run(capsys, command, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (2, "", "error: the edges exceed the limit of 1000\n"), command
+        assert spec.endswith(".edges") or peak < 2 ** 18, (command, peak)
+
+
 def test_analyze_not_regular_exit(tmp_path, capsys):
     path = tmp_path / "star.edges"
     path.write_text("0 1\n0 2\n0 3\n")
