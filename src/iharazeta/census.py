@@ -3,7 +3,7 @@
 C_k is the trace of the k-th adjacency power; N_k counts closed oriented-edge
 sequences all of whose cyclic shifts are backtrack-free.  Both grow like
 (q+1)^k, so the traces are computed modulo 26-bit primes, all stacked in
-one float64 array with one exact GEMM per power step (_recurrence_traces),
+one float64 array with one exact GEMM per power step (_recurrence_diagonals),
 and the Chinese remainder theorem returns each as an exact Python integer.
 Matrix powers run only up to min(K, s), s the size: the traces of an s x s
 matrix are fixed by its first s.  Past s, Newton's identities turn them
@@ -22,17 +22,16 @@ Three exact routes to N_k are cross-checked in the test suite: a
 brute-force enumeration, the traces of the non-backtracking operator
 through its Ihara-Bass companion, and the census's own, which converts C_k
 by nk_from_ck (two parity chains, the reference) up to that companion's
-size 2s.  Past it build_census continues on the squarefree part r = chi /
-gcd(chi, chi') (squarefree_part), of degree d, the number of distinct
-eigenvalues: C_k by r's d-term recurrence from the plan's p_1..p_s, and
+size 2s.  Past it build_census continues on r = prod (x - mu) over the d
+distinct eigenvalues mu of the plan's matrix M: C_k by r's recurrence, and
 N_k - n(q-1)[k even], the power sums of the reciprocal roots of
-zetaxi.bass_determinant(chi, q), by the 2d-term recurrence of
-bass_determinant(r, q) from their first 2d values, which the parity chains
-give.  That is exact: r vanishes at every eigenvalue, so its recurrence
-holds for their power sums whatever the multiplicities, and
-bass_determinant(r, q) likewise vanishes at every reciprocal root of
-bass_determinant(chi, q).  The float h_k of hk.hk_spectral check the
-census within hk.hk_spectral_budget.
+zetaxi.bass_determinant(chi, q), by that of bass_determinant(r, q) from the
+first 2d, which the parity chains give.  t_0..t_2d fix r: the powers stop
+at the first k = 2L where Berlekamp-Massey modulo the plan's first prime
+has length L and its r, lifted, has tr(r(M)^2) = sum_mu m_mu r(mu)^2 = 0
+(annihilator), which, M real symmetric and every m_mu >= 1, proves r(mu) =
+0 at every eigenvalue; else r is certified from chi's t_0..t_2s, or is chi.
+The float h_k of hk.hk_spectral check the census within hk.hk_spectral_budget.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -101,7 +100,7 @@ class Plan:
 
     @property
     def memory(self) -> int:
-        """The bytes of _recurrence_traces's three (P s, s) float64 stacks."""
+        """The bytes of _recurrence_diagonals's three (P s, s) float64 stacks."""
         return 3 * len(self.primes) * len(self.matrix) ** 2 * 8
 
     @property
@@ -214,10 +213,11 @@ def _plan(a: np.ndarray, weight: int, K: int, prime: int | None = None,
     return Plan(a, weight, steps, tuple(_largest_primes(primes)), c, K, half)
 
 
-def _recurrence_traces(plan: Plan) -> list[int]:
-    """tr(X_k) + weight tr(X_(k-2)) for k = 1..steps, where X_(-1) = 0,
-    X_0 = I and X_k = X_(k-1) a + weight X_(k-2) for the plan's s x s
-    integer matrix a: exact, or modulo the one prime of a check plan.
+def _recurrence_diagonals(plan: Plan) -> Iterator[np.ndarray]:
+    """At k = 0 and after each step k = 1..steps of X_k = X_(k-1) a + weight
+    X_(k-2), from X_(-1) = 0 and X_0 = I, a the plan's s x s integer matrix,
+    the (steps + 1, P, s) float64 array whose rows 0..k hold the diagonals
+    of X_0..X_k modulo every prime, integers |x| <= 2^52 not yet reduced.
 
     The entries of X_k are bounded by B_k (_plan, with c and d = |weight|),
     so each tr(X_k) by s max B_k, and each is recovered by CRT from its
@@ -247,9 +247,8 @@ def _recurrence_traces(plan: Plan) -> list[int]:
     a, weight, steps, primes = plan.matrix, plan.weight, plan.steps, plan.primes
     size, count, c, d = len(a), len(primes), plan.column_sum, abs(weight)
     reduced_bound = (primes[0] + 1) // 2
-    prime = np.array(primes, dtype=np.float64)[:, None]
-    column = np.repeat(prime, size, axis=0)
-    inverse, prime_inverse, factor = 1.0 / column, 1.0 / prime, a.astype(np.float64)
+    column = np.repeat(np.array(primes, dtype=np.float64), size)[:, None]
+    inverse, factor = 1.0 / column, a.astype(np.float64)
     # the three rotating arrays, each with its (count, size) diagonal view
     prev, cur, buf = ((x, x.reshape(count, size, size).diagonal(axis1=1, axis2=2))
                       for x in (np.zeros((count * size, size)),
@@ -257,6 +256,7 @@ def _recurrence_traces(plan: Plan) -> list[int]:
                                 np.empty((count * size, size))))
     diagonals = np.ones((steps + 1, count, size))  # row k: the diagonal of X_k
     prev_bound, cur_bound = 0, 1
+    yield diagonals
     for k in range(1, steps + 1):
         if c * cur_bound + d * prev_bound > EXACT_LIMIT:
             _reduce(cur[0], column, inverse, out=buf[0])
@@ -271,9 +271,17 @@ def _recurrence_traces(plan: Plan) -> list[int]:
         prev, cur, buf = cur, buf, prev
         prev_bound, cur_bound = cur_bound, c * cur_bound + d * prev_bound
         diagonals[k] = cur[1]
-    diagonals = _reduce(diagonals, prime, prime_inverse, out=np.empty_like(diagonals))
-    traces = _lift(diagonals.sum(axis=2).astype(np.int64).tolist(), primes)
-    return [t + weight * u for t, u in zip(traces[1:], [0] + traces)]
+        yield diagonals
+
+
+def _recurrence_traces(plan: Plan, diagonals: np.ndarray | None = None) -> list[int]:
+    """tr(X_k) + weight tr(X_(k-2)) for the k of diagonals, by default all
+    steps (_recurrence_diagonals): exact, or modulo a check plan's prime."""
+    *_, diagonals = _recurrence_diagonals(plan) if diagonals is None else [diagonals]
+    prime = np.array(plan.primes, dtype=np.float64)[:, None]
+    diagonals = _reduce(diagonals, prime, 1.0 / prime, out=np.empty_like(diagonals))
+    traces = _lift(diagonals.sum(axis=2).astype(np.int64).tolist(), plan.primes)
+    return [t + plan.weight * u for t, u in zip(traces[1:], [0] + traces)]
 
 
 def _lift(rows: Sequence[Sequence[int]], primes: tuple[int, ...]) -> list[int]:
@@ -324,60 +332,39 @@ def power_sums(poly: Sequence[int], K: int, head: Sequence[int] = ()) -> list[in
     return recent[::-1]
 
 
-def _gcd_modulo(a: Sequence[int], b: Sequence[int], prime: int) -> list[int]:
-    """The monic gcd of a and b modulo prime, by Euclid, a remainder one
-    degree down (the usual case) in one pass; ValueError (from pow) when
-    prime divides the leading coefficient of b."""
-    a, b = [x % prime for x in a], [x % prime for x in b]
-    while len(b) > 1:
-        inverse = pow(b[0], -1, prime)
-        if len(a) == len(b) + 1:  # a -= (f x + h) b
-            f = a[0] * inverse % prime
-            h = (a[1] - f * b[1]) * inverse % prime
-            a = [(x - f * y - h * z) % prime for x, y, z in zip(a[2:], b[2:] + [0], b[1:])]
-        while len(a) >= len(b):  # a -= f x^(len a - len b) b
-            f = a[0] * inverse % prime
-            a = [(x - f * y) % prime for x, y in zip(a[1:], b[1:])] + a[len(b):]
-        while a and not a[0]:
-            del a[0]
-        a, b = b, a
-    return [1] if b else [x * pow(a[0], -1, prime) % prime for x in a]
+def _massey(prime: int) -> Callable[..., list[int]]:
+    """Berlekamp-Massey modulo prime (Massey, IEEE Trans. Inf. Theory 15,
+    1969): a function that, fed t_0..t_k over any calls, returns the shortest
+    [1, r_1, ..., r_L] with sum_i r_i t_(j-i) = 0 modulo prime, L <= j <= k."""
+    t, c, b, inverse = [], [1], [1], 1
+
+    def feed(*terms: int) -> list[int]:
+        nonlocal c, b, inverse
+        for x in terms:
+            t.insert(0, x % prime)  # t_k, t_(k-1), ..., t_0
+            b = [0] + b  # x^m b_0, b_0 the r before the last length change
+            if delta := sum(map(operator.mul, c, t)) % prime:
+                f = delta * inverse  # delta over b_0's own discrepancy
+                new = [(y - f * z) % prime for y, z in itertools.zip_longest(c, b, fillvalue=0)]
+                if 2 * len(c) <= len(t) + 1:  # the length becomes len(t) - L
+                    b, inverse = c, pow(delta, -1, prime)
+                c = new
+        return c
+    return feed
 
 
-def _divide(a: Sequence[int], b: Sequence[int], prime: int = 0) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by the monic b, both descending; given a
-    prime, the quotient's residues modulo it."""
-    a, split = list(a), len(a) - len(b) + 1
-    for i in range(split):
-        a[i] = a[i] % prime if prime else a[i]
-        a[i + 1:i + len(b)] = [x - a[i] * y for x, y in zip(a[i + 1:i + len(b)], b[1:])]
-    return a[:split], a[split:]
-
-
-def squarefree_part(chi: Sequence[int], radius: int) -> list[int]:
-    """r = chi / gcd(chi, chi'), of degree d the number of distinct roots of
-    the monic integer chi, all in |x| <= radius; or else chi.  The gcd
-    modulo the largest prime (_largest_primes) is the test: 1 means
-    squarefree.  Otherwise r, of coefficients at most C(d, j) radius^j, is
-    lifted by CRT from enough primes, and kept only if it divides chi over Z
-    and the quotient g divides chi': a root of multiplicity m is one of chi'
-    m - 1 times, so then r vanishes at every root of chi.  That check, not
-    the primes, makes r exact; a prime dividing a leading coefficient of
-    chi' gives chi."""
-    derivative = [(len(chi) - 1 - i) * x for i, x in enumerate(chi[:-1])]
-    try:
-        gcd = _gcd_modulo(chi, derivative, _largest_primes(1)[0])
-        if len(gcd) == 1:
-            return list(chi)
-        count = (2 * (radius + 1) ** (len(chi) - len(gcd))).bit_length() // 25 + 1
-        primes = tuple(_largest_primes(count))
-        rows = [_divide(chi, _gcd_modulo(chi, derivative, p) if k else gcd, p)[0]
-                for k, p in enumerate(primes)]
-    except ValueError:
-        return list(chi)
-    r = _lift(list(zip(*rows)), primes)
-    g, rest = _divide(chi, r)
-    return list(chi) if any(rest) or any(_divide(derivative, g)[1]) else r
+def annihilator(t: Sequence[int], radius: int, first: Sequence[int] = ()) -> list[int] | None:
+    """The shortest recurrence r = [1, r_1, ..., r_L] of the traces t of a
+    real symmetric integer M, eigenvalues in |x| <= radius: _massey modulo
+    the largest primes (first: its answer modulo the first) that r's C(L, j)
+    radius^j need, and CRT.  None unless tr(r(M)^2) = sum_(i,j) r_i r_j
+    t_(2L-i-j) = sum_mu m_mu r(mu)^2 is 0, that is, r(mu) = 0 at every mu."""
+    first = first or _massey(_largest_primes(1)[0])(*t)
+    count = (2 * (radius + 1) ** (len(first) - 1)).bit_length() // 25 + 1
+    primes = tuple(_largest_primes(count))
+    r = _lift(list(zip(first, *(_massey(p)(*t) for p in primes[1:]))), primes)
+    u = [sum(map(operator.mul, r, reversed(t[m:m + len(r)]))) for m in range(len(r))]
+    return r if sum(map(operator.mul, r, reversed(u))) == 0 else None
 
 
 def extend_traces(head: Sequence[int], K: int) -> list[int]:
@@ -551,15 +538,24 @@ def build_census(g: Multigraph, q: int, K: int) -> CycleCensus:
     even] are the power sums of the 2s reciprocal roots of bass_determinant
     (chi_A, q); on a half plan N_2j - n(q-1) = 2 p_j, p_j those of the
     determinant in v = u^2 from chi_G.  Past that size (K, or K/2, above
-    2s) they, and C_k, continue on chi's squarefree part r, from the first
-    2d sums the parity chains give; at or below it nk_from_ck is the
-    cheaper."""
+    2s) they, and C_k, continue on r (the module note); at or below it
+    nk_from_ck is the cheaper."""
     plan = walk_plan(g, K)
     if plan.count <= 2 * len(plan.matrix):
         c = [g.n] + plan.traces()
         return CycleCensus(c=tuple(c), nk=nk_from_ck(c, q, g.n, K))
-    head = _recurrence_traces(plan)
-    r = squarefree_part(characteristic_polynomial(head), plan.column_sum)
+    size, massey = len(plan.matrix), _massey(plan.primes[0])
+    for k, diagonals in enumerate(_recurrence_diagonals(plan)):
+        connection = massey(sum(map(int, diagonals[k, 0].tolist())))  # t_k mod p_0
+        if 2 * len(connection) - 2 == k:
+            head = _recurrence_traces(plan, diagonals[:k + 1])
+            if r := annihilator([size] + head, plan.column_sum, connection):
+                break
+    else:
+        head = _recurrence_traces(plan, diagonals)
+        t = [size] + power_sums(chi := characteristic_polynomial(head), 2 * size, head)
+        connection = massey(*t[size + 1:])  # L <= d, so L = s only when r = chi
+        r = len(connection) <= size and annihilator(t, plan.column_sum, connection) or chi
     c = [g.n] + plan.placed(power_sums(r, plan.count, head))
     sums = ck_alternating_sums(c, q, (4 if plan.half else 2) * (len(r) - 1))
     nk = plan.placed(power_sums(bass_determinant(r, q, plan.half), plan.count,

@@ -57,10 +57,9 @@ def _load_graph(source: str) -> tuple[Multigraph, GraphProfile]:
     if os.path.exists(source):
         try:
             with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
+                g = read_edge_list(fh)
         except OSError as exc:
             raise ValueError(f"cannot read {source}: {exc.strerror or exc}") from exc
-        g = read_edge_list(text)
     else:
         g = parse_generator(source)
     return g, profile(g)

@@ -10,7 +10,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -276,46 +276,51 @@ def parse_generator(spec: str) -> Multigraph:
 # ---------------------------------------------------------------------------
 # edge-list text format
 
-def read_edge_list(text: str) -> Multigraph:
-    """Parse edge-list text: optional "n <count>" header, then "u v" lines.
+def read_edge_list(text: str | Iterable[str]) -> Multigraph:
+    """Parse edge-list text, or a file line by line: optional "n <count>"
+    header, then "u v" lines, streamed into build_graph after a header.
 
     Lines starting with '#' are comments; duplicate lines raise edge
     multiplicity; "u u" is a loop.  Without a header, n is one more than the
-    largest vertex index seen.
-    """
+    largest vertex index seen in at most MAX_EDGES + 1 pairs."""
     n: int | None = None
-    pairs: list[tuple[int, int]] = []
-    saw_data = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        toks = line.split()
-        if toks[0] == "n":
-            if saw_data or n is not None:
-                raise EdgeListFormatError("header must come first", lineno)
+
+    def pairs() -> Iterator[tuple[int, int]]:
+        nonlocal n
+        saw_data = False
+        for lineno, raw in enumerate(text.splitlines() if isinstance(text, str) else text, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            toks = line.split()
+            if toks[0] == "n":
+                if saw_data or n is not None:
+                    raise EdgeListFormatError("header must come first", lineno)
+                if len(toks) != 2:
+                    raise EdgeListFormatError("header must be 'n <count>'", lineno)
+                try:
+                    n = int(toks[1])
+                except ValueError:
+                    raise EdgeListFormatError(f"bad vertex count {toks[1]!r}", lineno) from None
+                continue
             if len(toks) != 2:
-                raise EdgeListFormatError("header must be 'n <count>'", lineno)
+                raise EdgeListFormatError(f"expected 'u v', got {line!r}", lineno)
             try:
-                n = int(toks[1])
+                u, v = int(toks[0]), int(toks[1])
             except ValueError:
-                raise EdgeListFormatError(f"bad vertex count {toks[1]!r}", lineno) from None
-            continue
-        if len(toks) != 2:
-            raise EdgeListFormatError(f"expected 'u v', got {line!r}", lineno)
-        try:
-            u, v = int(toks[0]), int(toks[1])
-        except ValueError:
-            raise EdgeListFormatError(f"non-integer endpoint in {line!r}", lineno) from None
-        if u < 0 or v < 0:
-            raise EdgeListFormatError("vertex indices must be >= 0", lineno)
-        if n is not None and (u >= n or v >= n):
-            raise EdgeListFormatError(f"vertex out of range for n={n}", lineno)
-        saw_data = True
-        pairs.append((u, v))
+                raise EdgeListFormatError(f"non-integer endpoint in {line!r}", lineno) from None
+            if u < 0 or v < 0:
+                raise EdgeListFormatError("vertex indices must be >= 0", lineno)
+            if n is not None and (u >= n or v >= n):
+                raise EdgeListFormatError(f"vertex out of range for n={n}", lineno)
+            saw_data = True
+            yield u, v
+
+    edges = itertools.chain(list(itertools.islice(edges := pairs(), 1)), edges)  # header read
     if n is None:
-        n = 1 + max((max(u, v) for u, v in pairs), default=-1)
-    return build_graph(n, pairs)
+        edges = list(itertools.islice(edges, MAX_EDGES + 1))
+        n = 1 + max((max(u, v) for u, v in edges), default=-1)
+    return build_graph(n, edges)
 
 
 def write_edge_list(g: Multigraph) -> str:

@@ -20,7 +20,7 @@ from iharazeta.census import (BruteForceBudgetExceeded, build_census,
                               geodesic_cycles_bruteforce,
                               geodesic_cycles_operator, integer_power_traces,
                               nk_from_ck, nonbacktracking_matrix,
-                              squarefree_part, walk_plan)
+                              power_sums, walk_plan)
 from iharazeta.graphs import (GraphError, Multigraph, adjacency_matrix,
                               build_graph, parse_generator, profile)
 from iharazeta.hk import (chebyshev_T_table, hk_excess, hk_from_ck,
@@ -378,14 +378,14 @@ def _with_matrix_sizes(monkeypatch, route, g, K):
     # route(g, K) and the size of every matrix it hands to the recurrence
     # engine: n/2 on the half-size path, n on the full one
     sizes = []
-    engine = census_mod._recurrence_traces
+    engine = census_mod._recurrence_diagonals
 
     def recording(plan):
         sizes.append(len(plan.matrix))
         return engine(plan)
 
     with monkeypatch.context() as patch:
-        patch.setattr(census_mod, "_recurrence_traces", recording)
+        patch.setattr(census_mod, "_recurrence_diagonals", recording)
         return route(g, K), sizes
 
 
@@ -647,7 +647,8 @@ def test_half_plan_polynomial_is_the_even_bass_coefficients(name):
 
 
 # ---------------------------------------------------------------------------
-# the squarefree part of chi, which continues the census past 2s
+# the annihilator r of the plan's matrix, chi's squarefree part, which
+# continues the census past 2s
 
 def _fraction_squarefree_part(chi):
     # chi / gcd(chi, chi'), monic, by Euclid over the rationals
@@ -673,49 +674,135 @@ def _distinct_eigenvalues(m):
     return 1 + int(np.count_nonzero(np.diff(values) > gap))
 
 
+def _bass_census(monkeypatch, g, K=None):
+    # build_census on its Bass route (by default at the first K past the
+    # cut, 2s + 1 or 4s + 2), the polynomial r it continues on, and the
+    # number of power steps it took
+    plan = walk_plan(g, 1)
+    K = K or (4 * len(plan.matrix) + 2 if plan.half else 2 * len(plan.matrix) + 1)
+    polynomials, steps = [], []
+    matmul = np.matmul
+
+    def recording(r, q, gram=False):
+        polynomials.append(list(r))
+        return bass_determinant(r, q, gram)
+
+    def counting(*args, **kwargs):
+        steps.append(1)
+        return matmul(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(census_mod, "bass_determinant", recording)
+        patch.setattr(np, "matmul", counting)
+        census = build_census(g, profile(g).q, K)
+    return census, polynomials[-1], len(steps)
+
+
 @pytest.mark.parametrize("name", ALL_FIXTURES + ["doubled_cycle4"] + list(LADDER))
-def test_squarefree_part_has_one_root_per_distinct_eigenvalue(name):
-    # deg r is the number of distinct eigenvalues of the plan's matrix (A,
-    # or G = BB^T on a half plan), and r is the exact chi / gcd(chi, chi')
+def test_squarefree_part_has_one_root_per_distinct_eigenvalue(name, monkeypatch):
+    # the r the census continues on has degree the number of distinct
+    # eigenvalues of the plan's matrix (A, or G = BB^T on a half plan), and
+    # is the exact chi / gcd(chi, chi')
     g = get_graph(name)
     plan = walk_plan(g, g.n)
     chi = characteristic_polynomial(census_mod._recurrence_traces(plan))
-    r = squarefree_part(chi, plan.column_sum)
+    r = _bass_census(monkeypatch, g)[1]
     assert len(r) - 1 == _distinct_eigenvalues(plan.matrix)
     if len(chi) - 1 <= 32:
         assert r == _fraction_squarefree_part(chi)
 
 
 def test_squarefree_part_falls_back_to_chi(monkeypatch):
+    # the census's last resort: the certified annihilator of chi's traces
+    # t_0..t_2s, or else chi itself
+    def annihilator_or_chi(chi, radius, primes=None):
+        if primes:
+            monkeypatch.setattr(census_mod, "_largest_primes", lambda count: primes[:count])
+        s = len(chi) - 1
+        return census_mod.annihilator([s] + power_sums(chi, 2 * s), radius) or list(chi)
+
     # a squarefree chi, (x - 1)(x - 2)(x - 3)
-    assert squarefree_part([1, -6, 11, -6], 3) == [1, -6, 11, -6]
-
-    def squarefree_modulo(chi, radius, primes):
-        monkeypatch.setattr(census_mod, "_largest_primes", lambda count: primes[:count])
-        return squarefree_part(chi, radius)
-
-    # x (x - 7) is x^2 modulo 7, so r = x there: it divides chi, but the
-    # quotient g = x - 7 does not divide chi' = 2x - 7
-    assert squarefree_modulo([1, -7, 0], 7, [7]) == [1, -7, 0]
-    # modulo 11 the same chi is squarefree: gcds of different degrees
-    assert squarefree_modulo([1, -7, 0], 2 ** 30, [7, 11]) == [1, -7, 0]
-    # (x - 1)^2 (x + 2): r = (x - 1)(x + 2) modulo 7, but modulo 3 the
-    # leading coefficient 3 of chi' = 3x^2 - 3 cannot be inverted
-    assert squarefree_modulo([1, 0, -3, 2], 2, [7]) == [1, 1, -2]
-    assert squarefree_modulo([1, 0, -3, 2], 2, [3]) == [1, 0, -3, 2]
+    assert annihilator_or_chi([1, -6, 11, -6], 3) == [1, -6, 11, -6]
+    # x (x - 7) has traces 2, 7^k, which modulo 7 fit r = x; it misses the
+    # eigenvalue 7, so the certificate refuses it
+    assert annihilator_or_chi([1, -7, 0], 7, [7]) == [1, -7, 0]
+    # modulo 11 the same traces need length 2: rows of different lengths
+    assert annihilator_or_chi([1, -7, 0], 2 ** 30, [7, 11]) == [1, -7, 0]
+    # (x - 1)^2 (x + 2): r = (x - 1)(x + 2) modulo 7, but modulo 3 every
+    # trace 2 + (-2)^k is 0, so r = 1 there
+    assert annihilator_or_chi([1, 0, -3, 2], 2, [7]) == [1, 1, -2]
+    assert annihilator_or_chi([1, 0, -3, 2], 2, [3]) == [1, 0, -3, 2]
 
 
 @pytest.mark.parametrize("name", ["petersen", "kmm:16", "hypercube:6", "complete:30",
                                   "circulant:40:1,7", "doubled_cycle4"])
 def test_census_counts_do_not_depend_on_the_squarefree_part(name, monkeypatch):
     # the census-k150 graphs repeat eigenvalues; continuing on chi itself,
-    # as the fallback does, gives the same counts as continuing on r
+    # as the fallback does when no annihilator is certified, gives the same
+    # counts as continuing on r
     g = get_graph(name)
     q = profile(g).q
     censuses = [build_census(g, q, 150)]
-    monkeypatch.setattr(census_mod, "squarefree_part", lambda chi, radius: list(chi))
+    monkeypatch.setattr(census_mod, "annihilator", lambda *args: None)
     censuses.append(build_census(g, q, 150))
     assert censuses[0] == censuses[1]
+
+
+@pytest.mark.parametrize("name, steps, size", [
+    ("petersen", 6, 10), ("kmm:16", 4, 16), ("hypercube:5", 6, 16), ("complete:30", 4, 30),
+    ("circulant:30:1,4", 22, 30), ("hypercube:6", 8, 32), ("circulant:40:1,7", 20, 20),
+    ("prism:24", 24, 24), ("random:30:4:1", 30, 30)])
+def test_census_powers_stop_at_twice_the_distinct_eigenvalues(name, steps, size, monkeypatch):
+    # the census-k150 graphs at K = 150: the powers stop at k = 2d, d the
+    # number of distinct eigenvalues, where the certificate first holds, or
+    # run all s steps when 2d > s, as on a random graph, whose chi is
+    # squarefree
+    g = _census_graph(name)
+    census, r, taken = _bass_census(monkeypatch, g, 150)
+    assert (taken, len(walk_plan(g, 150).matrix)) == (steps, size)
+    assert 2 * (len(r) - 1) == steps or 2 * (len(r) - 1) > size == steps
+    assert census.nk == nk_from_ck(census.c, profile(g).q, g.n, 150)
+
+
+@pytest.mark.parametrize("name", ["petersen", "hypercube:6", "complete:30", "circulant:30:1,4"])
+def test_census_survives_a_refused_certificate(name, monkeypatch):
+    # the first candidate refused, the powers go on, to the next candidate
+    # or to chi at k = s, and the census is the same
+    g = get_graph(name)
+    q = profile(g).q
+    expected = build_census(g, q, 150)
+    annihilator, calls = census_mod.annihilator, []
+
+    def refusing_first(*args):
+        calls.append(args)
+        return annihilator(*args) if len(calls) > 1 else None
+
+    monkeypatch.setattr(census_mod, "annihilator", refusing_first)
+    assert build_census(get_graph(name), q, 150) == expected
+    assert len(calls) >= 2
+
+
+@pytest.mark.parametrize("name, prime", [("petersen", 5), ("hypercube:6", 3),
+                                         ("complete:30", 29), ("doubled_cycle4", 2)])
+def test_census_survives_an_unlucky_first_prime(name, prime, monkeypatch):
+    # Berlekamp-Massey modulo a prime that divides the traces or merges
+    # eigenvalues (petersen's traces are all 0 modulo 5) finds too short an
+    # r; the certificate refuses every lift, and the census goes on to chi
+    g = get_graph(name)
+    q = profile(g).q
+    expected = build_census(g, q, 150)
+    massey = census_mod._massey
+    monkeypatch.setattr(census_mod, "_massey", lambda _: massey(prime))
+    assert build_census(get_graph(name), q, 150) == expected
+
+
+def test_certificate_refuses_a_missed_eigenvalue():
+    # petersen's eigenvalues are 3, 1 and -2: (x - 3)(x - 1) misses -2,
+    # and tr(r(A)^2) = 4 r(-2)^2 = 4 * 15^2; with x + 2 it is 0
+    t = closed_walk_counts(get_graph("petersen"), 6)
+    assert census_mod.annihilator(t, 3, [1, -4, 3]) is None
+    assert census_mod.annihilator(t, 3, [1, -2, -5, 6]) == [1, -2, -5, 6]
+    assert census_mod.annihilator(t, 3) == [1, -2, -5, 6]
 
 
 @pytest.mark.parametrize("name", ["k4", "petersen", "double_triangle", "looped_cycle4",
