@@ -56,7 +56,7 @@ def _load_graph(source: str) -> tuple[Multigraph, GraphProfile]:
     generate validates here, before any census is planned."""
     if os.path.exists(source):
         try:
-            with open(source, "r", encoding="utf-8") as fh:
+            with open(source, "r", encoding="utf-8-sig") as fh:
                 g = read_edge_list(fh)
         except OSError as exc:
             raise ValueError(f"cannot read {source}: {exc.strerror or exc}") from exc

@@ -6,6 +6,7 @@ loops (u == u) and repeated pairs are allowed.
 
 from __future__ import annotations
 
+import io
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -138,20 +139,21 @@ class GraphProfile:
 def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Multigraph:
     """Build a multigraph from a vertex count and an iterable of vertex pairs.
 
-    Duplicate pairs accumulate multiplicity; (u, u) is a loop.  Requires
-    all endpoints in range and 3 <= n <= MAX_VERTICES, checked before the
-    first pair is read, so lazy edges never form for too large a graph, and
-    at most MAX_EDGES pairs: no more than one past the limit is read.
-    """
+    Duplicate pairs accumulate multiplicity; (u, u) is a loop.  ``edges``
+    holds ordered tuples; a caller's ordered tuple (u <= v) is kept as given.
+    Requires 3 <= n <= MAX_VERTICES, checked before the first pair is read
+    so lazy edges never form for too large a graph, all endpoints in range,
+    and at most MAX_EDGES pairs: no more than one past the limit is read."""
     if n < 3:
         raise GraphError(f"need at least 3 vertices, got n={n}")
     if n > MAX_VERTICES:
         raise GraphError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
     normalized = []
-    for u, v in itertools.islice(edge_list, MAX_EDGES + 1):
+    for e in itertools.islice(edge_list, MAX_EDGES + 1):
+        u, v = e
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-        normalized.append((min(u, v), max(u, v)))
+        normalized.append(e if u <= v and type(e) is tuple else (min(u, v), max(u, v)))
     if len(normalized) > MAX_EDGES:
         raise GraphError(f"the edges exceed the limit of {MAX_EDGES}")
     normalized.sort()
@@ -277,18 +279,18 @@ def parse_generator(spec: str) -> Multigraph:
 # edge-list text format
 
 def read_edge_list(text: str | Iterable[str]) -> Multigraph:
-    """Parse edge-list text, or a file line by line: optional "n <count>"
-    header, then "u v" lines, streamed into build_graph after a header.
-
-    Lines starting with '#' are comments; duplicate lines raise edge
-    multiplicity; "u u" is a loop.  Without a header, n is one more than the
-    largest vertex index seen in at most MAX_EDGES + 1 pairs."""
+    """Parse edge-list text or a file, both split as a universal-newline file
+    is: optional "n <count>" header, then "u v" lines; '#' starts a comment,
+    a repeated line adds multiplicity and "u u" is a loop.  Pairs stream into
+    build_graph after a header; without one, n is 1 + the largest index in at
+    most MAX_EDGES + 1 pairs; build_graph keeps each ordered pair's tuple."""
     n: int | None = None
+    lines = io.StringIO(text, newline=None) if isinstance(text, str) else text
 
     def pairs() -> Iterator[tuple[int, int]]:
         nonlocal n
         saw_data = False
-        for lineno, raw in enumerate(text.splitlines() if isinstance(text, str) else text, 1):
+        for lineno, raw in enumerate(lines, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

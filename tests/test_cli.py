@@ -395,6 +395,66 @@ def test_too_many_edges_fail_one_past_the_limit(tmp_path, monkeypatch, capsys, s
         assert peak < 2 ** 18, (command, peak)
 
 
+def test_headerless_file_costs_what_a_headed_file_costs(tmp_path, monkeypatch, capsys):
+    # without a header the pairs are held until n is known, and build_graph
+    # keeps their ordered tuples rather than copying them; complete:300 has
+    # 44850 edges, past the patched limit
+    headed = write_edge_list(parse_generator("complete:300"))
+    monkeypatch.setattr(graphs_mod, "MAX_EDGES", 40000)
+    peaks = []
+    for text in (headed, headed.split("\n", 1)[1]):
+        path = tmp_path / "k300.edges"
+        path.write_text(text)
+        tracemalloc.start()
+        try:
+            result = run(capsys, "census", str(path), "--k", "10")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert result == (2, "", "error: the edges exceed the limit of 40000\n")
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+def _read_outcome(read, source):
+    try:
+        return read(source).edges
+    except graphs_mod.EdgeListFormatError as exc:
+        return exc.line, str(exc)
+
+
+@pytest.mark.parametrize("sep", ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x85", "\u2028"],
+                         ids=["LF", "CR", "CRLF", "VT", "FF", "FS", "NEL", "LS"])
+@pytest.mark.parametrize("template", ["0 1{0}1 2{0}2 0{0}", "n 3{0}0 1{0}1 2{0}2 0"],
+                         ids=["headerless", "headed"])
+def test_text_and_file_split_lines_alike(tmp_path, sep, template):
+    # read_edge_list splits a str where a file read with universal newlines
+    # splits, at \n, \r and \r\n alone; any other separator stays inside
+    # its line, which then fails as malformed
+    text = template.format(sep)
+    path = tmp_path / "g.edges"
+    path.write_bytes(text.encode("utf-8"))
+    from_text = _read_outcome(graphs_mod.read_edge_list, text)
+    from_file = _read_outcome(lambda source: cli_mod._load_graph(source)[0], str(path))
+    assert from_text == from_file
+    if sep in ("\n", "\r", "\r\n"):
+        assert from_text == ((0, 1), (0, 2), (1, 2))
+    else:
+        assert from_text[0] == 1
+
+
+def test_byte_order_mark_is_read_past(tmp_path, capsys):
+    # an edge-list file that starts with a UTF-8 byte-order mark reads like
+    # the same file without it
+    path = tmp_path / "petersen.edges"
+    text = write_edge_list(parse_generator("petersen"))
+    outputs = []
+    for data in (text.encode("utf-8"), text.encode("utf-8-sig")):
+        path.write_bytes(data)
+        outputs.append(run(capsys, "census", str(path), "--k", "3"))
+    assert data.startswith(b"\xef\xbb\xbf")
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
 def test_analyze_not_regular_exit(tmp_path, capsys):
     path = tmp_path / "star.edges"
     path.write_text("0 1\n0 2\n0 3\n")

@@ -24,6 +24,19 @@ def test_build_triangle():
     assert profile(g).q == 1
 
 
+def test_build_graph_keeps_a_callers_ordered_tuples():
+    # an ordered tuple is kept as the object given, so a list of parsed
+    # pairs is not copied pair by pair; a reversed pair or a list is turned
+    # into a new ordered tuple
+    pairs = [(i, (i + 1) % 7) for i in range(7)] + [[3, 5]]
+    g = build_graph(7, pairs)
+    assert g.edges == ((0, 1), (0, 6), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5), (5, 6))
+    assert all(type(e) is tuple for e in g.edges)
+    kept = {id(e) for e in g.edges}
+    assert all(id(pair) in kept for pair in pairs[:6])
+    assert id(pairs[6]) not in kept and id(pairs[7]) not in kept
+
+
 def test_build_k4():
     g = build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     assert profile(g).q == 2
